@@ -26,13 +26,6 @@ import (
 //	radloc bench -particles 5000 -sensors 36 -steps 10 -out bench.csv -profile
 //	go tool pprof bench.cpu.pprof
 //
-// With -zones it instead benchmarks the sharded ingest runtime:
-// for each zone count it drives the same workload through one shared
-// engine (every feeder contending on its lock) and through that many
-// single-writer zones, and emits a JSON throughput report:
-//
-//	radloc bench -zones 1,4,16 -particles 2000 -steps 6 -out BENCH_zones.json
-//
 // With -core it runs the filter-core throughput benchmark per the
 // benchmarking policy (canonical task, N≥5 runs, machine-readable
 // report) and emits BENCH_core.json; -against embeds a previous
@@ -51,7 +44,6 @@ func benchCmd(args []string, stdout io.Writer) error {
 		workers   = fs.Int("workers", 0, "mean-shift worker count (0 = GOMAXPROCS)")
 		out       = fs.String("out", "", "output CSV (default stdout); profiles are written next to it")
 		profile   = fs.Bool("profile", false, "write CPU (<base>.cpu.pprof) and heap (<base>.heap.pprof) profiles")
-		zones     = fs.String("zones", "", "comma-separated zone counts (e.g. 1,4,16): run the sharded-ingest throughput benchmark instead of the filter stage bench")
 		coreBench = fs.Bool("core", false, "run the filter-core throughput benchmark (N timed runs of the canonical engine task) and emit a BENCH_core.json report")
 		runs      = fs.Int("runs", 7, "with -core: timed repetitions of the canonical task (policy wants ≥5)")
 		against   = fs.String("against", "", "with -core: previous report whose numbers become this report's baseline (before/after in one file)")
@@ -61,9 +53,9 @@ func benchCmd(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *coreBench {
-		// -core defaults match the zones benchmark's canonical cell so
-		// the reports stay comparable; -particles/-steps keep their
-		// stage-bench defaults unless set.
+		// -core runs the canonical cell (2000 particles, 6 steps) unless
+		// -particles/-steps are set; the stage bench keeps its own
+		// defaults.
 		p, st := *particles, *steps
 		if !flagWasSet(fs, "particles") {
 			p = 2000
@@ -77,18 +69,6 @@ func benchCmd(args []string, stdout io.Writer) error {
 		}
 		defer func() { _ = closeFn() }()
 		return benchCore(p, *sensors, st, *runs, *workers, *seed, *against, *check, w)
-	}
-	if *zones != "" {
-		counts, err := parseZoneCounts(*zones)
-		if err != nil {
-			return err
-		}
-		w, closeFn, err := (&commonFlags{out: *out}).open(stdout)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = closeFn() }()
-		return benchZones(counts, *particles, *sensors, *steps, *seed, w)
 	}
 
 	sc := scenarioForSensors(*sensors)

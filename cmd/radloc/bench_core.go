@@ -122,7 +122,7 @@ func benchCore(particles, sensors, steps, runs, workers int, seed uint64, agains
 	// One precomputed batch stream shared by every run: the benchmark
 	// times ingest + estimate refresh, not measurement synthesis.
 	// Readings are unsequenced (seq 0) so they take the direct filter
-	// path, and batches mirror the zones benchmark's framing.
+	// path, in batches of 16.
 	stream := rng.NewNamed(seed, "bench/core")
 	const batchSize = 16
 	var batches [][]fusion.Meas

@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -145,6 +146,11 @@ func TestRefreshForcesEstimates(t *testing.T) {
 	_ = e.Snapshot()
 }
 
+// TestEngineConcurrentIngest races unsequenced Ingest calls from many
+// goroutines: the engine must stay race-free and count every reading
+// exactly once. Arrival order is up to the scheduler, so what the
+// filter concludes from it is not asserted here — see
+// TestEngineShuffledDeliveryFindsSources for that.
 func TestEngineConcurrentIngest(t *testing.T) {
 	e, sc := testEngine(t, true)
 	stream := rng.NewNamed(8, "fusion/measure")
@@ -172,12 +178,61 @@ func TestEngineConcurrentIngest(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	snap := e.Snapshot()
+	if snap := e.Snapshot(); snap.Ingested != uint64(len(msgs)) {
+		t.Errorf("ingested = %d, want %d", snap.Ingested, len(msgs))
+	}
+}
+
+// TestEngineShuffledDeliveryFindsSources is the paper's out-of-order
+// robustness on a fixed schedule: 6 sequence-stamped steps, shuffled by
+// a seeded stream within the reorder window, must leave the engine
+// exactly where in-order delivery does, with both sources found.
+// (Measurement stream 8, the concurrent test's, localizes only one
+// source in 6 steps even in order; stream 9 localizes both.)
+func TestEngineShuffledDeliveryFindsSources(t *testing.T) {
+	inOrder, sc := testEngine(t, true)
+	shuffled, _ := testEngine(t, true)
+	stream := rng.NewNamed(9, "fusion/measure")
+	var msgs []Meas
+	for step := 0; step < 6; step++ {
+		for _, sen := range sc.Sensors {
+			m := sen.Measure(stream, sc.Sources, nil, step)
+			msgs = append(msgs, Meas{SensorID: sen.ID, CPM: m.CPM, Step: step, Seq: uint64(step + 1)})
+		}
+	}
+	deliver := func(e *Engine, msgs []Meas) Snapshot {
+		for _, m := range msgs {
+			if _, err := e.IngestSeq(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.FlushPending(); err != nil {
+			t.Fatal(err)
+		}
+		e.Refresh()
+		return e.Snapshot()
+	}
+	want := deliver(inOrder, msgs)
+
+	// Displace each reading by less than one round: well inside the
+	// default 4-round window.
+	msgs = append([]Meas(nil), msgs...)
+	shuffle := rng.NewNamed(8, "fusion/shuffle")
+	for i := range msgs {
+		if j := i + shuffle.IntN(len(sc.Sensors)); j < len(msgs) {
+			msgs[i], msgs[j] = msgs[j], msgs[i]
+		}
+	}
+	snap := deliver(shuffled, msgs)
+	if snap.Delivery.OutOfOrder == 0 {
+		t.Error("shuffle produced no out-of-order arrivals")
+	}
+	if !reflect.DeepEqual(comparable(want), comparable(snap)) {
+		t.Fatalf("shuffled delivery diverged from in-order delivery:\nin order %+v\nshuffled %+v", want, snap)
+	}
 	if snap.Ingested != uint64(len(msgs)) {
 		t.Errorf("ingested = %d, want %d", snap.Ingested, len(msgs))
 	}
-	// Concurrent arrival order is arbitrary — exactly the paper's
-	// out-of-order robustness — so the sources must still be found.
 	found := 0
 	for _, src := range sc.Sources {
 		for _, est := range snap.Estimates {
@@ -188,7 +243,7 @@ func TestEngineConcurrentIngest(t *testing.T) {
 		}
 	}
 	if found != 2 {
-		t.Errorf("found %d/2 sources under concurrent ingest: %v", found, snap.Estimates)
+		t.Errorf("found %d/2 sources under shuffled delivery: %v", found, snap.Estimates)
 	}
 }
 

@@ -1,12 +1,16 @@
 package node
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"radloc/internal/cluster"
@@ -39,6 +43,10 @@ type zoneSet struct {
 	reg     *obs.Registry
 	logw    io.Writer
 	build   func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error)
+
+	// bootLogs, set only while recoverZones runs, maps each zone being
+	// recovered to the buffer its recovery lines go to.
+	bootLogs map[string]io.Writer
 
 	// clusterNode, when non-nil, is the cluster membership this node
 	// participates in — installed late by New (the node needs the
@@ -144,12 +152,17 @@ func (zs *zoneSet) factory(name string) (zone.Resources, error) {
 	if err := zs.fs.MkdirAll(dir, 0o755); err != nil {
 		return zone.Resources{}, err
 	}
+	bootw := zs.logw
+	if w, ok := zs.bootLogs[name]; ok {
+		bootw = w
+	}
 	engine, d, err := openDurable(dir, zs.fs, zs.fsync, zs.every, zs.segRecs,
 		func(j fusion.Journal) (*fusion.Engine, error) { return zs.build(j, met) },
-		met, zs.logw)
+		met, bootw)
 	if err != nil {
 		return zone.Resources{}, err
 	}
+	d.logw = zs.logw // recovery lines went to bootw; storage notes go to the daemon log
 	return zone.Resources{
 		Engine:     engine,
 		AfterBatch: func() { d.maybeCheckpoint(zs.logw) },
@@ -160,44 +173,92 @@ func (zs *zoneSet) factory(name string) (zone.Resources, error) {
 
 // recoverZones brings up the default zone plus every named zone with
 // state on disk, so boot replays all recorded zones instead of
-// leaving their recovery to first contact. A zone directory past the
-// live cap is left on disk with a note — its factory recovers it on
-// first contact once other zones have been evicted.
+// leaving their recovery to first contact. Zones recover concurrently,
+// up to GOMAXPROCS at a time, with the outcome of recovering them one
+// by one in name order (default first):
+//   - the zones past -max-zones are the sorted-name suffix, fixed
+//     before any recovery starts; each is left on disk with a note and
+//     its factory recovers it on first contact once other zones have
+//     been evicted;
+//   - each zone's recovery lines are buffered and written in that order
+//     once every zone has finished;
+//   - on failure the first failing zone in that order is reported.
+//     Zones that did recover stay live for the caller to close.
 func (zs *zoneSet) recoverZones() error {
-	if _, err := zs.manager.Get(zone.DefaultZone); err != nil {
-		return err
-	}
-	if zs.walRoot == "" {
-		return nil
-	}
-	entries, err := zs.fs.ReadDir(filepath.Join(zs.walRoot, "zones"))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			names = append(names, e.Name())
+	boot := []*bootZone{{name: zone.DefaultZone}}
+	if zs.walRoot != "" {
+		entries, err := zs.fs.ReadDir(filepath.Join(zs.walRoot, "zones"))
+		if err != nil && !os.IsNotExist(err) {
+			return err
+		}
+		var names []string
+		for _, e := range entries {
+			if e.IsDir() {
+				names = append(names, e.Name())
+			}
+		}
+		sort.Strings(names)
+		room := zs.manager.MaxZones() - 1
+		for _, name := range names {
+			b := &bootZone{name: name}
+			switch {
+			case zone.ValidateName(name) != nil || name == zone.DefaultZone:
+				b.note = fmt.Sprintf("radlocd: ignoring zone directory %q (not a usable zone name)\n", name)
+			case room == 0:
+				b.note = fmt.Sprintf("radlocd: zone %q left on disk (over -max-zones); it recovers on first contact\n", name)
+			default:
+				room--
+			}
+			boot = append(boot, b)
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if zone.ValidateName(name) != nil || name == zone.DefaultZone {
-			fmt.Fprintf(zs.logw, "radlocd: ignoring zone directory %q (not a usable zone name)\n", name)
+
+	zs.bootLogs = make(map[string]io.Writer)
+	for _, b := range boot {
+		if b.note == "" {
+			zs.bootLogs[b.name] = &b.log
+		}
+	}
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	var failed atomic.Bool
+	for _, b := range boot {
+		if b.note != "" {
 			continue
 		}
-		if _, err := zs.manager.Get(name); err != nil {
-			if errors.Is(err, zone.ErrZoneLimit) {
-				fmt.Fprintf(zs.logw, "radlocd: zone %q left on disk (over -max-zones); it recovers on first contact\n", name)
-				continue
+		sem <- struct{}{}
+		if failed.Load() {
+			// Every zone not yet started sorts after the failure already
+			// in hand, so it could not be the one reported.
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			if _, b.err = zs.manager.Get(b.name); b.err != nil {
+				failed.Store(true)
 			}
-			return fmt.Errorf("recover zone %q: %w", name, err)
+		}()
+	}
+	wg.Wait()
+	zs.bootLogs = nil
+
+	for _, b := range boot {
+		io.WriteString(zs.logw, b.note)
+		zs.logw.Write(b.log.Bytes())
+		if b.err != nil {
+			return fmt.Errorf("recover zone %q: %w", b.name, b.err)
 		}
 	}
 	return nil
+}
+
+// bootZone is one zone directory's part in recoverZones.
+type bootZone struct {
+	name string
+	note string       // non-empty: not recovered at boot; the line says why
+	log  bytes.Buffer // the zone's recovery lines, held for ordered output
+	err  error
 }
 
 // defaultZone returns the always-live default zone. recoverZones runs

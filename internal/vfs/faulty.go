@@ -2,6 +2,8 @@ package vfs
 
 import (
 	"io/fs"
+	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -50,6 +52,8 @@ type FaultStats struct {
 	Syncs uint64 `json:"syncs"`
 	// Reads counts injected read failures.
 	Reads uint64 `json:"reads"`
+	// Opens counts injected open failures.
+	Opens uint64 `json:"opens"`
 	// Torn counts the write failures that left a partial prefix.
 	Torn uint64 `json:"torn"`
 }
@@ -72,6 +76,8 @@ type Faulty struct {
 	syncErr  error
 	readErr  error
 	tornWin  bool // torn prefix on forced write failures
+	openErr  error
+	openDir  string // opens at or below this path fail with openErr
 }
 
 // NewFaulty wraps inner (nil = the real filesystem) with the given
@@ -127,12 +133,25 @@ func (f *Faulty) FailReads(err error) {
 	f.readErr = err
 }
 
+// FailOpensUnder opens a window in which opening any file at or below
+// dir fails with err (nil = the configured ReadErr): one directory's
+// storage dies while its neighbours keep working.
+func (f *Faulty) FailOpensUnder(dir string, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err == nil {
+		err = f.cfg.ReadErr
+	}
+	f.openErr, f.openDir = err, filepath.Clean(dir)
+}
+
 // Heal closes every forced-failure window. Probabilistic faults from
 // FaultConfig keep firing.
 func (f *Faulty) Heal() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.writeErr, f.syncErr, f.readErr, f.tornWin = nil, nil, nil, false
+	f.openErr, f.openDir = nil, ""
 }
 
 // Stats returns a snapshot of the injected-fault counters.
@@ -186,6 +205,17 @@ func (f *Faulty) syncFault() error {
 	return err
 }
 
+func (f *Faulty) openFault(path string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	p := filepath.Clean(path)
+	if f.openErr == nil || (p != f.openDir && !strings.HasPrefix(p, f.openDir+string(filepath.Separator))) {
+		return nil
+	}
+	f.stats.Opens++
+	return f.openErr
+}
+
 func (f *Faulty) readFault() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -203,6 +233,9 @@ func (f *Faulty) readFault() error {
 // OpenFile opens path through the inner FS; the returned handle
 // injects faults on Read/Write/Sync.
 func (f *Faulty) OpenFile(path string, flag int, perm fs.FileMode) (File, error) {
+	if err := f.openFault(path); err != nil {
+		return nil, err
+	}
 	inner, err := f.inner.OpenFile(path, flag, perm)
 	if err != nil {
 		return nil, err
@@ -212,6 +245,9 @@ func (f *Faulty) OpenFile(path string, flag int, perm fs.FileMode) (File, error)
 
 // Open opens path read-only; reads through the handle inject faults.
 func (f *Faulty) Open(path string) (File, error) {
+	if err := f.openFault(path); err != nil {
+		return nil, err
+	}
 	inner, err := f.inner.Open(path)
 	if err != nil {
 		return nil, err

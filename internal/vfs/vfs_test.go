@@ -130,6 +130,42 @@ func TestFaultySyncAndReadWindows(t *testing.T) {
 	}
 }
 
+func TestFaultyOpenWindowIsScopedToADirectory(t *testing.T) {
+	dir := t.TempDir()
+	sick, well := filepath.Join(dir, "sick"), filepath.Join(dir, "sick-not")
+	for _, d := range []string{filepath.Join(sick, "sub"), well} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fa := NewFaulty(nil, FaultConfig{Seed: 5})
+	fa.FailOpensUnder(sick, nil)
+	for _, p := range []string{sick, filepath.Join(sick, "sub", "f")} {
+		if _, err := fa.OpenFile(p, os.O_CREATE|os.O_RDONLY, 0o644); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("OpenFile(%s) err = %v, want EIO", p, err)
+		}
+	}
+	if _, err := fa.Open(sick); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Open(%s) err = %v, want EIO", sick, err)
+	}
+	for _, p := range []string{dir, well} {
+		f, err := fa.Open(p)
+		if err != nil {
+			t.Fatalf("Open(%s) outside the window: %v", p, err)
+		}
+		f.Close()
+	}
+	if st := fa.Stats(); st.Opens != 3 {
+		t.Fatalf("stats = %+v, want 3 opens", st)
+	}
+	fa.Heal()
+	f, err := fa.Open(sick)
+	if err != nil {
+		t.Fatalf("post-heal open: %v", err)
+	}
+	f.Close()
+}
+
 func TestFaultyDeterministicSequence(t *testing.T) {
 	run := func() FaultStats {
 		dir := t.TempDir()

@@ -172,7 +172,7 @@ func TestSegmentInfosAndVerify(t *testing.T) {
 // flip turning the envelope key "rec" into "Rec" decodes cleanly
 // under encoding/json's case-insensitive field matching, and the CRC
 // — computed over the untouched payload bytes — still matches. Only
-// decodeLine's canonical re-marshal comparison sees it.
+// decodeLine's exact canonical grammar sees it.
 func TestVerifySegmentDetectsEveryByteFlip(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{Fsync: FsyncNever, SegmentRecords: 4})

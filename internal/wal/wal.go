@@ -30,8 +30,6 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -146,6 +144,7 @@ type Log struct {
 	f        vfs.File    // active tail segment, opened for append
 	dirty    bool        // unsynced appends outstanding
 	wedged   bool        // a failed append left bytes we could not truncate away
+	line     []byte      // Append's reused encode buffer
 	met      *walMetrics // nil when uninstrumented
 }
 
@@ -163,11 +162,6 @@ func segmentPath(dir string, start uint64) string {
 }
 
 var crcTable = crc32.IEEETable
-
-type envelope struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
-}
 
 // Open opens (creating if needed) the WAL in dir, validates every
 // segment, truncates any torn or corrupt tail, and positions the log
@@ -290,62 +284,41 @@ func validateSegment(fsys vfs.FS, path string) (records uint64, goodBytes int64,
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 64<<10)
 	for {
-		line, rerr := r.ReadBytes('\n')
-		if rerr != nil {
-			// EOF with a partial line = torn final write.
-			if len(line) > 0 {
-				badRecs++
+		// ReadSlice lends the line from the reader's buffer: the valid
+		// path copies nothing.
+		line, rerr := r.ReadSlice('\n')
+		if rerr == nil {
+			if _, ok := decodeLine(line); ok {
+				records++
+				goodBytes += int64(len(line))
+				continue
 			}
+		}
+		if rerr == bufio.ErrBufferFull {
+			// Longer than any valid line: read the rest of it as the same
+			// bad record.
+			_, rerr = r.ReadBytes('\n')
+		}
+		if len(line) == 0 {
 			return records, goodBytes, badRecs, nil
 		}
-		if _, ok := decodeLine(line); !ok {
-			// First bad record: everything after it is suspect too.
-			// Count the remaining lines as truncated.
-			badRecs++
-			for {
-				more, rerr2 := r.ReadBytes('\n')
-				if len(more) > 0 {
-					badRecs++
-				}
-				if rerr2 != nil {
-					return records, goodBytes, badRecs, nil
-				}
-				_ = more
+		badRecs++
+		if rerr != nil {
+			// EOF with a partial line = torn final write.
+			return records, goodBytes, badRecs, nil
+		}
+		// First bad record: everything after it is suspect too. Count
+		// the remaining lines as truncated.
+		for {
+			more, rerr := r.ReadBytes('\n')
+			if len(more) > 0 {
+				badRecs++
+			}
+			if rerr != nil {
+				return records, goodBytes, badRecs, nil
 			}
 		}
-		records++
-		goodBytes += int64(len(line))
 	}
-}
-
-// decodeLine parses and checksums one NDJSON line. Beyond the CRC it
-// demands the envelope be byte-identical to what Append writes:
-// encoding/json matches field names case-insensitively, so without
-// the re-marshal comparison a single bit flip turning "rec" into
-// "Rec" would decode cleanly with the CRC (computed over the
-// untouched payload bytes) still matching — corruption the scrubber
-// could never see.
-func decodeLine(line []byte) (Record, bool) {
-	line = bytes.TrimRight(line, "\n")
-	if len(line) == 0 {
-		return Record{}, false
-	}
-	var env envelope
-	dec := json.NewDecoder(bytes.NewReader(line))
-	if err := dec.Decode(&env); err != nil || dec.More() {
-		return Record{}, false
-	}
-	if len(env.Rec) == 0 || crc32.Checksum(env.Rec, crcTable) != env.CRC {
-		return Record{}, false
-	}
-	if canonical, err := json.Marshal(env); err != nil || !bytes.Equal(canonical, line) {
-		return Record{}, false
-	}
-	var rec Record
-	if err := json.Unmarshal(env.Rec, &rec); err != nil {
-		return Record{}, false
-	}
-	return rec, true
 }
 
 // openTail opens the active segment for appending, creating the
@@ -423,16 +396,8 @@ func (l *Log) Append(rec Record) (uint64, error) {
 		}
 		tail = &l.segments[len(l.segments)-1]
 	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return 0, err
-	}
-	env := envelope{CRC: crc32.Checksum(raw, crcTable), Rec: raw}
-	line, err := json.Marshal(env)
-	if err != nil {
-		return 0, err
-	}
-	line = append(line, '\n')
+	l.line = appendLine(l.line[:0], rec)
+	line := l.line
 	if n, err := l.f.Write(line); err != nil {
 		if n > 0 {
 			// Torn write: cut the partial line back out so the file
@@ -615,7 +580,7 @@ func (l *Log) Replay(from uint64, fn func(off uint64, rec Record) error) error {
 		r := bufio.NewReaderSize(f, 64<<10)
 		off := seg.start
 		for off < seg.start+seg.count {
-			line, rerr := r.ReadBytes('\n')
+			line, rerr := r.ReadSlice('\n')
 			rec, ok := decodeLine(line)
 			if !ok {
 				_ = f.Close()

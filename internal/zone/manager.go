@@ -173,6 +173,10 @@ func (m *Manager) Get(name string) (*Zone, error) {
 	}
 }
 
+// MaxZones is the live-zone cap in force (Options.MaxZones after
+// defaulting).
+func (m *Manager) MaxZones() int { return m.opts.MaxZones }
+
 // Lookup returns the named zone if it is currently live — the
 // read-path accessor: GET routes must not conjure zones into being.
 func (m *Manager) Lookup(name string) (*Zone, bool) {
