@@ -357,7 +357,7 @@ func runDeliveryTrial(dup, drop float64, span, steps int, seed uint64) (delivery
 	for _, m := range wire {
 		// Dedup refusals and buffering are the point of the experiment.
 		_, _ = gated.IngestSeq(m)
-		_, _ = ungated.Ingest(m.SensorID, m.CPM)
+		_, _ = ungated.IngestSeq(fusion.Meas{SensorID: m.SensorID, CPM: m.CPM})
 	}
 	if _, err := gated.FlushPending(); err != nil {
 		return deliveryTrialResult{}, err
@@ -439,8 +439,8 @@ func runFaultTrial(p float64, steps int, seed uint64) (faultTrialResult, error) 
 			cpm := inj.Transform(ev.SensorIndex, ev.EmitStep, m.CPM)
 			// Quarantine refusals are the point of the experiment, not
 			// an error.
-			_, _ = defended.Ingest(sen.ID, cpm)
-			_, _ = undefended.Ingest(sen.ID, cpm)
+			_, _ = defended.IngestSeq(fusion.Meas{SensorID: sen.ID, CPM: cpm})
+			_, _ = undefended.IngestSeq(fusion.Meas{SensorID: sen.ID, CPM: cpm})
 		}
 	}
 	defended.Refresh()

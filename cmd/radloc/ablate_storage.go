@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sync"
 	"syscall"
 	"time"
 
@@ -29,14 +28,11 @@ import (
 // injected faulty filesystem, so a failing append surfaces through
 // fusion.JournalError as an HTTP 507 to the agent.
 type walSink struct {
-	mu  sync.Mutex
 	log *wal.Log
 }
 
 // Append implements fusion.Journal.
 func (s *walSink) Append(m fusion.Meas) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	_, err := s.log.Append(wal.Record{SensorID: m.SensorID, CPM: m.CPM, Step: m.Step, Seq: m.Seq})
 	return err
 }
@@ -53,6 +49,13 @@ type windowFaultRT struct {
 }
 
 func (w *windowFaultRT) RoundTrip(req *http.Request) (*http.Response, error) {
+	w.align()
+	return w.inner.RoundTrip(req)
+}
+
+// align arms the injector while the fake clock is inside the window
+// and heals it outside.
+func (w *windowFaultRT) align() {
 	now := w.clk.Now()
 	if w.to.After(w.from) && !now.Before(w.from) && now.Before(w.to) {
 		w.faulty.FailWrites(syscall.ENOSPC, false)
@@ -60,7 +63,6 @@ func (w *windowFaultRT) RoundTrip(req *http.Request) (*http.Response, error) {
 	} else {
 		w.faulty.Heal()
 	}
-	return w.inner.RoundTrip(req)
 }
 
 // ablateStorage sweeps disk-fault conditions over Scenario A with the
@@ -158,7 +160,12 @@ func runStorageTrial(window time.Duration, writeProb float64, torn bool, steps i
 	if err != nil {
 		return storageTrialResult{}, err
 	}
-	ing := httpingest.New(engine, httpingest.Options{QueueDepth: 256, Clock: clk, RetryAfter: time.Second})
+	const retryAfter = time.Second
+	zones, ing, err := defaultZoneIngest(engine, httpingest.Options{QueueDepth: 256, Clock: clk, RetryAfter: retryAfter})
+	if err != nil {
+		return storageTrialResult{}, err
+	}
+	defer zones.Close()
 
 	// The window opens at t=0: the drain starts against a full disk,
 	// backs off through 507 + Retry-After (each retry advances the fake
@@ -208,21 +215,33 @@ func runStorageTrial(window time.Duration, writeProb float64, torn bool, steps i
 	if _, err := client.Drain(context.Background(), sp); err != nil {
 		return storageTrialResult{}, err
 	}
-	// A probabilistic write fault can land mid-flush; the gate keeps
-	// the unjournaled remainder held, so retrying is lossless — the
-	// same fight the daemon's degraded-mode probe wins in production.
+	// A write fault can land mid-flush — probabilistic, or the ENOSPC
+	// window still open because every reading of a short stream sat in
+	// the gate while it drained. The gate keeps the unjournaled
+	// remainder held, so retrying is lossless; like the agent answering
+	// a 507, each retry first waits out the Retry-After on the fake
+	// clock, which lets the window close.
+	flush := func(e *fusion.Engine) error {
+		_, err := e.FlushPending()
+		return err
+	}
 	flushed := false
 	for i := 0; i < 1000; i++ {
-		if _, err := engine.FlushPending(); err == nil {
+		if _, err := onDefaultZone(zones, flush); err == nil {
 			flushed = true
 			break
 		}
+		clk.Advance(retryAfter)
+		rt.align()
 	}
 	if !flushed {
 		return storageTrialResult{}, fmt.Errorf("flush never succeeded under fault rate %g", writeProb)
 	}
-	engine.Refresh()
-	s := engine.Snapshot()
+	z, err := onDefaultZone(zones, (*fusion.Engine).Settle)
+	if err != nil {
+		return storageTrialResult{}, err
+	}
+	s := z.Snapshot()
 	match := eval.Match(s.Estimates, sc.Sources, sc.Params.MatchRadius)
 
 	// Crash-restart: close the log (faults healed first, so the close
@@ -230,6 +249,9 @@ func runStorageTrial(window time.Duration, writeProb float64, torn bool, steps i
 	// count what replay recovers. Every journaled record must be there.
 	faulty.Heal()
 	stats := faulty.Stats()
+	if err := zones.Close(); err != nil {
+		return storageTrialResult{}, err
+	}
 	if err := log.Close(); err != nil {
 		return storageTrialResult{}, err
 	}

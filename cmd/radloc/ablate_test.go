@@ -106,6 +106,35 @@ func TestAblateTransport(t *testing.T) {
 	}
 }
 
+// TestAblateStorage runs a stream no longer than the reorder window:
+// every reading is still held in the gate when the drain ends, so the
+// final flush is the first journal write and meets the ENOSPC window
+// still open. Each condition must still deliver and recover every
+// acknowledged record.
+func TestAblateStorage(t *testing.T) {
+	out, err := execute(t, "ablate", "storage", "-steps", "4", "-reps", "1", "-seed", "3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "condition,delivered_frac,http_507,faults_injected,durable_frac,mean_err") {
+		t.Errorf("header wrong:\n%s", firstLine(out))
+	}
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Split(line, ",")
+		if len(f) != 6 || f[0] == "condition" {
+			continue
+		}
+		rows++
+		if f[1] != "1.000" || f[4] != "1.000" {
+			t.Errorf("row %q: delivered_frac %s durable_frac %s, want 1.000 and 1.000", line, f[1], f[4])
+		}
+	}
+	if rows != 5 {
+		t.Errorf("%d condition rows, want 5:\n%s", rows, out)
+	}
+}
+
 func TestDiagnoseCommand(t *testing.T) {
 	out, err := execute(t, "diagnose", "-scenario", "A", "-obstacles", "-steps", "8", "-seed", "2")
 	if err != nil {

@@ -21,6 +21,7 @@ import (
 	"radloc/internal/scenario"
 	"radloc/internal/sim"
 	"radloc/internal/transport"
+	"radloc/internal/zone"
 )
 
 // localRT serves HTTP requests in-process against a handler, so the
@@ -32,6 +33,33 @@ func (l localRT) RoundTrip(req *http.Request) (*http.Response, error) {
 	rec := httptest.NewRecorder()
 	l.h.ServeHTTP(rec, req)
 	return rec.Result(), nil
+}
+
+// defaultZoneIngest builds the daemon's admission path over one
+// engine: a zone manager that owns it as the default zone, behind the
+// HTTP ingest handler. Other zone names are refused. The caller closes
+// the manager.
+func defaultZoneIngest(engine *fusion.Engine, opts httpingest.Options) (*zone.Manager, *httpingest.Handler, error) {
+	m, err := zone.NewManager(zone.Options{Factory: func(name string) (zone.Resources, error) {
+		if name != zone.DefaultZone {
+			return zone.Resources{}, fmt.Errorf("only the default zone is served, not %q", name)
+		}
+		return zone.Resources{Engine: engine}, nil
+	}})
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, httpingest.NewZoned(httpingest.ManagerResolver(m), opts), nil
+}
+
+// onDefaultZone runs fn on the default zone's event loop: the
+// engine's owner, so fn may use the engine freely.
+func onDefaultZone(m *zone.Manager, fn func(*fusion.Engine) error) (*zone.Zone, error) {
+	z, err := m.Get(zone.DefaultZone)
+	if err != nil {
+		return nil, err
+	}
+	return z, z.Do(context.Background(), fn)
 }
 
 // ablateTransport sweeps network loss rate × hard-partition duration
@@ -105,7 +133,11 @@ func runTransportTrial(loss float64, partition time.Duration, spool bool, steps 
 		return transportTrialResult{}, err
 	}
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	ing := httpingest.New(engine, httpingest.Options{QueueDepth: 256, Clock: clk})
+	zones, ing, err := defaultZoneIngest(engine, httpingest.Options{QueueDepth: 256, Clock: clk})
+	if err != nil {
+		return transportTrialResult{}, err
+	}
+	defer zones.Close()
 
 	ccfg := netchaos.Config{
 		Seed:         seed,
@@ -185,11 +217,11 @@ func runTransportTrial(loss float64, partition time.Duration, spool bool, steps 
 		}
 	}
 
-	if _, err := engine.FlushPending(); err != nil {
+	z, err := onDefaultZone(zones, (*fusion.Engine).Settle)
+	if err != nil {
 		return transportTrialResult{}, err
 	}
-	engine.Refresh()
-	s := engine.Snapshot()
+	s := z.Snapshot()
 	match := eval.Match(s.Estimates, sc.Sources, sc.Params.MatchRadius)
 	if s.Ingested > uint64(total) {
 		return transportTrialResult{}, fmt.Errorf("double-apply: ingested %d of %d", s.Ingested, total)

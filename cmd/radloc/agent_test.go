@@ -19,9 +19,10 @@ import (
 	"radloc/internal/scenario"
 	"radloc/internal/sim"
 	"radloc/internal/transport"
+	"radloc/internal/zone"
 )
 
-func newAgentServer(t *testing.T) (*httptest.Server, *fusion.Engine, *httpingest.Handler) {
+func newAgentServer(t *testing.T) (*httptest.Server, *zone.Manager, *httpingest.Handler) {
 	t.Helper()
 	sc := scenario.A(50, false)
 	fcfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors}
@@ -30,10 +31,25 @@ func newAgentServer(t *testing.T) (*httptest.Server, *fusion.Engine, *httpingest
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing := httpingest.New(engine, httpingest.Options{})
+	zones, ing, err := defaultZoneIngest(engine, httpingest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = zones.Close() })
 	srv := httptest.NewServer(ing)
 	t.Cleanup(srv.Close)
-	return srv, engine, ing
+	return srv, zones, ing
+}
+
+// ingestedAfterFlush releases the default zone's reorder-gate tail and
+// returns how many readings its engine has applied.
+func ingestedAfterFlush(t *testing.T, zones *zone.Manager) uint64 {
+	t.Helper()
+	z, err := onDefaultZone(zones, (*fusion.Engine).Settle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return z.Snapshot().Ingested
 }
 
 // streamNDJSON renders rounds of sequenced readings for the first few
@@ -51,7 +67,7 @@ func streamNDJSON(t *testing.T, sensors, rounds int) string {
 }
 
 func TestAgentDeliversStream(t *testing.T) {
-	srv, engine, ing := newAgentServer(t)
+	srv, zones, ing := newAgentServer(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "stream.ndjson")
 	const sensors, rounds = 4, 6
@@ -88,10 +104,7 @@ func TestAgentDeliversStream(t *testing.T) {
 		t.Errorf("server accepted %d dup %d vs agent delivered %d accepted %d",
 			st.Accepted, st.Duplicates, sum.Delivery.Delivered, sum.Delivery.AcceptedByServer)
 	}
-	if _, err := engine.FlushPending(); err != nil {
-		t.Fatal(err)
-	}
-	if got := engine.Snapshot().Ingested; got != total {
+	if got := ingestedAfterFlush(t, zones); got != total {
 		t.Errorf("engine ingested = %d, want %d", got, total)
 	}
 }
@@ -100,7 +113,7 @@ func TestAgentDeliversStream(t *testing.T) {
 // leaves the readings spooled, then "restarts" the agent against a
 // live server and shows the tail is delivered with nothing lost.
 func TestAgentResumesFromSpool(t *testing.T) {
-	srv, engine, _ := newAgentServer(t)
+	srv, zones, _ := newAgentServer(t)
 	dir := t.TempDir()
 	spoolDir := filepath.Join(dir, "spool")
 
@@ -148,10 +161,7 @@ func TestAgentResumesFromSpool(t *testing.T) {
 	if sum.Delivery.Delivered != total || sum.SpoolPending != 0 {
 		t.Errorf("resume delivered %d pending %d, want %d and 0", sum.Delivery.Delivered, sum.SpoolPending, total)
 	}
-	if _, err := engine.FlushPending(); err != nil {
-		t.Fatal(err)
-	}
-	if got := engine.Snapshot().Ingested; got != total {
+	if got := ingestedAfterFlush(t, zones); got != total {
 		t.Errorf("engine ingested = %d, want %d", got, total)
 	}
 }

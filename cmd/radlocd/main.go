@@ -116,9 +116,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		suspectN    = fs.Int("suspect-misses", 3, "failover: consecutive probe misses before a peer is suspected")
 		holdDown    = fs.Duration("holddown", 10*time.Second, "failover: how long a suspected peer must stay unreachable before it is declared dead (flap damping)")
 		maxPromLag  = fs.Uint64("max-promote-lag", 0, "failover: refuse unattended promotion when replication lag exceeds this many records (0 = must be fully caught up)")
-		readFanout  = fs.Bool("read-fanout", false, "forward /snapshot and /statez reads to a caught-up standby while this primary is under write load (requires cluster mode)")
-		fanoutLag   = fs.Uint64("read-fanout-lag", 0, "read fan-out: highest standby replication lag, in records, still eligible to serve reads (0 = fully caught up)")
-		fanoutLoad  = fs.Int("read-fanout-load", 1, "read fan-out: forward only while at least this many writes are in flight (0 = whenever a standby is eligible)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -195,10 +192,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		SuspectMisses: *suspectN,
 		HoldDown:      *holdDown,
 		MaxPromoteLag: *maxPromLag,
-
-		ReadFanout:        *readFanout,
-		FanoutMaxLag:      *fanoutLag,
-		FanoutMinInflight: *fanoutLoad,
 
 		Log: os.Stderr,
 	}, stdin, stdout)

@@ -182,7 +182,8 @@ func Diagnose(readings []DiagnosticReading, estimates []Estimate, zThreshold flo
 
 // Streaming fusion engine (the core of cmd/radlocd).
 type (
-	// FusionEngine is a concurrency-safe streaming localizer.
+	// FusionEngine is a streaming localizer with one owner; it is not
+	// safe for concurrent use.
 	FusionEngine = fusion.Engine
 	// FusionConfig assembles a FusionEngine.
 	FusionConfig = fusion.Config
@@ -190,9 +191,11 @@ type (
 	FusionSnapshot = fusion.Snapshot
 )
 
-// NewFusionEngine builds a thread-safe streaming engine over the
-// localizer: many connections may Ingest concurrently, estimates are
-// recomputed at a bounded rate, Snapshot is always safe.
+// NewFusionEngine builds a streaming engine over the localizer:
+// readings arrive through IngestSeq or Submit in any order, estimates
+// are recomputed at a bounded rate, and Snapshot returns a copy that
+// may be shared. The engine has one owner — serialize every call, as
+// the daemon does by running each zone's engine on one event loop.
 func NewFusionEngine(cfg FusionConfig) (*FusionEngine, error) { return fusion.NewEngine(cfg) }
 
 // Measurement streams on disk.

@@ -86,7 +86,7 @@ func chaosEngine(t *testing.T, sc scenario.Scenario, disabled bool) *Engine {
 func feed(t *testing.T, e *Engine, stream []chaosReading) {
 	t.Helper()
 	for _, r := range stream {
-		if _, err := e.Ingest(r.id, r.cpm); err != nil && !errors.Is(err, ErrQuarantined) {
+		if _, err := e.IngestSeq(Meas{SensorID: r.id, CPM: r.cpm}); err != nil && !errors.Is(err, ErrQuarantined) {
 			t.Fatal(err)
 		}
 	}

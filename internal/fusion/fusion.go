@@ -1,16 +1,20 @@
-// Package fusion wraps the localizer as a long-running, concurrency-
-// safe fusion-center engine: measurements arrive from many network
-// connections in any order (the deployment model of Section V — "the
-// algorithm can proceed as soon as possible, without waiting for all
-// the measurements"), estimates are recomputed at a bounded rate, and
-// consumers snapshot the current source picture at any time.
+// Package fusion wraps the localizer as a long-running fusion-center
+// engine: measurements arrive from many network connections in any
+// order (the deployment model of Section V — "the algorithm can
+// proceed as soon as possible, without waiting for all the
+// measurements"), estimates are recomputed at a bounded rate, and
+// consumers read the current source picture as an immutable Snapshot.
+//
+// An Engine has one owner and is not safe for concurrent use: in the
+// daemon that owner is a zone's single-writer event loop, which
+// publishes each Snapshot for lock-free readers.
 package fusion
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"sort"
 	"time"
 
 	"radloc/internal/core"
@@ -66,10 +70,9 @@ type Config struct {
 	MaxSensors int
 }
 
-// Engine is the fusion center. All methods are safe for concurrent
-// use.
+// Engine is the fusion center. It has one owner; it is not safe for
+// concurrent use.
 type Engine struct {
-	mu        sync.Mutex
 	loc       *core.Localizer
 	sensors   map[int]sensor.Sensor
 	every     int
@@ -85,7 +88,7 @@ type Engine struct {
 
 	// Health monitor state.
 	hcfg        HealthConfig
-	health      map[int]*sensorHealth
+	health      []*sensorHealth    // one record per sensor, sorted by sensor ID
 	predSources []radiation.Source // free-space prediction set from ests
 
 	// Durability and delivery-robustness state (see ingress.go).
@@ -144,7 +147,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		every:   cfg.EstimateEvery,
 		met:     newEngineMetrics(cfg.Metrics),
 		hcfg:    cfg.Health.withDefaults(),
-		health:  make(map[int]*sensorHealth, len(cfg.Sensors)),
+		health:  make([]*sensorHealth, 0, len(cfg.Sensors)),
 		journal: cfg.Journal,
 		window:  cfg.ReorderWindow,
 		gate:    newGate(),
@@ -157,8 +160,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("fusion: duplicate sensor ID %d", s.ID)
 		}
 		e.sensors[s.ID] = s
-		e.health[s.ID] = &sensorHealth{id: s.ID, lastZ: math.NaN()}
+		e.health = append(e.health, &sensorHealth{id: s.ID, lastZ: math.NaN()})
 	}
+	// Every per-sensor report lists sensors in ID order; sorting once
+	// here keeps the snapshot published after each batch sort-free.
+	sort.Slice(e.health, func(a, b int) bool { return e.health[a].id < e.health[b].id })
 	if e.every <= 0 {
 		e.every = len(cfg.Sensors)
 	}
@@ -166,19 +172,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.tracker = track.NewManager(*cfg.Tracking)
 	}
 	return e, nil
-}
-
-// Ingest folds one measurement into the filter (the unsequenced,
-// trust-the-transport path — for sequenced, deduplicated ingest see
-// IngestSeq). It returns the number of measurements ingested so far.
-func (e *Engine) Ingest(sensorID, cpm int) (uint64, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m := Meas{SensorID: sensorID, CPM: cpm}
-	if err := e.journalLocked(m); err != nil {
-		return e.met.ingested.Value(), err
-	}
-	return e.applyLocked(m)
 }
 
 // JournalError reports that the write-ahead journal refused an append
@@ -198,10 +191,10 @@ func (e *JournalError) Error() string { return "fusion: journal append: " + e.Er
 // Unwrap exposes the underlying storage error to errors.Is/As.
 func (e *JournalError) Unwrap() error { return e.Err }
 
-// journalLocked appends one accepted reading to the write-ahead
-// journal, if one is configured. Callers hold e.mu. An error means the
-// reading MUST NOT be applied: durability before visibility.
-func (e *Engine) journalLocked(m Meas) error {
+// journalAppend appends one accepted reading to the write-ahead
+// journal, if one is configured. An error means the reading MUST NOT
+// be applied: durability before visibility.
+func (e *Engine) journalAppend(m Meas) error {
 	if e.journal == nil {
 		return nil
 	}
@@ -213,34 +206,33 @@ func (e *Engine) journalLocked(m Meas) error {
 	return nil
 }
 
-// applyLocked folds one journaled measurement into the filter. Callers
-// hold e.mu.
-func (e *Engine) applyLocked(m Meas) (uint64, error) {
+// apply folds one journaled measurement into the filter.
+func (e *Engine) apply(m Meas) error {
 	if m.CPM < 0 || m.CPM > MaxCPM {
 		e.met.rejected.Inc()
-		return 0, fmt.Errorf("%w: CPM %d outside [0, %d]", ErrBadMeasurement, m.CPM, MaxCPM)
+		return fmt.Errorf("%w: CPM %d outside [0, %d]", ErrBadMeasurement, m.CPM, MaxCPM)
 	}
 	sen, ok := e.sensors[m.SensorID]
 	if !ok {
 		e.met.rejected.Inc()
-		return 0, fmt.Errorf("%w: id %d", ErrUnknownSensor, m.SensorID)
+		return fmt.Errorf("%w: id %d", ErrUnknownSensor, m.SensorID)
 	}
-	h := e.health[m.SensorID]
-	if !e.admitLocked(h, sen, m.CPM) {
+	h := e.healthOf(m.SensorID)
+	if !e.admit(h, sen, m.CPM) {
 		h.dropped++
-		return e.met.ingested.Value(), fmt.Errorf("%w: id %d (last |z| %.1f)", ErrQuarantined, m.SensorID, math.Abs(h.lastZ))
+		return fmt.Errorf("%w: id %d (last |z| %.1f)", ErrQuarantined, m.SensorID, math.Abs(h.lastZ))
 	}
 	e.loc.Ingest(sen, m.CPM)
 	e.met.ingested.Inc()
 	e.sinceEst++
 	if e.sinceEst >= e.every {
-		e.refreshLocked()
+		e.Refresh()
 	}
-	return e.met.ingested.Value(), nil
+	return nil
 }
 
-// refreshLocked recomputes estimates (and tracks). Callers hold e.mu.
-func (e *Engine) refreshLocked() {
+// Refresh recomputes estimates (and tracks) now.
+func (e *Engine) Refresh() {
 	t0 := time.Now()
 	e.sinceEst = 0
 	e.ests = e.loc.Estimates()
@@ -261,13 +253,6 @@ func (e *Engine) refreshLocked() {
 	e.met.quarantined.Set(float64(quarantined))
 }
 
-// Refresh forces an estimate recomputation now.
-func (e *Engine) Refresh() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.refreshLocked()
-}
-
 // Snapshot is the engine's externally visible state.
 type Snapshot struct {
 	Ingested  uint64          // readings folded into the filter
@@ -285,16 +270,15 @@ type Snapshot struct {
 	Journaled uint64
 }
 
-// Snapshot returns the current source picture.
+// Snapshot returns the current source picture. The result shares no
+// memory with the engine, so it may be handed to other goroutines.
 func (e *Engine) Snapshot() Snapshot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := Snapshot{
 		Ingested:  e.met.ingested.Value(),
 		Rejected:  e.met.rejected.Value(),
 		Refreshes: e.met.refreshes.Value(),
 		Estimates: append([]core.Estimate(nil), e.ests...),
-		Health:    e.healthSnapshotLocked(),
+		Health:    e.healthSnapshot(),
 		Delivery:  e.met.deliveryStats(),
 		Journaled: e.journaled,
 	}
@@ -308,11 +292,4 @@ func (e *Engine) Snapshot() Snapshot {
 		out.Tracks = e.tracker.Confirmed()
 	}
 	return out
-}
-
-// Sensors returns the registered sensor count.
-func (e *Engine) Sensors() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.sensors)
 }

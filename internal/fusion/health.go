@@ -87,8 +87,7 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	return c
 }
 
-// sensorHealth is the engine's mutable per-sensor record. Guarded by
-// Engine.mu.
+// sensorHealth is the engine's mutable per-sensor record.
 type sensorHealth struct {
 	id          int
 	status      HealthStatus
@@ -110,9 +109,9 @@ type SensorHealth struct {
 	Quarantines int          // times the sensor entered quarantine
 }
 
-// admitLocked scores one reading and reports whether it should be
-// folded into the filter. Callers hold e.mu.
-func (e *Engine) admitLocked(h *sensorHealth, sen sensor.Sensor, cpm int) bool {
+// admit scores one reading and reports whether it should be
+// folded into the filter.
+func (e *Engine) admit(h *sensorHealth, sen sensor.Sensor, cpm int) bool {
 	h.seen++
 	if e.hcfg.Disabled {
 		return true
@@ -163,34 +162,39 @@ func (e *Engine) admitLocked(h *sensorHealth, sen sensor.Sensor, cpm int) bool {
 	return true
 }
 
-// healthSnapshotLocked exports the per-sensor records sorted by ID.
-// Callers hold e.mu.
-func (e *Engine) healthSnapshotLocked() []SensorHealth {
-	out := make([]SensorHealth, 0, len(e.health))
-	for _, h := range e.health {
-		out = append(out, SensorHealth{
+// healthSnapshot exports the per-sensor records sorted by ID.
+func (e *Engine) healthSnapshot() []SensorHealth {
+	out := make([]SensorHealth, len(e.health))
+	for i, h := range e.health {
+		out[i] = SensorHealth{
 			SensorID:    h.id,
 			Status:      h.status,
 			LastZ:       h.lastZ,
 			Seen:        h.seen,
 			Dropped:     h.dropped,
 			Quarantines: h.quarantines,
-		})
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].SensorID < out[b].SensorID })
 	return out
+}
+
+// healthOf returns the health record of sensor id, or nil if id is
+// not registered.
+func (e *Engine) healthOf(id int) *sensorHealth {
+	i := sort.Search(len(e.health), func(i int) bool { return e.health[i].id >= id })
+	if i < len(e.health) && e.health[i].id == id {
+		return e.health[i]
+	}
+	return nil
 }
 
 // QuarantinedSensors returns the IDs currently quarantined, sorted.
 func (e *Engine) QuarantinedSensors() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var out []int
-	for id, h := range e.health {
+	for _, h := range e.health {
 		if h.status == Quarantined {
-			out = append(out, id)
+			out = append(out, h.id)
 		}
 	}
-	sort.Ints(out)
 	return out
 }

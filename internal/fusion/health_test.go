@@ -42,7 +42,7 @@ func warmUp(t *testing.T, e *Engine, sc scenario.Scenario, rounds int, seed uint
 	for step := 0; step < rounds; step++ {
 		for _, sen := range sc.Sensors {
 			m := sen.Measure(stream, sc.Sources, nil, step)
-			if _, err := e.Ingest(sen.ID, m.CPM); err != nil {
+			if _, err := e.IngestSeq(Meas{SensorID: sen.ID, CPM: m.CPM}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -51,10 +51,10 @@ func warmUp(t *testing.T, e *Engine, sc scenario.Scenario, rounds int, seed uint
 
 func TestCeilingRejected(t *testing.T) {
 	e, _ := healthTestEngine(t, false)
-	if _, err := e.Ingest(0, MaxCPM+1); !errors.Is(err, ErrBadMeasurement) {
+	if _, err := e.IngestSeq(Meas{SensorID: 0, CPM: MaxCPM + 1}); !errors.Is(err, ErrBadMeasurement) {
 		t.Errorf("absurd CPM: %v", err)
 	}
-	if _, err := e.Ingest(0, -1); !errors.Is(err, ErrBadMeasurement) {
+	if _, err := e.IngestSeq(Meas{SensorID: 0, CPM: -1}); !errors.Is(err, ErrBadMeasurement) {
 		t.Errorf("negative CPM: %v", err)
 	}
 	if snap := e.Snapshot(); snap.Rejected != 2 || snap.Ingested != 0 {
@@ -71,7 +71,7 @@ func TestQuarantineAndProbation(t *testing.T) {
 	const faulty = 0
 	var lastErr error
 	for i := 0; i < 3; i++ {
-		_, lastErr = e.Ingest(faulty, 5000)
+		_, lastErr = e.IngestSeq(Meas{SensorID: faulty, CPM: 5000})
 	}
 	if !errors.Is(lastErr, ErrQuarantined) {
 		t.Fatalf("after 3 implausible readings: %v", lastErr)
@@ -95,7 +95,7 @@ func TestQuarantineAndProbation(t *testing.T) {
 
 	// While quarantined, further wild readings stay out of the filter.
 	before := e.Snapshot().Ingested
-	if _, err := e.Ingest(faulty, 5000); !errors.Is(err, ErrQuarantined) {
+	if _, err := e.IngestSeq(Meas{SensorID: faulty, CPM: 5000}); !errors.Is(err, ErrQuarantined) {
 		t.Errorf("quarantined reading: %v", err)
 	}
 	if e.Snapshot().Ingested != before {
@@ -104,7 +104,7 @@ func TestQuarantineAndProbation(t *testing.T) {
 
 	// Probation: plausible (≈ background) readings re-admit the sensor.
 	for i := 0; i < 4; i++ {
-		if _, err := e.Ingest(faulty, 5); i < 3 && !errors.Is(err, ErrQuarantined) {
+		if _, err := e.IngestSeq(Meas{SensorID: faulty, CPM: 5}); i < 3 && !errors.Is(err, ErrQuarantined) {
 			t.Errorf("probation reading %d: %v", i, err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestQuarantineAndProbation(t *testing.T) {
 	}
 	// Re-admitted sensors count into the filter again.
 	before = e.Snapshot().Ingested
-	if _, err := e.Ingest(faulty, 5); err != nil {
+	if _, err := e.IngestSeq(Meas{SensorID: faulty, CPM: 5}); err != nil {
 		t.Errorf("re-admitted reading: %v", err)
 	}
 	if e.Snapshot().Ingested != before+1 {
@@ -129,10 +129,10 @@ func TestImplausibleStreakResets(t *testing.T) {
 	// does not cost a sensor its seat. (Kept below one refresh interval
 	// so the scored posterior stays fixed for the whole loop.)
 	for i := 0; i < 5; i++ {
-		if _, err := e.Ingest(0, 5000); err != nil {
+		if _, err := e.IngestSeq(Meas{SensorID: 0, CPM: 5000}); err != nil {
 			t.Fatalf("burst reading %d: %v", i, err)
 		}
-		if _, err := e.Ingest(0, 5); err != nil {
+		if _, err := e.IngestSeq(Meas{SensorID: 0, CPM: 5}); err != nil {
 			t.Fatalf("clean reading %d: %v", i, err)
 		}
 	}
@@ -152,11 +152,11 @@ func TestLeakyStreakSurvivesBlip(t *testing.T) {
 	// QuarantineAfter is 3: bad bad GOOD bad bad walks the streak
 	// 1,2,1,2,3 and quarantines on the fifth reading.
 	for i, cpm := range []int{5000, 5000, 5, 5000} {
-		if _, err := e.Ingest(0, cpm); err != nil {
+		if _, err := e.IngestSeq(Meas{SensorID: 0, CPM: cpm}); err != nil {
 			t.Fatalf("reading %d: %v", i, err)
 		}
 	}
-	if _, err := e.Ingest(0, 5000); !errors.Is(err, ErrQuarantined) {
+	if _, err := e.IngestSeq(Meas{SensorID: 0, CPM: 5000}); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("fifth reading after blip: %v", err)
 	}
 	if got := e.QuarantinedSensors(); len(got) != 1 || got[0] != 0 {
@@ -168,7 +168,7 @@ func TestHealthDisabledTrustsEverything(t *testing.T) {
 	e, sc := healthTestEngine(t, true)
 	warmUp(t, e, sc, 4, 23)
 	for i := 0; i < 20; i++ {
-		if _, err := e.Ingest(0, 5000); err != nil {
+		if _, err := e.IngestSeq(Meas{SensorID: 0, CPM: 5000}); err != nil {
 			t.Fatalf("disabled monitor rejected reading: %v", err)
 		}
 	}

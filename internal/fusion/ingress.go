@@ -20,9 +20,10 @@ type Meas struct {
 }
 
 // Journal receives accepted readings before they are applied to the
-// filter — the write-ahead hook. Append is always called with the
-// engine lock held, so appends are totally ordered exactly as the
-// filter applies them; an error vetoes the application.
+// filter — the write-ahead hook. Append is called by the engine's one
+// owner, so appends are totally ordered exactly as the filter applies
+// them; an error vetoes the application. Like the engine, a journal
+// has one owner and need not be safe for concurrent use.
 type Journal interface {
 	// Append durably records one accepted reading before it is applied.
 	Append(Meas) error
@@ -101,7 +102,7 @@ type IngressStats struct {
 	Malformed uint64 `json:"malformed"`
 }
 
-// gate is the dedup/reorder front of the engine. Guarded by Engine.mu.
+// gate is the dedup/reorder front of the engine.
 //
 // Readings are staged per round (their Seq) and a round is released —
 // journaled and applied in ascending sensor-ID order — once the
@@ -136,15 +137,12 @@ func newGate() *gate {
 // individual released readings are visible in the engine's counters,
 // as on the unsequenced path.
 func (e *Engine) IngestSeq(m Meas) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if m.Seq == 0 {
 		e.met.unsequenced.Inc()
-		if err := e.journalLocked(m); err != nil {
+		if err := e.journalAppend(m); err != nil {
 			return 0, err
 		}
-		_, err := e.applyLocked(m)
-		return 1, err
+		return 1, e.apply(m)
 	}
 	// Unknown sensors are refused before any gate state is touched: a
 	// spoofed sensor ID must not grow the dedup cursor map or park
@@ -172,11 +170,10 @@ func (e *Engine) IngestSeq(m Meas) (int, error) {
 		// order but admitted — shedding data over a bounded-window
 		// violation would be worse.
 		e.met.late.Inc()
-		if err := e.journalLocked(m); err != nil {
+		if err := e.journalAppend(m); err != nil {
 			return 0, err
 		}
-		_, err := e.applyReleasedLocked(m)
-		return 1, err
+		return 1, e.applyReleased(m)
 	}
 	round := g.held[m.Seq]
 	if round == nil {
@@ -190,7 +187,7 @@ func (e *Engine) IngestSeq(m Meas) (int, error) {
 	if m.Seq > g.maxSeq {
 		g.maxSeq = m.Seq
 	}
-	applied, err := e.drainLocked(false)
+	applied, err := e.drain(false)
 	if err != nil {
 		return applied, err
 	}
@@ -199,7 +196,7 @@ func (e *Engine) IngestSeq(m Meas) (int, error) {
 	// buffer and release ahead of the watermark when it bursts.
 	if g.heldN > e.maxHeld() {
 		e.met.forcedFlushes.Inc()
-		n, err := e.flushRoundsLocked(g.maxSeq)
+		n, err := e.flushRounds(g.maxSeq)
 		applied += n
 		if err != nil {
 			return applied, err
@@ -212,9 +209,9 @@ func (e *Engine) maxHeld() int {
 	return (e.window + 1) * (len(e.sensors) + 1)
 }
 
-// drainLocked releases every round the watermark has passed — or, for
-// final=true, every held round. Callers hold e.mu.
-func (e *Engine) drainLocked(final bool) (int, error) {
+// drain releases every round the watermark has passed — or, for
+// final=true, every held round.
+func (e *Engine) drain(final bool) (int, error) {
 	g := e.gate
 	target := g.maxSeq
 	if !final {
@@ -226,13 +223,12 @@ func (e *Engine) drainLocked(final bool) (int, error) {
 	if target <= g.released {
 		return 0, nil
 	}
-	return e.flushRoundsLocked(target)
+	return e.flushRounds(target)
 }
 
-// flushRoundsLocked releases all held rounds ≤ target in (round,
+// flushRounds releases all held rounds ≤ target in (round,
 // sensor-ID) order and advances the release watermark to target.
-// Callers hold e.mu.
-func (e *Engine) flushRoundsLocked(target uint64) (int, error) {
+func (e *Engine) flushRounds(target uint64) (int, error) {
 	g := e.gate
 	rounds := make([]uint64, 0, len(g.held))
 	for s := range g.held {
@@ -257,14 +253,14 @@ func (e *Engine) flushRoundsLocked(target uint64) (int, error) {
 		sort.Ints(ids)
 		for _, id := range ids {
 			m := round[id]
-			if err := e.journalLocked(m); err != nil {
+			if err := e.journalAppend(m); err != nil {
 				// Leave the unjournaled remainder held; released stays
 				// behind so nothing is lost.
 				return applied, err
 			}
 			delete(round, id)
 			g.heldN--
-			_, _ = e.applyReleasedLocked(m)
+			_ = e.applyReleased(m)
 			applied++
 		}
 		delete(g.held, s)
@@ -276,10 +272,10 @@ func (e *Engine) flushRoundsLocked(target uint64) (int, error) {
 	return applied, nil
 }
 
-// applyReleasedLocked applies one gate-released (already journaled)
+// applyReleased applies one gate-released (already journaled)
 // reading: advances the sensor's dedup cursor, accounts for skipped
-// sequence numbers, and folds the reading in. Callers hold e.mu.
-func (e *Engine) applyReleasedLocked(m Meas) (uint64, error) {
+// sequence numbers, and folds the reading in.
+func (e *Engine) applyReleased(m Meas) error {
 	cur := e.gate.cursor[m.SensorID]
 	if m.Seq > cur {
 		if cur > 0 && m.Seq > cur+1 {
@@ -287,7 +283,7 @@ func (e *Engine) applyReleasedLocked(m Meas) (uint64, error) {
 		}
 		e.gate.cursor[m.SensorID] = m.Seq
 	}
-	return e.applyLocked(m)
+	return e.apply(m)
 }
 
 // BatchResult classifies the readings of one submitted batch by
@@ -315,9 +311,9 @@ func (r *BatchResult) Add(o BatchResult) {
 
 // Submit feeds a batch of measurements through the sequenced ingest
 // path, classifying each reading's outcome. It is the synchronous
-// batch face of IngestSeq — the zone event loop and single-engine
-// callers (tests, the legacy daemon path) share it, so a zone's
-// single-writer application order is exactly the batch order. ctx is
+// batch face of IngestSeq — the zone event loop applies every client
+// batch through it, so a zone's single-writer application order is
+// exactly the batch order. ctx is
 // checked between readings; a cancellation returns the partial result.
 func (e *Engine) Submit(ctx context.Context, ms []Meas) (BatchResult, error) {
 	var res BatchResult
@@ -348,9 +344,17 @@ func (e *Engine) Submit(ctx context.Context, ms []Meas) (BatchResult, error) {
 // end-of-stream or shutdown, when no further watermark advance will
 // come. Returns the number of readings applied.
 func (e *Engine) FlushPending() (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.drainLocked(true)
+	return e.drain(true)
+}
+
+// Settle is the end-of-stream step before the final source picture is
+// read: FlushPending, then Refresh. The refresh runs even if the flush
+// failed, so the picture covers every reading that was applied; the
+// flush's error is returned.
+func (e *Engine) Settle() error {
+	_, err := e.FlushPending()
+	e.Refresh()
+	return err
 }
 
 // Replay re-applies one journaled reading during recovery: it bypasses
@@ -362,8 +366,6 @@ func (e *Engine) FlushPending() (int, error) {
 // for the same record, so a replica (or a recovered node) reports the
 // same delivery picture as the node that journaled it.
 func (e *Engine) Replay(m Meas) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.journaled++
 	e.met.journaled.Set(float64(e.journaled))
 	if m.Seq > 0 {
@@ -374,9 +376,9 @@ func (e *Engine) Replay(m Meas) {
 		if m.Seq > g.maxSeq {
 			g.maxSeq = m.Seq
 		}
-		_, _ = e.applyReleasedLocked(m)
+		_ = e.applyReleased(m)
 		return
 	}
 	e.met.unsequenced.Inc()
-	_, _ = e.applyLocked(m)
+	_ = e.apply(m)
 }

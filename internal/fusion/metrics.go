@@ -75,8 +75,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 }
 
 // deliveryStats assembles the wire-format DeliveryStats from the
-// registry counters. Pending is filled by the caller (it needs the
-// engine lock).
+// registry counters. Pending is filled by the caller from the gate.
 func (m *engineMetrics) deliveryStats() DeliveryStats {
 	return DeliveryStats{
 		Duplicates:    m.duplicates.Value(),

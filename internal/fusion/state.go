@@ -63,8 +63,6 @@ type SeqCursor struct {
 // buffers are excluded (see EngineState); everything else round-trips
 // exactly.
 func (e *Engine) ExportState() (EngineState, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	loc, err := e.loc.ExportState()
 	if err != nil {
 		return EngineState{}, err
@@ -96,7 +94,6 @@ func (e *Engine) ExportState() (EngineState, error) {
 		}
 		st.Health = append(st.Health, hs)
 	}
-	sort.Slice(st.Health, func(a, b int) bool { return st.Health[a].SensorID < st.Health[b].SensorID })
 	for id, applied := range e.gate.cursor {
 		if applied > 0 {
 			st.Seqs = append(st.Seqs, SeqCursor{SensorID: id, Applied: applied})
@@ -117,8 +114,6 @@ func (e *Engine) ExportState() (EngineState, error) {
 // a hole left by tail truncation). Checkpoints built after this call
 // carry WAL offsets, which is what recovery replays from.
 func (e *Engine) SetJournalOffset(off uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.journaled = off
 	e.met.journaled.Set(float64(off))
 }
@@ -129,10 +124,8 @@ func (e *Engine) SetJournalOffset(off uint64) {
 // to this engine are rejected; sensors added since the export keep
 // their fresh zero records.
 func (e *Engine) ImportState(st EngineState) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, hs := range st.Health {
-		if _, ok := e.health[hs.SensorID]; !ok {
+		if e.healthOf(hs.SensorID) == nil {
 			return fmt.Errorf("fusion: state has health for unknown sensor %d", hs.SensorID)
 		}
 	}
@@ -154,7 +147,7 @@ func (e *Engine) ImportState(st EngineState) error {
 	e.met.restoreDelivery(restored)
 	e.met.pending.Set(0)
 	for _, hs := range st.Health {
-		h := e.health[hs.SensorID]
+		h := e.healthOf(hs.SensorID)
 		h.status = HealthStatus(hs.Status)
 		h.badStreak = hs.BadStreak
 		h.goodStreak = hs.GoodStreak

@@ -4,8 +4,8 @@
 // (413), refuses non-JSON payloads (415), sheds load with 429 +
 // Retry-After when its admission queue is full, rate-limits chatty
 // sensors with per-(zone, sensor) token buckets, and feeds everything
-// admitted through a Sink — a single fusion engine's idempotent
-// sequenced ingest, or a zone manager routing to sharded engines.
+// admitted through a Sink — a zone manager routing to sharded engines,
+// or the daemon's write pipeline in front of one.
 //
 // It lives in its own package (rather than inside cmd/radlocd) so the
 // daemon, the transport ablation and the chaos tests all exercise the
@@ -45,22 +45,18 @@ type Measurement struct {
 	Zone string `json:"zone,omitempty"`
 }
 
-// Sink is where admitted batches go: a *fusion.Engine (its Submit
-// method satisfies this directly) or a zone's mailbox. The handler
-// resolves one Sink per request from the request's zone.
+// Sink is where admitted batches go: a zone's mailbox, reached through
+// a manager or the daemon's write pipeline. The handler resolves one
+// Sink per request from the request's zone.
 type Sink interface {
 	// Submit applies one batch, classifying each reading's outcome.
 	Submit(ctx context.Context, ms []fusion.Meas) (fusion.BatchResult, error)
 }
 
 // Resolver maps a validated zone name to its Sink. Returning an error
-// refuses the request: ErrNoSuchZone maps to 404, zone.ErrZoneLimit
-// to 503, zone.ErrBadName to 400; anything else is a 500.
+// refuses the request: zone.ErrZoneLimit maps to 503, zone.ErrBadName
+// to 400; anything else is a 500.
 type Resolver func(zoneName string) (Sink, error)
-
-// ErrNoSuchZone is returned by a Resolver that serves a fixed zone
-// set (the single-engine deployment) for any other name — HTTP 404.
-var ErrNoSuchZone = errors.New("httpingest: no such zone")
 
 // ErrNotWritable is returned by a Sink whose zone stopped accepting
 // writes on this node between request admission and the apply (for
@@ -121,9 +117,6 @@ type Options struct {
 	MaxBuckets int
 	// Clock drives the token buckets (default wall clock).
 	Clock clock.Clock
-	// AfterBatch, when non-nil, runs after each admitted batch — the
-	// daemon hooks its checkpoint cadence here.
-	AfterBatch func()
 	// Metrics, when non-nil, is the registry the admission counters
 	// live on (radloc_ingest_*). The counters ARE the handler's
 	// accounting — Stats() reads them — so /metrics and /statez can
@@ -226,18 +219,6 @@ type Handler struct {
 	mu      sync.Mutex
 	buckets map[bucketKey]*list.Element
 	order   *list.List // LRU order: front = most recently used bucket
-}
-
-// New builds the ingest handler over a single engine: the classic
-// one-zone deployment, where only the default zone exists and any
-// other zone name is a 404.
-func New(engine *fusion.Engine, opts Options) *Handler {
-	return NewZoned(func(name string) (Sink, error) {
-		if name != zone.DefaultZone {
-			return nil, fmt.Errorf("%w: %q (single-zone deployment)", ErrNoSuchZone, name)
-		}
-		return engine, nil
-	}, opts)
 }
 
 // NewZoned builds the ingest handler over a zone resolver — the
@@ -372,8 +353,6 @@ func requestZone(r *http.Request) string {
 func sinkStatus(err error) int {
 	var je *fusion.JournalError
 	switch {
-	case errors.Is(err, ErrNoSuchZone):
-		return http.StatusNotFound
 	case errors.Is(err, zone.ErrBadName):
 		return http.StatusBadRequest
 	case errors.Is(err, zone.ErrMailboxFull):
@@ -418,11 +397,10 @@ func (h *Handler) failSink(w http.ResponseWriter, err error) {
 //	405 non-POST · 415 non-JSON Content-Type · 429+Retry-After queue
 //	full, zone mailbox full, or sensor rate-limited · 413 body over
 //	MaxBody · 400 parse failure, bad zone name, or a reading whose
-//	zone field contradicts the route · 404 unknown zone (fixed-zone
-//	deployments) · 503 zone limit reached or shutting down ·
-//	507+Retry-After zone journal unwritable (storage degraded; the
-//	agent keeps its spooled copy) · 200 {"accepted","duplicate",
-//	"rejected"}
+//	zone field contradicts the route · 503 zone limit reached or
+//	shutting down · 507+Retry-After zone journal unwritable (storage
+//	degraded; the agent keeps its spooled copy) · 200 {"accepted",
+//	"duplicate","rejected"}
 //
 // On 429 nothing before the refusing reading is rolled back; the
 // client retries the whole batch and the engine's sequence gate
@@ -518,9 +496,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	h.record(res)
-	if h.opts.AfterBatch != nil {
-		h.opts.AfterBatch()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]int{
 		"accepted":  res.Accepted,
@@ -547,9 +522,6 @@ func (h *Handler) submitRateLimited(w http.ResponseWriter, ctx context.Context, 
 		if !h.allow(zoneName, m.SensorID) {
 			h.met.rateLimited.Add(uint64(len(batch) - i))
 			h.record(res)
-			if h.opts.AfterBatch != nil && res.Accepted > 0 {
-				h.opts.AfterBatch()
-			}
 			h.shed(w, fmt.Sprintf("sensor %d over rate limit", m.SensorID))
 			return res, true
 		}

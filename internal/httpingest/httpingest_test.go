@@ -98,7 +98,7 @@ func TestZoneRouteLandsInNamedZone(t *testing.T) {
 	if _, ok := m.Lookup(zone.DefaultZone); !ok {
 		t.Fatal("legacy route did not land in the default zone")
 	}
-	if east, _ := m.Lookup("east"); east.Engine().Snapshot().Ingested != 2 {
+	if east, _ := m.Lookup("east"); east.Snapshot().Ingested != 2 {
 		t.Fatal("legacy post leaked into zone east")
 	}
 }
@@ -112,7 +112,7 @@ func TestZoneMismatchRefused(t *testing.T) {
 		t.Fatalf("mismatched zone = %d, want 400", w.Code)
 	}
 	// The whole batch was refused, including the well-stamped reading.
-	if z, ok := m.Lookup("east"); ok && z.Engine().Snapshot().Ingested != 0 {
+	if z, ok := m.Lookup("east"); ok && z.Snapshot().Ingested != 0 {
 		t.Fatal("part of a refused batch was applied")
 	}
 	// A matching stamp is fine.
@@ -128,17 +128,6 @@ func TestBadZoneName(t *testing.T) {
 	w := post(t, mux, "/zones/NOPE/measurements", `{"sensorId":0,"cpm":9}`)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("bad zone name = %d, want 400", w.Code)
-	}
-}
-
-func TestSingleZoneDeploymentUnknownZone404(t *testing.T) {
-	h := New(testEngine(t, 1), Options{})
-	mux := zonedMux(h)
-	if w := post(t, mux, "/zones/east/measurements", `{"sensorId":0,"cpm":9}`); w.Code != http.StatusNotFound {
-		t.Fatalf("unknown zone on single-engine deployment = %d, want 404", w.Code)
-	}
-	if w := post(t, mux, "/measurements", `{"sensorId":0,"cpm":9}`); w.Code != http.StatusOK {
-		t.Fatalf("default zone on single-engine deployment = %d", w.Code)
 	}
 }
 

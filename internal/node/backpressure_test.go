@@ -13,32 +13,20 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"radloc/internal/clock"
 	"radloc/internal/fusion"
 	"radloc/internal/httpingest"
-	"radloc/internal/scenario"
-	"radloc/internal/sim"
+	"radloc/internal/obs"
 )
 
-func newBackpressureEngine(t *testing.T) *fusion.Engine {
-	t.Helper()
-	sc := scenario.A(50, false)
-	fcfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors}
-	fcfg.Localizer.Seed = 3
-	engine, err := fusion.NewEngine(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return engine
-}
-
 func TestHTTPRejectsNonJSONContentType(t *testing.T) {
-	engine := newBackpressureEngine(t)
-	ing := httpingest.New(engine, httpingest.Options{})
-	srv := httptest.NewServer(newMux(serveConfig{Engine: engine, Ingest: ing}))
+	zs := testZoneSet(t, "", 0, 0)
+	ing := newZonedIngest(zs.pipe, httpingest.Options{})
+	srv := httptest.NewServer(newMux(serveConfig{Zones: zs, Ingest: ing}))
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+"/measurements", "text/plain", strings.NewReader(`{"sensorId":0,"cpm":12}`))
@@ -65,9 +53,9 @@ func TestHTTPRejectsNonJSONContentType(t *testing.T) {
 }
 
 func TestHTTPBoundsRequestBodies(t *testing.T) {
-	engine := newBackpressureEngine(t)
-	ing := httpingest.New(engine, httpingest.Options{MaxBody: 64})
-	srv := httptest.NewServer(newMux(serveConfig{Engine: engine, Ingest: ing}))
+	zs := testZoneSet(t, "", 0, 0)
+	ing := newZonedIngest(zs.pipe, httpingest.Options{MaxBody: 64})
+	srv := httptest.NewServer(newMux(serveConfig{Zones: zs, Ingest: ing}))
 	defer srv.Close()
 
 	big := `[` + strings.Repeat(`{"sensorId":0,"cpm":12},`, 20) + `{"sensorId":0,"cpm":12}]`
@@ -107,18 +95,43 @@ func TestHTTPBoundsRequestBodies(t *testing.T) {
 	}
 }
 
+// parkingJournal parks its first Append until unpark, holding the
+// zone's event loop — and the request waiting on it — mid-batch.
+type parkingJournal struct {
+	parked, unparked sync.Once
+	entered, release chan struct{}
+}
+
+// parkedZoneSet builds a durability-off zone set whose engines journal
+// into a parkingJournal. The journal is unparked when the test ends,
+// before the zone set closes, so a failing test cannot hang.
+func parkedZoneSet(t *testing.T) (*zoneSet, *parkingJournal) {
+	j := &parkingJournal{entered: make(chan struct{}), release: make(chan struct{})}
+	zs := zoneSetOf(t, zoneSetOptions{Build: func(_ fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
+		return testZoneBuild(t)(j, met)
+	}})
+	t.Cleanup(j.unpark)
+	return zs, j
+}
+
+// Append implements fusion.Journal.
+func (j *parkingJournal) Append(fusion.Meas) error {
+	j.parked.Do(func() { j.entered <- struct{}{}; <-j.release })
+	return nil
+}
+
+// unpark releases the parked Append. Idempotent.
+func (j *parkingJournal) unpark() { j.unparked.Do(func() { close(j.release) }) }
+
 func TestHTTPShedsWhenQueueFull(t *testing.T) {
-	engine := newBackpressureEngine(t)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	// AfterBatch runs while the admission slot is still held, so it can
-	// park the first request inside the handler deterministically.
-	ing := httpingest.New(engine, httpingest.Options{
+	zs, park := parkedZoneSet(t)
+	// The first request's reading parks in the journal while its
+	// admission slot is still held.
+	ing := newZonedIngest(zs.pipe, httpingest.Options{
 		QueueDepth: 1,
 		RetryAfter: 2 * time.Second,
-		AfterBatch: func() { entered <- struct{}{}; <-release },
 	})
-	srv := httptest.NewServer(newMux(serveConfig{Engine: engine, Ingest: ing}))
+	srv := httptest.NewServer(newMux(serveConfig{Zones: zs, Ingest: ing}))
 	defer srv.Close()
 
 	firstDone := make(chan error, 1)
@@ -133,7 +146,7 @@ func TestHTTPShedsWhenQueueFull(t *testing.T) {
 		}
 		firstDone <- err
 	}()
-	<-entered // the single slot is now occupied
+	<-park.entered // the single slot is now occupied
 
 	resp, err := http.Post(srv.URL+"/measurements", "application/json",
 		strings.NewReader(`{"sensorId":1,"cpm":12}`))
@@ -148,7 +161,7 @@ func TestHTTPShedsWhenQueueFull(t *testing.T) {
 		t.Errorf("Retry-After = %q, want %q", got, "2")
 	}
 
-	close(release)
+	park.unpark()
 	if err := <-firstDone; err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +175,9 @@ func TestHTTPShedsWhenQueueFull(t *testing.T) {
 // from the already-applied prefix are dedup-suppressed and their
 // tokens refunded, so the retry budget is spent only on fresh data.
 func TestHTTPRateLimitsPerSensor(t *testing.T) {
-	engine := newBackpressureEngine(t)
+	zs := testZoneSet(t, "", 0, 0)
 	clk := clock.NewFake(time.Unix(1000, 0))
-	ing := httpingest.New(engine, httpingest.Options{
+	ing := newZonedIngest(zs.pipe, httpingest.Options{
 		RatePerSec: 1,
 		Burst:      2,
 		Clock:      clk,
@@ -247,8 +260,8 @@ func TestHTTPServerTimeoutPosture(t *testing.T) {
 // body — the slow-loris shape. The server's ReadTimeout must cut the
 // connection instead of pinning it for the client's lifetime.
 func TestHTTPCutsSlowClients(t *testing.T) {
-	engine := newBackpressureEngine(t)
-	srv := newHTTPServer(newMux(serveConfig{Engine: engine}), httpTimeouts{Read: 200 * time.Millisecond})
+	zs := testZoneSet(t, "", 0, 0)
+	srv := newHTTPServer(newMux(serveConfig{Zones: zs}), httpTimeouts{Read: 200 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

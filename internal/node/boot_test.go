@@ -40,16 +40,22 @@ func bootTestConfig(dir string, maxZones int, logw io.Writer, fsys vfs.FS) Confi
 	}
 }
 
-// exportedState is an engine's ExportState bytes. With noGate the
-// reorder gate's delivery counters are zeroed: WAL replay bypasses the
-// gate, so a zone recovered without a checkpoint rebuilds everything
-// but that bookkeeping.
-func exportedState(t *testing.T, e *fusion.Engine, noGate bool) []byte {
+// closedState is the ExportState of an engine whose zone has closed.
+func closedState(t *testing.T, e *fusion.Engine) fusion.EngineState {
 	t.Helper()
 	st, err := e.ExportState()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// exportedState renders engine state as bytes. With noGate the
+// reorder gate's delivery counters are zeroed: WAL replay bypasses the
+// gate, so a zone recovered without a checkpoint rebuilds everything
+// but that bookkeeping.
+func exportedState(t *testing.T, st fusion.EngineState, noGate bool) []byte {
+	t.Helper()
 	if noGate {
 		st.Delivery = fusion.DeliveryStats{}
 	}
@@ -68,7 +74,7 @@ func checkZoneStates(t *testing.T, zs *zoneSet, names []string, want map[string]
 		if !ok {
 			t.Fatalf("zone %s not live", name)
 		}
-		if !bytes.Equal(exportedState(t, z.Engine(), replayed[name]), exportedState(t, want[name], replayed[name])) {
+		if !bytes.Equal(exportedState(t, zoneState(t, z), replayed[name]), exportedState(t, closedState(t, want[name]), replayed[name])) {
 			t.Errorf("zone %s: recovered state differs from pre-shutdown state", name)
 		}
 	}
@@ -118,7 +124,7 @@ func TestParallelRecoveryDeterministic(t *testing.T) {
 	engines := map[string]*fusion.Engine{}
 	for _, name := range all {
 		z, _ := nd.zs.manager.Lookup(name)
-		engines[name] = z.Engine()
+		engines[name] = engineOf(t, z)
 	}
 	if err := nd.Shutdown(); err != nil {
 		t.Fatal(err)

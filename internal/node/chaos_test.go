@@ -24,6 +24,7 @@ import (
 	"radloc/internal/fusion"
 	"radloc/internal/httpingest"
 	"radloc/internal/netchaos"
+	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
 	"radloc/internal/sim"
@@ -77,14 +78,13 @@ type chaosResult struct {
 func runChaosDelivery(t *testing.T, withFaults, restart bool) chaosResult {
 	t.Helper()
 	sc := scenario.A(50, false)
-	fcfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors}
-	fcfg.Localizer.Seed = 3
-	engine, err := fusion.NewEngine(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	zs := zoneSetOf(t, zoneSetOptions{Build: func(fusion.Journal, *obs.Registry) (*fusion.Engine, error) {
+		fcfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors}
+		fcfg.Localizer.Seed = 3
+		return fusion.NewEngine(fcfg)
+	}})
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	ing := httpingest.New(engine, httpingest.Options{QueueDepth: 256, Clock: clk})
+	ing := newZonedIngest(zs.pipe, httpingest.Options{QueueDepth: 256, Clock: clk})
 
 	var rt http.RoundTripper = localRT{ing}
 	var faults *netchaos.RoundTripper
@@ -168,11 +168,11 @@ func runChaosDelivery(t *testing.T, withFaults, restart bool) chaosResult {
 		t.Fatal(err)
 	}
 
-	if _, err := engine.FlushPending(); err != nil {
+	def := zs.defaultZone()
+	if err := def.Do(ctx, (*fusion.Engine).Settle); err != nil {
 		t.Fatal(err)
 	}
-	engine.Refresh()
-	s := engine.Snapshot()
+	s := def.Snapshot()
 	res := chaosResult{ingested: s.Ingested, ingress: ing.Stats(), client: client.Stats()}
 	if faults != nil {
 		res.faults = faults.Stats()

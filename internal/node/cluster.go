@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,7 +19,9 @@ import (
 // zoneBackend implements cluster.Backend over one zone's engine and
 // durability plumbing. Each cluster operation resolves a fresh
 // backend through clusterBackend, so an evicted-and-recreated zone is
-// always addressed through its live incarnation.
+// always addressed through its live incarnation. Operations that touch
+// the engine run on the zone's event loop through Do; reads of the
+// journal counter come from the published snapshot.
 type zoneBackend struct {
 	zs *zoneSet
 	z  *zone.Zone
@@ -44,7 +47,7 @@ func (b *zoneBackend) Offset() uint64 {
 		defer d.j.mu.Unlock()
 		return d.j.log.Offset()
 	}
-	return b.z.Engine().Snapshot().Journaled
+	return b.z.Snapshot().Journaled
 }
 
 // Oldest implements cluster.Backend. Without a log nothing historical
@@ -56,7 +59,7 @@ func (b *zoneBackend) Oldest() uint64 {
 		defer d.j.mu.Unlock()
 		return d.j.log.Oldest()
 	}
-	return b.z.Engine().Snapshot().Journaled
+	return b.z.Snapshot().Journaled
 }
 
 // errStopRead is the sentinel ReadWAL uses to stop Replay at max
@@ -110,7 +113,11 @@ func (b *zoneBackend) ApplyRecords(recs []cluster.RecordAt) error {
 
 // ExportState implements cluster.Backend.
 func (b *zoneBackend) ExportState() (json.RawMessage, uint64, error) {
-	st, err := b.z.Engine().ExportState()
+	var st fusion.EngineState
+	err := b.z.Do(context.TODO(), func(e *fusion.Engine) (err error) {
+		st, err = e.ExportState()
+		return err
+	})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -130,29 +137,31 @@ func (b *zoneBackend) Bootstrap(state json.RawMessage, applied uint64) error {
 	if err := json.Unmarshal(state, &st); err != nil {
 		return fmt.Errorf("bootstrap state: %w", err)
 	}
-	eng := b.z.Engine()
-	if err := eng.ImportState(st); err != nil {
-		return err
-	}
-	d := zoneDurable(b.z)
-	if d == nil {
-		return nil
-	}
-	d.j.mu.Lock()
-	err := d.j.log.AlignTo(applied)
-	d.j.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return d.checkpoint()
+	return b.z.Do(context.TODO(), func(e *fusion.Engine) error {
+		if err := e.ImportState(st); err != nil {
+			return err
+		}
+		d := zoneDurable(b.z)
+		if d == nil {
+			return nil
+		}
+		d.j.mu.Lock()
+		err := d.j.log.AlignTo(applied)
+		d.j.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		return d.checkpoint()
+	})
 }
 
 // Checkpoint implements cluster.Backend; a no-op without durability.
 func (b *zoneBackend) Checkpoint() error {
-	if d := zoneDurable(b.z); d != nil {
-		return d.checkpoint()
+	d := zoneDurable(b.z)
+	if d == nil {
+		return nil
 	}
-	return nil
+	return b.z.Do(context.TODO(), func(*fusion.Engine) error { return d.checkpoint() })
 }
 
 // divergedDirName is where divergence repair parks the quarantined WAL
@@ -168,15 +177,26 @@ const divergedDirName = "diverged"
 // operator's evidence of what the old primary accepted after losing
 // ownership (see the diverged/ runbook in the README). Without
 // durability there is nothing on disk to preserve; the engine's
-// journal counter is rewound and the bootstrap replaces its state.
-func (b *zoneBackend) QuarantineDiverged(floor uint64) (uint64, error) {
+// journal counter is rewound and the bootstrap replaces its state. The
+// repair runs on the zone's event loop, so no append interleaves with
+// it.
+func (b *zoneBackend) QuarantineDiverged(floor uint64) (moved uint64, err error) {
+	err = b.z.Do(context.TODO(), func(e *fusion.Engine) (err error) {
+		moved, err = b.quarantineDiverged(e, floor)
+		return err
+	})
+	return moved, err
+}
+
+// quarantineDiverged is QuarantineDiverged on the zone's event loop.
+func (b *zoneBackend) quarantineDiverged(e *fusion.Engine, floor uint64) (uint64, error) {
 	d := zoneDurable(b.z)
 	if d == nil {
-		cur := b.z.Engine().Snapshot().Journaled
+		cur := e.Snapshot().Journaled
 		if cur <= floor {
 			return 0, nil
 		}
-		b.z.Engine().SetJournalOffset(floor)
+		e.SetJournalOffset(floor)
 		return cur - floor, nil
 	}
 	divDir := filepath.Join(d.dir, divergedDirName)

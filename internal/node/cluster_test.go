@@ -10,6 +10,7 @@ package node
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -19,9 +20,11 @@ import (
 	"radloc/internal/fusion"
 	"radloc/internal/node/nodetest"
 	"radloc/internal/obs"
+	"radloc/internal/rng"
 	"radloc/internal/scenario"
 	"radloc/internal/sim"
 	"radloc/internal/wal"
+	"radloc/internal/zone"
 )
 
 // clusterTestNode is one daemon's full stack — a real node.Node plus
@@ -130,16 +133,30 @@ func (n *clusterTestNode) status(zone string) (cluster.ZoneStatus, bool) {
 	return cluster.ZoneStatus{}, false
 }
 
-// normalizedState releases the engine's reorder-gate tail, refreshes,
+// normalizedState releases the zone's reorder-gate tail, refreshes,
 // and renders the snapshot and health with the delivery counters
 // zeroed — the bit-identical comparison form the chaos tests use.
-func normalizedState(t *testing.T, eng *fusion.Engine) ([]byte, []byte) {
+func normalizedState(t *testing.T, z *zone.Zone) ([]byte, []byte) {
 	t.Helper()
-	if _, err := eng.FlushPending(); err != nil {
+	if err := z.Do(context.Background(), (*fusion.Engine).Settle); err != nil {
 		t.Fatal(err)
 	}
-	eng.Refresh()
-	s := eng.Snapshot()
+	return normalizedJSON(t, z.Snapshot())
+}
+
+// normalizedEngineState is normalizedState for an engine no zone owns.
+func normalizedEngineState(t *testing.T, e *fusion.Engine) ([]byte, []byte) {
+	t.Helper()
+	if err := e.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	return normalizedJSON(t, e.Snapshot())
+}
+
+// normalizedJSON renders a snapshot and its health with the delivery
+// counters zeroed.
+func normalizedJSON(t *testing.T, s fusion.Snapshot) ([]byte, []byte) {
+	t.Helper()
 	s.Delivery = fusion.DeliveryStats{}
 	snap, err := json.Marshal(snapshotToJSON(s))
 	if err != nil {
@@ -174,7 +191,7 @@ func TestClusterFailoverBitIdentical(t *testing.T) {
 
 	// Reference: the same stream, one node, no interruptions.
 	nodetest.SendRounds(t, nodetest.NewClient(t, fab, "http://c", "clean", ""), readings, sensors)
-	wantSnap, wantHealth := normalizedState(t, clean.zs.defaultZone().Engine())
+	wantSnap, wantHealth := normalizedState(t, clean.zs.defaultZone())
 
 	// Primary takes the first half; the standby replicates it.
 	nodetest.SendRounds(t, nodetest.NewClient(t, fab, "http://a", "pre-kill", ""), readings[:half], sensors)
@@ -203,7 +220,7 @@ func TestClusterFailoverBitIdentical(t *testing.T) {
 	// the sequence gate absorbs everything replication already applied.
 	nodetest.SendRounds(t, nodetest.NewClient(t, fab, "http://b", "post-kill", ""), readings, sensors)
 
-	gotSnap, gotHealth := normalizedState(t, b.zs.defaultZone().Engine())
+	gotSnap, gotHealth := normalizedState(t, b.zs.defaultZone())
 	if !bytes.Equal(wantSnap, gotSnap) {
 		t.Errorf("promoted standby diverged from clean run:\nclean:    %s\npromoted: %s", wantSnap, gotSnap)
 	}
@@ -220,6 +237,61 @@ func TestClusterFailoverBitIdentical(t *testing.T) {
 	}
 	if _, code := nodetest.HTTPStatus(a.mux, http.MethodPost, "http://a/measurements", `{"sensorId":0,"cpm":12}`); code != http.StatusServiceUnavailable {
 		t.Fatalf("fenced old primary accepted a write: HTTP %d", code)
+	}
+}
+
+// postRounds posts rounds [from, to) of seq-0 readings straight to a
+// node's mux. Seq-0 traffic keeps the delivery counters zero on both
+// primary and standby — the standby replays the records through the
+// very same apply path — which is what makes their snapshots
+// byte-comparable.
+func postRounds(t *testing.T, mux http.Handler, host string, sc scenario.Scenario, from, to int) {
+	t.Helper()
+	stream := rng.NewNamed(uint64(11+from), "cluster/measure")
+	for step := from; step < to; step++ {
+		var batch []measurementJSON
+		for _, sen := range sc.Sensors {
+			m := sen.Measure(stream, sc.Sources, nil, step)
+			batch = append(batch, measurementJSON{SensorID: sen.ID, CPM: m.CPM, Step: step})
+		}
+		body, _ := json.Marshal(batch)
+		rec, code := nodetest.HTTPStatus(mux, http.MethodPost, host+"/measurements", string(body))
+		if code != http.StatusOK {
+			t.Fatalf("round %d refused: HTTP %d: %s", step, code, rec.Body.String())
+		}
+	}
+}
+
+// TestClusterStandbySnapshotByteIdentical: a caught-up standby serves
+// a /snapshot body byte-identical to its primary's — same estimates,
+// same refresh count, same health, same journal offset.
+func TestClusterStandbySnapshotByteIdentical(t *testing.T) {
+	fab := nodetest.NewFabric()
+	routes := cluster.Routes{Zones: map[string]cluster.Route{
+		"default": {Primary: "http://a", Standby: "http://b"},
+	}}
+	a := newClusterTestNode(t, fab, "a", &routes)
+	b := newClusterTestNode(t, fab, "b", &routes)
+
+	postRounds(t, a.mux, "http://a", scenario.A(50, false), 0, 4)
+	aBack := a.backend(t, "default")
+	// The standby's WAL head reaches the primary's while the last
+	// replicated batch is still being applied; its snapshot is
+	// published once that batch is done, so wait for that too.
+	nodetest.WaitUntil(t, "standby catch-up", func() bool {
+		st, ok := b.status("default")
+		head := aBack.Offset()
+		return ok && st.CaughtUp && b.backend(t, "default").Offset() == head &&
+			b.zs.defaultZone().Snapshot().Journaled == head
+	})
+
+	recA, codeA := nodetest.HTTPStatus(a.mux, http.MethodGet, "http://a/snapshot", "")
+	recB, codeB := nodetest.HTTPStatus(b.mux, http.MethodGet, "http://b/snapshot", "")
+	if codeA != http.StatusOK || codeB != http.StatusOK {
+		t.Fatalf("snapshot status: primary %d standby %d", codeA, codeB)
+	}
+	if bodyA, bodyB := recA.Body.String(), recB.Body.String(); bodyA != bodyB {
+		t.Fatalf("caught-up standby snapshot diverged from primary:\nprimary: %s\nstandby: %s", bodyA, bodyB)
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 )
 
 // walJournal bridges the fusion engine's write-ahead hook to the WAL.
-// Append runs with the engine lock held, so WAL order is exactly the
-// filter's application order; mu additionally serializes the log
-// against the checkpointer's Sync/Prune and the scrubber's cold reads.
-// Lock order is always engine.mu → walJournal.mu, never the reverse.
+// Append runs on the zone's event loop, the engine's only owner, so WAL
+// order is exactly the filter's application order; mu serializes the
+// log against its off-loop users — replication reads, the scrubber,
+// the storage probe and /statez.
 type walJournal struct {
 	mu  sync.Mutex
 	log *wal.Log
@@ -72,7 +72,6 @@ type durable struct {
 	met *durableMetrics
 
 	mu          sync.Mutex
-	busy        bool   // a checkpoint is in flight; skip, don't queue
 	lastApplied uint64 // newest checkpoint's WAL offset
 	prevApplied uint64 // second-newest — segments below it are prunable
 	recovery    recoveryJSON
@@ -180,9 +179,10 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 }
 
 // maybeCheckpoint writes a checkpoint if the WAL has grown past the
-// cadence since the last one. Called outside the engine lock, after
-// ingests; a failure is reported but does not stop ingest (the WAL
-// still has everything).
+// cadence since the last one. It runs on the zone's event loop after
+// each client batch and each replicated apply, never after other
+// control operations, so checkpoints never overlap; a failure is
+// reported but does not stop ingest (the WAL still has everything).
 func (d *durable) maybeCheckpoint(logw io.Writer) {
 	if d == nil || d.every <= 0 {
 		return
@@ -191,25 +191,21 @@ func (d *durable) maybeCheckpoint(logw io.Writer) {
 	off := d.j.log.Offset()
 	d.j.mu.Unlock()
 	d.mu.Lock()
-	if d.busy || off < d.lastApplied+uint64(d.every) {
-		d.mu.Unlock()
+	due := off >= d.lastApplied+uint64(d.every)
+	d.mu.Unlock()
+	if !due {
 		return
 	}
-	d.busy = true
-	d.mu.Unlock()
-	err := d.checkpoint()
-	d.mu.Lock()
-	d.busy = false
-	d.mu.Unlock()
-	if err != nil {
+	if err := d.checkpoint(); err != nil {
 		fmt.Fprintf(logw, "radlocd: checkpoint failed (WAL intact, will retry): %v\n", err)
 	}
 }
 
-// checkpoint persists the engine state: export under the engine lock,
-// sync the WAL through the exported offset (a checkpoint must never
-// run ahead of the durable log), write atomically, prune what the
-// surviving checkpoints no longer need.
+// checkpoint persists the engine state: export it (on the zone's
+// event loop, like every engine access), sync the WAL through the
+// exported offset (a checkpoint must never run ahead of the durable
+// log), write atomically, prune what the surviving checkpoints no
+// longer need.
 func (d *durable) checkpoint() (err error) {
 	t0 := time.Now()
 	st, err := d.engine.ExportState()
@@ -289,10 +285,10 @@ type durabilityJSON struct {
 	DegradedTotal uint64 `json:"degradedTotal,omitempty"`
 }
 
-// statez assembles the /statez payload; d may be nil (durability
-// off), ing may be nil (pipe mode, no HTTP ingest).
-func statez(engine *fusion.Engine, d *durable, ing *httpingest.Handler) statezJSON {
-	s := engine.Snapshot()
+// statez assembles the /statez payload from a zone's published
+// snapshot; d may be nil (durability off), ing may be nil (the
+// per-zone view, which carries no admission counters).
+func statez(s fusion.Snapshot, d *durable, ing *httpingest.Handler) statezJSON {
 	out := statezJSON{Delivery: s.Delivery, Journaled: s.Journaled}
 	if ing != nil {
 		out.Ingress = ing.Stats()

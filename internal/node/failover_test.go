@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -73,7 +74,7 @@ func TestFailoverUnattendedPromotion(t *testing.T) {
 	half := (len(readings) / (2 * sensors)) * sensors
 
 	nodetest.SendRounds(t, nodetest.NewClient(t, fab, "http://c", "clean", ""), readings, sensors)
-	wantSnap, wantHealth := normalizedState(t, clean.zs.defaultZone().Engine())
+	wantSnap, wantHealth := normalizedState(t, clean.zs.defaultZone())
 
 	nodetest.SendRounds(t, nodetest.NewClient(t, fab, "http://a", "pre-kill", ""), readings[:half], sensors)
 	aBack := a.backend(t, "default")
@@ -115,7 +116,7 @@ func TestFailoverUnattendedPromotion(t *testing.T) {
 	// At-least-once redelivery: the promoted node must converge on the
 	// clean run bit for bit.
 	nodetest.SendRounds(t, nodetest.NewClient(t, fab, "http://b", "post-kill", ""), readings, sensors)
-	gotSnap, gotHealth := normalizedState(t, b.zs.defaultZone().Engine())
+	gotSnap, gotHealth := normalizedState(t, b.zs.defaultZone())
 	if !bytes.Equal(wantSnap, gotSnap) {
 		t.Errorf("promoted standby diverged from clean run:\nclean:    %s\npromoted: %s", wantSnap, gotSnap)
 	}
@@ -272,6 +273,56 @@ func divergedRecords(t *testing.T, dir string) (lines uint64, note struct {
 	return lines, note
 }
 
+// checkpointsAbove lists the applied offsets of the live checkpoints
+// in dir (not diverged/) that lie above floor.
+func checkpointsAbove(t *testing.T, dir string, floor uint64) []uint64 {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []uint64
+	for _, p := range paths {
+		hex := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "checkpoint-"), ".json")
+		applied, err := strconv.ParseUint(hex, 16, 64)
+		if err != nil {
+			t.Fatalf("checkpoint name %s: %v", p, err)
+		}
+		if applied > floor {
+			out = append(out, applied)
+		}
+	}
+	return out
+}
+
+// TestQuarantineDivergedWritesNoCheckpoint pins that divergence
+// repair's quarantine step leaves no checkpoint above the floor in the
+// live WAL directory: the engine still holds the quarantined state
+// until the bootstrap replaces it, so a checkpoint taken in between
+// (the zone's cadence firing on a rewound log) would let a restart
+// re-seed from exactly the history the repair set aside.
+func TestQuarantineDivergedWritesNoCheckpoint(t *testing.T) {
+	fab := nodetest.NewFabric()
+	dir := t.TempDir()
+	a := newClusterTestNodeAt(t, fab, "a", nil, dir)
+	sensors := len(scenario.A(50, false).Sensors)
+	nodetest.SendRounds(t, nodetest.NewClient(t, fab, "http://a", "agent", ""), chaosReadings(sensors)[:4*sensors], sensors)
+	back := a.backend(t, "default")
+	head := back.Offset()
+	// The floor is above one checkpoint cadence (50) and below both the
+	// head and the cadence checkpoint taken after the second round.
+	floor := uint64(60)
+	if head <= floor {
+		t.Fatalf("head %d not above floor %d", head, floor)
+	}
+	if moved, err := back.QuarantineDiverged(floor); err != nil || moved != head-floor {
+		t.Fatalf("QuarantineDiverged = (%d, %v), want (%d, nil)", moved, err, head-floor)
+	}
+	if got := checkpointsAbove(t, dir, floor); len(got) > 0 {
+		t.Fatalf("live checkpoints above the floor %d after quarantine: %v", floor, got)
+	}
+}
+
 // TestClusterResurrectionDivergenceRepair is the data-safety half of
 // the tentpole: a primary keeps accepting writes while partitioned
 // from its standby, dies, and comes back after the standby has been
@@ -344,6 +395,15 @@ func TestClusterResurrectionDivergenceRepair(t *testing.T) {
 		st, ok := a2.status("default")
 		return ok && st.CaughtUp && a2.backend(t, "default").Offset() == bBack.Offset()
 	})
+	// No live checkpoint may hold the quarantined history: the only
+	// state above the fork the rejoined node has seen is the new
+	// primary's snapshot at its head.
+	for _, applied := range checkpointsAbove(t, walA, bHead) {
+		if applied != bBack.Offset() {
+			t.Fatalf("live checkpoint at %d above the fork point %d is not the new primary's snapshot at %d",
+				applied, bHead, bBack.Offset())
+		}
+	}
 
 	// The divergent suffix — every record past the fork, and only
 	// those — sits readable in diverged/, with the marker note agreeing.
@@ -357,11 +417,11 @@ func TestClusterResurrectionDivergenceRepair(t *testing.T) {
 	}
 
 	// And the rejoined standby is bit-identical to the new primary.
-	wantSnap, wantHealth := normalizedState(t, b.zs.defaultZone().Engine())
+	wantSnap, wantHealth := normalizedState(t, b.zs.defaultZone())
 	nodetest.WaitUntil(t, "final tail replication", func() bool {
 		return a2.backend(t, "default").Offset() == bBack.Offset()
 	})
-	gotSnap, gotHealth := normalizedState(t, a2.zs.defaultZone().Engine())
+	gotSnap, gotHealth := normalizedState(t, a2.zs.defaultZone())
 	if !bytes.Equal(wantSnap, gotSnap) {
 		t.Errorf("rejoined standby diverged from the new primary:\nprimary:  %s\nrejoined: %s", wantSnap, gotSnap)
 	}

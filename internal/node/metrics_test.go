@@ -218,25 +218,24 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 	sc := scenario.A(50, false)
 	reg := obs.NewRegistry()
 	obs.RegisterProcessMetrics(reg, time.Unix(1_700_000_000, 0))
-	build := func(j fusion.Journal) (*fusion.Engine, error) {
-		fcfg := fusion.Config{
-			Localizer:     sim.LocalizerConfig(sc),
-			Sensors:       sc.Sensors,
-			Tracking:      &track.Config{},
-			Journal:       j,
-			ReorderWindow: 2,
-			Metrics:       reg,
-		}
-		fcfg.Localizer.Seed = 3
-		fcfg.Localizer.Metrics = reg
-		return fusion.NewEngine(fcfg)
-	}
-	engine, d, err := openDurable(t.TempDir(), nil, wal.FsyncNever, 50, 0, build, reg, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	zs := zoneSetOf(t, zoneSetOptions{
+		WalRoot: t.TempDir(), Fsync: wal.FsyncNever, CkptEvery: 50, Metrics: reg, Log: io.Discard,
+		Build: func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
+			fcfg := fusion.Config{
+				Localizer:     sim.LocalizerConfig(sc),
+				Sensors:       sc.Sensors,
+				Tracking:      &track.Config{},
+				Journal:       j,
+				ReorderWindow: 2,
+				Metrics:       met,
+			}
+			fcfg.Localizer.Seed = 3
+			fcfg.Localizer.Metrics = met
+			return fusion.NewEngine(fcfg)
+		},
+	})
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	ing := newIngest(engine, d, httpingest.Options{QueueDepth: 256, Clock: clk, Metrics: reg})
+	ing := newZonedIngest(zs.pipe, httpingest.Options{QueueDepth: 256, Clock: clk, Metrics: reg})
 
 	// Chaos-era delivery: seeded request/response drops and a healed
 	// partition manufacture retries and dedup-absorbed redelivery.
@@ -265,15 +264,15 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := engine.FlushPending(); err != nil {
+	def := zs.defaultZone()
+	if err := def.Do(ctx, (*fusion.Engine).Settle); err != nil {
 		t.Fatal(err)
 	}
-	engine.Refresh()
-	if err := d.checkpoint(); err != nil {
+	if err := def.Do(ctx, func(*fusion.Engine) error { return zoneDurable(def).checkpoint() }); err != nil {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(newMux(serveConfig{Engine: engine, Durable: d, Ingest: ing, Metrics: reg}))
+	srv := httptest.NewServer(newMux(serveConfig{Ingest: ing, Metrics: reg, Zones: zs}))
 	defer srv.Close()
 
 	body := httpGetBody(t, srv.URL+"/metrics", "text/plain")

@@ -13,9 +13,9 @@
 // measurements, replication — flows through one WritePipeline, so the
 // ordering and error invariants (fence before admission, journal
 // before apply, 507 on degraded storage) hold on all paths by
-// construction. Read queries can fan out: a zone primary under write
-// load forwards /snapshot and /statez to a caught-up standby, lag-
-// bounded via the routing table (see fanout.go).
+// construction. Each zone's event loop is the only code that touches
+// its engine; read queries are served from the snapshot the loop
+// publishes after every operation, so reads never wait for writers.
 package node
 
 import (
@@ -152,23 +152,13 @@ type Config struct {
 	// replication lag in records (0 = must be fully caught up).
 	MaxPromoteLag uint64
 
-	// ReadFanout lets a zone primary forward /snapshot and /statez
-	// reads to a caught-up standby (requires cluster mode).
-	ReadFanout bool
-	// FanoutMaxLag is the highest primary-observed standby lag, in
-	// records, at which reads still fan out (0 = fully caught up).
-	FanoutMaxLag uint64
-	// FanoutMinInflight forwards reads only while at least this many
-	// writes are in flight (0 = whenever a caught-up standby exists).
-	FanoutMinInflight int
-
 	// FS is the filesystem seam all durability I/O goes through; nil
 	// means the real filesystem metered onto the storage-fault
 	// metrics. Tests inject vfs.Faulty here.
 	FS vfs.FS
-	// HTTP performs outgoing cluster pulls, failover probes and
-	// fan-out forwards (nil = http.DefaultTransport). Tests inject an
-	// in-process fabric here.
+	// HTTP performs outgoing cluster pulls and failover probes
+	// (nil = http.DefaultTransport). Tests inject an in-process fabric
+	// here.
 	HTTP http.RoundTripper
 	// Metrics is the process registry every subsystem registers on;
 	// nil gets a fresh registry with process metrics.
@@ -188,7 +178,6 @@ type Node struct {
 	clu    *cluster.Node
 	prom   *failover.Promoter
 	scr    *scrub.Scrubber
-	fanout *readFanout
 	ingest *httpingest.Handler
 	mux    http.Handler
 
@@ -362,11 +351,6 @@ func New(cfg Config) (*Node, error) {
 			return nil, err
 		}
 	}
-	if cfg.ReadFanout && n.clu != nil {
-		n.fanout = newReadFanout(cfg.ClusterSelf, zs, cfg.HTTP,
-			cfg.FanoutMaxLag, cfg.FanoutMinInflight, reg)
-	}
-
 	n.ingest = newZonedIngest(zs.pipe, httpingest.Options{
 		QueueDepth: cfg.HTTPQueue,
 		MaxBody:    cfg.MaxBody,
@@ -375,10 +359,8 @@ func New(cfg Config) (*Node, error) {
 		Burst:      cfg.Burst,
 		Metrics:    reg,
 	})
-	def := zs.defaultZone()
 	n.mux = newMux(serveConfig{
-		Engine: def.Engine(), Durable: zoneDurable(def), Ingest: n.ingest,
-		Zones: zs, Metrics: reg, Pprof: cfg.Pprof, Cluster: n.clu, Fanout: n.fanout,
+		Ingest: n.ingest, Zones: zs, Metrics: reg, Pprof: cfg.Pprof, Cluster: n.clu,
 		Timeouts: httpTimeouts{Read: cfg.ReadTimeout, Write: cfg.WriteTimeout, Idle: cfg.IdleTimeout},
 		Ready: func() bool {
 			return n.clu == nil || n.clu.Ready()
@@ -498,7 +480,7 @@ func Run(ctx context.Context, cfg Config, stdin io.Reader, stdout io.Writer) err
 	if cfg.Listen != "" {
 		// stdout is the log channel in HTTP mode (the API is the data
 		// channel); pipe mode reverses that, writing snapshots to stdout.
-		err = serveHTTP(ctx, cfg.Listen, n.mux, n.zs.defaultZone().Engine(),
+		err = serveHTTP(ctx, cfg.Listen, n.mux, n.zs.defaultZone(),
 			httpTimeouts{Read: cfg.ReadTimeout, Write: cfg.WriteTimeout, Idle: cfg.IdleTimeout},
 			cfg.Pprof, stdout)
 	} else {

@@ -61,39 +61,41 @@ func (p *WritePipeline) Submit(ctx context.Context, zoneName string, ms []fusion
 	return p.zs.manager.Submit(ctx, zoneName, ms)
 }
 
-// Apply pushes replicated records through the pipeline's lower half:
-// offset-continuity sequencing, WAL journal, engine apply via the
-// replay entry, then the zone's checkpoint cadence. WAL order stays
-// application order, exactly as on the live write path.
+// Apply pushes replicated records through the pipeline's lower half
+// on the zone's event loop: offset-continuity sequencing, WAL journal,
+// engine apply via the replay entry, then the zone's checkpoint
+// cadence. WAL order stays application order, exactly as on
+// the live write path.
 func (p *WritePipeline) Apply(z *zone.Zone, recs []cluster.RecordAt) error {
 	d := zoneDurable(z)
-	eng := z.Engine()
-	offset := func() uint64 {
-		if d != nil {
-			d.j.mu.Lock()
-			defer d.j.mu.Unlock()
-			return d.j.log.Offset()
-		}
-		return eng.Snapshot().Journaled
-	}
-	for _, ra := range recs {
-		if cur := offset(); ra.Off != cur {
-			return fmt.Errorf("replication offset gap: got %d, local head %d", ra.Off, cur)
-		}
-		if d != nil {
-			d.j.mu.Lock()
-			_, err := d.j.log.Append(ra.Rec)
-			d.j.mu.Unlock()
-			if err != nil {
-				return err
+	return z.Do(context.TODO(), func(eng *fusion.Engine) error {
+		offset := func() uint64 {
+			if d != nil {
+				d.j.mu.Lock()
+				defer d.j.mu.Unlock()
+				return d.j.log.Offset()
 			}
+			return eng.Snapshot().Journaled
 		}
-		eng.Replay(fusion.Meas{SensorID: ra.Rec.SensorID, CPM: ra.Rec.CPM, Step: ra.Rec.Step, Seq: ra.Rec.Seq})
-	}
-	if d != nil {
-		d.maybeCheckpoint(p.zs.logw)
-	}
-	return nil
+		for _, ra := range recs {
+			if cur := offset(); ra.Off != cur {
+				return fmt.Errorf("replication offset gap: got %d, local head %d", ra.Off, cur)
+			}
+			if d != nil {
+				d.j.mu.Lock()
+				_, err := d.j.log.Append(ra.Rec)
+				d.j.mu.Unlock()
+				if err != nil {
+					return err
+				}
+			}
+			eng.Replay(fusion.Meas{SensorID: ra.Rec.SensorID, CPM: ra.Rec.CPM, Step: ra.Rec.Step, Seq: ra.Rec.Seq})
+		}
+		if d != nil {
+			d.maybeCheckpoint(p.zs.logw)
+		}
+		return nil
+	})
 }
 
 // Resolver adapts the pipeline into the HTTP ingest boundary's Sink

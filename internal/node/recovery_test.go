@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"radloc/internal/fusion"
+	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
 	"radloc/internal/sim"
@@ -90,11 +91,18 @@ func TestCorruptTailRecovery(t *testing.T) {
 		os.Remove(ck)
 	}
 
-	engine2, d2, err := openDurable(dir, nil, wal.FsyncNever, 50, 0, build, nil, io.Discard)
+	zs, err := newZoneSet(zoneSetOptions{
+		WalRoot: dir, Fsync: wal.FsyncNever, CkptEvery: 50,
+		Build: func(j fusion.Journal, _ *obs.Registry) (*fusion.Engine, error) { return build(j) },
+	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := zs.recoverZones(); err != nil {
 		t.Fatalf("recovery must repair, not fail: %v", err)
 	}
-	st := statez(engine2, d2, nil)
+	def := zs.defaultZone()
+	st := statez(def.Snapshot(), zoneDurable(def), nil)
 	recov := st.Durability.Recovery
 	if recov.TruncatedRecords == 0 {
 		t.Errorf("corruption not reported: %+v", recov)
@@ -102,12 +110,12 @@ func TestCorruptTailRecovery(t *testing.T) {
 	if recov.CheckpointUsed || recov.Replayed == 0 {
 		t.Errorf("expected cold replay of the surviving WAL: %+v", recov)
 	}
-	if got := engine2.Snapshot().Ingested; got != uint64(journaled-2) {
+	if got := def.Snapshot().Ingested; got != uint64(journaled-2) {
 		t.Errorf("recovered ingested = %d, want %d (bit-flipped + torn records lost)", got, journaled-2)
 	}
 
 	// And the daemon serves: snapshot, statez, fresh ingest.
-	srv := httptest.NewServer(newMux(serveConfig{Engine: engine2, Durable: d2}))
+	srv := httptest.NewServer(newMux(serveConfig{Zones: zs}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/statez")
 	if err != nil {
@@ -132,7 +140,7 @@ func TestCorruptTailRecovery(t *testing.T) {
 	if ack["accepted"] != 1 {
 		t.Errorf("post-recovery ingest refused: %v", ack)
 	}
-	if err := d2.close(); err != nil {
+	if err := zs.close(); err != nil {
 		t.Fatal(err)
 	}
 }

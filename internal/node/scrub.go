@@ -10,6 +10,7 @@ import (
 	"radloc/internal/fusion"
 	"radloc/internal/scrub"
 	"radloc/internal/wal"
+	"radloc/internal/zone"
 )
 
 // corruptDirName is where the scrubber parks artifacts that failed
@@ -22,9 +23,9 @@ const corruptDirName = "corrupt"
 // Every method serializes against the zone's journal lock, the same
 // discipline the checkpointer uses.
 type scrubStore struct {
-	zs   *zoneSet
-	zone string
-	d    *durable
+	zs *zoneSet
+	z  *zone.Zone
+	d  *durable
 }
 
 // Segments implements scrub.Store.
@@ -77,10 +78,10 @@ func (s *scrubStore) QuarantineCheckpoint(applied uint64) error {
 // is still correct: the corruption was cold, every lost record was
 // applied when it was first written and the engine never forgot it.
 func (s *scrubStore) Repair(ctx context.Context, from, to uint64) (string, error) {
-	if src, ok := s.zs.repairFromReplica(ctx, s.zone, s.d, to); ok {
+	if src, ok := s.zs.repairFromReplica(ctx, s.z.Name(), s.d, to); ok {
 		return src, nil
 	}
-	return "local", s.d.adoptLocalCheckpoint()
+	return "local", s.z.Do(ctx, func(*fusion.Engine) error { return s.d.adoptLocalCheckpoint() })
 }
 
 // repairFromReplica tries the replica path of a scrub repair: a
@@ -127,6 +128,7 @@ func (zs *zoneSet) repairFromReplica(ctx context.Context, zoneName string, d *du
 
 // adoptLocalCheckpoint re-anchors recovery from the local in-memory
 // engine — the scrubber's fallback when no caught-up replica exists.
+// It runs on the zone's event loop.
 func (d *durable) adoptLocalCheckpoint() error {
 	st, err := d.engine.ExportState()
 	if err != nil {
@@ -194,7 +196,7 @@ func (zs *zoneSet) scrubTargets() []scrub.Target {
 		if d == nil || d.storageDegraded() {
 			continue
 		}
-		out = append(out, scrub.Target{Zone: name, Store: &scrubStore{zs: zs, zone: name, d: d}})
+		out = append(out, scrub.Target{Zone: name, Store: &scrubStore{zs: zs, z: z, d: d}})
 	}
 	return out
 }

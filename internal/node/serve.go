@@ -11,7 +11,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -223,7 +222,7 @@ func (q *shedQueue) drops() uint64 {
 // stream — as are unknown sensors, duplicates, out-of-range readings
 // and readings for unroutable zones.
 func servePipe(ctx context.Context, zs *zoneSet, r io.Reader, w io.Writer, reportEvery, queueCap int) error {
-	engine := zs.defaultZone().Engine()
+	def := zs.defaultZone()
 	q := newShedQueue(queueCap)
 	var malformed atomic.Uint64
 	scanErr := make(chan error, 1)
@@ -262,7 +261,7 @@ func servePipe(ctx context.Context, zs *zoneSet, r io.Reader, w io.Writer, repor
 	count := 0
 	var zoneRefused uint64
 	flush := func() error {
-		s := snapshotToJSON(engine.Snapshot())
+		s := snapshotToJSON(def.Snapshot())
 		s.Malformed = malformed.Load()
 		s.Shed = q.drops()
 		s.ZoneRefused = zoneRefused
@@ -295,17 +294,19 @@ func servePipe(ctx context.Context, zs *zoneSet, r io.Reader, w io.Writer, repor
 	// tail (the watermark will never advance again), journal it, and
 	// emit the final source picture. The caller's zoneSet.close does
 	// the same flush for named zones and writes every final checkpoint.
-	_, _ = engine.FlushPending()
-	engine.Refresh()
+	settleFinal(def, zs.logw)
 	return flush()
 }
 
-// newIngest builds the admission-controlled /measurements handler
-// over a single engine — the one-zone test configuration — wiring the
-// daemon's checkpoint cadence into it. d may be nil.
-func newIngest(engine *fusion.Engine, d *durable, opts httpingest.Options) *httpingest.Handler {
-	opts.AfterBatch = func() { d.maybeCheckpoint(os.Stderr) }
-	return httpingest.New(engine, opts)
+// settleFinal runs Engine.Settle on the zone's event loop at the end of
+// a run. It runs after the serving context has been cancelled, so it
+// takes none. A failure is logged, not returned: the final picture and
+// checkpoint still go out, and a failed flush leaves the unjournaled
+// rounds held rather than applied.
+func settleFinal(z *zone.Zone, logw io.Writer) {
+	if err := z.Do(context.Background(), (*fusion.Engine).Settle); err != nil {
+		fmt.Fprintf(logw, "radlocd: zone %q final flush: %v\n", z.Name(), err)
+	}
 }
 
 // newZonedIngest builds the measurements handler over the write
@@ -316,18 +317,16 @@ func newZonedIngest(p *WritePipeline, opts httpingest.Options) *httpingest.Handl
 	return httpingest.NewZoned(p.Resolver(), opts)
 }
 
-// serveConfig assembles the HTTP mode's moving parts. Durable may be
-// nil (durability off), Ingest may be nil (a default admission policy
-// is built), Metrics may be nil (GET /metrics serves an empty
-// registry — process-only families).
+// serveConfig assembles the HTTP mode's moving parts. Zones is
+// required; Ingest may be nil (a default admission policy is built
+// over the write pipeline), Metrics may be nil (GET /metrics serves an
+// empty registry — process-only families).
 type serveConfig struct {
-	Engine   *fusion.Engine
-	Durable  *durable
 	Ingest   *httpingest.Handler
 	Timeouts httpTimeouts
-	// Zones, when non-nil, mounts the zone-scoped API (/zones and
-	// /zones/{zone}/...). Engine and Durable must then be the default
-	// zone's — the unnamed routes alias it.
+	// Zones is the zone runtime behind the API: the unnamed routes
+	// alias its default zone, and the zone-scoped routes (/zones and
+	// /zones/{zone}/...) reach every live zone.
 	Zones *zoneSet
 	// Metrics is served on GET /metrics in Prometheus text format.
 	Metrics *obs.Registry
@@ -341,10 +340,6 @@ type serveConfig struct {
 	// Retry-After. Requires Zones (the fence renders the write
 	// pipeline's admission stage).
 	Cluster *cluster.Node
-	// Fanout, when non-nil, applies the read fan-out policy to
-	// /snapshot and /statez (and their zoned forms) and meters write
-	// pressure on the measurement routes.
-	Fanout *readFanout
 	// Ready, when non-nil, gates /readyz: false keeps it at 503 even
 	// after the first refresh — boot-time zone recovery or replication
 	// catch-up is still in progress.
@@ -380,6 +375,19 @@ func fenceWrites(p *WritePipeline, next http.Handler) http.Handler {
 	})
 }
 
+// getJSON wraps a read endpoint: GET only, and the render result is
+// written as JSON.
+func getJSON(render func() any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			http.Error(w, "GET only", http.StatusMethodNotAllowed)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(render())
+	}
+}
+
 // zoneGET wraps a per-zone read endpoint: GET only, the zone must
 // already be live (reads never conjure zones into being — a name
 // without a zone is a 404), and the render result is written as JSON.
@@ -404,12 +412,12 @@ func zoneGET(man *zone.Manager, render func(*zone.Zone) any) http.HandlerFunc {
 	}
 }
 
-// statsToJSON is the /stats payload for one engine.
-func statsToJSON(engine *fusion.Engine, started time.Time) map[string]any {
-	s := engine.Snapshot()
+// statsToJSON is the /stats payload for one zone's snapshot. Health
+// holds one record per registered sensor.
+func statsToJSON(s fusion.Snapshot, started time.Time) map[string]any {
 	return map[string]any{
 		"uptimeSeconds": time.Since(started).Seconds(),
-		"sensors":       engine.Sensors(),
+		"sensors":       len(s.Health),
 		"ingested":      s.Ingested,
 		"rejected":      s.Rejected,
 		"refreshes":     s.Refreshes,
@@ -419,11 +427,13 @@ func statsToJSON(engine *fusion.Engine, started time.Time) map[string]any {
 	}
 }
 
-// newMux builds the HTTP API.
+// newMux builds the HTTP API. Reads are served from each zone's
+// published snapshot, so they never wait behind a writer.
 func newMux(cfg serveConfig) *http.ServeMux {
-	engine, d, ing := cfg.Engine, cfg.Durable, cfg.Ingest
+	def, ing := cfg.Zones.defaultZone(), cfg.Ingest
+	d := zoneDurable(def)
 	if ing == nil {
-		ing = newIngest(engine, d, httpingest.Options{Metrics: cfg.Metrics})
+		ing = newZonedIngest(cfg.Zones.pipe, httpingest.Options{Metrics: cfg.Metrics})
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -443,17 +453,10 @@ func newMux(cfg serveConfig) *http.ServeMux {
 	// Durability and delivery posture: WAL offset, checkpoint history,
 	// boot-time recovery report, dedup/reorder counters, admission
 	// (backpressure) counters.
-	mux.Handle("/statez", cfg.Fanout.read(requestZone, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(statez(engine, d, ing))
-	})))
+	mux.HandleFunc("/statez", getJSON(func() any { return statez(def.Snapshot(), d, ing) }))
 	// Liveness: the process is up and serving.
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "ok: %d sensors registered\n", engine.Sensors())
+		fmt.Fprintf(w, "ok: %d sensors registered\n", len(def.Snapshot().Health))
 	})
 	// Readiness: the engine has recomputed estimates at least once, so
 	// /snapshot serves a meaningful source picture. Distinct from
@@ -470,13 +473,11 @@ func newMux(cfg serveConfig) *http.ServeMux {
 		// the failure detector reading /readyz should treat this node as
 		// impaired. The header names the cause so the failover prober
 		// can count it as a miss without parsing the body.
-		if cfg.Zones != nil {
-			if degraded := cfg.Zones.degradedZones(); len(degraded) > 0 {
-				w.Header().Set("X-Radloc-Storage", "degraded")
-				http.Error(w, fmt.Sprintf("not ready: storage degraded in zones %v (ingest read-only, answering 507)", degraded),
-					http.StatusServiceUnavailable)
-				return
-			}
+		if degraded := cfg.Zones.degradedZones(); len(degraded) > 0 {
+			w.Header().Set("X-Radloc-Storage", "degraded")
+			http.Error(w, fmt.Sprintf("not ready: storage degraded in zones %v (ingest read-only, answering 507)", degraded),
+				http.StatusServiceUnavailable)
+			return
 		}
 		// A standby serves reads before its first refresh — its state
 		// comes from replication, not local ingest — so the refresh
@@ -486,7 +487,7 @@ func newMux(cfg serveConfig) *http.ServeMux {
 			var np *cluster.NotPrimaryError
 			standby = errors.As(cfg.Cluster.AdmitWrite(zone.DefaultZone), &np)
 		}
-		s := engine.Snapshot()
+		s := def.Snapshot()
 		if s.Refreshes == 0 && !standby {
 			http.Error(w, fmt.Sprintf("not ready: %d measurements ingested, no estimate refresh yet", s.Ingested),
 				http.StatusServiceUnavailable)
@@ -494,31 +495,10 @@ func newMux(cfg serveConfig) *http.ServeMux {
 		}
 		fmt.Fprintf(w, "ready: %d refreshes over %d measurements\n", s.Refreshes, s.Ingested)
 	})
-	mux.HandleFunc("/sensors", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(healthToJSON(engine.Snapshot().Health))
-	})
+	mux.HandleFunc("/sensors", getJSON(func() any { return healthToJSON(def.Snapshot().Health) }))
 	started := time.Now()
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(statsToJSON(engine, started))
-	})
-	mux.Handle("/snapshot", cfg.Fanout.read(requestZone, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(snapshotToJSON(engine.Snapshot()))
-	})))
+	mux.HandleFunc("/stats", getJSON(func() any { return statsToJSON(def.Snapshot(), started) }))
+	mux.HandleFunc("/snapshot", getJSON(func() any { return snapshotToJSON(def.Snapshot()) }))
 	// Sequenced readings pass the dedup/reorder gate (a buffered
 	// reading counts as accepted: it will be applied when its round
 	// releases); seq-0 readings take the legacy direct path. The
@@ -530,41 +510,31 @@ func newMux(cfg serveConfig) *http.ServeMux {
 		writeRoute = fenceWrites(cfg.Zones.pipe, ing)
 		cfg.Cluster.Mount(mux)
 	}
-	writeRoute = cfg.Fanout.trackWrites(writeRoute)
 	mux.Handle("/measurements", writeRoute)
-	if cfg.Zones != nil {
-		man := cfg.Zones.manager
-		// Zone registry: the live zone names, sorted.
-		mux.HandleFunc("/zones", func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodGet {
-				http.Error(w, "GET only", http.StatusMethodNotAllowed)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(map[string]any{"zones": man.Names()})
-		})
-		// The zone-scoped write route shares the admission handler with
-		// the legacy route; the {zone} path value picks the engine (and
-		// creates the zone on its first batch).
-		mux.Handle("/zones/{zone}/measurements", writeRoute)
-		// Zone-scoped reads mirror the unnamed routes one-to-one; the
-		// unnamed routes themselves alias the default zone.
-		mux.Handle("/zones/{zone}/snapshot", cfg.Fanout.read(requestZone, zoneGET(man, func(z *zone.Zone) any {
-			return snapshotToJSON(z.Engine().Snapshot())
-		})))
-		mux.HandleFunc("/zones/{zone}/sensors", zoneGET(man, func(z *zone.Zone) any {
-			return healthToJSON(z.Engine().Snapshot().Health)
-		}))
-		mux.HandleFunc("/zones/{zone}/stats", zoneGET(man, func(z *zone.Zone) any {
-			return statsToJSON(z.Engine(), started)
-		}))
-		mux.Handle("/zones/{zone}/statez", cfg.Fanout.read(requestZone, zoneGET(man, func(z *zone.Zone) any {
-			// Ingress (admission) counters are handler-global, shared by
-			// every zone, so the per-zone view reports durability and
-			// delivery only.
-			return statez(z.Engine(), zoneDurable(z), nil)
-		})))
-	}
+	man := cfg.Zones.manager
+	// Zone registry: the live zone names, sorted.
+	mux.HandleFunc("/zones", getJSON(func() any { return map[string]any{"zones": man.Names()} }))
+	// The zone-scoped write route shares the admission handler with
+	// the legacy route; the {zone} path value picks the engine (and
+	// creates the zone on its first batch).
+	mux.Handle("/zones/{zone}/measurements", writeRoute)
+	// Zone-scoped reads mirror the unnamed routes one-to-one; the
+	// unnamed routes themselves alias the default zone.
+	mux.HandleFunc("/zones/{zone}/snapshot", zoneGET(man, func(z *zone.Zone) any {
+		return snapshotToJSON(z.Snapshot())
+	}))
+	mux.HandleFunc("/zones/{zone}/sensors", zoneGET(man, func(z *zone.Zone) any {
+		return healthToJSON(z.Snapshot().Health)
+	}))
+	mux.HandleFunc("/zones/{zone}/stats", zoneGET(man, func(z *zone.Zone) any {
+		return statsToJSON(z.Snapshot(), started)
+	}))
+	mux.HandleFunc("/zones/{zone}/statez", zoneGET(man, func(z *zone.Zone) any {
+		// Ingress (admission) counters are handler-global, shared by
+		// every zone, so the per-zone view reports durability and
+		// delivery only.
+		return statez(z.Snapshot(), zoneDurable(z), nil)
+	}))
 	return mux
 }
 
@@ -606,8 +576,9 @@ func newHTTPServer(h http.Handler, t httpTimeouts) *http.Server {
 
 // serveHTTP serves the node's prebuilt handler on addr until ctx is
 // cancelled (SIGINT/SIGTERM), then shuts down gracefully — in-flight
-// requests drain — and flushes a final snapshot line to logw.
-func serveHTTP(ctx context.Context, addr string, h http.Handler, engine *fusion.Engine, t httpTimeouts, pprof bool, logw io.Writer) error {
+// requests drain — and flushes the default zone's final snapshot line
+// to logw.
+func serveHTTP(ctx context.Context, addr string, h http.Handler, def *zone.Zone, t httpTimeouts, pprof bool, logw io.Writer) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -632,8 +603,7 @@ func serveHTTP(ctx context.Context, addr string, h http.Handler, engine *fusion.
 	}
 	// Release and journal the reorder gate's tail before the final
 	// picture; the caller writes the final checkpoint.
-	_, _ = engine.FlushPending()
-	engine.Refresh()
+	settleFinal(def, logw)
 	fmt.Fprintln(logw, "radlocd: shutting down, final snapshot:")
-	return json.NewEncoder(logw).Encode(snapshotToJSON(engine.Snapshot()))
+	return json.NewEncoder(logw).Encode(snapshotToJSON(def.Snapshot()))
 }

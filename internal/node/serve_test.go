@@ -7,8 +7,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"radloc/internal/fusion"
+	"radloc/internal/node/nodetest"
+	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
 	"radloc/internal/sim"
@@ -18,14 +21,13 @@ import (
 func newTestServer(t *testing.T) (*httptest.Server, scenario.Scenario) {
 	t.Helper()
 	sc := scenario.A(50, false)
-	fcfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors}
-	fcfg.Localizer.Seed = 3
-	fcfg.Tracking = &track.Config{}
-	engine, err := fusion.NewEngine(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(newMux(serveConfig{Engine: engine}))
+	zs := zoneSetOf(t, zoneSetOptions{Build: func(fusion.Journal, *obs.Registry) (*fusion.Engine, error) {
+		fcfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors}
+		fcfg.Localizer.Seed = 3
+		fcfg.Tracking = &track.Config{}
+		return fusion.NewEngine(fcfg)
+	}})
+	srv := httptest.NewServer(newMux(serveConfig{Zones: zs}))
 	t.Cleanup(srv.Close)
 	return srv, sc
 }
@@ -246,5 +248,48 @@ func TestHTTPReadyzAndSensors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /sensors: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestSnapshotServedWhileLoopHeld holds the default zone's event loop
+// inside a journal append: GET /snapshot must still answer promptly
+// with the state published before that batch, and once the batch is
+// acknowledged the next GET must reflect it.
+func TestSnapshotServedWhileLoopHeld(t *testing.T) {
+	zs, park := parkedZoneSet(t)
+	mux := newMux(serveConfig{Zones: zs})
+	ingested := func() uint64 {
+		rec, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/snapshot", "")
+		var s snapshotJSON
+		if code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &s) != nil {
+			return ^uint64(0)
+		}
+		return s.Ingested
+	}
+
+	posted := make(chan int, 1)
+	go func() {
+		_, code := nodetest.HTTPStatus(mux, http.MethodPost, "http://x/measurements", `{"sensorId":0,"cpm":12}`)
+		posted <- code
+	}()
+	<-park.entered // the loop is parked mid-batch
+
+	read := make(chan uint64, 1)
+	go func() { read <- ingested() }()
+	select {
+	case got := <-read:
+		if got != 0 {
+			t.Fatalf("GET /snapshot during a held batch saw ingested %d, want the published 0", got)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("GET /snapshot blocked behind the event loop")
+	}
+
+	park.unpark()
+	if code := <-posted; code != http.StatusOK {
+		t.Fatalf("held POST = %d, want 200", code)
+	}
+	if got := ingested(); got != 1 {
+		t.Fatalf("GET /snapshot after the ack saw ingested %d, want 1", got)
 	}
 }

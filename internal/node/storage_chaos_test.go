@@ -97,9 +97,7 @@ func runENOSPCDelivery(t *testing.T, window time.Duration) (snap, health []byte,
 	ing = newZonedIngest(zs.pipe, httpingest.Options{
 		QueueDepth: 256, Clock: clk, RetryAfter: time.Second,
 	})
-	mux := newMux(serveConfig{
-		Engine: zs.defaultZone().Engine(), Durable: dur, Ingest: ing, Zones: zs,
-	})
+	mux := newMux(serveConfig{Ingest: ing, Zones: zs})
 	start := clk.Now()
 	rt = &enospcWindowRT{inner: mux, clk: clk, faulty: faulty, from: start, to: start.Add(window)}
 	client, err := transport.NewClient(transport.Options{
@@ -135,7 +133,7 @@ func runENOSPCDelivery(t *testing.T, window time.Duration) (snap, health []byte,
 	if st := client.Stats(); st.Delivered != uint64(len(readings)) {
 		t.Fatalf("client delivered %d of %d", st.Delivered, len(readings))
 	}
-	snap, health = normalizedState(t, zs.defaultZone().Engine())
+	snap, health = normalizedState(t, zs.defaultZone())
 
 	// /readyz is clean again after the heal: the exit edge fired on the
 	// first post-window append.
@@ -208,7 +206,7 @@ func TestStorageChaosENOSPCBitIdentical(t *testing.T) {
 	if err := json.Unmarshal(chaosSnap, &want); err != nil {
 		t.Fatal(err)
 	}
-	if got := zs2.defaultZone().Engine().Snapshot().Journaled; got != want.Journaled {
+	if got := zs2.defaultZone().Snapshot().Journaled; got != want.Journaled {
 		t.Fatalf("recovered journaled = %d, want %d — acknowledged records lost", got, want.Journaled)
 	}
 }
@@ -344,7 +342,7 @@ func TestScrubRepairsLocalCold(t *testing.T) {
 		t.Fatalf("recovered journaled = %d, want %d — acknowledged records lost", got, journaled)
 	}
 	// Scrub accounting went where it should.
-	mux := newMux(serveConfig{Engine: zs.defaultZone().Engine(), Metrics: reg, Zones: zs})
+	mux := newMux(serveConfig{Metrics: reg, Zones: zs})
 	if v, ok := nodetest.ScrapeGauge(t, mux, `radloc_scrub_corruptions_total{kind="segment"}`); !ok || v != 1 {
 		t.Errorf("radloc_scrub_corruptions_total{kind=segment} = %v (ok=%v), want 1", v, ok)
 	}
@@ -430,8 +428,8 @@ func TestScrubRepairsFromReplica(t *testing.T) {
 	}
 	// The recovered state is bit-identical to the standby's view of the
 	// same journaled prefix — the copy the repair was seeded from.
-	gotSnap, gotHealth := normalizedState(t, engine2)
-	wantSnap, wantHealth := normalizedState(t, b.zs.defaultZone().Engine())
+	gotSnap, gotHealth := normalizedEngineState(t, engine2)
+	wantSnap, wantHealth := normalizedState(t, b.zs.defaultZone())
 	if !bytes.Equal(gotSnap, wantSnap) {
 		t.Errorf("recovered state differs from the replica seed:\nreplica:   %s\nrecovered: %s", wantSnap, gotSnap)
 	}
@@ -465,9 +463,10 @@ func TestScrubSkipsDegradedZones(t *testing.T) {
 func TestReadyzNamesDegradedZones(t *testing.T) {
 	zs := testZoneSet(t, t.TempDir(), 0, 0)
 	// Satisfy the refresh gate so only storage health drives /readyz.
-	zs.defaultZone().Engine().Refresh()
-	mux := newMux(serveConfig{Engine: zs.defaultZone().Engine(), Zones: zs,
-		Durable: zoneDurable(zs.defaultZone())})
+	if err := zs.defaultZone().Do(context.Background(), (*fusion.Engine).Settle); err != nil {
+		t.Fatal(err)
+	}
+	mux := newMux(serveConfig{Zones: zs})
 	if _, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/readyz", ""); code != http.StatusOK {
 		t.Fatalf("healthy /readyz = %d", code)
 	}

@@ -45,11 +45,18 @@ func testZoneBuild(t *testing.T) func(fusion.Journal, *obs.Registry) (*fusion.En
 // disables durability.
 func testZoneSet(t *testing.T, walRoot string, ckptEvery int, idle time.Duration) *zoneSet {
 	t.Helper()
-	zs, err := newZoneSet(zoneSetOptions{
+	return zoneSetOf(t, zoneSetOptions{
 		WalRoot: walRoot, Fsync: wal.FsyncNever, CkptEvery: ckptEvery,
 		IdleAfter: idle, Metrics: obs.NewRegistry(), Log: io.Discard,
 		Build: testZoneBuild(t),
 	})
+}
+
+// zoneSetOf builds and recovers a zoneSet from o, closing it when the
+// test ends.
+func zoneSetOf(t *testing.T, o zoneSetOptions) *zoneSet {
+	t.Helper()
+	zs, err := newZoneSet(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +67,35 @@ func testZoneSet(t *testing.T, walRoot string, ckptEvery int, idle time.Duration
 	return zs
 }
 
+// zoneState exports a live zone's engine state on its event loop.
+func zoneState(t *testing.T, z *zone.Zone) fusion.EngineState {
+	t.Helper()
+	var st fusion.EngineState
+	err := z.Do(context.Background(), func(e *fusion.Engine) (err error) {
+		st, err = e.ExportState()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// engineOf returns a zone's engine for inspection after the zone has
+// closed, when its event loop no longer owns it. Touching the engine
+// before then races the loop.
+func engineOf(t *testing.T, z *zone.Zone) *fusion.Engine {
+	t.Helper()
+	var eng *fusion.Engine
+	if err := z.Do(context.Background(), func(e *fusion.Engine) error { eng = e; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func zonedTestServer(t *testing.T, zs *zoneSet) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(newMux(serveConfig{
-		Engine: zs.defaultZone().Engine(),
 		Ingest: newZonedIngest(zs.pipe, httpingest.Options{}),
 		Zones:  zs,
 	}))
@@ -181,7 +213,7 @@ func TestMultiZoneRecovery(t *testing.T) {
 			}
 		}
 		z, _ := zs.manager.Lookup(name)
-		engines[name] = z.Engine()
+		engines[name] = engineOf(t, z)
 	}
 	if err := zs.close(); err != nil {
 		t.Fatal(err)
@@ -217,11 +249,7 @@ func TestMultiZoneRecovery(t *testing.T) {
 	}
 	for _, name := range zones {
 		z, _ := zs2.manager.Lookup(name)
-		st, err := z.Engine().ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(st)
+		got, err := json.Marshal(zoneState(t, z))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +288,7 @@ func TestPipeZoneRouting(t *testing.T) {
 	if !ok {
 		t.Fatal("zone east was not created by the pipe stream")
 	}
-	if got := east.Engine().Snapshot().Ingested; got != 2 {
+	if got := east.Snapshot().Ingested; got != 2 {
 		t.Fatalf("east ingested = %d, want 2", got)
 	}
 }
@@ -303,11 +331,7 @@ func TestPipeDefaultZoneBitIdentical(t *testing.T) {
 	if err := servePipe(context.Background(), zs, strings.NewReader(input), &out, len(sc.Sensors), 4096); err != nil {
 		t.Fatal(err)
 	}
-	gotState, err := zs.defaultZone().Engine().ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(gotState)
+	got, err := json.Marshal(zoneState(t, zs.defaultZone()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -132,8 +133,9 @@ type RecoveryStats struct {
 }
 
 // Log is an append-only record log over one directory. Methods are not
-// concurrency-safe; the fusion engine serializes appends under its own
-// lock (which is what makes WAL order = application order).
+// safe for concurrent use; appends come from the one goroutine that
+// owns the fusion engine (which is what makes WAL order = application
+// order), and callers serialize everything else against them.
 type Log struct {
 	dir      string
 	fs       vfs.FS
@@ -167,7 +169,9 @@ var crcTable = crc32.IEEETable
 // segment, truncates any torn or corrupt tail, and positions the log
 // to append after the last valid record. Bad data is repaired and
 // reported in RecoveryStats, never returned as an error; errors are
-// reserved for the filesystem refusing to cooperate.
+// reserved for the filesystem refusing to cooperate. A read error is
+// not bad data: it fails Open before any segment is truncated, so an
+// I/O fault at boot never passes for a torn tail.
 func Open(dir string, opts Options) (*Log, RecoveryStats, error) {
 	if opts.SegmentRecords <= 0 {
 		opts.SegmentRecords = 4096
@@ -275,7 +279,8 @@ func (l *Log) recover() (RecoveryStats, error) {
 
 // validateSegment counts the valid prefix of one segment file:
 // records, the byte length of that prefix, and how many invalid
-// records follow it.
+// records follow it. Any read error other than EOF is returned: only
+// what was actually read can be judged torn or corrupt.
 func validateSegment(fsys vfs.FS, path string) (records uint64, goodBytes int64, badRecs uint64, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -299,6 +304,9 @@ func validateSegment(fsys vfs.FS, path string) (records uint64, goodBytes int64,
 			// bad record.
 			_, rerr = r.ReadBytes('\n')
 		}
+		if rerr != nil && rerr != io.EOF {
+			return records, goodBytes, badRecs, rerr
+		}
 		if len(line) == 0 {
 			return records, goodBytes, badRecs, nil
 		}
@@ -311,6 +319,9 @@ func validateSegment(fsys vfs.FS, path string) (records uint64, goodBytes int64,
 		// the remaining lines as truncated.
 		for {
 			more, rerr := r.ReadBytes('\n')
+			if rerr != nil && rerr != io.EOF {
+				return records, goodBytes, badRecs, rerr
+			}
 			if len(more) > 0 {
 				badRecs++
 			}

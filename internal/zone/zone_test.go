@@ -23,11 +23,18 @@ import (
 // match.
 func testEngine(t testing.TB, seed uint64) *fusion.Engine {
 	t.Helper()
+	return testEngineWith(t, seed, nil)
+}
+
+// testEngineWith is testEngine with a write-ahead journal.
+func testEngineWith(t testing.TB, seed uint64, j fusion.Journal) *fusion.Engine {
+	t.Helper()
 	sc := scenario.A(50, false)
 	cfg := fusion.Config{
 		Localizer:     sim.LocalizerConfig(sc),
 		Sensors:       sc.Sensors,
 		ReorderWindow: 2,
+		Journal:       j,
 	}
 	cfg.Localizer.Seed = seed
 	cfg.Localizer.NumParticles = 300
@@ -331,7 +338,7 @@ func TestZonesMatchIndependentEngines(t *testing.T) {
 					return
 				}
 				if off%21 == 0 { // interleave reads with writes
-					_ = mustZone(t, m, name).Engine().Snapshot()
+					_ = mustZone(t, m, name).Snapshot()
 				}
 			}
 		}(i)
@@ -345,8 +352,11 @@ func TestZonesMatchIndependentEngines(t *testing.T) {
 		if _, err := ref.Submit(ctx, ms); err != nil {
 			t.Fatal(err)
 		}
-		got := exportJSON(t, mustZone(t, m, name).Engine())
-		want := exportJSON(t, ref)
+		got := zoneExportJSON(t, mustZone(t, m, name))
+		want, err := exportJSON(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got != want {
 			t.Errorf("zone %s diverged from an independent engine fed the same stream", name)
 		}
@@ -362,17 +372,27 @@ func mustZone(t *testing.T, m *Manager, name string) *Zone {
 	return z
 }
 
-func exportJSON(t *testing.T, e *fusion.Engine) string {
-	t.Helper()
+func exportJSON(e *fusion.Engine) (string, error) {
 	st, err := e.ExportState()
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	b, err := json.Marshal(st)
+	return string(b), err
+}
+
+// zoneExportJSON exports a zone's engine state on its event loop.
+func zoneExportJSON(t *testing.T, z *Zone) string {
+	t.Helper()
+	var out string
+	err := z.Do(context.Background(), func(e *fusion.Engine) (err error) {
+		out, err = exportJSON(e)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	return out
 }
 
 func TestManagerMetrics(t *testing.T) {
