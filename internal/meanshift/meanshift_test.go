@@ -91,6 +91,9 @@ func TestFindModesRespectsWeights(t *testing.T) {
 	}
 }
 
+// TestFindModesMergesDuplicateStarts: starts that repeat (here every
+// start appears twice, so each pair lands in different phases) climb
+// identically and merge with all the others into the one mode.
 func TestFindModesMergesDuplicateStarts(t *testing.T) {
 	s := rng.New(3, 3)
 	var pts, ws []float64
@@ -98,8 +101,9 @@ func TestFindModesMergesDuplicateStarts(t *testing.T) {
 	var starts []float64
 	// All starts within the kernel cutoff of the cluster so none is
 	// discarded for lack of support.
-	for i := 0; i < 32; i++ {
-		starts = append(starts, s.Uniform(42, 58), s.Uniform(42, 58), s.Uniform(70, 130))
+	for i := 0; i < 16; i++ {
+		x, y, str := s.Uniform(42, 58), s.Uniform(42, 58), s.Uniform(70, 130)
+		starts = append(starts, x, y, str, x, y, str)
 	}
 	modes, err := FindModes(defaultCfg(), pts, ws, starts)
 	if err != nil {
@@ -213,34 +217,41 @@ func TestAssignMassErrors(t *testing.T) {
 	}
 }
 
+// TestWorkerCountsAgree: the worker count changes scheduling only —
+// every mode's point, density and Starts are bit-identical.
 func TestWorkerCountsAgree(t *testing.T) {
 	s := rng.New(6, 6)
 	var pts, ws []float64
 	pts, ws = cluster3(s, pts, ws, 300, 30, 40, 60, 2, 1)
 	pts, ws = cluster3(s, pts, ws, 300, 70, 60, 140, 2, 1)
 	var starts []float64
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 48; i++ {
 		starts = append(starts, s.Uniform(0, 100), s.Uniform(0, 100), s.Uniform(0, 200))
 	}
-	cfg1 := defaultCfg()
-	cfg1.Workers = 1
-	cfgN := defaultCfg()
-	cfgN.Workers = 8
-	m1, err := FindModes(cfg1, pts, ws, starts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mN, err := FindModes(cfgN, pts, ws, starts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m1) != len(mN) {
-		t.Fatalf("worker counts disagree: %d vs %d modes", len(m1), len(mN))
-	}
-	for i := range m1 {
-		for k := range m1[i].Point {
-			if math.Abs(m1[i].Point[k]-mN[i].Point[k]) > 1e-6 {
-				t.Fatalf("mode %d dim %d: %v vs %v", i, k, m1[i].Point[k], mN[i].Point[k])
+	var ref []Mode
+	for _, workers := range []int{1, 2, 3, 8} {
+		cfg := defaultCfg()
+		cfg.Workers = workers
+		modes, err := FindModes(cfg, pts, ws, starts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = modes
+			continue
+		}
+		if len(modes) != len(ref) {
+			t.Fatalf("workers=%d: %d modes, workers=1 found %d", workers, len(modes), len(ref))
+		}
+		for i, m := range modes {
+			if math.Float64bits(m.Density) != math.Float64bits(ref[i].Density) || m.Starts != ref[i].Starts {
+				t.Fatalf("workers=%d mode %d: (density %v, starts %d) vs workers=1 (%v, %d)",
+					workers, i, m.Density, m.Starts, ref[i].Density, ref[i].Starts)
+			}
+			for k := range m.Point {
+				if math.Float64bits(m.Point[k]) != math.Float64bits(ref[i].Point[k]) {
+					t.Fatalf("workers=%d mode %d dim %d: %v vs workers=1 %v", workers, i, k, m.Point[k], ref[i].Point[k])
+				}
 			}
 		}
 	}
@@ -281,7 +292,7 @@ func TestExpNegHalfErrorBound(t *testing.T) {
 // TestSearcherReuseMatchesFresh drives one Searcher through several
 // different datasets and checks each call returns exactly what a
 // single-use Searcher computes — the scratch reuse (grids, gather
-// buffers, dedup arrays) must never leak state across calls.
+// buffers, phase lists, anchors) must never leak state across calls.
 func TestSearcherReuseMatchesFresh(t *testing.T) {
 	s := rng.New(12, 9)
 	reused, err := NewSearcher(defaultCfg())
