@@ -226,10 +226,7 @@ func benchCore(particles, sensors, steps, runs, workers int, seed uint64, agains
 		}
 		base := prev.Current
 		report.Baseline = &base
-		report.BaselineNote = prev.BaselineNote
-		if report.BaselineNote == "" {
-			report.BaselineNote = "previous bench -core report " + againstPath
-		}
+		report.BaselineNote = fmt.Sprintf("current side of bench -core report %s, measured on %d CPUs", againstPath, prev.CPUs)
 		if base.ReadingsPerSecMedian > 0 {
 			report.Speedup = num.ReadingsPerSecMedian / base.ReadingsPerSecMedian
 		}
