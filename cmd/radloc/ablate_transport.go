@@ -49,7 +49,7 @@ func defaultZoneIngest(engine *fusion.Engine, opts httpingest.Options) (*zone.Ma
 	if err != nil {
 		return nil, nil, err
 	}
-	return m, httpingest.NewZoned(httpingest.ManagerResolver(m), opts), nil
+	return m, httpingest.New(m.Submit, opts), nil
 }
 
 // onDefaultZone runs fn on the default zone's event loop: the

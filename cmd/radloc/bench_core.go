@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -209,11 +208,11 @@ func benchCore(particles, sensors, steps, runs, workers int, seed uint64, agains
 	}
 
 	report := coreBenchReport{
-		Schema:    coreBenchSchema,
-		Particles: particles,
-		Sensors:   len(sc.Sensors),
-		Steps:     steps,
-		Seed:      seed,
+		Schema:     coreBenchSchema,
+		Particles:  particles,
+		Sensors:    len(sc.Sensors),
+		Steps:      steps,
+		Seed:       seed,
 		Workers:    workers,
 		CPUs:       runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -249,17 +248,6 @@ func coreBenchHostMismatch(committed *coreBenchReport, cpus, maxProcs int) strin
 		return fmt.Sprintf("baseline measured with GOMAXPROCS=%d, this run has %d", committed.GoMaxProcs, maxProcs)
 	}
 	return ""
-}
-
-// flagWasSet reports whether the named flag was passed explicitly.
-func flagWasSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // loadCoreBenchReport reads and schema-checks a bench -core report.

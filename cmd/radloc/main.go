@@ -102,7 +102,6 @@ const usage = `usage:
   radloc record [-scenario A | -config FILE] [flags]  NDJSON stream for radlocd
   radloc agent -url URL [-in FILE] [-spool DIR] [flags]  deliver NDJSON to radlocd with retries
   radloc ctl <status|routes|promote|drain|demote|migrate> [flags]  operate a radlocd cluster (failover, live migration)
-  radloc bench [-particles N -sensors N -steps T -profile] [flags]  stage-latency profile (CSV + pprof)
   radloc bench -core | -accuracy [-against FILE] [-check FILE] [-out FILE]  gated filter-core throughput / accuracy reports
 flags: -reps N  -seed S  -steps T  -out FILE`
 

@@ -24,21 +24,20 @@ type RecordAt struct {
 var ErrPruned = errors.New("cluster: offset pruned from wal")
 
 // Backend is the per-zone durability surface the cluster layer
-// replicates through. cmd/radlocd implements it over the zone's WAL +
-// checkpoint machinery; tests implement it in memory. Implementations
-// must be safe for concurrent use — the node calls them from HTTP
-// handlers and replica goroutines.
+// replicates through. internal/node implements it over a zone's WAL
+// and checkpoint machinery, running each operation on the zone's
+// single-writer event loop; tests implement it in memory.
+// Implementations must be safe for concurrent use — the node calls
+// them from HTTP handlers and replica goroutines.
 type Backend interface {
 	// Offset is the zone's WAL head: the offset the next accepted
 	// record will get. Everything below it has been applied.
 	Offset() uint64
-	// Oldest is the oldest offset still readable from the local log;
-	// ReadWAL below it fails with ErrPruned.
-	Oldest() uint64
-	// ReadWAL streams records [from, from+max) in offset order through
-	// fn, stopping early on fn error. from below Oldest fails with
-	// ErrPruned; from at or above the head streams nothing.
-	ReadWAL(from uint64, max int, fn func(off uint64, rec wal.Record) error) error
+	// ReadWAL copies out records [from, from+max) in offset order, so
+	// the caller streams them without holding the zone. from below the
+	// oldest record still on disk fails with ErrPruned; from at or
+	// above the head returns nothing.
+	ReadWAL(from uint64, max int) ([]RecordAt, error)
 	// SetRetainFloor parks the WAL pruning floor at off: records at or
 	// above it survive pruning for a lagging replica's benefit.
 	SetRetainFloor(off uint64)
@@ -68,7 +67,7 @@ type Backend interface {
 }
 
 // BackendResolver finds (creating if needed) the backend for a zone.
-// cmd/radlocd routes this through the zone manager so replication
+// internal/node routes this through the zone manager so replication
 // targets lazily instantiate exactly like write targets do.
 type BackendResolver func(zone string) (Backend, error)
 

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"radloc/internal/wal"
 	"radloc/internal/zone"
 )
 
@@ -126,12 +125,20 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if from < b.Oldest() {
+	recs, err := b.ReadWAL(from, max)
+	if errors.Is(err, ErrPruned) {
 		http.Error(w, "offset pruned; bootstrap from /cluster/state", http.StatusGone)
+		return
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	n.recordAck(name, b, from)
 
+	// The records are copies: a standby that reads slowly holds only
+	// this handler, never the zone. The head is read after the copy, so
+	// it is at least one past the last record sent.
 	head := b.Offset()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	line, err := EncodeControl(FrameHello, epoch, head, floor)
@@ -143,24 +150,21 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sent uint64
-	err = b.ReadWAL(from, max, func(off uint64, rec wal.Record) error {
-		line, err := EncodeRecord(off, rec)
-		if err != nil {
-			return err
+	for _, ra := range recs {
+		line, err := EncodeRecord(ra.Off, ra.Rec)
+		if err == nil {
+			_, err = w.Write(line)
 		}
-		if _, err := w.Write(line); err != nil {
-			return err
+		if err != nil {
+			// Headers are gone; a torn write is exactly what the
+			// standby's prefix-safe decoder expects. Just stop.
+			n.met.servedRecords(sent)
+			n.logf("cluster: serve wal %q: %v", name, err)
+			return
 		}
 		sent++
-		return nil
-	})
-	n.met.servedRecords(sent)
-	if err != nil {
-		// Headers are gone; a torn write is exactly what the standby's
-		// prefix-safe decoder expects. Just stop.
-		n.logf("cluster: serve wal %q: %v", name, err)
-		return
 	}
+	n.met.servedRecords(sent)
 	if line, err := EncodeControl(FrameEnd, epoch, head, 0); err == nil {
 		w.Write(line)
 	}

@@ -18,9 +18,9 @@ import (
 // daemon's WAL-backed one: contiguous records, prunable prefix,
 // snapshot export/bootstrap.
 type memBackend struct {
-	mu     sync.Mutex
-	base   uint64 // offset of recs[0]
-	recs   []wal.Record
+	mu       sync.Mutex
+	base     uint64 // offset of recs[0]
+	recs     []wal.Record
 	retain   uint64
 	boots    int
 	ckpts    int
@@ -60,26 +60,23 @@ func (b *memBackend) Offset() uint64 {
 	return b.base + uint64(len(b.recs))
 }
 
-func (b *memBackend) Oldest() uint64 {
+func (b *memBackend) oldest() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.base
 }
 
-func (b *memBackend) ReadWAL(from uint64, max int, fn func(off uint64, rec wal.Record) error) error {
+func (b *memBackend) ReadWAL(from uint64, max int) ([]RecordAt, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if from < b.base {
-		return ErrPruned
+		return nil, ErrPruned
 	}
-	head := b.base + uint64(len(b.recs))
-	for off := from; off < head && max > 0; off++ {
-		if err := fn(off, b.recs[off-b.base]); err != nil {
-			return err
-		}
-		max--
+	var out []RecordAt
+	for off := from; off < b.base+uint64(len(b.recs)) && len(out) < max; off++ {
+		out = append(out, RecordAt{Off: off, Rec: b.recs[off-b.base]})
 	}
-	return nil
+	return out, nil
 }
 
 func (b *memBackend) SetRetainFloor(off uint64) {
@@ -357,8 +354,8 @@ func TestBootstrapAfterPrune(t *testing.T) {
 	}
 	p.backA.SetRetainFloor(30)
 	p.backA.prune(30)
-	if p.backA.Oldest() != 30 {
-		t.Fatalf("prune left oldest = %d", p.backA.Oldest())
+	if p.backA.oldest() != 30 {
+		t.Fatalf("prune left oldest = %d", p.backA.oldest())
 	}
 
 	backC := newMemBackend(0)
@@ -386,7 +383,7 @@ func TestBootstrapAfterPrune(t *testing.T) {
 		p.backA.append()
 	}
 	waitFor(t, "post-bootstrap tail", func() bool { return backC.Offset() == 45 })
-	if backC.Oldest() != 30 || !sameRecords(p.backA.records(), backC.records()) {
+	if backC.oldest() != 30 || !sameRecords(p.backA.records(), backC.records()) {
 		t.Fatal("bootstrapped replica diverged from primary window")
 	}
 }

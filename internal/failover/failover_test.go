@@ -15,7 +15,6 @@ import (
 	"radloc/internal/clock"
 	"radloc/internal/cluster"
 	"radloc/internal/obs"
-	"radloc/internal/wal"
 )
 
 // stubBackend is a minimal cluster.Backend: an offset counter with
@@ -30,11 +29,8 @@ func (b *stubBackend) Offset() uint64 {
 	defer b.mu.Unlock()
 	return b.off
 }
-func (b *stubBackend) Oldest() uint64        { return 0 }
-func (b *stubBackend) SetRetainFloor(uint64) {}
-func (b *stubBackend) ReadWAL(from uint64, max int, fn func(off uint64, rec wal.Record) error) error {
-	return nil
-}
+func (b *stubBackend) SetRetainFloor(uint64)                           {}
+func (b *stubBackend) ReadWAL(uint64, int) ([]cluster.RecordAt, error) { return nil, nil }
 func (b *stubBackend) ApplyRecords(recs []cluster.RecordAt) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -4,8 +4,8 @@
 // (413), refuses non-JSON payloads (415), sheds load with 429 +
 // Retry-After when its admission queue is full, rate-limits chatty
 // sensors with per-(zone, sensor) token buckets, and feeds everything
-// admitted through a Sink — a zone manager routing to sharded engines,
-// or the daemon's write pipeline in front of one.
+// admitted to one submit function — a zone manager's Submit, or the
+// daemon's write pipeline in front of one.
 //
 // It lives in its own package (rather than inside cmd/radlocd) so the
 // daemon, the transport ablation and the chaos tests all exercise the
@@ -45,47 +45,18 @@ type Measurement struct {
 	Zone string `json:"zone,omitempty"`
 }
 
-// Sink is where admitted batches go: a zone's mailbox, reached through
-// a manager or the daemon's write pipeline. The handler resolves one
-// Sink per request from the request's zone.
-type Sink interface {
-	// Submit applies one batch, classifying each reading's outcome.
-	Submit(ctx context.Context, ms []fusion.Meas) (fusion.BatchResult, error)
-}
+// SubmitFunc applies one admitted batch to the named zone, classifying
+// each reading's outcome: zone.Manager.Submit, or the daemon's write
+// pipeline in front of one. Its errors map to statuses as ServeHTTP
+// documents.
+type SubmitFunc func(ctx context.Context, zone string, ms []fusion.Meas) (fusion.BatchResult, error)
 
-// Resolver maps a validated zone name to its Sink. Returning an error
-// refuses the request: zone.ErrZoneLimit maps to 503, zone.ErrBadName
-// to 400; anything else is a 500.
-type Resolver func(zoneName string) (Sink, error)
-
-// ErrNotWritable is returned by a Sink whose zone stopped accepting
+// ErrNotWritable is returned by a SubmitFunc whose zone stopped accepting
 // writes on this node between request admission and the apply (for
 // example, a cluster demotion mid-flight). It maps to 503 +
 // Retry-After: the data is fine and the caller should keep its copy
 // and retry — by then against the new primary.
 var ErrNotWritable = errors.New("httpingest: zone not writable on this node")
-
-// managerSink binds one zone name to a manager, deferring zone
-// creation to the first submitted batch.
-type managerSink struct {
-	m    *zone.Manager
-	name string
-}
-
-// Submit routes the batch through the manager, which creates or
-// recreates the zone as needed.
-func (s managerSink) Submit(ctx context.Context, ms []fusion.Meas) (fusion.BatchResult, error) {
-	return s.m.Submit(ctx, s.name, ms)
-}
-
-// ManagerResolver adapts a zone manager into a Resolver: every valid
-// zone name resolves, and the zone itself is created lazily when its
-// first batch arrives.
-func ManagerResolver(m *zone.Manager) Resolver {
-	return func(name string) (Sink, error) {
-		return managerSink{m: m, name: name}, nil
-	}
-}
 
 // Meas converts to the engine's ingest type.
 func (m Measurement) Meas() fusion.Meas {
@@ -211,22 +182,22 @@ func newIngestMetrics(r *obs.Registry) *ingestMetrics {
 // Handler serves POST /measurements (and the zone-scoped route) with
 // admission control. Safe for concurrent use.
 type Handler struct {
-	resolve Resolver
-	opts    Options
-	slots   chan struct{}
-	met     *ingestMetrics
+	submit SubmitFunc
+	opts   Options
+	slots  chan struct{}
+	met    *ingestMetrics
 
 	mu      sync.Mutex
 	buckets map[bucketKey]*list.Element
 	order   *list.List // LRU order: front = most recently used bucket
 }
 
-// NewZoned builds the ingest handler over a zone resolver — the
-// sharded deployment, where the request's zone picks the engine.
-func NewZoned(resolve Resolver, opts Options) *Handler {
+// New builds the ingest handler over submit, which receives every
+// admitted batch together with the request's zone.
+func New(submit SubmitFunc, opts Options) *Handler {
 	opts = opts.withDefaults()
 	return &Handler{
-		resolve: resolve,
+		submit:  submit,
 		opts:    opts,
 		slots:   make(chan struct{}, opts.QueueDepth),
 		met:     newIngestMetrics(opts.Metrics),
@@ -349,8 +320,8 @@ func requestZone(r *http.Request) string {
 	return zone.DefaultZone
 }
 
-// sinkStatus maps a Resolver/Sink error to its HTTP status.
-func sinkStatus(err error) int {
+// submitStatus maps a submit error to its HTTP status.
+func submitStatus(err error) int {
 	var je *fusion.JournalError
 	switch {
 	case errors.Is(err, zone.ErrBadName):
@@ -369,13 +340,13 @@ func sinkStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// failSink writes the response for a sink error. The shedding
+// failSubmit writes the response for a submit error. The shedding
 // statuses — 429 (overload), 503 (shutting down / zone limit) and 507
 // (storage degraded) — all carry Retry-After, so a well-behaved agent
 // holds its spooled copy and retries instead of counting the batch
 // lost; everything else is a plain error response.
-func (h *Handler) failSink(w http.ResponseWriter, err error) {
-	code := sinkStatus(err)
+func (h *Handler) failSubmit(w http.ResponseWriter, err error) {
+	code := submitStatus(err)
 	switch code {
 	case http.StatusTooManyRequests:
 		h.shed(w, err.Error())
@@ -470,16 +441,10 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sink, err := h.resolve(zoneName)
-	if err != nil {
-		h.failSink(w, err)
-		return
-	}
-
 	var res fusion.BatchResult
 	if h.opts.RatePerSec > 0 {
 		var handled bool
-		res, handled = h.submitRateLimited(w, r.Context(), sink, zoneName, batch)
+		res, handled = h.submitRateLimited(w, r.Context(), zoneName, batch)
 		if handled {
 			return // response already written
 		}
@@ -488,10 +453,10 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		for i, m := range batch {
 			ms[i] = m.Meas()
 		}
-		res, err = sink.Submit(r.Context(), ms)
+		res, err = h.submit(r.Context(), zoneName, ms)
 		if err != nil {
 			h.record(res)
-			h.failSink(w, err)
+			h.failSubmit(w, err)
 			return
 		}
 	}
@@ -517,7 +482,7 @@ func (h *Handler) record(res fusion.BatchResult) {
 // and the first refused reading sheds the remainder with 429 (the
 // client retries the whole batch; dedup absorbs the replayed prefix).
 // handled=true means the response was already written.
-func (h *Handler) submitRateLimited(w http.ResponseWriter, ctx context.Context, sink Sink, zoneName string, batch []Measurement) (res fusion.BatchResult, handled bool) {
+func (h *Handler) submitRateLimited(w http.ResponseWriter, ctx context.Context, zoneName string, batch []Measurement) (res fusion.BatchResult, handled bool) {
 	for i, m := range batch {
 		if !h.allow(zoneName, m.SensorID) {
 			h.met.rateLimited.Add(uint64(len(batch) - i))
@@ -525,10 +490,10 @@ func (h *Handler) submitRateLimited(w http.ResponseWriter, ctx context.Context, 
 			h.shed(w, fmt.Sprintf("sensor %d over rate limit", m.SensorID))
 			return res, true
 		}
-		one, err := sink.Submit(ctx, []fusion.Meas{m.Meas()})
+		one, err := h.submit(ctx, zoneName, []fusion.Meas{m.Meas()})
 		if err != nil {
 			h.record(res)
-			h.failSink(w, err)
+			h.failSubmit(w, err)
 			return res, true
 		}
 		if one.Duplicate > 0 {

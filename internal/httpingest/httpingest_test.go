@@ -74,7 +74,7 @@ func decodeCounts(t *testing.T, w *httptest.ResponseRecorder) map[string]int {
 
 func TestZoneRouteLandsInNamedZone(t *testing.T) {
 	m := testManager(t, zone.Options{})
-	mux := zonedMux(NewZoned(ManagerResolver(m), Options{}))
+	mux := zonedMux(New(m.Submit, Options{}))
 
 	w := post(t, mux, "/zones/east/measurements", `[{"sensorId":0,"cpm":9},{"sensorId":1,"cpm":7}]`)
 	if w.Code != http.StatusOK {
@@ -105,7 +105,7 @@ func TestZoneRouteLandsInNamedZone(t *testing.T) {
 
 func TestZoneMismatchRefused(t *testing.T) {
 	m := testManager(t, zone.Options{})
-	mux := zonedMux(NewZoned(ManagerResolver(m), Options{}))
+	mux := zonedMux(New(m.Submit, Options{}))
 	w := post(t, mux, "/zones/east/measurements",
 		`[{"sensorId":0,"cpm":9,"seq":1},{"sensorId":1,"cpm":7,"seq":1,"zone":"west"}]`)
 	if w.Code != http.StatusBadRequest {
@@ -124,7 +124,7 @@ func TestZoneMismatchRefused(t *testing.T) {
 
 func TestBadZoneName(t *testing.T) {
 	m := testManager(t, zone.Options{})
-	mux := zonedMux(NewZoned(ManagerResolver(m), Options{}))
+	mux := zonedMux(New(m.Submit, Options{}))
 	w := post(t, mux, "/zones/NOPE/measurements", `{"sensorId":0,"cpm":9}`)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("bad zone name = %d, want 400", w.Code)
@@ -133,7 +133,7 @@ func TestBadZoneName(t *testing.T) {
 
 func TestZoneLimit503(t *testing.T) {
 	m := testManager(t, zone.Options{MaxZones: 1})
-	mux := zonedMux(NewZoned(ManagerResolver(m), Options{}))
+	mux := zonedMux(New(m.Submit, Options{}))
 	if w := post(t, mux, "/zones/a/measurements", `{"sensorId":0,"cpm":9}`); w.Code != http.StatusOK {
 		t.Fatalf("first zone = %d", w.Code)
 	}
@@ -161,7 +161,7 @@ func TestZoneMailboxFull429(t *testing.T) {
 			}, nil
 		},
 	})
-	mux := zonedMux(NewZoned(ManagerResolver(m), Options{}))
+	mux := zonedMux(New(m.Submit, Options{}))
 	// Wedge the zone's event loop, then stuff the mailbox with posts
 	// whose context is already cancelled: each either occupies mailbox
 	// space (and returns as soon as the cancellation is seen) or finds
@@ -189,7 +189,7 @@ func TestZoneMailboxFull429(t *testing.T) {
 func TestPerZoneTokenBuckets(t *testing.T) {
 	m := testManager(t, zone.Options{})
 	fc := clock.NewFake(time.Unix(0, 0))
-	mux := zonedMux(NewZoned(ManagerResolver(m), Options{RatePerSec: 0.001, Burst: 2, Clock: fc}))
+	mux := zonedMux(New(m.Submit, Options{RatePerSec: 0.001, Burst: 2, Clock: fc}))
 
 	body := `{"sensorId":0,"cpm":9}`
 	for i := 0; i < 2; i++ {
@@ -209,7 +209,7 @@ func TestPerZoneTokenBuckets(t *testing.T) {
 func TestBucketLRUCap(t *testing.T) {
 	m := testManager(t, zone.Options{})
 	fc := clock.NewFake(time.Unix(0, 0))
-	h := NewZoned(ManagerResolver(m), Options{RatePerSec: 0.001, Burst: 1, MaxBuckets: 4, Clock: fc})
+	h := New(m.Submit, Options{RatePerSec: 0.001, Burst: 1, MaxBuckets: 4, Clock: fc})
 	mux := zonedMux(h)
 
 	// Sensor 0 burns its single token.
@@ -239,7 +239,7 @@ func TestBucketLRUCap(t *testing.T) {
 func TestDuplicateRefundPerZone(t *testing.T) {
 	m := testManager(t, zone.Options{})
 	fc := clock.NewFake(time.Unix(0, 0))
-	mux := zonedMux(NewZoned(ManagerResolver(m), Options{RatePerSec: 0.001, Burst: 2, Clock: fc}))
+	mux := zonedMux(New(m.Submit, Options{RatePerSec: 0.001, Burst: 2, Clock: fc}))
 	// Two identical sequenced readings: the duplicate refunds its
 	// token, so a third (fresh) reading still fits the burst of 2.
 	if w := post(t, mux, "/zones/east/measurements", `{"sensorId":0,"cpm":9,"seq":1}`); w.Code != http.StatusOK {

@@ -25,7 +25,7 @@ import (
 
 func TestHTTPRejectsNonJSONContentType(t *testing.T) {
 	zs := testZoneSet(t, "", 0, 0)
-	ing := newZonedIngest(zs.pipe, httpingest.Options{})
+	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{})
 	srv := httptest.NewServer(newMux(serveConfig{Zones: zs, Ingest: ing}))
 	defer srv.Close()
 
@@ -54,7 +54,7 @@ func TestHTTPRejectsNonJSONContentType(t *testing.T) {
 
 func TestHTTPBoundsRequestBodies(t *testing.T) {
 	zs := testZoneSet(t, "", 0, 0)
-	ing := newZonedIngest(zs.pipe, httpingest.Options{MaxBody: 64})
+	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{MaxBody: 64})
 	srv := httptest.NewServer(newMux(serveConfig{Zones: zs, Ingest: ing}))
 	defer srv.Close()
 
@@ -127,7 +127,7 @@ func TestHTTPShedsWhenQueueFull(t *testing.T) {
 	zs, park := parkedZoneSet(t)
 	// The first request's reading parks in the journal while its
 	// admission slot is still held.
-	ing := newZonedIngest(zs.pipe, httpingest.Options{
+	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{
 		QueueDepth: 1,
 		RetryAfter: 2 * time.Second,
 	})
@@ -177,7 +177,7 @@ func TestHTTPShedsWhenQueueFull(t *testing.T) {
 func TestHTTPRateLimitsPerSensor(t *testing.T) {
 	zs := testZoneSet(t, "", 0, 0)
 	clk := clock.NewFake(time.Unix(1000, 0))
-	ing := newZonedIngest(zs.pipe, httpingest.Options{
+	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{
 		RatePerSec: 1,
 		Burst:      2,
 		Clock:      clk,

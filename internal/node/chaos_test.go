@@ -84,7 +84,7 @@ func runChaosDelivery(t *testing.T, withFaults, restart bool) chaosResult {
 		return fusion.NewEngine(fcfg)
 	}})
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	ing := newZonedIngest(zs.pipe, httpingest.Options{QueueDepth: 256, Clock: clk})
+	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{QueueDepth: 256, Clock: clk})
 
 	var rt http.RoundTripper = localRT{ing}
 	var faults *netchaos.RoundTripper

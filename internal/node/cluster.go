@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -20,8 +21,8 @@ import (
 // durability plumbing. Each cluster operation resolves a fresh
 // backend through clusterBackend, so an evicted-and-recreated zone is
 // always addressed through its live incarnation. Operations that touch
-// the engine run on the zone's event loop through Do; reads of the
-// journal counter come from the published snapshot.
+// the engine or the log run on the zone's event loop through Do; the
+// WAL head is read from the published snapshot.
 type zoneBackend struct {
 	zs *zoneSet
 	z  *zone.Zone
@@ -38,68 +39,58 @@ func (zs *zoneSet) clusterBackend(name string) (cluster.Backend, error) {
 	return &zoneBackend{zs: zs, z: z}, nil
 }
 
-// Offset implements cluster.Backend: the WAL head when durability is
-// on, the engine's journal counter otherwise (they advance in
-// lockstep; without a log the counter is all there is).
+// Offset implements cluster.Backend: the engine's journal counter as
+// of the loop's latest operation, which is the WAL head when
+// durability is on (each append advances both in lockstep).
 func (b *zoneBackend) Offset() uint64 {
-	if d := zoneDurable(b.z); d != nil {
-		d.j.mu.Lock()
-		defer d.j.mu.Unlock()
-		return d.j.log.Offset()
-	}
-	return b.z.Snapshot().Journaled
-}
-
-// Oldest implements cluster.Backend. Without a log nothing historical
-// is servable, so Oldest equals the head and any lagging replica is
-// pushed onto the snapshot-bootstrap path.
-func (b *zoneBackend) Oldest() uint64 {
-	if d := zoneDurable(b.z); d != nil {
-		d.j.mu.Lock()
-		defer d.j.mu.Unlock()
-		return d.j.log.Oldest()
-	}
 	return b.z.Snapshot().Journaled
 }
 
 // errStopRead is the sentinel ReadWAL uses to stop Replay at max
 // records; it never escapes.
-var errStopRead = fmt.Errorf("stop")
+var errStopRead = errors.New("stop")
 
-// ReadWAL implements cluster.Backend by streaming the zone's log.
-func (b *zoneBackend) ReadWAL(from uint64, max int, fn func(off uint64, rec wal.Record) error) error {
+// ReadWAL implements cluster.Backend by copying up to max records out
+// of the zone's log on its event loop. Without a log nothing
+// historical is servable, so any lagging replica is pushed onto the
+// snapshot-bootstrap path.
+func (b *zoneBackend) ReadWAL(from uint64, max int) ([]cluster.RecordAt, error) {
 	d := zoneDurable(b.z)
 	if d == nil {
 		if from >= b.Offset() {
+			return nil, nil
+		}
+		return nil, cluster.ErrPruned
+	}
+	var out []cluster.RecordAt
+	err := b.z.Do(context.TODO(), func(*fusion.Engine) error {
+		if from < d.log.Oldest() {
+			return cluster.ErrPruned
+		}
+		err := d.log.Replay(from, func(off uint64, rec wal.Record) error {
+			if len(out) >= max {
+				return errStopRead
+			}
+			out = append(out, cluster.RecordAt{Off: off, Rec: rec})
+			return nil
+		})
+		if err == errStopRead {
 			return nil
 		}
-		return cluster.ErrPruned
-	}
-	d.j.mu.Lock()
-	defer d.j.mu.Unlock()
-	if from < d.j.log.Oldest() {
-		return cluster.ErrPruned
-	}
-	n := 0
-	err := d.j.log.Replay(from, func(off uint64, rec wal.Record) error {
-		if n >= max {
-			return errStopRead
-		}
-		n++
-		return fn(off, rec)
+		return err
 	})
-	if err == errStopRead {
-		return nil
-	}
-	return err
+	return out, err
 }
 
-// SetRetainFloor implements cluster.Backend; a no-op without a log.
+// SetRetainFloor implements cluster.Backend; a no-op without a log,
+// and for a zone that has closed: its successor reopens the log with
+// no floor, and the replica's next pull parks it again.
 func (b *zoneBackend) SetRetainFloor(off uint64) {
 	if d := zoneDurable(b.z); d != nil {
-		d.j.mu.Lock()
-		d.j.log.SetRetain(off)
-		d.j.mu.Unlock()
+		_ = b.z.Do(context.TODO(), func(*fusion.Engine) error {
+			d.log.SetRetain(off)
+			return nil
+		})
 	}
 }
 
@@ -145,10 +136,7 @@ func (b *zoneBackend) Bootstrap(state json.RawMessage, applied uint64) error {
 		if d == nil {
 			return nil
 		}
-		d.j.mu.Lock()
-		err := d.j.log.AlignTo(applied)
-		d.j.mu.Unlock()
-		if err != nil {
+		if err := d.log.AlignTo(applied); err != nil {
 			return err
 		}
 		return d.checkpoint()
@@ -200,26 +188,26 @@ func (b *zoneBackend) quarantineDiverged(e *fusion.Engine, floor uint64) (uint64
 		return cur - floor, nil
 	}
 	divDir := filepath.Join(d.dir, divergedDirName)
-	d.j.mu.Lock()
-	moved, err := d.j.log.QuarantineSuffix(floor, divDir)
-	d.j.mu.Unlock()
+	moved, err := d.log.QuarantineSuffix(floor, divDir)
 	if err != nil {
 		return moved, err
 	}
+	// The engine's journal counter follows the truncated log head.
+	e.SetJournalOffset(d.log.Offset())
 	movedCkpts, err := wal.MoveCheckpoints(d.dir, floor, divDir)
 	if err != nil {
 		return moved, err
 	}
 	// Forget checkpoint bookkeeping above the floor, so the next
 	// checkpoint's prune floor cannot outrun the truncated log.
-	d.mu.Lock()
-	if d.lastApplied > floor {
-		d.lastApplied = 0
+	last, prev := d.lastApplied, d.prevApplied
+	if last > floor {
+		last = 0
 	}
-	if d.prevApplied > floor {
-		d.prevApplied = 0
+	if prev > floor {
+		prev = 0
 	}
-	d.mu.Unlock()
+	d.setCheckpoints(last, prev)
 	if moved > 0 || movedCkpts > 0 {
 		writeDivergedNote(d.fs, divDir, floor, moved, movedCkpts)
 		fmt.Fprintf(b.zs.logw, "radlocd: zone %q quarantined %d diverged WAL records and %d checkpoints into %s (floor %d)\n",

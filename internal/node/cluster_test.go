@@ -12,7 +12,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -468,5 +470,61 @@ func TestClusterLiveMigration(t *testing.T) {
 	}
 	if got := b.backend(t, "west").Offset(); got <= before {
 		t.Fatalf("new owner journaled nothing after cutover (offset %d)", got)
+	}
+}
+
+// parkingWriter is an http.ResponseWriter whose second Write — the
+// first record frame after the hello — blocks until release closes:
+// a standby that stopped reading mid-pull.
+type parkingWriter struct {
+	header  http.Header
+	writes  int
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (w *parkingWriter) Header() http.Header { return w.header }
+func (w *parkingWriter) WriteHeader(int)     {}
+func (w *parkingWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.writes == 2 {
+		close(w.parked)
+		<-w.release
+	}
+	return len(p), nil
+}
+
+// TestClusterSlowStandbyDoesNotStallPrimary parks a /cluster/wal pull
+// on its first record frame: the primary's next write to that zone
+// must still be acknowledged promptly, because the records were copied
+// off the zone's loop before any frame was written.
+func TestClusterSlowStandbyDoesNotStallPrimary(t *testing.T) {
+	fab := nodetest.NewFabric()
+	routes := cluster.Routes{Zones: map[string]cluster.Route{"default": {Primary: "http://a"}}}
+	a := newClusterTestNode(t, fab, "a", &routes)
+	sc := scenario.A(50, false)
+	postRounds(t, a.mux, "http://a", sc, 0, 3)
+	st, ok := a.status("default")
+	if !ok || a.backend(t, "default").Offset() == 0 {
+		t.Fatal("primary journaled nothing to pull")
+	}
+
+	w := &parkingWriter{header: http.Header{}, parked: make(chan struct{}), release: make(chan struct{})}
+	defer close(w.release)
+	go a.mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet,
+		fmt.Sprintf("http://a/cluster/wal/default?from=0&epoch=%d", st.Epoch), nil))
+	<-w.parked
+
+	posted := make(chan int, 1)
+	go func() {
+		_, code := nodetest.HTTPStatus(a.mux, http.MethodPost, "http://a/measurements", `{"sensorId":0,"cpm":12,"step":3}`)
+		posted <- code
+	}()
+	select {
+	case code := <-posted:
+		if code != http.StatusOK {
+			t.Fatalf("POST /measurements during a parked pull = %d, want 200", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("POST /measurements waited behind a parked /cluster/wal pull")
 	}
 }

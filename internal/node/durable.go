@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"radloc/internal/fusion"
@@ -13,29 +13,6 @@ import (
 	"radloc/internal/vfs"
 	"radloc/internal/wal"
 )
-
-// walJournal bridges the fusion engine's write-ahead hook to the WAL.
-// Append runs on the zone's event loop, the engine's only owner, so WAL
-// order is exactly the filter's application order; mu serializes the
-// log against its off-loop users — replication reads, the scrubber,
-// the storage probe and /statez.
-type walJournal struct {
-	mu  sync.Mutex
-	log *wal.Log
-	// onResult, when set, observes every append outcome (outside mu) —
-	// the degraded-mode tracker's entry and exit signal.
-	onResult func(error)
-}
-
-func (j *walJournal) Append(m fusion.Meas) error {
-	j.mu.Lock()
-	_, err := j.log.Append(wal.Record{SensorID: m.SensorID, CPM: m.CPM, Step: m.Step, Seq: m.Seq})
-	j.mu.Unlock()
-	if j.onResult != nil {
-		j.onResult(err)
-	}
-	return err
-}
 
 // recoveryJSON reports what boot-time recovery found and did — logged
 // at startup and served on /statez for the life of the process.
@@ -57,31 +34,54 @@ type recoveryJSON struct {
 
 // durable owns radlocd's durability plumbing: the WAL, the checkpoint
 // cadence, the recovery report, and the zone's storage-health state
-// (see storage.go for the degraded-mode machinery).
+// (see storage.go for the degraded-mode machinery). It is the engine's
+// fusion.Journal.
+//
+// The zone's event loop is its only owner, as it is the engine's:
+// Append, the checkpoint cadence and the Close hook already run there,
+// and every other user of the log or of the checkpoint bookkeeping —
+// replication reads, the scrubber, the storage probe — enters through
+// zone.Do. Code off the loop reads only what the loop publishes: the
+// WAL head as the snapshot's Journaled, the newest checkpoint on the
+// radloc_durable_last_checkpoint_offset gauge, the storage state
+// through an atomic pointer, and the recovery report, fixed at boot.
 type durable struct {
 	dir    string
 	fs     vfs.FS
 	fsync  wal.FsyncPolicy
 	every  int // checkpoint every N journaled records; 0 = shutdown only
 	engine *fusion.Engine
-	j      *walJournal
+	log    *wal.Log
 	logw   io.Writer
 
 	// met holds the checkpoint counters and timing — the registry
 	// collectors are the source of truth; statez reads them.
 	met *durableMetrics
 
-	mu          sync.Mutex
-	lastApplied uint64 // newest checkpoint's WAL offset
+	lastApplied uint64 // newest checkpoint's WAL offset; set only through setCheckpoints
 	prevApplied uint64 // second-newest — segments below it are prunable
 	recovery    recoveryJSON
 
-	// Degraded read-only mode: set on the first failed journal append,
-	// cleared by the first success (organic traffic or the probe loop).
-	degraded       bool
-	degradedSince  time.Time
-	lastStorageErr string
-	degradedTotal  uint64 // times this zone entered degraded mode
+	// storage is the degraded-mode state, swapped in by the loop on
+	// each append outcome that changes it.
+	storage atomic.Pointer[storageState]
+}
+
+// Append implements fusion.Journal: it journals one reading and feeds
+// the outcome to the degraded-mode edge detector.
+func (d *durable) Append(m fusion.Meas) error {
+	_, err := d.log.Append(wal.Record{SensorID: m.SensorID, CPM: m.CPM, Step: m.Step, Seq: m.Seq})
+	d.noteAppend(err)
+	return err
+}
+
+// setCheckpoints records the two newest checkpoint offsets. It is the
+// only writer of either, and it publishes the newest on
+// radloc_durable_last_checkpoint_offset, which /statez reads back, so
+// the two surfaces cannot disagree.
+func (d *durable) setCheckpoints(last, prev uint64) {
+	d.lastApplied, d.prevApplied = last, prev
+	d.met.lastCheckpoint.Set(float64(last))
 }
 
 // openDurable opens (or cold-starts) the durability directory and
@@ -99,14 +99,14 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 	if err != nil {
 		return nil, nil, fmt.Errorf("open WAL %s: %w", dir, err)
 	}
-	j := &walJournal{log: l}
-	engine, err := build(j)
+	d := &durable{dir: dir, fs: fsys, fsync: pol, every: every, log: l, logw: logw, met: newDurableMetrics(reg)}
+	d.storage.Store(&storageState{})
+	engine, err := build(d)
 	if err != nil {
 		l.Close()
 		return nil, nil, err
 	}
-	d := &durable{dir: dir, fs: fsys, fsync: pol, every: every, engine: engine, j: j, logw: logw, met: newDurableMetrics(reg)}
-	j.onResult = d.noteAppend
+	d.engine = engine
 	if reg != nil {
 		reg.GaugeFunc("radloc_storage_degraded",
 			"1 while the zone's WAL is unwritable and ingest answers 507 (read-only mode).",
@@ -140,7 +140,7 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 			// fall back to a fresh engine and replay the whole WAL.
 			fmt.Fprintf(logw, "radlocd: discarding unusable checkpoint (applied %d): %v\n", ck.Applied, ierr)
 			d.recovery.CheckpointDiscarded = true
-			if engine, err = build(j); err != nil {
+			if engine, err = build(d); err != nil {
 				l.Close()
 				return nil, nil, err
 			}
@@ -148,7 +148,6 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 		} else {
 			d.recovery.CheckpointUsed = true
 			d.recovery.CheckpointApplied = ck.Applied
-			d.lastApplied = ck.Applied
 			replayFrom = ck.Applied
 		}
 	}
@@ -172,6 +171,7 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 	// From here on the engine's journal counter IS the WAL offset; each
 	// Append advances both in lockstep.
 	engine.SetJournalOffset(l.Offset())
+	d.setCheckpoints(d.recovery.CheckpointApplied, 0)
 	fmt.Fprintf(logw, "radlocd: durability on (%s, fsync=%s): %d WAL records, checkpoint@%d used=%v, %d replayed, %d truncated\n",
 		dir, pol, d.recovery.WalRecords, d.recovery.CheckpointApplied, d.recovery.CheckpointUsed,
 		d.recovery.Replayed, d.recovery.TruncatedRecords)
@@ -187,13 +187,7 @@ func (d *durable) maybeCheckpoint(logw io.Writer) {
 	if d == nil || d.every <= 0 {
 		return
 	}
-	d.j.mu.Lock()
-	off := d.j.log.Offset()
-	d.j.mu.Unlock()
-	d.mu.Lock()
-	due := off >= d.lastApplied+uint64(d.every)
-	d.mu.Unlock()
-	if !due {
+	if d.log.Offset() < d.lastApplied+uint64(d.every) {
 		return
 	}
 	if err := d.checkpoint(); err != nil {
@@ -209,7 +203,7 @@ func (d *durable) maybeCheckpoint(logw io.Writer) {
 func (d *durable) checkpoint() (err error) {
 	t0 := time.Now()
 	st, err := d.engine.ExportState()
-	defer func() { d.met.done(t0, st.Journaled, err) }()
+	defer func() { d.met.done(t0, err) }()
 	if err != nil {
 		return err
 	}
@@ -217,27 +211,17 @@ func (d *durable) checkpoint() (err error) {
 	if err != nil {
 		return err
 	}
-	d.j.mu.Lock()
-	err = d.j.log.Sync()
-	d.j.mu.Unlock()
-	if err != nil {
+	if err := d.log.Sync(); err != nil {
 		return err
 	}
 	if err := wal.WriteCheckpointFS(d.fs, d.dir, wal.Checkpoint{Applied: st.Journaled, State: blob}); err != nil {
 		return err
 	}
 	_ = wal.PruneCheckpointsFS(d.fs, d.dir, 2)
-	d.mu.Lock()
 	if st.Journaled != d.lastApplied {
-		d.prevApplied = d.lastApplied
-		d.lastApplied = st.Journaled
+		d.setCheckpoints(st.Journaled, d.lastApplied)
 	}
-	pruneTo := d.prevApplied
-	d.mu.Unlock()
-	d.j.mu.Lock()
-	err = d.j.log.Prune(pruneTo)
-	d.j.mu.Unlock()
-	return err
+	return d.log.Prune(d.prevApplied)
 }
 
 // close flushes everything: final checkpoint, then sync and close the
@@ -248,9 +232,7 @@ func (d *durable) close() error {
 		return nil
 	}
 	err := d.checkpoint()
-	d.j.mu.Lock()
-	cerr := d.j.log.Close()
-	d.j.mu.Unlock()
+	cerr := d.log.Close()
 	if err == nil {
 		err = cerr
 	}
@@ -286,7 +268,8 @@ type durabilityJSON struct {
 }
 
 // statez assembles the /statez payload from a zone's published
-// snapshot; d may be nil (durability off), ing may be nil (the
+// snapshot and what its loop published besides; it never waits for
+// the loop. d may be nil (durability off), ing may be nil (the
 // per-zone view, which carries no admission counters).
 func statez(s fusion.Snapshot, d *durable, ing *httpingest.Handler) statezJSON {
 	out := statezJSON{Delivery: s.Delivery, Journaled: s.Journaled}
@@ -296,26 +279,22 @@ func statez(s fusion.Snapshot, d *durable, ing *httpingest.Handler) statezJSON {
 	if d == nil {
 		return out
 	}
-	d.j.mu.Lock()
-	off := d.j.log.Offset()
-	d.j.mu.Unlock()
-	d.mu.Lock()
 	rec := d.recovery
+	st := d.storage.Load()
 	out.Durability = durabilityJSON{
 		Enabled:        true,
 		WalDir:         d.dir,
 		Fsync:          d.fsync.String(),
-		WalOffset:      off,
+		WalOffset:      s.Journaled,
 		Checkpoints:    d.met.checkpoints.Value(),
-		LastCheckpoint: d.lastApplied,
+		LastCheckpoint: uint64(d.met.lastCheckpoint.Value()),
 		Recovery:       &rec,
-		Degraded:       d.degraded,
-		DegradedTotal:  d.degradedTotal,
-		LastStorageErr: d.lastStorageErr,
+		Degraded:       st.degraded,
+		DegradedTotal:  st.entered,
+		LastStorageErr: st.lastErr,
 	}
-	if d.degraded {
-		out.Durability.DegradedSince = d.degradedSince
+	if st.degraded {
+		out.Durability.DegradedSince = st.since
 	}
-	d.mu.Unlock()
 	return out
 }

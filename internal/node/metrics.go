@@ -34,12 +34,11 @@ func newDurableMetrics(r *obs.Registry) *durableMetrics {
 }
 
 // done accounts one checkpoint attempt.
-func (m *durableMetrics) done(t0 time.Time, applied uint64, err error) {
+func (m *durableMetrics) done(t0 time.Time, err error) {
 	m.checkpointSeconds.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		m.failures.Inc()
 		return
 	}
 	m.checkpoints.Inc()
-	m.lastCheckpoint.Set(float64(applied))
 }

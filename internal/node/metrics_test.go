@@ -235,7 +235,7 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 		},
 	})
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	ing := newZonedIngest(zs.pipe, httpingest.Options{QueueDepth: 256, Clock: clk, Metrics: reg})
+	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{QueueDepth: 256, Clock: clk, Metrics: reg})
 
 	// Chaos-era delivery: seeded request/response drops and a healed
 	// partition manufacture retries and dedup-absorbed redelivery.

@@ -14,8 +14,11 @@
 // ordering and error invariants (fence before admission, journal
 // before apply, 507 on degraded storage) hold on all paths by
 // construction. Each zone's event loop is the only code that touches
-// its engine; read queries are served from the snapshot the loop
-// publishes after every operation, so reads never wait for writers.
+// its engine, its WAL and its checkpoint bookkeeping; nothing under it
+// takes a lock. Code off the loop runs a short zone.Do operation or
+// reads what the loop published — the snapshot after every operation,
+// the checkpoint gauge, the storage state — so reads, /statez, /readyz
+// and replication streams never wait for writers, nor writers for them.
 package node
 
 import (
@@ -351,7 +354,7 @@ func New(cfg Config) (*Node, error) {
 			return nil, err
 		}
 	}
-	n.ingest = newZonedIngest(zs.pipe, httpingest.Options{
+	n.ingest = httpingest.New(zs.pipe.Submit, httpingest.Options{
 		QueueDepth: cfg.HTTPQueue,
 		MaxBody:    cfg.MaxBody,
 		RetryAfter: cfg.RetryAfter,

@@ -71,9 +71,7 @@ func (p *WritePipeline) Apply(z *zone.Zone, recs []cluster.RecordAt) error {
 	return z.Do(context.TODO(), func(eng *fusion.Engine) error {
 		offset := func() uint64 {
 			if d != nil {
-				d.j.mu.Lock()
-				defer d.j.mu.Unlock()
-				return d.j.log.Offset()
+				return d.log.Offset()
 			}
 			return eng.Snapshot().Journaled
 		}
@@ -82,10 +80,7 @@ func (p *WritePipeline) Apply(z *zone.Zone, recs []cluster.RecordAt) error {
 				return fmt.Errorf("replication offset gap: got %d, local head %d", ra.Off, cur)
 			}
 			if d != nil {
-				d.j.mu.Lock()
-				_, err := d.j.log.Append(ra.Rec)
-				d.j.mu.Unlock()
-				if err != nil {
+				if _, err := d.log.Append(ra.Rec); err != nil {
 					return err
 				}
 			}
@@ -96,25 +91,4 @@ func (p *WritePipeline) Apply(z *zone.Zone, recs []cluster.RecordAt) error {
 		}
 		return nil
 	})
-}
-
-// Resolver adapts the pipeline into the HTTP ingest boundary's Sink
-// resolver: every valid zone name resolves to a sink that submits
-// through the full pipeline.
-func (p *WritePipeline) Resolver() httpingest.Resolver {
-	return func(name string) (httpingest.Sink, error) {
-		return pipelineSink{p: p, name: name}, nil
-	}
-}
-
-// pipelineSink binds one zone name to the pipeline for the HTTP
-// ingest handler.
-type pipelineSink struct {
-	p    *WritePipeline
-	name string
-}
-
-// Submit implements httpingest.Sink through the pipeline.
-func (s pipelineSink) Submit(ctx context.Context, ms []fusion.Meas) (fusion.BatchResult, error) {
-	return s.p.Submit(ctx, s.name, ms)
 }

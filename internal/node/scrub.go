@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -20,54 +21,69 @@ import (
 const corruptDirName = "corrupt"
 
 // scrubStore adapts one zone's durability plumbing to scrub.Store.
-// Every method serializes against the zone's journal lock, the same
-// discipline the checkpointer uses.
+// Every method runs on the zone's event loop through Do, the log's
+// only owner, so a scrub never races an append, a checkpoint's prune
+// or a quarantine. Segments are bounded (-wal-segment records), so a
+// verify occupies the loop for the same order of time as a checkpoint.
 type scrubStore struct {
 	zs *zoneSet
 	z  *zone.Zone
 	d  *durable
 }
 
-// Segments implements scrub.Store.
-func (s *scrubStore) Segments() []wal.SegmentInfo {
-	s.d.j.mu.Lock()
-	defer s.d.j.mu.Unlock()
-	return s.d.j.log.SegmentInfos()
+// onLoop runs fn on the zone's event loop.
+func (s *scrubStore) onLoop(fn func() error) error {
+	return s.z.Do(context.TODO(), func(*fusion.Engine) error { return fn() })
 }
 
-// VerifySegment implements scrub.Store. It holds the journal lock for
-// the whole re-read: a prune or quarantine racing the read would
-// otherwise yield spurious missing-file errors. Segments are bounded
-// (-wal-segment records), so the stall is the same order as a
-// checkpoint's.
+// Segments implements scrub.Store; nil once the zone has closed.
+func (s *scrubStore) Segments() (out []wal.SegmentInfo) {
+	_ = s.onLoop(func() error {
+		out = s.d.log.SegmentInfos()
+		return nil
+	})
+	return out
+}
+
+// VerifySegment implements scrub.Store. A zone that closed after the
+// scrubber listed it verifies clean rather than corrupt: its next
+// recovery re-validates the log anyway.
 func (s *scrubStore) VerifySegment(start uint64) error {
-	s.d.j.mu.Lock()
-	defer s.d.j.mu.Unlock()
-	return s.d.j.log.VerifySegment(start)
+	err := s.onLoop(func() error { return s.d.log.VerifySegment(start) })
+	if errors.Is(err, zone.ErrZoneClosed) {
+		return nil
+	}
+	return err
 }
 
 // QuarantineSegment implements scrub.Store, parking the segment in
 // <wal-dir>/corrupt/.
-func (s *scrubStore) QuarantineSegment(start uint64) (uint64, error) {
-	dst := filepath.Join(s.d.dir, corruptDirName)
-	s.d.j.mu.Lock()
-	removed, err := s.d.j.log.QuarantineSegment(start, dst)
-	s.d.j.mu.Unlock()
+func (s *scrubStore) QuarantineSegment(start uint64) (removed uint64, err error) {
+	err = s.onLoop(func() (err error) {
+		removed, err = s.d.log.QuarantineSegment(start, filepath.Join(s.d.dir, corruptDirName))
+		return err
+	})
 	return removed, err
 }
 
 // VerifyCheckpoints implements scrub.Store.
-func (s *scrubStore) VerifyCheckpoints() ([]uint64, error) {
-	return wal.VerifyCheckpoints(s.d.fs, s.d.dir)
+func (s *scrubStore) VerifyCheckpoints() (bad []uint64, err error) {
+	err = s.onLoop(func() (err error) {
+		bad, err = wal.VerifyCheckpoints(s.d.fs, s.d.dir)
+		return err
+	})
+	return bad, err
 }
 
 // QuarantineCheckpoint implements scrub.Store.
 func (s *scrubStore) QuarantineCheckpoint(applied uint64) error {
-	if err := wal.QuarantineCheckpoint(s.d.fs, s.d.dir, applied); err != nil {
-		return err
-	}
-	s.d.forgetCheckpoint(applied)
-	return nil
+	return s.onLoop(func() error {
+		if err := wal.QuarantineCheckpoint(s.d.fs, s.d.dir, applied); err != nil {
+			return err
+		}
+		s.d.forgetCheckpoint(applied)
+		return nil
+	})
 }
 
 // Repair implements scrub.Store: re-anchor recovery past the
@@ -78,7 +94,7 @@ func (s *scrubStore) QuarantineCheckpoint(applied uint64) error {
 // is still correct: the corruption was cold, every lost record was
 // applied when it was first written and the engine never forgot it.
 func (s *scrubStore) Repair(ctx context.Context, from, to uint64) (string, error) {
-	if src, ok := s.zs.repairFromReplica(ctx, s.z.Name(), s.d, to); ok {
+	if src, ok := s.zs.repairFromReplica(ctx, s.z, s.d, to); ok {
 		return src, nil
 	}
 	return "local", s.z.Do(ctx, func(*fusion.Engine) error { return s.d.adoptLocalCheckpoint() })
@@ -88,12 +104,14 @@ func (s *scrubStore) Repair(ctx context.Context, from, to uint64) (string, error
 // caught-up standby (acked at least through the hole's end) exports
 // its state, and that snapshot becomes the new recovery anchor.
 // ok=false means the caller should fall back to local state; the
-// reason is logged, never fatal.
-func (zs *zoneSet) repairFromReplica(ctx context.Context, zoneName string, d *durable, to uint64) (string, bool) {
+// reason is logged, never fatal. The fetch runs off the zone's loop;
+// only persisting the fetched checkpoint runs on it.
+func (zs *zoneSet) repairFromReplica(ctx context.Context, z *zone.Zone, d *durable, to uint64) (string, bool) {
 	n := zs.clusterNode
 	if n == nil {
 		return "", false
 	}
+	zoneName := z.Name()
 	peer, acked, ok := n.RepairSource(zoneName)
 	if !ok || acked < to {
 		return "", false
@@ -118,7 +136,10 @@ func (zs *zoneSet) repairFromReplica(ctx context.Context, zoneName string, d *du
 			zoneName, peer, err)
 		return "", false
 	}
-	if err := d.adoptCheckpoint(wal.Checkpoint{Applied: applied, State: state}); err != nil {
+	err = z.Do(ctx, func(*fusion.Engine) error {
+		return d.adoptCheckpoint(wal.Checkpoint{Applied: applied, State: state})
+	})
+	if err != nil {
 		fmt.Fprintf(zs.logw, "radlocd: zone %q: persisting replica checkpoint failed, using local state: %v\n",
 			zoneName, err)
 		return "", false
@@ -147,22 +168,16 @@ func (d *durable) adoptLocalCheckpoint() error {
 // not pruned here — the next cadence checkpoint advances the floor on
 // its own schedule.
 func (d *durable) adoptCheckpoint(ck wal.Checkpoint) error {
-	d.j.mu.Lock()
-	err := d.j.log.Sync()
-	d.j.mu.Unlock()
-	if err != nil {
+	if err := d.log.Sync(); err != nil {
 		return err
 	}
 	if err := wal.WriteCheckpointFS(d.fs, d.dir, ck); err != nil {
 		return err
 	}
 	_ = wal.PruneCheckpointsFS(d.fs, d.dir, 2)
-	d.mu.Lock()
 	if ck.Applied > d.lastApplied {
-		d.prevApplied = d.lastApplied
-		d.lastApplied = ck.Applied
+		d.setCheckpoints(ck.Applied, d.lastApplied)
 	}
-	d.mu.Unlock()
 	return nil
 }
 
@@ -170,14 +185,14 @@ func (d *durable) adoptCheckpoint(ck wal.Checkpoint) error {
 // checkpoint, so the next cadence checkpoint fires promptly and the
 // prune floor cannot rest on a file that no longer exists.
 func (d *durable) forgetCheckpoint(applied uint64) {
-	d.mu.Lock()
-	if d.lastApplied == applied {
-		d.lastApplied = d.prevApplied
+	last, prev := d.lastApplied, d.prevApplied
+	if last == applied {
+		last = prev
 	}
-	if d.prevApplied == applied {
-		d.prevApplied = 0
+	if prev == applied {
+		prev = 0
 	}
-	d.mu.Unlock()
+	d.setCheckpoints(last, prev)
 }
 
 // scrubTargets enumerates the currently-live durable zones for the

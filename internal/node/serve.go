@@ -309,14 +309,6 @@ func settleFinal(z *zone.Zone, logw io.Writer) {
 	}
 }
 
-// newZonedIngest builds the measurements handler over the write
-// pipeline — the sharded deployment's single write path, fence
-// included. No AfterBatch here: each zone's checkpoint cadence is
-// wired into its own event loop by the factory.
-func newZonedIngest(p *WritePipeline, opts httpingest.Options) *httpingest.Handler {
-	return httpingest.NewZoned(p.Resolver(), opts)
-}
-
 // serveConfig assembles the HTTP mode's moving parts. Zones is
 // required; Ingest may be nil (a default admission policy is built
 // over the write pipeline), Metrics may be nil (GET /metrics serves an
@@ -433,7 +425,7 @@ func newMux(cfg serveConfig) *http.ServeMux {
 	def, ing := cfg.Zones.defaultZone(), cfg.Ingest
 	d := zoneDurable(def)
 	if ing == nil {
-		ing = newZonedIngest(cfg.Zones.pipe, httpingest.Options{Metrics: cfg.Metrics})
+		ing = httpingest.New(cfg.Zones.pipe.Submit, httpingest.Options{Metrics: cfg.Metrics})
 	}
 	reg := cfg.Metrics
 	if reg == nil {

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"radloc/internal/scenario"
 	"radloc/internal/sim"
 	"radloc/internal/track"
+	"radloc/internal/zone"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, scenario.Scenario) {
@@ -291,5 +293,61 @@ func TestSnapshotServedWhileLoopHeld(t *testing.T) {
 	}
 	if got := ingested(); got != 1 {
 		t.Fatalf("GET /snapshot after the ack saw ingested %d, want 1", got)
+	}
+}
+
+// TestDurableReadsServedWhileLoopHeld holds a durable zone's event
+// loop inside a Do: GET /statez, GET /readyz and the cluster backend's
+// Offset read only what the loop published, so each must answer while
+// the loop is busy.
+func TestDurableReadsServedWhileLoopHeld(t *testing.T) {
+	zs := testZoneSet(t, t.TempDir(), 0, 0)
+	z := zs.defaultZone()
+	// Satisfy the refresh gate so /readyz can answer 200.
+	if err := z.Do(context.Background(), (*fusion.Engine).Settle); err != nil {
+		t.Fatal(err)
+	}
+	mux := newMux(serveConfig{Zones: zs})
+	b, err := zs.clusterBackend(zone.DefaultZone)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	go func() {
+		_ = z.Do(context.Background(), func(*fusion.Engine) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+
+	type answer struct {
+		statez, readyz int
+		enabled        bool
+		offset         uint64
+	}
+	got := make(chan answer, 1)
+	go func() {
+		var a answer
+		rec, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/statez", "")
+		var st statezJSON
+		if code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &st) == nil {
+			a.enabled = st.Durability.Enabled
+		}
+		a.statez = code
+		_, a.readyz = nodetest.HTTPStatus(mux, http.MethodGet, "http://x/readyz", "")
+		a.offset = b.Offset()
+		got <- a
+	}()
+	select {
+	case a := <-got:
+		if a.statez != http.StatusOK || !a.enabled || a.readyz != http.StatusOK || a.offset != 0 {
+			t.Fatalf("reads during a held loop = %+v, want statez 200 with durability, readyz 200, offset 0", a)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a durable zone's read waited for its held event loop")
 	}
 }

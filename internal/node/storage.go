@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"radloc/internal/fusion"
 	"radloc/internal/rng"
 )
 
@@ -24,53 +25,42 @@ import (
 // — even when every agent has backed off and no organic write arrives
 // to discover the recovery.
 
+// storageState is a zone's storage-health posture: an immutable
+// value the event loop swaps in whenever an append outcome changes it,
+// so readers (/statez, /readyz, the degraded gauge, the scrubber's
+// target list) load it without waiting for the loop.
+type storageState struct {
+	degraded bool
+	since    time.Time // when the current degraded spell began
+	lastErr  string
+	entered  uint64 // times this zone entered degraded mode
+}
+
 // noteAppend observes one journal append outcome — the degraded-mode
-// entry and exit edge detector. Called outside every other durable
-// lock.
+// entry and exit edge detector. It runs on the zone's event loop.
 func (d *durable) noteAppend(err error) {
-	d.mu.Lock()
-	if err != nil {
-		d.lastStorageErr = err.Error()
-		if !d.degraded {
-			d.degraded = true
-			d.degradedSince = time.Now()
-			d.degradedTotal++
-			d.mu.Unlock()
-			fmt.Fprintf(d.logw, "radlocd: storage degraded (%s): %v — ingest read-only (507), probing for recovery\n", d.dir, err)
-			return
-		}
-		d.mu.Unlock()
+	cur := d.storage.Load()
+	if err == nil && !cur.degraded {
 		return
 	}
-	if d.degraded {
-		d.degraded = false
-		since := d.degradedSince
-		d.mu.Unlock()
-		fmt.Fprintf(d.logw, "radlocd: storage recovered (%s) after %s — ingest writable again\n", d.dir, time.Since(since).Round(time.Millisecond))
-		return
+	next := *cur
+	switch {
+	case err == nil:
+		next.degraded = false
+		fmt.Fprintf(d.logw, "radlocd: storage recovered (%s) after %s — ingest writable again\n", d.dir, time.Since(cur.since).Round(time.Millisecond))
+	case !cur.degraded:
+		next.degraded, next.since, next.lastErr = true, time.Now(), err.Error()
+		next.entered++
+		fmt.Fprintf(d.logw, "radlocd: storage degraded (%s): %v — ingest read-only (507), probing for recovery\n", d.dir, err)
+	default:
+		next.lastErr = err.Error()
 	}
-	d.mu.Unlock()
+	d.storage.Store(&next)
 }
 
 // storageDegraded reports whether the zone is currently read-only.
 func (d *durable) storageDegraded() bool {
-	if d == nil {
-		return false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.degraded
-}
-
-// probeStorage re-tests the WAL (tail repair + scratch write + sync)
-// and feeds the outcome through the same edge detector as organic
-// appends. Returns true when the zone is healthy afterwards.
-func (d *durable) probeStorage() bool {
-	d.j.mu.Lock()
-	err := d.j.log.Probe()
-	d.j.mu.Unlock()
-	d.noteAppend(err)
-	return err == nil
+	return d != nil && d.storage.Load().degraded
 }
 
 // degradedZones lists the zones currently in degraded read-only mode,
@@ -99,8 +89,7 @@ func (zs *zoneSet) storageProbeLoop(ctx context.Context, interval time.Duration,
 	}
 	strm := rng.NewNamed(seed, "radlocd/storage-probe")
 	for {
-		d := time.Duration(float64(interval) * (0.8 + 0.4*strm.Float64()))
-		t := time.NewTimer(d)
+		t := time.NewTimer(time.Duration(float64(interval) * (0.8 + 0.4*strm.Float64())))
 		select {
 		case <-ctx.Done():
 			t.Stop()
@@ -112,8 +101,14 @@ func (zs *zoneSet) storageProbeLoop(ctx context.Context, interval time.Duration,
 			if !ok {
 				continue
 			}
-			if dur := zoneDurable(z); dur.storageDegraded() {
-				dur.probeStorage()
+			// The probe (tail repair + scratch write + sync) runs on the
+			// zone's loop and feeds the same edge detector as appends. A
+			// zone that closed meanwhile has nothing left to probe.
+			if d := zoneDurable(z); d.storageDegraded() {
+				_ = z.Do(ctx, func(*fusion.Engine) error {
+					d.noteAppend(d.log.Probe())
+					return nil
+				})
 			}
 		}
 	}

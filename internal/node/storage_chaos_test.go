@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -94,7 +95,7 @@ func runENOSPCDelivery(t *testing.T, window time.Duration) (snap, health []byte,
 	}
 	dur = zoneDurable(zs.defaultZone())
 
-	ing = newZonedIngest(zs.pipe, httpingest.Options{
+	ing = httpingest.New(zs.pipe.Submit, httpingest.Options{
 		QueueDepth: 256, Clock: clk, RetryAfter: time.Second,
 	})
 	mux := newMux(serveConfig{Ingest: ing, Zones: zs})
@@ -173,9 +174,8 @@ func TestStorageChaosENOSPCBitIdentical(t *testing.T) {
 		t.Errorf("clean run shed %d 507s", got)
 	}
 	// Degraded mode engaged during the window and exited after it.
-	dur.mu.Lock()
-	degradedTotal, stillDegraded := dur.degradedTotal, dur.degraded
-	dur.mu.Unlock()
+	st := dur.storage.Load()
+	degradedTotal, stillDegraded := st.entered, st.degraded
 	if degradedTotal == 0 {
 		t.Error("zone never entered degraded mode")
 	}
@@ -294,12 +294,10 @@ func TestScrubRepairsLocalCold(t *testing.T) {
 		}
 	}
 	d := zoneDurable(zs.defaultZone())
-	d.j.mu.Lock()
-	journaled := d.j.log.Offset()
-	if err := d.j.log.Sync(); err != nil {
+	journaled := zs.defaultZone().Snapshot().Journaled
+	if err := zs.defaultZone().Do(context.Background(), func(*fusion.Engine) error { return d.log.Sync() }); err != nil {
 		t.Fatal(err)
 	}
-	d.j.mu.Unlock()
 	if journaled < 24 {
 		t.Fatalf("stream journaled only %d records — not enough sealed segments", journaled)
 	}
@@ -484,5 +482,60 @@ func TestReadyzNamesDegradedZones(t *testing.T) {
 	zoneDurable(zs.defaultZone()).noteAppend(nil)
 	if _, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/readyz", ""); code != http.StatusOK {
 		t.Fatalf("recovered /readyz = %d", code)
+	}
+}
+
+// TestScrubCheckpointQuarantineKeepsLastCheckpointAgreed corrupts the
+// newest of two checkpoints and lets the scrubber quarantine it: /statez
+// lastCheckpoint and radloc_durable_last_checkpoint_offset must both
+// fall back to the older one, never disagree.
+func TestScrubCheckpointQuarantineKeepsLastCheckpointAgreed(t *testing.T) {
+	walRoot := t.TempDir()
+	reg := obs.NewRegistry()
+	zs := zoneSetOf(t, zoneSetOptions{
+		WalRoot: walRoot, Fsync: wal.FsyncNever, Metrics: reg, Log: io.Discard, Build: testZoneBuild(t),
+	})
+	z, d := zs.defaultZone(), zoneDurable(zs.defaultZone())
+	sensors := len(scenario.A(50, false).Sensors)
+	var applied []uint64
+	for step := 0; step < 2; step++ {
+		batch := make([]fusion.Meas, sensors)
+		for i := range batch {
+			batch[i] = fusion.Meas{SensorID: i, CPM: 12, Step: step}
+		}
+		if _, err := zs.manager.Submit(context.Background(), zone.DefaultZone, batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := z.Do(context.Background(), func(*fusion.Engine) error { return d.checkpoint() }); err != nil {
+			t.Fatal(err)
+		}
+		applied = append(applied, z.Snapshot().Journaled)
+	}
+	if applied[0] == 0 || applied[1] <= applied[0] {
+		t.Fatalf("checkpoints at %v, want two distinct non-zero offsets", applied)
+	}
+	newest := filepath.Join(walRoot, fmt.Sprintf("checkpoint-%016x.json", applied[1]))
+	if err := os.WriteFile(newest, []byte("not a checkpoint\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scr, err := scrub.New(scrub.Options{Targets: zs.scrubTargets, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr.Tick(context.Background())
+
+	mux := newMux(serveConfig{Metrics: reg, Zones: zs})
+	rec, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/statez", "")
+	var st statezJSON
+	if code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+		t.Fatalf("GET /statez = %d: %s", code, rec.Body.String())
+	}
+	gauge, ok := nodetest.ScrapeGauge(t, mux, `radloc_durable_last_checkpoint_offset{zone="default"}`)
+	if !ok {
+		t.Fatal("radloc_durable_last_checkpoint_offset not exposed")
+	}
+	if st.Durability.LastCheckpoint != applied[0] || uint64(gauge) != applied[0] {
+		t.Fatalf("after quarantining checkpoint@%d: /statez lastCheckpoint %d, /metrics %v, want both %d",
+			applied[1], st.Durability.LastCheckpoint, gauge, applied[0])
 	}
 }

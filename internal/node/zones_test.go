@@ -96,7 +96,7 @@ func engineOf(t *testing.T, z *zone.Zone) *fusion.Engine {
 func zonedTestServer(t *testing.T, zs *zoneSet) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(newMux(serveConfig{
-		Ingest: newZonedIngest(zs.pipe, httpingest.Options{}),
+		Ingest: httpingest.New(zs.pipe.Submit, httpingest.Options{}),
 		Zones:  zs,
 	}))
 	t.Cleanup(srv.Close)

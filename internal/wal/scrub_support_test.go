@@ -72,11 +72,10 @@ func TestQuarantineSuffixEmptyAboveHead(t *testing.T) {
 }
 
 // TestQuarantineRacingPrune interleaves checkpoint-style prunes with
-// a divergence quarantine under the WAL's owner-lock discipline (the
-// log itself is single-writer; walJournal.mu serializes it in the
-// daemon). Run under -race this proves the lock protocol suffices and
-// the log's bookkeeping stays consistent whichever side wins each
-// segment.
+// a divergence quarantine, serialized by a mutex standing in for the
+// daemon's single owner (the zone's event loop runs both). Run under
+// -race this proves serialized callers suffice and the log's
+// bookkeeping stays consistent whichever side wins each segment.
 func TestQuarantineRacingPrune(t *testing.T) {
 	dir := t.TempDir()
 	div := filepath.Join(dir, "diverged")

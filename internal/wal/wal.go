@@ -133,9 +133,11 @@ type RecoveryStats struct {
 }
 
 // Log is an append-only record log over one directory. Methods are not
-// safe for concurrent use; appends come from the one goroutine that
-// owns the fusion engine (which is what makes WAL order = application
-// order), and callers serialize everything else against them.
+// safe for concurrent use: a Log has one owner goroutine, which makes
+// every call. In the daemon that is the zone's event loop, which also
+// owns the fusion engine, so WAL order is application order and
+// replication reads, scrubs, probes and prunes run between appends,
+// never beside them.
 type Log struct {
 	dir      string
 	fs       vfs.FS

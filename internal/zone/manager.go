@@ -243,11 +243,17 @@ func (m *Manager) Drop(name string) error {
 	delete(m.zones, name)
 	m.pending[name] = make(chan struct{})
 	m.mu.Unlock()
+	return m.release(z)
+}
 
+// release closes a zone already moved from the live table to pending,
+// then clears the pending marker, waking any Get waiting to recreate
+// the name. It returns the zone's close error.
+func (m *Manager) release(z *Zone) error {
 	err := z.close()
 	m.mu.Lock()
-	ch := m.pending[name]
-	delete(m.pending, name)
+	ch := m.pending[z.name]
+	delete(m.pending, z.name)
 	m.mu.Unlock()
 	close(ch)
 	m.evicted.Inc()
@@ -282,13 +288,7 @@ func (m *Manager) SweepIdle(now time.Time) []string {
 
 	names := make([]string, 0, len(victims))
 	for _, z := range victims {
-		_ = z.close()
-		m.mu.Lock()
-		ch := m.pending[z.name]
-		delete(m.pending, z.name)
-		m.mu.Unlock()
-		close(ch)
-		m.evicted.Inc()
+		_ = m.release(z)
 		names = append(names, z.name)
 	}
 	sort.Strings(names)
