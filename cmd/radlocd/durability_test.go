@@ -18,6 +18,7 @@ import (
 	"radloc/internal/fusion"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
+	"radloc/internal/vfs"
 	"radloc/internal/wal"
 )
 
@@ -64,7 +65,6 @@ func filterState(s snapshotJSON) snapshotJSON {
 	s.Delivery = nil
 	s.Journaled = 0
 	s.Malformed = 0
-	s.Shed = 0
 	return s
 }
 
@@ -273,7 +273,7 @@ func TestConcurrentIngestShutdownDurability(t *testing.T) {
 	if stats.TruncatedRecords != 0 {
 		t.Errorf("graceful shutdown left a torn tail: %+v", stats)
 	}
-	ck, ok, err := wal.LoadCheckpoint(dir)
+	ck, ok, err := wal.LoadCheckpointFS(vfs.OS{}, dir)
 	if err != nil || !ok {
 		t.Fatalf("no final checkpoint: ok=%v err=%v", ok, err)
 	}

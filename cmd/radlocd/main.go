@@ -7,8 +7,9 @@
 //	radlocd -config deployment.json < measurements.ndjson
 //
 // reads newline-delimited JSON measurements {"sensorId":3,"cpm":17}
-// from stdin and writes a JSON snapshot line after every -report-every
-// measurements.
+// from stdin, applies every one in input order (a producer faster than
+// the engine waits on the pipe; nothing is shed), and writes a JSON
+// snapshot line after every -report-every measurements.
 //
 // HTTP mode:
 //
@@ -90,7 +91,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		fsyncMode   = fs.String("fsync", "batch", "WAL fsync policy: always (sync per record), batch (sync at checkpoints/shutdown) or never")
 		ckptEvery   = fs.Int("checkpoint-every", 1000, "checkpoint the engine state every N journaled records (0 = only at shutdown)")
 		walSegment  = fs.Int("wal-segment", 0, "rotate WAL segments after this many records (0 = the WAL's default); smaller segments scrub and prune in finer grain")
-		queueCap    = fs.Int("queue", 4096, "pipe mode: bounded ingest queue capacity; overflow sheds the oldest reading per sensor")
 		httpQueue   = fs.Int("http-queue", 64, "HTTP mode: admission queue depth; requests beyond it are shed with 429 + Retry-After")
 		maxBody     = fs.Int64("max-body", 1<<20, "HTTP mode: request body byte bound (413 over it)")
 		retryAfter  = fs.Duration("retry-after", time.Second, "HTTP mode: Retry-After hint on 429 responses")
@@ -157,7 +157,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 
 		Listen:      *listen,
 		ReportEvery: *reportEvery,
-		PipeQueue:   *queueCap,
 
 		WALDir:          *walDir,
 		Fsync:           pol,

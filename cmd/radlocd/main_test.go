@@ -63,6 +63,11 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run(context.Background(), []string{"-config", bad}, strings.NewReader(""), &out); err == nil {
 		t.Error("invalid config accepted")
 	}
+	// Pipe mode applies every reading; it has no queue bound to set.
+	good, _ := writeDeployment(t)
+	if err := run(context.Background(), []string{"-config", good, "-queue", "8"}, strings.NewReader(""), &out); err == nil {
+		t.Error("-queue accepted")
+	}
 }
 
 func TestPipeModeEndToEnd(t *testing.T) {
@@ -107,31 +112,42 @@ func TestPipeModeEndToEnd(t *testing.T) {
 
 // TestPipeModeSurvivesMessyStream: malformed lines, unknown sensors
 // and out-of-range CPM are counted and skipped — field data is messy
-// and one corrupt record must not kill the stream.
+// and one corrupt record must not kill the stream. Every snapshot line
+// counts exactly the malformed lines that precede it in the input.
 func TestPipeModeSurvivesMessyStream(t *testing.T) {
 	path, sc := writeDeployment(t)
+	rounds := strings.SplitAfter(measurementsNDJSON(t, sc, 2), "\n")
+	n := len(sc.Sensors)
 	input := "not json\n" +
 		`{"sensorId":9999,"cpm":5}` + "\n" + // unknown sensor
 		`{"sensorId":0,"cpm":-3}` + "\n" + // negative CPM
 		`{"sensorId":0,"cpm":999999999}` + "\n" + // above the physical ceiling
-		measurementsNDJSON(t, sc, 1)
+		strings.Join(rounds[:n], "") +
+		"not json either\n" + // after the first snapshot line
+		strings.Join(rounds[n:], "")
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-config", path}, strings.NewReader(input), &out); err != nil {
 		t.Fatalf("messy stream killed the daemon: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	var last snapshotJSON
+	var first, last snapshotJSON
+	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
+		t.Fatal(err)
+	}
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
 		t.Fatal(err)
 	}
-	if last.Malformed != 1 {
-		t.Errorf("malformed = %d, want 1", last.Malformed)
+	if first.Malformed != 1 {
+		t.Errorf("first snapshot malformed = %d, want 1", first.Malformed)
+	}
+	if last.Malformed != 2 {
+		t.Errorf("malformed = %d, want 2", last.Malformed)
 	}
 	if last.Rejected != 3 {
 		t.Errorf("rejected = %d, want 3 (unknown sensor + negative + absurd CPM)", last.Rejected)
 	}
-	if last.Ingested != uint64(len(sc.Sensors)) {
-		t.Errorf("ingested = %d, want %d", last.Ingested, len(sc.Sensors))
+	if last.Ingested != uint64(2*n) {
+		t.Errorf("ingested = %d, want %d", last.Ingested, 2*n)
 	}
 }
 

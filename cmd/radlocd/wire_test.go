@@ -21,7 +21,6 @@ type snapshotJSON struct {
 	Refreshes   uint64                `json:"refreshes"`
 	Quarantined int                   `json:"quarantined"`
 	Malformed   uint64                `json:"malformed,omitempty"`
-	Shed        uint64                `json:"shed,omitempty"`
 	ZoneRefused uint64                `json:"zoneRefused,omitempty"`
 	Journaled   uint64                `json:"journaled,omitempty"`
 	Delivery    *fusion.DeliveryStats `json:"delivery,omitempty"`

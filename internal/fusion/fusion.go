@@ -255,8 +255,12 @@ func (e *Engine) Refresh() {
 
 // Snapshot is the engine's externally visible state.
 type Snapshot struct {
-	Ingested  uint64          // readings folded into the filter
-	Rejected  uint64          // readings refused (unknown sensor, quarantine, journal veto)
+	Ingested uint64 // readings folded into the filter
+	// Rejected counts readings refused as invalid: unknown sensor or
+	// CPM out of range. A quarantined sensor's readings count in its
+	// health record's Dropped instead, and a journal veto aborts the
+	// batch without counting it here.
+	Rejected  uint64
 	Refreshes uint64          // estimate recomputations so far (readiness signal)
 	Estimates []core.Estimate // current source estimates
 	Tracks    []track.Track   // confirmed tracks; nil without tracking

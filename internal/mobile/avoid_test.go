@@ -130,15 +130,17 @@ func TestAvoidingPlannerEndToEndLocalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixed := sensor.Grid(bounds100(), 3, 3, sensor.DefaultEfficiency, 5)
+	// A fresh stream per run: every run (-count, -cpu) sees one draw.
+	stream := rng.NewNamed(12, "mobile/avoid-e2e")
 	p := avoider()
 	surveyor := geometry.V(10, 10)
 	moved := 0
 	for step := 0; step < 60; step++ {
 		for _, sen := range fixed {
-			loc.Ingest(sen, poissonAt(t, sen, truth, obstacles, step))
+			loc.Ingest(sen, sen.Measure(stream, truth, obstacles, step).CPM)
 		}
 		sen := sensorAt(100, surveyor)
-		loc.Ingest(sen, poissonAt(t, sen, truth, obstacles, step))
+		loc.Ingest(sen, sen.Measure(stream, truth, obstacles, step).CPM)
 		next := p.Next(surveyor, loc.Particles())
 		if !next.Eq(surveyor) {
 			moved++
@@ -163,14 +165,3 @@ func TestAvoidingPlannerEndToEndLocalization(t *testing.T) {
 func sensorAt(id int, pos geometry.Vec) sensor.Sensor {
 	return sensor.Sensor{ID: id, Pos: pos, Efficiency: sensor.DefaultEfficiency, Background: 5}
 }
-
-// poissonAt draws one reading for the sensor under the given truth.
-func poissonAt(t *testing.T, sen sensor.Sensor, truth []radiation.Source, obstacles []radiation.Obstacle, step int) int {
-	t.Helper()
-	if surveyStream == nil {
-		surveyStream = rng.NewNamed(12, "mobile/avoid-e2e")
-	}
-	return sen.Measure(surveyStream, truth, obstacles, step).CPM
-}
-
-var surveyStream *rng.Stream

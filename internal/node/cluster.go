@@ -194,7 +194,7 @@ func (b *zoneBackend) quarantineDiverged(e *fusion.Engine, floor uint64) (uint64
 	}
 	// The engine's journal counter follows the truncated log head.
 	e.SetJournalOffset(d.log.Offset())
-	movedCkpts, err := wal.MoveCheckpoints(d.dir, floor, divDir)
+	movedCkpts, err := wal.MoveCheckpointsFS(d.fs, d.dir, floor, divDir)
 	if err != nil {
 		return moved, err
 	}

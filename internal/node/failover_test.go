@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,6 +26,7 @@ import (
 	"radloc/internal/failover"
 	"radloc/internal/node/nodetest"
 	"radloc/internal/scenario"
+	"radloc/internal/vfs"
 )
 
 // newTestPromoter wires a promoter to one test node's cluster layer
@@ -427,5 +429,56 @@ func TestClusterResurrectionDivergenceRepair(t *testing.T) {
 	}
 	if !bytes.Equal(wantHealth, gotHealth) {
 		t.Errorf("rejoined standby health diverged:\nprimary:  %s\nrejoined: %s", wantHealth, gotHealth)
+	}
+}
+
+// renameRecorder is a vfs.FS that records every rename's destination.
+type renameRecorder struct {
+	vfs.FS
+	mu  sync.Mutex
+	dst map[string]bool
+}
+
+func (r *renameRecorder) Rename(oldPath, newPath string) error {
+	r.mu.Lock()
+	r.dst[newPath] = true
+	r.mu.Unlock()
+	return r.FS.Rename(oldPath, newPath)
+}
+
+func (r *renameRecorder) renamedTo(path string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dst[path]
+}
+
+// TestQuarantineDivergedMovesCheckpointsThroughNodeFS pins that
+// divergence repair moves checkpoints through the node's filesystem
+// seam, like the WAL half of the same repair: every checkpoint that
+// lands in diverged/ was renamed there through Config.FS, so fault
+// injection and storage metering see the whole repair.
+func TestQuarantineDivergedMovesCheckpointsThroughNodeFS(t *testing.T) {
+	fab := nodetest.NewFabric()
+	dir := t.TempDir()
+	rec := &renameRecorder{FS: vfs.OS{}, dst: map[string]bool{}}
+	a := newClusterTestNodeAt(t, fab, "a", nil, dir, func(c *Config) { c.FS = rec })
+	sensors := len(scenario.A(50, false).Sensors)
+	nodetest.SendRounds(t, nodetest.NewClient(t, fab, "http://a", "agent", ""), chaosReadings(sensors)[:4*sensors], sensors)
+	// Below the cadence checkpoint taken after the second round (see
+	// TestQuarantineDivergedWritesNoCheckpoint), so one must move.
+	if _, err := a.backend(t, "default").QuarantineDiverged(60); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := filepath.Glob(filepath.Join(dir, divergedDirName, "checkpoint-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(moved) == 0 {
+		t.Fatal("no checkpoint was quarantined into diverged/")
+	}
+	for _, p := range moved {
+		if !rec.renamedTo(p) {
+			t.Errorf("checkpoint %s reached diverged/ without going through the node's filesystem", filepath.Base(p))
+		}
 	}
 }

@@ -46,6 +46,5 @@ func filterState(s snapshotJSON) snapshotJSON {
 	s.Delivery = nil
 	s.Journaled = 0
 	s.Malformed = 0
-	s.Shed = 0
 	return s
 }

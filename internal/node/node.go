@@ -75,9 +75,6 @@ type Config struct {
 	// ReportEvery is the pipe-mode snapshot cadence in measurements
 	// (0 = one sensor round).
 	ReportEvery int
-	// PipeQueue bounds the pipe-mode ingest queue (0 = 4096); overflow
-	// sheds the oldest reading per sensor.
-	PipeQueue int
 
 	// WALDir is the durability root for write-ahead logs and
 	// checkpoints; empty disables durability.
@@ -446,19 +443,16 @@ func (n *Node) Shutdown() error {
 	return n.closeErr
 }
 
-// ServePipe consumes NDJSON measurements from r through the write
-// pipeline, emitting snapshot lines to w on the configured cadence —
-// radlocd's pipe mode, callable in-process.
+// ServePipe applies every NDJSON measurement from r, in input order,
+// through the write pipeline, emitting snapshot lines to w on the
+// configured cadence — radlocd's pipe mode, callable in-process. A
+// producer faster than the engines waits on r; nothing is shed.
 func (n *Node) ServePipe(ctx context.Context, r io.Reader, w io.Writer) error {
 	every := n.cfg.ReportEvery
 	if every <= 0 {
 		every = len(n.cfg.Scenario.Sensors)
 	}
-	queue := n.cfg.PipeQueue
-	if queue <= 0 {
-		queue = 4096
-	}
-	return servePipe(ctx, n.zs, r, w, every, queue)
+	return servePipe(ctx, n.zs, r, w, every)
 }
 
 // Run assembles a node from cfg and drives it the way the radlocd

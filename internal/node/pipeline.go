@@ -62,10 +62,11 @@ func (p *WritePipeline) Submit(ctx context.Context, zoneName string, ms []fusion
 }
 
 // Apply pushes replicated records through the pipeline's lower half
-// on the zone's event loop: offset-continuity sequencing, WAL journal,
-// engine apply via the replay entry, then the zone's checkpoint
-// cadence. WAL order stays application order, exactly as on
-// the live write path.
+// on the zone's event loop: offset-continuity sequencing, WAL journal
+// through the zone's fusion.Journal (so the degraded-mode detector
+// sees every append), engine apply via the replay entry, then the
+// zone's checkpoint cadence. WAL order stays application order,
+// exactly as on the live write path.
 func (p *WritePipeline) Apply(z *zone.Zone, recs []cluster.RecordAt) error {
 	d := zoneDurable(z)
 	return z.Do(context.TODO(), func(eng *fusion.Engine) error {
@@ -79,12 +80,16 @@ func (p *WritePipeline) Apply(z *zone.Zone, recs []cluster.RecordAt) error {
 			if cur := offset(); ra.Off != cur {
 				return fmt.Errorf("replication offset gap: got %d, local head %d", ra.Off, cur)
 			}
+			m := fusion.Meas{SensorID: ra.Rec.SensorID, CPM: ra.Rec.CPM, Step: ra.Rec.Step, Seq: ra.Rec.Seq}
 			if d != nil {
-				if _, err := d.log.Append(ra.Rec); err != nil {
+				// The zone's journal, not the raw log: a failed append
+				// puts a standby into degraded mode exactly as it does a
+				// primary.
+				if err := d.Append(m); err != nil {
 					return err
 				}
 			}
-			eng.Replay(fusion.Meas{SensorID: ra.Rec.SensorID, CPM: ra.Rec.CPM, Step: ra.Rec.Step, Seq: ra.Rec.Seq})
+			eng.Replay(m)
 		}
 		if d != nil {
 			d.maybeCheckpoint(p.zs.logw)

@@ -11,8 +11,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"radloc/internal/cluster"
@@ -37,7 +35,6 @@ type snapshotJSON struct {
 	Refreshes   uint64                `json:"refreshes"`
 	Quarantined int                   `json:"quarantined"`
 	Malformed   uint64                `json:"malformed,omitempty"`   // pipe mode: unparseable lines skipped
-	Shed        uint64                `json:"shed,omitempty"`        // pipe mode: readings shed by the bounded queue
 	ZoneRefused uint64                `json:"zoneRefused,omitempty"` // pipe mode: readings refused at the zone boundary (bad name, zone limit)
 	Journaled   uint64                `json:"journaled,omitempty"`   // WAL offset (durability on)
 	Delivery    *fusion.DeliveryStats `json:"delivery,omitempty"`    // dedup/reorder gate counters
@@ -115,162 +112,84 @@ func snapshotToJSON(s fusion.Snapshot) snapshotJSON {
 	return out
 }
 
-// queuedMeas is one pipe-mode queue entry: the reading plus the zone
-// it routes to.
+// queuedMeas is one parsed pipe-mode line: the reading plus the zone
+// it routes to, or a line that did not parse.
 type queuedMeas struct {
-	zone string
-	m    fusion.Meas
+	zone      string
+	m         fusion.Meas
+	malformed bool
 }
 
-// shedQueue is the pipe mode's bounded ingest queue. When full, a
-// push sheds the oldest queued reading from the same (zone, sensor)
-// pair (losing one stale reading from a chatty sensor beats losing
-// fresh data from a quiet one), falling back to the globally oldest,
-// and counts the drop.
-type shedQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	buf     []queuedMeas
-	cap     int
-	closed  bool // no more pushes (EOF); drain what remains
-	aborted bool // shutdown; pop stops immediately
-	dropped uint64
-}
-
-func newShedQueue(capacity int) *shedQueue {
-	if capacity < 1 {
-		capacity = 1
-	}
-	q := &shedQueue{cap: capacity}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *shedQueue) push(qm queuedMeas) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed || q.aborted {
-		return
-	}
-	if len(q.buf) >= q.cap {
-		victim := 0
-		for i := range q.buf {
-			if q.buf[i].m.SensorID == qm.m.SensorID && q.buf[i].zone == qm.zone {
-				victim = i
-				break
-			}
-		}
-		q.buf = append(q.buf[:victim], q.buf[victim+1:]...)
-		q.dropped++
-	}
-	q.buf = append(q.buf, qm)
-	q.cond.Signal()
-}
-
-// pop blocks for the next reading; false means drained-and-closed or
-// aborted.
-func (q *shedQueue) pop() (queuedMeas, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.buf) == 0 && !q.closed && !q.aborted {
-		q.cond.Wait()
-	}
-	if q.aborted || len(q.buf) == 0 {
-		return queuedMeas{}, false
-	}
-	qm := q.buf[0]
-	q.buf = q.buf[1:]
-	return qm, true
-}
-
-func (q *shedQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-func (q *shedQueue) abort() {
-	q.mu.Lock()
-	q.aborted = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-func (q *shedQueue) wasAborted() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.aborted
-}
-
-func (q *shedQueue) drops() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.dropped
-}
-
-// servePipe consumes NDJSON measurements from r through a bounded
-// shed queue, emitting a snapshot line (of the default zone — the
-// legacy wire format) every reportEvery measurements and a final one
-// at EOF or when ctx is cancelled (SIGINT/SIGTERM). A record's "zone"
-// field routes it to that zone; unstamped records land in the default
-// zone. Each reading goes through its zone's event loop as a
-// synchronous batch of one, so application order is queue order and
-// every zone's checkpoint cadence fires per reading, exactly as the
-// pre-sharding loop did. Malformed lines are counted and skipped —
-// field data is messy and one corrupt record must not kill the
-// stream — as are unknown sensors, duplicates, out-of-range readings
-// and readings for unroutable zones.
-func servePipe(ctx context.Context, zs *zoneSet, r io.Reader, w io.Writer, reportEvery, queueCap int) error {
+// servePipe consumes NDJSON measurements from r and applies every one
+// through the write pipeline, emitting a snapshot line (of the default
+// zone — the legacy wire format) every reportEvery measurements and a
+// final one at EOF or when ctx is cancelled (SIGINT/SIGTERM). A reader
+// goroutine parses lines and hands each one over an unbuffered
+// channel, so a producer that outpaces the engine waits on the pipe
+// instead of losing data, every output line is a function of the input
+// alone, and a cancelled ctx stops the stream even while the reader is
+// blocked on input. A record's "zone" field routes it to that zone;
+// unstamped records land in the default zone. Each reading goes
+// through its zone's event loop as a synchronous batch of one, so
+// application order is input order and every zone's checkpoint cadence
+// fires per reading. Malformed lines are counted and skipped — field
+// data is messy and one corrupt record must not kill the stream — as
+// are unknown sensors, duplicates, out-of-range readings and readings
+// for unroutable zones.
+func servePipe(ctx context.Context, zs *zoneSet, r io.Reader, w io.Writer, reportEvery int) error {
 	def := zs.defaultZone()
-	q := newShedQueue(queueCap)
-	var malformed atomic.Uint64
+	readings := make(chan queuedMeas)
 	scanErr := make(chan error, 1)
 	go func() {
-		defer q.close()
+		defer close(readings)
 		scanner := bufio.NewScanner(r)
 		scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
 		for scanner.Scan() {
-			if ctx.Err() != nil {
-				scanErr <- nil
-				return
-			}
 			line := scanner.Bytes()
 			if len(line) == 0 {
 				continue
 			}
+			var qm queuedMeas
 			var m measurementJSON
 			if err := json.Unmarshal(line, &m); err != nil {
-				malformed.Add(1)
-				continue
+				qm.malformed = true
+			} else {
+				qm.zone, qm.m = m.Zone, m.Meas()
+				if qm.zone == "" {
+					qm.zone = zone.DefaultZone
+				}
 			}
-			zoneName := m.Zone
-			if zoneName == "" {
-				zoneName = zone.DefaultZone
+			select {
+			case readings <- qm:
+			case <-ctx.Done():
+				return
 			}
-			q.push(queuedMeas{zone: zoneName, m: m.Meas()})
 		}
 		scanErr <- scanner.Err()
-	}()
-	go func() {
-		<-ctx.Done()
-		q.abort()
 	}()
 
 	enc := json.NewEncoder(w)
 	count := 0
-	var zoneRefused uint64
+	var malformed, zoneRefused uint64
 	flush := func() error {
 		s := snapshotToJSON(def.Snapshot())
-		s.Malformed = malformed.Load()
-		s.Shed = q.drops()
+		s.Malformed = malformed
 		s.ZoneRefused = zoneRefused
 		return enc.Encode(s)
 	}
 	for {
-		qm, ok := q.pop()
-		if !ok {
+		var qm queuedMeas
+		ok := false
+		select {
+		case qm, ok = <-readings:
+		case <-ctx.Done():
+		}
+		if !ok || ctx.Err() != nil {
 			break
+		}
+		if qm.malformed {
+			malformed++
+			continue
 		}
 		if _, err := zs.pipe.Submit(ctx, qm.zone, []fusion.Meas{qm.m}); err != nil && ctx.Err() == nil {
 			// Bad zone name, zone limit or a write fence: the reading has
@@ -285,7 +204,7 @@ func servePipe(ctx context.Context, zs *zoneSet, r io.Reader, w io.Writer, repor
 			}
 		}
 	}
-	if !q.wasAborted() {
+	if ctx.Err() == nil {
 		if err := <-scanErr; err != nil {
 			return err
 		}

@@ -315,7 +315,7 @@ func TestScrubRepairsLocalCold(t *testing.T) {
 		t.Fatalf("quarantined segments = %v (err %v), want exactly 1", parked, err)
 	}
 	// Repair: a local checkpoint now anchors recovery past the hole.
-	ck, ok, err := wal.LoadCheckpoint(walRoot)
+	ck, ok, err := wal.LoadCheckpointFS(vfs.OS{}, walRoot)
 	if err != nil || !ok {
 		t.Fatalf("no repair checkpoint: ok=%v err=%v", ok, err)
 	}
@@ -399,7 +399,7 @@ func TestScrubRepairsFromReplica(t *testing.T) {
 	if v, ok := nodetest.ScrapeGauge(t, a.mux, `radloc_scrub_repairs_total{source="replica"}`); !ok || v != 1 {
 		t.Fatalf("radloc_scrub_repairs_total{source=replica} = %v (ok=%v), want 1 — repair did not come from the standby", v, ok)
 	}
-	ck, ok, err := wal.LoadCheckpoint(walRoot)
+	ck, ok, err := wal.LoadCheckpointFS(vfs.OS{}, walRoot)
 	if err != nil || !ok {
 		t.Fatalf("no repair checkpoint: ok=%v err=%v", ok, err)
 	}
@@ -537,5 +537,108 @@ func TestScrubCheckpointQuarantineKeepsLastCheckpointAgreed(t *testing.T) {
 	if st.Durability.LastCheckpoint != applied[0] || uint64(gauge) != applied[0] {
 		t.Fatalf("after quarantining checkpoint@%d: /statez lastCheckpoint %d, /metrics %v, want both %d",
 			applied[1], st.Durability.LastCheckpoint, gauge, applied[0])
+	}
+}
+
+// zoneDegraded reads a zone's degraded flag the way an operator does:
+// from /zones/{zone}/statez.
+func zoneDegraded(t *testing.T, mux http.Handler, zoneName string) bool {
+	t.Helper()
+	rec, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/zones/"+zoneName+"/statez", "")
+	var st statezJSON
+	if code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+		t.Fatalf("GET /zones/%s/statez = %d: %s", zoneName, code, rec.Body.String())
+	}
+	return st.Durability.Degraded
+}
+
+// TestStorageChaosStandbyEntersDegradedMode: a standby whose disk
+// fills while it replicates enters degraded mode exactly as a primary
+// does — replicated records are journaled through the same edge
+// detector as client writes — and leaves it on the first pull applied
+// after the disk heals.
+func TestStorageChaosStandbyEntersDegradedMode(t *testing.T) {
+	fab := nodetest.NewFabric()
+	routes := cluster.Routes{Zones: map[string]cluster.Route{
+		"default": {Primary: "http://a", Standby: "http://b"},
+	}}
+	faulty := vfs.NewFaulty(nil, vfs.FaultConfig{Seed: 5})
+	a := newClusterTestNode(t, fab, "a", &routes)
+	b := newClusterTestNode(t, fab, "b", &routes, func(c *Config) { c.FS = faulty })
+	sc := scenario.A(50, false)
+	aBack, bBack := a.backend(t, "default"), b.backend(t, "default")
+	caughtUp := func() bool { return bBack.Offset() == aBack.Offset() }
+
+	postRounds(t, a.mux, "http://a", sc, 0, 2)
+	nodetest.WaitUntil(t, "standby catch-up", caughtUp)
+	if zoneDegraded(t, b.mux, "default") {
+		t.Fatal("healthy standby reports degraded storage")
+	}
+
+	faulty.FailWrites(syscall.ENOSPC, false)
+	postRounds(t, a.mux, "http://a", sc, 2, 3)
+	nodetest.WaitUntil(t, "standby to report degraded storage", func() bool {
+		return zoneDegraded(t, b.mux, "default")
+	})
+	if g, ok := nodetest.ScrapeGauge(t, b.mux, `radloc_storage_degraded{zone="default"}`); !ok || g != 1 {
+		t.Fatalf("standby radloc_storage_degraded = %v (exposed %v), want 1", g, ok)
+	}
+	if len(b.zs.scrubTargets()) != 0 {
+		t.Fatal("degraded standby is still a scrub target")
+	}
+	if caughtUp() {
+		t.Fatal("standby applied records its disk refused")
+	}
+
+	faulty.Heal()
+	nodetest.WaitUntil(t, "standby to recover and catch up", func() bool {
+		return caughtUp() && !zoneDegraded(t, b.mux, "default")
+	})
+	if g, _ := nodetest.ScrapeGauge(t, b.mux, `radloc_storage_degraded{zone="default"}`); g != 0 {
+		t.Fatalf("recovered standby radloc_storage_degraded = %v, want 0", g)
+	}
+}
+
+// TestStorageChaosProbeRecoversWithoutWrites: a zone that went
+// degraded leaves degraded mode on its own once the disk heals, with
+// no organic write to discover the recovery — the background storage
+// probe re-tests the WAL and clears /statez, the degraded gauge and
+// /readyz.
+func TestStorageChaosProbeRecoversWithoutWrites(t *testing.T) {
+	faulty := vfs.NewFaulty(nil, vfs.FaultConfig{Seed: 7})
+	n := newClusterTestNode(t, nodetest.NewFabric(), "a", nil, func(c *Config) {
+		c.FS = faulty
+		c.StorageProbe = 5 * time.Millisecond
+	})
+	postRounds(t, n.mux, "http://a", scenario.A(50, false), 0, 2)
+	if rec, code := nodetest.HTTPStatus(n.mux, http.MethodGet, "http://a/readyz", ""); code != http.StatusOK {
+		t.Fatalf("healthy /readyz = %d: %s", code, rec.Body.String())
+	}
+
+	faulty.FailWrites(syscall.ENOSPC, false)
+	if rec, code := nodetest.HTTPStatus(n.mux, http.MethodPost, "http://a/measurements", `{"sensorId":0,"cpm":12}`); code != http.StatusInsufficientStorage {
+		t.Fatalf("write on a full disk = %d, want 507: %s", code, rec.Body.String())
+	}
+	if !zoneDegraded(t, n.mux, "default") {
+		t.Fatal("zone not degraded after a refused append")
+	}
+	faulty.Heal()
+	if !zoneDegraded(t, n.mux, "default") {
+		t.Fatal("zone left degraded mode with neither a write nor a probe")
+	}
+	head := n.zs.defaultZone().Snapshot().Journaled
+
+	n.n.Start(context.Background())
+	nodetest.WaitUntil(t, "probe to clear degraded mode", func() bool {
+		return !zoneDegraded(t, n.mux, "default")
+	})
+	if g, ok := nodetest.ScrapeGauge(t, n.mux, `radloc_storage_degraded{zone="default"}`); !ok || g != 0 {
+		t.Fatalf("radloc_storage_degraded = %v (exposed %v), want 0", g, ok)
+	}
+	if rec, code := nodetest.HTTPStatus(n.mux, http.MethodGet, "http://a/readyz", ""); code != http.StatusOK {
+		t.Fatalf("recovered /readyz = %d: %s", code, rec.Body.String())
+	}
+	if got := n.zs.defaultZone().Snapshot().Journaled; got != head {
+		t.Fatalf("WAL head moved from %d to %d: recovery came from a write, not the probe", head, got)
 	}
 }

@@ -271,7 +271,7 @@ func TestPipeZoneRouting(t *testing.T) {
 	}, "\n") + "\n"
 
 	var out strings.Builder
-	if err := servePipe(context.Background(), zs, strings.NewReader(input), &out, 2, 16); err != nil {
+	if err := servePipe(context.Background(), zs, strings.NewReader(input), &out, 2); err != nil {
 		t.Fatal(err)
 	}
 	snap := lastSnapshotLine(t, out.String())
@@ -298,45 +298,52 @@ func TestPipeZoneRouting(t *testing.T) {
 // through servePipe leaves the default zone in byte-identical state —
 // RNG position included — to the pre-sharding loop (IngestSeq per
 // line, FlushPending + Refresh at EOF) over the same engine config.
+// The 150-round stream (5,400 readings) outruns the engine, so a pipe
+// path that dropped or reordered readings under load fails it.
 func TestPipeDefaultZoneBitIdentical(t *testing.T) {
-	build := testZoneBuild(t)
 	sc := scenario.A(50, false)
-	lines := seqMeasurementsNDJSON(t, sc, 4)
-	input := strings.Join(lines, "\n") + "\n"
+	for _, steps := range []int{4, 150} {
+		t.Run(fmt.Sprintf("steps=%d", steps), func(t *testing.T) {
+			build := testZoneBuild(t)
+			lines := seqMeasurementsNDJSON(t, sc, steps)
+			input := strings.Join(lines, "\n") + "\n"
 
-	ref, err := build(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range lines {
-		var m measurementJSON
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatal(err)
-		}
-		_, _ = ref.IngestSeq(m.Meas())
-	}
-	_, _ = ref.FlushPending()
-	ref.Refresh()
-	wantState, err := ref.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(wantState)
-	if err != nil {
-		t.Fatal(err)
-	}
+			ref, err := build(nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range lines {
+				var m measurementJSON
+				if err := json.Unmarshal([]byte(line), &m); err != nil {
+					t.Fatal(err)
+				}
+				_, _ = ref.IngestSeq(m.Meas())
+			}
+			_, _ = ref.FlushPending()
+			ref.Refresh()
+			wantState, err := ref.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(wantState)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	zs := testZoneSet(t, "", 0, 0)
-	var out strings.Builder
-	if err := servePipe(context.Background(), zs, strings.NewReader(input), &out, len(sc.Sensors), 4096); err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(zoneState(t, zs.defaultZone()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatal("default zone state after servePipe differs from the pre-sharding ingest loop")
+			zs := testZoneSet(t, "", 0, 0)
+			var out strings.Builder
+			if err := servePipe(context.Background(), zs, strings.NewReader(input), &out, len(sc.Sensors)); err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(zoneState(t, zs.defaultZone()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("default zone state after servePipe differs from the pre-sharding ingest loop (ingested %d of %d readings)",
+					zs.defaultZone().Snapshot().Ingested, len(lines))
+			}
+		})
 	}
 }
 

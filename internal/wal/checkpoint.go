@@ -35,12 +35,6 @@ type ckptEnvelope struct {
 	State   json.RawMessage `json:"state"`
 }
 
-// WriteCheckpoint atomically persists a checkpoint into dir on the
-// real filesystem. See WriteCheckpointFS.
-func WriteCheckpoint(dir string, ck Checkpoint) error {
-	return WriteCheckpointFS(vfs.OS{}, dir, ck)
-}
-
 // WriteCheckpointFS atomically persists a checkpoint into dir
 // (write-to-temp, fsync, rename, fsync dir) through fsys. The caller
 // MUST have Sync'd the WAL through Applied first — a checkpoint that
@@ -79,12 +73,6 @@ func WriteCheckpointFS(fsys vfs.FS, dir string, ck Checkpoint) error {
 		return err
 	}
 	return syncDirFS(fsys, dir)
-}
-
-// LoadCheckpoint returns the newest valid checkpoint in dir on the
-// real filesystem. See LoadCheckpointFS.
-func LoadCheckpoint(dir string) (ck Checkpoint, ok bool, err error) {
-	return LoadCheckpointFS(vfs.OS{}, dir)
 }
 
 // LoadCheckpointFS returns the newest valid checkpoint in dir through
@@ -185,12 +173,6 @@ func QuarantineCheckpoint(fsys vfs.FS, dir string, applied uint64) error {
 		return err
 	}
 	return fsys.Rename(path, dst)
-}
-
-// PruneCheckpoints removes all but the newest keep valid-looking
-// checkpoints in dir on the real filesystem. See PruneCheckpointsFS.
-func PruneCheckpoints(dir string, keep int) error {
-	return PruneCheckpointsFS(vfs.OS{}, dir, keep)
 }
 
 // PruneCheckpointsFS removes all but the newest keep valid-looking

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"radloc/internal/vfs"
 )
 
 // FuzzWALReplay throws arbitrary bytes at the recovery path as a WAL
@@ -89,8 +91,8 @@ func FuzzWALReplay(f *testing.F) {
 		// Checkpoint loader on the same arbitrary bytes.
 		ckDir := t.TempDir()
 		os.WriteFile(filepath.Join(ckDir, "checkpoint-0000000000000007.json"), data, 0o644)
-		if _, _, err := LoadCheckpoint(ckDir); err != nil {
-			t.Fatalf("LoadCheckpoint must skip garbage, not fail: %v", err)
+		if _, _, err := LoadCheckpointFS(vfs.OS{}, ckDir); err != nil {
+			t.Fatalf("LoadCheckpointFS must skip garbage, not fail: %v", err)
 		}
 	})
 }

@@ -273,13 +273,6 @@ func (l *Log) QuarantineSegment(start uint64, dstDir string) (uint64, error) {
 	return 0, fmt.Errorf("wal: no segment starting at offset %d", start)
 }
 
-// MoveCheckpoints moves every checkpoint in dir on the real
-// filesystem whose applied offset is above floor into dstDir. See
-// MoveCheckpointsFS.
-func MoveCheckpoints(dir string, floor uint64, dstDir string) (int, error) {
-	return MoveCheckpointsFS(vfs.OS{}, dir, floor, dstDir)
-}
-
 // MoveCheckpointsFS moves every checkpoint in dir whose applied offset
 // is above floor into dstDir through fsys and returns how many files
 // moved. This is the checkpoint half of divergence repair: after

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"radloc/internal/vfs"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) (*Log, RecoveryStats) {
@@ -147,18 +149,18 @@ func TestBitFlipTruncatesFromCorruption(t *testing.T) {
 
 func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 	dir := t.TempDir()
-	if _, ok, err := LoadCheckpoint(dir); err != nil || ok {
+	if _, ok, err := LoadCheckpointFS(vfs.OS{}, dir); err != nil || ok {
 		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
 	}
 	state1, _ := json.Marshal(map[string]int{"gen": 1})
 	state2, _ := json.Marshal(map[string]int{"gen": 2})
-	if err := WriteCheckpoint(dir, Checkpoint{Applied: 100, State: state1}); err != nil {
+	if err := WriteCheckpointFS(vfs.OS{}, dir, Checkpoint{Applied: 100, State: state1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCheckpoint(dir, Checkpoint{Applied: 250, State: state2}); err != nil {
+	if err := WriteCheckpointFS(vfs.OS{}, dir, Checkpoint{Applied: 250, State: state2}); err != nil {
 		t.Fatal(err)
 	}
-	ck, ok, err := LoadCheckpoint(dir)
+	ck, ok, err := LoadCheckpointFS(vfs.OS{}, dir)
 	if err != nil || !ok || ck.Applied != 250 || !reflect.DeepEqual([]byte(ck.State), state2) {
 		t.Fatalf("load newest: ok=%v err=%v ck=%+v", ok, err, ck)
 	}
@@ -169,7 +171,7 @@ func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 	blob, _ := os.ReadFile(path)
 	blob[len(blob)/2] ^= 0xff
 	os.WriteFile(path, blob, 0o644)
-	ck, ok, err = LoadCheckpoint(dir)
+	ck, ok, err = LoadCheckpointFS(vfs.OS{}, dir)
 	if err != nil || !ok || ck.Applied != 100 {
 		t.Fatalf("fallback: ok=%v err=%v ck.Applied=%d", ok, err, ck.Applied)
 	}
@@ -179,17 +181,17 @@ func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 
 	// Prune keeps the newest surviving file.
 	for _, applied := range []uint64{300, 400} {
-		if err := WriteCheckpoint(dir, Checkpoint{Applied: applied, State: state1}); err != nil {
+		if err := WriteCheckpointFS(vfs.OS{}, dir, Checkpoint{Applied: applied, State: state1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := PruneCheckpoints(dir, 1); err != nil {
+	if err := PruneCheckpointsFS(vfs.OS{}, dir, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, serr := os.Stat(checkpointPath(dir, 100)); !os.IsNotExist(serr) {
 		t.Error("old checkpoint survived pruning")
 	}
-	if ck, ok, _ := LoadCheckpoint(dir); !ok || ck.Applied != 400 {
+	if ck, ok, _ := LoadCheckpointFS(vfs.OS{}, dir); !ok || ck.Applied != 400 {
 		t.Fatalf("after prune: ok=%v applied=%d", ok, ck.Applied)
 	}
 }
