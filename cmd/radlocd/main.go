@@ -83,8 +83,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		listen      = fs.String("listen", "", "HTTP listen address; empty = stdin/stdout pipe mode")
 		reportEvery = fs.Int("report-every", 0, "pipe mode: snapshot after this many measurements (default: one sensor round)")
 		seed        = fs.Uint64("seed", 1, "localizer random seed")
-		weightW     = fs.Int("weight-workers", 0, "goroutines weighting one measurement's particle subset inside each zone's filter (0 = GOMAXPROCS; output is bit-identical for every value)")
-		msWorkers   = fs.Int("ms-workers", 0, "goroutines climbing mean-shift starts per estimate refresh (0 = GOMAXPROCS)")
 		withTracks  = fs.Bool("tracks", true, "maintain confirmed tracks over estimates")
 		noHealth    = fs.Bool("no-health", false, "disable the per-sensor health monitor (trust every reading)")
 		walDir      = fs.String("wal-dir", "", "durability directory for the write-ahead log and checkpoints; empty = durability off")
@@ -101,7 +99,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		idleTO      = fs.Duration("idle-timeout", 2*time.Minute, "HTTP mode: keep-alive idle connection timeout")
 		pprofOn     = fs.Bool("pprof", false, "HTTP mode: serve net/http/pprof profiles under /debug/pprof/ (off by default)")
 		maxZones    = fs.Int("max-zones", 64, "cap on concurrently live fusion zones; creating one more is refused (HTTP 503)")
-		zoneMail    = fs.Int("zone-mailbox", 64, "per-zone mailbox depth in batches; a full mailbox sheds with 429 + Retry-After")
 		zoneIdle    = fs.Duration("zone-idle", 0, "evict a named zone idle this long, after a final checkpoint (0 = never; the default zone is never evicted)")
 		probeStor   = fs.Duration("storage-probe", time.Second, "how often a degraded zone re-tests its WAL for recovery (jittered ±20%; 0 = never, only organic writes recover)")
 		scrubEvery  = fs.Duration("scrub-interval", 15*time.Minute, "integrity scrubber pacing: one cold WAL segment or checkpoint sweep per zone per interval (0 = scrubbing off)")
@@ -148,12 +145,10 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	}
 
 	return node.Run(ctx, node.Config{
-		Scenario:      sc,
-		Seed:          *seed,
-		WeightWorkers: *weightW,
-		MSWorkers:     *msWorkers,
-		NoTracks:      !*withTracks,
-		NoHealth:      *noHealth,
+		Scenario: sc,
+		Seed:     *seed,
+		NoTracks: !*withTracks,
+		NoHealth: *noHealth,
 
 		Listen:      *listen,
 		ReportEvery: *reportEvery,
@@ -165,9 +160,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		StorageProbe:    *probeStor,
 		ScrubInterval:   *scrubEvery,
 
-		MaxZones:    *maxZones,
-		ZoneMailbox: *zoneMail,
-		ZoneIdle:    *zoneIdle,
+		MaxZones: *maxZones,
+		ZoneIdle: *zoneIdle,
 
 		HTTPQueue:    *httpQueue,
 		MaxBody:      *maxBody,

@@ -63,10 +63,16 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run(context.Background(), []string{"-config", bad}, strings.NewReader(""), &out); err == nil {
 		t.Error("invalid config accepted")
 	}
-	// Pipe mode applies every reading; it has no queue bound to set.
+	// Deleted knobs fail at flag parsing: pipe mode applies every
+	// reading (no -queue), -http-queue is the one load-shedding bound
+	// (no -zone-mailbox), and GOMAXPROCS is the one parallelism setting
+	// (no -weight-workers or -ms-workers).
 	good, _ := writeDeployment(t)
-	if err := run(context.Background(), []string{"-config", good, "-queue", "8"}, strings.NewReader(""), &out); err == nil {
-		t.Error("-queue accepted")
+	for _, gone := range [][2]string{{"-queue", "8"}, {"-zone-mailbox", "8"}, {"-weight-workers", "2"}, {"-ms-workers", "2"}} {
+		err := run(context.Background(), []string{"-config", good, gone[0], gone[1]}, strings.NewReader(""), &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s %s: error = %v, want a flag-parse error", gone[0], gone[1], err)
+		}
 	}
 }
 

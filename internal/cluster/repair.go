@@ -79,10 +79,11 @@ func (n *Node) RepairSource(zone string) (peerURL string, acked uint64, ok bool)
 }
 
 // FetchState fetches peer's exported state snapshot for zone through
-// the node's authenticated transport — the scrubber's repair-from-
-// replica path, the same wire exchange as a standby's bootstrap but
-// in the opposite direction: a primary whose cold storage failed
-// re-verification pulls an independent copy back from its replica.
+// the node's authenticated transport. A standby's bootstrap uses it to
+// pull from its primary, and the scrubber's repair-from-replica path
+// uses it in the opposite direction: a primary whose cold storage
+// failed re-verification pulls an independent copy back from its
+// replica.
 func (n *Node) FetchState(ctx context.Context, peer, zone string) (applied, epoch uint64, state json.RawMessage, err error) {
 	resp, err := n.get(ctx, peer+"/cluster/state/"+url.PathEscape(zone))
 	if err != nil {

@@ -297,18 +297,9 @@ func (n *Node) applyStream(zone string, b Backend, epoch uint64, body io.Reader)
 // from the primary — the catch-up path when the needed WAL suffix has
 // been pruned.
 func (n *Node) bootstrap(ctx context.Context, zone string, b Backend, primary string) error {
-	resp, err := n.get(ctx, primary+"/cluster/state/"+url.PathEscape(zone))
+	applied, snapEpoch, state, err := n.FetchState(ctx, primary, zone)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("cluster: bootstrap %s: status %d", zone, resp.StatusCode)
-	}
-	var snap stateSnapshot
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&snap); err != nil {
-		return fmt.Errorf("cluster: bootstrap %s: %w", zone, err)
 	}
 	n.mu.Lock()
 	epoch := uint64(0)
@@ -316,20 +307,20 @@ func (n *Node) bootstrap(ctx context.Context, zone string, b Backend, primary st
 		epoch = zs.epoch
 	}
 	n.mu.Unlock()
-	if snap.Epoch < epoch {
+	if snapEpoch < epoch {
 		n.met.fenced()
-		return fmt.Errorf("%w: snapshot at epoch %d, zone at %d", ErrStaleEpoch, snap.Epoch, epoch)
+		return fmt.Errorf("%w: snapshot at epoch %d, zone at %d", ErrStaleEpoch, snapEpoch, epoch)
 	}
-	if snap.Epoch > epoch {
+	if snapEpoch > epoch {
 		// Start 0 is conservative: the snapshot does not say where the
-		// new epoch's history began, only that it covers snap.Applied.
-		n.adoptEpoch(zone, snap.Epoch, 0)
+		// new epoch's history began, only that it covers applied.
+		n.adoptEpoch(zone, snapEpoch, 0)
 	}
-	if err := b.Bootstrap(snap.State, snap.Applied); err != nil {
+	if err := b.Bootstrap(state, applied); err != nil {
 		return err
 	}
 	n.met.bootstrapped()
-	n.logf("cluster: bootstrapped zone %q from %q at offset %d", zone, primary, snap.Applied)
+	n.logf("cluster: bootstrapped zone %q from %q at offset %d", zone, primary, applied)
 	return nil
 }
 

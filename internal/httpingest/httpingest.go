@@ -326,8 +326,6 @@ func submitStatus(err error) int {
 	switch {
 	case errors.Is(err, zone.ErrBadName):
 		return http.StatusBadRequest
-	case errors.Is(err, zone.ErrMailboxFull):
-		return http.StatusTooManyRequests
 	case errors.Is(err, zone.ErrZoneLimit), errors.Is(err, zone.ErrManagerClosed), errors.Is(err, zone.ErrZoneClosed),
 		errors.Is(err, ErrNotWritable):
 		return http.StatusServiceUnavailable
@@ -341,15 +339,13 @@ func submitStatus(err error) int {
 }
 
 // failSubmit writes the response for a submit error. The shedding
-// statuses — 429 (overload), 503 (shutting down / zone limit) and 507
-// (storage degraded) — all carry Retry-After, so a well-behaved agent
-// holds its spooled copy and retries instead of counting the batch
-// lost; everything else is a plain error response.
+// statuses — 503 (shutting down / zone limit) and 507 (storage
+// degraded) — carry Retry-After, so a well-behaved agent holds its
+// spooled copy and retries instead of counting the batch lost;
+// everything else is a plain error response.
 func (h *Handler) failSubmit(w http.ResponseWriter, err error) {
 	code := submitStatus(err)
 	switch code {
-	case http.StatusTooManyRequests:
-		h.shed(w, err.Error())
 	case http.StatusServiceUnavailable, http.StatusInsufficientStorage:
 		if code == http.StatusInsufficientStorage {
 			h.met.shed507.Inc()
@@ -365,18 +361,20 @@ func (h *Handler) failSubmit(w http.ResponseWriter, err error) {
 // on the legacy route and the zone-scoped POST /zones/{zone}/
 // measurements form (the legacy route IS the default zone):
 //
-//	405 non-POST · 415 non-JSON Content-Type · 429+Retry-After queue
-//	full, zone mailbox full, or sensor rate-limited · 413 body over
+//	405 non-POST · 415 non-JSON Content-Type · 429+Retry-After
+//	admission queue full or sensor rate-limited · 413 body over
 //	MaxBody · 400 parse failure, bad zone name, or a reading whose
 //	zone field contradicts the route · 503 zone limit reached or
 //	shutting down · 507+Retry-After zone journal unwritable (storage
 //	degraded; the agent keeps its spooled copy) · 200 {"accepted",
 //	"duplicate","rejected"}
 //
-// On 429 nothing before the refusing reading is rolled back; the
-// client retries the whole batch and the engine's sequence gate
-// suppresses the replayed prefix — partial application plus dedup is
-// what makes shed-and-retry loss-free.
+// The admission queue is the only load-shedding bound: an admitted
+// batch waits for room in its zone's mailbox rather than being
+// refused. On a rate-limit 429 nothing before the refusing reading is
+// rolled back; the client retries the whole batch and the engine's
+// sequence gate suppresses the replayed prefix — partial application
+// plus dedup is what makes shed-and-retry loss-free.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)

@@ -1,7 +1,6 @@
 package httpingest
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -140,50 +139,6 @@ func TestZoneLimit503(t *testing.T) {
 	if w := post(t, mux, "/zones/b/measurements", `{"sensorId":0,"cpm":9}`); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("zone over limit = %d, want 503", w.Code)
 	}
-}
-
-func TestZoneMailboxFull429(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	defer close(release)
-	m := testManager(t, zone.Options{
-		Mailbox: 1,
-		Factory: func(name string) (zone.Resources, error) {
-			return zone.Resources{
-				Engine: testEngine(t, 7),
-				AfterBatch: func() {
-					select {
-					case entered <- struct{}{}:
-					default:
-					}
-					<-release
-				},
-			}, nil
-		},
-	})
-	mux := zonedMux(New(m.Submit, Options{}))
-	// Wedge the zone's event loop, then stuff the mailbox with posts
-	// whose context is already cancelled: each either occupies mailbox
-	// space (and returns as soon as the cancellation is seen) or finds
-	// the mailbox full — no post can block on the wedged loop.
-	go post(t, mux, "/zones/slow/measurements", `{"sensorId":0,"cpm":9}`)
-	<-entered
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	for i := 0; i < 10; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/zones/slow/measurements",
-			strings.NewReader(`{"sensorId":0,"cpm":9}`)).WithContext(cancelled)
-		req.Header.Set("Content-Type", "application/json")
-		w := httptest.NewRecorder()
-		mux.ServeHTTP(w, req)
-		if w.Code == http.StatusTooManyRequests {
-			if w.Header().Get("Retry-After") == "" {
-				t.Fatal("429 without Retry-After")
-			}
-			return
-		}
-	}
-	t.Fatal("mailbox never reported full")
 }
 
 func TestPerZoneTokenBuckets(t *testing.T) {

@@ -629,8 +629,9 @@ func AssignMass(cfg Config, modes []Mode, points []float64, weights []float64, c
 
 // expTable tabulates exp(−x/2) on [0, expTableMax] at expTableStep
 // spacing for linear interpolation. For f(x) = e^{−x/2} the
-// interpolation error is bounded by step²/8 · max|f''| = step²/32
-// relative (f''/f = 1/4 everywhere), ≈ 4.8·10⁻⁷ at 1/256 — three
+// interpolation error is bounded by step²/8 times the maximum of the
+// second derivative's magnitude, which is step²/32 relative (the
+// second derivative is f/4 everywhere), ≈ 4.8·10⁻⁷ at 1/256 — three
 // orders of magnitude below the kernel's CutoffSigmas truncation.
 const (
 	expTableMax     = 32.0

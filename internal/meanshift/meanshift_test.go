@@ -259,10 +259,10 @@ func TestWorkerCountsAgree(t *testing.T) {
 
 // TestExpNegHalfErrorBound sweeps the interpolated kernel against
 // math.Exp over the table's whole domain. The linear-interpolation
-// error bound for step h is h²/8·max|f''| = h²/32 ≈ 4.8e-7 relative —
-// three orders of magnitude below the kernel's own 4σ truncation
-// (e^-8 ≈ 3.4e-4), so the table can never reorder modes the exact
-// kernel would separate.
+// error bound for step h is h²/8 times the second derivative's largest
+// magnitude, h²/32 ≈ 4.8e-7 relative — three orders of magnitude
+// below the kernel's own 4σ truncation (e^-8 ≈ 3.4e-4), so the table
+// can never reorder modes the exact kernel would separate.
 func TestExpNegHalfErrorBound(t *testing.T) {
 	s := rng.New(11, 3)
 	worst := 0.0

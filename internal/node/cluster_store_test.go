@@ -32,7 +32,7 @@ func newStoreZoneSet(t *testing.T, dir string, logw io.Writer) *zoneSet {
 	}
 	zs, err := newZoneSet(zoneSetOptions{
 		WalRoot: dir, Fsync: wal.FsyncNever, CkptEvery: 50,
-		MaxZones: 8, Mailbox: 64, Metrics: obs.NewRegistry(), Log: logw, Build: build,
+		MaxZones: 8, Metrics: obs.NewRegistry(), Log: logw, Build: build,
 	})
 	if err != nil {
 		t.Fatal(err)

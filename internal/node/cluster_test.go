@@ -92,7 +92,6 @@ func newClusterTestNodeAt(t *testing.T, fab *nodetest.Fabric, host string, route
 		CheckpointEvery: 50,
 		WALSegment:      16,
 		MaxZones:        8,
-		ZoneMailbox:     64,
 		HTTPQueue:       256,
 		HTTP:            link,
 		Metrics:         reg,

@@ -54,12 +54,6 @@ type Config struct {
 	Scenario scenario.Scenario
 	// Seed seeds each engine's localizer (and the scrubber's jitter).
 	Seed uint64
-	// WeightWorkers bounds the goroutines weighting one measurement's
-	// particle subset inside each zone's filter (0 = GOMAXPROCS).
-	WeightWorkers int
-	// MSWorkers bounds the goroutines climbing mean-shift starts per
-	// estimate refresh (0 = GOMAXPROCS).
-	MSWorkers int
 	// NoTracks disables confirmed-track maintenance over estimates.
 	NoTracks bool
 	// NoHealth disables the per-sensor health monitor.
@@ -95,8 +89,6 @@ type Config struct {
 
 	// MaxZones caps concurrently live zones (0 = 64).
 	MaxZones int
-	// ZoneMailbox is each zone's mailbox depth in batches (0 = 64).
-	ZoneMailbox int
 	// ZoneIdle evicts a named zone idle this long (0 = never).
 	ZoneIdle time.Duration
 
@@ -222,8 +214,6 @@ func New(cfg Config) (*Node, error) {
 		}
 		fcfg.Localizer.Seed = cfg.Seed
 		fcfg.Localizer.Metrics = met
-		fcfg.Localizer.WeightWorkers = cfg.WeightWorkers
-		fcfg.Localizer.Workers = cfg.MSWorkers
 		if !cfg.NoTracks {
 			fcfg.Tracking = &track.Config{}
 		}
@@ -240,7 +230,7 @@ func New(cfg Config) (*Node, error) {
 	zs, err := newZoneSet(zoneSetOptions{
 		WalRoot: cfg.WALDir, FS: fsys, Fsync: cfg.Fsync,
 		CkptEvery: cfg.CheckpointEvery, SegmentRecords: cfg.WALSegment,
-		MaxZones: cfg.MaxZones, Mailbox: cfg.ZoneMailbox, IdleAfter: cfg.ZoneIdle,
+		MaxZones: cfg.MaxZones, IdleAfter: cfg.ZoneIdle,
 		Metrics: reg, Log: cfg.Log, Build: build,
 	})
 	if err != nil {

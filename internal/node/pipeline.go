@@ -19,7 +19,7 @@ import (
 //
 // Stage order for client writes (Submit): the cluster fence first (a
 // standby or draining zone refuses before touching the data), then
-// zone admission (mailbox backpressure, zone limit), then — on the
+// zone admission (zone limit, a wait for mailbox space), then — on the
 // zone's single-writer event loop — the sequence gate's dedup/reorder,
 // the journal-before-apply WAL append (a degraded disk vetoes the
 // apply with fusion.JournalError), the engine apply, and finally the

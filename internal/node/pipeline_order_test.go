@@ -59,7 +59,7 @@ func postAs(mux http.Handler, url, body, contentType string) int {
 }
 
 const (
-	orderSmallBody = `[{"sensorId":0,"cpm":10}]`                                                // under the 64-byte bound
+	orderSmallBody = `[{"sensorId":0,"cpm":10}]`                                                 // under the 64-byte bound
 	orderBigBody   = `[{"sensorId":0,"cpm":10},{"sensorId":1,"cpm":11},{"sensorId":2,"cpm":12}]` // over it
 )
 

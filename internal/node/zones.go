@@ -75,10 +75,9 @@ type zoneSetOptions struct {
 	Fsync          wal.FsyncPolicy
 	CkptEvery      int
 	SegmentRecords int
-	// MaxZones, Mailbox and IdleAfter mirror -max-zones, -zone-mailbox
-	// and -zone-idle; see zone.Options.
+	// MaxZones and IdleAfter mirror -max-zones and -zone-idle; see
+	// zone.Options.
 	MaxZones  int
-	Mailbox   int
 	IdleAfter time.Duration
 	// Metrics is the process registry; each zone's engine, WAL and
 	// checkpointer register on Metrics.With("zone", name), so the
@@ -112,7 +111,6 @@ func newZoneSet(o zoneSetOptions) (*zoneSet, error) {
 	m, err := zone.NewManager(zone.Options{
 		Factory:   zs.factory,
 		MaxZones:  o.MaxZones,
-		Mailbox:   o.Mailbox,
 		IdleAfter: o.IdleAfter,
 		Metrics:   o.Metrics,
 	})

@@ -58,16 +58,12 @@ type Options struct {
 	// MaxZones caps the number of live zones (default 64). Get fails
 	// with ErrZoneLimit rather than create one more.
 	MaxZones int
-	// Mailbox is each zone's mailbox capacity in batches (default 64).
-	// A full mailbox fails Submit with ErrMailboxFull.
-	Mailbox int
 	// IdleAfter evicts a zone that has not accepted a batch for this
 	// long (checkpointing it first); 0 disables eviction. The default
 	// zone is never evicted — see SweepIdle.
 	IdleAfter time.Duration
 	// Metrics, when non-nil, receives the manager's counters
-	// (radloc_zone_active, _created_total, _evicted_total,
-	// _mailbox_full_total).
+	// (radloc_zone_active, _created_total, _evicted_total).
 	Metrics *obs.Registry
 }
 
@@ -87,7 +83,7 @@ type Manager struct {
 	// the close, then recreates.
 	pending map[string]chan struct{}
 
-	created, evicted, mailFull *obs.Counter
+	created, evicted *obs.Counter
 }
 
 // NewManager builds the registry. No zones exist until Get asks for
@@ -98,9 +94,6 @@ func NewManager(opts Options) (*Manager, error) {
 	}
 	if opts.MaxZones <= 0 {
 		opts.MaxZones = 64
-	}
-	if opts.Mailbox <= 0 {
-		opts.Mailbox = 64
 	}
 	m := &Manager{
 		opts:    opts,
@@ -113,7 +106,6 @@ func NewManager(opts Options) (*Manager, error) {
 	}
 	m.created = reg.Counter("radloc_zone_created_total", "Zones created (including recreations after eviction).")
 	m.evicted = reg.Counter("radloc_zone_evicted_total", "Zones evicted after their idle TTL, final checkpoint written.")
-	m.mailFull = reg.Counter("radloc_zone_mailbox_full_total", "Batches refused because a zone mailbox was at capacity.")
 	reg.GaugeFunc("radloc_zone_active", "Live zones.", func() float64 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
@@ -160,7 +152,7 @@ func (m *Manager) Get(name string) (*Zone, error) {
 		delete(m.pending, name)
 		var z *Zone
 		if err == nil {
-			z = newZone(name, res, m.opts.Mailbox)
+			z = newZone(name, res)
 			m.zones[name] = z
 			m.created.Inc()
 		}
@@ -202,8 +194,8 @@ func (m *Manager) Names() []string {
 // If the zone closes between lookup and delivery (an eviction racing
 // a late measurement), the batch is resubmitted against a recreated
 // zone — the caller never sees ErrZoneClosed unless the race repeats
-// implausibly. ErrMailboxFull is returned as-is: backpressure is the
-// caller's signal, not the manager's to absorb.
+// implausibly. A full mailbox makes Submit wait, bounded by ctx;
+// shedding load is the caller's job.
 func (m *Manager) Submit(ctx context.Context, name string, ms []fusion.Meas) (fusion.BatchResult, error) {
 	for attempt := 0; ; attempt++ {
 		z, err := m.Get(name)
@@ -213,9 +205,6 @@ func (m *Manager) Submit(ctx context.Context, name string, ms []fusion.Meas) (fu
 		res, err := z.Submit(ctx, ms)
 		if errors.Is(err, ErrZoneClosed) && attempt < 3 {
 			continue
-		}
-		if errors.Is(err, ErrMailboxFull) {
-			m.mailFull.Inc()
 		}
 		return res, err
 	}

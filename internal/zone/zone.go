@@ -3,12 +3,13 @@
 // goroutine — the zone's event loop, fed by a bounded mailbox — is
 // the only code that touches it: batches and control operations queue
 // in the mailbox, and after each one the loop publishes an immutable
-// snapshot that readers load without a lock. A burst in one zone
-// backpressures only that zone. A Manager keeps the registry of live zones: lazy
-// creation from a factory, a hard cap on the live count, and idle
-// eviction that checkpoints a zone before releasing it, with the
-// eviction-vs-late-measurement race resolved by recreation rather
-// than loss.
+// snapshot that readers load without a lock. A sender waits for
+// mailbox space; shedding load is the caller's job (the HTTP
+// admission queue in the daemon). A Manager keeps the registry of
+// live zones: lazy creation from a factory, a hard cap on the live
+// count, and idle eviction that checkpoints a zone before releasing
+// it, with the eviction-vs-late-measurement race resolved by
+// recreation rather than loss.
 package zone
 
 import (
@@ -32,10 +33,9 @@ const DefaultZone = "default"
 // recreated zone.
 var ErrZoneClosed = errors.New("zone: closed")
 
-// ErrMailboxFull is returned by Submit when the zone's bounded
-// mailbox is at capacity — per-zone backpressure. The batch was NOT
-// applied; the HTTP boundary maps this to 429 + Retry-After.
-var ErrMailboxFull = errors.New("zone: mailbox full")
+// mailboxDepth is each zone's mailbox capacity in operations. A
+// sender finding it full waits, bounded by its ctx.
+const mailboxDepth = 64
 
 // Resources is everything a factory hands the manager for one zone.
 type Resources struct {
@@ -88,14 +88,11 @@ type Zone struct {
 	lastUsed atomic.Int64 // unix nanos of the newest Submit
 }
 
-func newZone(name string, res Resources, mailbox int) *Zone {
-	if mailbox < 1 {
-		mailbox = 1
-	}
+func newZone(name string, res Resources) *Zone {
 	z := &Zone{
 		name: name,
 		res:  res,
-		mail: make(chan envelope, mailbox),
+		mail: make(chan envelope, mailboxDepth),
 		done: make(chan struct{}),
 	}
 	z.lastUsed.Store(time.Now().UnixNano())
@@ -158,12 +155,12 @@ func (z *Zone) loop() {
 	}
 }
 
-// Submit offers one batch to the zone's mailbox and waits for the
-// event loop to apply it, returning the per-reading outcome counts.
-// A full mailbox fails fast with ErrMailboxFull (backpressure), a
-// closed zone with ErrZoneClosed (eviction race; retry via the
-// manager). A ctx cancellation while waiting abandons the wait — the
-// loop still applies the batch, since it was already admitted.
+// Submit offers one batch to the zone's mailbox, waiting for space as
+// Do does, and waits for the event loop to apply it, returning the
+// per-reading outcome counts. A closed zone fails with ErrZoneClosed
+// (eviction race; retry via the manager). A ctx done before admission
+// returns ctx.Err() and the batch is never applied; a ctx done after
+// admission abandons the wait — the loop still applies the batch.
 func (z *Zone) Submit(ctx context.Context, ms []fusion.Meas) (fusion.BatchResult, error) {
 	var res fusion.BatchResult
 	env := envelope{
@@ -174,7 +171,7 @@ func (z *Zone) Submit(ctx context.Context, ms []fusion.Meas) (fusion.BatchResult
 		batch: true,
 		reply: make(chan error, 1),
 	}
-	if err := z.send(ctx, env, false); err != nil {
+	if err := z.send(ctx, env); err != nil {
 		return fusion.BatchResult{}, err
 	}
 	z.lastUsed.Store(time.Now().UnixNano())
@@ -188,35 +185,25 @@ func (z *Zone) Submit(ctx context.Context, ms []fusion.Meas) (fusion.BatchResult
 // Do runs fn on the zone's event loop with exclusive access to the
 // engine and returns its error — the entry for control operations
 // (state export and import, checkpoints, replicated records, the
-// end-of-stream flush). Unlike Submit it waits, bounded by ctx, for
-// mailbox space rather than failing fast. It returns ErrZoneClosed
-// once the zone has closed. A ctx cancellation after admission
-// abandons the wait but not the operation. Code already running on
-// the loop (AfterBatch, the Close hook) must call the engine directly:
-// Do from the loop deadlocks.
+// end-of-stream flush). Like Submit it waits, bounded by ctx, for
+// mailbox space. It returns ErrZoneClosed once the zone has closed. A
+// ctx cancellation after admission abandons the wait but not the
+// operation. Code already running on the loop (AfterBatch, the Close
+// hook) must call the engine directly: Do from the loop deadlocks.
 func (z *Zone) Do(ctx context.Context, fn func(*fusion.Engine) error) error {
 	env := envelope{fn: fn, reply: make(chan error, 1)}
-	if err := z.send(ctx, env, true); err != nil {
+	if err := z.send(ctx, env); err != nil {
 		return err
 	}
 	_, err := z.await(ctx, env.reply)
 	return err
 }
 
-// send admits env to the mailbox: failing fast with ErrMailboxFull
-// when the mailbox is at capacity, or — with wait — blocking until
-// there is room, the zone has closed, or ctx is done.
-func (z *Zone) send(ctx context.Context, env envelope, wait bool) error {
+// send admits env to the mailbox, blocking until there is room, the
+// zone has closed, or ctx is done.
+func (z *Zone) send(ctx context.Context, env envelope) error {
 	if z.closing.Load() {
 		return ErrZoneClosed
-	}
-	if !wait {
-		select {
-		case z.mail <- env:
-			return nil
-		default:
-			return ErrMailboxFull
-		}
 	}
 	select {
 	case z.mail <- env:

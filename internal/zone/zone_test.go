@@ -156,11 +156,17 @@ func TestSubmitOutcomeCounts(t *testing.T) {
 	}
 }
 
-func TestMailboxBackpressure(t *testing.T) {
+// TestSubmitWaitsForMailboxSpace wedges the event loop and fills the
+// mailbox. A Submit whose deadline passes while it waits for space
+// returns context.DeadlineExceeded and its batch is never applied; a
+// Submit without a deadline waits and completes once the loop is
+// released.
+func TestSubmitWaitsForMailboxSpace(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
+	unwedge := sync.OnceFunc(func() { close(release) })
+	defer unwedge() // a failed check must not leave the loop wedged
 	m := testManager(t, Options{
-		Mailbox: 1,
 		Factory: func(name string) (Resources, error) {
 			return Resources{
 				Engine: testEngine(t, 7),
@@ -178,30 +184,53 @@ func TestMailboxBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := stream(t, 1, 1, 0)
-	go func() { _, _ = z.Submit(context.Background(), ms[:1]) }()
+	ctx := context.Background()
+	ms := unsequenced(stream(t, 1, 1, 0))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := z.Submit(ctx, ms[:1]); err != nil {
+			t.Error(err)
+		}
+	}()
 	<-entered // the event loop is wedged inside AfterBatch
 
-	// Admit batches with an already-cancelled context: each either
-	// occupies mailbox space (returning ctx.Err immediately) or finds
-	// the mailbox full. No sleeps needed.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	var sawFull bool
-	for i := 0; i < 5; i++ {
-		_, err := z.Submit(cancelled, ms[1:2])
-		if errors.Is(err, ErrMailboxFull) {
-			sawFull = true
-			break
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Submit = %v, want context.Canceled or ErrMailboxFull", err)
-		}
+	noop := func(*fusion.Engine) error { return nil }
+	for i := 0; i < mailboxDepth; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := z.Do(ctx, noop); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	if !sawFull {
-		t.Fatal("mailbox never reported full")
+	for len(z.mail) < mailboxDepth {
+		time.Sleep(time.Millisecond)
 	}
-	close(release)
+
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if _, err := z.Submit(short, ms[1:2]); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Submit on a full mailbox = %v, want context.DeadlineExceeded", err)
+	}
+
+	waited := make(chan error, 1)
+	go func() {
+		_, err := z.Submit(ctx, ms[2:3])
+		waited <- err
+	}()
+	unwedge()
+	if err := <-waited; err != nil {
+		t.Fatalf("Submit without a deadline = %v, want nil", err)
+	}
+	wg.Wait()
+	// The wedged batch and the waiting one were applied; the batch that
+	// timed out before admission was not.
+	if got := z.Snapshot().Ingested; got != 2 {
+		t.Fatalf("ingested %d, want 2", got)
+	}
 }
 
 func TestSweepIdleEvictsWithFinalClose(t *testing.T) {
