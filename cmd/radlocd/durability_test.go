@@ -280,8 +280,8 @@ func TestConcurrentIngestShutdownDurability(t *testing.T) {
 	if ck.Applied != l.Offset() {
 		t.Errorf("final checkpoint applied=%d, WAL offset=%d", ck.Applied, l.Offset())
 	}
-	var st fusion.EngineState
-	if err := json.Unmarshal(ck.State, &st); err != nil {
+	st, err := fusion.DecodeState(ck.State)
+	if err != nil {
 		t.Fatalf("final checkpoint state unreadable: %v", err)
 	}
 	if st.Ingested == 0 || st.Journaled != ck.Applied {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"sync"
 
@@ -48,10 +47,11 @@ type Backend interface {
 	ApplyRecords(recs []RecordAt) error
 	// ExportState serializes the engine state and the WAL offset it
 	// covers, for bootstrapping a replica that is beyond log repair.
-	ExportState() (state json.RawMessage, applied uint64, err error)
+	// The state is opaque to this package.
+	ExportState() (state []byte, applied uint64, err error)
 	// Bootstrap replaces local state with a shipped snapshot and
 	// aligns the local log to applied, discarding whatever was there.
-	Bootstrap(state json.RawMessage, applied uint64) error
+	Bootstrap(state []byte, applied uint64) error
 	// Checkpoint forces a durable checkpoint now — promotion seals the
 	// takeover so a crash right after it recovers into the new role's
 	// state.

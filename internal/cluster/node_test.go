@@ -108,14 +108,14 @@ type memSnapshot struct {
 	Recs []wal.Record `json:"recs"`
 }
 
-func (b *memBackend) ExportState() (json.RawMessage, uint64, error) {
+func (b *memBackend) ExportState() ([]byte, uint64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	blob, err := json.Marshal(memSnapshot{Base: b.base, Recs: append([]wal.Record(nil), b.recs...)})
 	return blob, b.base + uint64(len(b.recs)), err
 }
 
-func (b *memBackend) Bootstrap(state json.RawMessage, applied uint64) error {
+func (b *memBackend) Bootstrap(state []byte, applied uint64) error {
 	var snap memSnapshot
 	if err := json.Unmarshal(state, &snap); err != nil {
 		return err

@@ -84,7 +84,7 @@ func (n *Node) RepairSource(zone string) (peerURL string, acked uint64, ok bool)
 // uses it in the opposite direction: a primary whose cold storage
 // failed re-verification pulls an independent copy back from its
 // replica.
-func (n *Node) FetchState(ctx context.Context, peer, zone string) (applied, epoch uint64, state json.RawMessage, err error) {
+func (n *Node) FetchState(ctx context.Context, peer, zone string) (applied, epoch uint64, state []byte, err error) {
 	resp, err := n.get(ctx, peer+"/cluster/state/"+url.PathEscape(zone))
 	if err != nil {
 		return 0, 0, nil, err

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -399,6 +398,9 @@ type stateSnapshot struct {
 	Applied uint64 `json:"applied"`
 	// Epoch is the exporting node's zone epoch.
 	Epoch uint64 `json:"epoch"`
-	// State is the fusion engine's serialized state.
-	State json.RawMessage `json:"state"`
+	// State is the fusion engine's serialized state, base64 in the
+	// JSON payload. Both nodes of a zone run the same release, so the
+	// encoding needs no negotiation: a peer of another release fails
+	// to decode it and the bootstrap fails loudly.
+	State []byte `json:"state"`
 }

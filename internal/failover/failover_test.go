@@ -37,10 +37,10 @@ func (b *stubBackend) ApplyRecords(recs []cluster.RecordAt) error {
 	b.off += uint64(len(recs))
 	return nil
 }
-func (b *stubBackend) ExportState() (json.RawMessage, uint64, error) {
-	return json.RawMessage(`{}`), b.Offset(), nil
+func (b *stubBackend) ExportState() ([]byte, uint64, error) {
+	return []byte(`{}`), b.Offset(), nil
 }
-func (b *stubBackend) Bootstrap(state json.RawMessage, applied uint64) error {
+func (b *stubBackend) Bootstrap(state []byte, applied uint64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.off = applied

@@ -1,14 +1,14 @@
 package fusion
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 )
 
 // TestEngineStateRoundTrip is the checkpoint-correctness core: ingest
-// half a stream, export → JSON → import into a fresh engine, continue
-// both halves in lockstep — every snapshot field must match bitwise.
+// half a stream, export → EncodeState → DecodeState → import into a
+// fresh engine, continue both halves in lockstep — every snapshot
+// field must match bitwise.
 func TestEngineStateRoundTrip(t *testing.T) {
 	orig, sc := seqEngine(t, 4)
 	stream := seqStream(t, sc, 12, 9)
@@ -24,12 +24,12 @@ func TestEngineStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(st)
+	blob, err := EncodeState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st2 EngineState
-	if err := json.Unmarshal(blob, &st2); err != nil {
+	st2, err := DecodeState(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 	restored, _ := seqEngine(t, 4)

@@ -168,6 +168,7 @@ type Searcher struct {
 	resOK  []bool
 	dens   []float64
 	invBW  []float64 // reciprocal bandwidths for AssignMass
+	mass   massIndex // AssignMass's candidate index over the modes
 
 	anchors    []float64 // phase-1 results with support, in phase-1 order, k×d
 	anchorDens []float64 // their densities
@@ -561,6 +562,12 @@ func (s *Searcher) mergeModes(m int) []Mode {
 // within cutoff bandwidths (≤ 0 selects CutoffSigmas), otherwise it
 // stays unassigned. The return value has one total per mode (same
 // order) followed by the unassigned remainder at index len(modes).
+//
+// Each point is scored only against the modes a massIndex over the
+// modes' scaled (x, y) names as candidates: every mode within the
+// cutoff is among them, in ascending mode index, so the nearest mode,
+// its tie-break (the lowest index wins) and every per-mode sum come
+// out bit-identical to scoring every point against every mode.
 func (s *Searcher) AssignMass(modes []Mode, points, weights []float64, cutoff float64) ([]float64, error) {
 	d := s.d
 	if len(points)%d != 0 {
@@ -582,11 +589,12 @@ func (s *Searcher) AssignMass(modes []Mode, points, weights []float64, cutoff fl
 	for k := 0; k < d; k++ {
 		invBW[k] = 1 / s.cfg.Bandwidth[k]
 	}
+	s.mass.build(modes, invBW[0], invBW[1], cutoff)
 	for j := 0; j < n; j++ {
 		best := -1
 		bestD2 := math.Inf(1)
 		base := j * d
-		for mi := range modes {
+		for _, mi := range s.mass.candidates(points[base]*invBW[0], points[base+1]*invBW[1]) {
 			mp := modes[mi].Point
 			var d2 float64
 			for k := 0; k < d; k++ {
@@ -595,7 +603,7 @@ func (s *Searcher) AssignMass(modes []Mode, points, weights []float64, cutoff fl
 			}
 			if d2 < bestD2 {
 				bestD2 = d2
-				best = mi
+				best = int(mi)
 			}
 		}
 		if best >= 0 && bestD2 <= c2 {
@@ -605,6 +613,163 @@ func (s *Searcher) AssignMass(modes []Mode, points, weights []float64, cutoff fl
 		}
 	}
 	return out, nil
+}
+
+// massIndex buckets the modes by their bandwidth-scaled (x, y) into
+// square cells of side w ≥ cutoff, so a point's candidate modes are
+// those in its own cell and the 8 around it: a mode within the cutoff
+// of the point is less than one cell away on each axis. The cell grid
+// covers the modes' bounding box plus a one-cell border, so a point
+// just outside the box still finds the modes beside it and a point
+// farther out has none. Each cell stores its whole neighbourhood's
+// modes as one list in ascending mode index — about 9 entries per
+// mode — so a lookup is two divisions and a slice. The storage is
+// Searcher scratch, reused across calls.
+type massIndex struct {
+	all      bool    // every mode is every point's candidate (see build)
+	lox, loy float64 // the modes' bounding-box corner
+	w        float64 // cell side
+	nx, ny   int     // cells spanning the box; the grid is (nx+2)×(ny+2)
+	start    []int32 // cell c's candidates are cand[start[c]:start[c+1]]
+	cand     []int32
+	cell     []int32 // mode → grid cell, -1 for a mode with non-finite (x, y)
+}
+
+// maxMassCells bounds the grid at 16 cells per mode (plus a floor for
+// few modes); cells double in size until it holds.
+func maxMassCells(m int) float64 { return 16*float64(m) + 64 }
+
+// build indexes modes for AssignMass at the given cutoff, with sx, sy
+// the reciprocal x and y bandwidths.
+//
+// The cell side carries a relative margin of 2^-20 of the cutoff and
+// 2^-30 of the largest scaled mode coordinate. Rounding makes the
+// difference of two scaled coordinates and the scaled difference that
+// the distance test sees disagree by a few ulps of those magnitudes;
+// the margin keeps a mode at the cutoff within one cell of the point.
+//
+// A non-finite cutoff or a bounding box too wide to represent selects
+// the exhaustive form: one list of every mode, for every point. Modes
+// with non-finite (x, y) are left out of the grid: their distance to
+// any point is NaN or +Inf, which never wins the strict comparison.
+func (ix *massIndex) build(modes []Mode, sx, sy, cutoff float64) {
+	m := len(modes)
+	ix.all = false
+	if cap(ix.cell) < m {
+		ix.cell = make([]int32, m)
+	}
+	ix.cell = ix.cell[:m]
+	lox, loy := math.Inf(1), math.Inf(1)
+	hix, hiy := math.Inf(-1), math.Inf(-1)
+	var maxAbs float64
+	finite := 0
+	for _, md := range modes {
+		x, y := md.Point[0]*sx, md.Point[1]*sy
+		if !isFinite(x) || !isFinite(y) {
+			continue
+		}
+		finite++
+		lox, hix = math.Min(lox, x), math.Max(hix, x)
+		loy, hiy = math.Min(loy, y), math.Max(hiy, y)
+		maxAbs = math.Max(maxAbs, math.Max(math.Abs(x), math.Abs(y)))
+	}
+	w := cutoff*(1+0x1p-20) + maxAbs*0x1p-30
+	spanX, spanY := math.Floor((hix-lox)/w), math.Floor((hiy-loy)/w)
+	if finite == 0 || !isFinite(w) || !isFinite(spanX) || !isFinite(spanY) {
+		ix.all = true
+		ix.cand = ix.cand[:0]
+		for mi := range modes {
+			ix.cand = append(ix.cand, int32(mi))
+		}
+		return
+	}
+	for (spanX+3)*(spanY+3) > maxMassCells(m) {
+		w *= 2
+		spanX, spanY = math.Floor((hix-lox)/w), math.Floor((hiy-loy)/w)
+	}
+	ix.lox, ix.loy, ix.w = lox, loy, w
+	ix.nx, ix.ny = int(spanX)+1, int(spanY)+1
+	stride := ix.nx + 2
+	cells := stride * (ix.ny + 2)
+	if cap(ix.start) < cells+1 {
+		ix.start = make([]int32, cells+1)
+	}
+	ix.start = ix.start[:cells+1]
+	for c := range ix.start {
+		ix.start[c] = 0
+	}
+	// Count each mode into its cell's and its 8 neighbours' lists and
+	// prefix-sum the counts, leaving start[c] at the end of cell c's
+	// list; filling back to front in descending mode index then moves
+	// each start[c] to its list's beginning, with the list ascending.
+	// start[cells] stays at the total, the last list's end.
+	for mi, md := range modes {
+		x, y := md.Point[0]*sx, md.Point[1]*sy
+		if !isFinite(x) || !isFinite(y) {
+			ix.cell[mi] = -1
+			continue
+		}
+		cx := clampCell(math.Floor((x-lox)/w), ix.nx) + 1
+		cy := clampCell(math.Floor((y-loy)/w), ix.ny) + 1
+		c := cy*stride + cx
+		ix.cell[mi] = int32(c)
+		for _, q := range neighbourhood(c, stride) {
+			ix.start[q]++
+		}
+	}
+	for c := 1; c <= cells; c++ {
+		ix.start[c] += ix.start[c-1]
+	}
+	total := int(ix.start[cells])
+	if cap(ix.cand) < total {
+		ix.cand = make([]int32, total)
+	}
+	ix.cand = ix.cand[:total]
+	for mi := m - 1; mi >= 0; mi-- {
+		c := int(ix.cell[mi])
+		if c < 0 {
+			continue
+		}
+		for _, q := range neighbourhood(c, stride) {
+			ix.start[q]--
+			ix.cand[ix.start[q]] = int32(mi)
+		}
+	}
+}
+
+// neighbourhood lists grid cell c and its 8 neighbours in a grid whose
+// rows are stride cells long.
+func neighbourhood(c, stride int) [9]int {
+	return [9]int{
+		c - stride - 1, c - stride, c - stride + 1,
+		c - 1, c, c + 1,
+		c + stride - 1, c + stride, c + stride + 1,
+	}
+}
+
+// isFinite reports whether v is neither NaN nor ±Inf.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// clampCell converts a floored cell coordinate to an index in [0, n).
+func clampCell(f float64, n int) int {
+	return int(math.Max(0, math.Min(f, float64(n-1))))
+}
+
+// candidates returns the modes a point at scaled (x, y) must be
+// scored against, in ascending mode index. A point more than one cell
+// outside the modes' bounding box — or with a non-finite coordinate —
+// has none.
+func (ix *massIndex) candidates(x, y float64) []int32 {
+	if ix.all {
+		return ix.cand
+	}
+	fx := (x - ix.lox) / ix.w
+	fy := (y - ix.loy) / ix.w
+	if !(fx >= -1 && fx < float64(ix.nx+1) && fy >= -1 && fy < float64(ix.ny+1)) {
+		return nil
+	}
+	c := (int(math.Floor(fy))+1)*(ix.nx+2) + int(math.Floor(fx)) + 1
+	return ix.cand[ix.start[c]:ix.start[c+1]]
 }
 
 // FindModes is the one-shot convenience form: it builds a throwaway

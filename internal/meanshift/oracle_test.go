@@ -202,3 +202,149 @@ func nearest(cfg Config, m Mode, modes []Mode) float64 {
 	}
 	return best
 }
+
+// assignMassOracle is the exhaustive mass assignment the candidate
+// index replaced, kept as the differential oracle: every point is
+// scored against every mode in ascending index, and the strictly
+// nearest mode within the cutoff takes its weight.
+func assignMassOracle(cfg Config, modes []Mode, points, weights []float64, cutoff float64) []float64 {
+	cfg = cfg.withDefaults()
+	d := len(cfg.Bandwidth)
+	if cutoff <= 0 {
+		cutoff = cfg.CutoffSigmas
+	}
+	out := make([]float64, len(modes)+1)
+	c2 := cutoff * cutoff
+	for j := 0; j < len(weights); j++ {
+		best := -1
+		bestD2 := math.Inf(1)
+		for mi := range modes {
+			var d2 float64
+			for k := 0; k < d; k++ {
+				diff := (points[j*d+k] - modes[mi].Point[k]) * (1 / cfg.Bandwidth[k])
+				d2 += diff * diff
+			}
+			if d2 < bestD2 {
+				bestD2 = d2
+				best = mi
+			}
+		}
+		if best >= 0 && bestD2 <= c2 {
+			out[best] += weights[j]
+		} else {
+			out[len(modes)] += weights[j]
+		}
+	}
+	return out
+}
+
+// modesAt builds modes at the given flat coordinates.
+func modesAt(d int, coords ...float64) []Mode {
+	var modes []Mode
+	for i := 0; i+d <= len(coords); i += d {
+		modes = append(modes, Mode{Point: append([]float64(nil), coords[i:i+d]...)})
+	}
+	return modes
+}
+
+// TestAssignMassMatchesOracle demands bit-identical per-mode totals
+// from the candidate-pruned AssignMass and the exhaustive oracle, on
+// one reused Searcher: clustered and uniform populations with their
+// own modes and with random ones, points exactly one cutoff (and one
+// ulp either side of it) from a mode, modes outside the points'
+// bounds, coincident modes (the lowest index must win the tie), no
+// modes, non-finite modes and points, and the cutoffs ≤ 0 (the
+// default), tiny, huge and +Inf.
+func TestAssignMassMatchesOracle(t *testing.T) {
+	type tc struct {
+		name    string
+		cfg     Config
+		modes   []Mode
+		pts, ws []float64
+	}
+	var cases []tc
+	cfg := defaultCfg()
+
+	s := rng.New(31, 1)
+	var cpts, cws []float64
+	cpts, cws = cluster3(s, cpts, cws, 3000, 47, 71, 50, 2, 1)
+	cpts, cws = cluster3(s, cpts, cws, 3000, 81, 42, 50, 2, 1)
+	cpts, cws = uniformNoise(s, cpts, cws, 2000, 100, func(_, _, _ float64) float64 { return s.Uniform(0.1, 1) })
+	cmodes, err := FindModes(cfg, cpts, cws, sampleStarts(s, cpts, cws, 192))
+	if err != nil || len(cmodes) < 2 {
+		t.Fatalf("clustered population: %d modes, %v", len(cmodes), err)
+	}
+	cases = append(cases, tc{"clustered", cfg, cmodes, cpts, cws})
+
+	upts, uws := uniformNoise(s, nil, nil, 5000, 100, func(_, _, _ float64) float64 { return s.Uniform(0.1, 1) })
+	umodes, err := FindModes(cfg, upts, uws, sampleStarts(s, upts, uws, 192))
+	if err != nil || len(umodes) < 2 {
+		t.Fatalf("uniform population: %d modes, %v", len(umodes), err)
+	}
+	cases = append(cases, tc{"uniform", cfg, umodes, upts, uws})
+
+	var rmodes []Mode
+	for i := 0; i < 60; i++ {
+		rmodes = append(rmodes, Mode{Point: []float64{s.Uniform(0, 100), s.Uniform(0, 100), s.Uniform(0, 200)}})
+	}
+	cases = append(cases, tc{"uniform, 60 random modes", cfg, rmodes, upts, uws})
+
+	// Points one cutoff (3 bandwidths here) from a mode along each axis
+	// and the diagonal, and one ulp inside and outside of that.
+	edge := modesAt(3, 50, 50, 100, 62.5, 50, 100)
+	var epts, ews []float64
+	for _, m := range edge {
+		for _, off := range [][2]float64{{12, 0}, {-12, 0}, {0, 12}, {0, -12}, {12 / math.Sqrt2, 12 / math.Sqrt2}} {
+			for _, ulp := range []float64{-1, 0, 1} {
+				x := m.Point[0] + off[0]
+				y := m.Point[1] + off[1]
+				epts = append(epts, math.Nextafter(x, x+ulp), y, 100, x, math.Nextafter(y, y+ulp), 100)
+				ews = append(ews, 1+s.Float64(), 1+s.Float64())
+			}
+		}
+	}
+	cases = append(cases, tc{"one cutoff away", cfg, edge, epts, ews})
+
+	cases = append(cases,
+		tc{"modes outside the points", cfg, modesAt(3, -500, -500, 50, 1e4, 30, 80, 48, 70, 50, 150, 150, 60), cpts, cws},
+		tc{"coincident modes", cfg, modesAt(3, 47, 71, 50, 81, 42, 50, 47, 71, 50, 81, 42, 50), cpts, cws},
+		tc{"no modes", cfg, nil, cpts, cws},
+		tc{"non-finite modes", cfg, []Mode{
+			{Point: []float64{math.NaN(), 71, 50}},
+			{Point: []float64{47, math.Inf(1), 50}},
+			{Point: []float64{47, 71, math.NaN()}},
+			{Point: []float64{81, 42, 50}},
+		}, cpts, cws},
+		tc{"non-finite points", cfg, modesAt(3, 47, 71, 50, 81, 42, 50),
+			[]float64{math.NaN(), 71, 50, 47, math.Inf(-1), 50, 81, 42, math.Inf(1), 81, 42, 50},
+			[]float64{1, 2, 3, 4}},
+		tc{"two dimensions", Config{Bandwidth: []float64{2, 5}}, modesAt(2, 10, 10, 30, 30, 10, 40),
+			[]float64{10, 10, 11, 14, 30, 45, 16, 10, 10, 25, 9.5, 39},
+			[]float64{1, 2, 3, 4, 5, 6}},
+	)
+
+	searcher, err := NewSearcher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		for _, cutoff := range []float64{3, 0, -1, 1e-9, 1e6, math.Inf(1)} {
+			s := searcher
+			if len(c.cfg.Bandwidth) != len(cfg.Bandwidth) || c.cfg.Bandwidth[0] != cfg.Bandwidth[0] {
+				if s, err = NewSearcher(c.cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := s.AssignMass(c.modes, c.pts, c.ws, cutoff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := assignMassOracle(c.cfg, c.modes, c.pts, c.ws, cutoff)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Errorf("%s, cutoff %v: slot %d = %v, oracle %v", c.name, cutoff, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -59,7 +59,7 @@ func exportedState(t *testing.T, st fusion.EngineState, noGate bool) []byte {
 	if noGate {
 		st.Delivery = fusion.DeliveryStats{}
 	}
-	blob, err := json.Marshal(st)
+	blob, err := fusion.EncodeState(st)
 	if err != nil {
 		t.Fatal(err)
 	}

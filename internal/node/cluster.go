@@ -103,7 +103,7 @@ func (b *zoneBackend) ApplyRecords(recs []cluster.RecordAt) error {
 }
 
 // ExportState implements cluster.Backend.
-func (b *zoneBackend) ExportState() (json.RawMessage, uint64, error) {
+func (b *zoneBackend) ExportState() ([]byte, uint64, error) {
 	var st fusion.EngineState
 	err := b.z.Do(context.TODO(), func(e *fusion.Engine) (err error) {
 		st, err = e.ExportState()
@@ -112,7 +112,7 @@ func (b *zoneBackend) ExportState() (json.RawMessage, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	blob, err := json.Marshal(st)
+	blob, err := fusion.EncodeState(st)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -123,9 +123,9 @@ func (b *zoneBackend) ExportState() (json.RawMessage, uint64, error) {
 // fast-forward the local log to the offset it covers, and checkpoint
 // immediately so a crash right after recovers into the snapshot, not
 // an empty zone.
-func (b *zoneBackend) Bootstrap(state json.RawMessage, applied uint64) error {
-	var st fusion.EngineState
-	if err := json.Unmarshal(state, &st); err != nil {
+func (b *zoneBackend) Bootstrap(state []byte, applied uint64) error {
+	st, err := fusion.DecodeState(state)
+	if err != nil {
 		return fmt.Errorf("bootstrap state: %w", err)
 	}
 	return b.z.Do(context.TODO(), func(e *fusion.Engine) error {

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -30,6 +29,11 @@ type recoveryJSON struct {
 	CheckpointDiscarded bool   `json:"checkpointDiscarded,omitempty"`
 	// Replayed is the number of WAL records re-applied at boot.
 	Replayed uint64 `json:"replayed"`
+	// ImportSeconds is the wall-clock time boot spent loading,
+	// decoding and importing the checkpoint (the WAL replay after it
+	// is radloc_wal_replay_seconds). /statez reads it back from
+	// radloc_durable_checkpoint_import_seconds.
+	ImportSeconds float64 `json:"importSeconds"`
 }
 
 // durable owns radlocd's durability plumbing: the WAL, the checkpoint
@@ -126,12 +130,12 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 	}
 
 	replayFrom := uint64(0)
+	t0 := time.Now()
 	if ck, ok, lerr := wal.LoadCheckpointFS(fsys, dir); lerr != nil {
 		l.Close()
 		return nil, nil, lerr
 	} else if ok {
-		var st fusion.EngineState
-		ierr := json.Unmarshal(ck.State, &st)
+		st, ierr := fusion.DecodeState(ck.State)
 		if ierr == nil {
 			ierr = engine.ImportState(st)
 		}
@@ -151,6 +155,7 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 			replayFrom = ck.Applied
 		}
 	}
+	d.met.importSeconds.Set(time.Since(t0).Seconds())
 	if replayFrom > l.Offset() {
 		// The checkpoint outlived the WAL tail (corruption truncated
 		// records it had already covered): fast-forward the log so new
@@ -207,7 +212,7 @@ func (d *durable) checkpoint() (err error) {
 	if err != nil {
 		return err
 	}
-	blob, err := json.Marshal(st)
+	blob, err := fusion.EncodeState(st)
 	if err != nil {
 		return err
 	}
@@ -280,6 +285,7 @@ func statez(s fusion.Snapshot, d *durable, ing *httpingest.Handler) statezJSON {
 		return out
 	}
 	rec := d.recovery
+	rec.ImportSeconds = d.met.importSeconds.Value()
 	st := d.storage.Load()
 	out.Durability = durabilityJSON{
 		Enabled:        true,

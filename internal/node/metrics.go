@@ -15,6 +15,7 @@ type durableMetrics struct {
 	failures          *obs.Counter
 	checkpointSeconds *obs.Histogram
 	lastCheckpoint    *obs.Gauge
+	importSeconds     *obs.Gauge
 }
 
 func newDurableMetrics(r *obs.Registry) *durableMetrics {
@@ -30,6 +31,8 @@ func newDurableMetrics(r *obs.Registry) *durableMetrics {
 			"Wall-clock seconds per checkpoint: state export, WAL sync, atomic write, prune.", nil),
 		lastCheckpoint: r.Gauge("radloc_durable_last_checkpoint_offset",
 			"WAL offset covered by the newest checkpoint."),
+		importSeconds: r.Gauge("radloc_durable_checkpoint_import_seconds",
+			"Wall-clock seconds boot spent loading, decoding and importing the zone's checkpoint."),
 	}
 }
 

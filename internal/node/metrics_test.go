@@ -280,23 +280,24 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 
 	// One family of each kind from each instrumented subsystem.
 	wantTypes := map[string]string{
-		"radloc_filter_stage_seconds":         "histogram",
-		"radloc_filter_iterations_total":      "counter",
-		"radloc_filter_particles":             "gauge",
-		"radloc_fusion_ingested_total":        "counter",
-		"radloc_fusion_refresh_seconds":       "histogram",
-		"radloc_fusion_estimates":             "gauge",
-		"radloc_ingest_requests_total":        "counter",
-		"radloc_ingest_request_seconds":       "histogram",
-		"radloc_ingest_inflight_requests":     "gauge",
-		"radloc_transport_duplicates_total":   "counter",
-		"radloc_transport_reorder_pending":    "gauge",
-		"radloc_transport_release_batch_size": "histogram",
-		"radloc_wal_appends_total":            "counter",
-		"radloc_wal_append_seconds":           "histogram",
-		"radloc_wal_offset":                   "gauge",
-		"radloc_durable_checkpoints_total":    "counter",
-		"radloc_process_uptime_seconds":       "gauge",
+		"radloc_filter_stage_seconds":              "histogram",
+		"radloc_filter_iterations_total":           "counter",
+		"radloc_filter_particles":                  "gauge",
+		"radloc_fusion_ingested_total":             "counter",
+		"radloc_fusion_refresh_seconds":            "histogram",
+		"radloc_fusion_estimates":                  "gauge",
+		"radloc_ingest_requests_total":             "counter",
+		"radloc_ingest_request_seconds":            "histogram",
+		"radloc_ingest_inflight_requests":          "gauge",
+		"radloc_transport_duplicates_total":        "counter",
+		"radloc_transport_reorder_pending":         "gauge",
+		"radloc_transport_release_batch_size":      "histogram",
+		"radloc_wal_appends_total":                 "counter",
+		"radloc_wal_append_seconds":                "histogram",
+		"radloc_wal_offset":                        "gauge",
+		"radloc_durable_checkpoints_total":         "counter",
+		"radloc_durable_checkpoint_import_seconds": "gauge",
+		"radloc_process_uptime_seconds":            "gauge",
 	}
 	for fam, typ := range wantTypes {
 		if got := dump.types[fam]; got != typ {
@@ -343,16 +344,20 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 	if sz.Ingress.Duplicates == 0 {
 		t.Fatal("chaos run produced no redelivery — the agreement check would be vacuous")
 	}
+	if sz.Durability.Recovery == nil || sz.Durability.Recovery.ImportSeconds <= 0 {
+		t.Fatalf("/statez recovery = %+v, want a measured checkpoint import time", sz.Durability.Recovery)
+	}
 	agree := map[string]float64{
-		"radloc_ingest_requests_total":      float64(sz.Ingress.Requests),
-		"radloc_ingest_accepted_total":      float64(sz.Ingress.Accepted),
-		"radloc_ingest_duplicates_total":    float64(sz.Ingress.Duplicates),
-		"radloc_ingest_rejected_total":      float64(sz.Ingress.Rejected),
-		"radloc_transport_duplicates_total": float64(sz.Delivery.Duplicates),
-		"radloc_transport_buffered_total":   float64(sz.Delivery.Buffered),
-		"radloc_fusion_journaled_records":   float64(sz.Journaled),
-		"radloc_wal_offset":                 float64(sz.Durability.WalOffset),
-		"radloc_durable_checkpoints_total":  float64(sz.Durability.Checkpoints),
+		"radloc_ingest_requests_total":             float64(sz.Ingress.Requests),
+		"radloc_ingest_accepted_total":             float64(sz.Ingress.Accepted),
+		"radloc_ingest_duplicates_total":           float64(sz.Ingress.Duplicates),
+		"radloc_ingest_rejected_total":             float64(sz.Ingress.Rejected),
+		"radloc_transport_duplicates_total":        float64(sz.Delivery.Duplicates),
+		"radloc_transport_buffered_total":          float64(sz.Delivery.Buffered),
+		"radloc_fusion_journaled_records":          float64(sz.Journaled),
+		"radloc_wal_offset":                        float64(sz.Durability.WalOffset),
+		"radloc_durable_checkpoints_total":         float64(sz.Durability.Checkpoints),
+		"radloc_durable_checkpoint_import_seconds": sz.Durability.Recovery.ImportSeconds,
 	}
 	for fam, want := range agree {
 		if got := dump.value(t, fam, nil); got != want {

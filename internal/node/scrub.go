@@ -2,7 +2,6 @@ package node
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -130,8 +129,7 @@ func (zs *zoneSet) repairFromReplica(ctx context.Context, z *zone.Zone, d *durab
 	// The snapshot must at least decode before it becomes the recovery
 	// anchor; boot tolerates an unusable checkpoint only by falling
 	// back to a full replay, which the quarantine just made impossible.
-	var st fusion.EngineState
-	if err := json.Unmarshal(state, &st); err != nil {
+	if _, err := fusion.DecodeState(state); err != nil {
 		fmt.Fprintf(zs.logw, "radlocd: zone %q: replica %s state does not decode, using local state: %v\n",
 			zoneName, peer, err)
 		return "", false
@@ -155,7 +153,7 @@ func (d *durable) adoptLocalCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	blob, err := json.Marshal(st)
+	blob, err := fusion.EncodeState(st)
 	if err != nil {
 		return err
 	}

@@ -226,7 +226,7 @@ func TestMultiZoneRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := json.Marshal(st)
+		blob, err := fusion.EncodeState(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestMultiZoneRecovery(t *testing.T) {
 	}
 	for _, name := range zones {
 		z, _ := zs2.manager.Lookup(name)
-		got, err := json.Marshal(zoneState(t, z))
+		got, err := fusion.EncodeState(zoneState(t, z))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestPipeDefaultZoneBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := json.Marshal(wantState)
+			want, err := fusion.EncodeState(wantState)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,7 +335,7 @@ func TestPipeDefaultZoneBitIdentical(t *testing.T) {
 			if err := servePipe(context.Background(), zs, strings.NewReader(input), &out, len(sc.Sensors)); err != nil {
 				t.Fatal(err)
 			}
-			got, err := json.Marshal(zoneState(t, zs.defaultZone()))
+			got, err := fusion.EncodeState(zoneState(t, zs.defaultZone()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,7 +24,7 @@ type Grid struct {
 	nx, ny   int
 	cells    [][]int32
 	pos      []geometry.Vec // item id → position
-	cellOf   []int32        // item id → cell index, for O(1) Move
+	slotOf   []int32        // item id → index within its cell's bucket, for O(1) Move
 	hitBuf   []uint64       // WithinRadiusSorted hit bitset
 }
 
@@ -78,45 +78,45 @@ func (g *Grid) Rebuild(positions []geometry.Vec) {
 		g.cells[i] = g.cells[i][:0]
 	}
 	g.pos = append(g.pos[:0], positions...)
-	if cap(g.cellOf) < len(positions) {
-		g.cellOf = make([]int32, len(positions))
+	if cap(g.slotOf) < len(positions) {
+		g.slotOf = make([]int32, len(positions))
 	}
-	g.cellOf = g.cellOf[:len(positions)]
+	g.slotOf = g.slotOf[:len(positions)]
 	for i, p := range positions {
 		c := g.cellIndex(p)
+		g.slotOf[i] = int32(len(g.cells[c]))
 		g.cells[c] = append(g.cells[c], int32(i))
-		g.cellOf[i] = int32(c)
 	}
 }
 
 // Move updates item id's position in place — the allocation-free
 // alternative to a full Rebuild when only a few items changed, e.g.
-// the particles a fusion disc selected. If the item stays in its cell
-// the move is two stores; otherwise it is removed from the old cell's
-// bucket (swap-remove, O(bucket)) and appended to the new one. id must
-// be a valid index from the last Rebuild.
+// the particles a fusion disc selected. The old cell is recomputed
+// from the stored position and the item's slot in its bucket is
+// tracked, so a move is O(1): if the item stays in its cell it is one
+// store; otherwise it is swap-removed from the old cell's bucket (the
+// bucket's last item takes its slot) and appended to the new one. id
+// must be a valid index from the last Rebuild.
 //
 // A moved item's position within its bucket — and therefore the order
 // WithinRadius reports IDs in — depends on the move history, not just
 // the final positions. Callers that need an order independent of how
 // the index got here must sort the query result.
 func (g *Grid) Move(id int, p geometry.Vec) {
+	oldC := g.cellIndex(g.pos[id])
+	newC := g.cellIndex(p)
 	g.pos[id] = p
-	oldC := g.cellOf[id]
-	newC := int32(g.cellIndex(p))
 	if oldC == newC {
 		return
 	}
 	bucket := g.cells[oldC]
-	for i, v := range bucket {
-		if v == int32(id) {
-			bucket[i] = bucket[len(bucket)-1]
-			g.cells[oldC] = bucket[:len(bucket)-1]
-			break
-		}
-	}
+	slot := g.slotOf[id]
+	last := bucket[len(bucket)-1]
+	bucket[slot] = last
+	g.slotOf[last] = slot
+	g.cells[oldC] = bucket[:len(bucket)-1]
+	g.slotOf[id] = int32(len(g.cells[newC]))
 	g.cells[newC] = append(g.cells[newC], int32(id))
-	g.cellOf[id] = newC
 }
 
 // Reset re-dimensions the grid for new bounds and cell size, reusing
@@ -140,7 +140,7 @@ func (g *Grid) Reset(bounds geometry.Rect, cellSize float64) {
 		g.cells[i] = g.cells[i][:0]
 	}
 	g.pos = g.pos[:0]
-	g.cellOf = g.cellOf[:0]
+	g.slotOf = g.slotOf[:0]
 }
 
 // Len returns the number of indexed items.

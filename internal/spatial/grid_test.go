@@ -284,3 +284,88 @@ func TestResetReusesGrid(t *testing.T) {
 		t.Fatalf("after Reset: Len %d CellSize %v, want 150 3", g.Len(), g.CellSize())
 	}
 }
+
+// linearMoveOracle replays Moves the way Grid.Move did before it
+// tracked each item's slot: find the item by a linear search of its
+// old cell's bucket, swap the bucket's last item into its place, and
+// append it to the new cell's bucket. Cells come from the grid under
+// test, which the oracle never moves.
+type linearMoveOracle struct {
+	g      *Grid
+	cells  [][]int32
+	cellOf []int
+}
+
+func newLinearMoveOracle(g *Grid, pts []geometry.Vec) *linearMoveOracle {
+	o := &linearMoveOracle{g: g, cells: make([][]int32, len(g.cells)), cellOf: make([]int, len(pts))}
+	for i, p := range pts {
+		c := g.cellIndex(p)
+		o.cells[c] = append(o.cells[c], int32(i))
+		o.cellOf[i] = c
+	}
+	return o
+}
+
+func (o *linearMoveOracle) move(id int, p geometry.Vec) {
+	oldC, newC := o.cellOf[id], o.g.cellIndex(p)
+	if oldC == newC {
+		return
+	}
+	bucket := o.cells[oldC]
+	for i, v := range bucket {
+		if v == int32(id) {
+			bucket[i] = bucket[len(bucket)-1]
+			o.cells[oldC] = bucket[:len(bucket)-1]
+			break
+		}
+	}
+	o.cells[newC] = append(o.cells[newC], int32(id))
+	o.cellOf[id] = newC
+}
+
+// TestMoveMatchesLinearSearch replays seeded random Move sequences —
+// concentrated moves that keep buckets crowded, moves that stay in
+// their cell, moves out of bounds (clamped to border cells) — against
+// the linear-search oracle. Every bucket must hold the same IDs in the
+// same order after every move, and every item's slot must point back
+// at it.
+func TestMoveMatchesLinearSearch(t *testing.T) {
+	for seed := uint64(0); seed < 6; seed++ {
+		s := rng.New(41, seed)
+		n := 300
+		pts := make([]geometry.Vec, n)
+		for i := range pts {
+			pts[i] = geometry.V(s.Normal(50, 8), s.Normal(50, 8))
+		}
+		g := NewGrid(bounds100(), 7)
+		g.Rebuild(pts)
+		o := newLinearMoveOracle(g, pts)
+		for step := 0; step < 2000; step++ {
+			id := s.IntN(n)
+			var p geometry.Vec
+			switch s.IntN(4) {
+			case 0: // stay near: often the same cell
+				p = geometry.V(g.pos[id].X+s.Normal(0, 0.5), g.pos[id].Y+s.Normal(0, 0.5))
+			case 1: // anywhere, out of bounds included
+				p = geometry.V(s.Uniform(-20, 120), s.Uniform(-20, 120))
+			default: // concentrated
+				p = geometry.V(s.Normal(50, 4), s.Normal(50, 4))
+			}
+			g.Move(id, p)
+			o.move(id, p)
+			for c := range g.cells {
+				if len(g.cells[c]) != len(o.cells[c]) {
+					t.Fatalf("seed %d step %d: cell %d holds %d items, oracle %d", seed, step, c, len(g.cells[c]), len(o.cells[c]))
+				}
+				for i, v := range g.cells[c] {
+					if v != o.cells[c][i] {
+						t.Fatalf("seed %d step %d: cell %d slot %d = %d, oracle %d", seed, step, c, i, v, o.cells[c][i])
+					}
+					if g.slotOf[v] != int32(i) {
+						t.Fatalf("seed %d step %d: item %d at slot %d, slotOf says %d", seed, step, v, i, g.slotOf[v])
+					}
+				}
+			}
+		}
+	}
+}

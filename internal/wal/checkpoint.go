@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -18,40 +20,114 @@ import (
 // loads the newest valid checkpoint and replays the WAL from Applied.
 type Checkpoint struct {
 	// Applied is the WAL offset this state corresponds to.
-	Applied uint64 `json:"applied"`
+	Applied uint64
 	// State is the engine's opaque serialized state.
-	State json.RawMessage `json:"state"`
+	State []byte
 }
 
+// The file names keep the .json suffix of the original JSON envelope:
+// renaming them would make every scan look for two suffixes and buy
+// nothing.
 const ckptPrefix, ckptSuffix = "checkpoint-", ".json"
 
 func checkpointPath(dir string, applied uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016x%s", ckptPrefix, applied, ckptSuffix))
 }
 
-type ckptEnvelope struct {
+// ckptMagic opens the binary checkpoint envelope:
+//
+//	magic "RLCK" | applied uint64 | CRC32 of the state uint32 | state
+//
+// with the integers little-endian. A file that does not open with the
+// magic is read as the legacy JSON envelope (legacyEnvelope).
+const ckptMagic = "RLCK"
+
+// ckptHeader is the binary envelope's length before the state.
+const ckptHeader = len(ckptMagic) + 8 + 4
+
+// legacyEnvelope is the JSON checkpoint envelope older releases wrote.
+// It is only read, so a node upgraded in place boots from the last
+// checkpoint the old binary left behind (the WAL below it is pruned).
+type legacyEnvelope struct {
 	CRC     uint32          `json:"crc"`
 	Applied uint64          `json:"applied"`
 	State   json.RawMessage `json:"state"`
 }
 
+// encodeCheckpoint renders ck in the binary envelope.
+func encodeCheckpoint(ck Checkpoint) []byte {
+	blob := make([]byte, ckptHeader+len(ck.State))
+	copy(blob, ckptMagic)
+	binary.LittleEndian.PutUint64(blob[len(ckptMagic):], ck.Applied)
+	binary.LittleEndian.PutUint32(blob[len(ckptMagic)+8:], crc32.Checksum(ck.State, crcTable))
+	copy(blob[ckptHeader:], ck.State)
+	return blob
+}
+
+// decodeCheckpoint parses a checkpoint file in either envelope and
+// verifies its CRC and that it covers applied, the offset its name
+// claims. The returned state aliases blob.
+func decodeCheckpoint(blob []byte, applied uint64) (Checkpoint, bool) {
+	var ck Checkpoint
+	var crc uint32
+	if bytes.HasPrefix(blob, []byte(ckptMagic)) {
+		if len(blob) < ckptHeader {
+			return Checkpoint{}, false
+		}
+		ck.Applied = binary.LittleEndian.Uint64(blob[len(ckptMagic):])
+		crc = binary.LittleEndian.Uint32(blob[len(ckptMagic)+8:])
+		ck.State = blob[ckptHeader:]
+	} else {
+		var env legacyEnvelope
+		if json.Unmarshal(blob, &env) != nil {
+			return Checkpoint{}, false
+		}
+		ck.Applied, crc, ck.State = env.Applied, env.CRC, env.State
+	}
+	if ck.Applied != applied || crc32.Checksum(ck.State, crcTable) != crc {
+		return Checkpoint{}, false
+	}
+	return ck, true
+}
+
+// listCheckpoints returns the applied offsets of the checkpoint files
+// in dir, newest first. Only canonical names count — the ones
+// checkpointPath produces; a missing dir holds none.
+func listCheckpoints(fsys vfs.FS, dir string) ([]uint64, error) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	var applied []uint64
+	for _, ent := range entries {
+		name := ent.Name()
+		if ent.IsDir() || !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
+			continue
+		}
+		hexpart := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
+		a, perr := strconv.ParseUint(hexpart, 16, 64)
+		if perr != nil || checkpointPath(dir, a) != filepath.Join(dir, name) {
+			continue
+		}
+		applied = append(applied, a)
+	}
+	sort.Slice(applied, func(i, j int) bool { return applied[i] > applied[j] })
+	return applied, nil
+}
+
 // WriteCheckpointFS atomically persists a checkpoint into dir
-// (write-to-temp, fsync, rename, fsync dir) through fsys. The caller
-// MUST have Sync'd the WAL through Applied first — a checkpoint that
-// refers to records the log could still lose is a lie. Every error on
-// the way — write, sync, close, rename — is propagated: a checkpoint
-// either exists whole or reports why it does not.
+// (write-to-temp, fsync, rename, fsync dir) through fsys, in the
+// binary envelope. The caller MUST have Sync'd the WAL through Applied
+// first — a checkpoint that refers to records the log could still
+// lose is a lie. Every error on the way — write, sync, close, rename —
+// is propagated: a checkpoint either exists whole or reports why it
+// does not.
 func WriteCheckpointFS(fsys vfs.FS, dir string, ck Checkpoint) error {
 	fsys = vfs.Or(fsys)
-	env := ckptEnvelope{
-		CRC:     crc32.Checksum(ck.State, crcTable),
-		Applied: ck.Applied,
-		State:   ck.State,
-	}
-	blob, err := json.Marshal(env)
-	if err != nil {
-		return err
-	}
+	blob := encodeCheckpoint(ck)
 	tmp, err := fsys.CreateTemp(dir, ckptPrefix+"tmp-*")
 	if err != nil {
 		return err
@@ -76,88 +152,52 @@ func WriteCheckpointFS(fsys vfs.FS, dir string, ck Checkpoint) error {
 }
 
 // LoadCheckpointFS returns the newest valid checkpoint in dir through
-// fsys. Corrupt or unreadable candidates are skipped (renamed aside),
-// walking back to older ones; ok=false means no usable checkpoint
-// exists — cold start from WAL offset 0.
+// fsys. Corrupt candidates are skipped (renamed aside to a
+// collision-safe .bad sibling, as QuarantineCheckpoint does), walking
+// back to older ones; unreadable ones are skipped in place; ok=false
+// means no usable checkpoint exists — cold start from WAL offset 0.
 func LoadCheckpointFS(fsys vfs.FS, dir string) (ck Checkpoint, ok bool, err error) {
 	fsys = vfs.Or(fsys)
-	entries, err := fsys.ReadDir(dir)
+	candidates, err := listCheckpoints(fsys, dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return Checkpoint{}, false, nil
-		}
 		return Checkpoint{}, false, err
 	}
-	var candidates []uint64
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-			continue
-		}
-		hexpart := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
-		applied, perr := strconv.ParseUint(hexpart, 16, 64)
-		if perr != nil || checkpointPath(dir, applied) != filepath.Join(dir, name) {
-			continue
-		}
-		candidates = append(candidates, applied)
-	}
-	sort.Slice(candidates, func(a, b int) bool { return candidates[a] > candidates[b] })
 	for _, applied := range candidates {
-		path := checkpointPath(dir, applied)
-		blob, rerr := fsys.ReadFile(path)
+		blob, rerr := fsys.ReadFile(checkpointPath(dir, applied))
 		if rerr != nil {
 			continue
 		}
-		var env ckptEnvelope
-		if json.Unmarshal(blob, &env) != nil ||
-			env.Applied != applied ||
-			crc32.Checksum(env.State, crcTable) != env.CRC {
-			// Corrupt: move aside and fall back to the previous one.
-			_ = fsys.Rename(path, path+".bad")
-			continue
+		if ck, ok := decodeCheckpoint(blob, applied); ok {
+			return ck, true, nil
 		}
-		return Checkpoint{Applied: env.Applied, State: env.State}, true, nil
+		// Corrupt: move aside and fall back to the previous one.
+		_ = QuarantineCheckpoint(fsys, dir, applied)
 	}
 	return Checkpoint{}, false, nil
 }
 
 // VerifyCheckpoints re-validates every checkpoint file in dir through
-// fsys, returning the applied offsets of the ones whose CRC envelope
-// no longer checks out. Nothing is moved or repaired — this is the
-// integrity scrubber's read-only detection pass; quarantine and
+// fsys, returning the applied offsets of the ones whose envelope no
+// longer checks out, ascending. Nothing is moved or repaired — this is
+// the integrity scrubber's read-only detection pass; quarantine and
 // repair are the caller's decisions.
 func VerifyCheckpoints(fsys vfs.FS, dir string) (bad []uint64, err error) {
 	fsys = vfs.Or(fsys)
-	entries, err := fsys.ReadDir(dir)
+	candidates, err := listCheckpoints(fsys, dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
 		return nil, err
 	}
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-			continue
-		}
-		hexpart := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
-		applied, perr := strconv.ParseUint(hexpart, 16, 64)
-		if perr != nil || checkpointPath(dir, applied) != filepath.Join(dir, name) {
-			continue
-		}
-		blob, rerr := fsys.ReadFile(filepath.Join(dir, name))
+	for i := len(candidates) - 1; i >= 0; i-- {
+		applied := candidates[i]
+		blob, rerr := fsys.ReadFile(checkpointPath(dir, applied))
 		if rerr != nil {
 			bad = append(bad, applied)
 			continue
 		}
-		var env ckptEnvelope
-		if json.Unmarshal(blob, &env) != nil ||
-			env.Applied != applied ||
-			crc32.Checksum(env.State, crcTable) != env.CRC {
+		if _, ok := decodeCheckpoint(blob, applied); !ok {
 			bad = append(bad, applied)
 		}
 	}
-	sort.Slice(bad, func(a, b int) bool { return bad[a] < bad[b] })
 	return bad, nil
 }
 
@@ -182,27 +222,10 @@ func PruneCheckpointsFS(fsys vfs.FS, dir string, keep int) error {
 	if keep < 1 {
 		keep = 1
 	}
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
+	candidates, err := listCheckpoints(fsys, dir)
+	if err != nil || len(candidates) <= keep {
 		return err
 	}
-	var candidates []uint64
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-			continue
-		}
-		hexpart := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
-		applied, perr := strconv.ParseUint(hexpart, 16, 64)
-		if perr != nil || checkpointPath(dir, applied) != filepath.Join(dir, name) {
-			continue
-		}
-		candidates = append(candidates, applied)
-	}
-	if len(candidates) <= keep {
-		return nil
-	}
-	sort.Slice(candidates, func(a, b int) bool { return candidates[a] > candidates[b] })
 	for _, applied := range candidates[keep:] {
 		if err := fsys.Remove(checkpointPath(dir, applied)); err != nil && !os.IsNotExist(err) {
 			return err

@@ -6,8 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"radloc/internal/vfs"
 )
@@ -283,34 +281,26 @@ func (l *Log) QuarantineSegment(start uint64, dstDir string) (uint64, error) {
 // collision-safe), not deleted.
 func MoveCheckpointsFS(fsys vfs.FS, dir string, floor uint64, dstDir string) (int, error) {
 	fsys = vfs.Or(fsys)
-	entries, err := fsys.ReadDir(dir)
+	candidates, err := listCheckpoints(fsys, dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
 		return 0, err
 	}
 	moved := 0
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasPrefix(name, ckptPrefix) || !strings.HasSuffix(name, ckptSuffix) {
-			continue
-		}
-		hexpart := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
-		applied, perr := strconv.ParseUint(hexpart, 16, 64)
-		if perr != nil || applied <= floor {
-			continue
+	for _, applied := range candidates { // newest first
+		if applied <= floor {
+			break
 		}
 		if moved == 0 {
 			if err := fsys.MkdirAll(dstDir, 0o755); err != nil {
 				return 0, err
 			}
 		}
-		dst, err := uniquePath(fsys, dstDir, name)
+		path := checkpointPath(dir, applied)
+		dst, err := uniquePath(fsys, dstDir, filepath.Base(path))
 		if err != nil {
 			return moved, err
 		}
-		if err := fsys.Rename(filepath.Join(dir, name), dst); err != nil {
+		if err := fsys.Rename(path, dst); err != nil {
 			return moved, err
 		}
 		moved++

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -243,5 +244,105 @@ func TestForeignFilesQuarantined(t *testing.T) {
 	l.Close()
 	if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
 		t.Error("unrelated file touched")
+	}
+}
+
+// TestLoadCheckpointSetAsideKeepsEarlierBad: boot's set-aside of a
+// corrupt checkpoint must not clobber an earlier .bad file at the same
+// offset — both pieces of evidence survive, under collision-safe names.
+func TestLoadCheckpointSetAsideKeepsEarlierBad(t *testing.T) {
+	dir := t.TempDir()
+	path := checkpointPath(dir, 250)
+	var corrupted [][]byte
+	for gen := 1; gen <= 2; gen++ {
+		state, _ := json.Marshal(map[string]int{"gen": gen})
+		if err := WriteCheckpointFS(vfs.OS{}, dir, Checkpoint{Applied: 250, State: state}); err != nil {
+			t.Fatal(err)
+		}
+		blob, _ := os.ReadFile(path)
+		blob[len(blob)-2] ^= 0xff
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		corrupted = append(corrupted, blob)
+		if _, ok, err := LoadCheckpointFS(vfs.OS{}, dir); err != nil || ok {
+			t.Fatalf("generation %d: corrupt checkpoint loaded: ok=%v err=%v", gen, ok, err)
+		}
+	}
+	for i, name := range []string{path + ".bad", path + ".bad.1"} {
+		got, err := os.ReadFile(name)
+		if err != nil || !reflect.DeepEqual(got, corrupted[i]) {
+			t.Errorf("%s does not hold corrupt generation %d (err %v)", filepath.Base(name), i+1, err)
+		}
+	}
+}
+
+// TestLoadCheckpointReadsLegacyEnvelope: a checkpoint in the JSON
+// envelope older releases wrote still loads (and is verified by its
+// CRC), while new checkpoints are written in the binary envelope.
+func TestLoadCheckpointReadsLegacyEnvelope(t *testing.T) {
+	dir := t.TempDir()
+	state := []byte(`{"gen":1}`)
+	legacy, _ := json.Marshal(legacyEnvelope{CRC: crc32.Checksum(state, crcTable), Applied: 100, State: state})
+	if err := os.WriteFile(checkpointPath(dir, 100), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, ok, err := LoadCheckpointFS(vfs.OS{}, dir)
+	if err != nil || !ok || ck.Applied != 100 || string(ck.State) != string(state) {
+		t.Fatalf("legacy checkpoint: ok=%v err=%v ck=%+v", ok, err, ck)
+	}
+	if bad, err := VerifyCheckpoints(vfs.OS{}, dir); err != nil || len(bad) != 0 {
+		t.Fatalf("legacy checkpoint fails verification: %v %v", bad, err)
+	}
+
+	if err := WriteCheckpointFS(vfs.OS{}, dir, Checkpoint{Applied: 200, State: state}); err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := os.ReadFile(checkpointPath(dir, 200))
+	if !strings.HasPrefix(string(blob), ckptMagic) || len(blob) != ckptHeader+len(state) {
+		t.Fatalf("new checkpoint is not in the binary envelope: %q", blob)
+	}
+
+	// A legacy envelope whose state no longer matches its CRC is bad.
+	legacy[len(legacy)-3] ^= 0x01
+	if err := os.WriteFile(checkpointPath(dir, 100), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if bad, err := VerifyCheckpoints(vfs.OS{}, dir); err != nil || !reflect.DeepEqual(bad, []uint64{100}) {
+		t.Fatalf("corrupt legacy checkpoint: bad=%v err=%v", bad, err)
+	}
+}
+
+// TestCheckpointScansIgnoreNonCanonicalNames: the load, verify, prune
+// and move scans share one name parse, and a file whose name is not
+// the one checkpointPath would give its offset is never touched.
+func TestCheckpointScansIgnoreNonCanonicalNames(t *testing.T) {
+	dir := t.TempDir()
+	odd := filepath.Join(dir, "checkpoint-ff.json")
+	if err := os.WriteFile(odd, []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, applied := range []uint64{10, 20} {
+		if err := WriteCheckpointFS(vfs.OS{}, dir, Checkpoint{Applied: applied, State: []byte("{}")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ck, ok, err := LoadCheckpointFS(vfs.OS{}, dir); err != nil || !ok || ck.Applied != 20 {
+		t.Fatalf("load: ok=%v err=%v applied=%d", ok, err, ck.Applied)
+	}
+	if bad, err := VerifyCheckpoints(vfs.OS{}, dir); err != nil || len(bad) != 0 {
+		t.Fatalf("verify: bad=%v err=%v", bad, err)
+	}
+	if err := PruneCheckpointsFS(vfs.OS{}, dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	if moved, err := MoveCheckpointsFS(vfs.OS{}, dir, 0, filepath.Join(dir, "moved")); err != nil || moved != 1 {
+		t.Fatalf("move: moved=%d err=%v", moved, err)
+	}
+	if _, err := os.Stat(odd); err != nil {
+		t.Errorf("non-canonical file was touched: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "moved", filepath.Base(checkpointPath(dir, 20)))); err != nil {
+		t.Errorf("newest checkpoint not moved: %v", err)
 	}
 }

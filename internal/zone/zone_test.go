@@ -2,7 +2,6 @@ package zone
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -381,8 +380,8 @@ func TestZonesMatchIndependentEngines(t *testing.T) {
 		if _, err := ref.Submit(ctx, ms); err != nil {
 			t.Fatal(err)
 		}
-		got := zoneExportJSON(t, mustZone(t, m, name))
-		want, err := exportJSON(ref)
+		got := zoneExportState(t, mustZone(t, m, name))
+		want, err := exportState(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,21 +400,21 @@ func mustZone(t *testing.T, m *Manager, name string) *Zone {
 	return z
 }
 
-func exportJSON(e *fusion.Engine) (string, error) {
+func exportState(e *fusion.Engine) (string, error) {
 	st, err := e.ExportState()
 	if err != nil {
 		return "", err
 	}
-	b, err := json.Marshal(st)
+	b, err := fusion.EncodeState(st)
 	return string(b), err
 }
 
-// zoneExportJSON exports a zone's engine state on its event loop.
-func zoneExportJSON(t *testing.T, z *Zone) string {
+// zoneExportState exports a zone's engine state on its event loop.
+func zoneExportState(t *testing.T, z *Zone) string {
 	t.Helper()
 	var out string
 	err := z.Do(context.Background(), func(e *fusion.Engine) (err error) {
-		out, err = exportJSON(e)
+		out, err = exportState(e)
 		return err
 	})
 	if err != nil {
