@@ -33,7 +33,7 @@ type walSink struct {
 
 // Append implements fusion.Journal.
 func (s *walSink) Append(m fusion.Meas) error {
-	_, err := s.log.Append(wal.Record{SensorID: m.SensorID, CPM: m.CPM, Step: m.Step, Seq: m.Seq})
+	_, err := s.log.Append(m)
 	return err
 }
 

@@ -240,7 +240,7 @@ func TestConcurrentIngestShutdownDurability(t *testing.T) {
 						continue
 					}
 					m := sen.Measure(stream, sc.Sources, nil, step)
-					batch = append(batch, measurementJSON{SensorID: sen.ID, CPM: m.CPM, Step: step, Seq: uint64(step + 1)})
+					batch = append(batch, measurementJSON{Meas: fusion.Meas{SensorID: sen.ID, CPM: m.CPM, Step: step, Seq: uint64(step + 1)}})
 				}
 				body, _ := json.Marshal(batch)
 				resp, err := http.Post(url+"/measurements", "application/json", bytes.NewReader(body))

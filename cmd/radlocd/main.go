@@ -102,7 +102,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		zoneIdle    = fs.Duration("zone-idle", 0, "evict a named zone idle this long, after a final checkpoint (0 = never; the default zone is never evicted)")
 		probeStor   = fs.Duration("storage-probe", time.Second, "how often a degraded zone re-tests its WAL for recovery (jittered ±20%; 0 = never, only organic writes recover)")
 		scrubEvery  = fs.Duration("scrub-interval", 15*time.Minute, "integrity scrubber pacing: one cold WAL segment or checkpoint sweep per zone per interval (0 = scrubbing off)")
-		clusterSelf = fs.String("cluster-self", "", "this node's base URL as peers reach it (e.g. http://10.0.0.1:8080); enables cluster mode (requires -listen)")
+		clusterSelf = fs.String("cluster-self", "", "this node's base URL as peers reach it (e.g. http://10.0.0.1:8080); enables cluster mode (requires -listen and -wal-dir)")
 		clusterRts  = fs.String("cluster-routes", "", "JSON zone-to-node routing table; standby zones start replicating at boot")
 		clusterTok  = fs.String("cluster-token", "", "bearer token guarding the /cluster endpoints and attached to outgoing replication pulls")
 		replEvery   = fs.Duration("repl-interval", 500*time.Millisecond, "standby idle poll period between replication pulls")

@@ -74,6 +74,15 @@ func TestRunFlagValidation(t *testing.T) {
 			t.Errorf("%s %s: error = %v, want a flag-parse error", gone[0], gone[1], err)
 		}
 	}
+	// Cluster mode without a WAL is refused: the replication stream is
+	// the WAL. The context is already done, so a node that wrongly
+	// starts serving returns at once instead of hanging the test.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := run(done, []string{"-config", good, "-listen", "127.0.0.1:0", "-cluster-self", "http://x"}, strings.NewReader(""), &out)
+	if err == nil || !strings.Contains(err.Error(), "-wal-dir") {
+		t.Errorf("-cluster-self without -wal-dir: error = %v, want one naming -wal-dir", err)
+	}
 }
 
 func TestPipeModeEndToEnd(t *testing.T) {

@@ -108,9 +108,10 @@ type EpochStore interface {
 	Save(zone string, meta EpochMeta) error
 }
 
-// MemEpochStore is an in-memory EpochStore for tests and for nodes
-// running without durability (where a restart loses engine state
-// anyway, so losing the epoch with it is consistent).
+// MemEpochStore is an in-memory EpochStore, the default when
+// Options.Epochs is nil; the cluster package's own tests run on it. A
+// daemon persists epochs beside each zone's WAL instead, so a restart
+// never forgets a demotion.
 type MemEpochStore struct {
 	mu sync.Mutex
 	m  map[string]EpochMeta

@@ -67,7 +67,8 @@ type Options struct {
 	// Epochs persists per-zone fencing epochs (default MemEpochStore).
 	Epochs EpochStore
 	// RouteStore, when non-nil, persists the learned routing table so
-	// a rebooted node remembers zone ownership without re-probing.
+	// a rebooted node remembers zone ownership without re-probing (nil
+	// keeps the table in memory only; the package's tests run so).
 	RouteStore RouteStore
 	// HTTP performs the standby's pulls (default http.DefaultTransport).
 	HTTP http.RoundTripper

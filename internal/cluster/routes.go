@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 
 	"radloc/internal/zone"
 )
@@ -90,26 +89,4 @@ type RouteStore interface {
 	Load() (Routes, error)
 	// Save durably records the table.
 	Save(Routes) error
-}
-
-// MemRouteStore is an in-memory RouteStore for tests and for nodes
-// running without durability.
-type MemRouteStore struct {
-	mu sync.Mutex
-	r  Routes
-}
-
-// Load implements RouteStore.
-func (s *MemRouteStore) Load() (Routes, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.Clone(), nil
-}
-
-// Save implements RouteStore.
-func (s *MemRouteStore) Save(r Routes) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.r = r.Clone()
-	return nil
 }

@@ -53,12 +53,9 @@ type Options struct {
 	// Self, so a deterministic test fabric sees a deterministic
 	// schedule.
 	RNG *rng.Stream
-	// Interval is the base probe period (default 2s).
+	// Interval is the base probe period (default 2s), jittered ±20%
+	// per tick.
 	Interval time.Duration
-	// Jitter is the ± fraction of Interval each tick is displaced by
-	// (default 0.2), so a fleet restarted together does not probe in
-	// lockstep.
-	Jitter float64
 	// Suspect is the consecutive probe misses before a peer is
 	// suspected (default 3).
 	Suspect int
@@ -119,9 +116,6 @@ func New(opts Options) (*Promoter, error) {
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = 2 * time.Second
-	}
-	if opts.Jitter < 0 || opts.Jitter >= 1 {
-		opts.Jitter = 0.2
 	}
 	if opts.Suspect <= 0 {
 		opts.Suspect = 3
@@ -190,11 +184,14 @@ func (p *Promoter) loop(ctx context.Context) {
 	}
 }
 
-// jitteredInterval displaces the base interval by ±Jitter.
+// jitter is the ± fraction of Interval each tick is displaced by, so
+// a fleet restarted together does not probe in lockstep.
+const jitter = 0.2
+
+// jitteredInterval displaces the base interval by up to ±jitter.
 func (p *Promoter) jitteredInterval() time.Duration {
-	base := float64(p.opts.Interval)
-	f := 1 + p.opts.Jitter*(2*p.opts.RNG.Float64()-1)
-	return time.Duration(base * f)
+	f := 1 + jitter*(2*p.opts.RNG.Float64()-1)
+	return time.Duration(float64(p.opts.Interval) * f)
 }
 
 // Tick runs one probe round: every peer's liveness is checked, its
@@ -315,65 +312,25 @@ func (p *Promoter) promoteZonesOf(deadPeer string) {
 	}
 }
 
-// PeerStatus is one peer's detector state as reported by Peers.
-type PeerStatus struct {
-	// URL is the peer's base URL.
-	URL string `json:"url"`
-	// Up reports the peer answered its most recent probe.
-	Up bool `json:"up"`
-	// Misses is the current consecutive-miss count.
-	Misses int `json:"misses,omitempty"`
-	// Dead reports the peer is declared dead (suspicion threshold and
-	// hold-down window both exceeded).
-	Dead bool `json:"dead,omitempty"`
-	// DownFor is how long the peer has been unreachable, in seconds.
-	DownFor float64 `json:"downForSeconds,omitempty"`
-	// LastProbe is when the peer was last probed (zero before the
-	// first tick).
-	LastProbe time.Time `json:"lastProbe,omitempty"`
-	// HoldDownRemaining is how much flap-damping time, in seconds, is
-	// left before a currently-missing peer can be declared dead. Zero
-	// once dead or up.
-	HoldDownRemaining float64 `json:"holdDownRemainingSeconds,omitempty"`
-}
-
-// Peers reports the detector's current view, for status surfaces.
-func (p *Promoter) Peers() []PeerStatus {
+// Peers reports the detector's current view, for status surfaces:
+// wired through cluster.Node.SetPeersFunc, it is what /cluster/status
+// publishes. Safe for concurrent use.
+func (p *Promoter) Peers() []cluster.PeerView {
 	now := p.opts.Clock.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]PeerStatus, 0, len(p.peers))
+	out := make([]cluster.PeerView, 0, len(p.peers))
 	for _, ps := range p.peers {
-		st := PeerStatus{URL: ps.url, Up: ps.misses == 0, Misses: ps.misses, Dead: ps.dead, LastProbe: ps.lastProbe}
+		st := cluster.PeerView{URL: ps.url, Up: ps.misses == 0, Misses: ps.misses, Dead: ps.dead, LastProbe: ps.lastProbe}
 		if ps.misses > 0 {
-			st.DownFor = now.Sub(ps.lastAlive).Seconds()
+			st.DownForSeconds = now.Sub(ps.lastAlive).Seconds()
 			if !ps.dead {
 				if rem := p.opts.HoldDown - now.Sub(ps.lastAlive); rem > 0 {
-					st.HoldDownRemaining = rem.Seconds()
+					st.HoldDownRemainingSeconds = rem.Seconds()
 				}
 			}
 		}
 		out = append(out, st)
-	}
-	return out
-}
-
-// PeerViews adapts Peers to the cluster layer's relay type, for
-// wiring via cluster.Node.SetPeersFunc so /cluster/status carries the
-// detector's world-view. Safe for concurrent use.
-func (p *Promoter) PeerViews() []cluster.PeerView {
-	peers := p.Peers()
-	out := make([]cluster.PeerView, len(peers))
-	for i, ps := range peers {
-		out[i] = cluster.PeerView{
-			URL:                      ps.URL,
-			Up:                       ps.Up,
-			Misses:                   ps.Misses,
-			Dead:                     ps.Dead,
-			LastProbe:                ps.LastProbe,
-			DownForSeconds:           ps.DownFor,
-			HoldDownRemainingSeconds: ps.HoldDownRemaining,
-		}
 	}
 	return out
 }

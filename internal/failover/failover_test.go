@@ -350,3 +350,26 @@ func metricValue(t *testing.T, reg *obs.Registry, name string) float64 {
 	}
 	return val
 }
+
+// TestDefaultProbeIntervalIsJittered pins the ±20% probe jitter with
+// default options: a fleet restarted together must not probe in
+// lockstep, so the intervals spread, but never past the ±20% band.
+func TestDefaultProbeIntervalIsJittered(t *testing.T) {
+	node, _ := newStandbyNode(t, newFakeNet())
+	prom, err := New(Options{Node: node, Self: "http://b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := 8*prom.opts.Interval/10, 12*prom.opts.Interval/10
+	seen := make(map[time.Duration]bool)
+	for i := 0; i < 20; i++ {
+		d := prom.jitteredInterval()
+		if d < lo || d > hi {
+			t.Fatalf("interval %v outside ±20%% of %v", d, prom.opts.Interval)
+		}
+		seen[d] = true
+	}
+	if len(seen) < 2 {
+		t.Fatalf("20 intervals took %d distinct value(s), want jitter", len(seen))
+	}
+}

@@ -5,19 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"radloc/internal/wal"
 )
 
 // Meas is one sequence-stamped measurement as it crosses the ingest
 // boundary. Seq is a per-sensor monotone sequence number assigned at
 // the source (sensors reporting in rounds share the rhythm: the k-th
 // reading of every sensor carries Seq k); 0 means "unsequenced" and
-// bypasses the dedup/reorder gate entirely.
-type Meas struct {
-	SensorID int    // reporting sensor's ID
-	CPM      int    // measured counts per minute
-	Step     int    // emission time step (0 when unknown)
-	Seq      uint64 // per-sensor monotone sequence; 0 = unsequenced
-}
+// bypasses the dedup/reorder gate entirely. It is the WAL's record
+// type, so a reading is journaled and replayed without conversion.
+type Meas = wal.Record
 
 // Journal receives accepted readings before they are applied to the
 // filter — the write-ahead hook. Append is called by the engine's one

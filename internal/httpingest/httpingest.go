@@ -35,10 +35,9 @@ import (
 // array of them per request. Seq 0 means "unsequenced" and bypasses
 // the engine's dedup/reorder gate (legacy feeders).
 type Measurement struct {
-	SensorID int    `json:"sensorId"`       // deployment index of the reporting sensor
-	CPM      int    `json:"cpm"`            // Geiger counts per minute for this interval
-	Step     int    `json:"step,omitempty"` // discrete time step of the reading
-	Seq      uint64 `json:"seq,omitempty"`  // per-sensor monotone sequence number; 0 = unsequenced
+	// Meas is the reading itself; its fields sit at the top level of
+	// the JSON object.
+	fusion.Meas
 	// Zone names the zone this reading belongs to ("" = the default
 	// zone). On the zone-scoped HTTP route it must match the route's
 	// zone or the request is a 400; in pipe mode it routes the record.
@@ -57,11 +56,6 @@ type SubmitFunc func(ctx context.Context, zone string, ms []fusion.Meas) (fusion
 // Retry-After: the data is fine and the caller should keep its copy
 // and retry — by then against the new primary.
 var ErrNotWritable = errors.New("httpingest: zone not writable on this node")
-
-// Meas converts to the engine's ingest type.
-func (m Measurement) Meas() fusion.Meas {
-	return fusion.Meas{SensorID: m.SensorID, CPM: m.CPM, Step: m.Step, Seq: m.Seq}
-}
 
 // Options tunes a Handler.
 type Options struct {
@@ -449,7 +443,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ms := make([]fusion.Meas, len(batch))
 		for i, m := range batch {
-			ms[i] = m.Meas()
+			ms[i] = m.Meas
 		}
 		res, err = h.submit(r.Context(), zoneName, ms)
 		if err != nil {
@@ -488,7 +482,7 @@ func (h *Handler) submitRateLimited(w http.ResponseWriter, ctx context.Context, 
 			h.shed(w, fmt.Sprintf("sensor %d over rate limit", m.SensorID))
 			return res, true
 		}
-		one, err := h.submit(ctx, zoneName, []fusion.Meas{m.Meas()})
+		one, err := h.submit(ctx, zoneName, []fusion.Meas{m.Meas})
 		if err != nil {
 			h.record(res)
 			h.failSubmit(w, err)

@@ -117,7 +117,7 @@ func TestParallelRecoveryDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		name := all[i%len(all)]
-		if _, err := nd.zs.manager.Submit(context.Background(), name, []fusion.Meas{m.Meas()}); err != nil {
+		if _, err := nd.zs.manager.Submit(context.Background(), name, []fusion.Meas{m.Meas}); err != nil {
 			t.Fatalf("submit to %s: %v", name, err)
 		}
 	}

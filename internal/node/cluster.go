@@ -26,22 +26,25 @@ import (
 type zoneBackend struct {
 	zs *zoneSet
 	z  *zone.Zone
+	d  *durable
 }
 
 // clusterBackend is the cluster.BackendResolver: it routes through
 // the zone manager, so a replication target instantiates (and
 // recovers from its own WAL) exactly like a write target would.
+// Cluster mode requires a WAL (New refuses it without one), so every
+// zone it resolves has one.
 func (zs *zoneSet) clusterBackend(name string) (cluster.Backend, error) {
 	z, err := zs.manager.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return &zoneBackend{zs: zs, z: z}, nil
+	return &zoneBackend{zs: zs, z: z, d: zoneDurable(z)}, nil
 }
 
-// Offset implements cluster.Backend: the engine's journal counter as
-// of the loop's latest operation, which is the WAL head when
-// durability is on (each append advances both in lockstep).
+// Offset implements cluster.Backend: the WAL head as of the loop's
+// latest operation (the engine's journal counter, which each append
+// advances in lockstep with the log).
 func (b *zoneBackend) Offset() uint64 {
 	return b.z.Snapshot().Journaled
 }
@@ -51,23 +54,14 @@ func (b *zoneBackend) Offset() uint64 {
 var errStopRead = errors.New("stop")
 
 // ReadWAL implements cluster.Backend by copying up to max records out
-// of the zone's log on its event loop. Without a log nothing
-// historical is servable, so any lagging replica is pushed onto the
-// snapshot-bootstrap path.
+// of the zone's log on its event loop.
 func (b *zoneBackend) ReadWAL(from uint64, max int) ([]cluster.RecordAt, error) {
-	d := zoneDurable(b.z)
-	if d == nil {
-		if from >= b.Offset() {
-			return nil, nil
-		}
-		return nil, cluster.ErrPruned
-	}
 	var out []cluster.RecordAt
 	err := b.z.Do(context.TODO(), func(*fusion.Engine) error {
-		if from < d.log.Oldest() {
+		if from < b.d.log.Oldest() {
 			return cluster.ErrPruned
 		}
-		err := d.log.Replay(from, func(off uint64, rec wal.Record) error {
+		err := b.d.log.Replay(from, func(off uint64, rec wal.Record) error {
 			if len(out) >= max {
 				return errStopRead
 			}
@@ -82,16 +76,14 @@ func (b *zoneBackend) ReadWAL(from uint64, max int) ([]cluster.RecordAt, error) 
 	return out, err
 }
 
-// SetRetainFloor implements cluster.Backend; a no-op without a log,
-// and for a zone that has closed: its successor reopens the log with
-// no floor, and the replica's next pull parks it again.
+// SetRetainFloor implements cluster.Backend; a no-op for a zone that
+// has closed: its successor reopens the log with no floor, and the
+// replica's next pull parks it again.
 func (b *zoneBackend) SetRetainFloor(off uint64) {
-	if d := zoneDurable(b.z); d != nil {
-		_ = b.z.Do(context.TODO(), func(*fusion.Engine) error {
-			d.log.SetRetain(off)
-			return nil
-		})
-	}
+	_ = b.z.Do(context.TODO(), func(*fusion.Engine) error {
+		b.d.log.SetRetain(off)
+		return nil
+	})
 }
 
 // ApplyRecords implements cluster.Backend by handing the replicated
@@ -132,24 +124,16 @@ func (b *zoneBackend) Bootstrap(state []byte, applied uint64) error {
 		if err := e.ImportState(st); err != nil {
 			return err
 		}
-		d := zoneDurable(b.z)
-		if d == nil {
-			return nil
-		}
-		if err := d.log.AlignTo(applied); err != nil {
+		if err := b.d.log.AlignTo(applied); err != nil {
 			return err
 		}
-		return d.checkpoint()
+		return b.d.checkpoint()
 	})
 }
 
-// Checkpoint implements cluster.Backend; a no-op without durability.
+// Checkpoint implements cluster.Backend.
 func (b *zoneBackend) Checkpoint() error {
-	d := zoneDurable(b.z)
-	if d == nil {
-		return nil
-	}
-	return b.z.Do(context.TODO(), func(*fusion.Engine) error { return d.checkpoint() })
+	return b.z.Do(context.TODO(), func(*fusion.Engine) error { return b.d.checkpoint() })
 }
 
 // divergedDirName is where divergence repair parks the quarantined WAL
@@ -163,11 +147,8 @@ const divergedDirName = "diverged"
 // is truncated so the snapshot bootstrap that follows re-seeds from a
 // clean prefix. Nothing is deleted — the quarantined files are the
 // operator's evidence of what the old primary accepted after losing
-// ownership (see the diverged/ runbook in the README). Without
-// durability there is nothing on disk to preserve; the engine's
-// journal counter is rewound and the bootstrap replaces its state. The
-// repair runs on the zone's event loop, so no append interleaves with
-// it.
+// ownership (see the diverged/ runbook in the README). The repair
+// runs on the zone's event loop, so no append interleaves with it.
 func (b *zoneBackend) QuarantineDiverged(floor uint64) (moved uint64, err error) {
 	err = b.z.Do(context.TODO(), func(e *fusion.Engine) (err error) {
 		moved, err = b.quarantineDiverged(e, floor)
@@ -178,15 +159,7 @@ func (b *zoneBackend) QuarantineDiverged(floor uint64) (moved uint64, err error)
 
 // quarantineDiverged is QuarantineDiverged on the zone's event loop.
 func (b *zoneBackend) quarantineDiverged(e *fusion.Engine, floor uint64) (uint64, error) {
-	d := zoneDurable(b.z)
-	if d == nil {
-		cur := e.Snapshot().Journaled
-		if cur <= floor {
-			return 0, nil
-		}
-		e.SetJournalOffset(floor)
-		return cur - floor, nil
-	}
+	d := b.d
 	divDir := filepath.Join(d.dir, divergedDirName)
 	moved, err := d.log.QuarantineSuffix(floor, divDir)
 	if err != nil {

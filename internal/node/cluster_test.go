@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -253,7 +254,7 @@ func postRounds(t *testing.T, mux http.Handler, host string, sc scenario.Scenari
 		var batch []measurementJSON
 		for _, sen := range sc.Sensors {
 			m := sen.Measure(stream, sc.Sources, nil, step)
-			batch = append(batch, measurementJSON{SensorID: sen.ID, CPM: m.CPM, Step: step})
+			batch = append(batch, measurementJSON{Meas: fusion.Meas{SensorID: sen.ID, CPM: m.CPM, Step: step}})
 		}
 		body, _ := json.Marshal(batch)
 		rec, code := nodetest.HTTPStatus(mux, http.MethodPost, host+"/measurements", string(body))
@@ -525,5 +526,35 @@ func TestClusterSlowStandbyDoesNotStallPrimary(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("POST /measurements waited behind a parked /cluster/wal pull")
+	}
+}
+
+// TestClusterRequiresWAL pins that cluster mode is refused without a
+// WAL: the replication stream is the WAL, so a WAL-less primary would
+// report a caught-up standby that holds nothing.
+func TestClusterRequiresWAL(t *testing.T) {
+	_, err := New(Config{Scenario: scenario.A(50, false), ClusterSelf: "http://a"})
+	if err == nil || !strings.Contains(err.Error(), "WALDir") {
+		t.Fatalf("New with ClusterSelf and no WALDir: error = %v, want one naming WALDir", err)
+	}
+}
+
+// TestClusterApplyRefusesZoneWithoutWAL checks the write pipeline's
+// replicated entry on a node without durability: the batch is refused
+// and nothing reaches the engine.
+func TestClusterApplyRefusesZoneWithoutWAL(t *testing.T) {
+	nd, err := New(Config{Scenario: scenario.A(50, false), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = nd.Shutdown() })
+	z := nd.zs.defaultZone()
+	before := z.Snapshot().Ingested
+	rec := cluster.RecordAt{Off: 0, Rec: wal.Record{SensorID: 0, CPM: 10, Seq: 1}}
+	if err := nd.Pipeline().Apply(z, []cluster.RecordAt{rec}); err == nil {
+		t.Fatal("replicated apply into a zone without a WAL succeeded")
+	}
+	if got := z.Snapshot().Ingested; got != before {
+		t.Fatalf("ingested moved from %d to %d on a refused apply", before, got)
 	}
 }

@@ -74,7 +74,7 @@ type durable struct {
 // Append implements fusion.Journal: it journals one reading and feeds
 // the outcome to the degraded-mode edge detector.
 func (d *durable) Append(m fusion.Meas) error {
-	_, err := d.log.Append(wal.Record{SensorID: m.SensorID, CPM: m.CPM, Step: m.Step, Seq: m.Seq})
+	_, err := d.log.Append(m)
 	d.noteAppend(err)
 	return err
 }
@@ -166,7 +166,7 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 		}
 	}
 	if err := l.Replay(replayFrom, func(off uint64, rec wal.Record) error {
-		engine.Replay(fusion.Meas{SensorID: rec.SensorID, CPM: rec.CPM, Step: rec.Step, Seq: rec.Seq})
+		engine.Replay(rec)
 		d.recovery.Replayed++
 		return nil
 	}); err != nil {
@@ -189,7 +189,7 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 // control operations, so checkpoints never overlap; a failure is
 // reported but does not stop ingest (the WAL still has everything).
 func (d *durable) maybeCheckpoint(logw io.Writer) {
-	if d == nil || d.every <= 0 {
+	if d.every <= 0 {
 		return
 	}
 	if d.log.Offset() < d.lastApplied+uint64(d.every) {
@@ -233,9 +233,6 @@ func (d *durable) checkpoint() (err error) {
 // WAL. Called on graceful shutdown; after a crash, recovery does the
 // equivalent from disk.
 func (d *durable) close() error {
-	if d == nil {
-		return nil
-	}
 	err := d.checkpoint()
 	cerr := d.log.Close()
 	if err == nil {

@@ -113,13 +113,14 @@ type Config struct {
 	Pprof bool
 
 	// ClusterSelf is this node's base URL as peers reach it; non-empty
-	// enables cluster mode.
+	// enables cluster mode, which requires WALDir: the replication
+	// stream is the WAL.
 	ClusterSelf string
 	// ClusterToken guards the /cluster endpoints and outgoing pulls.
 	ClusterToken string
 	// SeedRoutes, when non-nil, is the static zone-to-node routing
-	// table installed at boot (the persisted learned table, when
-	// durability is on, is applied on top — highest epoch wins).
+	// table installed at boot (the persisted learned table is applied
+	// on top — highest epoch wins).
 	SeedRoutes *cluster.Routes
 	// ReplInterval is the standby's idle poll period between
 	// replication pulls (0 = the cluster default).
@@ -189,6 +190,9 @@ func New(cfg Config) (*Node, error) {
 	if len(cfg.Scenario.Sensors) == 0 {
 		return nil, fmt.Errorf("node: Config.Scenario has no sensors")
 	}
+	if cfg.ClusterSelf != "" && cfg.WALDir == "" {
+		return nil, fmt.Errorf("node: ClusterSelf requires WALDir (the replication stream is the WAL)")
+	}
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
@@ -246,17 +250,12 @@ func New(cfg Config) (*Node, error) {
 	}
 
 	if cfg.ClusterSelf != "" {
-		var eps cluster.EpochStore = &cluster.MemEpochStore{}
-		var rstore cluster.RouteStore
-		if cfg.WALDir != "" {
-			eps = &fileEpochStore{zs: zs}
-			rstore = &fileRouteStore{dir: cfg.WALDir, fs: zs.fs, logw: cfg.Log}
-		}
+		rstore := &fileRouteStore{dir: cfg.WALDir, fs: zs.fs, logw: cfg.Log}
 		n.clu, err = cluster.NewNode(cluster.Options{
 			Self:         cfg.ClusterSelf,
 			Token:        cfg.ClusterToken,
 			Resolver:     zs.clusterBackend,
-			Epochs:       eps,
+			Epochs:       &fileEpochStore{zs: zs},
 			RouteStore:   rstore,
 			HTTP:         cfg.HTTP,
 			PullInterval: cfg.ReplInterval,
@@ -280,16 +279,14 @@ func New(cfg Config) (*Node, error) {
 		// its entries carry epochs, so anything this node learned before
 		// its last shutdown overrides a stale seed (highest epoch wins),
 		// while a fresh seed for a brand-new zone still lands.
-		if rstore != nil {
-			learned, lerr := rstore.Load()
-			if lerr != nil {
-				n.clu.Close()
-				zs.close()
-				return nil, lerr
-			}
-			if len(learned.Zones) > 0 {
-				n.clu.LearnRoutes(learned)
-			}
+		learned, err := rstore.Load()
+		if err != nil {
+			n.clu.Close()
+			zs.close()
+			return nil, err
+		}
+		if len(learned.Zones) > 0 {
+			n.clu.LearnRoutes(learned)
 		}
 		// The scrubber's repair-from-replica path and the write
 		// pipeline's fence go through the cluster node.
@@ -326,7 +323,7 @@ func New(cfg Config) (*Node, error) {
 		// Publish the detector's world-view on /cluster/status, so an
 		// operator reads suspicion state instead of inferring it from
 		// logs.
-		n.clu.SetPeersFunc(n.prom.PeerViews)
+		n.clu.SetPeersFunc(n.prom.Peers)
 	}
 	if cfg.WALDir != "" && cfg.ScrubInterval > 0 {
 		n.scr, err = scrub.New(scrub.Options{
@@ -351,7 +348,6 @@ func New(cfg Config) (*Node, error) {
 	})
 	n.mux = newMux(serveConfig{
 		Ingest: n.ingest, Zones: zs, Metrics: reg, Pprof: cfg.Pprof, Cluster: n.clu,
-		Timeouts: httpTimeouts{Read: cfg.ReadTimeout, Write: cfg.WriteTimeout, Idle: cfg.IdleTimeout},
 		Ready: func() bool {
 			return n.clu == nil || n.clu.Ready()
 		},
@@ -452,6 +448,9 @@ func (n *Node) ServePipe(ctx context.Context, r io.Reader, w io.Writer) error {
 func Run(ctx context.Context, cfg Config, stdin io.Reader, stdout io.Writer) error {
 	if cfg.ClusterSelf != "" && cfg.Listen == "" {
 		return fmt.Errorf("-cluster-self requires -listen (replication is served over HTTP)")
+	}
+	if cfg.ClusterSelf != "" && cfg.WALDir == "" {
+		return fmt.Errorf("-cluster-self requires -wal-dir (the replication stream is the WAL)")
 	}
 	if cfg.Failover && cfg.ClusterSelf == "" {
 		return fmt.Errorf("-failover requires -cluster-self (the failure detector acts on the cluster layer)")

@@ -62,38 +62,30 @@ func (p *WritePipeline) Submit(ctx context.Context, zoneName string, ms []fusion
 }
 
 // Apply pushes replicated records through the pipeline's lower half
-// on the zone's event loop: offset-continuity sequencing, WAL journal
-// through the zone's fusion.Journal (so the degraded-mode detector
-// sees every append), engine apply via the replay entry, then the
-// zone's checkpoint cadence. WAL order stays application order,
-// exactly as on the live write path.
+// on the zone's event loop: offset-continuity sequencing against the
+// WAL head, WAL journal through the zone's fusion.Journal (so the
+// degraded-mode detector sees every append), engine apply via the
+// replay entry, then the zone's checkpoint cadence. WAL order stays
+// application order, exactly as on the live write path. The
+// replication stream is the WAL, so a zone without one is refused.
 func (p *WritePipeline) Apply(z *zone.Zone, recs []cluster.RecordAt) error {
 	d := zoneDurable(z)
+	if d == nil {
+		return fmt.Errorf("replication into zone %q needs a WAL (durability is off)", z.Name())
+	}
 	return z.Do(context.TODO(), func(eng *fusion.Engine) error {
-		offset := func() uint64 {
-			if d != nil {
-				return d.log.Offset()
-			}
-			return eng.Snapshot().Journaled
-		}
 		for _, ra := range recs {
-			if cur := offset(); ra.Off != cur {
+			if cur := d.log.Offset(); ra.Off != cur {
 				return fmt.Errorf("replication offset gap: got %d, local head %d", ra.Off, cur)
 			}
-			m := fusion.Meas{SensorID: ra.Rec.SensorID, CPM: ra.Rec.CPM, Step: ra.Rec.Step, Seq: ra.Rec.Seq}
-			if d != nil {
-				// The zone's journal, not the raw log: a failed append
-				// puts a standby into degraded mode exactly as it does a
-				// primary.
-				if err := d.Append(m); err != nil {
-					return err
-				}
+			// The zone's journal, not the raw log: a failed append puts
+			// a standby into degraded mode exactly as it does a primary.
+			if err := d.Append(ra.Rec); err != nil {
+				return err
 			}
-			eng.Replay(m)
+			eng.Replay(ra.Rec)
 		}
-		if d != nil {
-			d.maybeCheckpoint(p.zs.logw)
-		}
+		d.maybeCheckpoint(p.zs.logw)
 		return nil
 	})
 }

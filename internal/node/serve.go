@@ -154,7 +154,7 @@ func servePipe(ctx context.Context, zs *zoneSet, r io.Reader, w io.Writer, repor
 			if err := json.Unmarshal(line, &m); err != nil {
 				qm.malformed = true
 			} else {
-				qm.zone, qm.m = m.Zone, m.Meas()
+				qm.zone, qm.m = m.Zone, m.Meas
 				if qm.zone == "" {
 					qm.zone = zone.DefaultZone
 				}
@@ -233,8 +233,7 @@ func settleFinal(z *zone.Zone, logw io.Writer) {
 // over the write pipeline), Metrics may be nil (GET /metrics serves an
 // empty registry — process-only families).
 type serveConfig struct {
-	Ingest   *httpingest.Handler
-	Timeouts httpTimeouts
+	Ingest *httpingest.Handler
 	// Zones is the zone runtime behind the API: the unnamed routes
 	// alias its default zone, and the zone-scoped routes (/zones and
 	// /zones/{zone}/...) reach every live zone.

@@ -54,7 +54,7 @@ func TestHTTPMeasurementsAndSnapshot(t *testing.T) {
 		var batch []measurementJSON
 		for _, sen := range sc.Sensors {
 			m := sen.Measure(stream, sc.Sources, nil, step)
-			batch = append(batch, measurementJSON{SensorID: sen.ID, CPM: m.CPM})
+			batch = append(batch, measurementJSON{Meas: fusion.Meas{SensorID: sen.ID, CPM: m.CPM}})
 		}
 		body, _ := json.Marshal(batch)
 		resp, err := http.Post(srv.URL+"/measurements", "application/json", bytes.NewReader(body))
@@ -199,7 +199,7 @@ func TestHTTPReadyzAndSensors(t *testing.T) {
 	var batch []measurementJSON
 	for _, sen := range sc.Sensors {
 		m := sen.Measure(stream, sc.Sources, nil, 0)
-		batch = append(batch, measurementJSON{SensorID: sen.ID, CPM: m.CPM})
+		batch = append(batch, measurementJSON{Meas: fusion.Meas{SensorID: sen.ID, CPM: m.CPM}})
 	}
 	body, _ := json.Marshal(batch)
 	resp, err = http.Post(srv.URL+"/measurements", "application/json", bytes.NewReader(body))

@@ -208,7 +208,7 @@ func TestMultiZoneRecovery(t *testing.T) {
 			if err := json.Unmarshal([]byte(line), &m); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := zs.manager.Submit(context.Background(), name, []fusion.Meas{m.Meas()}); err != nil {
+			if _, err := zs.manager.Submit(context.Background(), name, []fusion.Meas{m.Meas}); err != nil {
 				t.Fatalf("submit to %s: %v", name, err)
 			}
 		}
@@ -317,7 +317,7 @@ func TestPipeDefaultZoneBitIdentical(t *testing.T) {
 				if err := json.Unmarshal([]byte(line), &m); err != nil {
 					t.Fatal(err)
 				}
-				_, _ = ref.IngestSeq(m.Meas())
+				_, _ = ref.IngestSeq(m.Meas)
 			}
 			_, _ = ref.FlushPending()
 			ref.Refresh()

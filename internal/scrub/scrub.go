@@ -73,13 +73,11 @@ type Options struct {
 	// degraded — there is no point re-reading a disk that cannot
 	// accept the repair.
 	Targets func() []Target
-	// Interval is the base tick period (default 15m). Each tick
-	// verifies at most one sealed segment per zone, so a zone with N
-	// cold segments is fully re-verified every N intervals.
+	// Interval is the base tick period (default 15m), jittered ±20%
+	// per tick. Each tick verifies at most one sealed segment per zone,
+	// so a zone with N cold segments is fully re-verified every N
+	// intervals.
 	Interval time.Duration
-	// Jitter is the ± fraction of Interval each tick is displaced by
-	// (default 0.2), so a fleet does not scrub in lockstep.
-	Jitter float64
 	// Clock drives the schedule (default the wall clock).
 	Clock clock.Clock
 	// RNG jitters the schedule; nil seeds a fixed stream.
@@ -117,9 +115,6 @@ func New(opts Options) (*Scrubber, error) {
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = 15 * time.Minute
-	}
-	if opts.Jitter < 0 || opts.Jitter >= 1 {
-		opts.Jitter = 0.2
 	}
 	return &Scrubber{
 		opts:    opts,
@@ -191,11 +186,14 @@ func (s *Scrubber) sleep(ctx context.Context, d time.Duration) {
 	}
 }
 
-// jitteredInterval displaces the base interval by ±Jitter.
+// jitter is the ± fraction of Interval each tick is displaced by, so
+// a fleet restarted together does not scrub in lockstep.
+const jitter = 0.2
+
+// jitteredInterval displaces the base interval by up to ±jitter.
 func (s *Scrubber) jitteredInterval() time.Duration {
-	base := float64(s.opts.Interval)
-	f := 1 + s.opts.Jitter*(2*s.opts.RNG.Float64()-1)
-	return time.Duration(base * f)
+	f := 1 + jitter*(2*s.opts.RNG.Float64()-1)
+	return time.Duration(float64(s.opts.Interval) * f)
 }
 
 // Tick runs one scrub round over every current target: checkpoints

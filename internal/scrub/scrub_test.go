@@ -181,3 +181,25 @@ func TestTickRepairFailureKeepsTicking(t *testing.T) {
 		t.Fatalf("scrubber stopped after failed repair: verified %v", st.verified)
 	}
 }
+
+// TestDefaultScrubIntervalIsJittered pins the ±20% scrub jitter with
+// default options: a fleet must not scrub in lockstep, so the
+// intervals spread, but never past the ±20% band.
+func TestDefaultScrubIntervalIsJittered(t *testing.T) {
+	scr, err := New(Options{Targets: targetsFor(&stubStore{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := 8*scr.opts.Interval/10, 12*scr.opts.Interval/10
+	seen := make(map[time.Duration]bool)
+	for i := 0; i < 20; i++ {
+		d := scr.jitteredInterval()
+		if d < lo || d > hi {
+			t.Fatalf("interval %v outside ±20%% of %v", d, scr.opts.Interval)
+		}
+		seen[d] = true
+	}
+	if len(seen) < 2 {
+		t.Fatalf("20 intervals took %d distinct value(s), want jitter", len(seen))
+	}
+}

@@ -17,13 +17,9 @@ import (
 // NDJSON. Seq is the per-sensor monotone sequence number the fusion
 // engine dedups redelivery on; 0 means unsequenced (the server applies
 // it blindly, so redelivery of a seq-0 reading double-counts — spooled
-// pipelines should always sequence).
-type Reading struct {
-	SensorID int    `json:"sensorId"`       // deployment index of the reporting sensor
-	CPM      int    `json:"cpm"`            // Geiger counts per minute for this interval
-	Step     int    `json:"step,omitempty"` // discrete time step of the reading
-	Seq      uint64 `json:"seq,omitempty"`  // per-sensor monotone sequence number; 0 = unsequenced
-}
+// pipelines should always sequence). It is the WAL's record type, so
+// the spool journals a reading without conversion.
+type Reading = wal.Record
 
 // SpoolOptions tunes a Spool.
 type SpoolOptions struct {
@@ -131,7 +127,7 @@ func (s *Spool) Append(r Reading) (bool, error) {
 		s.shed++
 		return false, nil
 	}
-	_, err := s.log.Append(wal.Record{SensorID: r.SensorID, CPM: r.CPM, Step: r.Step, Seq: r.Seq})
+	_, err := s.log.Append(r)
 	if err != nil {
 		return false, err
 	}
@@ -209,7 +205,7 @@ func (s *Spool) Next(max int) ([]Reading, uint64, error) {
 	var batch []Reading
 	next := s.acked
 	err := s.log.Replay(s.acked, func(off uint64, rec wal.Record) error {
-		batch = append(batch, Reading{SensorID: rec.SensorID, CPM: rec.CPM, Step: rec.Step, Seq: rec.Seq})
+		batch = append(batch, rec)
 		next = off + 1
 		if len(batch) >= max {
 			return errStopReplay

@@ -44,9 +44,12 @@ import (
 	"radloc/internal/vfs"
 )
 
-// Record is one journaled measurement. The field set matches the
-// fusion engine's ingest boundary; wal stays import-free of the engine
-// so the dependency points one way.
+// Record is one sensor reading — the only type that declares a
+// reading's fields. The WAL journals it, and the layers above alias it
+// rather than copy it: fusion.Meas at the engine's ingest boundary,
+// transport.Reading in the agent's spool and on the wire, and the
+// body of httpingest.Measurement. It lives here, the lowest of those
+// layers, so every dependency points down to it.
 type Record struct {
 	SensorID int    `json:"sensorId"`       // deployment index of the reporting sensor
 	CPM      int    `json:"cpm"`            // Geiger counts per minute for this interval
