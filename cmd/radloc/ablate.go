@@ -65,17 +65,14 @@ func ablateFusionRange(w io.Writer, cf commonFlags) error {
 		"Ablation: fusion range d (two 50 µCi sources, Scenario A)",
 		"fusion_range", "mean_err", "false_pos", "false_neg")
 	for _, d := range []float64{10, 14, 20, 28, 40, 56, math.Inf(1)} {
-		var errSum, fpSum, fnSum float64
-		n := 0
+		var errs []float64
+		var fpSum, fnSum float64
 		for rep := 0; rep < cf.reps; rep++ {
 			e, fp, fn, err := runFusionTrial(d, cf.steps, cf.seed+uint64(rep))
 			if err != nil {
 				return err
 			}
-			if !math.IsNaN(e) {
-				errSum += e
-				n++
-			}
+			errs = append(errs, e)
 			fpSum += fp
 			fnSum += fn
 		}
@@ -83,11 +80,7 @@ func ablateFusionRange(w io.Writer, cf commonFlags) error {
 		if math.IsInf(d, 1) {
 			label = "disabled"
 		}
-		meanErr := math.NaN()
-		if n > 0 {
-			meanErr = errSum / float64(n)
-		}
-		if err := tb.AddRow(label, meanErr, fpSum/float64(cf.reps), fnSum/float64(cf.reps)); err != nil {
+		if err := tb.AddRow(label, meanWindow(errs, 0), fpSum/float64(cf.reps), fnSum/float64(cf.reps)); err != nil {
 			return err
 		}
 	}
@@ -125,8 +118,7 @@ func ablateEstimator(w io.Writer, cf commonFlags) error {
 		"Ablation: estimator (two 50 µCi sources; centroid = traditional particle filter)",
 		"estimator", "mean_err")
 	for _, mode := range []string{"mean-shift", "centroid"} {
-		var errSum float64
-		n := 0
+		var errs []float64
 		for rep := 0; rep < cf.reps; rep++ {
 			seed := cf.seed + uint64(rep)
 			sc := radloc.ScenarioA(50, false)
@@ -150,16 +142,9 @@ func ablateEstimator(w io.Writer, cf commonFlags) error {
 				c := loc.Centroid()
 				e = math.Min(c.Pos.Dist(sc.Sources[0].Pos), c.Pos.Dist(sc.Sources[1].Pos))
 			}
-			if !math.IsNaN(e) {
-				errSum += e
-				n++
-			}
+			errs = append(errs, e)
 		}
-		meanErr := math.NaN()
-		if n > 0 {
-			meanErr = errSum / float64(n)
-		}
-		if err := tb.AddRow(mode, meanErr); err != nil {
+		if err := tb.AddRow(mode, meanWindow(errs, 0)); err != nil {
 			return err
 		}
 	}
@@ -203,34 +188,21 @@ func ablateFaults(w io.Writer, cf commonFlags) error {
 		"fault_prob", "defended_err", "undefended_err",
 		"defended_fn", "undefended_fn", "mean_quarantined")
 	for _, p := range []float64{0, 0.05, 0.1, 0.2, 0.3} {
-		var dErrSum, uErrSum, dFNSum, uFNSum, qSum float64
-		dN, uN := 0, 0
+		var dErrs, uErrs []float64
+		var dFNSum, uFNSum, qSum float64
 		for rep := 0; rep < cf.reps; rep++ {
 			res, err := runFaultTrial(p, cf.steps, cf.seed+uint64(rep))
 			if err != nil {
 				return err
 			}
-			if !math.IsNaN(res.defendedErr) {
-				dErrSum += res.defendedErr
-				dN++
-			}
-			if !math.IsNaN(res.undefendedErr) {
-				uErrSum += res.undefendedErr
-				uN++
-			}
+			dErrs = append(dErrs, res.defendedErr)
+			uErrs = append(uErrs, res.undefendedErr)
 			dFNSum += float64(res.defendedFN)
 			uFNSum += float64(res.undefendedFN)
 			qSum += float64(res.quarantined)
 		}
-		dErr, uErr := math.NaN(), math.NaN()
-		if dN > 0 {
-			dErr = dErrSum / float64(dN)
-		}
-		if uN > 0 {
-			uErr = uErrSum / float64(uN)
-		}
 		reps := float64(cf.reps)
-		if err := tb.AddRow(p, dErr, uErr, dFNSum/reps, uFNSum/reps, qSum/reps); err != nil {
+		if err := tb.AddRow(p, meanWindow(dErrs, 0), meanWindow(uErrs, 0), dFNSum/reps, uFNSum/reps, qSum/reps); err != nil {
 			return err
 		}
 	}
@@ -262,34 +234,21 @@ func ablateDelivery(w io.Writer, cf commonFlags) error {
 		{"dup+reorder+drop", 0.3, 0.1, 8},
 	}
 	for _, c := range conds {
-		var gErrSum, uErrSum, gFNSum, uFNSum, dupSum float64
-		gN, uN := 0, 0
+		var gErrs, uErrs []float64
+		var gFNSum, uFNSum, dupSum float64
 		for rep := 0; rep < cf.reps; rep++ {
 			res, err := runDeliveryTrial(c.dup, c.drop, c.span, cf.steps, cf.seed+uint64(rep))
 			if err != nil {
 				return err
 			}
-			if !math.IsNaN(res.gatedErr) {
-				gErrSum += res.gatedErr
-				gN++
-			}
-			if !math.IsNaN(res.ungatedErr) {
-				uErrSum += res.ungatedErr
-				uN++
-			}
+			gErrs = append(gErrs, res.gatedErr)
+			uErrs = append(uErrs, res.ungatedErr)
 			gFNSum += float64(res.gatedFN)
 			uFNSum += float64(res.ungatedFN)
 			dupSum += float64(res.duplicates)
 		}
-		gErr, uErr := math.NaN(), math.NaN()
-		if gN > 0 {
-			gErr = gErrSum / float64(gN)
-		}
-		if uN > 0 {
-			uErr = uErrSum / float64(uN)
-		}
 		reps := float64(cf.reps)
-		if err := tb.AddRow(c.name, gErr, uErr, gFNSum/reps, uFNSum/reps, dupSum/reps); err != nil {
+		if err := tb.AddRow(c.name, meanWindow(gErrs, 0), meanWindow(uErrs, 0), gFNSum/reps, uFNSum/reps, dupSum/reps); err != nil {
 			return err
 		}
 	}

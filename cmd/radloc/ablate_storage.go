@@ -4,38 +4,22 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
+	"io/fs"
 	"net/http"
 	"os"
+	"path/filepath"
 	"syscall"
 	"time"
 
 	"radloc/internal/clock"
-	"radloc/internal/eval"
 	"radloc/internal/fusion"
-	"radloc/internal/httpingest"
+	"radloc/internal/node"
 	"radloc/internal/report"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
-	"radloc/internal/transport"
 	"radloc/internal/vfs"
-	"radloc/internal/wal"
+	"radloc/internal/zone"
 )
-
-// walSink journals every admitted reading into a WAL, the same
-// write-ahead discipline radlocd's durable path uses — here on an
-// injected faulty filesystem, so a failing append surfaces through
-// fusion.JournalError as an HTTP 507 to the agent.
-type walSink struct {
-	log *wal.Log
-}
-
-// Append implements fusion.Journal.
-func (s *walSink) Append(m fusion.Meas) error {
-	_, err := s.log.Append(m)
-	return err
-}
 
 // windowFaultRT opens and closes a disk-fault window on the server's
 // filesystem keyed to virtual time: every request passing through
@@ -65,16 +49,25 @@ func (w *windowFaultRT) align() {
 	}
 }
 
+// bootSafeFS injects the faulty disk's faults into file I/O but
+// creates directories on the real filesystem, so the node always
+// boots: the trial measures serving on a failing disk, not booting on
+// one.
+type bootSafeFS struct{ *vfs.Faulty }
+
+func (bootSafeFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
+
 // ablateStorage sweeps disk-fault conditions over Scenario A with the
 // full durability pipeline engaged: agent spool → transport client →
-// HTTP admission → fusion engine journaling into a WAL on a seeded
-// faulty filesystem. An ENOSPC window turns every admission into a
-// 507 + Retry-After, which the spooled agent rides out; flaky and
-// torn writes fail individual appends, which the client retries and
-// the sequence gate dedups. Each row then simulates a crash-restart:
-// the WAL is reopened cold and replayed, and durable_frac compares
-// what recovery finds against what the engine acknowledged — the
-// no-acked-record-lost invariant. Every condition should hold
+// the node radlocd runs (node.New: HTTP admission, write pipeline,
+// degraded mode) journaling into a WAL on a seeded faulty filesystem.
+// An ENOSPC window turns every admission into a 507 + Retry-After,
+// which the spooled agent rides out; flaky and torn writes fail
+// individual appends, which the client retries and the sequence gate
+// dedups. Each row then simulates a crash-restart: a second node
+// boots on a copy of the live WAL directory and replays it cold, and
+// durable_frac compares what recovery finds against what the first
+// node acknowledged — the no-acked-record-lost invariant. Every condition should hold
 // delivered_frac and durable_frac at 1.0; the faults cost latency and
 // 507 round-trips, never data.
 func ablateStorage(w io.Writer, cf commonFlags) error {
@@ -94,8 +87,8 @@ func ablateStorage(w io.Writer, cf commonFlags) error {
 		{"flaky+torn 5%", 0, 0.05, true},
 	}
 	for _, c := range conds {
-		var fracSum, errSum, s507Sum, faultSum, durSum float64
-		n := 0
+		var errs []float64
+		var fracSum, s507Sum, faultSum, durSum float64
 		for rep := 0; rep < cf.reps; rep++ {
 			res, err := runStorageTrial(c.window, c.writeProb, c.torn, cf.steps, cf.seed+uint64(rep))
 			if err != nil {
@@ -105,17 +98,10 @@ func ablateStorage(w io.Writer, cf commonFlags) error {
 			s507Sum += float64(res.shed507)
 			faultSum += float64(res.faults)
 			durSum += res.durableFrac
-			if !math.IsNaN(res.meanErr) {
-				errSum += res.meanErr
-				n++
-			}
-		}
-		meanErr := math.NaN()
-		if n > 0 {
-			meanErr = errSum / float64(n)
+			errs = append(errs, res.meanErr)
 		}
 		reps := float64(cf.reps)
-		if err := tb.AddRow(c.name, fracSum/reps, s507Sum/reps, faultSum/reps, durSum/reps, meanErr); err != nil {
+		if err := tb.AddRow(c.name, fracSum/reps, s507Sum/reps, faultSum/reps, durSum/reps, meanWindow(errs, 0)); err != nil {
 			return err
 		}
 	}
@@ -131,9 +117,9 @@ type storageTrialResult struct {
 }
 
 // runStorageTrial delivers one sequenced Scenario A stream through a
-// spooled transport client into a WAL-journaling ingest stack whose
-// disk injects the given faults, then replays the WAL cold to score
-// durability.
+// spooled transport client into a node built by node.New, whose WAL
+// disk injects the given faults, then boots a second node on the WAL
+// as a crash left it to score durability.
 func runStorageTrial(window time.Duration, writeProb float64, torn bool, steps int, seed uint64) (storageTrialResult, error) {
 	sc := scenario.A(50, false)
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
@@ -148,24 +134,18 @@ func runStorageTrial(window time.Duration, writeProb float64, torn bool, steps i
 		fcfg.TornWriteProb = writeProb
 	}
 	faulty := vfs.NewFaulty(nil, fcfg)
-	log, _, err := wal.Open(walDir, wal.Options{FS: faulty})
-	if err != nil {
-		return storageTrialResult{}, err
-	}
-	sink := &walSink{log: log}
-
-	ecfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors, Journal: sink}
-	ecfg.Localizer.Seed = seed
-	engine, err := fusion.NewEngine(ecfg)
-	if err != nil {
-		return storageTrialResult{}, err
-	}
 	const retryAfter = time.Second
-	zones, ing, err := defaultZoneIngest(engine, httpingest.Options{QueueDepth: 256, Clock: clk, RetryAfter: retryAfter})
+	n, err := node.New(node.Config{
+		Scenario: sc, Seed: seed,
+		WALDir: walDir, FS: bootSafeFS{faulty}, CheckpointEvery: 0,
+		RetryAfter: retryAfter,
+	})
 	if err != nil {
 		return storageTrialResult{}, err
 	}
-	defer zones.Close()
+	// The final checkpoint Shutdown writes may meet an injected fault;
+	// what is scored is the crash image taken before it.
+	defer n.Shutdown()
 
 	// The window opens at t=0: the drain starts against a full disk,
 	// backs off through 507 + Retry-After (each retry advances the fake
@@ -173,102 +153,66 @@ func runStorageTrial(window time.Duration, writeProb float64, torn bool, steps i
 	// the disk heal and the spool empty.
 	start := clk.Now()
 	rt := &windowFaultRT{
-		inner: localRT{ing}, clk: clk, faulty: faulty,
+		inner: localRT{n.Handler()}, clk: clk, faulty: faulty,
 		from: start, to: start.Add(window),
 	}
-	client, err := transport.NewClient(transport.Options{
-		URL:       "http://fusion",
-		HTTP:      rt,
-		Clock:     clk,
-		RNG:       rng.NewNamed(seed, "ablate/storage-jitter"),
-		BatchSize: 12,
-		Backoff:   transport.Backoff{Base: 100 * time.Millisecond, Cap: time.Second},
-		Breaker:   transport.BreakerConfig{FailureThreshold: 4, Cooldown: 2 * time.Second},
-	})
+	client, err := ablationClient(rt, clk, rng.NewNamed(seed, "ablate/storage-jitter"), 0)
 	if err != nil {
 		return storageTrialResult{}, err
 	}
-
-	measure := rng.NewNamed(seed, "ablate/storage-measure")
-	spoolDir, err := os.MkdirTemp("", "radloc-ablate-spool-*")
-	if err != nil {
+	readings := ablationReadings(sc, steps, rng.NewNamed(seed, "ablate/storage-measure"))
+	ctx := context.Background()
+	if err := drainSpooled(ctx, client, readings); err != nil {
 		return storageTrialResult{}, err
 	}
-	defer os.RemoveAll(spoolDir)
-	sp, err := transport.OpenSpool(spoolDir, transport.SpoolOptions{})
-	if err != nil {
-		return storageTrialResult{}, err
-	}
-	defer sp.Close()
-	total := 0
-	for step := 0; step < steps; step++ {
-		for _, sen := range sc.Sensors {
-			m := sen.Measure(measure, sc.Sources, nil, step)
-			if _, err := sp.Append(transport.Reading{
-				SensorID: sen.ID, CPM: m.CPM, Step: step, Seq: uint64(step + 1),
-			}); err != nil {
-				return storageTrialResult{}, err
-			}
-			total++
-		}
-	}
-	if _, err := client.Drain(context.Background(), sp); err != nil {
-		return storageTrialResult{}, err
-	}
-	// A write fault can land mid-flush — probabilistic, or the ENOSPC
-	// window still open because every reading of a short stream sat in
-	// the gate while it drained. The gate keeps the unjournaled
-	// remainder held, so retrying is lossless; like the agent answering
-	// a 507, each retry first waits out the Retry-After on the fake
-	// clock, which lets the window close.
-	flush := func(e *fusion.Engine) error {
-		_, err := e.FlushPending()
-		return err
-	}
-	flushed := false
-	for i := 0; i < 1000; i++ {
-		if _, err := onDefaultZone(zones, flush); err == nil {
-			flushed = true
-			break
+	// A write fault can land in the settle's flush — probabilistic, or
+	// the ENOSPC window still open because every reading of a short
+	// stream sat in the gate while it drained. The gate keeps the
+	// unjournaled remainder held, so retrying is lossless; like the
+	// agent answering a 507, each retry first waits out the Retry-After
+	// on the fake clock, which lets the window close.
+	for tries := 0; n.Settle(ctx, zone.DefaultZone) != nil; tries++ {
+		if tries == 1000 {
+			return storageTrialResult{}, fmt.Errorf("settle never succeeded under fault rate %g", writeProb)
 		}
 		clk.Advance(retryAfter)
 		rt.align()
 	}
-	if !flushed {
-		return storageTrialResult{}, fmt.Errorf("flush never succeeded under fault rate %g", writeProb)
-	}
-	z, err := onDefaultZone(zones, (*fusion.Engine).Settle)
+	s, match, err := scoreNode(n, sc)
 	if err != nil {
 		return storageTrialResult{}, err
 	}
-	s := z.Snapshot()
-	match := eval.Match(s.Estimates, sc.Sources, sc.Params.MatchRadius)
+	var st nodeStatez
+	if err := getJSON(n, "/statez", &st); err != nil {
+		return storageTrialResult{}, err
+	}
+	faults := faulty.Stats()
 
-	// Crash-restart: close the log (faults healed first, so the close
-	// itself succeeds), reopen it cold on the real filesystem, and
-	// count what replay recovers. Every journaled record must be there.
-	faulty.Heal()
-	stats := faulty.Stats()
-	if err := zones.Close(); err != nil {
-		return storageTrialResult{}, err
-	}
-	if err := log.Close(); err != nil {
-		return storageTrialResult{}, err
-	}
-	relog, _, err := wal.Open(walDir, wal.Options{})
+	// Crash-restart: copy the live WAL directory — the state kill -9
+	// leaves, with no checkpoint on disk — and boot a second node on
+	// the copy over the real filesystem. Its recovery replays the WAL
+	// cold; every journaled record must be there.
+	crashDir, err := os.MkdirTemp("", "radloc-ablate-crash-*")
 	if err != nil {
 		return storageTrialResult{}, err
 	}
-	var replayed uint64
-	if err := relog.Replay(0, func(off uint64, rec wal.Record) error {
-		replayed++
-		return nil
-	}); err != nil {
+	defer os.RemoveAll(crashDir)
+	if err := copyFiles(walDir, crashDir); err != nil {
 		return storageTrialResult{}, err
 	}
-	if err := relog.Close(); err != nil {
+	rebooted, err := node.New(node.Config{Scenario: sc, Seed: seed, WALDir: crashDir})
+	if err != nil {
 		return storageTrialResult{}, err
 	}
+	var rst nodeStatez
+	err = getJSON(rebooted, "/statez", &rst)
+	if serr := rebooted.Shutdown(); err == nil {
+		err = serr
+	}
+	if err != nil {
+		return storageTrialResult{}, err
+	}
+	replayed := rst.Durability.Recovery.Replayed
 	durable := 1.0
 	if s.Journaled > 0 {
 		durable = float64(replayed) / float64(s.Journaled)
@@ -277,10 +221,41 @@ func runStorageTrial(window time.Duration, writeProb float64, torn bool, steps i
 		return storageTrialResult{}, fmt.Errorf("acked records lost: journaled %d, recovered %d", s.Journaled, replayed)
 	}
 	return storageTrialResult{
-		deliveredFrac: float64(s.Ingested) / float64(total),
-		shed507:       ing.Stats().Shed507,
-		faults:        stats.Writes + stats.Syncs + stats.Reads,
+		deliveredFrac: float64(s.Ingested) / float64(len(readings)),
+		shed507:       st.Ingress.Shed507,
+		faults:        faults.Writes + faults.Syncs + faults.Reads,
 		durableFrac:   durable,
 		meanErr:       match.MeanError(),
 	}, nil
+}
+
+// nodeStatez is the part of GET /statez the storage ablation reads.
+type nodeStatez struct {
+	Ingress    fusion.IngressStats `json:"ingress"`
+	Durability struct {
+		Recovery struct {
+			Replayed uint64 `json:"replayed"`
+		} `json:"recovery"`
+	} `json:"durability"`
+}
+
+// copyFiles copies the regular files of src into dst.
+func copyFiles(src, dst string) error {
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -106,32 +106,38 @@ func TestAblateTransport(t *testing.T) {
 	}
 }
 
-// TestAblateStorage runs a stream no longer than the reorder window:
-// every reading is still held in the gate when the drain ends, so the
-// final flush is the first journal write and meets the ENOSPC window
-// still open. Each condition must still deliver and recover every
+// TestAblateStorage runs the sweep at two stream lengths. At 4 steps
+// the stream is no longer than the reorder window: every reading is
+// still held in the gate when the drain ends, so the final settle is
+// the first journal write and meets the ENOSPC window still open. At
+// 12 steps, the documented setting, the window closes during the
+// drain. Each condition must still deliver and recover every
 // acknowledged record.
 func TestAblateStorage(t *testing.T) {
-	out, err := execute(t, "ablate", "storage", "-steps", "4", "-reps", "1", "-seed", "3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "condition,delivered_frac,http_507,faults_injected,durable_frac,mean_err") {
-		t.Errorf("header wrong:\n%s", firstLine(out))
-	}
-	rows := 0
-	for _, line := range strings.Split(out, "\n") {
-		f := strings.Split(line, ",")
-		if len(f) != 6 || f[0] == "condition" {
-			continue
-		}
-		rows++
-		if f[1] != "1.000" || f[4] != "1.000" {
-			t.Errorf("row %q: delivered_frac %s durable_frac %s, want 1.000 and 1.000", line, f[1], f[4])
-		}
-	}
-	if rows != 5 {
-		t.Errorf("%d condition rows, want 5:\n%s", rows, out)
+	for _, steps := range []string{"4", "12"} {
+		t.Run("steps="+steps, func(t *testing.T) {
+			out, err := execute(t, "ablate", "storage", "-steps", steps, "-reps", "1", "-seed", "3")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out, "condition,delivered_frac,http_507,faults_injected,durable_frac,mean_err") {
+				t.Errorf("header wrong:\n%s", firstLine(out))
+			}
+			rows := 0
+			for _, line := range strings.Split(out, "\n") {
+				f := strings.Split(line, ",")
+				if len(f) != 6 || f[0] == "condition" {
+					continue
+				}
+				rows++
+				if f[1] != "1.000" || f[4] != "1.000" {
+					t.Errorf("row %q: delivered_frac %s durable_frac %s, want 1.000 and 1.000", line, f[1], f[4])
+				}
+			}
+			if rows != 5 {
+				t.Errorf("%d condition rows, want 5:\n%s", rows, out)
+			}
+		})
 	}
 }
 

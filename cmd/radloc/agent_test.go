@@ -13,43 +13,37 @@ import (
 	"time"
 
 	"radloc/internal/clock"
-	"radloc/internal/fusion"
-	"radloc/internal/httpingest"
+	"radloc/internal/node"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 	"radloc/internal/transport"
 	"radloc/internal/zone"
 )
 
-func newAgentServer(t *testing.T) (*httptest.Server, *zone.Manager, *httpingest.Handler) {
+func newAgentServer(t *testing.T) (*httptest.Server, *node.Node) {
 	t.Helper()
-	sc := scenario.A(50, false)
-	fcfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors}
-	fcfg.Localizer.Seed = 3
-	engine, err := fusion.NewEngine(fcfg)
+	n, err := node.New(node.Config{Scenario: scenario.A(50, false), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zones, ing, err := defaultZoneIngest(engine, httpingest.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = zones.Close() })
-	srv := httptest.NewServer(ing)
+	t.Cleanup(func() { _ = n.Shutdown() })
+	srv := httptest.NewServer(n.Handler())
 	t.Cleanup(srv.Close)
-	return srv, zones, ing
+	return srv, n
 }
 
-// ingestedAfterFlush releases the default zone's reorder-gate tail and
-// returns how many readings its engine has applied.
-func ingestedAfterFlush(t *testing.T, zones *zone.Manager) uint64 {
+// ingestedAfterFlush settles the default zone, releasing its
+// reorder-gate tail, and returns how many readings it has applied.
+func ingestedAfterFlush(t *testing.T, n *node.Node) uint64 {
 	t.Helper()
-	z, err := onDefaultZone(zones, (*fusion.Engine).Settle)
-	if err != nil {
+	if err := n.Settle(context.Background(), zone.DefaultZone); err != nil {
 		t.Fatal(err)
 	}
-	return z.Snapshot().Ingested
+	var s nodeSnapshot
+	if err := getJSON(n, "/snapshot", &s); err != nil {
+		t.Fatal(err)
+	}
+	return s.Ingested
 }
 
 // streamNDJSON renders rounds of sequenced readings for the first few
@@ -67,7 +61,7 @@ func streamNDJSON(t *testing.T, sensors, rounds int) string {
 }
 
 func TestAgentDeliversStream(t *testing.T) {
-	srv, zones, ing := newAgentServer(t)
+	srv, n := newAgentServer(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "stream.ndjson")
 	const sensors, rounds = 4, 6
@@ -99,12 +93,16 @@ func TestAgentDeliversStream(t *testing.T) {
 		t.Errorf("spool pending = %d, want 0", sum.SpoolPending)
 	}
 	// Agent and server accounting reconcile exactly.
-	st := ing.Stats()
+	var sz nodeStatez
+	if err := getJSON(n, "/statez", &sz); err != nil {
+		t.Fatal(err)
+	}
+	st := sz.Ingress
 	if st.Accepted != sum.Delivery.AcceptedByServer || st.Accepted+st.Duplicates != sum.Delivery.Delivered {
 		t.Errorf("server accepted %d dup %d vs agent delivered %d accepted %d",
 			st.Accepted, st.Duplicates, sum.Delivery.Delivered, sum.Delivery.AcceptedByServer)
 	}
-	if got := ingestedAfterFlush(t, zones); got != total {
+	if got := ingestedAfterFlush(t, n); got != total {
 		t.Errorf("engine ingested = %d, want %d", got, total)
 	}
 }
@@ -113,7 +111,7 @@ func TestAgentDeliversStream(t *testing.T) {
 // leaves the readings spooled, then "restarts" the agent against a
 // live server and shows the tail is delivered with nothing lost.
 func TestAgentResumesFromSpool(t *testing.T) {
-	srv, zones, _ := newAgentServer(t)
+	srv, n := newAgentServer(t)
 	dir := t.TempDir()
 	spoolDir := filepath.Join(dir, "spool")
 
@@ -161,7 +159,7 @@ func TestAgentResumesFromSpool(t *testing.T) {
 	if sum.Delivery.Delivered != total || sum.SpoolPending != 0 {
 		t.Errorf("resume delivered %d pending %d, want %d and 0", sum.Delivery.Delivered, sum.SpoolPending, total)
 	}
-	if got := ingestedAfterFlush(t, zones); got != total {
+	if got := ingestedAfterFlush(t, n); got != total {
 		t.Errorf("engine ingested = %d, want %d", got, total)
 	}
 }

@@ -272,6 +272,8 @@ func csvFloat(v float64) string {
 	return fmt.Sprintf("%.3f", v)
 }
 
+// meanWindow averages the non-NaN entries of xs from index from on;
+// it is NaN when there are none.
 func meanWindow(xs []float64, from int) float64 {
 	var sum float64
 	n := 0

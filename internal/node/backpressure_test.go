@@ -261,7 +261,7 @@ func TestHTTPServerTimeoutPosture(t *testing.T) {
 // connection instead of pinning it for the client's lifetime.
 func TestHTTPCutsSlowClients(t *testing.T) {
 	zs := testZoneSet(t, "", 0, 0)
-	srv := newHTTPServer(newMux(serveConfig{Zones: zs}), httpTimeouts{Read: 200 * time.Millisecond})
+	srv := newHTTPServer(zonedTestMux(zs), httpTimeouts{Read: 200 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

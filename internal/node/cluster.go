@@ -245,15 +245,21 @@ func (s *fileEpochStore) Load(zone string) (cluster.EpochMeta, error) {
 		// not be silently destroyed either: quarantine it aside and start
 		// at epoch 0 — the node rejoins humbly and adopts the cluster's
 		// current epoch on first contact.
-		bad := path + ".bad"
-		if rerr := s.zs.fs.Rename(path, bad); rerr != nil {
-			bad = fmt.Sprintf("nowhere (rename failed: %v)", rerr)
-		}
 		fmt.Fprintf(s.zs.logw, "radlocd: corrupt %s for zone %q moved to %s, starting at epoch 0: %v\n",
-			epochFileName, zone, bad, err)
+			epochFileName, zone, setAside(s.zs.fs, path), err)
 		return cluster.EpochMeta{}, nil
 	}
 	return meta, nil
+}
+
+// setAside moves a corrupt store file to a collision-safe .bad sibling
+// and returns where it went, for the log line.
+func setAside(fsys vfs.FS, path string) string {
+	bad, err := wal.SetAside(fsys, path)
+	if err != nil {
+		return fmt.Sprintf("nowhere (rename failed: %v)", err)
+	}
+	return bad
 }
 
 // Save implements cluster.EpochStore.
@@ -288,7 +294,7 @@ type fileRouteStore struct {
 }
 
 // Load implements cluster.RouteStore; a missing file is an empty
-// table. A corrupt file is quarantined to .bad and treated as empty —
+// table. A corrupt file is set aside to .bad and treated as empty —
 // the table is re-learned from peers, so losing the cache is safe.
 func (s *fileRouteStore) Load() (cluster.Routes, error) {
 	path := filepath.Join(s.dir, routesFileName)
@@ -301,9 +307,8 @@ func (s *fileRouteStore) Load() (cluster.Routes, error) {
 	}
 	var r cluster.Routes
 	if err := json.Unmarshal(raw, &r); err != nil {
-		_ = vfs.Or(s.fs).Rename(path, path+".bad")
-		fmt.Fprintf(s.logw, "radlocd: corrupt %s moved to %s.bad, relearning routes from peers: %v\n",
-			routesFileName, path, err)
+		fmt.Fprintf(s.logw, "radlocd: corrupt %s moved to %s, relearning routes from peers: %v\n",
+			routesFileName, setAside(s.fs, path), err)
 		return cluster.Routes{}, nil
 	}
 	return r, nil

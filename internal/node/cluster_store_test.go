@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"radloc/internal/cluster"
@@ -18,6 +19,7 @@ import (
 	"radloc/internal/obs"
 	"radloc/internal/scenario"
 	"radloc/internal/sim"
+	"radloc/internal/vfs"
 	"radloc/internal/wal"
 )
 
@@ -149,5 +151,66 @@ func TestFileRouteStoreRoundTripAndCorruption(t *testing.T) {
 	}
 	if !strings.Contains(logbuf.String(), "corrupt "+routesFileName) {
 		t.Fatalf("no warning logged, got: %q", logbuf.String())
+	}
+}
+
+// TestClusterStoresKeepEveryCorruptFile loads a corrupt epoch file and
+// a corrupt routes file twice each: the second set-aside must not
+// overwrite the first, so both corrupt versions survive as evidence.
+// A set-aside whose rename fails says so in the log line.
+func TestClusterStoresKeepEveryCorruptFile(t *testing.T) {
+	dir := t.TempDir()
+	var logbuf strings.Builder
+	zs := newStoreZoneSet(t, dir, &logbuf)
+	epochs := &fileEpochStore{zs: zs}
+	routes := &fileRouteStore{dir: dir, logw: &logbuf}
+	stores := []struct {
+		name string
+		path string
+		load func() error
+	}{
+		{"epoch", filepath.Join(zs.zoneWalDir("default"), epochFileName),
+			func() error { _, err := epochs.Load("default"); return err }},
+		{"routes", filepath.Join(dir, routesFileName),
+			func() error { _, err := routes.Load(); return err }},
+	}
+	for _, st := range stores {
+		t.Run(st.name, func(t *testing.T) {
+			for i, corrupt := range []string{`{"first": tor`, `{"second": tor`} {
+				if err := os.WriteFile(st.path, []byte(corrupt), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.load(); err != nil {
+					t.Fatalf("corrupt load %d failed: %v", i+1, err)
+				}
+			}
+			for bad, want := range map[string]string{
+				st.path + ".bad":   `{"first": tor`,
+				st.path + ".bad.1": `{"second": tor`,
+			} {
+				got, err := os.ReadFile(bad)
+				if err != nil || string(got) != want {
+					t.Errorf("%s = %q (err %v), want %q", filepath.Base(bad), got, err, want)
+				}
+			}
+		})
+	}
+
+	// A rename the disk refuses leaves the file in place and the log
+	// names no destination that does not exist.
+	faulty := vfs.NewFaulty(nil, vfs.FaultConfig{})
+	faulty.FailWrites(syscall.EIO, false)
+	zs.fs, routes.fs = faulty, faulty
+	for _, st := range stores {
+		logbuf.Reset()
+		if err := os.WriteFile(st.path, []byte(`{"third": tor`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.load(); err != nil {
+			t.Fatalf("%s: corrupt load with a failing rename: %v", st.name, err)
+		}
+		if !strings.Contains(logbuf.String(), "moved to nowhere (rename failed: ") {
+			t.Errorf("%s: failed rename not reported: %q", st.name, logbuf.String())
+		}
 	}
 }

@@ -405,6 +405,17 @@ func (n *Node) Cluster() *cluster.Node { return n.clu }
 // was configured.
 func (n *Node) Promoter() *failover.Promoter { return n.prom }
 
+// Settle ends a run for one live zone: on the zone's event loop it
+// releases the reorder gate's held tail (the watermark will never
+// advance again), journals and applies it, and refreshes the
+// estimates. Both run modes settle the default zone this way before
+// their final snapshot. A failed journal write leaves the unjournaled
+// rounds held, not applied, so calling Settle again once storage
+// recovers loses nothing. Settle never creates a zone.
+func (n *Node) Settle(ctx context.Context, zoneName string) error {
+	return n.zs.settle(ctx, zoneName)
+}
+
 // Shutdown stops the node: scrubber and failover probes first, then
 // cluster replication, then every zone — mailboxes drained, reorder
 // tails flushed, final checkpoints written, WALs closed. What each
@@ -466,9 +477,7 @@ func Run(ctx context.Context, cfg Config, stdin io.Reader, stdout io.Writer) err
 	if cfg.Listen != "" {
 		// stdout is the log channel in HTTP mode (the API is the data
 		// channel); pipe mode reverses that, writing snapshots to stdout.
-		err = serveHTTP(ctx, cfg.Listen, n.mux, n.zs.defaultZone(),
-			httpTimeouts{Read: cfg.ReadTimeout, Write: cfg.WriteTimeout, Idle: cfg.IdleTimeout},
-			cfg.Pprof, stdout)
+		err = n.serveHTTP(ctx, stdout)
 	} else {
 		err = n.ServePipe(ctx, stdin, stdout)
 	}

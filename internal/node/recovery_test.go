@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -114,8 +113,7 @@ func TestCorruptTailRecovery(t *testing.T) {
 	}
 
 	// And the daemon serves: snapshot, statez, fresh ingest.
-	srv := httptest.NewServer(newMux(serveConfig{Zones: zs}))
-	defer srv.Close()
+	srv := zonedTestServer(t, zs)
 	resp, err := http.Get(srv.URL + "/statez")
 	if err != nil {
 		t.Fatal(err)

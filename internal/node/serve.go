@@ -213,26 +213,19 @@ func servePipe(ctx context.Context, zs *zoneSet, r io.Reader, w io.Writer, repor
 	// tail (the watermark will never advance again), journal it, and
 	// emit the final source picture. The caller's zoneSet.close does
 	// the same flush for named zones and writes every final checkpoint.
-	settleFinal(def, zs.logw)
+	// ctx may already be cancelled, so the settle takes none; a failure
+	// is logged and the final picture still goes out.
+	if err := zs.settle(context.Background(), zone.DefaultZone); err != nil {
+		fmt.Fprintf(zs.logw, "radlocd: zone %q final flush: %v\n", zone.DefaultZone, err)
+	}
 	return flush()
 }
 
-// settleFinal runs Engine.Settle on the zone's event loop at the end of
-// a run. It runs after the serving context has been cancelled, so it
-// takes none. A failure is logged, not returned: the final picture and
-// checkpoint still go out, and a failed flush leaves the unjournaled
-// rounds held rather than applied.
-func settleFinal(z *zone.Zone, logw io.Writer) {
-	if err := z.Do(context.Background(), (*fusion.Engine).Settle); err != nil {
-		fmt.Fprintf(logw, "radlocd: zone %q final flush: %v\n", z.Name(), err)
-	}
-}
-
-// serveConfig assembles the HTTP mode's moving parts. Zones is
-// required; Ingest may be nil (a default admission policy is built
-// over the write pipeline), Metrics may be nil (GET /metrics serves an
-// empty registry — process-only families).
+// serveConfig assembles the HTTP mode's moving parts. Ingest and Zones
+// are required; Metrics may be nil (GET /metrics serves an empty
+// registry — process-only families).
 type serveConfig struct {
+	// Ingest is the admission handler mounted on the write routes.
 	Ingest *httpingest.Handler
 	// Zones is the zone runtime behind the API: the unnamed routes
 	// alias its default zone, and the zone-scoped routes (/zones and
@@ -342,9 +335,6 @@ func statsToJSON(s fusion.Snapshot, started time.Time) map[string]any {
 func newMux(cfg serveConfig) *http.ServeMux {
 	def, ing := cfg.Zones.defaultZone(), cfg.Ingest
 	d := zoneDurable(def)
-	if ing == nil {
-		ing = httpingest.New(cfg.Zones.pipe.Submit, httpingest.Options{Metrics: cfg.Metrics})
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -484,21 +474,21 @@ func newHTTPServer(h http.Handler, t httpTimeouts) *http.Server {
 	}
 }
 
-// serveHTTP serves the node's prebuilt handler on addr until ctx is
+// serveHTTP serves the node's handler on cfg.Listen until ctx is
 // cancelled (SIGINT/SIGTERM), then shuts down gracefully — in-flight
 // requests drain — and flushes the default zone's final snapshot line
 // to logw.
-func serveHTTP(ctx context.Context, addr string, h http.Handler, def *zone.Zone, t httpTimeouts, pprof bool, logw io.Writer) error {
-	ln, err := net.Listen("tcp", addr)
+func (n *Node) serveHTTP(ctx context.Context, logw io.Writer) error {
+	ln, err := net.Listen("tcp", n.cfg.Listen)
 	if err != nil {
 		return err
 	}
 	extra := ""
-	if pprof {
+	if n.cfg.Pprof {
 		extra = " /debug/pprof/"
 	}
 	fmt.Fprintf(logw, "radlocd: serving on http://%s (POST /measurements /zones/{z}/measurements, GET /snapshot /sensors /statez /zones /metrics /healthz /readyz%s)\n", ln.Addr(), extra)
-	srv := newHTTPServer(h, t)
+	srv := newHTTPServer(n.mux, httpTimeouts{Read: n.cfg.ReadTimeout, Write: n.cfg.WriteTimeout, Idle: n.cfg.IdleTimeout})
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	select {
@@ -512,8 +502,11 @@ func serveHTTP(ctx context.Context, addr string, h http.Handler, def *zone.Zone,
 		_ = srv.Close()
 	}
 	// Release and journal the reorder gate's tail before the final
-	// picture; the caller writes the final checkpoint.
-	settleFinal(def, logw)
+	// picture (ctx is cancelled by now); the caller writes the final
+	// checkpoint.
+	if err := n.Settle(context.Background(), zone.DefaultZone); err != nil {
+		fmt.Fprintf(logw, "radlocd: zone %q final flush: %v\n", zone.DefaultZone, err)
+	}
 	fmt.Fprintln(logw, "radlocd: shutting down, final snapshot:")
-	return json.NewEncoder(logw).Encode(snapshotToJSON(def.Snapshot()))
+	return json.NewEncoder(logw).Encode(snapshotToJSON(n.zs.defaultZone().Snapshot()))
 }

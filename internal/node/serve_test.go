@@ -29,9 +29,7 @@ func newTestServer(t *testing.T) (*httptest.Server, scenario.Scenario) {
 		fcfg.Tracking = &track.Config{}
 		return fusion.NewEngine(fcfg)
 	}})
-	srv := httptest.NewServer(newMux(serveConfig{Zones: zs}))
-	t.Cleanup(srv.Close)
-	return srv, sc
+	return zonedTestServer(t, zs), sc
 }
 
 func TestHTTPHealthz(t *testing.T) {
@@ -259,7 +257,7 @@ func TestHTTPReadyzAndSensors(t *testing.T) {
 // acknowledged the next GET must reflect it.
 func TestSnapshotServedWhileLoopHeld(t *testing.T) {
 	zs, park := parkedZoneSet(t)
-	mux := newMux(serveConfig{Zones: zs})
+	mux := zonedTestMux(zs)
 	ingested := func() uint64 {
 		rec, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/snapshot", "")
 		var s snapshotJSON
@@ -307,7 +305,7 @@ func TestDurableReadsServedWhileLoopHeld(t *testing.T) {
 	if err := z.Do(context.Background(), (*fusion.Engine).Settle); err != nil {
 		t.Fatal(err)
 	}
-	mux := newMux(serveConfig{Zones: zs})
+	mux := zonedTestMux(zs)
 	b, err := zs.clusterBackend(zone.DefaultZone)
 	if err != nil {
 		t.Fatal(err)

@@ -340,7 +340,7 @@ func TestScrubRepairsLocalCold(t *testing.T) {
 		t.Fatalf("recovered journaled = %d, want %d — acknowledged records lost", got, journaled)
 	}
 	// Scrub accounting went where it should.
-	mux := newMux(serveConfig{Metrics: reg, Zones: zs})
+	mux := zonedTestMux(zs)
 	if v, ok := nodetest.ScrapeGauge(t, mux, `radloc_scrub_corruptions_total{kind="segment"}`); !ok || v != 1 {
 		t.Errorf("radloc_scrub_corruptions_total{kind=segment} = %v (ok=%v), want 1", v, ok)
 	}
@@ -464,7 +464,7 @@ func TestReadyzNamesDegradedZones(t *testing.T) {
 	if err := zs.defaultZone().Do(context.Background(), (*fusion.Engine).Settle); err != nil {
 		t.Fatal(err)
 	}
-	mux := newMux(serveConfig{Zones: zs})
+	mux := zonedTestMux(zs)
 	if _, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/readyz", ""); code != http.StatusOK {
 		t.Fatalf("healthy /readyz = %d", code)
 	}
@@ -524,7 +524,7 @@ func TestScrubCheckpointQuarantineKeepsLastCheckpointAgreed(t *testing.T) {
 	}
 	scr.Tick(context.Background())
 
-	mux := newMux(serveConfig{Metrics: reg, Zones: zs})
+	mux := zonedTestMux(zs)
 	rec, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/statez", "")
 	var st statezJSON
 	if code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &st) != nil {

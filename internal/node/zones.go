@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -267,6 +268,16 @@ func (zs *zoneSet) defaultZone() *zone.Zone {
 		panic("radlocd: default zone missing (recoverZones not run)")
 	}
 	return z
+}
+
+// settle runs Engine.Settle on a live zone's event loop; see
+// Node.Settle.
+func (zs *zoneSet) settle(ctx context.Context, name string) error {
+	z, ok := zs.manager.Lookup(name)
+	if !ok {
+		return fmt.Errorf("no such zone %q", name)
+	}
+	return z.Do(ctx, (*fusion.Engine).Settle)
 }
 
 // close shuts every zone down: mailboxes drained, reorder-gate tails

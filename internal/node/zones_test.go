@@ -93,12 +93,19 @@ func engineOf(t *testing.T, z *zone.Zone) *fusion.Engine {
 	return eng
 }
 
+// zonedTestMux is the HTTP API over zs with a default admission
+// policy, serving zs's registry on /metrics.
+func zonedTestMux(zs *zoneSet) http.Handler {
+	return newMux(serveConfig{
+		Ingest:  httpingest.New(zs.pipe.Submit, httpingest.Options{}),
+		Zones:   zs,
+		Metrics: zs.reg,
+	})
+}
+
 func zonedTestServer(t *testing.T, zs *zoneSet) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(newMux(serveConfig{
-		Ingest: httpingest.New(zs.pipe.Submit, httpingest.Options{}),
-		Zones:  zs,
-	}))
+	srv := httptest.NewServer(zonedTestMux(zs))
 	t.Cleanup(srv.Close)
 	return srv
 }

@@ -206,13 +206,8 @@ func VerifyCheckpoints(fsys vfs.FS, dir string) (bad []uint64, err error) {
 // it without destroying the evidence. Used by the scrubber when a
 // cold checkpoint fails re-verification.
 func QuarantineCheckpoint(fsys vfs.FS, dir string, applied uint64) error {
-	fsys = vfs.Or(fsys)
-	path := checkpointPath(dir, applied)
-	dst, err := uniquePath(fsys, dir, filepath.Base(path)+".bad")
-	if err != nil {
-		return err
-	}
-	return fsys.Rename(path, dst)
+	_, err := SetAside(fsys, checkpointPath(dir, applied))
+	return err
 }
 
 // PruneCheckpointsFS removes all but the newest keep valid-looking

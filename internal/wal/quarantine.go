@@ -316,6 +316,19 @@ func MoveCheckpointsFS(fsys vfs.FS, dir string, floor uint64, dstDir string) (in
 	return moved, nil
 }
 
+// SetAside renames the file at path to a collision-safe ".bad"
+// sibling through fsys — a second set-aside of the same name lands at
+// ".bad.1", and so on — so a corrupt file stops being trusted without
+// destroying it or any earlier one. It returns where the file went.
+func SetAside(fsys vfs.FS, path string) (string, error) {
+	fsys = vfs.Or(fsys)
+	dst, err := uniquePath(fsys, filepath.Dir(path), filepath.Base(path)+".bad")
+	if err != nil {
+		return "", err
+	}
+	return dst, fsys.Rename(path, dst)
+}
+
 // uniquePath returns a path in dir based on name that does not exist
 // yet, appending ".N" before giving up after 1000 tries.
 func uniquePath(fsys vfs.FS, dir, name string) (string, error) {
