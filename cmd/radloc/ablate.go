@@ -15,7 +15,6 @@ import (
 	"radloc/internal/report"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 )
 
 // ablateCmd runs the design-choice ablations of DESIGN.md
@@ -297,19 +296,11 @@ func runDeliveryTrial(dup, drop float64, span, steps int, seed uint64) (delivery
 		wire[i], wire[j] = wire[j], wire[i]
 	}
 
-	newEngine := func() (*fusion.Engine, error) {
-		cfg := fusion.Config{
-			Localizer: sim.LocalizerConfig(sc),
-			Sensors:   sc.Sensors,
-		}
-		cfg.Localizer.Seed = seed
-		return fusion.NewEngine(cfg)
-	}
-	gated, err := newEngine()
+	gated, err := fusion.NewEngine(fusion.ScenarioConfig(sc, seed))
 	if err != nil {
 		return deliveryTrialResult{}, err
 	}
-	ungated, err := newEngine()
+	ungated, err := fusion.NewEngine(fusion.ScenarioConfig(sc, seed))
 	if err != nil {
 		return deliveryTrialResult{}, err
 	}
@@ -370,12 +361,8 @@ func runFaultTrial(p float64, steps int, seed uint64) (faultTrialResult, error) 
 	}
 
 	newEngine := func(disabled bool) (*fusion.Engine, error) {
-		cfg := fusion.Config{
-			Localizer: sim.LocalizerConfig(sc),
-			Sensors:   sc.Sensors,
-			Health:    fusion.HealthConfig{Disabled: disabled},
-		}
-		cfg.Localizer.Seed = seed
+		cfg := fusion.ScenarioConfig(sc, seed)
+		cfg.Health.Disabled = disabled
 		return fusion.NewEngine(cfg)
 	}
 	defended, err := newEngine(false)

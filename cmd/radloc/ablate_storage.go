@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -48,14 +47,6 @@ func (w *windowFaultRT) align() {
 		w.faulty.Heal()
 	}
 }
-
-// bootSafeFS injects the faulty disk's faults into file I/O but
-// creates directories on the real filesystem, so the node always
-// boots: the trial measures serving on a failing disk, not booting on
-// one.
-type bootSafeFS struct{ *vfs.Faulty }
-
-func (bootSafeFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
 
 // ablateStorage sweeps disk-fault conditions over Scenario A with the
 // full durability pipeline engaged: agent spool → transport client →
@@ -137,7 +128,7 @@ func runStorageTrial(window time.Duration, writeProb float64, torn bool, steps i
 	const retryAfter = time.Second
 	n, err := node.New(node.Config{
 		Scenario: sc, Seed: seed,
-		WALDir: walDir, FS: bootSafeFS{faulty}, CheckpointEvery: 0,
+		WALDir: walDir, FS: faulty, CheckpointEvery: 0,
 		RetryAfter: retryAfter,
 	})
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"radloc/internal/fusion"
 	"radloc/internal/obs"
 	"radloc/internal/rng"
-	"radloc/internal/sim"
 )
 
 // coreBenchSchema versions the BENCH_core.json layout so the CI gate
@@ -143,8 +142,7 @@ func benchCore(particles, sensors, steps, runs, workers int, seed uint64, agains
 
 	oneRun := func() (float64, map[string]float64, error) {
 		reg := obs.NewRegistry()
-		cfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors}
-		cfg.Localizer.Seed = seed
+		cfg := fusion.ScenarioConfig(sc, seed)
 		cfg.Localizer.Metrics = reg
 		cfg.Localizer.WeightWorkers = workers
 		e, err := fusion.NewEngine(cfg)

@@ -10,7 +10,6 @@ import (
 	"radloc/internal/network"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 )
 
 // chaosReading is one delivered, possibly fault-corrupted measurement.
@@ -65,17 +64,13 @@ func chaosStream(t *testing.T, sc scenario.Scenario, steps int) ([]chaosReading,
 
 func chaosEngine(t *testing.T, sc scenario.Scenario, disabled bool) *Engine {
 	t.Helper()
-	cfg := Config{
-		Localizer: sim.LocalizerConfig(sc),
-		Sensors:   sc.Sensors,
-		Health:    HealthConfig{Disabled: disabled},
-	}
+	cfg := ScenarioConfig(sc, 7)
+	cfg.Health = HealthConfig{Disabled: disabled}
 	// The quarantine-exactness assertion below is path-sensitive — the
 	// drifting sensor's z-score hovers near the threshold — so the seed
 	// pins a representative filter path where the monitor's steady-state
 	// behaviour is visible. Re-tune it if the filter's floating-point
 	// path legitimately changes.
-	cfg.Localizer.Seed = 7
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

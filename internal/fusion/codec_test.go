@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"radloc/internal/core"
-	"radloc/internal/sim"
 	"radloc/internal/track"
 )
 
@@ -72,7 +71,7 @@ func TestEncodeStateRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fresh, err := NewEngine(Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors})
+	fresh, err := NewEngine(ScenarioConfig(sc, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

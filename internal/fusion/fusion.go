@@ -21,6 +21,7 @@ import (
 	"radloc/internal/diagnose"
 	"radloc/internal/obs"
 	"radloc/internal/radiation"
+	"radloc/internal/scenario"
 	"radloc/internal/sensor"
 	"radloc/internal/track"
 )
@@ -68,6 +69,35 @@ type Config struct {
 	// 0 means DefaultMaxSensors; registering more sensors fails with
 	// ErrSensorLimit.
 	MaxSensors int
+}
+
+// LocalizerConfig translates a scenario's parameter block into a core
+// configuration.
+func LocalizerConfig(sc scenario.Scenario) core.Config {
+	return core.Config{
+		Bounds:            sc.Bounds,
+		NumParticles:      sc.Params.NumParticles,
+		FusionRange:       sc.Params.FusionRange,
+		ResampleNoise:     sc.Params.ResampleNoise,
+		InjectionFrac:     sc.Params.InjectionFrac,
+		StrengthMax:       sc.Params.MaxStrength,
+		BandwidthXY:       sc.Params.BandwidthXY,
+		BandwidthStr:      sc.Params.BandwidthStr,
+		ModeMassMin:       sc.Params.ModeMassMin,
+		MinSourceStrength: sc.Params.MinSourceStr,
+		MaxSensorGap:      sc.Params.MaxSensorGap,
+		MeanShiftStarts:   sc.Params.MeanShiftStarts,
+	}
+}
+
+// ScenarioConfig is the one engine configuration every engine starts
+// from: the scenario's localizer parameters, seeded with seed, over the
+// scenario's sensors. Every other field is at its default; callers set
+// only the fields where they differ.
+func ScenarioConfig(sc scenario.Scenario, seed uint64) Config {
+	cfg := Config{Localizer: LocalizerConfig(sc), Sensors: sc.Sensors}
+	cfg.Localizer.Seed = seed
+	return cfg
 }
 
 // Engine is the fusion center. It has one owner; it is not safe for
@@ -252,6 +282,9 @@ func (e *Engine) Refresh() {
 	}
 	e.met.quarantined.Set(float64(quarantined))
 }
+
+// Particles returns a copy of the filter's particle population.
+func (e *Engine) Particles() []core.Particle { return e.loc.Particles() }
 
 // Snapshot is the engine's externally visible state.
 type Snapshot struct {

@@ -8,18 +8,13 @@ import (
 	"radloc/internal/core"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 	"radloc/internal/track"
 )
 
 func testEngine(t *testing.T, withTracking bool) (*Engine, scenario.Scenario) {
 	t.Helper()
 	sc := scenario.A(50, false)
-	cfg := Config{
-		Localizer: sim.LocalizerConfig(sc),
-		Sensors:   sc.Sensors,
-	}
-	cfg.Localizer.Seed = 5
+	cfg := ScenarioConfig(sc, 5)
 	cfg.Localizer.Workers = 2
 	if withTracking {
 		cfg.Tracking = &track.Config{}
@@ -36,7 +31,7 @@ func TestNewEngineValidation(t *testing.T) {
 		t.Error("no sensors accepted")
 	}
 	sc := scenario.A(50, false)
-	dup := Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors}
+	dup := ScenarioConfig(sc, 0)
 	dup.Sensors = append(dup.Sensors, dup.Sensors[0])
 	if _, err := NewEngine(dup); err == nil {
 		t.Error("duplicate sensor IDs accepted")

@@ -7,7 +7,6 @@ import (
 
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 )
 
 // healthTestEngine builds an engine over Scenario A with a fast-acting
@@ -15,18 +14,14 @@ import (
 func healthTestEngine(t *testing.T, disabled bool) (*Engine, scenario.Scenario) {
 	t.Helper()
 	sc := scenario.A(50, false)
-	cfg := Config{
-		Localizer: sim.LocalizerConfig(sc),
-		Sensors:   sc.Sensors,
-		Health: HealthConfig{
-			Disabled:        disabled,
-			ZThreshold:      5,
-			QuarantineAfter: 3,
-			ProbationGood:   4,
-			Warmup:          1,
-		},
+	cfg := ScenarioConfig(sc, 11)
+	cfg.Health = HealthConfig{
+		Disabled:        disabled,
+		ZThreshold:      5,
+		QuarantineAfter: 3,
+		ProbationGood:   4,
+		Warmup:          1,
 	}
-	cfg.Localizer.Seed = 11
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -346,13 +346,16 @@ func (e *Engine) FlushPending() (int, error) {
 }
 
 // Settle is the end-of-stream step before the final source picture is
-// read: FlushPending, then Refresh. The refresh runs even if the flush
-// failed, so the picture covers every reading that was applied; the
-// flush's error is returned.
+// read: FlushPending, then Refresh. A failed flush returns its error
+// without refreshing: the unjournaled rounds stay held, and a retried
+// Settle refreshes once, after the flush that succeeds, so the final
+// state does not depend on how many attempts failed.
 func (e *Engine) Settle() error {
-	_, err := e.FlushPending()
+	if _, err := e.FlushPending(); err != nil {
+		return err
+	}
 	e.Refresh()
-	return err
+	return nil
 }
 
 // Replay re-applies one journaled reading during recovery: it bypasses

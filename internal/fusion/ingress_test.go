@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"reflect"
@@ -8,7 +9,6 @@ import (
 
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 	"radloc/internal/track"
 )
 
@@ -30,13 +30,9 @@ func seqStream(t *testing.T, sc scenario.Scenario, steps int, seed uint64) []Mea
 func seqEngine(t *testing.T, window int) (*Engine, scenario.Scenario) {
 	t.Helper()
 	sc := scenario.A(50, false)
-	cfg := Config{
-		Localizer:     sim.LocalizerConfig(sc),
-		Sensors:       sc.Sensors,
-		Tracking:      &track.Config{},
-		ReorderWindow: window,
-	}
-	cfg.Localizer.Seed = 5
+	cfg := ScenarioConfig(sc, 5)
+	cfg.Tracking = &track.Config{}
+	cfg.ReorderWindow = window
 	cfg.Localizer.Workers = 2
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -223,7 +219,8 @@ func TestIngestSeqSpoofedFlood(t *testing.T) {
 // typed ErrSensorLimit.
 func TestMaxSensors(t *testing.T) {
 	sc := scenario.A(50, false)
-	cfg := Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors, MaxSensors: len(sc.Sensors) - 1}
+	cfg := ScenarioConfig(sc, 0)
+	cfg.MaxSensors = len(sc.Sensors) - 1
 	if _, err := NewEngine(cfg); !errors.Is(err, ErrSensorLimit) {
 		t.Fatalf("NewEngine over cap: err=%v, want ErrSensorLimit", err)
 	}
@@ -260,19 +257,15 @@ func TestJournalWriteAhead(t *testing.T) {
 	sc := scenario.A(50, false)
 	var logged []Meas
 	fail := false
-	cfg := Config{
-		Localizer: sim.LocalizerConfig(sc),
-		Sensors:   sc.Sensors,
-		Journal: journalFunc(func(m Meas) error {
-			if fail {
-				return errors.New("disk full")
-			}
-			logged = append(logged, m)
-			return nil
-		}),
-		ReorderWindow: 4,
-	}
-	cfg.Localizer.Seed = 5
+	cfg := ScenarioConfig(sc, 5)
+	cfg.Journal = journalFunc(func(m Meas) error {
+		if fail {
+			return errors.New("disk full")
+		}
+		logged = append(logged, m)
+		return nil
+	})
+	cfg.ReorderWindow = 4
 	cfg.Localizer.Workers = 2
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -315,5 +308,60 @@ func TestJournalWriteAhead(t *testing.T) {
 	}
 	if got := e.Snapshot(); got.Ingested != 3 || got.Journaled != 3 {
 		t.Errorf("retry not applied: %+v", got)
+	}
+}
+
+// TestSettleRetryRefreshesOnce: a settle retried through journal
+// failures ends in the same engine state, byte for byte, as one that
+// never failed. A failed flush keeps the held tail and does not
+// refresh, so only the successful attempt moves the estimates.
+func TestSettleRetryRefreshesOnce(t *testing.T) {
+	sc := scenario.A(50, false)
+	stream := seqStream(t, sc, 8, 3)
+	settled := func(k int) []byte {
+		t.Helper()
+		failNext := 0
+		cfg := ScenarioConfig(sc, 5)
+		cfg.Tracking = &track.Config{}
+		cfg.Journal = journalFunc(func(Meas) error {
+			if failNext > 0 {
+				failNext--
+				return errors.New("disk full")
+			}
+			return nil
+		})
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range stream {
+			if _, err := e.IngestSeq(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e.Snapshot().Delivery.Pending == 0 {
+			t.Fatal("no held tail to settle")
+		}
+		failNext = k
+		for tries := 0; e.Settle() != nil; tries++ {
+			if tries == k {
+				t.Fatalf("k=%d: settle still failing after %d attempts", k, tries+1)
+			}
+		}
+		st, err := e.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := EncodeState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	want := settled(0)
+	for _, k := range []int{1, 3} {
+		if got := settled(k); !bytes.Equal(got, want) {
+			t.Errorf("k=%d failed appends: settled state differs from a fault-free settle", k)
+		}
 	}
 }

@@ -12,15 +12,13 @@ import (
 	"radloc/internal/clock"
 	"radloc/internal/fusion"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 	"radloc/internal/zone"
 )
 
 func testEngine(t testing.TB, seed uint64) *fusion.Engine {
 	t.Helper()
 	sc := scenario.A(50, false)
-	cfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors}
-	cfg.Localizer.Seed = seed
+	cfg := fusion.ScenarioConfig(sc, seed)
 	cfg.Localizer.NumParticles = 300
 	e, err := fusion.NewEngine(cfg)
 	if err != nil {

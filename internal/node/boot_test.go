@@ -202,3 +202,20 @@ func TestParallelRecoveryDeterministic(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestBootOnFlakyDisk: a disk whose file writes fail half the time
+// still boots a durable node for every seed. Only file writes draw the
+// probabilistic faults, so directory creation at boot never fails and
+// the serving faults depend on the seed alone.
+func TestBootOnFlakyDisk(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		faulty := vfs.NewFaulty(nil, vfs.FaultConfig{Seed: seed, WriteErrProb: 0.5})
+		n, err := New(bootTestConfig(t.TempDir(), 4, io.Discard, faulty))
+		if err != nil {
+			t.Fatalf("seed %d: boot failed: %v", seed, err)
+		}
+		// The final checkpoint may meet an injected fault; only the boot
+		// is under test.
+		_ = n.Shutdown()
+	}
+}

@@ -27,7 +27,6 @@ import (
 	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 	"radloc/internal/transport"
 )
 
@@ -79,9 +78,7 @@ func runChaosDelivery(t *testing.T, withFaults, restart bool) chaosResult {
 	t.Helper()
 	sc := scenario.A(50, false)
 	zs := zoneSetOf(t, zoneSetOptions{Build: func(fusion.Journal, *obs.Registry) (*fusion.Engine, error) {
-		fcfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors}
-		fcfg.Localizer.Seed = 3
-		return fusion.NewEngine(fcfg)
+		return fusion.NewEngine(fusion.ScenarioConfig(sc, 3))
 	}})
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
 	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{QueueDepth: 256, Clock: clk})

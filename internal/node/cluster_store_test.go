@@ -18,7 +18,6 @@ import (
 	"radloc/internal/fusion"
 	"radloc/internal/obs"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 	"radloc/internal/vfs"
 	"radloc/internal/wal"
 )
@@ -28,8 +27,8 @@ func newStoreZoneSet(t *testing.T, dir string, logw io.Writer) *zoneSet {
 	t.Helper()
 	sc := scenario.A(50, false)
 	build := func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
-		fcfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors, Journal: j, Metrics: met}
-		fcfg.Localizer.Seed = 3
+		fcfg := fusion.ScenarioConfig(sc, 3)
+		fcfg.Journal, fcfg.Metrics = j, met
 		return fusion.NewEngine(fcfg)
 	}
 	zs, err := newZoneSet(zoneSetOptions{

@@ -25,7 +25,6 @@ import (
 	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 	"radloc/internal/wal"
 	"radloc/internal/zone"
 )
@@ -50,8 +49,8 @@ type clusterTestNode struct {
 func clusterTestBuild() func(fusion.Journal, *obs.Registry) (*fusion.Engine, error) {
 	sc := scenario.A(50, false)
 	return func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
-		fcfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors, Journal: j, Metrics: met}
-		fcfg.Localizer.Seed = 3
+		fcfg := fusion.ScenarioConfig(sc, 3)
+		fcfg.Journal, fcfg.Metrics = j, met
 		// A one-round reorder window keeps the WAL advancing as each
 		// round lands, so replication lag and retention are exercised
 		// with a 6-round stream (the default window of 4 would hold

@@ -29,7 +29,6 @@ import (
 	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 	"radloc/internal/track"
 	"radloc/internal/transport"
 	"radloc/internal/wal"
@@ -221,15 +220,11 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 	zs := zoneSetOf(t, zoneSetOptions{
 		WalRoot: t.TempDir(), Fsync: wal.FsyncNever, CkptEvery: 50, Metrics: reg, Log: io.Discard,
 		Build: func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
-			fcfg := fusion.Config{
-				Localizer:     sim.LocalizerConfig(sc),
-				Sensors:       sc.Sensors,
-				Tracking:      &track.Config{},
-				Journal:       j,
-				ReorderWindow: 2,
-				Metrics:       met,
-			}
-			fcfg.Localizer.Seed = 3
+			fcfg := fusion.ScenarioConfig(sc, 3)
+			fcfg.Tracking = &track.Config{}
+			fcfg.Journal = j
+			fcfg.ReorderWindow = 2
+			fcfg.Metrics = met
 			fcfg.Localizer.Metrics = met
 			return fusion.NewEngine(fcfg)
 		},

@@ -38,7 +38,6 @@ import (
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
 	"radloc/internal/scrub"
-	"radloc/internal/sim"
 	"radloc/internal/track"
 	"radloc/internal/vfs"
 	"radloc/internal/wal"
@@ -208,15 +207,11 @@ func New(cfg Config) (*Node, error) {
 	// labeled view of the process registry.
 	sc := cfg.Scenario
 	build := func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
-		fcfg := fusion.Config{
-			Localizer:     sim.LocalizerConfig(sc),
-			Sensors:       sc.Sensors,
-			Health:        fusion.HealthConfig{Disabled: cfg.NoHealth},
-			Journal:       j,
-			ReorderWindow: cfg.ReorderWindow,
-			Metrics:       met,
-		}
-		fcfg.Localizer.Seed = cfg.Seed
+		fcfg := fusion.ScenarioConfig(sc, cfg.Seed)
+		fcfg.Health.Disabled = cfg.NoHealth
+		fcfg.Journal = j
+		fcfg.ReorderWindow = cfg.ReorderWindow
+		fcfg.Metrics = met
 		fcfg.Localizer.Metrics = met
 		if !cfg.NoTracks {
 			fcfg.Tracking = &track.Config{}
@@ -407,11 +402,12 @@ func (n *Node) Promoter() *failover.Promoter { return n.prom }
 
 // Settle ends a run for one live zone: on the zone's event loop it
 // releases the reorder gate's held tail (the watermark will never
-// advance again), journals and applies it, and refreshes the
+// advance again), journals and applies it, and then refreshes the
 // estimates. Both run modes settle the default zone this way before
-// their final snapshot. A failed journal write leaves the unjournaled
-// rounds held, not applied, so calling Settle again once storage
-// recovers loses nothing. Settle never creates a zone.
+// their final snapshot. A failed journal write returns its error
+// without refreshing and leaves the unjournaled rounds held, not
+// applied, so calling Settle again once storage recovers loses nothing
+// and refreshes once. Settle never creates a zone.
 func (n *Node) Settle(ctx context.Context, zoneName string) error {
 	return n.zs.settle(ctx, zoneName)
 }

@@ -16,7 +16,6 @@ import (
 	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 	"radloc/internal/track"
 	"radloc/internal/wal"
 )
@@ -28,14 +27,10 @@ func TestCorruptTailRecovery(t *testing.T) {
 	sc := scenario.A(50, false)
 	const rounds, window = 6, 2
 	build := func(j fusion.Journal) (*fusion.Engine, error) {
-		fcfg := fusion.Config{
-			Localizer:     sim.LocalizerConfig(sc),
-			Sensors:       sc.Sensors,
-			Tracking:      &track.Config{},
-			Journal:       j,
-			ReorderWindow: window,
-		}
-		fcfg.Localizer.Seed = 7
+		fcfg := fusion.ScenarioConfig(sc, 7)
+		fcfg.Tracking = &track.Config{}
+		fcfg.Journal = j
+		fcfg.ReorderWindow = window
 		return fusion.NewEngine(fcfg)
 	}
 	dir := t.TempDir()
@@ -176,13 +171,9 @@ func TestBootFromLegacyJSONCheckpoint(t *testing.T) {
 	sc := scenario.A(50, false)
 	sc.Params.NumParticles = 500
 	build := func(j fusion.Journal) (*fusion.Engine, error) {
-		fcfg := fusion.Config{
-			Localizer: sim.LocalizerConfig(sc),
-			Sensors:   sc.Sensors,
-			Tracking:  &track.Config{},
-			Journal:   j,
-		}
-		fcfg.Localizer.Seed = 11
+		fcfg := fusion.ScenarioConfig(sc, 11)
+		fcfg.Tracking = &track.Config{}
+		fcfg.Journal = j
 		return fusion.NewEngine(fcfg)
 	}
 	stream := rng.NewNamed(5, "legacy-checkpoint/measure")

@@ -15,7 +15,6 @@ import (
 	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 	"radloc/internal/track"
 	"radloc/internal/zone"
 )
@@ -24,8 +23,7 @@ func newTestServer(t *testing.T) (*httptest.Server, scenario.Scenario) {
 	t.Helper()
 	sc := scenario.A(50, false)
 	zs := zoneSetOf(t, zoneSetOptions{Build: func(fusion.Journal, *obs.Registry) (*fusion.Engine, error) {
-		fcfg := fusion.Config{Localizer: sim.LocalizerConfig(sc), Sensors: sc.Sensors}
-		fcfg.Localizer.Seed = 3
+		fcfg := fusion.ScenarioConfig(sc, 3)
 		fcfg.Tracking = &track.Config{}
 		return fusion.NewEngine(fcfg)
 	}})

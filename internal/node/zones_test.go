@@ -18,7 +18,6 @@ import (
 	"radloc/internal/httpingest"
 	"radloc/internal/obs"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 	"radloc/internal/wal"
 	"radloc/internal/zone"
 )
@@ -29,13 +28,8 @@ func testZoneBuild(t *testing.T) func(fusion.Journal, *obs.Registry) (*fusion.En
 	t.Helper()
 	sc := scenario.A(50, false)
 	return func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
-		fcfg := fusion.Config{
-			Localizer: sim.LocalizerConfig(sc),
-			Sensors:   sc.Sensors,
-			Journal:   j,
-			Metrics:   met,
-		}
-		fcfg.Localizer.Seed = 5
+		fcfg := fusion.ScenarioConfig(sc, 5)
+		fcfg.Journal, fcfg.Metrics = j, met
 		fcfg.Localizer.NumParticles = 400
 		return fusion.NewEngine(fcfg)
 	}

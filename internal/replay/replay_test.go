@@ -8,8 +8,8 @@ import (
 
 	"radloc/internal/core"
 	"radloc/internal/eval"
+	"radloc/internal/fusion"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 )
 
 func TestWriteProducesFullStream(t *testing.T) {
@@ -69,7 +69,7 @@ func TestRoundTripLocalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := sim.LocalizerConfig(sc)
+	cfg := fusion.LocalizerConfig(sc)
 	cfg.Seed = 3
 	loc, err := core.NewLocalizer(cfg)
 	if err != nil {
@@ -90,7 +90,7 @@ func TestRoundTripLocalizes(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	sc := scenario.A(10, false)
-	loc, err := core.NewLocalizer(sim.LocalizerConfig(sc))
+	loc, err := core.NewLocalizer(fusion.LocalizerConfig(sc))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,23 @@
 // Package sim drives complete experiments: it wires a scenario's
-// sensors, sources and obstacles to a core.Localizer through a network
-// delivery plan, advances time step by step (one step = every sensor
-// reports once, Section VI), scores each step with eval.Match, and
-// aggregates repeated trials — the loop behind every figure in the
-// paper's evaluation.
+// sensors, sources and obstacles to the fusion.Engine radlocd serves,
+// run in paper mode (health monitor off, no tracking, estimates
+// refreshed once at the end of each step), through a network delivery
+// plan. It advances time step by step (one step = every sensor reports
+// once, Section VI), scores each step with eval.Match, and aggregates
+// repeated trials — the loop behind every figure in the paper's
+// evaluation.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"sync"
-	"time"
 
 	"radloc/internal/core"
 	"radloc/internal/eval"
 	"radloc/internal/faults"
+	"radloc/internal/fusion"
 	"radloc/internal/network"
-	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
 )
@@ -28,30 +30,18 @@ type Options struct {
 	// Reps is the number of repeated trials averaged together (the
 	// paper uses 10). Default 1.
 	Reps int
-	// TrialWorkers bounds how many trials run concurrently (default 1;
-	// each trial's mean-shift still parallelizes internally unless
-	// CoreWorkers is 1).
+	// TrialWorkers bounds how many trials run concurrently (default 1).
+	// With one trial at a time its mean-shift parallelizes internally;
+	// with more, each trial's localizer runs on one worker.
 	TrialWorkers int
-	// CoreWorkers overrides the localizer's internal worker count
-	// (default: 1 when TrialWorkers > 1, else GOMAXPROCS via core).
-	CoreWorkers int
 	// SnapshotSteps lists time steps after which the particle
 	// population of trial 0 is recorded (Fig. 4).
 	SnapshotSteps []int
-	// Faults injects sensor malfunctions (dead or stuck sensors) for
-	// robustness experiments.
-	Faults []Fault
 	// FaultSpecs injects the composable fault models of internal/faults
-	// (stuck-at, calibration drift, dropout, burst noise, byzantine
-	// spoofing). Specs compose with Faults; randomness derives from the
-	// trial seed so chaos runs stay reproducible.
+	// (dead or stuck sensors, calibration drift, dropout, burst noise,
+	// byzantine spoofing). Randomness derives from the trial seed so
+	// chaos runs stay reproducible.
 	FaultSpecs []faults.Spec
-	// Metrics, when non-nil, is the registry every trial's localizer
-	// records its per-stage timings on (radloc_filter_*). Trials share
-	// the registry — histograms and counters aggregate across them —
-	// so pair it with Reps: 1 for a clean single-run profile. nil
-	// disables instrumentation; measurements never change either way.
-	Metrics *obs.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -60,11 +50,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TrialWorkers <= 0 {
 		o.TrialWorkers = 1
-	}
-	if o.CoreWorkers <= 0 {
-		if o.TrialWorkers > 1 {
-			o.CoreWorkers = 1
-		}
 	}
 	return o
 }
@@ -81,10 +66,6 @@ type StepStat struct {
 // Trial is the outcome of one simulation run.
 type Trial struct {
 	Steps []StepStat
-	// IterTime is the mean wall-clock time per filter iteration
-	// (Ingest), and EstimateTime per Estimates() call.
-	IterTime     time.Duration
-	EstimateTime time.Duration
 	// Snapshots holds particle populations recorded after the requested
 	// steps (only on trial 0).
 	Snapshots map[int][]core.Particle
@@ -112,14 +93,11 @@ func Run(sc scenario.Scenario, opts Options) (Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := validateFaults(opts.Faults, len(sc.Sensors)); err != nil {
-		return Result{}, err
-	}
-	// Validate the composable specs up front so every trial sees the
-	// same error instead of racing to report it.
-	if specs := faultSpecs(opts); len(specs) > 0 {
-		if _, err := faults.NewInjector(len(sc.Sensors), 0, specs); err != nil {
-			return Result{}, fmt.Errorf("sim: %w", err)
+	// Validate the specs up front so every trial sees the same error
+	// instead of racing to report it.
+	for i, s := range opts.FaultSpecs {
+		if err := s.Validate(len(sc.Sensors)); err != nil {
+			return Result{}, fmt.Errorf("sim: spec %d: %w", i, err)
 		}
 	}
 	opts = opts.withDefaults()
@@ -154,16 +132,19 @@ func Run(sc scenario.Scenario, opts Options) (Result, error) {
 	return res, nil
 }
 
-// runTrial executes one end-to-end simulation.
+// runTrial executes one end-to-end simulation on a paper-mode engine:
+// every delivered reading goes in unsequenced (in delivery order,
+// bypassing the reorder gate), and the estimates are refreshed only at
+// the end of each step.
 func runTrial(sc scenario.Scenario, opts Options, rep uint64, snapshotSteps []int) (Trial, error) {
 	seed := opts.Seed*1_000_003 + rep
-	cfg := LocalizerConfig(sc)
-	cfg.Seed = seed
-	cfg.Metrics = opts.Metrics
-	if opts.CoreWorkers > 0 {
-		cfg.Workers = opts.CoreWorkers
+	cfg := fusion.ScenarioConfig(sc, seed)
+	cfg.Health.Disabled = true
+	cfg.EstimateEvery = math.MaxInt
+	if opts.TrialWorkers > 1 {
+		cfg.Localizer.Workers = 1
 	}
-	loc, err := core.NewLocalizer(cfg)
+	eng, err := fusion.NewEngine(cfg)
 	if err != nil {
 		return Trial{}, fmt.Errorf("trial %d: %w", rep, err)
 	}
@@ -179,8 +160,8 @@ func runTrial(sc scenario.Scenario, opts Options, rep uint64, snapshotSteps []in
 	}
 
 	var inj *faults.Injector
-	if specs := faultSpecs(opts); len(specs) > 0 {
-		inj, err = faults.NewInjector(len(sc.Sensors), seed, specs)
+	if len(opts.FaultSpecs) > 0 {
+		inj, err = faults.NewInjector(len(sc.Sensors), seed, opts.FaultSpecs)
 		if err != nil {
 			return Trial{}, fmt.Errorf("trial %d: %w", rep, err)
 		}
@@ -202,23 +183,19 @@ func runTrial(sc scenario.Scenario, opts Options, rep uint64, snapshotSteps []in
 	if len(snapWant) > 0 {
 		tr.Snapshots = make(map[int][]core.Particle, len(snapWant))
 	}
-	var iterTotal, estTotal time.Duration
-	iterCount := 0
 
 	for step := 0; step < steps; step++ {
 		for _, ev := range plan.EventsInStep(step) {
 			sen := sc.Sensors[ev.SensorIndex]
 			m := sen.Measure(measure, sc.Sources, sc.Obstacles, ev.EmitStep)
 			cpm := inj.Transform(ev.SensorIndex, ev.EmitStep, m.CPM)
-			t0 := time.Now()
-			loc.Ingest(sen, cpm)
-			iterTotal += time.Since(t0)
-			iterCount++
+			if _, err := eng.IngestSeq(fusion.Meas{SensorID: sen.ID, CPM: cpm, Step: ev.EmitStep}); err != nil {
+				return Trial{}, fmt.Errorf("trial %d step %d: %w", rep, step, err)
+			}
 		}
 
-		t0 := time.Now()
-		ests := loc.Estimates()
-		estTotal += time.Since(t0)
+		eng.Refresh()
+		ests := eng.Snapshot().Estimates
 
 		match := eval.Match(ests, sc.Sources, sc.Params.MatchRadius)
 		tr.Steps = append(tr.Steps, StepStat{
@@ -229,39 +206,18 @@ func runTrial(sc scenario.Scenario, opts Options, rep uint64, snapshotSteps []in
 			Estimates: len(ests),
 		})
 		if snapWant[step] {
-			tr.Snapshots[step] = loc.Particles()
+			tr.Snapshots[step] = eng.Particles()
 		}
 		if step == steps-1 {
 			tr.FinalEstimates = ests
 		}
 	}
-
-	if iterCount > 0 {
-		tr.IterTime = iterTotal / time.Duration(iterCount)
-	}
-	tr.EstimateTime = estTotal / time.Duration(steps)
 	return tr, nil
 }
 
-// LocalizerConfig translates a scenario's parameter block into a core
-// configuration (exported so examples and benchmarks can build the
-// localizer directly).
-func LocalizerConfig(sc scenario.Scenario) core.Config {
-	return core.Config{
-		Bounds:            sc.Bounds,
-		NumParticles:      sc.Params.NumParticles,
-		FusionRange:       sc.Params.FusionRange,
-		ResampleNoise:     sc.Params.ResampleNoise,
-		InjectionFrac:     sc.Params.InjectionFrac,
-		StrengthMax:       sc.Params.MaxStrength,
-		BandwidthXY:       sc.Params.BandwidthXY,
-		BandwidthStr:      sc.Params.BandwidthStr,
-		ModeMassMin:       sc.Params.ModeMassMin,
-		MinSourceStrength: sc.Params.MinSourceStr,
-		MaxSensorGap:      sc.Params.MaxSensorGap,
-		MeanShiftStarts:   sc.Params.MeanShiftStarts,
-	}
-}
+// LocalizerConfig is fusion.LocalizerConfig; the benchmark module's
+// reference engine calls it under this name.
+func LocalizerConfig(sc scenario.Scenario) core.Config { return fusion.LocalizerConfig(sc) }
 
 // aggregate fills the per-step aggregates from the trials.
 func (r *Result) aggregate() {

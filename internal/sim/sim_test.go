@@ -32,9 +32,6 @@ func TestRunSingleTrial(t *testing.T) {
 	if math.IsNaN(last) || last > 10 {
 		t.Errorf("final mean error = %v, want ≤ 10", last)
 	}
-	if res.Trials[0].IterTime <= 0 || res.Trials[0].EstimateTime <= 0 {
-		t.Errorf("timings not recorded: %v %v", res.Trials[0].IterTime, res.Trials[0].EstimateTime)
-	}
 	if len(res.Trials[0].FinalEstimates) == 0 {
 		t.Error("no final estimates recorded")
 	}

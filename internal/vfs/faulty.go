@@ -19,7 +19,9 @@ import (
 type FaultConfig struct {
 	// Seed feeds the deterministic fault stream.
 	Seed uint64
-	// WriteErrProb fails a file Write with WriteErr.
+	// WriteErrProb fails a file Write with WriteErr. Only file writes
+	// draw it: directory creation, renames and temp-file creation fail
+	// only inside a FailWrites window.
 	WriteErrProb float64
 	// SyncErrProb fails a file Sync with SyncErr.
 	SyncErrProb float64
@@ -99,9 +101,10 @@ func NewFaulty(inner FS, cfg FaultConfig) *Faulty {
 	}
 }
 
-// FailWrites opens a window in which every file write fails with err
-// (nil = the configured WriteErr). When torn is true each failing
-// write first lands a partial prefix, as a dying disk would.
+// FailWrites opens a window in which every file write, MkdirAll,
+// Rename and CreateTemp fails with err (nil = the configured
+// WriteErr). When torn is true each failing write first lands a
+// partial prefix, as a dying disk would.
 func (f *Faulty) FailWrites(err error, torn bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -183,6 +186,19 @@ func (f *Faulty) writeFault(n int) (error, int) {
 		return f.cfg.WriteErr, -1
 	}
 	return nil, -1
+}
+
+// windowFault is the fate of a metadata write (MkdirAll, Rename,
+// CreateTemp): it fails only inside a FailWrites window and draws
+// nothing from the fault stream, so it never shifts the file writes'
+// probabilistic faults.
+func (f *Faulty) windowFault() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.writeErr != nil {
+		f.stats.Writes++
+	}
+	return f.writeErr
 }
 
 func (f *Faulty) syncFault() error {
@@ -267,17 +283,17 @@ func (f *Faulty) ReadFile(path string) ([]byte, error) {
 // directory listing failures wedge recovery in uninteresting ways).
 func (f *Faulty) ReadDir(path string) ([]fs.DirEntry, error) { return f.inner.ReadDir(path) }
 
-// MkdirAll creates the directory tree, subject to write faults.
+// MkdirAll creates the directory tree, subject to a FailWrites window.
 func (f *Faulty) MkdirAll(path string, perm fs.FileMode) error {
-	if err, _ := f.writeFault(0); err != nil {
+	if err := f.windowFault(); err != nil {
 		return err
 	}
 	return f.inner.MkdirAll(path, perm)
 }
 
-// Rename moves oldPath to newPath, subject to write faults.
+// Rename moves oldPath to newPath, subject to a FailWrites window.
 func (f *Faulty) Rename(oldPath, newPath string) error {
-	if err, _ := f.writeFault(0); err != nil {
+	if err := f.windowFault(); err != nil {
 		return err
 	}
 	return f.inner.Rename(oldPath, newPath)
@@ -297,10 +313,10 @@ func (f *Faulty) Stat(path string) (fs.FileInfo, error) { return f.inner.Stat(pa
 // Lstat describes path through the inner FS.
 func (f *Faulty) Lstat(path string) (fs.FileInfo, error) { return f.inner.Lstat(path) }
 
-// CreateTemp creates a temporary file, subject to write faults; the
-// returned handle injects faults too.
+// CreateTemp creates a temporary file, subject to a FailWrites
+// window; the returned handle injects faults on its writes.
 func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
-	if err, _ := f.writeFault(0); err != nil {
+	if err := f.windowFault(); err != nil {
 		return nil, err
 	}
 	inner, err := f.inner.CreateTemp(dir, pattern)

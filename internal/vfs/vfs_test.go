@@ -189,6 +189,47 @@ func TestFaultyDeterministicSequence(t *testing.T) {
 	}
 }
 
+// TestFaultyMetadataOpsFailOnlyInWindow: WriteErrProb is drawn by file
+// writes alone. MkdirAll, Rename and CreateTemp succeed at any write
+// probability and fail only inside a FailWrites window.
+func TestFaultyMetadataOpsFailOnlyInWindow(t *testing.T) {
+	dir := t.TempDir()
+	fa := NewFaulty(nil, FaultConfig{Seed: 1, WriteErrProb: 1})
+	ops := func() []error {
+		sub := filepath.Join(dir, "sub")
+		errs := []error{fa.MkdirAll(sub, 0o755)}
+		f, err := fa.CreateTemp(dir, "tmp-*")
+		errs = append(errs, err)
+		if err == nil {
+			f.Close()
+			errs = append(errs, fa.Rename(f.Name(), filepath.Join(sub, "moved")))
+		}
+		return errs
+	}
+	for _, err := range ops() {
+		if err != nil {
+			t.Fatalf("metadata op drew a probabilistic write fault: %v", err)
+		}
+	}
+	if st := fa.Stats(); st.Writes != 0 {
+		t.Fatalf("metadata ops counted write faults: %+v", st)
+	}
+	fa.FailWrites(nil, false)
+	if errs := ops(); len(errs) != 2 || !errors.Is(errs[0], syscall.ENOSPC) || !errors.Is(errs[1], syscall.ENOSPC) {
+		t.Fatalf("window did not fail MkdirAll and CreateTemp: %v", errs)
+	}
+	fa.Heal()
+	f, err := os.CreateTemp(dir, "tmp-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	fa.FailWrites(nil, false)
+	if err := fa.Rename(f.Name(), f.Name()+".x"); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("window did not fail Rename: %v", err)
+	}
+}
+
 func TestObservedCountsFaults(t *testing.T) {
 	reg := obs.NewRegistry()
 	fa := NewFaulty(nil, FaultConfig{Seed: 1})

@@ -14,7 +14,6 @@ import (
 	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/sim"
 )
 
 // testEngine builds a small, deterministic engine for zone tests;
@@ -29,13 +28,9 @@ func testEngine(t testing.TB, seed uint64) *fusion.Engine {
 func testEngineWith(t testing.TB, seed uint64, j fusion.Journal) *fusion.Engine {
 	t.Helper()
 	sc := scenario.A(50, false)
-	cfg := fusion.Config{
-		Localizer:     sim.LocalizerConfig(sc),
-		Sensors:       sc.Sensors,
-		ReorderWindow: 2,
-		Journal:       j,
-	}
-	cfg.Localizer.Seed = seed
+	cfg := fusion.ScenarioConfig(sc, seed)
+	cfg.ReorderWindow = 2
+	cfg.Journal = j
 	cfg.Localizer.NumParticles = 300
 	e, err := fusion.NewEngine(cfg)
 	if err != nil {

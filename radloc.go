@@ -33,6 +33,7 @@ import (
 	"radloc/internal/baseline"
 	"radloc/internal/core"
 	"radloc/internal/eval"
+	"radloc/internal/fusion"
 	"radloc/internal/geometry"
 	"radloc/internal/network"
 	"radloc/internal/radiation"
@@ -158,7 +159,7 @@ func DefaultParams() Params { return scenario.DefaultParams() }
 
 // LocalizerConfig translates a scenario's parameters into a localizer
 // configuration.
-func LocalizerConfig(sc Scenario) Config { return sim.LocalizerConfig(sc) }
+func LocalizerConfig(sc Scenario) Config { return fusion.LocalizerConfig(sc) }
 
 // Run simulates a scenario end to end and aggregates repeated trials.
 func Run(sc Scenario, opts RunOptions) (Result, error) { return sim.Run(sc, opts) }
