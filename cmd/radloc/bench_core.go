@@ -61,8 +61,8 @@ type coreBenchReport struct {
 	Sensors   int    `json:"sensors"`
 	Steps     int    `json:"steps"`
 	Seed      uint64 `json:"seed"`
-	// Workers is the in-engine weighting worker bound the run used
-	// (0 = GOMAXPROCS).
+	// Workers is the filter's worker bound the run used, for both the
+	// weighting and the mean-shift pool (0 = GOMAXPROCS).
 	Workers int `json:"workers"`
 	// CPUs is runtime.NumCPU() on the measuring host — single-core
 	// hosts cannot show worker-pool speedups, so read the numbers with
@@ -144,7 +144,7 @@ func benchCore(particles, sensors, steps, runs, workers int, seed uint64, agains
 		reg := obs.NewRegistry()
 		cfg := fusion.ScenarioConfig(sc, seed)
 		cfg.Localizer.Metrics = reg
-		cfg.Localizer.WeightWorkers = workers
+		cfg.Localizer.Workers = workers
 		e, err := fusion.NewEngine(cfg)
 		if err != nil {
 			return 0, nil, err

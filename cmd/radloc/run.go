@@ -81,8 +81,8 @@ func executeRun(w io.Writer, sc radloc.Scenario, cf commonFlags) error {
 	return nil
 }
 
-// trialWorkers picks a trial-level parallelism that leaves headroom for
-// the mean-shift workers inside each trial.
+// trialWorkers picks a trial-level parallelism. Above 1, each trial's
+// filter runs its weighting and mean-shift on one worker.
 func trialWorkers() int {
 	n := runtime.GOMAXPROCS(0)
 	if n < 2 {

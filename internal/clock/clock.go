@@ -2,7 +2,8 @@
 // deterministic under test: the sensor transport's backoff and circuit
 // breaker, the daemon's token buckets, and the network-chaos harness
 // all take a Clock instead of calling the time package directly, so a
-// Fake clock can replay an identical schedule on every run.
+// Fake clock can replay an identical schedule on every run. Every is
+// the daemon's one jittered background loop.
 package clock
 
 import (
@@ -37,6 +38,31 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 // WithTimeout implements Clock.
 func (Real) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(ctx, d)
+}
+
+// jitter is the ± fraction of its interval by which Every displaces
+// each wait, so a fleet restarted together does not run its periodic
+// work in lockstep.
+const jitter = 0.2
+
+// Every calls tick after each wait of interval×(1 + 0.2·(2u()−1)), a
+// ±20% band, until ctx is done; u is a uniform draw from [0, 1), such
+// as a named rng stream's Float64. The first tick comes after one
+// wait. A wait is c.WithTimeout(ctx, d) followed by its Done, so
+// cancelling ctx ends it at once and leaves no goroutine sleeping, and
+// no tick starts once ctx is done; a Fake clock's waits end only then.
+// Every blocks until ctx is done; run it on its own goroutine.
+func Every(ctx context.Context, c Clock, interval time.Duration, u func() float64, tick func(context.Context)) {
+	for {
+		d := time.Duration(float64(interval) * (1 + jitter*(2*u()-1)))
+		wait, cancel := c.WithTimeout(ctx, d)
+		<-wait.Done()
+		cancel()
+		if ctx.Err() != nil {
+			return
+		}
+		tick(ctx)
+	}
 }
 
 // Fake is a deterministic virtual clock. Sleep advances virtual time

@@ -98,21 +98,18 @@ type Config struct {
 	// distribution (Section V-A); see SeededPrior. nil means uniform.
 	Init InitSampler
 
-	// Workers bounds the mean-shift worker goroutines (default
-	// runtime.GOMAXPROCS(0)). The paper's Table I measures exactly this
-	// parallelism.
+	// Workers bounds the goroutines of both worker pools: the
+	// weighting stage's, which fans the particle subset out within one
+	// Ingest call, and mean-shift estimation's (default
+	// runtime.GOMAXPROCS(0); 1 keeps both on the calling goroutine). The
+	// paper's Table I measures this parallelism. The subset is weighed
+	// in fixed-size chunks whose boundaries and reduction order do not
+	// depend on this value, and mean-shift's results are independent of
+	// it too, so a run's output — including ExportState — is
+	// bit-identical for every Workers setting; only wall-clock changes.
+	// Small subsets are always weighted inline: the weighting pool only
+	// engages when a chunk's work amortizes the goroutine handoff.
 	Workers int
-
-	// WeightWorkers bounds the goroutines the weighting stage fans the
-	// particle subset out to within one Ingest call (default
-	// runtime.GOMAXPROCS(0); 1 keeps weighting on the calling
-	// goroutine). The subset is split into fixed-size chunks whose
-	// boundaries and reduction order do not depend on this value, so a
-	// run's output — including ExportState — is bit-identical for every
-	// WeightWorkers setting; only wall-clock changes. Small subsets are
-	// always weighted inline: the pool only engages when a chunk's work
-	// amortizes the goroutine handoff.
-	WeightWorkers int
 
 	// Seed drives all of the localizer's internal randomness (particle
 	// init, resampling, jitter, injection). Runs with equal seeds and
@@ -168,9 +165,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.WeightWorkers == 0 {
-		c.WeightWorkers = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
@@ -206,9 +200,6 @@ func (c Config) validate() error {
 	}
 	if c.Workers < 1 {
 		return fmt.Errorf("core: Workers = %d", c.Workers)
-	}
-	if c.WeightWorkers < 1 {
-		return fmt.Errorf("core: WeightWorkers = %d", c.WeightWorkers)
 	}
 	return nil
 }

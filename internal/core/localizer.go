@@ -39,9 +39,8 @@ func (e Estimate) String() string {
 // weightChunkSize is the fixed granularity the weighting stage splits
 // the selected subset into. Chunk boundaries — and with them the
 // floating-point reduction order of the per-chunk partial sums — are a
-// function of the subset size only, never of Config.WeightWorkers, so
-// every worker count produces bit-identical filter state (see
-// DESIGN.md §11).
+// function of the subset size only, never of Config.Workers, so every
+// worker count produces bit-identical filter state (see DESIGN.md §11).
 const weightChunkSize = 512
 
 // Localizer is the hybrid particle-filter + mean-shift estimator. It is
@@ -216,11 +215,11 @@ func (l *Localizer) Ingest(sen sensor.Sensor, cpm int) {
 
 	// Prediction (V-B): P'' = F_movement(P'); identity for static
 	// sources. When weighting runs inline (one chunk's worth of work or
-	// WeightWorkers = 1) the prediction is fused into the weighting
-	// loop — one pass over the subset instead of two — and its cost is
-	// charged to the weight stage. A parallel weighting pass forces the
-	// split: the movement model draws from the localizer's single RNG
-	// stream, so it must run sequentially before the fan-out.
+	// Workers = 1) the prediction is fused into the weighting loop — one
+	// pass over the subset instead of two — and its cost is charged to
+	// the weight stage. A parallel weighting pass forces the split: the
+	// movement model draws from the localizer's single RNG stream, so it
+	// must run sequentially before the fan-out.
 	fused := l.cfg.Movement != nil && !l.parallelWeighting(len(ids))
 	if l.cfg.Movement != nil && !fused {
 		l.applyMovement(ids)
@@ -247,7 +246,7 @@ func (l *Localizer) Ingest(sen sensor.Sensor, cpm int) {
 // configuration allows more than one worker and the subset spans more
 // than one chunk (a single chunk cannot amortize the handoff).
 func (l *Localizer) parallelWeighting(k int) bool {
-	return l.cfg.WeightWorkers > 1 && k > weightChunkSize
+	return l.cfg.Workers > 1 && k > weightChunkSize
 }
 
 // weigh computes the log-posterior of every selected particle, reduces
@@ -258,9 +257,9 @@ func (l *Localizer) parallelWeighting(k int) bool {
 // The subset is processed in fixed-size chunks. Each chunk fills its
 // disjoint logBuf range and produces (max, mass) partials; partials
 // combine in chunk order. The chunking is identical whether chunks run
-// on the calling goroutine or on WeightWorkers goroutines, which is
-// what makes the result — and all downstream filter state —
-// bit-identical across worker counts.
+// on the calling goroutine or on Workers goroutines, which is what
+// makes the result — and all downstream filter state — bit-identical
+// across worker counts.
 func (l *Localizer) weigh(sen sensor.Sensor, cpm int, ids []int, fused bool) (cum, priorMass float64) {
 	k := len(ids)
 	l.logBuf = l.logBuf[:k]
@@ -408,13 +407,13 @@ func uniformCDF(cdf []float64) float64 {
 }
 
 // runChunks executes fn(c) for every chunk index. Chunks run on the
-// calling goroutine unless the worker pool is engaged (WeightWorkers >
-// 1 and more than one chunk), in which case min(WeightWorkers, chunks)
-// goroutines drain the chunk indices. fn must write only to its
-// chunk's disjoint state; the chunk decomposition itself never depends
-// on the worker count.
+// calling goroutine unless the worker pool is engaged (Workers > 1 and
+// more than one chunk), in which case min(Workers, chunks) goroutines
+// drain the chunk indices. fn must write only to its chunk's disjoint
+// state; the chunk decomposition itself never depends on the worker
+// count.
 func (l *Localizer) runChunks(nChunks int, fn func(c int)) {
-	workers := l.cfg.WeightWorkers
+	workers := l.cfg.Workers
 	if workers > nChunks {
 		workers = nChunks
 	}

@@ -46,24 +46,21 @@ func runWorkload(t *testing.T, cfg Config, steps int) (State, []Estimate) {
 }
 
 // TestExportStateBitIdenticalAcrossWorkerCounts is the tentpole's
-// determinism invariant: the weighting worker pool and the mean-shift
-// worker pool change wall-clock only, never output. Run the identical
-// workload under several (WeightWorkers, Workers) settings and demand
-// byte-for-byte equal exported state and equal estimates. Run with
-// -race to also exercise the pools' memory discipline.
+// determinism invariant: the worker pools (weighting and mean-shift)
+// change wall-clock only, never output. Run the identical workload
+// under a sweep of Workers settings and demand byte-for-byte equal
+// exported state and equal estimates. Run with -race to also exercise
+// the pools' memory discipline.
 func TestExportStateBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	base := testConfig()
 	base.NumParticles = 1500 // > 2 chunks so the pool actually engages
 
-	type variant struct{ weightWorkers, msWorkers int }
-	variants := []variant{{1, 1}, {2, 3}, {5, 2}, {16, 8}}
-
+	workers := []int{1, 2, 3, 5, 8, 16}
 	var refState []byte
 	var refEsts []Estimate
-	for i, v := range variants {
+	for i, w := range workers {
 		cfg := base
-		cfg.WeightWorkers = v.weightWorkers
-		cfg.Workers = v.msWorkers
+		cfg.Workers = w
 		st, ests := runWorkload(t, cfg, 6)
 		blob, err := json.Marshal(st)
 		if err != nil {
@@ -74,10 +71,10 @@ func TestExportStateBitIdenticalAcrossWorkerCounts(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(blob, refState) {
-			t.Errorf("workers=%+v: exported state differs from workers=%+v", v, variants[0])
+			t.Errorf("workers=%d: exported state differs from workers=%d", w, workers[0])
 		}
 		if fmt.Sprint(ests) != fmt.Sprint(refEsts) {
-			t.Errorf("workers=%+v: estimates differ: %v vs %v", v, ests, refEsts)
+			t.Errorf("workers=%d: estimates differ: %v vs %v", w, ests, refEsts)
 		}
 	}
 }
@@ -89,7 +86,7 @@ func TestExportStateBitIdenticalAcrossWorkerCounts(t *testing.T) {
 // path necessarily allocates its worker goroutines.
 func TestIngestSteadyStateAllocationFree(t *testing.T) {
 	cfg := testConfig()
-	cfg.WeightWorkers = 1
+	cfg.Workers = 1
 	l, err := NewLocalizer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -141,11 +138,11 @@ func TestMovementFusedMatchesSplit(t *testing.T) {
 	base.Movement = RandomWalk{Sigma: 0.5}
 
 	cfg1 := base
-	cfg1.WeightWorkers = 1 // fused predict+weight
+	cfg1.Workers = 1 // fused predict+weight
 	st1, _ := runWorkload(t, cfg1, 4)
 
 	cfg2 := base
-	cfg2.WeightWorkers = 4 // sequential predict, pooled weight
+	cfg2.Workers = 4 // sequential predict, pooled weight
 	st2, _ := runWorkload(t, cfg2, 4)
 
 	b1, err := json.Marshal(st1)

@@ -86,18 +86,17 @@ type peerState struct {
 }
 
 // Promoter is the per-node failure detector and auto-promotion loop.
+// Build with New and run with Run until its context ends; Tick is
+// exported so tests drive the detector under a fake clock.
 type Promoter struct {
 	opts Options
 	met  *promoterMetrics
 
 	mu    sync.Mutex
 	peers []*peerState
-
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
 }
 
-// New builds a Promoter. Call Start to begin probing.
+// New builds a Promoter. Call Run to begin probing.
 func New(opts Options) (*Promoter, error) {
 	if opts.Node == nil {
 		return nil, errors.New("failover: Options.Node is required")
@@ -144,54 +143,14 @@ func (p *Promoter) logf(format string, args ...any) {
 	}
 }
 
-// Start launches the probe loop. Close stops it.
-func (p *Promoter) Start() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cancel != nil {
+// Run probes at once and then on a jittered schedule until ctx is
+// done.
+func (p *Promoter) Run(ctx context.Context) {
+	if ctx.Err() != nil {
 		return
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	p.cancel = cancel
-	p.wg.Add(1)
-	go p.loop(ctx)
-}
-
-// Close stops the probe loop and waits for it to exit.
-func (p *Promoter) Close() {
-	p.mu.Lock()
-	cancel := p.cancel
-	p.cancel = nil
-	p.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	p.wg.Wait()
-}
-
-// loop runs Tick on a jittered schedule until cancelled.
-func (p *Promoter) loop(ctx context.Context) {
-	defer p.wg.Done()
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		p.Tick(ctx)
-		if ctx.Err() != nil {
-			return
-		}
-		p.opts.Clock.Sleep(p.jitteredInterval())
-	}
-}
-
-// jitter is the ± fraction of Interval each tick is displaced by, so
-// a fleet restarted together does not probe in lockstep.
-const jitter = 0.2
-
-// jitteredInterval displaces the base interval by up to ±jitter.
-func (p *Promoter) jitteredInterval() time.Duration {
-	f := 1 + jitter*(2*p.opts.RNG.Float64()-1)
-	return time.Duration(float64(p.opts.Interval) * f)
+	p.Tick(ctx)
+	clock.Every(ctx, p.opts.Clock, p.opts.Interval, p.opts.RNG.Float64, p.Tick)
 }
 
 // Tick runs one probe round: every peer's liveness is checked, its

@@ -351,25 +351,77 @@ func metricValue(t *testing.T, reg *obs.Registry, name string) float64 {
 	return val
 }
 
-// TestDefaultProbeIntervalIsJittered pins the ±20% probe jitter with
+// stepClock is a wall clock whose waits end at once. It records each
+// requested wait and calls stop at the 20th.
+type stepClock struct {
+	clock.Real
+	waits []time.Duration
+	stop  func()
+}
+
+func (c *stepClock) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	c.waits = append(c.waits, d)
+	if len(c.waits) == 20 {
+		c.stop()
+	}
+	return context.WithTimeout(ctx, 0)
+}
+
+// TestRunJittersDefaultSchedule pins the ±20% probe jitter with
 // default options: a fleet restarted together must not probe in
 // lockstep, so the intervals spread, but never past the ±20% band.
-func TestDefaultProbeIntervalIsJittered(t *testing.T) {
+func TestRunJittersDefaultSchedule(t *testing.T) {
 	node, _ := newStandbyNode(t, newFakeNet())
-	prom, err := New(Options{Node: node, Self: "http://b"})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	clk := &stepClock{stop: cancel}
+	prom, err := New(Options{Node: node, Self: "http://b", Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := 8*prom.opts.Interval/10, 12*prom.opts.Interval/10
+	prom.Run(ctx)
+	interval := prom.opts.Interval
 	seen := make(map[time.Duration]bool)
-	for i := 0; i < 20; i++ {
-		d := prom.jitteredInterval()
-		if d < lo || d > hi {
-			t.Fatalf("interval %v outside ±20%% of %v", d, prom.opts.Interval)
+	for _, d := range clk.waits {
+		if d < 8*interval/10 || d > 12*interval/10 {
+			t.Fatalf("interval %v outside ±20%% of %v", d, interval)
 		}
 		seen[d] = true
 	}
 	if len(seen) < 2 {
 		t.Fatalf("20 intervals took %d distinct value(s), want jitter", len(seen))
+	}
+}
+
+// TestRunProbesAtOnce pins detection timing: Run probes before its
+// first wait, so a peer down at boot starts accruing misses at once,
+// and cancelling Run mid-wait returns without waiting out the interval.
+func TestRunProbesAtOnce(t *testing.T) {
+	node, _ := newStandbyNode(t, newFakeNet())
+	prom, err := New(Options{Node: node, Self: "http://b", Peers: []string{"http://a"}, HTTP: newFakeNet(), Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		prom.Run(ctx)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for prom.Peers()[0].Misses == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("Run did not probe before its first wait")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return when cancelled mid-wait")
+	}
+	if got := prom.Peers()[0].Misses; got != 1 {
+		t.Errorf("peer has %d misses after one probe round, want 1", got)
 	}
 }

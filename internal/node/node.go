@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"radloc/internal/clock"
 	"radloc/internal/cluster"
 	"radloc/internal/failover"
 	"radloc/internal/fusion"
@@ -51,7 +52,8 @@ type Config struct {
 	// Scenario is the sensor deployment every zone's engine is built
 	// from. Required.
 	Scenario scenario.Scenario
-	// Seed seeds each engine's localizer (and the scrubber's jitter).
+	// Seed seeds each engine's localizer and the jitter of the storage
+	// probe, the idle-zone janitor and the scrubber.
 	Seed uint64
 	// NoTracks disables confirmed-track maintenance over estimates.
 	NoTracks bool
@@ -88,7 +90,8 @@ type Config struct {
 
 	// MaxZones caps concurrently live zones (0 = 64).
 	MaxZones int
-	// ZoneIdle evicts a named zone idle this long (0 = never).
+	// ZoneIdle evicts a named zone idle this long (0 = never). The
+	// janitor checks every ZoneIdle/4 (at least 1s), jittered ±20%.
 	ZoneIdle time.Duration
 
 	// HTTPQueue bounds concurrently admitted ingest requests (0 = 64).
@@ -175,7 +178,8 @@ type Node struct {
 
 	startOnce sync.Once
 	stopOnce  sync.Once
-	stopBG    context.CancelFunc
+	stopBG    context.CancelFunc // cancels the background loops
+	loops     sync.WaitGroup     // the background loops Start launched
 	closeErr  error
 }
 
@@ -350,34 +354,45 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Start launches the node's background maintenance: the storage
+// Start launches the node's four background loops: the storage
 // recovery probe, the idle-zone janitor, failover probing and the
-// integrity scrubber. ctx bounds the probe and janitor loops;
-// Shutdown cancels them too. Safe to call once; a Node that is only
-// read from (or driven by tests tick-by-tick) may skip Start
-// entirely.
+// integrity scrubber. Each runs on its own goroutine, waits a jittered
+// interval from its own named rng stream between ticks (clock.Every),
+// and stops when ctx is done or Shutdown cancels it. Safe to call
+// once; a Node that is only read from (or driven by tests
+// tick-by-tick) may skip Start entirely.
 func (n *Node) Start(ctx context.Context) {
 	n.startOnce.Do(func() {
-		bgCtx, cancel := context.WithCancel(ctx)
-		n.stopBG = cancel
+		ctx, n.stopBG = context.WithCancel(ctx)
+		clk := clock.Real{}
+		run := func(loop func(context.Context)) {
+			n.loops.Add(1)
+			go func() {
+				defer n.loops.Done()
+				loop(ctx)
+			}()
+		}
+		every := func(interval time.Duration, stream string, tick func(context.Context)) {
+			u := rng.NewNamed(n.cfg.Seed, stream).Float64
+			run(func(ctx context.Context) { clock.Every(ctx, clk, interval, u, tick) })
+		}
 		if n.cfg.WALDir != "" && n.cfg.StorageProbe > 0 {
-			// Degraded zones re-test their WAL on a jittered cadence so the
-			// node exits read-only mode on its own once space frees, even
-			// with every agent backed off.
-			go n.zs.storageProbeLoop(bgCtx, n.cfg.StorageProbe, n.cfg.Seed)
+			// Degraded zones re-test their WAL so the node exits
+			// read-only mode on its own once space frees, even with
+			// every agent backed off.
+			every(n.cfg.StorageProbe, "radlocd/storage-probe", n.zs.probeStorage)
 		}
 		if n.cfg.ZoneIdle > 0 {
-			interval := n.cfg.ZoneIdle / 4
-			if interval < time.Second {
-				interval = time.Second
-			}
-			go n.zs.manager.Janitor(bgCtx, interval)
+			interval := max(n.cfg.ZoneIdle/4, time.Second)
+			every(interval, "radlocd/zone-janitor", func(context.Context) {
+				n.zs.manager.SweepIdle(clk.Now())
+			})
 		}
 		if n.prom != nil {
-			n.prom.Start()
+			run(n.prom.Run)
 		}
 		if n.scr != nil {
-			n.scr.Start()
+			run(n.scr.Run)
 		}
 	})
 }
@@ -412,24 +427,19 @@ func (n *Node) Settle(ctx context.Context, zoneName string) error {
 	return n.zs.settle(ctx, zoneName)
 }
 
-// Shutdown stops the node: scrubber and failover probes first, then
-// cluster replication, then every zone — mailboxes drained, reorder
-// tails flushed, final checkpoints written, WALs closed. What each
-// engine applied is what the next boot recovers. Idempotent; returns
-// the first close error.
+// Shutdown stops the node: it cancels the background loops and waits
+// for them to return, then stops cluster replication, then closes
+// every zone — mailboxes drained, reorder tails flushed, final
+// checkpoints written, WALs closed. What each engine applied is what
+// the next boot recovers. Idempotent; returns the first close error.
 func (n *Node) Shutdown() error {
 	n.stopOnce.Do(func() {
-		if n.scr != nil {
-			n.scr.Close()
-		}
-		if n.prom != nil {
-			n.prom.Close()
-		}
-		if n.clu != nil {
-			n.clu.Close()
-		}
 		if n.stopBG != nil {
 			n.stopBG()
+		}
+		n.loops.Wait()
+		if n.clu != nil {
+			n.clu.Close()
 		}
 		n.closeErr = n.zs.close()
 	})

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"radloc/internal/fusion"
-	"radloc/internal/rng"
 )
 
 // Degraded read-only mode.
@@ -80,36 +79,22 @@ func (zs *zoneSet) degradedZones() []string {
 	return out
 }
 
-// storageProbeLoop re-probes every degraded zone's WAL on a jittered
-// cadence until ctx is done. Jitter (±20%) keeps a fleet of nodes that
-// all hit the same full volume from retrying in lockstep.
-func (zs *zoneSet) storageProbeLoop(ctx context.Context, interval time.Duration, seed uint64) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	strm := rng.NewNamed(seed, "radlocd/storage-probe")
-	for {
-		t := time.NewTimer(time.Duration(float64(interval) * (0.8 + 0.4*strm.Float64())))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return
-		case <-t.C:
+// probeStorage re-probes every degraded zone's WAL: one tick of the
+// storage probe loop Start runs.
+func (zs *zoneSet) probeStorage(ctx context.Context) {
+	for _, name := range zs.manager.Names() {
+		z, ok := zs.manager.Lookup(name)
+		if !ok {
+			continue
 		}
-		for _, name := range zs.manager.Names() {
-			z, ok := zs.manager.Lookup(name)
-			if !ok {
-				continue
-			}
-			// The probe (tail repair + scratch write + sync) runs on the
-			// zone's loop and feeds the same edge detector as appends. A
-			// zone that closed meanwhile has nothing left to probe.
-			if d := zoneDurable(z); d.storageDegraded() {
-				_ = z.Do(ctx, func(*fusion.Engine) error {
-					d.noteAppend(d.log.Probe())
-					return nil
-				})
-			}
+		// The probe (tail repair + scratch write + sync) runs on the
+		// zone's loop and feeds the same edge detector as appends. A
+		// zone that closed meanwhile has nothing left to probe.
+		if d := zoneDurable(z); d.storageDegraded() {
+			_ = z.Do(ctx, func(*fusion.Engine) error {
+				d.noteAppend(d.log.Probe())
+				return nil
+			})
 		}
 	}
 }

@@ -88,8 +88,8 @@ type Options struct {
 	Log *log.Logger
 }
 
-// Scrubber is the background integrity loop. Build with New, start
-// with Start, stop with Close; Tick is exported so tests drive it
+// Scrubber is the background integrity loop. Build with New and run
+// with Run until its context ends; Tick is exported so tests drive it
 // deterministically.
 type Scrubber struct {
 	opts Options
@@ -97,12 +97,9 @@ type Scrubber struct {
 
 	mu      sync.Mutex
 	cursors map[string]uint64 // per zone: first offset not yet re-verified this cycle
-
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
 }
 
-// New builds a Scrubber. Call Start to begin scrubbing.
+// New builds a Scrubber. Call Run to begin scrubbing.
 func New(opts Options) (*Scrubber, error) {
 	if opts.Targets == nil {
 		return nil, errors.New("scrub: Options.Targets is required")
@@ -129,71 +126,11 @@ func (s *Scrubber) logf(format string, args ...any) {
 	}
 }
 
-// Start launches the scrub loop. Close stops it.
-func (s *Scrubber) Start() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cancel != nil {
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
-	s.wg.Add(1)
-	go s.loop(ctx)
-}
-
-// Close stops the scrub loop and waits for it to exit.
-func (s *Scrubber) Close() {
-	s.mu.Lock()
-	cancel := s.cancel
-	s.cancel = nil
-	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	s.wg.Wait()
-}
-
-// loop runs Tick on a jittered schedule until cancelled. The first
-// tick is delayed a full interval: boot already validated everything.
-func (s *Scrubber) loop(ctx context.Context) {
-	defer s.wg.Done()
-	for {
-		s.sleep(ctx, s.jitteredInterval())
-		if ctx.Err() != nil {
-			return
-		}
-		s.Tick(ctx)
-		if ctx.Err() != nil {
-			return
-		}
-	}
-}
-
-// sleep blocks for d or until ctx is cancelled, whichever comes
-// first. The Clock.Sleep runs on its own goroutine so cancellation
-// does not wait out the interval — Close mid-sleep would otherwise
-// stall shutdown for up to the full (default 15m) interval.
-func (s *Scrubber) sleep(ctx context.Context, d time.Duration) {
-	done := make(chan struct{})
-	go func() {
-		s.opts.Clock.Sleep(d)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-	}
-}
-
-// jitter is the ± fraction of Interval each tick is displaced by, so
-// a fleet restarted together does not scrub in lockstep.
-const jitter = 0.2
-
-// jitteredInterval displaces the base interval by up to ±jitter.
-func (s *Scrubber) jitteredInterval() time.Duration {
-	f := 1 + jitter*(2*s.opts.RNG.Float64()-1)
-	return time.Duration(float64(s.opts.Interval) * f)
+// Run scrubs on a jittered schedule until ctx is done. The first
+// tick comes a full interval after Run starts: boot already validated
+// everything.
+func (s *Scrubber) Run(ctx context.Context) {
+	clock.Every(ctx, s.opts.Clock, s.opts.Interval, s.opts.RNG.Float64, s.Tick)
 }
 
 // Tick runs one scrub round over every current target: checkpoints

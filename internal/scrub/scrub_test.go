@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"radloc/internal/clock"
 	"radloc/internal/wal"
 )
 
@@ -75,26 +76,6 @@ func (s *stubStore) Repair(_ context.Context, from, to uint64) (string, error) {
 
 func targetsFor(st *stubStore) func() []Target {
 	return func() []Target { return []Target{{Zone: "default", Store: st}} }
-}
-
-// TestCloseIsPrompt pins the shutdown contract: Close must return
-// without waiting out the scrub interval, even when the loop is
-// asleep mid-interval. A regression here stalls daemon shutdown for
-// up to the full -scrub-interval (default 15m).
-func TestCloseIsPrompt(t *testing.T) {
-	scr, err := New(Options{Targets: targetsFor(&stubStore{}), Interval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scr.Start()
-	time.Sleep(10 * time.Millisecond) // let the loop reach its sleep
-	done := make(chan struct{})
-	go func() { scr.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return while the loop slept mid-interval")
-	}
 }
 
 // TestTickRoundRobinsSealedSegments checks that successive ticks walk
@@ -182,24 +163,54 @@ func TestTickRepairFailureKeepsTicking(t *testing.T) {
 	}
 }
 
-// TestDefaultScrubIntervalIsJittered pins the ±20% scrub jitter with
-// default options: a fleet must not scrub in lockstep, so the
-// intervals spread, but never past the ±20% band.
-func TestDefaultScrubIntervalIsJittered(t *testing.T) {
-	scr, err := New(Options{Targets: targetsFor(&stubStore{})})
+// stepClock is a wall clock whose waits end at once. It records each
+// requested wait and calls stop at the 20th.
+type stepClock struct {
+	clock.Real
+	waits []time.Duration
+	stop  func()
+}
+
+func (c *stepClock) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	c.waits = append(c.waits, d)
+	if len(c.waits) == 20 {
+		c.stop()
+	}
+	return context.WithTimeout(ctx, 0)
+}
+
+// TestRunJittersDefaultSchedule pins the scrub schedule with default
+// options: a fleet must not scrub in lockstep, so the 20 waits spread,
+// but never past ±20% of the interval, and Run ticks after each wait,
+// not before the first — boot already validated everything.
+func TestRunJittersDefaultSchedule(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	clk := &stepClock{stop: cancel}
+	ticks := 0
+	scr, err := New(Options{Clock: clk, Targets: func() []Target {
+		ticks++
+		if ticks != len(clk.waits) {
+			t.Fatalf("tick %d came after %d waits", ticks, len(clk.waits))
+		}
+		return nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := 8*scr.opts.Interval/10, 12*scr.opts.Interval/10
+	scr.Run(ctx)
+	if ticks != 19 {
+		t.Fatalf("Run ticked %d times over 20 waits, the last cancelled; want 19", ticks)
+	}
+	interval := scr.opts.Interval
 	seen := make(map[time.Duration]bool)
-	for i := 0; i < 20; i++ {
-		d := scr.jitteredInterval()
-		if d < lo || d > hi {
-			t.Fatalf("interval %v outside ±20%% of %v", d, scr.opts.Interval)
+	for _, d := range clk.waits {
+		if d < 8*interval/10 || d > 12*interval/10 {
+			t.Fatalf("wait %v outside ±20%% of %v", d, interval)
 		}
 		seen[d] = true
 	}
 	if len(seen) < 2 {
-		t.Fatalf("20 intervals took %d distinct value(s), want jitter", len(seen))
+		t.Fatalf("20 waits took %d distinct value(s), want jitter", len(seen))
 	}
 }

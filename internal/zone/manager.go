@@ -284,24 +284,6 @@ func (m *Manager) SweepIdle(now time.Time) []string {
 	return names
 }
 
-// Janitor runs SweepIdle every interval until ctx is cancelled —
-// spawn it as a goroutine. A no-op loop when eviction is disabled.
-func (m *Manager) Janitor(ctx context.Context, interval time.Duration) {
-	if m.opts.IdleAfter <= 0 || interval <= 0 {
-		return
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-t.C:
-			m.SweepIdle(now)
-		}
-	}
-}
-
 // Close shuts every zone down — mailboxes drained, gate tails
 // flushed, final checkpoints written — and refuses further work. The
 // first hook error is returned; all zones are closed regardless.
