@@ -31,15 +31,24 @@ func benchData(n int) (pts, ws, starts []float64) {
 	return pts, ws, starts
 }
 
+// BenchmarkFindModes measures a search the way the localizer runs
+// one: on a reused, warmed Searcher.
 func BenchmarkFindModes(b *testing.B) {
 	for _, n := range []int{2000, 15000} {
 		pts, ws, starts := benchData(n)
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("n%d-w%d", n, workers), func(b *testing.B) {
-				cfg := Config{Bandwidth: []float64{4, 4, 30}, Workers: workers}
+				s, err := NewSearcher(Config{Bandwidth: []float64{4, 4, 30}, Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.FindModes(pts, ws, starts); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := FindModes(cfg, pts, ws, starts); err != nil {
+					if _, err := s.FindModes(pts, ws, starts); err != nil {
 						b.Fatal(err)
 					}
 				}

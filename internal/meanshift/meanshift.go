@@ -26,11 +26,11 @@
 //
 // The paper reports that mean-shift dominates its runtime and
 // parallelizes well. A Searcher distributes each phase's starts across
-// Workers goroutines and owns reusable scratch (the scaled copy, the
-// spatial prune grid, gathered neighbourhoods), so repeated searches
-// over populations of similar size allocate almost nothing; see
-// DESIGN.md §11 for the performance model. FindModes remains as a
-// convenience wrapper for one-shot searches.
+// Workers goroutines and owns reusable scratch (one scaled copy of the
+// points sorted by prune cell, which every climb scans in place), so
+// repeated searches over populations of similar size allocate only the
+// returned modes; see DESIGN.md §11 for the performance model.
+// FindModes remains as a convenience wrapper for one-shot searches.
 package meanshift
 
 import (
@@ -38,7 +38,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -122,17 +122,6 @@ type Mode struct {
 // not agree with the configured dimensionality.
 var ErrDimensionMismatch = errors.New("meanshift: dimension mismatch")
 
-// gatherSlack is the scaled-space distance a climbing point may drift
-// from its last neighbourhood query before the neighbourhood is
-// re-gathered. Gathering queries the grid with radius CutoffSigmas +
-// gatherSlack, so every point within the cutoff of the drifted position
-// is still present; the kernel loop's own cutoff test discards the
-// ring. Mean-shift steps shrink geometrically near a mode, so most
-// iterations reuse the gathered neighbourhood instead of re-walking
-// grid cells. 2σ of slack roughly doubles the gathered area at the
-// default cutoff but lets a typical climb gather once or twice total.
-const gatherSlack = 2.0
-
 // phase1Stride spaces the phase-1 starts: starts 0, phase1Stride,
 // 2·phase1Stride, … (in the caller's order) climb to convergence, and
 // every other start climbs in phase 2 against their results.
@@ -146,21 +135,30 @@ const phase1Stride = 8
 const captureFrac = 0.25
 
 // Searcher runs repeated mode searches with reusable scratch: the
-// bandwidth-scaled point copy, the spatial prune grid, per-worker
-// gathered neighbourhoods, and the start/result staging buffers all
-// persist across calls. A Searcher is not safe for concurrent use; one
-// FindModes call parallelizes internally across Config.Workers
-// goroutines.
+// cell-ordered point copy, the start/result staging buffers and the
+// per-worker numerators all persist across calls. A Searcher is not
+// safe for concurrent use; one FindModes call parallelizes internally
+// across Config.Workers goroutines, which share the point copy
+// read-only.
 type Searcher struct {
 	cfg Config
 	d   int
 
-	// Per-call views of the caller's data (valid during one search).
-	weights []float64
-
-	scaled []float64      // bandwidth-scaled point coordinates, n×d
-	pts    []geometry.Vec // scaled 2-D positions for the prune grid
-	grid   *spatial.Grid
+	// The points with positive weight, bandwidth-scaled and sorted by
+	// prune cell: square cells of side CutoffSigmas over the bounding
+	// box of every scaled (x, y), row-major, and ascending point index
+	// within a cell. Cell c holds entries cellStart[c] up to
+	// cellStart[c+1]. The spatial coordinates and the weights are one
+	// array each, so the kernel's cutoff test streams px and py alone;
+	// coordinates 2…d−1 are interleaved in rest, d−2 per entry.
+	cells     spatial.Cells
+	cellStart []int32
+	px, py    []float64
+	pw        []float64
+	rest      []float64
+	// reach is the half-width of the square a climb scans around its
+	// point: CutoffSigmas plus a rounding margin (see prepare).
+	reach float64
 
 	ord []int // start indices: a phase's climb list, then the merge order
 
@@ -173,22 +171,7 @@ type Searcher struct {
 	anchors    []float64 // phase-1 results with support, in phase-1 order, k×d
 	anchorDens []float64 // their densities
 
-	bufs []*climbBuf // one per worker slot
-}
-
-// climbBuf is one worker's gathered neighbourhood: the IDs the grid
-// returned, their positive weights, and their coordinates copied into
-// dense arrays so the kernel loop streams contiguously. The d == 3
-// search space gathers one array per coordinate — the spatial cutoff
-// test then reads only the gx/gy streams, and the strength stream is
-// touched only for points that pass; higher dimensions use the
-// interleaved coords array.
-type climbBuf struct {
-	ids        []int
-	w          []float64
-	gx, gy, gz []float64
-	coords     []float64
-	num        []float64
+	nums []float64 // one d-long numerator per worker slot
 }
 
 // NewSearcher validates and defaults cfg and returns a Searcher ready
@@ -198,11 +181,7 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	return &Searcher{
-		cfg:  cfg,
-		d:    len(cfg.Bandwidth),
-		grid: spatial.NewGrid(geometry.NewRect(geometry.V(0, 0), geometry.V(1, 1)), cfg.CutoffSigmas),
-	}, nil
+	return &Searcher{cfg: cfg, d: len(cfg.Bandwidth)}, nil
 }
 
 // FindModes locates the density modes reachable from the given starts.
@@ -224,10 +203,7 @@ func (s *Searcher) FindModes(points, weights, starts []float64) ([]Mode, error) 
 	if n == 0 || len(starts) == 0 {
 		return nil, nil
 	}
-	s.weights = weights
-	defer func() { s.weights = nil }()
-
-	s.prepare(points, n)
+	s.prepare(points, weights)
 	m := s.stageStarts(starts)
 	s.runClimbs(m)
 	modes := s.mergeModes(m)
@@ -239,33 +215,77 @@ func (s *Searcher) FindModes(points, weights, starts []float64) ([]Mode, error) 
 	return modes, nil
 }
 
-// prepare scales the points into the reusable buffers and rebuilds the
-// 2-D prune grid over them.
-func (s *Searcher) prepare(points []float64, n int) {
+// prepare lays out the cell-ordered copy of the points: a pass for the
+// bounding box of the scaled (x, y), a counting pass, and a placing
+// pass that fills each cell back to front in descending point index,
+// leaving every cell's entries in ascending index. Points with
+// weight ≤ 0 contribute nothing to any climb and are left out, but
+// still span the bounding box, which fixes the cell geometry.
+//
+// reach pads the cutoff by 2^-20 of it and 2^-30 of the largest scaled
+// coordinate: a point that passes the kernel's cutoff test then lies
+// in a cell the scan visits, whatever the rounding of the cell
+// arithmetic (as in massIndex.build).
+func (s *Searcher) prepare(points, weights []float64) {
 	d := s.d
-	s.scaled = s.scaled[:0]
-	if cap(s.scaled) < len(points) {
-		s.scaled = make([]float64, 0, len(points))
-	}
-	if cap(s.pts) < n {
-		s.pts = make([]geometry.Vec, 0, n)
-	}
-	s.pts = s.pts[:n]
+	bx, by := s.cfg.Bandwidth[0], s.cfg.Bandwidth[1]
 	lo := geometry.V(math.Inf(1), math.Inf(1))
 	hi := geometry.V(math.Inf(-1), math.Inf(-1))
-	for j := 0; j < n; j++ {
-		for k := 0; k < d; k++ {
-			s.scaled = append(s.scaled, points[j*d+k]/s.cfg.Bandwidth[k])
-		}
-		p := geometry.V(s.scaled[j*d], s.scaled[j*d+1])
-		s.pts[j] = p
-		lo.X = math.Min(lo.X, p.X)
-		lo.Y = math.Min(lo.Y, p.Y)
-		hi.X = math.Max(hi.X, p.X)
-		hi.Y = math.Max(hi.Y, p.Y)
+	for j := range weights {
+		x, y := points[j*d]/bx, points[j*d+1]/by
+		lo.X = math.Min(lo.X, x)
+		lo.Y = math.Min(lo.Y, y)
+		hi.X = math.Max(hi.X, x)
+		hi.Y = math.Max(hi.Y, y)
 	}
-	s.grid.Reset(geometry.NewRect(lo, hi), s.cfg.CutoffSigmas)
-	s.grid.Rebuild(s.pts)
+	cut := s.cfg.CutoffSigmas
+	s.cells = spatial.NewCells(geometry.NewRect(lo, hi), cut)
+	maxAbs := math.Max(math.Max(math.Abs(lo.X), math.Abs(lo.Y)), math.Max(math.Abs(hi.X), math.Abs(hi.Y)))
+	s.reach = cut*(1+0x1p-20) + maxAbs*0x1p-30
+
+	// Count each cell's points and prefix-sum the counts, leaving
+	// cellStart[c] at the end of cell c and cellStart[cells] at the
+	// total; placing moves each cellStart[c] back to its cell's start.
+	nx, ny := s.cells.Dims()
+	cells := nx * ny
+	s.cellStart = resize(s.cellStart, cells+1)
+	clear(s.cellStart)
+	for j, w := range weights {
+		if w <= 0 {
+			continue
+		}
+		s.cellStart[s.cells.Index(geometry.V(points[j*d]/bx, points[j*d+1]/by))]++
+	}
+	for c := 1; c <= cells; c++ {
+		s.cellStart[c] += s.cellStart[c-1]
+	}
+	total := int(s.cellStart[cells])
+	s.px = resize(s.px, total)
+	s.py = resize(s.py, total)
+	s.pw = resize(s.pw, total)
+	s.rest = resize(s.rest, total*(d-2))
+	for j := len(weights) - 1; j >= 0; j-- {
+		if weights[j] <= 0 {
+			continue
+		}
+		x, y := points[j*d]/bx, points[j*d+1]/by
+		c := s.cells.Index(geometry.V(x, y))
+		s.cellStart[c]--
+		e := int(s.cellStart[c])
+		s.px[e], s.py[e], s.pw[e] = x, y, weights[j]
+		for k := 2; k < d; k++ {
+			s.rest[e*(d-2)+k-2] = points[j*d+k] / s.cfg.Bandwidth[k]
+		}
+	}
+}
+
+// resize returns buf with length n, reallocating only when its
+// capacity is short. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // stageStarts scales the starts into the result slots they climb in
@@ -273,14 +293,9 @@ func (s *Searcher) prepare(points []float64, n int) {
 func (s *Searcher) stageStarts(starts []float64) int {
 	d := s.d
 	m := len(starts) / d
-	if cap(s.resBuf) < len(starts) {
-		s.resBuf = make([]float64, len(starts))
-		s.resOK = make([]bool, m)
-		s.dens = make([]float64, m)
-	}
-	s.resBuf = s.resBuf[:len(starts)]
-	s.resOK = s.resOK[:m]
-	s.dens = s.dens[:m]
+	s.resBuf = resize(s.resBuf, len(starts))
+	s.resOK = resize(s.resOK, m)
+	s.dens = resize(s.dens, m)
 	for i, v := range starts {
 		s.resBuf[i] = v / s.cfg.Bandwidth[i%d]
 	}
@@ -328,10 +343,10 @@ func (s *Searcher) climbAll(idx []int, capture bool) {
 	if workers > len(idx) {
 		workers = len(idx)
 	}
+	s.nums = resize(s.nums, max(workers, 1)*d)
 	if workers <= 1 {
-		buf := s.buf(0)
 		for _, i := range idx {
-			s.dens[i], s.resOK[i] = s.climb(s.resBuf[i*d:(i+1)*d], buf, capture)
+			s.dens[i], s.resOK[i] = s.climb(s.resBuf[i*d:(i+1)*d], s.nums, capture)
 		}
 		return
 	}
@@ -339,7 +354,7 @@ func (s *Searcher) climbAll(idx []int, capture bool) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		buf := s.buf(w)
+		num := s.nums[w*d : (w+1)*d]
 		go func() {
 			defer wg.Done()
 			for {
@@ -348,37 +363,26 @@ func (s *Searcher) climbAll(idx []int, capture bool) {
 					return
 				}
 				i := idx[k]
-				s.dens[i], s.resOK[i] = s.climb(s.resBuf[i*d:(i+1)*d], buf, capture)
+				s.dens[i], s.resOK[i] = s.climb(s.resBuf[i*d:(i+1)*d], num, capture)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// buf returns worker w's climb scratch, growing the pool on first use.
-func (s *Searcher) buf(w int) *climbBuf {
-	for len(s.bufs) <= w {
-		s.bufs = append(s.bufs, &climbBuf{
-			ids: make([]int, 0, 256),
-			num: make([]float64, s.d),
-		})
-	}
-	return s.bufs[w]
-}
-
 // climb runs the mean-shift iteration in scaled space, mutating x in
-// place. It reports the final kernel density and whether the start ever
-// saw any support. With capture set (phase 2), the climb ends after the
-// first iteration that leaves x within the capture radius of an anchor
-// and returns that anchor's point and density.
+// place, with num as the d-long numerator scratch. It reports the final
+// kernel density and whether the start ever saw any support. With
+// capture set (phase 2), the climb ends after the first iteration that
+// leaves x within the capture radius of an anchor and returns that
+// anchor's point and density.
 //
-// The neighbourhood is gathered once per gatherSlack of movement: grid
-// IDs resolve to a dense (weight, coordinates) copy so the kernel loop
-// streams sequential memory, and subsequent iterations skip the grid
-// walk entirely until the point drifts out of the slack disc. The
-// spatial cutoff test inside the loop discards the slack ring, so the
-// result is independent of how the neighbourhood was gathered.
-func (s *Searcher) climb(x []float64, buf *climbBuf, capture bool) (float64, bool) {
+// Every iteration scans the cells that the square of half-width reach
+// around x overlaps: row by row, each row's cells one contiguous run of
+// the cell-ordered copy. The kernel's own cutoff test picks the
+// contributing points, and they are summed in (cell row, cell column,
+// point index) order.
+func (s *Searcher) climb(x, num []float64, capture bool) (float64, bool) {
 	cfg := s.cfg
 	d := s.d
 	r2cut := cfg.CutoffSigmas * cfg.CutoffSigmas
@@ -386,96 +390,75 @@ func (s *Searcher) climb(x []float64, buf *climbBuf, capture bool) (float64, boo
 	tol2 := cfg.Tol * cfg.Tol
 	capR := captureFrac * cfg.MergeRadius
 	cap2 := capR * capR
-	var ax, ay float64
-	gathered := false
+	stride, _ := s.cells.Dims()
 	var dens float64
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		if dx, dy := x[0]-ax, x[1]-ay; !gathered || dx*dx+dy*dy > gatherSlack*gatherSlack {
-			ax, ay = x[0], x[1]
-			buf.ids = s.grid.WithinRadius(geometry.V(ax, ay), cfg.CutoffSigmas+gatherSlack, buf.ids[:0])
-			buf.w = buf.w[:0]
-			if d == 3 {
-				buf.gx, buf.gy, buf.gz = buf.gx[:0], buf.gy[:0], buf.gz[:0]
-				for _, j := range buf.ids {
-					if s.weights[j] <= 0 {
-						continue
-					}
-					buf.w = append(buf.w, s.weights[j])
-					buf.gx = append(buf.gx, s.scaled[3*j])
-					buf.gy = append(buf.gy, s.scaled[3*j+1])
-					buf.gz = append(buf.gz, s.scaled[3*j+2])
-				}
-			} else {
-				buf.coords = buf.coords[:0]
-				for _, j := range buf.ids {
-					if s.weights[j] <= 0 {
-						continue
-					}
-					buf.w = append(buf.w, s.weights[j])
-					buf.coords = append(buf.coords, s.scaled[j*d:(j+1)*d]...)
-				}
-			}
-			gathered = true
-		}
-
+		cx0, cy0 := s.cells.Coords(geometry.V(x[0]-s.reach, x[1]-s.reach))
+		cx1, cy1 := s.cells.Coords(geometry.V(x[0]+s.reach, x[1]+s.reach))
 		var denom float64
 		if d == 3 {
 			// The localizer's (x, y, strength) search space — worth its
 			// own loop: per-coordinate streams and scalar accumulators.
 			x0, x1, x2 := x[0], x[1], x[2]
 			var n0, n1, n2 float64
-			gx := buf.gx
-			gy := buf.gy[:len(gx)]
-			gz := buf.gz[:len(gx)]
-			ws := buf.w[:len(gx)]
-			for i := range gx {
-				dx := x0 - gx[i]
-				dy := x1 - gy[i]
-				if dx*dx+dy*dy > r2cut {
-					continue
+			for cy := cy0; cy <= cy1; cy++ {
+				lo, hi := s.cellStart[cy*stride+cx0], s.cellStart[cy*stride+cx1+1]
+				px := s.px[lo:hi]
+				py := s.py[lo:hi]
+				pz := s.rest[lo:hi]
+				pw := s.pw[lo:hi]
+				for i := range px {
+					dx := x0 - px[i]
+					dy := x1 - py[i]
+					if dx*dx+dy*dy > r2cut {
+						continue
+					}
+					dz := x2 - pz[i]
+					d2 := dx*dx + dy*dy + dz*dz
+					// expNegHalf, spelled out: the call (with its math.Exp
+					// fallback) is past the inliner's budget, and the kernel
+					// is the single hottest expression in the filter.
+					var e float64
+					if d2 < expTableMax && !exact {
+						t := d2 * expTableInvStep
+						ti := int(t)
+						f := t - float64(ti)
+						e = expTable[ti] + f*(expTable[ti+1]-expTable[ti])
+					} else {
+						e = math.Exp(-0.5 * d2)
+					}
+					kv := pw[i] * e
+					denom += kv
+					n0 += kv * px[i]
+					n1 += kv * py[i]
+					n2 += kv * pz[i]
 				}
-				dz := x2 - gz[i]
-				d2 := dx*dx + dy*dy + dz*dz
-				// expNegHalf, spelled out: the call (with its math.Exp
-				// fallback) is past the inliner's budget, and the kernel
-				// is the single hottest expression in the filter.
-				var e float64
-				if d2 < expTableMax && !exact {
-					t := d2 * expTableInvStep
-					ti := int(t)
-					f := t - float64(ti)
-					e = expTable[ti] + f*(expTable[ti+1]-expTable[ti])
-				} else {
-					e = math.Exp(-0.5 * d2)
-				}
-				kv := ws[i] * e
-				denom += kv
-				n0 += kv * gx[i]
-				n1 += kv * gy[i]
-				n2 += kv * gz[i]
 			}
-			buf.num[0], buf.num[1], buf.num[2] = n0, n1, n2
+			num[0], num[1], num[2] = n0, n1, n2
 		} else {
-			num := buf.num
-			for k := range num {
-				num[k] = 0
-			}
-			for i, w := range buf.w {
-				base := i * d
-				dx := x[0] - buf.coords[base]
-				dy := x[1] - buf.coords[base+1]
-				if dx*dx+dy*dy > r2cut {
-					continue
-				}
-				d2 := dx*dx + dy*dy
-				for k := 2; k < d; k++ {
-					diff := x[k] - buf.coords[base+k]
-					d2 += diff * diff
-				}
-				kv := w * expNegHalf(d2, exact)
-				denom += kv
-				for k := 0; k < d; k++ {
-					num[k] += kv * buf.coords[base+k]
+			clear(num)
+			nr := d - 2
+			for cy := cy0; cy <= cy1; cy++ {
+				lo, hi := int(s.cellStart[cy*stride+cx0]), int(s.cellStart[cy*stride+cx1+1])
+				for e := lo; e < hi; e++ {
+					dx := x[0] - s.px[e]
+					dy := x[1] - s.py[e]
+					if dx*dx+dy*dy > r2cut {
+						continue
+					}
+					rest := s.rest[e*nr : (e+1)*nr]
+					d2 := dx*dx + dy*dy
+					for k, v := range rest {
+						diff := x[k+2] - v
+						d2 += diff * diff
+					}
+					kv := s.pw[e] * expNegHalf(d2, exact)
+					denom += kv
+					num[0] += kv * s.px[e]
+					num[1] += kv * s.py[e]
+					for k, v := range rest {
+						num[k+2] += kv * v
+					}
 				}
 			}
 		}
@@ -484,7 +467,7 @@ func (s *Searcher) climb(x []float64, buf *climbBuf, capture bool) (float64, boo
 		}
 		var move float64
 		for k := 0; k < d; k++ {
-			nx := buf.num[k] / denom
+			nx := num[k] / denom
 			diff := nx - x[k]
 			move += diff * diff
 			x[k] = nx
@@ -523,12 +506,14 @@ func (s *Searcher) mergeModes(m int) []Mode {
 			order = append(order, i)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := s.dens[order[a]], s.dens[order[b]]
-		if da != db {
-			return da > db
+	slices.SortFunc(order, func(a, b int) int {
+		if da, db := s.dens[a], s.dens[b]; da != db {
+			if da > db {
+				return -1
+			}
+			return 1
 		}
-		return order[a] < order[b]
+		return a - b
 	})
 
 	var modes []Mode
@@ -582,10 +567,8 @@ func (s *Searcher) AssignMass(modes []Mode, points, weights []float64, cutoff fl
 	}
 	out := make([]float64, len(modes)+1)
 	c2 := cutoff * cutoff
-	if cap(s.invBW) < d {
-		s.invBW = make([]float64, d)
-	}
-	invBW := s.invBW[:d]
+	s.invBW = resize(s.invBW, d)
+	invBW := s.invBW
 	for k := 0; k < d; k++ {
 		invBW[k] = 1 / s.cfg.Bandwidth[k]
 	}
@@ -655,10 +638,7 @@ func maxMassCells(m int) float64 { return 16*float64(m) + 64 }
 func (ix *massIndex) build(modes []Mode, sx, sy, cutoff float64) {
 	m := len(modes)
 	ix.all = false
-	if cap(ix.cell) < m {
-		ix.cell = make([]int32, m)
-	}
-	ix.cell = ix.cell[:m]
+	ix.cell = resize(ix.cell, m)
 	lox, loy := math.Inf(1), math.Inf(1)
 	hix, hiy := math.Inf(-1), math.Inf(-1)
 	var maxAbs float64
@@ -691,13 +671,8 @@ func (ix *massIndex) build(modes []Mode, sx, sy, cutoff float64) {
 	ix.nx, ix.ny = int(spanX)+1, int(spanY)+1
 	stride := ix.nx + 2
 	cells := stride * (ix.ny + 2)
-	if cap(ix.start) < cells+1 {
-		ix.start = make([]int32, cells+1)
-	}
-	ix.start = ix.start[:cells+1]
-	for c := range ix.start {
-		ix.start[c] = 0
-	}
+	ix.start = resize(ix.start, cells+1)
+	clear(ix.start)
 	// Count each mode into its cell's and its 8 neighbours' lists and
 	// prefix-sum the counts, leaving start[c] at the end of cell c's
 	// list; filling back to front in descending mode index then moves
@@ -721,10 +696,7 @@ func (ix *massIndex) build(modes []Mode, sx, sy, cutoff float64) {
 		ix.start[c] += ix.start[c-1]
 	}
 	total := int(ix.start[cells])
-	if cap(ix.cand) < total {
-		ix.cand = make([]int32, total)
-	}
-	ix.cand = ix.cand[:total]
+	ix.cand = resize(ix.cand, total)
 	for mi := m - 1; mi >= 0; mi-- {
 		c := int(ix.cell[mi])
 		if c < 0 {

@@ -291,8 +291,9 @@ func TestExpNegHalfErrorBound(t *testing.T) {
 
 // TestSearcherReuseMatchesFresh drives one Searcher through several
 // different datasets and checks each call returns exactly what a
-// single-use Searcher computes — the scratch reuse (grids, gather
-// buffers, phase lists, anchors) must never leak state across calls.
+// single-use Searcher computes — the scratch reuse (the cell-ordered
+// copy and its offsets, phase lists, anchors) must never leak state
+// across calls.
 func TestSearcherReuseMatchesFresh(t *testing.T) {
 	s := rng.New(12, 9)
 	reused, err := NewSearcher(defaultCfg())
@@ -363,6 +364,46 @@ func TestExactKernelAgreesWithTable(t *testing.T) {
 			if math.Abs(table[i].Point[k]-exact[i].Point[k]) > 1e-3 {
 				t.Fatalf("mode %d dim %d: table %v vs exact %v",
 					i, k, table[i].Point[k], exact[i].Point[k])
+			}
+		}
+	}
+}
+
+// TestWarmSearchAllocatesOnlyModes: once a Searcher has run one search,
+// another over the same population allocates the returned modes and
+// nothing else — one array per mode point plus the modes slice's
+// growth — whatever the particle and start counts.
+func TestWarmSearchAllocatesOnlyModes(t *testing.T) {
+	for _, n := range []int{1000, 8000} {
+		for _, m := range []int{48, 384} {
+			s := rng.New(14, uint64(n+m))
+			var pts, ws []float64
+			pts, ws = cluster3(s, pts, ws, n/2, 30, 40, 60, 2, 1)
+			pts, ws = cluster3(s, pts, ws, n/2, 70, 60, 140, 2, 1)
+			starts := sampleStarts(s, pts, ws, m)
+			searcher, err := NewSearcher(Config{Bandwidth: []float64{4, 4, 30}, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			modes, err := searcher.FindModes(pts, ws, starts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := len(modes)
+			var probe []Mode
+			for range modes {
+				if len(probe) == cap(probe) {
+					want++
+				}
+				probe = append(probe, Mode{})
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := searcher.FindModes(pts, ws, starts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != float64(want) {
+				t.Errorf("%d particles, %d starts: %v allocations per search, want %d for %d modes", n, m, allocs, want, len(modes))
 			}
 		}
 	}

@@ -1,10 +1,13 @@
 package meanshift
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"radloc/internal/geometry"
 	"radloc/internal/rng"
+	"radloc/internal/spatial"
 )
 
 // singlePhaseFindModes is the single-phase search the two-phase one
@@ -19,12 +22,11 @@ func singlePhaseFindModes(t testing.TB, cfg Config, points, weights, starts []fl
 		t.Fatal(err)
 	}
 	d := s.d
-	s.weights = weights
-	s.prepare(points, len(weights))
+	s.prepare(points, weights)
 	m := s.stageStarts(starts)
-	buf := s.buf(0)
+	num := make([]float64, d)
 	for i := 0; i < m; i++ {
-		s.dens[i], s.resOK[i] = s.climb(s.resBuf[i*d:(i+1)*d], buf, false)
+		s.dens[i], s.resOK[i] = s.climb(s.resBuf[i*d:(i+1)*d], num, false)
 	}
 	modes := s.mergeModes(m)
 	for i := range modes {
@@ -343,6 +345,338 @@ func TestAssignMassMatchesOracle(t *testing.T) {
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Errorf("%s, cutoff %v: slot %d = %v, oracle %v", c.name, cutoff, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// gatherSlack is the gather oracle's slack: a climbing point
+// re-gathers its neighbourhood, at radius CutoffSigmas + gatherSlack,
+// only after drifting gatherSlack from where it last gathered.
+const gatherSlack = 2.0
+
+// gatherSearch is the gather climb that the in-place cell scan
+// replaced, kept as the bitwise oracle. It indexes the scaled points
+// in buckets over the same cells (ascending index within a bucket),
+// and every climb copies the positive-weight points of its
+// neighbourhood — the cells a disc of radius CutoffSigmas +
+// gatherSlack overlaps, row-major, filtered by distance — into dense
+// arrays, re-gathering once it drifts gatherSlack away. Staging,
+// phases, capture and merge are the Searcher's, climbed serially.
+type gatherSearch struct {
+	*Searcher
+	weights []float64
+	scaled  []float64 // n×d
+	pts     []geometry.Vec
+	cells   spatial.Cells
+	buckets [][]int
+
+	ids                   []int
+	w, gx, gy, gz, coords []float64
+	num                   []float64
+}
+
+// gatherFindModes runs the gather oracle's search.
+func gatherFindModes(t testing.TB, cfg Config, points, weights, starts []float64) []Mode {
+	t.Helper()
+	s, err := NewSearcher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := s.d
+	g := &gatherSearch{Searcher: s, weights: weights, num: make([]float64, d)}
+	g.index(points)
+	m := s.stageStarts(starts)
+	for i := 0; i < m; i += phase1Stride {
+		s.dens[i], s.resOK[i] = g.climb(s.resBuf[i*d:(i+1)*d], false)
+	}
+	for i := 0; i < m; i += phase1Stride {
+		if s.resOK[i] {
+			s.anchors = append(s.anchors, s.resBuf[i*d:(i+1)*d]...)
+			s.anchorDens = append(s.anchorDens, s.dens[i])
+		}
+	}
+	for i := 0; i < m; i++ {
+		if i%phase1Stride != 0 {
+			s.dens[i], s.resOK[i] = g.climb(s.resBuf[i*d:(i+1)*d], true)
+		}
+	}
+	modes := s.mergeModes(m)
+	for i := range modes {
+		for k := 0; k < d; k++ {
+			modes[i].Point[k] *= cfg.Bandwidth[k]
+		}
+	}
+	return modes
+}
+
+// index scales the points and buckets every one of them, zero weights
+// included, by cell over their bounding box.
+func (g *gatherSearch) index(points []float64) {
+	d := g.d
+	n := len(points) / d
+	lo := geometry.V(math.Inf(1), math.Inf(1))
+	hi := geometry.V(math.Inf(-1), math.Inf(-1))
+	for j := 0; j < n; j++ {
+		for k := 0; k < d; k++ {
+			g.scaled = append(g.scaled, points[j*d+k]/g.cfg.Bandwidth[k])
+		}
+		p := geometry.V(g.scaled[j*d], g.scaled[j*d+1])
+		g.pts = append(g.pts, p)
+		lo.X = math.Min(lo.X, p.X)
+		lo.Y = math.Min(lo.Y, p.Y)
+		hi.X = math.Max(hi.X, p.X)
+		hi.Y = math.Max(hi.Y, p.Y)
+	}
+	g.cells = spatial.NewCells(geometry.NewRect(lo, hi), g.cfg.CutoffSigmas)
+	nx, ny := g.cells.Dims()
+	g.buckets = make([][]int, nx*ny)
+	for j, p := range g.pts {
+		c := g.cells.Index(p)
+		g.buckets[c] = append(g.buckets[c], j)
+	}
+}
+
+// withinRadius sets ids to the points within r of center: the buckets
+// of the cells the disc's bounding square overlaps, row-major.
+func (g *gatherSearch) withinRadius(center geometry.Vec, r float64) {
+	g.ids = g.ids[:0]
+	r2 := r * r
+	nx, _ := g.cells.Dims()
+	x0, y0 := g.cells.Coords(geometry.V(center.X-r, center.Y-r))
+	x1, y1 := g.cells.Coords(geometry.V(center.X+r, center.Y+r))
+	for cy := y0; cy <= y1; cy++ {
+		for cx := x0; cx <= x1; cx++ {
+			for _, id := range g.buckets[cy*nx+cx] {
+				if g.pts[id].Dist2(center) <= r2 {
+					g.ids = append(g.ids, id)
+				}
+			}
+		}
+	}
+}
+
+// climb is Searcher.climb over gathered neighbourhoods.
+func (g *gatherSearch) climb(x []float64, capture bool) (float64, bool) {
+	cfg := g.cfg
+	d := g.d
+	r2cut := cfg.CutoffSigmas * cfg.CutoffSigmas
+	exact := cfg.ExactKernel
+	tol2 := cfg.Tol * cfg.Tol
+	capR := captureFrac * cfg.MergeRadius
+	cap2 := capR * capR
+	var ax, ay float64
+	gathered := false
+	var dens float64
+	for iter := 0; iter < cfg.MaxIter; iter++ {
+		if dx, dy := x[0]-ax, x[1]-ay; !gathered || dx*dx+dy*dy > gatherSlack*gatherSlack {
+			ax, ay = x[0], x[1]
+			g.withinRadius(geometry.V(ax, ay), cfg.CutoffSigmas+gatherSlack)
+			g.w, g.gx, g.gy, g.gz, g.coords = g.w[:0], g.gx[:0], g.gy[:0], g.gz[:0], g.coords[:0]
+			for _, j := range g.ids {
+				if g.weights[j] <= 0 {
+					continue
+				}
+				g.w = append(g.w, g.weights[j])
+				if d == 3 {
+					g.gx = append(g.gx, g.scaled[3*j])
+					g.gy = append(g.gy, g.scaled[3*j+1])
+					g.gz = append(g.gz, g.scaled[3*j+2])
+				} else {
+					g.coords = append(g.coords, g.scaled[j*d:(j+1)*d]...)
+				}
+			}
+			gathered = true
+		}
+
+		var denom float64
+		if d == 3 {
+			x0, x1, x2 := x[0], x[1], x[2]
+			var n0, n1, n2 float64
+			for i := range g.gx {
+				dx := x0 - g.gx[i]
+				dy := x1 - g.gy[i]
+				if dx*dx+dy*dy > r2cut {
+					continue
+				}
+				dz := x2 - g.gz[i]
+				d2 := dx*dx + dy*dy + dz*dz
+				kv := g.w[i] * expNegHalf(d2, exact)
+				denom += kv
+				n0 += kv * g.gx[i]
+				n1 += kv * g.gy[i]
+				n2 += kv * g.gz[i]
+			}
+			g.num[0], g.num[1], g.num[2] = n0, n1, n2
+		} else {
+			clear(g.num)
+			for i, w := range g.w {
+				base := i * d
+				dx := x[0] - g.coords[base]
+				dy := x[1] - g.coords[base+1]
+				if dx*dx+dy*dy > r2cut {
+					continue
+				}
+				d2 := dx*dx + dy*dy
+				for k := 2; k < d; k++ {
+					diff := x[k] - g.coords[base+k]
+					d2 += diff * diff
+				}
+				kv := w * expNegHalf(d2, exact)
+				denom += kv
+				for k := 0; k < d; k++ {
+					g.num[k] += kv * g.coords[base+k]
+				}
+			}
+		}
+		if denom <= 0 {
+			return 0, false
+		}
+		var move float64
+		for k := 0; k < d; k++ {
+			nx := g.num[k] / denom
+			diff := nx - x[k]
+			move += diff * diff
+			x[k] = nx
+		}
+		dens = denom
+		if capture {
+			for a, ad := range g.anchorDens {
+				anchor := g.anchors[a*d : (a+1)*d]
+				var dist2 float64
+				for k, v := range anchor {
+					diff := v - x[k]
+					dist2 += diff * diff
+				}
+				if dist2 <= cap2 {
+					copy(x, anchor)
+					return ad, true
+				}
+			}
+		}
+		if move < tol2 {
+			return dens, true
+		}
+	}
+	return dens, true
+}
+
+// randomPopulation draws n points in d dimensions: with clustered
+// set, Gaussian clusters (spread 1–3 bandwidths) over a uniform
+// background, otherwise uniform over [0,100]² in position and
+// [0,200] beyond. With zeros set, about a quarter of the weights are
+// zero (and a few negative); the rest are uniform on (0.05, 1].
+func randomPopulation(s *rng.Stream, d, n int, clustered, zeros bool) (pts, ws []float64) {
+	var centres [][]float64
+	if clustered {
+		for c := 0; c < 1+s.IntN(5); c++ {
+			cc := []float64{s.Uniform(10, 90), s.Uniform(10, 90)}
+			for k := 2; k < d; k++ {
+				cc = append(cc, s.Uniform(20, 180))
+			}
+			centres = append(centres, cc)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if len(centres) > 0 && s.Float64() < 0.8 {
+			c := centres[s.IntN(len(centres))]
+			spread := s.Uniform(1, 3)
+			pts = append(pts, s.Normal(c[0], 4*spread), s.Normal(c[1], 4*spread))
+			for k := 2; k < d; k++ {
+				pts = append(pts, s.Normal(c[k], 30*spread))
+			}
+		} else {
+			pts = append(pts, s.Uniform(0, 100), s.Uniform(0, 100))
+			for k := 2; k < d; k++ {
+				pts = append(pts, s.Uniform(0, 200))
+			}
+		}
+		w := s.Uniform(0.05, 1)
+		if zeros {
+			switch u := s.Float64(); {
+			case u < 0.25:
+				w = 0
+			case u < 0.27:
+				w = -w
+			}
+		}
+		ws = append(ws, w)
+	}
+	return pts, ws
+}
+
+// TestCellScanMatchesGatherOracle demands bit-identical modes — every
+// point coordinate, density and Starts count — from FindModes and the
+// gather oracle, at 1, 2, 3 and 8 workers: random and clustered
+// populations with and without zero and negative weights, in 2, 3 and
+// 4 dimensions, with the table and the exact kernel, at the default
+// and a short cutoff, over bounds so wide that the cell count cap
+// doubles the cell side, over coincident points, and with starts far
+// outside the points.
+func TestCellScanMatchesGatherOracle(t *testing.T) {
+	type tc struct {
+		name    string
+		cfg     Config
+		pts, ws []float64
+		starts  []float64
+	}
+	bw := map[int][]float64{2: {4, 4}, 3: {4, 4, 30}, 4: {4, 4, 30, 20}}
+	var cases []tc
+	s := rng.New(51, 1)
+	for p := 0; p < 24; p++ {
+		d := 2 + p%3
+		clustered, zeros := p%2 == 0, p%4 < 2
+		cfg := Config{Bandwidth: bw[d], ExactKernel: p%5 == 0}
+		if p%6 == 5 {
+			cfg.CutoffSigmas = 2.5
+		}
+		pts, ws := randomPopulation(s, d, 200+s.IntN(2500), clustered, zeros)
+		var starts []float64
+		for i, m := 0, 32+s.IntN(160); i < m; i++ {
+			j := s.IntN(len(ws))
+			starts = append(starts, pts[j*d:(j+1)*d]...)
+		}
+		name := fmt.Sprintf("d%d clustered=%v zeros=%v exact=%v cutoff=%v #%d", d, clustered, zeros, cfg.ExactKernel, cfg.CutoffSigmas, p)
+		cases = append(cases, tc{name, cfg, pts, ws, starts})
+	}
+
+	pts, ws := randomPopulation(s, 3, 2000, true, false)
+	starts := append([]float64(nil), pts[:3*96]...)
+	starts = append(starts, -1e4, 50, 100, 50, 1e4, 100, 1e6, -1e6, 0)
+	cases = append(cases,
+		tc{"tiny bandwidth: capped cell count", Config{Bandwidth: []float64{1e-3, 2e-3, 30}}, pts, ws, starts},
+		tc{"starts far outside", Config{Bandwidth: bw[3]}, pts, ws, starts})
+
+	var same, sameW []float64
+	for i := 0; i < 300; i++ {
+		same = append(same, 40, 60, 80)
+		sameW = append(sameW, float64(i%3))
+	}
+	cases = append(cases, tc{"coincident points", Config{Bandwidth: bw[3]}, same, sameW, []float64{40, 60, 80, 41, 61, 90, 70, 70, 70}})
+
+	for _, c := range cases {
+		want := gatherFindModes(t, c.cfg, c.pts, c.ws, c.starts)
+		for _, workers := range []int{1, 2, 3, 8} {
+			cfg := c.cfg
+			cfg.Workers = workers
+			got, err := FindModes(cfg, c.pts, c.ws, c.starts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s, %d workers: %d modes, oracle %d", c.name, workers, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i].Density) != math.Float64bits(want[i].Density) || got[i].Starts != want[i].Starts {
+					t.Fatalf("%s, %d workers, mode %d: (density %v, starts %d), oracle (%v, %d)",
+						c.name, workers, i, got[i].Density, got[i].Starts, want[i].Density, want[i].Starts)
+				}
+				for k := range want[i].Point {
+					if math.Float64bits(got[i].Point[k]) != math.Float64bits(want[i].Point[k]) {
+						t.Fatalf("%s, %d workers, mode %d dim %d: %v, oracle %v",
+							c.name, workers, i, k, got[i].Point[k], want[i].Point[k])
+					}
 				}
 			}
 		}

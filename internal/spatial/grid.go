@@ -6,7 +6,9 @@
 // records. Rebuild cost is O(n), query cost is proportional to the
 // number of cells the query disc overlaps plus the number of hits —
 // far cheaper than the O(n) scan a naive filter performs per
-// measurement once particles have concentrated.
+// measurement once particles have concentrated. Cells is the grid's
+// cell geometry on its own, for callers that lay out their own
+// cell-ordered storage.
 package spatial
 
 import (
@@ -19,40 +21,45 @@ import (
 // Grid is a uniform spatial hash over a rectangular region. The zero
 // value is not usable; construct with NewGrid.
 type Grid struct {
-	bounds   geometry.Rect
-	cellSize float64
-	nx, ny   int
-	cells    [][]int32
-	pos      []geometry.Vec // item id → position
-	slotOf   []int32        // item id → index within its cell's bucket, for O(1) Move
-	hitBuf   []uint64       // WithinRadiusSorted hit bitset
+	geo    Cells
+	cells  [][]int32
+	pos    []geometry.Vec // item id → position
+	slotOf []int32        // item id → index within its cell's bucket, for O(1) Move
+	hitBuf []uint64       // WithinRadiusSorted hit bitset
 }
 
 // NewGrid creates an index over bounds with approximately the given
 // cell size. cellSize is clamped so the grid has at least one and at
 // most 1<<20 cells.
 func NewGrid(bounds geometry.Rect, cellSize float64) *Grid {
-	cellSize, nx, ny := gridDims(bounds, cellSize)
-	return &Grid{
-		bounds:   bounds,
-		cellSize: cellSize,
-		nx:       nx,
-		ny:       ny,
-		cells:    make([][]int32, nx*ny),
-	}
+	geo := NewCells(bounds, cellSize)
+	return &Grid{geo: geo, cells: make([][]int32, geo.nx*geo.ny)}
 }
 
-// gridDims resolves the effective cell size and grid dimensions for
-// the given bounds: the cell size is defaulted from the extent when
-// non-positive and grown until the cell count stays bounded. The
-// sizing arithmetic stays in float64 so absurd inputs cannot overflow
-// int.
-func gridDims(bounds geometry.Rect, cellSize float64) (float64, int, int) {
-	if cellSize <= 0 {
-		cellSize = math.Max(bounds.Width(), bounds.Height()) / 16
+// Cells is the geometry of a uniform grid of square cells over a
+// rectangle: cell (cx, cy) covers [min + cx·size, min + (cx+1)·size)
+// on each axis, and positions outside the rectangle clamp into the
+// border cells. Cells are numbered row-major, cy·nx + cx.
+//
+// The methods take pointer receivers: with value receivers the
+// compiler copied the struct through the stack on every call, and
+// Grid.Move took about four times as long.
+type Cells struct {
+	min    geometry.Vec
+	size   float64
+	nx, ny int
+}
+
+// NewCells lays cells of approximately the given size over bounds. The
+// size is defaulted from the extent when non-positive and doubled until
+// there are at most 1<<20 cells. The sizing arithmetic stays in float64
+// so absurd inputs cannot overflow int.
+func NewCells(bounds geometry.Rect, size float64) Cells {
+	if size <= 0 {
+		size = math.Max(bounds.Width(), bounds.Height()) / 16
 	}
-	if cellSize <= 0 {
-		cellSize = 1
+	if size <= 0 {
+		size = 1
 	}
 	const maxCells = 1 << 20
 	dims := func(cs float64) (int, int) {
@@ -62,12 +69,28 @@ func gridDims(bounds geometry.Rect, cellSize float64) (float64, int, int) {
 		fy = math.Max(1, math.Min(fy, maxCells))
 		return int(fx), int(fy)
 	}
-	nx, ny := dims(cellSize)
+	nx, ny := dims(size)
 	for float64(nx)*float64(ny) > maxCells {
-		cellSize *= 2
-		nx, ny = dims(cellSize)
+		size *= 2
+		nx, ny = dims(size)
 	}
-	return cellSize, nx, ny
+	return Cells{min: bounds.Min, size: size, nx: nx, ny: ny}
+}
+
+// Dims returns the number of cell columns and rows.
+func (c *Cells) Dims() (nx, ny int) { return c.nx, c.ny }
+
+// Coords returns the column and row of the cell holding p.
+func (c *Cells) Coords(p geometry.Vec) (cx, cy int) {
+	cx = max(0, min(int((p.X-c.min.X)/c.size), c.nx-1))
+	cy = max(0, min(int((p.Y-c.min.Y)/c.size), c.ny-1))
+	return cx, cy
+}
+
+// Index returns the row-major number of the cell holding p.
+func (c *Cells) Index(p geometry.Vec) int {
+	cx, cy := c.Coords(p)
+	return cy*c.nx + cx
 }
 
 // Rebuild replaces the index contents with the given positions; item i
@@ -83,7 +106,7 @@ func (g *Grid) Rebuild(positions []geometry.Vec) {
 	}
 	g.slotOf = g.slotOf[:len(positions)]
 	for i, p := range positions {
-		c := g.cellIndex(p)
+		c := g.geo.Index(p)
 		g.slotOf[i] = int32(len(g.cells[c]))
 		g.cells[c] = append(g.cells[c], int32(i))
 	}
@@ -98,13 +121,12 @@ func (g *Grid) Rebuild(positions []geometry.Vec) {
 // bucket's last item takes its slot) and appended to the new one. id
 // must be a valid index from the last Rebuild.
 //
-// A moved item's position within its bucket — and therefore the order
-// WithinRadius reports IDs in — depends on the move history, not just
-// the final positions. Callers that need an order independent of how
-// the index got here must sort the query result.
+// A moved item's position within its bucket depends on the move
+// history, not just the final positions; WithinRadiusSorted's output
+// does not.
 func (g *Grid) Move(id int, p geometry.Vec) {
-	oldC := g.cellIndex(g.pos[id])
-	newC := g.cellIndex(p)
+	oldC := g.geo.Index(g.pos[id])
+	newC := g.geo.Index(p)
 	g.pos[id] = p
 	if oldC == newC {
 		return
@@ -119,64 +141,12 @@ func (g *Grid) Move(id int, p geometry.Vec) {
 	g.cells[newC] = append(g.cells[newC], int32(id))
 }
 
-// Reset re-dimensions the grid for new bounds and cell size, reusing
-// the existing bucket storage where possible, and empties it. It is
-// the allocation-free (steady-state) alternative to NewGrid for
-// callers that index fresh point sets of similar extent every round;
-// follow it with Rebuild.
-func (g *Grid) Reset(bounds geometry.Rect, cellSize float64) {
-	g.bounds = bounds
-	g.cellSize, g.nx, g.ny = gridDims(bounds, cellSize)
-	want := g.nx * g.ny
-	if cap(g.cells) < want {
-		// Preserve the old buckets' capacity: move them into the grown
-		// slice so steady-state Rebuild stays allocation-free.
-		grown := make([][]int32, want)
-		copy(grown, g.cells[:cap(g.cells)])
-		g.cells = grown
-	}
-	g.cells = g.cells[:cap(g.cells)][:want]
-	for i := range g.cells {
-		g.cells[i] = g.cells[i][:0]
-	}
-	g.pos = g.pos[:0]
-	g.slotOf = g.slotOf[:0]
-}
-
-// Len returns the number of indexed items.
-func (g *Grid) Len() int { return len(g.pos) }
-
-// CellSize returns the effective cell size.
-func (g *Grid) CellSize() float64 { return g.cellSize }
-
-// WithinRadius appends to dst the IDs of all items within radius r of
-// center and returns the extended slice. Pass a reused dst to avoid
-// allocation.
-func (g *Grid) WithinRadius(center geometry.Vec, r float64, dst []int) []int {
-	if r < 0 {
-		return dst
-	}
-	r2 := r * r
-	x0, y0 := g.cellCoords(geometry.V(center.X-r, center.Y-r))
-	x1, y1 := g.cellCoords(geometry.V(center.X+r, center.Y+r))
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			for _, id := range g.cells[cy*g.nx+cx] {
-				if g.pos[id].Dist2(center) <= r2 {
-					dst = append(dst, int(id))
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// WithinRadiusSorted is WithinRadius with the appended IDs in
-// ascending order, independent of bucket order — and therefore of the
-// Move history (see Move). It marks hits in an internal bitset and
-// emits set bits in index order, costing O(hits + items/64) on top of
-// the cell walk; callers whose results feed deterministic state (e.g.
-// the particle filter's fusion-range selection) use this form.
+// WithinRadiusSorted appends to dst the IDs of all items within radius
+// r of center, in ascending order, and returns the extended slice. The
+// order is independent of bucket order — and therefore of the Move
+// history (see Move). It marks hits in an internal bitset and emits set
+// bits in index order, costing O(hits + items/64) on top of the cell
+// walk. Pass a reused dst to avoid allocation.
 func (g *Grid) WithinRadiusSorted(center geometry.Vec, r float64, dst []int) []int {
 	if r < 0 {
 		return dst
@@ -190,11 +160,11 @@ func (g *Grid) WithinRadiusSorted(center geometry.Vec, r float64, dst []int) []i
 		hits[i] = 0
 	}
 	r2 := r * r
-	x0, y0 := g.cellCoords(geometry.V(center.X-r, center.Y-r))
-	x1, y1 := g.cellCoords(geometry.V(center.X+r, center.Y+r))
+	x0, y0 := g.geo.Coords(geometry.V(center.X-r, center.Y-r))
+	x1, y1 := g.geo.Coords(geometry.V(center.X+r, center.Y+r))
 	for cy := y0; cy <= y1; cy++ {
 		for cx := x0; cx <= x1; cx++ {
-			for _, id := range g.cells[cy*g.nx+cx] {
+			for _, id := range g.cells[cy*g.geo.nx+cx] {
 				if g.pos[id].Dist2(center) <= r2 {
 					hits[id>>6] |= 1 << (uint(id) & 63)
 				}
@@ -209,49 +179,4 @@ func (g *Grid) WithinRadiusSorted(center geometry.Vec, r float64, dst []int) []i
 		}
 	}
 	return dst
-}
-
-// CountWithinRadius returns the number of items within radius r of
-// center without materializing the ID list.
-func (g *Grid) CountWithinRadius(center geometry.Vec, r float64) int {
-	if r < 0 {
-		return 0
-	}
-	r2 := r * r
-	x0, y0 := g.cellCoords(geometry.V(center.X-r, center.Y-r))
-	x1, y1 := g.cellCoords(geometry.V(center.X+r, center.Y+r))
-	n := 0
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			for _, id := range g.cells[cy*g.nx+cx] {
-				if g.pos[id].Dist2(center) <= r2 {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
-func (g *Grid) cellCoords(p geometry.Vec) (int, int) {
-	cx := int((p.X - g.bounds.Min.X) / g.cellSize)
-	cy := int((p.Y - g.bounds.Min.Y) / g.cellSize)
-	cx = clampInt(cx, 0, g.nx-1)
-	cy = clampInt(cy, 0, g.ny-1)
-	return cx, cy
-}
-
-func (g *Grid) cellIndex(p geometry.Vec) int {
-	cx, cy := g.cellCoords(p)
-	return cy*g.nx + cx
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
