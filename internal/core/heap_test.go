@@ -1,0 +1,67 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+
+	"radloc/internal/core"
+	"radloc/internal/fusion"
+	"radloc/internal/rng"
+	"radloc/internal/scenario"
+	"radloc/internal/stat"
+)
+
+// heapBudgetPerParticle bounds the live heap of a warmed localizer, in
+// bytes per particle. It measures 109.3 (Go 1.24, linux/amd64): the
+// state arrays (x, y, strength, weight and the cached log-weight) take
+// 40, the searcher's cell-ordered copy 32, the grid's cell and slot
+// indexes 8 and its buckets about 16 with their append slack, and the
+// per-reading scratch about 6 (52 bytes per particle of the largest
+// subset, with geometric slack). One more copy of the population, 4 or
+// 8 bytes a particle, fails the test.
+const heapBudgetPerParticle = 112
+
+// TestLocalizerHeapBudget measures the live heap a warmed Scenario C
+// localizer (15,000 particles, a refresh every sensor round) holds
+// after a forced collection and bounds it per particle.
+func TestLocalizerHeapBudget(t *testing.T) {
+	sc := scenario.C(true, 1)
+	cfg := fusion.LocalizerConfig(sc)
+	cfg.Seed = 5
+	cfg.Workers = 1 // no worker goroutines: their descriptors are heap too
+	stream := rng.NewNamed(29, "test/heap-measurements")
+
+	// The log-factorial table is process-wide and built on first use;
+	// build it before measuring.
+	stat.LogFactorial(0)
+	var before, after runtime.MemStats
+	settle(&before)
+	l, err := core.NewLocalizer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 3; step++ {
+		for _, sen := range sc.Sensors {
+			l.Ingest(sen, sen.Measure(stream, sc.Sources, sc.Obstacles, step).CPM)
+		}
+		l.Estimates()
+	}
+	settle(&after)
+	runtime.KeepAlive(l)
+
+	n := cfg.NumParticles
+	perParticle := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+	t.Logf("warmed %d-particle localizer: %.1f live heap bytes per particle", n, perParticle)
+	if perParticle > heapBudgetPerParticle {
+		t.Errorf("warmed localizer holds %.1f bytes per particle, budget %d", perParticle, heapBudgetPerParticle)
+	}
+}
+
+// settle collects garbage and reads the memory statistics into ms. The
+// second collection frees what sync.Pool caches (JSON encoders, say)
+// kept alive through the first.
+func settle(ms *runtime.MemStats) {
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(ms)
+}

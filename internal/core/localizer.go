@@ -72,23 +72,23 @@ type Localizer struct {
 	// the MaxSensorGap observability filter.
 	sensorPos map[int]geometry.Vec
 
-	// Scratch buffers reused across iterations: the steady-state
-	// ingest path allocates nothing.
+	// Per-reading scratch, sized to the selected subset: it grows on
+	// demand (see grow) to the largest subset seen, so once warm the
+	// steady-state ingest path allocates nothing.
 	idsBuf    []int
 	logBuf    []float64
 	cdfBuf    []float64
 	pickBuf   []int32
-	posBuf    []geometry.Vec
 	sxBuf     []float64 // resample survivors, x
 	syBuf     []float64 // resample survivors, y
 	ssBuf     []float64 // resample survivors, strength
 	chunkMax  []float64 // per-chunk max log-posterior partials
 	chunkMass []float64 // per-chunk prior-mass partials
 
-	// Estimation scratch (refresh path, not per-reading).
+	// Estimation state (refresh path, not per-reading). view is the
+	// particle arrays as the searcher reads them, in place.
 	searcher  *meanshift.Searcher
-	ptsBuf    []float64
-	wtsBuf    []float64
+	view      meanshift.Points
 	startsBuf []float64
 }
 
@@ -128,13 +128,6 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 	}
 	l.grid = spatial.NewGrid(cfg.Bounds, cfg.FusionRange/2)
 	l.gridDirty = true
-	l.posBuf = make([]geometry.Vec, n)
-	l.logBuf = make([]float64, 0, n)
-	l.cdfBuf = make([]float64, 0, n)
-	l.pickBuf = make([]int32, 0, n)
-	l.sxBuf = make([]float64, n)
-	l.syBuf = make([]float64, n)
-	l.ssBuf = make([]float64, n)
 	nChunks := (n + weightChunkSize - 1) / weightChunkSize
 	l.chunkMax = make([]float64, nChunks)
 	l.chunkMass = make([]float64, nChunks)
@@ -146,8 +139,7 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	l.searcher = searcher
-	l.ptsBuf = make([]float64, 0, 3*n)
-	l.wtsBuf = make([]float64, 0, n)
+	l.view = meanshift.Points{Coords: [][]float64{l.xs, l.ys, l.ss}, Weights: l.ws}
 	l.startsBuf = make([]float64, 0, 3*cfg.MeanShiftStarts)
 	if cfg.MaxSensorGap > 0 {
 		l.sensorPos = make(map[int]geometry.Vec)
@@ -192,9 +184,10 @@ func (l *Localizer) AppendParticles(dst []Particle) []Particle {
 // fraction of random particles.
 //
 // The steady-state path is allocation-free: every stage works in
-// scratch buffers sized to the particle population at construction,
-// and the spatial index is updated incrementally instead of rebuilt
-// (see DESIGN.md §11 for the full performance model).
+// reused scratch buffers that grow to the largest selected subset (not
+// the population), and the spatial index is updated incrementally
+// instead of rebuilt (see DESIGN.md §11 for the full performance model
+// and the per-particle memory budget).
 func (l *Localizer) Ingest(sen sensor.Sensor, cpm int) {
 	l.iter++
 	if l.sensorPos != nil {
@@ -262,8 +255,8 @@ func (l *Localizer) parallelWeighting(k int) bool {
 // across worker counts.
 func (l *Localizer) weigh(sen sensor.Sensor, cpm int, ids []int, fused bool) (cum, priorMass float64) {
 	k := len(ids)
-	l.logBuf = l.logBuf[:k]
-	l.cdfBuf = l.cdfBuf[:k]
+	l.logBuf = grow(l.logBuf, k, len(l.xs))
+	l.cdfBuf = grow(l.cdfBuf, k, len(l.xs))
 	nChunks := (k + weightChunkSize - 1) / weightChunkSize
 	chunkMax := l.chunkMax[:nChunks]
 	chunkMass := l.chunkMass[:nChunks]
@@ -406,6 +399,18 @@ func uniformCDF(cdf []float64) float64 {
 	return cum
 }
 
+// grow returns buf with length k, limit ≥ k being the largest length
+// it can ever need (the population size). When its capacity is short
+// it reallocates with the capacity at least doubled but capped at
+// limit, so scratch sized to the subset costs O(log n) reallocations
+// over a run and never exceeds n. The contents are unspecified.
+func grow[T any](buf []T, k, limit int) []T {
+	if cap(buf) < k {
+		return make([]T, k, min(max(k, 2*cap(buf)), limit))
+	}
+	return buf[:k]
+}
+
 // runChunks executes fn(c) for every chunk index. Chunks run on the
 // calling goroutine unless the worker pool is engaged (Workers > 1 and
 // more than one chunk), in which case min(Workers, chunks) goroutines
@@ -446,17 +451,14 @@ func (l *Localizer) runChunks(nChunks int, fn func(c int)) {
 // formulation of Fig. 2).
 func (l *Localizer) selectParticles(sen sensor.Sensor) []int {
 	if l.cfg.DisableFusionRange {
-		l.idsBuf = l.idsBuf[:0]
-		for i := range l.xs {
-			l.idsBuf = append(l.idsBuf, i)
+		l.idsBuf = grow(l.idsBuf, len(l.xs), len(l.xs))
+		for i := range l.idsBuf {
+			l.idsBuf[i] = i
 		}
 		return l.idsBuf
 	}
 	if l.gridDirty {
-		for i := range l.xs {
-			l.posBuf[i] = geometry.V(l.xs[i], l.ys[i])
-		}
-		l.grid.Rebuild(l.posBuf)
+		l.grid.Rebuild(l.xs, l.ys)
 		l.gridDirty = false
 	}
 	d := l.cfg.fusionRangeOf(sen.ID)
@@ -465,7 +467,7 @@ func (l *Localizer) selectParticles(sen sensor.Sensor) []int {
 	// incremental Move updates leave the grid's bucket order dependent
 	// on update history, which an ExportState/ImportState round trip
 	// (canonical Rebuild) could not reproduce.
-	l.idsBuf = l.grid.WithinRadiusSorted(sen.Pos, d, l.idsBuf[:0])
+	l.idsBuf = l.grid.WithinRadiusSorted(sen.Pos, d, l.xs, l.ys, l.idsBuf[:0])
 	return l.idsBuf
 }
 
@@ -480,7 +482,7 @@ func (l *Localizer) selectParticles(sen sensor.Sensor) []int {
 // for a partial update.
 func (l *Localizer) resample(ids []int, cum, priorMass float64) {
 	n := len(ids)
-	l.pickBuf = l.pickBuf[:0]
+	l.pickBuf = grow(l.pickBuf, n, len(l.xs))
 	step := cum / float64(n)
 	u := l.stream.Float64() * step
 	j := 0
@@ -489,7 +491,7 @@ func (l *Localizer) resample(ids []int, cum, priorMass float64) {
 		for j < n-1 && l.cdfBuf[j] < target {
 			j++
 		}
-		l.pickBuf = append(l.pickBuf, int32(j))
+		l.pickBuf[k] = int32(j)
 	}
 
 	// Materialize survivors into scratch. pickBuf is sorted, so a
@@ -497,7 +499,10 @@ func (l *Localizer) resample(ids []int, cum, priorMass float64) {
 	// keeps the exact parameters, later copies are jittered. The
 	// two-phase copy (gather, then write back) keeps later picks from
 	// reading slots an earlier write already clobbered.
-	sx, sy, ss := l.sxBuf[:n], l.syBuf[:n], l.ssBuf[:n]
+	l.sxBuf = grow(l.sxBuf, n, len(l.xs))
+	l.syBuf = grow(l.syBuf, n, len(l.xs))
+	l.ssBuf = grow(l.ssBuf, n, len(l.xs))
+	sx, sy, ss := l.sxBuf, l.syBuf, l.ssBuf
 	for k := 0; k < n; k++ {
 		src := ids[l.pickBuf[k]]
 		x, y, s := l.xs[src], l.ys[src], l.ss[src]
@@ -571,23 +576,28 @@ func (l *Localizer) clampS(s float64) float64 {
 // (x, y, strength) space, merge converged modes, and report the modes
 // that hold enough mass and plausible strength. The search runs on the
 // localizer's reusable meanshift.Searcher, so a steady-state estimate
-// refresh touches only long-lived scratch.
-func (l *Localizer) Estimates() []Estimate {
+// refresh touches only long-lived scratch. The searcher reads the
+// particle arrays in place; particles with weight ≤ 0 take no part.
+func (l *Localizer) Estimates() []Estimate { return l.estimatesOf(l.view) }
+
+// estimatesOf is Estimates over the particle view pts: x, y and
+// strength columns and the weights. Apart from pts it reads only the
+// configuration, the searcher, the sensor registry and one draw from
+// the localizer's RNG stream, so it can run on a copy of the
+// population as well as on the live arrays.
+func (l *Localizer) estimatesOf(pts meanshift.Points) []Estimate {
 	t0 := l.met.now()
-	n := len(l.xs)
-	points := l.ptsBuf[:0]
-	weights := l.wtsBuf[:0]
+	n := len(pts.Weights)
 	var total, total2 float64
-	for i := 0; i < n; i++ {
-		if l.ws[i] <= 0 {
+	last := -1 // the last particle with weight > 0 (or NaN)
+	for i, w := range pts.Weights {
+		if w <= 0 {
 			continue
 		}
-		points = append(points, l.xs[i], l.ys[i], l.ss[i])
-		weights = append(weights, l.ws[i])
-		total += l.ws[i]
-		total2 += l.ws[i] * l.ws[i]
+		total += w
+		total2 += w * w
+		last = i
 	}
-	l.ptsBuf, l.wtsBuf = points, weights
 	ess := 0.0
 	if total2 > 0 {
 		ess = total * total / total2
@@ -597,8 +607,8 @@ func (l *Localizer) Estimates() []Estimate {
 		return nil
 	}
 
-	starts := l.sampleStarts(points, weights, total)
-	modes, err := l.searcher.FindModes(points, weights, starts)
+	starts := l.sampleStarts(pts, total, last)
+	modes, err := l.searcher.FindModes(pts, starts)
 	if err != nil {
 		// Only reachable through an internal inconsistency; surface
 		// loudly in tests rather than corrupt results.
@@ -607,7 +617,7 @@ func (l *Localizer) Estimates() []Estimate {
 	if len(modes) == 0 {
 		return nil
 	}
-	mass, err := l.searcher.AssignMass(modes, points, weights, 3)
+	mass, err := l.searcher.AssignMass(modes, pts, 3)
 	if err != nil {
 		panic(fmt.Sprintf("core: mass assignment failed: %v", err))
 	}
@@ -651,31 +661,39 @@ func (l *Localizer) observable(p geometry.Vec) bool {
 	return false
 }
 
-// sampleStarts draws MeanShiftStarts start points from the particle
-// population by systematic weighted sampling, so starts concentrate
-// where the mass is while still covering diffuse regions early on. The
-// starts land in a reused scratch buffer.
-func (l *Localizer) sampleStarts(points, weights []float64, total float64) []float64 {
+// sampleStarts draws MeanShiftStarts start points from the particles
+// in pts by systematic weighted sampling, so starts concentrate where
+// the mass is while still covering diffuse regions early on. The walk
+// visits only particles with weight > 0 (or NaN), total being their
+// weight sum and last the index of the last of them (≥ 0). The starts
+// land in a reused scratch buffer.
+func (l *Localizer) sampleStarts(pts meanshift.Points, total float64, last int) []float64 {
 	m := l.cfg.MeanShiftStarts
-	n := len(weights)
-	if n == 0 {
-		return nil
-	}
+	xs, ys, ss, ws := pts.Coords[0], pts.Coords[1], pts.Coords[2], pts.Weights
 	starts := l.startsBuf[:0]
 	step := total / float64(m)
 	u := l.stream.Float64() * step
 	var cum float64
-	j := 0
+	j := nextLive(ws, 0)
 	for k := 0; k < m; k++ {
 		target := u + float64(k)*step
-		for j < n-1 && cum+weights[j] < target {
-			cum += weights[j]
-			j++
+		for j < last && cum+ws[j] < target {
+			cum += ws[j]
+			j = nextLive(ws, j+1)
 		}
-		starts = append(starts, points[3*j], points[3*j+1], points[3*j+2])
+		starts = append(starts, xs[j], ys[j], ss[j])
 	}
 	l.startsBuf = starts
 	return starts
+}
+
+// nextLive returns the first index ≥ j whose weight is not ≤ 0; the
+// caller guarantees one exists.
+func nextLive(ws []float64, j int) int {
+	for ws[j] <= 0 {
+		j++
+	}
+	return j
 }
 
 // Centroid returns the weighted centroid of the whole population — the

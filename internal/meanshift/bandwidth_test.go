@@ -88,7 +88,7 @@ func TestSuggestBandwidthFeedsFindModes(t *testing.T) {
 		h[k] /= 2
 	}
 	starts := []float64{20, 20, 50, 80, 70, 120}
-	modes, err := FindModes(Config{Bandwidth: h}, pts, ws, starts)
+	modes, err := newSearcher(t, Config{Bandwidth: h}).FindModes(view(3, pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@ import (
 
 // benchData builds a realistic particle population: two tight clusters
 // plus diffuse background, mirroring a converged filter.
-func benchData(n int) (pts, ws, starts []float64) {
+func benchData(n int) (Points, []float64) {
+	var pts, ws, starts []float64
 	s := rng.New(1, 1)
 	for i := 0; i < n; i++ {
 		var x, y, str float64
@@ -28,27 +29,24 @@ func benchData(n int) (pts, ws, starts []float64) {
 		j := s.IntN(n)
 		starts = append(starts, pts[3*j], pts[3*j+1], pts[3*j+2])
 	}
-	return pts, ws, starts
+	return view(3, pts, ws), starts
 }
 
 // BenchmarkFindModes measures a search the way the localizer runs
 // one: on a reused, warmed Searcher.
 func BenchmarkFindModes(b *testing.B) {
 	for _, n := range []int{2000, 15000} {
-		pts, ws, starts := benchData(n)
+		pts, starts := benchData(n)
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("n%d-w%d", n, workers), func(b *testing.B) {
-				s, err := NewSearcher(Config{Bandwidth: []float64{4, 4, 30}, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.FindModes(pts, ws, starts); err != nil {
+				s := newSearcher(b, Config{Bandwidth: []float64{4, 4, 30}, Workers: workers})
+				if _, err := s.FindModes(pts, starts); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := s.FindModes(pts, ws, starts); err != nil {
+					if _, err := s.FindModes(pts, starts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -58,15 +56,15 @@ func BenchmarkFindModes(b *testing.B) {
 }
 
 func BenchmarkAssignMass(b *testing.B) {
-	pts, ws, starts := benchData(15000)
-	cfg := Config{Bandwidth: []float64{4, 4, 30}}
-	modes, err := FindModes(cfg, pts, ws, starts)
+	pts, starts := benchData(15000)
+	s := newSearcher(b, Config{Bandwidth: []float64{4, 4, 30}})
+	modes, err := s.FindModes(pts, starts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AssignMass(cfg, modes, pts, ws, 3); err != nil {
+		if _, err := s.AssignMass(modes, pts, 3); err != nil {
 			b.Fatal(err)
 		}
 	}

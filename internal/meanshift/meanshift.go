@@ -29,8 +29,9 @@
 // Workers goroutines and owns reusable scratch (one scaled copy of the
 // points sorted by prune cell, which every climb scans in place), so
 // repeated searches over populations of similar size allocate only the
-// returned modes; see DESIGN.md §11 for the performance model.
-// FindModes remains as a convenience wrapper for one-shot searches.
+// returned modes; see DESIGN.md §11 for the performance model. The
+// points come in as a columnar view (Points) of the caller's own
+// arrays, which the Searcher reads in place.
 package meanshift
 
 import (
@@ -118,6 +119,32 @@ type Mode struct {
 	Starts int
 }
 
+// Points is a columnar view of n weighted points in R^d: Coords[k][j]
+// is coordinate k of point j and Weights[j] its weight, so a caller
+// that keeps one array per coordinate passes its arrays as they are.
+// Weights are non-negative; a point with weight ≤ 0 takes no part in a
+// search at all — it pulls no climb, does not span the prune grid's
+// bounding box, and AssignMass credits it nowhere. The Searcher reads
+// the arrays and never writes them.
+type Points struct {
+	Coords  [][]float64 // d arrays of n coordinates; the first two are the spatial ones
+	Weights []float64   // n point weights
+}
+
+// check reports whether pts holds d coordinate arrays as long as its
+// weights.
+func (pts Points) check(d int) error {
+	if len(pts.Coords) != d {
+		return fmt.Errorf("%w: %d coordinate arrays, dim %d", ErrDimensionMismatch, len(pts.Coords), d)
+	}
+	for k, c := range pts.Coords {
+		if len(c) != len(pts.Weights) {
+			return fmt.Errorf("%w: coordinate %d has %d values for %d weights", ErrDimensionMismatch, k, len(c), len(pts.Weights))
+		}
+	}
+	return nil
+}
+
 // ErrDimensionMismatch is returned when points, weights, or starts do
 // not agree with the configured dimensionality.
 var ErrDimensionMismatch = errors.New("meanshift: dimension mismatch")
@@ -146,7 +173,7 @@ type Searcher struct {
 
 	// The points with positive weight, bandwidth-scaled and sorted by
 	// prune cell: square cells of side CutoffSigmas over the bounding
-	// box of every scaled (x, y), row-major, and ascending point index
+	// box of their scaled (x, y), row-major, and ascending point index
 	// within a cell. Cell c holds entries cellStart[c] up to
 	// cellStart[c+1]. The spatial coordinates and the weights are one
 	// array each, so the kernel's cutoff test streams px and py alone;
@@ -184,26 +211,22 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 	return &Searcher{cfg: cfg, d: len(cfg.Bandwidth)}, nil
 }
 
-// FindModes locates the density modes reachable from the given starts.
-//
-// points is a flat array of n·d coordinates (point j at
-// points[j*d:(j+1)*d]); weights holds the n non-negative point weights;
-// starts is a flat array of m·d start coordinates. The returned modes
-// are sorted by descending density; Mode.Starts counts the starts
-// whose climbs merged into each mode.
-func (s *Searcher) FindModes(points, weights, starts []float64) ([]Mode, error) {
+// FindModes locates the density modes of pts reachable from the given
+// starts, a flat array of m·d start coordinates (start i at
+// starts[i*d:(i+1)*d]). The returned modes are sorted by descending
+// density; Mode.Starts counts the starts whose climbs merged into each
+// mode. Without a positive-weight point there is no mode.
+func (s *Searcher) FindModes(pts Points, starts []float64) ([]Mode, error) {
 	d := s.d
-	if len(points)%d != 0 || len(starts)%d != 0 {
-		return nil, fmt.Errorf("%w: %d coords, %d starts, dim %d", ErrDimensionMismatch, len(points), len(starts), d)
+	if err := pts.check(d); err != nil {
+		return nil, err
 	}
-	n := len(points) / d
-	if len(weights) != n {
-		return nil, fmt.Errorf("%w: %d weights for %d points", ErrDimensionMismatch, len(weights), n)
+	if len(starts)%d != 0 {
+		return nil, fmt.Errorf("%w: %d start coords, dim %d", ErrDimensionMismatch, len(starts), d)
 	}
-	if n == 0 || len(starts) == 0 {
+	if len(starts) == 0 || s.prepare(pts) == 0 {
 		return nil, nil
 	}
-	s.prepare(points, weights)
 	m := s.stageStarts(starts)
 	s.runClimbs(m)
 	modes := s.mergeModes(m)
@@ -215,28 +238,38 @@ func (s *Searcher) FindModes(points, weights, starts []float64) ([]Mode, error) 
 	return modes, nil
 }
 
-// prepare lays out the cell-ordered copy of the points: a pass for the
-// bounding box of the scaled (x, y), a counting pass, and a placing
-// pass that fills each cell back to front in descending point index,
-// leaving every cell's entries in ascending index. Points with
-// weight ≤ 0 contribute nothing to any climb and are left out, but
-// still span the bounding box, which fixes the cell geometry.
+// prepare lays out the cell-ordered copy of the points with positive
+// weight and returns their count: a pass for the bounding box of their
+// scaled (x, y), a counting pass, and a placing pass that fills each
+// cell back to front in descending point index, leaving every cell's
+// entries in ascending index. Points with weight ≤ 0 contribute nothing
+// to any climb; they are left out of the copy and of the bounding box,
+// which fixes the cell geometry.
 //
 // reach pads the cutoff by 2^-20 of it and 2^-30 of the largest scaled
 // coordinate: a point that passes the kernel's cutoff test then lies
 // in a cell the scan visits, whatever the rounding of the cell
 // arithmetic (as in massIndex.build).
-func (s *Searcher) prepare(points, weights []float64) {
+func (s *Searcher) prepare(pts Points) int {
 	d := s.d
 	bx, by := s.cfg.Bandwidth[0], s.cfg.Bandwidth[1]
+	xs, ys, ws := pts.Coords[0], pts.Coords[1], pts.Weights
 	lo := geometry.V(math.Inf(1), math.Inf(1))
 	hi := geometry.V(math.Inf(-1), math.Inf(-1))
-	for j := range weights {
-		x, y := points[j*d]/bx, points[j*d+1]/by
+	live := 0
+	for j, w := range ws {
+		if w <= 0 {
+			continue
+		}
+		live++
+		x, y := xs[j]/bx, ys[j]/by
 		lo.X = math.Min(lo.X, x)
 		lo.Y = math.Min(lo.Y, y)
 		hi.X = math.Max(hi.X, x)
 		hi.Y = math.Max(hi.Y, y)
+	}
+	if live == 0 {
+		return 0
 	}
 	cut := s.cfg.CutoffSigmas
 	s.cells = spatial.NewCells(geometry.NewRect(lo, hi), cut)
@@ -250,33 +283,33 @@ func (s *Searcher) prepare(points, weights []float64) {
 	cells := nx * ny
 	s.cellStart = resize(s.cellStart, cells+1)
 	clear(s.cellStart)
-	for j, w := range weights {
+	for j, w := range ws {
 		if w <= 0 {
 			continue
 		}
-		s.cellStart[s.cells.Index(geometry.V(points[j*d]/bx, points[j*d+1]/by))]++
+		s.cellStart[s.cells.Index(geometry.V(xs[j]/bx, ys[j]/by))]++
 	}
 	for c := 1; c <= cells; c++ {
 		s.cellStart[c] += s.cellStart[c-1]
 	}
-	total := int(s.cellStart[cells])
-	s.px = resize(s.px, total)
-	s.py = resize(s.py, total)
-	s.pw = resize(s.pw, total)
-	s.rest = resize(s.rest, total*(d-2))
-	for j := len(weights) - 1; j >= 0; j-- {
-		if weights[j] <= 0 {
+	s.px = resize(s.px, live)
+	s.py = resize(s.py, live)
+	s.pw = resize(s.pw, live)
+	s.rest = resize(s.rest, live*(d-2))
+	for j := len(ws) - 1; j >= 0; j-- {
+		if ws[j] <= 0 {
 			continue
 		}
-		x, y := points[j*d]/bx, points[j*d+1]/by
+		x, y := xs[j]/bx, ys[j]/by
 		c := s.cells.Index(geometry.V(x, y))
 		s.cellStart[c]--
 		e := int(s.cellStart[c])
-		s.px[e], s.py[e], s.pw[e] = x, y, weights[j]
+		s.px[e], s.py[e], s.pw[e] = x, y, ws[j]
 		for k := 2; k < d; k++ {
-			s.rest[e*(d-2)+k-2] = points[j*d+k] / s.cfg.Bandwidth[k]
+			s.rest[e*(d-2)+k-2] = pts.Coords[k][j] / s.cfg.Bandwidth[k]
 		}
 	}
+	return live
 }
 
 // resize returns buf with length n, reallocating only when its
@@ -543,24 +576,21 @@ func (s *Searcher) mergeModes(m int) []Mode {
 }
 
 // AssignMass distributes the points' weights over the modes: each point
-// is credited to its nearest mode when their scaled-space distance is
-// within cutoff bandwidths (≤ 0 selects CutoffSigmas), otherwise it
-// stays unassigned. The return value has one total per mode (same
-// order) followed by the unassigned remainder at index len(modes).
+// with positive weight is credited to its nearest mode when their
+// scaled-space distance is within cutoff bandwidths (≤ 0 selects
+// CutoffSigmas), otherwise it stays unassigned. The return value has
+// one total per mode (same order) followed by the unassigned remainder
+// at index len(modes).
 //
 // Each point is scored only against the modes a massIndex over the
 // modes' scaled (x, y) names as candidates: every mode within the
 // cutoff is among them, in ascending mode index, so the nearest mode,
 // its tie-break (the lowest index wins) and every per-mode sum come
 // out bit-identical to scoring every point against every mode.
-func (s *Searcher) AssignMass(modes []Mode, points, weights []float64, cutoff float64) ([]float64, error) {
+func (s *Searcher) AssignMass(modes []Mode, pts Points, cutoff float64) ([]float64, error) {
 	d := s.d
-	if len(points)%d != 0 {
-		return nil, ErrDimensionMismatch
-	}
-	n := len(points) / d
-	if len(weights) != n {
-		return nil, ErrDimensionMismatch
+	if err := pts.check(d); err != nil {
+		return nil, err
 	}
 	if cutoff <= 0 {
 		cutoff = s.cfg.CutoffSigmas
@@ -573,15 +603,18 @@ func (s *Searcher) AssignMass(modes []Mode, points, weights []float64, cutoff fl
 		invBW[k] = 1 / s.cfg.Bandwidth[k]
 	}
 	s.mass.build(modes, invBW[0], invBW[1], cutoff)
-	for j := 0; j < n; j++ {
+	coords := pts.Coords
+	for j, w := range pts.Weights {
+		if w <= 0 {
+			continue
+		}
 		best := -1
 		bestD2 := math.Inf(1)
-		base := j * d
-		for _, mi := range s.mass.candidates(points[base]*invBW[0], points[base+1]*invBW[1]) {
+		for _, mi := range s.mass.candidates(coords[0][j]*invBW[0], coords[1][j]*invBW[1]) {
 			mp := modes[mi].Point
 			var d2 float64
 			for k := 0; k < d; k++ {
-				diff := (points[base+k] - mp[k]) * invBW[k]
+				diff := (coords[k][j] - mp[k]) * invBW[k]
 				d2 += diff * diff
 			}
 			if d2 < bestD2 {
@@ -590,9 +623,9 @@ func (s *Searcher) AssignMass(modes []Mode, points, weights []float64, cutoff fl
 			}
 		}
 		if best >= 0 && bestD2 <= c2 {
-			out[best] += weights[j]
+			out[best] += w
 		} else {
-			out[len(modes)] += weights[j]
+			out[len(modes)] += w
 		}
 	}
 	return out, nil
@@ -742,26 +775,6 @@ func (ix *massIndex) candidates(x, y float64) []int32 {
 	}
 	c := (int(math.Floor(fy))+1)*(ix.nx+2) + int(math.Floor(fx)) + 1
 	return ix.cand[ix.start[c]:ix.start[c+1]]
-}
-
-// FindModes is the one-shot convenience form: it builds a throwaway
-// Searcher and runs a single search. Hot paths should hold a Searcher
-// and reuse it.
-func FindModes(cfg Config, points []float64, weights []float64, starts []float64) ([]Mode, error) {
-	s, err := NewSearcher(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.FindModes(points, weights, starts)
-}
-
-// AssignMass is the one-shot convenience form of Searcher.AssignMass.
-func AssignMass(cfg Config, modes []Mode, points []float64, weights []float64, cutoff float64) ([]float64, error) {
-	s, err := NewSearcher(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.AssignMass(modes, points, weights, cutoff)
 }
 
 // expTable tabulates exp(−x/2) on [0, expTableMax] at expTableStep

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"radloc/internal/rng"
 )
@@ -26,6 +27,30 @@ func defaultCfg() Config {
 	return Config{Bandwidth: []float64{4, 4, 30}}
 }
 
+// newSearcher returns a Searcher for cfg, failing the test if cfg is
+// invalid.
+func newSearcher(t testing.TB, cfg Config) *Searcher {
+	t.Helper()
+	s, err := NewSearcher(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// view lays out interleaved points, d coordinates each (point j at
+// pts[j*d:(j+1)*d]), as the columnar Points a Searcher reads.
+func view(d int, pts, ws []float64) Points {
+	coords := make([][]float64, d)
+	for k := range coords {
+		coords[k] = make([]float64, len(ws))
+		for j := range ws {
+			coords[k][j] = pts[j*d+k]
+		}
+	}
+	return Points{Coords: coords, Weights: ws}
+}
+
 func TestFindModesTwoClusters(t *testing.T) {
 	s := rng.New(1, 1)
 	var pts, ws []float64
@@ -39,7 +64,7 @@ func TestFindModesTwoClusters(t *testing.T) {
 			starts = append(starts, x, y, 80)
 		}
 	}
-	modes, err := FindModes(defaultCfg(), pts, ws, starts)
+	modes, err := newSearcher(t, defaultCfg()).FindModes(view(3, pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +104,7 @@ func TestFindModesRespectsWeights(t *testing.T) {
 	pts, ws = cluster3(s, pts, ws, 300, 75, 75, 40, 2, 0)
 
 	starts := []float64{25, 25, 40, 75, 75, 40}
-	modes, err := FindModes(defaultCfg(), pts, ws, starts)
+	modes, err := newSearcher(t, defaultCfg()).FindModes(view(3, pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +130,7 @@ func TestFindModesMergesDuplicateStarts(t *testing.T) {
 		x, y, str := s.Uniform(42, 58), s.Uniform(42, 58), s.Uniform(70, 130)
 		starts = append(starts, x, y, str, x, y, str)
 	}
-	modes, err := FindModes(defaultCfg(), pts, ws, starts)
+	modes, err := newSearcher(t, defaultCfg()).FindModes(view(3, pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,31 +143,77 @@ func TestFindModesMergesDuplicateStarts(t *testing.T) {
 }
 
 func TestFindModesEmptyInputs(t *testing.T) {
-	cfg := defaultCfg()
-	if modes, err := FindModes(cfg, nil, nil, []float64{1, 1, 1}); err != nil || modes != nil {
+	s := newSearcher(t, defaultCfg())
+	if modes, err := s.FindModes(view(3, nil, nil), []float64{1, 1, 1}); err != nil || modes != nil {
 		t.Errorf("no points: %v, %v", modes, err)
 	}
-	if modes, err := FindModes(cfg, []float64{1, 1, 1}, []float64{1}, nil); err != nil || modes != nil {
+	if modes, err := s.FindModes(view(3, []float64{1, 1, 1}, []float64{1}), nil); err != nil || modes != nil {
 		t.Errorf("no starts: %v, %v", modes, err)
+	}
+	if modes, err := s.FindModes(view(3, []float64{1, 1, 1, 2, 2, 2}, []float64{0, -1}), []float64{1, 1, 1}); err != nil || modes != nil {
+		t.Errorf("no positive weight: %v, %v", modes, err)
 	}
 }
 
 func TestFindModesErrors(t *testing.T) {
-	if _, err := FindModes(Config{Bandwidth: []float64{4}}, nil, nil, nil); err == nil {
+	if _, err := NewSearcher(Config{Bandwidth: []float64{4}}); err == nil {
 		t.Error("1-D bandwidth accepted")
 	}
-	if _, err := FindModes(Config{Bandwidth: []float64{4, -1}}, nil, nil, nil); err == nil {
+	if _, err := NewSearcher(Config{Bandwidth: []float64{4, -1}}); err == nil {
 		t.Error("negative bandwidth accepted")
 	}
-	cfg := defaultCfg()
-	if _, err := FindModes(cfg, []float64{1, 2}, []float64{1}, nil); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("ragged points: %v", err)
+	s := newSearcher(t, defaultCfg())
+	if _, err := s.FindModes(Points{Coords: [][]float64{{1}, {2}}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("two coordinate arrays in three dimensions: %v", err)
 	}
-	if _, err := FindModes(cfg, []float64{1, 2, 3}, []float64{1, 1}, nil); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := s.FindModes(Points{Coords: [][]float64{{1}, {2, 2}, {3}}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("ragged coordinates: %v", err)
+	}
+	if _, err := s.FindModes(Points{Coords: [][]float64{{1}, {2}, {3}}, Weights: []float64{1, 1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("weight count mismatch: %v", err)
 	}
-	if _, err := FindModes(cfg, []float64{1, 2, 3}, []float64{1}, []float64{1}); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := s.FindModes(view(3, []float64{1, 2, 3}, []float64{1}), []float64{1}); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("ragged starts: %v", err)
+	}
+}
+
+// TestFindModesNonFinitePointTerminates: a point at ±Inf or NaN once
+// sent the prune grid's cell sizing into an endless loop. Now its
+// bounding box gets a single cell: an infinite point still cannot pull
+// a climb, so the cluster's mode is found; a NaN point poisons the
+// climbs that see it, but the search still returns.
+func TestFindModesNonFinitePointTerminates(t *testing.T) {
+	s := rng.New(7, 7)
+	var pts, ws []float64
+	pts, ws = cluster3(s, pts, ws, 200, 30, 30, 60, 2, 1)
+	starts := []float64{30, 30, 60, 32, 29, 70}
+	for _, bad := range [][3]float64{
+		{math.Inf(1), 30, 60},
+		{30, math.Inf(-1), 60},
+		{math.Inf(1), math.Inf(1), 60},
+		{math.NaN(), 30, 60},
+	} {
+		p := append(append([]float64(nil), pts...), bad[:]...)
+		w := append(append([]float64(nil), ws...), 1)
+		searcher := newSearcher(t, defaultCfg())
+		var modes []Mode
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			modes, err = searcher.FindModes(view(3, p, w), starts)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("FindModes with a point at %v did not return", bad)
+		}
+		if err != nil {
+			t.Fatalf("point at %v: %v", bad, err)
+		}
+		if !math.IsNaN(bad[0]) && (len(modes) != 1 || math.Hypot(modes[0].Point[0]-30, modes[0].Point[1]-30) > 3) {
+			t.Errorf("point at %v: modes %+v, want one near (30,30)", bad, modes)
+		}
 	}
 }
 
@@ -152,7 +223,7 @@ func TestStartInDesertIsDiscarded(t *testing.T) {
 	pts, ws = cluster3(s, pts, ws, 200, 10, 10, 50, 1.5, 1)
 	// One start near the cluster, one far outside any kernel support.
 	starts := []float64{12, 12, 60, 900, 900, 50}
-	modes, err := FindModes(defaultCfg(), pts, ws, starts)
+	modes, err := newSearcher(t, defaultCfg()).FindModes(view(3, pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +240,16 @@ func TestAssignMass(t *testing.T) {
 	pts = append(pts, 500, 500, 50)                        // outlier
 	ws = append(ws, 5)
 
-	cfg := defaultCfg()
+	searcher := newSearcher(t, defaultCfg())
 	starts := []float64{20, 20, 50, 80, 80, 100}
-	modes, err := FindModes(cfg, pts, ws, starts)
+	modes, err := searcher.FindModes(view(3, pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(modes) != 2 {
 		t.Fatalf("modes = %d, want 2", len(modes))
 	}
-	mass, err := AssignMass(cfg, modes, pts, ws, 4)
+	mass, err := searcher.AssignMass(modes, view(3, pts, ws), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,15 +274,18 @@ func TestAssignMass(t *testing.T) {
 }
 
 func TestAssignMassErrors(t *testing.T) {
-	cfg := defaultCfg()
-	if _, err := AssignMass(cfg, nil, []float64{1, 2}, []float64{1}, 3); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("ragged points: %v", err)
+	s := newSearcher(t, defaultCfg())
+	if _, err := s.AssignMass(nil, Points{Coords: [][]float64{{1}, {2}}, Weights: []float64{1}}, 3); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("two coordinate arrays in three dimensions: %v", err)
 	}
-	if _, err := AssignMass(Config{Bandwidth: []float64{0, 1}}, nil, nil, nil, 3); err == nil {
+	if _, err := s.AssignMass(nil, Points{Coords: [][]float64{{1}, {2}, {3, 3}}, Weights: []float64{1}}, 3); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("ragged coordinates: %v", err)
+	}
+	if _, err := NewSearcher(Config{Bandwidth: []float64{0, 1}}); err == nil {
 		t.Error("invalid bandwidth accepted")
 	}
-	// No modes: everything unassigned.
-	mass, err := AssignMass(cfg, nil, []float64{1, 2, 3}, []float64{7}, 3)
+	// No modes: everything with positive weight unassigned.
+	mass, err := s.AssignMass(nil, view(3, []float64{1, 2, 3, 4, 5, 6}, []float64{7, 0}), 3)
 	if err != nil || len(mass) != 1 || mass[0] != 7 {
 		t.Errorf("no-mode assignment = %v, %v", mass, err)
 	}
@@ -232,7 +306,7 @@ func TestWorkerCountsAgree(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		cfg := defaultCfg()
 		cfg.Workers = workers
-		modes, err := FindModes(cfg, pts, ws, starts)
+		modes, err := newSearcher(t, cfg).FindModes(view(3, pts, ws), starts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,11 +382,11 @@ func TestSearcherReuseMatchesFresh(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			starts = append(starts, s.Uniform(0, 100), s.Uniform(0, 100), s.Uniform(0, 250))
 		}
-		got, err := reused.FindModes(pts, ws, starts)
+		got, err := reused.FindModes(view(3, pts, ws), starts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := FindModes(defaultCfg(), pts, ws, starts)
+		want, err := newSearcher(t, defaultCfg()).FindModes(view(3, pts, ws), starts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,13 +420,13 @@ func TestExactKernelAgreesWithTable(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		starts = append(starts, s.Uniform(0, 100), s.Uniform(0, 100), s.Uniform(0, 220))
 	}
-	table, err := FindModes(defaultCfg(), pts, ws, starts)
+	table, err := newSearcher(t, defaultCfg()).FindModes(view(3, pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exactCfg := defaultCfg()
 	exactCfg.ExactKernel = true
-	exact, err := FindModes(exactCfg, pts, ws, starts)
+	exact, err := newSearcher(t, exactCfg).FindModes(view(3, pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,11 +455,9 @@ func TestWarmSearchAllocatesOnlyModes(t *testing.T) {
 			pts, ws = cluster3(s, pts, ws, n/2, 30, 40, 60, 2, 1)
 			pts, ws = cluster3(s, pts, ws, n/2, 70, 60, 140, 2, 1)
 			starts := sampleStarts(s, pts, ws, m)
-			searcher, err := NewSearcher(Config{Bandwidth: []float64{4, 4, 30}, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			modes, err := searcher.FindModes(pts, ws, starts)
+			points := view(3, pts, ws)
+			searcher := newSearcher(t, Config{Bandwidth: []float64{4, 4, 30}, Workers: 1})
+			modes, err := searcher.FindModes(points, starts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -398,7 +470,7 @@ func TestWarmSearchAllocatesOnlyModes(t *testing.T) {
 				probe = append(probe, Mode{})
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := searcher.FindModes(pts, ws, starts); err != nil {
+				if _, err := searcher.FindModes(points, starts); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -22,7 +22,7 @@ func singlePhaseFindModes(t testing.TB, cfg Config, points, weights, starts []fl
 		t.Fatal(err)
 	}
 	d := s.d
-	s.prepare(points, weights)
+	s.prepare(view(d, points, weights))
 	m := s.stageStarts(starts)
 	num := make([]float64, d)
 	for i := 0; i < m; i++ {
@@ -107,7 +107,7 @@ func TestTwoPhaseMatchesSinglePhase(t *testing.T) {
 			pts, ws := tc.build(s)
 			starts := sampleStarts(s, pts, ws, tc.starts)
 			want := singlePhaseFindModes(t, cfg, pts, ws, starts)
-			got, err := FindModes(cfg, pts, ws, starts)
+			got, err := newSearcher(t, cfg).FindModes(view(3, pts, ws), starts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestTwoPhaseOnNoiseInventsNoMode(t *testing.T) {
 				pts, ws := uniformNoise(s, nil, nil, 2000, 100, weight(s))
 				starts := sampleStarts(s, pts, ws, 192)
 				want := singlePhaseFindModes(t, cfg, pts, ws, starts)
-				got, err := FindModes(cfg, pts, ws, starts)
+				got, err := newSearcher(t, cfg).FindModes(view(3, pts, ws), starts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -206,9 +206,9 @@ func nearest(cfg Config, m Mode, modes []Mode) float64 {
 }
 
 // assignMassOracle is the exhaustive mass assignment the candidate
-// index replaced, kept as the differential oracle: every point is
-// scored against every mode in ascending index, and the strictly
-// nearest mode within the cutoff takes its weight.
+// index replaced, kept as the differential oracle: every point with
+// positive weight is scored against every mode in ascending index, and
+// the strictly nearest mode within the cutoff takes its weight.
 func assignMassOracle(cfg Config, modes []Mode, points, weights []float64, cutoff float64) []float64 {
 	cfg = cfg.withDefaults()
 	d := len(cfg.Bandwidth)
@@ -218,6 +218,9 @@ func assignMassOracle(cfg Config, modes []Mode, points, weights []float64, cutof
 	out := make([]float64, len(modes)+1)
 	c2 := cutoff * cutoff
 	for j := 0; j < len(weights); j++ {
+		if weights[j] <= 0 {
+			continue
+		}
 		best := -1
 		bestD2 := math.Inf(1)
 		for mi := range modes {
@@ -240,6 +243,21 @@ func assignMassOracle(cfg Config, modes []Mode, points, weights []float64, cutof
 	return out
 }
 
+// withNonPositive returns a copy of ws with every fourth weight zero
+// and every 25th negative.
+func withNonPositive(ws []float64) []float64 {
+	out := append([]float64(nil), ws...)
+	for j := range out {
+		switch {
+		case j%25 == 0:
+			out[j] = -out[j]
+		case j%4 == 0:
+			out[j] = 0
+		}
+	}
+	return out
+}
+
 // modesAt builds modes at the given flat coordinates.
 func modesAt(d int, coords ...float64) []Mode {
 	var modes []Mode
@@ -255,8 +273,8 @@ func modesAt(d int, coords ...float64) []Mode {
 // own modes and with random ones, points exactly one cutoff (and one
 // ulp either side of it) from a mode, modes outside the points'
 // bounds, coincident modes (the lowest index must win the tie), no
-// modes, non-finite modes and points, and the cutoffs ≤ 0 (the
-// default), tiny, huge and +Inf.
+// modes, non-finite modes and points, weights ≤ 0 (credited nowhere),
+// and the cutoffs ≤ 0 (the default), tiny, huge and +Inf.
 func TestAssignMassMatchesOracle(t *testing.T) {
 	type tc struct {
 		name    string
@@ -272,14 +290,14 @@ func TestAssignMassMatchesOracle(t *testing.T) {
 	cpts, cws = cluster3(s, cpts, cws, 3000, 47, 71, 50, 2, 1)
 	cpts, cws = cluster3(s, cpts, cws, 3000, 81, 42, 50, 2, 1)
 	cpts, cws = uniformNoise(s, cpts, cws, 2000, 100, func(_, _, _ float64) float64 { return s.Uniform(0.1, 1) })
-	cmodes, err := FindModes(cfg, cpts, cws, sampleStarts(s, cpts, cws, 192))
+	cmodes, err := newSearcher(t, cfg).FindModes(view(3, cpts, cws), sampleStarts(s, cpts, cws, 192))
 	if err != nil || len(cmodes) < 2 {
 		t.Fatalf("clustered population: %d modes, %v", len(cmodes), err)
 	}
 	cases = append(cases, tc{"clustered", cfg, cmodes, cpts, cws})
 
 	upts, uws := uniformNoise(s, nil, nil, 5000, 100, func(_, _, _ float64) float64 { return s.Uniform(0.1, 1) })
-	umodes, err := FindModes(cfg, upts, uws, sampleStarts(s, upts, uws, 192))
+	umodes, err := newSearcher(t, cfg).FindModes(view(3, upts, uws), sampleStarts(s, upts, uws, 192))
 	if err != nil || len(umodes) < 2 {
 		t.Fatalf("uniform population: %d modes, %v", len(umodes), err)
 	}
@@ -311,6 +329,7 @@ func TestAssignMassMatchesOracle(t *testing.T) {
 		tc{"modes outside the points", cfg, modesAt(3, -500, -500, 50, 1e4, 30, 80, 48, 70, 50, 150, 150, 60), cpts, cws},
 		tc{"coincident modes", cfg, modesAt(3, 47, 71, 50, 81, 42, 50, 47, 71, 50, 81, 42, 50), cpts, cws},
 		tc{"no modes", cfg, nil, cpts, cws},
+		tc{"zero and negative weights", cfg, cmodes, cpts, withNonPositive(cws)},
 		tc{"non-finite modes", cfg, []Mode{
 			{Point: []float64{math.NaN(), 71, 50}},
 			{Point: []float64{47, math.Inf(1), 50}},
@@ -337,7 +356,7 @@ func TestAssignMassMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, err := s.AssignMass(c.modes, c.pts, c.ws, cutoff)
+			got, err := s.AssignMass(c.modes, view(len(c.cfg.Bandwidth), c.pts, c.ws), cutoff)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,8 +430,10 @@ func gatherFindModes(t testing.TB, cfg Config, points, weights, starts []float64
 	return modes
 }
 
-// index scales the points and buckets every one of them, zero weights
-// included, by cell over their bounding box.
+// index scales the points and buckets every one of them by cell over
+// the bounding box of those with positive weight: the points with
+// weight ≤ 0 are bucketed too (the gather skips them) but, as in
+// Searcher.prepare, do not span the box.
 func (g *gatherSearch) index(points []float64) {
 	d := g.d
 	n := len(points) / d
@@ -424,6 +445,9 @@ func (g *gatherSearch) index(points []float64) {
 		}
 		p := geometry.V(g.scaled[j*d], g.scaled[j*d+1])
 		g.pts = append(g.pts, p)
+		if g.weights[j] <= 0 {
+			continue
+		}
 		lo.X = math.Min(lo.X, p.X)
 		lo.Y = math.Min(lo.Y, p.Y)
 		hi.X = math.Max(hi.X, p.X)
@@ -660,7 +684,7 @@ func TestCellScanMatchesGatherOracle(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8} {
 			cfg := c.cfg
 			cfg.Workers = workers
-			got, err := FindModes(cfg, c.pts, c.ws, c.starts)
+			got, err := newSearcher(t, cfg).FindModes(view(len(cfg.Bandwidth), c.pts, c.ws), c.starts)
 			if err != nil {
 				t.Fatal(err)
 			}

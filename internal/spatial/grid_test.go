@@ -1,9 +1,12 @@
 package spatial
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"radloc/internal/geometry"
 	"radloc/internal/rng"
@@ -11,6 +14,31 @@ import (
 
 func bounds100() geometry.Rect {
 	return geometry.NewRect(geometry.V(0, 0), geometry.V(100, 100))
+}
+
+// points holds the coordinate arrays a grid indexes, the way its
+// callers keep them: one array per axis.
+type points struct{ xs, ys []float64 }
+
+// rebuild indexes pts in g and returns the arrays g now reads.
+func rebuild(g *Grid, pts []geometry.Vec) *points {
+	p := &points{xs: make([]float64, len(pts)), ys: make([]float64, len(pts))}
+	for i, v := range pts {
+		p.xs[i], p.ys[i] = v.X, v.Y
+	}
+	g.Rebuild(p.xs, p.ys)
+	return p
+}
+
+// query is WithinRadiusSorted over p into a fresh slice.
+func (p *points) query(g *Grid, c geometry.Vec, r float64) []int {
+	return g.WithinRadiusSorted(c, r, p.xs, p.ys, nil)
+}
+
+// move sets item id's position in p and re-files it in g.
+func (p *points) move(g *Grid, id int, v geometry.Vec) {
+	p.xs[id], p.ys[id] = v.X, v.Y
+	g.Move(id, v)
 }
 
 // TestWithinRadiusMatchesBruteForce compares WithinRadiusSorted with
@@ -24,12 +52,12 @@ func TestWithinRadiusMatchesBruteForce(t *testing.T) {
 		pts[i] = geometry.V(s.Uniform(-5, 105), s.Uniform(-5, 105))
 	}
 	g := NewGrid(bounds100(), 10)
-	g.Rebuild(pts)
+	p := rebuild(g, pts)
 
 	for trial := 0; trial < 50; trial++ {
 		c := geometry.V(s.Uniform(-10, 110), s.Uniform(-10, 110))
 		r := s.Uniform(0, 40)
-		got := g.WithinRadiusSorted(c, r, nil)
+		got := p.query(g, c, r)
 		var want []int
 		for i, p := range pts {
 			if p.Dist2(c) <= r*r {
@@ -54,15 +82,15 @@ func TestOutOfBoundsPointsRetained(t *testing.T) {
 		geometry.V(150, 150),
 		geometry.V(50, 50),
 	}
-	g.Rebuild(pts)
-	if len(g.pos) != 3 {
-		t.Fatalf("%d items indexed, want 3", len(g.pos))
+	p := rebuild(g, pts)
+	if len(g.cellOf) != 3 {
+		t.Fatalf("%d items indexed, want 3", len(g.cellOf))
 	}
-	got := g.WithinRadiusSorted(geometry.V(-50, -50), 1, nil)
+	got := p.query(g, geometry.V(-50, -50), 1)
 	if len(got) != 1 || got[0] != 0 {
 		t.Errorf("out-of-bounds point not found: %v", got)
 	}
-	got = g.WithinRadiusSorted(geometry.V(150, 150), 1, nil)
+	got = p.query(g, geometry.V(150, 150), 1)
 	if len(got) != 1 || got[0] != 1 {
 		t.Errorf("far out-of-bounds point not found: %v", got)
 	}
@@ -70,31 +98,31 @@ func TestOutOfBoundsPointsRetained(t *testing.T) {
 
 func TestRebuildReplacesContents(t *testing.T) {
 	g := NewGrid(bounds100(), 10)
-	g.Rebuild([]geometry.Vec{geometry.V(10, 10)})
-	g.Rebuild([]geometry.Vec{geometry.V(90, 90)})
-	if got := g.WithinRadiusSorted(geometry.V(10, 10), 5, nil); len(got) != 0 {
+	rebuild(g, []geometry.Vec{geometry.V(10, 10)})
+	p := rebuild(g, []geometry.Vec{geometry.V(90, 90)})
+	if got := p.query(g, geometry.V(10, 10), 5); len(got) != 0 {
 		t.Errorf("stale point survived rebuild: %v", got)
 	}
-	if got := g.WithinRadiusSorted(geometry.V(90, 90), 5, nil); len(got) != 1 {
+	if got := p.query(g, geometry.V(90, 90), 5); len(got) != 1 {
 		t.Errorf("new point missing: %v", got)
 	}
 }
 
 func TestEdgeCases(t *testing.T) {
 	g := NewGrid(bounds100(), 10)
-	g.Rebuild(nil)
-	if len(g.pos) != 0 {
-		t.Errorf("empty rebuild indexed %d items", len(g.pos))
+	p := rebuild(g, nil)
+	if len(g.cellOf) != 0 {
+		t.Errorf("empty rebuild indexed %d items", len(g.cellOf))
 	}
-	if got := g.WithinRadiusSorted(geometry.V(50, 50), 10, nil); len(got) != 0 {
+	if got := p.query(g, geometry.V(50, 50), 10); len(got) != 0 {
 		t.Errorf("query on empty grid: %v", got)
 	}
-	g.Rebuild([]geometry.Vec{geometry.V(50, 50)})
-	if got := g.WithinRadiusSorted(geometry.V(50, 50), -1, nil); len(got) != 0 {
+	p = rebuild(g, []geometry.Vec{geometry.V(50, 50)})
+	if got := p.query(g, geometry.V(50, 50), -1); len(got) != 0 {
 		t.Errorf("negative radius: %v", got)
 	}
 	// Radius 0 finds exactly coincident points.
-	if got := g.WithinRadiusSorted(geometry.V(50, 50), 0, nil); len(got) != 1 {
+	if got := p.query(g, geometry.V(50, 50), 0); len(got) != 1 {
 		t.Errorf("zero radius: %v", got)
 	}
 }
@@ -105,32 +133,32 @@ func TestDegenerateCellSizes(t *testing.T) {
 	if g.geo.size <= 0 {
 		t.Errorf("cell size = %v", g.geo.size)
 	}
-	g.Rebuild([]geometry.Vec{geometry.V(1, 1), geometry.V(99, 99)})
-	if got := g.WithinRadiusSorted(geometry.V(0, 0), 5, nil); len(got) != 1 {
+	p := rebuild(g, []geometry.Vec{geometry.V(1, 1), geometry.V(99, 99)})
+	if got := p.query(g, geometry.V(0, 0), 5); len(got) != 1 {
 		t.Errorf("fallback grid query: %v", got)
 	}
 
 	// A tiny cell size over a big area must not explode memory: the
 	// constructor caps total cells.
 	big := NewGrid(geometry.NewRect(geometry.V(0, 0), geometry.V(1e6, 1e6)), 1e-6)
-	big.Rebuild([]geometry.Vec{geometry.V(5e5, 5e5)})
-	if got := big.WithinRadiusSorted(geometry.V(5e5, 5e5), 1, nil); len(got) != 1 {
+	p = rebuild(big, []geometry.Vec{geometry.V(5e5, 5e5)})
+	if got := p.query(big, geometry.V(5e5, 5e5), 1); len(got) != 1 {
 		t.Errorf("capped grid query: %v", got)
 	}
 
 	// Zero-area bounds still work.
 	pt := NewGrid(geometry.NewRect(geometry.V(3, 3), geometry.V(3, 3)), 0)
-	pt.Rebuild([]geometry.Vec{geometry.V(3, 3)})
-	if got := pt.WithinRadiusSorted(geometry.V(3, 3), 1, nil); len(got) != 1 {
+	p = rebuild(pt, []geometry.Vec{geometry.V(3, 3)})
+	if got := p.query(pt, geometry.V(3, 3), 1); len(got) != 1 {
 		t.Errorf("point-bounds grid query: %v", got)
 	}
 }
 
 func TestDstReuse(t *testing.T) {
 	g := NewGrid(bounds100(), 10)
-	g.Rebuild([]geometry.Vec{geometry.V(10, 10), geometry.V(12, 10)})
+	p := rebuild(g, []geometry.Vec{geometry.V(10, 10), geometry.V(12, 10)})
 	buf := make([]int, 0, 8)
-	out := g.WithinRadiusSorted(geometry.V(11, 10), 5, buf)
+	out := g.WithinRadiusSorted(geometry.V(11, 10), 5, p.xs, p.ys, buf)
 	if len(out) != 2 {
 		t.Fatalf("hits = %v", out)
 	}
@@ -148,10 +176,10 @@ func TestWithinRadiusProperty(t *testing.T) {
 			pts[i] = geometry.V(s.Uniform(0, 100), s.Uniform(0, 100))
 		}
 		g := NewGrid(bounds100(), 7)
-		g.Rebuild(pts)
+		p := rebuild(g, pts)
 		c := geometry.V(float64(cx%120)-10, float64(cy%120)-10)
 		r := float64(rr % 50)
-		got := g.WithinRadiusSorted(c, r, nil)
+		got := p.query(g, c, r)
 		want := 0
 		for _, p := range pts {
 			if p.Dist2(c) <= r*r {
@@ -167,7 +195,7 @@ func TestWithinRadiusProperty(t *testing.T) {
 
 // unsortedWithinRadius is the plain cell walk WithinRadiusSorted
 // performs, appending hits in bucket order instead of marking a bitset.
-func unsortedWithinRadius(g *Grid, center geometry.Vec, r float64) []int {
+func unsortedWithinRadius(g *Grid, p *points, center geometry.Vec, r float64) []int {
 	var dst []int
 	if r < 0 {
 		return dst
@@ -177,7 +205,7 @@ func unsortedWithinRadius(g *Grid, center geometry.Vec, r float64) []int {
 	for cy := y0; cy <= y1; cy++ {
 		for cx := x0; cx <= x1; cx++ {
 			for _, id := range g.cells[cy*g.geo.nx+cx] {
-				if g.pos[id].Dist2(center) <= r*r {
+				if geometry.V(p.xs[id], p.ys[id]).Dist2(center) <= r*r {
 					dst = append(dst, int(id))
 				}
 			}
@@ -197,13 +225,13 @@ func TestWithinRadiusSortedMatchesUnsorted(t *testing.T) {
 		pts[i] = geometry.V(s.Uniform(-5, 105), s.Uniform(-5, 105))
 	}
 	g := NewGrid(bounds100(), 7)
-	g.Rebuild(pts)
+	p := rebuild(g, pts)
 
 	for trial := 0; trial < 60; trial++ {
 		c := geometry.V(s.Uniform(-10, 110), s.Uniform(-10, 110))
 		r := s.Uniform(0, 50)
-		plain := unsortedWithinRadius(g, c, r)
-		sorted := g.WithinRadiusSorted(c, r, nil)
+		plain := unsortedWithinRadius(g, p, c, r)
+		sorted := p.query(g, c, r)
 		if !sort.IntsAreSorted(sorted) {
 			t.Fatalf("trial %d: WithinRadiusSorted returned unsorted IDs", trial)
 		}
@@ -232,26 +260,23 @@ func TestWithinRadiusSortedIndependentOfMoveHistory(t *testing.T) {
 	for i := range start {
 		start[i] = geometry.V(s.Uniform(0, 100), s.Uniform(0, 100))
 	}
-	final := make([]geometry.Vec, n)
-	copy(final, start)
 
 	moved := NewGrid(bounds100(), 9)
-	moved.Rebuild(start)
+	p := rebuild(moved, start)
 	// Shuffle bucket order with a long, overlapping move history.
 	for step := 0; step < 3000; step++ {
-		id := s.IntN(n)
-		final[id] = geometry.V(s.Uniform(0, 100), s.Uniform(0, 100))
-		moved.Move(id, final[id])
+		p.move(moved, s.IntN(n), geometry.V(s.Uniform(0, 100), s.Uniform(0, 100)))
 	}
 
+	// The rebuilt grid reads the same arrays, holding the final positions.
 	rebuilt := NewGrid(bounds100(), 9)
-	rebuilt.Rebuild(final)
+	rebuilt.Rebuild(p.xs, p.ys)
 
 	for trial := 0; trial < 40; trial++ {
 		c := geometry.V(s.Uniform(0, 100), s.Uniform(0, 100))
 		r := s.Uniform(1, 45)
-		a := moved.WithinRadiusSorted(c, r, nil)
-		b := rebuilt.WithinRadiusSorted(c, r, nil)
+		a := p.query(moved, c, r)
+		b := p.query(rebuilt, c, r)
 		if len(a) != len(b) {
 			t.Fatalf("trial %d: moved grid found %d, rebuilt %d", trial, len(a), len(b))
 		}
@@ -305,8 +330,8 @@ func (o *linearMoveOracle) move(id int, p geometry.Vec) {
 // concentrated moves that keep buckets crowded, moves that stay in
 // their cell, moves out of bounds (clamped to border cells) — against
 // the linear-search oracle. Every bucket must hold the same IDs in the
-// same order after every move, and every item's slot must point back
-// at it.
+// same order after every move, and every item's cell and slot must
+// point back at it.
 func TestMoveMatchesLinearSearch(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		s := rng.New(41, seed)
@@ -316,20 +341,20 @@ func TestMoveMatchesLinearSearch(t *testing.T) {
 			pts[i] = geometry.V(s.Normal(50, 8), s.Normal(50, 8))
 		}
 		g := NewGrid(bounds100(), 7)
-		g.Rebuild(pts)
+		ps := rebuild(g, pts)
 		o := newLinearMoveOracle(g, pts)
 		for step := 0; step < 2000; step++ {
 			id := s.IntN(n)
 			var p geometry.Vec
 			switch s.IntN(4) {
 			case 0: // stay near: often the same cell
-				p = geometry.V(g.pos[id].X+s.Normal(0, 0.5), g.pos[id].Y+s.Normal(0, 0.5))
+				p = geometry.V(ps.xs[id]+s.Normal(0, 0.5), ps.ys[id]+s.Normal(0, 0.5))
 			case 1: // anywhere, out of bounds included
 				p = geometry.V(s.Uniform(-20, 120), s.Uniform(-20, 120))
 			default: // concentrated
 				p = geometry.V(s.Normal(50, 4), s.Normal(50, 4))
 			}
-			g.Move(id, p)
+			ps.move(g, id, p)
 			o.move(id, p)
 			for c := range g.cells {
 				if len(g.cells[c]) != len(o.cells[c]) {
@@ -342,8 +367,60 @@ func TestMoveMatchesLinearSearch(t *testing.T) {
 					if g.slotOf[v] != int32(i) {
 						t.Fatalf("seed %d step %d: item %d at slot %d, slotOf says %d", seed, step, v, i, g.slotOf[v])
 					}
+					if g.cellOf[v] != int32(c) {
+						t.Fatalf("seed %d step %d: item %d in cell %d, cellOf says %d", seed, step, v, c, g.cellOf[v])
+					}
 				}
 			}
+		}
+	}
+}
+
+// returnsWithin fails the test unless fn returns within a few seconds:
+// the guard for inputs that once sent the cell sizing into an endless
+// loop. A hung fn is left running; the failure is what matters.
+func returnsWithin(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return", what)
+	}
+}
+
+// TestNonFiniteBoundsTerminate: bounds with an infinite or NaN extent
+// get one cell instead of doubling the cell size forever, so a
+// non-finite point can neither hang a grid over it nor lose any finite
+// point.
+func TestNonFiniteBoundsTerminate(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, b := range []geometry.Rect{
+		geometry.NewRect(geometry.V(0, 0), geometry.V(inf, inf)),
+		geometry.NewRect(geometry.V(-inf, 0), geometry.V(inf, 10)),
+		geometry.NewRect(geometry.V(0, 0), geometry.V(nan, 10)),
+	} {
+		var c Cells
+		returnsWithin(t, fmt.Sprintf("NewCells(%v)", b), func() { c = NewCells(b, 1) })
+		if nx, ny := c.Dims(); nx != 1 || ny != 1 {
+			t.Errorf("NewCells(%v) has %d×%d cells, want 1×1", b, nx, ny)
+		}
+	}
+	if c := NewCells(bounds100(), nan); c.size <= 0 || c.nx*c.ny > 1<<20 {
+		t.Errorf("NaN cell size gave size %v, %d×%d cells", c.size, c.nx, c.ny)
+	}
+
+	pts := []geometry.Vec{geometry.V(inf, 5), geometry.V(nan, nan), geometry.V(50, 50), geometry.V(-inf, -inf)}
+	for _, b := range []geometry.Rect{bounds100(), geometry.NewRect(geometry.V(0, 0), geometry.V(inf, inf))} {
+		g := NewGrid(b, 10)
+		var p *points
+		returnsWithin(t, "Rebuild with non-finite points", func() { p = rebuild(g, pts) })
+		if got := p.query(g, geometry.V(50, 50), 1); len(got) != 1 || got[0] != 2 {
+			t.Errorf("bounds %v: finite point query = %v, want [2]", b, got)
 		}
 	}
 }
