@@ -74,12 +74,13 @@ type Localizer struct {
 
 	// Per-reading scratch, sized to the selected subset: it grows on
 	// demand (see grow) to the largest subset seen, so once warm the
-	// steady-state ingest path allocates nothing.
-	idsBuf    []int
-	logBuf    []float64
-	cdfBuf    []float64
+	// steady-state ingest path allocates nothing. subBuf holds the
+	// subset's log-posteriors, then in place their cumulative
+	// distribution, then — once resample has drawn its picks — the
+	// survivors' x.
+	idsBuf    []int32
+	subBuf    []float64
 	pickBuf   []int32
-	sxBuf     []float64 // resample survivors, x
 	syBuf     []float64 // resample survivors, y
 	ssBuf     []float64 // resample survivors, strength
 	chunkMax  []float64 // per-chunk max log-posterior partials
@@ -242,21 +243,20 @@ func (l *Localizer) parallelWeighting(k int) bool {
 	return l.cfg.Workers > 1 && k > weightChunkSize
 }
 
-// weigh computes the log-posterior of every selected particle, reduces
-// the result to a cumulative selection distribution in cdfBuf, and
-// returns the distribution's total mass together with the subset's
+// weigh computes the log-posterior of every selected particle into
+// subBuf, turns it in place into a cumulative selection distribution,
+// and returns the distribution's total mass together with the subset's
 // prior mass share.
 //
 // The subset is processed in fixed-size chunks. Each chunk fills its
-// disjoint logBuf range and produces (max, mass) partials; partials
+// disjoint subBuf range and produces (max, mass) partials; partials
 // combine in chunk order. The chunking is identical whether chunks run
 // on the calling goroutine or on Workers goroutines, which is what
 // makes the result — and all downstream filter state — bit-identical
 // across worker counts.
-func (l *Localizer) weigh(sen sensor.Sensor, cpm int, ids []int, fused bool) (cum, priorMass float64) {
+func (l *Localizer) weigh(sen sensor.Sensor, cpm int, ids []int32, fused bool) (cum, priorMass float64) {
 	k := len(ids)
-	l.logBuf = grow(l.logBuf, k, len(l.xs))
-	l.cdfBuf = grow(l.cdfBuf, k, len(l.xs))
+	l.subBuf = grow(l.subBuf, k, len(l.xs))
 	nChunks := (k + weightChunkSize - 1) / weightChunkSize
 	chunkMax := l.chunkMax[:nChunks]
 	chunkMass := l.chunkMass[:nChunks]
@@ -298,19 +298,19 @@ func (l *Localizer) weigh(sen sensor.Sensor, cpm int, ids []int, fused bool) (cu
 		// The whole neighbourhood is massless; revive it uniformly so
 		// resampling below is well defined.
 		priorMass = float64(k) / float64(len(l.ws))
-		for i := range l.logBuf {
-			l.logBuf[i] = 0
+		for i := range l.subBuf {
+			l.subBuf[i] = 0
 		}
 		maxLog = 0
 	}
 
 	// Posterior selection probabilities within the subset: exponentiate
-	// (chunked, element-wise, so worker counts cannot change the
-	// values), then a sequential prefix sum builds the cdf.
+	// in place (chunked, element-wise, so worker counts cannot change
+	// the values), then a sequential in-place prefix sum builds the cdf.
 	if math.IsInf(maxLog, -1) {
 		// Nothing in the subset can explain the reading at all; fall
 		// back to uniform selection so diversity survives.
-		return uniformCDF(l.cdfBuf), priorMass
+		return uniformCDF(l.subBuf), priorMass
 	}
 	if l.parallelWeighting(k) {
 		l.runChunks(nChunks, func(c int) {
@@ -322,22 +322,22 @@ func (l *Localizer) weigh(sen sensor.Sensor, cpm int, ids []int, fused bool) (cu
 		}
 	}
 	cum = 0
-	for i := range l.cdfBuf {
-		cum += l.cdfBuf[i]
-		l.cdfBuf[i] = cum
+	for i := range l.subBuf {
+		cum += l.subBuf[i]
+		l.subBuf[i] = cum
 	}
 	if cum <= 0 {
-		return uniformCDF(l.cdfBuf), priorMass
+		return uniformCDF(l.subBuf), priorMass
 	}
 	return cum, priorMass
 }
 
 // weightChunk scores chunk c of the selected subset: it fills the
-// chunk's logBuf range with per-particle log-posteriors and records the
+// chunk's subBuf range with per-particle log-posteriors and records the
 // chunk's (max log, prior mass) partials. With fused set (inline
 // execution only) the movement model runs on each particle first, so
 // prediction and weighting make one pass over the subset.
-func (l *Localizer) weightChunk(c int, ids []int, sen sensor.Sensor, cpm int, kf, lgk, effC, bg float64, fused bool) {
+func (l *Localizer) weightChunk(c int, ids []int32, sen sensor.Sensor, cpm int, kf, lgk, effC, bg float64, fused bool) {
 	lo := c * weightChunkSize
 	hi := lo + weightChunkSize
 	if hi > len(ids) {
@@ -365,7 +365,7 @@ func (l *Localizer) weightChunk(c int, ids []int, sen sensor.Sensor, cpm int, kf
 		default:
 			ll = math.Inf(-1)
 		}
-		l.logBuf[i] = ll
+		l.subBuf[i] = ll
 		if ll > cMax {
 			cMax = ll
 		}
@@ -375,8 +375,8 @@ func (l *Localizer) weightChunk(c int, ids []int, sen sensor.Sensor, cpm int, kf
 	l.chunkMass[c] = cMass
 }
 
-// expChunk exponentiates chunk c of logBuf into cdfBuf (element-wise,
-// so chunk scheduling cannot change the values).
+// expChunk exponentiates chunk c of subBuf in place (element-wise, so
+// chunk scheduling cannot change the values).
 func (l *Localizer) expChunk(c, k int, maxLog float64) {
 	lo := c * weightChunkSize
 	hi := lo + weightChunkSize
@@ -384,7 +384,7 @@ func (l *Localizer) expChunk(c, k int, maxLog float64) {
 		hi = k
 	}
 	for i := lo; i < hi; i++ {
-		l.cdfBuf[i] = math.Exp(l.logBuf[i] - maxLog)
+		l.subBuf[i] = math.Exp(l.subBuf[i] - maxLog)
 	}
 }
 
@@ -449,11 +449,11 @@ func (l *Localizer) runChunks(nChunks int, fn func(c int)) {
 // selectParticles implements Eq. (5): P' = {p : ‖S_i − p‖ ≤ d_i}. With
 // the fusion range disabled every particle is selected (the classic
 // formulation of Fig. 2).
-func (l *Localizer) selectParticles(sen sensor.Sensor) []int {
+func (l *Localizer) selectParticles(sen sensor.Sensor) []int32 {
 	if l.cfg.DisableFusionRange {
 		l.idsBuf = grow(l.idsBuf, len(l.xs), len(l.xs))
 		for i := range l.idsBuf {
-			l.idsBuf[i] = i
+			l.idsBuf[i] = int32(i)
 		}
 		return l.idsBuf
 	}
@@ -472,7 +472,7 @@ func (l *Localizer) selectParticles(sen sensor.Sensor) []int {
 }
 
 // resample draws len(ids) survivors from the subset via systematic
-// resampling over the cumulative posterior cdfBuf (total mass cum),
+// resampling over the cumulative posterior in subBuf (total mass cum),
 // jitters duplicates (V-E), injects fresh random particles, and
 // restores the subset's prior mass share uniformly across survivors —
 // the "uniform weights" reset of Section V-E, which keeps the selective
@@ -480,7 +480,7 @@ func (l *Localizer) selectParticles(sen sensor.Sensor) []int {
 // reused scratch arrays and the spatial index is moved incrementally:
 // the stage allocates nothing and the index never pays a full rebuild
 // for a partial update.
-func (l *Localizer) resample(ids []int, cum, priorMass float64) {
+func (l *Localizer) resample(ids []int32, cum, priorMass float64) {
 	n := len(ids)
 	l.pickBuf = grow(l.pickBuf, n, len(l.xs))
 	step := cum / float64(n)
@@ -488,7 +488,7 @@ func (l *Localizer) resample(ids []int, cum, priorMass float64) {
 	j := 0
 	for k := 0; k < n; k++ {
 		target := u + float64(k)*step
-		for j < n-1 && l.cdfBuf[j] < target {
+		for j < n-1 && l.subBuf[j] < target {
 			j++
 		}
 		l.pickBuf[k] = int32(j)
@@ -498,11 +498,11 @@ func (l *Localizer) resample(ids []int, cum, priorMass float64) {
 	// duplicate is any pick equal to its predecessor; the first copy
 	// keeps the exact parameters, later copies are jittered. The
 	// two-phase copy (gather, then write back) keeps later picks from
-	// reading slots an earlier write already clobbered.
-	l.sxBuf = grow(l.sxBuf, n, len(l.xs))
+	// reading slots an earlier write already clobbered. The cdf is dead
+	// once the picks are drawn, so the survivors' x reuse its buffer.
 	l.syBuf = grow(l.syBuf, n, len(l.xs))
 	l.ssBuf = grow(l.ssBuf, n, len(l.xs))
-	sx, sy, ss := l.sxBuf, l.syBuf, l.ssBuf
+	sx, sy, ss := l.subBuf, l.syBuf, l.ssBuf
 	for k := 0; k < n; k++ {
 		src := ids[l.pickBuf[k]]
 		x, y, s := l.xs[src], l.ys[src], l.ss[src]
@@ -550,7 +550,7 @@ func (l *Localizer) resample(ids []int, cum, priorMass float64) {
 		l.ws[id] = w
 		l.lws[id] = lw
 		if liveGrid {
-			l.grid.Move(id, geometry.V(sx[k], sy[k]))
+			l.grid.Move(int(id), geometry.V(sx[k], sy[k]))
 		}
 	}
 }

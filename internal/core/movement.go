@@ -68,7 +68,7 @@ func (c ConstantVelocity) Move(pos geometry.Vec, strength float64, stream *rng.S
 
 // applyMovement runs the configured movement model over the selected
 // particles (the prediction step producing P” from P').
-func (l *Localizer) applyMovement(ids []int) {
+func (l *Localizer) applyMovement(ids []int32) {
 	if l.cfg.Movement == nil {
 		return
 	}

@@ -3,7 +3,7 @@ package spatial
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -31,7 +31,7 @@ func rebuild(g *Grid, pts []geometry.Vec) *points {
 }
 
 // query is WithinRadiusSorted over p into a fresh slice.
-func (p *points) query(g *Grid, c geometry.Vec, r float64) []int {
+func (p *points) query(g *Grid, c geometry.Vec, r float64) []int32 {
 	return g.WithinRadiusSorted(c, r, p.xs, p.ys, nil)
 }
 
@@ -58,10 +58,10 @@ func TestWithinRadiusMatchesBruteForce(t *testing.T) {
 		c := geometry.V(s.Uniform(-10, 110), s.Uniform(-10, 110))
 		r := s.Uniform(0, 40)
 		got := p.query(g, c, r)
-		var want []int
+		var want []int32
 		for i, p := range pts {
 			if p.Dist2(c) <= r*r {
-				want = append(want, i)
+				want = append(want, int32(i))
 			}
 		}
 		if len(got) != len(want) {
@@ -157,7 +157,7 @@ func TestDegenerateCellSizes(t *testing.T) {
 func TestDstReuse(t *testing.T) {
 	g := NewGrid(bounds100(), 10)
 	p := rebuild(g, []geometry.Vec{geometry.V(10, 10), geometry.V(12, 10)})
-	buf := make([]int, 0, 8)
+	buf := make([]int32, 0, 8)
 	out := g.WithinRadiusSorted(geometry.V(11, 10), 5, p.xs, p.ys, buf)
 	if len(out) != 2 {
 		t.Fatalf("hits = %v", out)
@@ -193,10 +193,29 @@ func TestWithinRadiusProperty(t *testing.T) {
 	}
 }
 
+// cellSlots returns the slab positions of cell c's items in cell
+// order: its chunk chain from first to last, the last chunk holding
+// only the items past the full ones.
+func cellSlots(g *Grid, c int) []int32 {
+	var chain []int32
+	for k := g.cells[c].tail; k >= 0; k = g.prev[k] {
+		chain = append(chain, k)
+	}
+	slices.Reverse(chain)
+	n := int(g.cells[c].count)
+	var slots []int32
+	for _, k := range chain {
+		for off := int32(0); off < chunkLen && len(slots) < n; off++ {
+			slots = append(slots, k*chunkLen+off)
+		}
+	}
+	return slots
+}
+
 // unsortedWithinRadius is the plain cell walk WithinRadiusSorted
-// performs, appending hits in bucket order instead of marking a bitset.
-func unsortedWithinRadius(g *Grid, p *points, center geometry.Vec, r float64) []int {
-	var dst []int
+// performs, appending hits in cell order instead of marking a bitset.
+func unsortedWithinRadius(g *Grid, p *points, center geometry.Vec, r float64) []int32 {
+	var dst []int32
 	if r < 0 {
 		return dst
 	}
@@ -204,9 +223,10 @@ func unsortedWithinRadius(g *Grid, p *points, center geometry.Vec, r float64) []
 	x1, y1 := g.geo.Coords(geometry.V(center.X+r, center.Y+r))
 	for cy := y0; cy <= y1; cy++ {
 		for cx := x0; cx <= x1; cx++ {
-			for _, id := range g.cells[cy*g.geo.nx+cx] {
+			for _, slot := range cellSlots(g, cy*g.geo.nx+cx) {
+				id := g.store[slot]
 				if geometry.V(p.xs[id], p.ys[id]).Dist2(center) <= r*r {
-					dst = append(dst, int(id))
+					dst = append(dst, id)
 				}
 			}
 		}
@@ -216,7 +236,7 @@ func unsortedWithinRadius(g *Grid, p *points, center geometry.Vec, r float64) []
 
 // TestWithinRadiusSortedMatchesUnsorted pins the sorted query's
 // contract: the same membership as a plain walk of the overlapped
-// cells' buckets, always in ascending ID order, for points and discs
+// cells' chunks, always in ascending ID order, for points and discs
 // inside and outside the bounds.
 func TestWithinRadiusSortedMatchesUnsorted(t *testing.T) {
 	s := rng.New(9, 4)
@@ -232,10 +252,10 @@ func TestWithinRadiusSortedMatchesUnsorted(t *testing.T) {
 		r := s.Uniform(0, 50)
 		plain := unsortedWithinRadius(g, p, c, r)
 		sorted := p.query(g, c, r)
-		if !sort.IntsAreSorted(sorted) {
+		if !slices.IsSorted(sorted) {
 			t.Fatalf("trial %d: WithinRadiusSorted returned unsorted IDs", trial)
 		}
-		sort.Ints(plain)
+		slices.Sort(plain)
 		if len(plain) != len(sorted) {
 			t.Fatalf("trial %d: sorted returned %d IDs, unsorted %d", trial, len(sorted), len(plain))
 		}
@@ -248,9 +268,9 @@ func TestWithinRadiusSortedMatchesUnsorted(t *testing.T) {
 }
 
 // TestWithinRadiusSortedIndependentOfMoveHistory is the determinism
-// property the filter's selection stage rests on: the grid's bucket
+// property the filter's selection stage rests on: the grid's in-cell
 // order depends on the sequence of Move calls (swap-remove reorders
-// buckets), but WithinRadiusSorted must be a pure function of the
+// cells), but WithinRadiusSorted must be a pure function of the
 // current positions — identical results whether the grid got
 // there by incremental moves or by one bulk Rebuild.
 func TestWithinRadiusSortedIndependentOfMoveHistory(t *testing.T) {
@@ -263,7 +283,7 @@ func TestWithinRadiusSortedIndependentOfMoveHistory(t *testing.T) {
 
 	moved := NewGrid(bounds100(), 9)
 	p := rebuild(moved, start)
-	// Shuffle bucket order with a long, overlapping move history.
+	// Shuffle in-cell order with a long, overlapping move history.
 	for step := 0; step < 3000; step++ {
 		p.move(moved, s.IntN(n), geometry.V(s.Uniform(0, 100), s.Uniform(0, 100)))
 	}
@@ -288,11 +308,11 @@ func TestWithinRadiusSortedIndependentOfMoveHistory(t *testing.T) {
 	}
 }
 
-// linearMoveOracle replays Moves the way Grid.Move did before it
-// tracked each item's slot: find the item by a linear search of its
-// old cell's bucket, swap the bucket's last item into its place, and
-// append it to the new cell's bucket. Cells come from the grid under
-// test, which the oracle never moves.
+// linearMoveOracle replays Moves over plain per-cell buckets, the way
+// Grid.Move did before it tracked each item's slot: find the item by a
+// linear search of its old cell's bucket, swap the bucket's last item
+// into its place, and append it to the new cell's bucket. Cells come
+// from the grid under test, which the oracle never moves.
 type linearMoveOracle struct {
 	g      *Grid
 	cells  [][]int32
@@ -329,9 +349,9 @@ func (o *linearMoveOracle) move(id int, p geometry.Vec) {
 // TestMoveMatchesLinearSearch replays seeded random Move sequences —
 // concentrated moves that keep buckets crowded, moves that stay in
 // their cell, moves out of bounds (clamped to border cells) — against
-// the linear-search oracle. Every bucket must hold the same IDs in the
-// same order after every move, and every item's cell and slot must
-// point back at it.
+// the linear-search oracle. Every cell's chunk chain must hold the
+// same IDs in the same order as the oracle's bucket after every move,
+// and every item's cell and slab slot must point back at it.
 func TestMoveMatchesLinearSearch(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		s := rng.New(41, seed)
@@ -357,15 +377,17 @@ func TestMoveMatchesLinearSearch(t *testing.T) {
 			ps.move(g, id, p)
 			o.move(id, p)
 			for c := range g.cells {
-				if len(g.cells[c]) != len(o.cells[c]) {
-					t.Fatalf("seed %d step %d: cell %d holds %d items, oracle %d", seed, step, c, len(g.cells[c]), len(o.cells[c]))
+				slots := cellSlots(g, c)
+				if len(slots) != len(o.cells[c]) {
+					t.Fatalf("seed %d step %d: cell %d holds %d items, oracle %d", seed, step, c, len(slots), len(o.cells[c]))
 				}
-				for i, v := range g.cells[c] {
+				for i, slot := range slots {
+					v := g.store[slot]
 					if v != o.cells[c][i] {
-						t.Fatalf("seed %d step %d: cell %d slot %d = %d, oracle %d", seed, step, c, i, v, o.cells[c][i])
+						t.Fatalf("seed %d step %d: cell %d item %d = %d, oracle %d", seed, step, c, i, v, o.cells[c][i])
 					}
-					if g.slotOf[v] != int32(i) {
-						t.Fatalf("seed %d step %d: item %d at slot %d, slotOf says %d", seed, step, v, i, g.slotOf[v])
+					if g.slotOf[v] != slot {
+						t.Fatalf("seed %d step %d: item %d at slot %d, slotOf says %d", seed, step, v, slot, g.slotOf[v])
 					}
 					if g.cellOf[v] != int32(c) {
 						t.Fatalf("seed %d step %d: item %d in cell %d, cellOf says %d", seed, step, v, c, g.cellOf[v])
@@ -373,6 +395,67 @@ func TestMoveMatchesLinearSearch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSlabFollowsOccupancy drives a narrow hotspot of items across the
+// grid and back, so every cell it visits peaks and then empties. The
+// slab grows only when no chunk is free, when every chunk is in use
+// and each non-empty cell holds at most one partial chunk, so it may
+// never exceed n + chunkLen × the most cells ever non-empty at once.
+// Buckets that kept each visited cell's peak would hold the sum of the
+// peaks, several times n. Free chunks must be exactly the ones no cell
+// uses.
+func TestSlabFollowsOccupancy(t *testing.T) {
+	s := rng.New(17, 3)
+	n := 2000
+	pts := make([]geometry.Vec, n)
+	for i := range pts {
+		pts[i] = geometry.V(s.Normal(10, 2), s.Normal(10, 2))
+	}
+	g := NewGrid(bounds100(), 7)
+	ps := rebuild(g, pts)
+	peak := make([]int, len(g.cells)) // each cell's most items at once
+	nonEmpty := func() int {
+		k := 0
+		for c, cl := range g.cells {
+			peak[c] = max(peak[c], int(cl.count))
+			if cl.count > 0 {
+				k++
+			}
+		}
+		return k
+	}
+	maxNonEmpty := nonEmpty()
+	for step := 0; step < 60000; step++ {
+		// The hotspot's centre sweeps the diagonal out and back twice.
+		f := math.Abs(math.Mod(float64(step)/15000, 2) - 1)
+		hx := 90 - 80*f
+		ps.move(g, s.IntN(n), geometry.V(s.Normal(hx, 2), s.Normal(hx, 2)))
+		maxNonEmpty = max(maxNonEmpty, nonEmpty())
+	}
+
+	bound := n + chunkLen*maxNonEmpty
+	if len(g.store) > bound {
+		t.Errorf("slab holds %d slots, want at most %d (n %d, at most %d non-empty cells)", len(g.store), bound, n, maxNonEmpty)
+	}
+	peaks := 0
+	for _, p := range peak {
+		peaks += p
+	}
+	if peaks <= bound {
+		t.Fatalf("cell peaks sum to %d, within the bound %d: the sweep cannot tell the slab from per-cell buckets", peaks, bound)
+	}
+	used := 0
+	for c := range g.cells {
+		used += (len(cellSlots(g, c)) + chunkLen - 1) / chunkLen
+	}
+	freeChunks := 0
+	for k := g.free; k >= 0; k = g.prev[k] {
+		freeChunks++
+	}
+	if used+freeChunks != len(g.prev) {
+		t.Errorf("%d chunks in cells + %d free, slab has %d", used, freeChunks, len(g.prev))
 	}
 }
 
