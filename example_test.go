@@ -67,20 +67,3 @@ func ExampleMatch() {
 	// false negatives: 1
 	// source 1 error: 1.41
 }
-
-// ExampleNewSPRT shows the detection stage: a sequential test decides
-// whether a sensor's counts are background or source-elevated.
-func ExampleNewSPRT() {
-	test, err := radloc.NewSPRT(radloc.SPRTConfig{Background: 5, MinElevation: 10})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	var d radloc.Decision
-	for i := 0; i < 100 && d != radloc.SourcePresent; i++ {
-		d = test.Observe(60) // well above background
-	}
-	fmt.Println(d)
-	// Output:
-	// source-present
-}

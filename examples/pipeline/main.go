@@ -1,7 +1,6 @@
-// Pipeline: the full defense workflow the paper's introduction
-// motivates — continuous SPRT monitoring detects that sources have
-// appeared, the alarm triggers localization, and the localizer reports
-// how many sources there are and where. Rendered live as ASCII maps.
+// Pipeline: the localization workflow end to end — the sensor network
+// streams readings, the localizer reports how many sources there are
+// and where, and the result is rendered as an ASCII map.
 //
 //	go run ./examples/pipeline
 package main
@@ -18,43 +17,7 @@ func main() {
 	sc := radloc.ScenarioA(50, false)
 	stream := rng.NewNamed(31, "pipeline/measure")
 
-	// Phase 1 — detection: every sensor runs a sequential test for a
-	// ≥ 5 CPM elevation over its background.
-	cfgs := make([]radloc.SPRTConfig, len(sc.Sensors))
-	for i, sen := range sc.Sensors {
-		cfgs[i] = radloc.SPRTConfig{Background: sen.Background, MinElevation: 5}
-	}
-	monitor, err := radloc.NewDetectionMonitor(cfgs, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println("phase 1: monitoring (no sources yet)...")
-	for step := 0; step < 3; step++ {
-		for i, sen := range sc.Sensors {
-			m := sen.Measure(stream, nil, nil, step)
-			if alarmed, _ := monitor.Observe(i, m.CPM); alarmed {
-				log.Fatal("false alarm on pure background")
-			}
-		}
-	}
-	fmt.Println("  3 quiet steps, no alarm — as expected")
-	monitor.Reset()
-
-	fmt.Println("\nphase 2: two dirty bombs appear...")
-	alarmStep := -1
-	for step := 0; alarmStep < 0 && step < 10; step++ {
-		for i, sen := range sc.Sensors {
-			m := sen.Measure(stream, sc.Sources, nil, step)
-			if alarmed, _ := monitor.Observe(i, m.CPM); alarmed {
-				alarmStep = step
-				break
-			}
-		}
-	}
-	fmt.Printf("  ALARM raised at step %d by sensors %v\n", alarmStep, monitor.Triggered())
-
-	fmt.Println("\nphase 3: localization...")
+	fmt.Println("streaming readings into the localizer...")
 	loc, err := radloc.NewLocalizer(radloc.LocalizerConfig(sc))
 	if err != nil {
 		log.Fatal(err)

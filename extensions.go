@@ -2,16 +2,12 @@ package radloc
 
 import (
 	"io"
-	"time"
 
 	"radloc/internal/config"
 	"radloc/internal/core"
-	"radloc/internal/deploy"
-	"radloc/internal/detect"
 	"radloc/internal/diagnose"
 	"radloc/internal/eval"
 	"radloc/internal/fusion"
-	"radloc/internal/isotope"
 	"radloc/internal/mobile"
 	"radloc/internal/render"
 	"radloc/internal/replay"
@@ -30,70 +26,7 @@ type (
 	ConstantVelocity = core.ConstantVelocity
 )
 
-// Detection (SPRT alarms that gate localization).
-type (
-	// SPRT is a per-sensor sequential presence test.
-	SPRT = detect.SPRT
-	// SPRTConfig parameterizes a sequential test.
-	SPRTConfig = detect.Config
-	// DetectionMonitor fuses per-sensor tests into a network alarm.
-	DetectionMonitor = detect.Monitor
-	// Decision is the state of a sequential test.
-	Decision = detect.Decision
-)
-
-// Sequential-test decisions.
-const (
-	Undecided      = detect.Undecided
-	SourcePresent  = detect.SourcePresent
-	BackgroundOnly = detect.BackgroundOnly
-)
-
-// NewSPRT builds a per-sensor sequential presence test.
-func NewSPRT(cfg SPRTConfig) (*SPRT, error) { return detect.NewSPRT(cfg) }
-
-// NewDetectionMonitor builds one SPRT per sensor config; the alarm
-// raises when quorum sensors decide SourcePresent.
-func NewDetectionMonitor(cfgs []SPRTConfig, quorum int) (*DetectionMonitor, error) {
-	return detect.NewMonitor(cfgs, quorum)
-}
-
 // Deployment utilities.
-
-// KNearestFusionRanges derives per-sensor fusion ranges from local
-// sensor density (factor × distance to the k-th nearest neighbour) —
-// the paper's "within fusion range of a handful of sensors" rule for
-// irregular deployments.
-func KNearestFusionRanges(sensors []Sensor, k int, factor float64) ([]float64, error) {
-	return deploy.KNearestRanges(sensors, k, factor)
-}
-
-// FusionRangeFunc adapts a per-sensor range table to the Config's
-// FusionRangeFor hook.
-func FusionRangeFunc(ranges []float64) func(sensorID int) float64 {
-	return deploy.RangeFunc(ranges)
-}
-
-// CoverageStats quantifies how many sensors cover each point of the
-// area under given fusion ranges.
-type CoverageStats = deploy.CoverageStats
-
-// FusionCoverage samples the bounds on a res×res lattice and reports
-// covering-sensor statistics.
-func FusionCoverage(sensors []Sensor, ranges []float64, bounds Rect, res int) CoverageStats {
-	return deploy.Coverage(sensors, ranges, bounds, res)
-}
-
-// HexSensors places sensors on a hexagonal lattice.
-func HexSensors(bounds Rect, spacing, efficiency, background float64) []Sensor {
-	return deploy.HexGrid(bounds, spacing, efficiency, background)
-}
-
-// JitteredGridSensors perturbs a uniform grid by up to ±jitter per axis
-// (deterministic in seed).
-func JitteredGridSensors(bounds Rect, nx, ny int, jitter float64, seed uint64, efficiency, background float64) []Sensor {
-	return deploy.JitteredGrid(bounds, nx, ny, jitter, rng.NewNamed(seed, "radloc/jittered-grid"), efficiency, background)
-}
 
 // PoissonSensors places n sensors uniformly at random (deterministic in
 // seed) — the paper's Scenario C placement.
@@ -139,8 +72,8 @@ type (
 func NewTrackManager(cfg TrackConfig) *TrackManager { return track.NewManager(cfg) }
 
 // SeededPrior builds a particle initializer that concentrates a
-// fraction of the initial particles around the given centers (e.g. the
-// sensors whose detection alarms fired) — the paper's Section V-A
+// fraction of the initial particles around the given centers (e.g.
+// suspected source locations) — the paper's Section V-A
 // prior-knowledge initialization.
 func SeededPrior(centers []Vec, sigma, seededFrac float64, bounds Rect, strengthMin, strengthMax float64) core.InitSampler {
 	return core.SeededPrior(centers, sigma, seededFrac, bounds, strengthMin, strengthMax)
@@ -231,37 +164,4 @@ func TimeToClear(counts []float64, threshold float64) int {
 // threshold.
 func Availability(errs []float64, threshold float64) float64 {
 	return eval.Availability(errs, threshold)
-}
-
-// Nuclear data for realistic threat scenarios.
-type (
-	// Nuclide identifies a gamma-emitting isotope in the catalog.
-	Nuclide = isotope.Isotope
-	// NuclideInfo holds half-life and emission data.
-	NuclideInfo = isotope.Info
-)
-
-// Catalogued isotopes from the RDD threat literature.
-const (
-	Cs137 = isotope.Cs137
-	Co60  = isotope.Co60
-	Ir192 = isotope.Ir192
-	Am241 = isotope.Am241
-)
-
-// NuclideData returns an isotope's half-life and primary gamma line.
-func NuclideData(n Nuclide) (NuclideInfo, error) { return isotope.Lookup(n) }
-
-// DecayActivity returns the activity remaining after elapsed time:
-// A(t) = A₀ · 2^(−t/T½).
-func DecayActivity(initial float64, n Nuclide, elapsed time.Duration) (float64, error) {
-	return isotope.Decay(initial, n, elapsed)
-}
-
-// AttenuationFor returns the linear attenuation coefficient of a
-// material ("lead", "steel", "concrete", "water") at the isotope's
-// primary line energy — the µ to give an Obstacle when the threat
-// isotope is known, instead of the paper's fixed 1 MeV table.
-func AttenuationFor(material string, n Nuclide) (float64, error) {
-	return isotope.MuFor(material, n)
 }

@@ -22,67 +22,6 @@ func TestPublicMovementModels(t *testing.T) {
 	}
 }
 
-func TestPublicDetection(t *testing.T) {
-	s, err := radloc.NewSPRT(radloc.SPRTConfig{Background: 5, MinElevation: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d radloc.Decision
-	for i := 0; i < 100 && d != radloc.SourcePresent; i++ {
-		d = s.Observe(80)
-	}
-	if d != radloc.SourcePresent {
-		t.Errorf("decision = %v", d)
-	}
-
-	m, err := radloc.NewDetectionMonitor([]radloc.SPRTConfig{
-		{Background: 5, MinElevation: 10},
-		{Background: 5, MinElevation: 10},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alarmed := false
-	for i := 0; i < 100 && !alarmed; i++ {
-		alarmed, err = m.Observe(0, 80)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !alarmed {
-		t.Error("monitor never alarmed")
-	}
-}
-
-func TestPublicDeployment(t *testing.T) {
-	b := radloc.NewRect(radloc.V(0, 0), radloc.V(100, 100))
-	g := radloc.GridSensors(b, 6, 6, 1e-4, 5)
-	ranges, err := radloc.KNearestFusionRanges(g, 1, 1.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ranges[0]-28) > 1e-9 {
-		t.Errorf("grid fusion range = %v, want 28", ranges[0])
-	}
-	f := radloc.FusionRangeFunc(ranges)
-	if f(0) != ranges[0] {
-		t.Error("range func lookup wrong")
-	}
-	cov := radloc.FusionCoverage(g, ranges, b, 11)
-	if cov.Mean < 2 || cov.ZeroFraction > 0 {
-		t.Errorf("coverage = %+v", cov)
-	}
-	if hs := radloc.HexSensors(b, 25, 1e-4, 5); len(hs) == 0 {
-		t.Error("hex grid empty")
-	}
-	if js := radloc.JitteredGridSensors(b, 4, 4, 3, 1, 1e-4, 5); len(js) != 16 {
-		t.Error("jittered grid wrong size")
-	}
-	if ps := radloc.PoissonSensors(b, 10, 2, 1e-4, 5); len(ps) != 10 {
-		t.Error("poisson field wrong size")
-	}
-}
-
 func TestPublicCalibration(t *testing.T) {
 	check := radloc.Source{Pos: radloc.V(0, 0), Strength: 100}
 	pos := radloc.V(3, 0)
@@ -186,20 +125,5 @@ func TestPublicMobileAndDiagnose(t *testing.T) {
 	}
 	if rep.RMSZ > 1.5 {
 		t.Errorf("perfect model RMSZ = %v", rep.RMSZ)
-	}
-}
-
-func TestPublicNuclides(t *testing.T) {
-	info, err := radloc.NuclideData(radloc.Cs137)
-	if err != nil || info.PrimaryMeV != 0.662 {
-		t.Errorf("Cs-137 data: %+v, %v", info, err)
-	}
-	half, err := radloc.DecayActivity(100, radloc.Cs137, info.HalfLife)
-	if err != nil || math.Abs(half-50) > 1e-9 {
-		t.Errorf("decay: %v, %v", half, err)
-	}
-	mu, err := radloc.AttenuationFor("lead", radloc.Cs137)
-	if err != nil || mu < 1 || mu > 1.5 {
-		t.Errorf("lead µ for Cs-137: %v, %v", mu, err)
 	}
 }

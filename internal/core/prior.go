@@ -14,8 +14,8 @@ import (
 type InitSampler func(stream *rng.Stream) (pos geometry.Vec, strength float64)
 
 // SeededPrior builds an InitSampler that concentrates a fraction of the
-// initial particles around the given centers (e.g. the sensors whose
-// SPRT alarms triggered localization) with Gaussian spread sigma, and
+// initial particles around the given centers (e.g. suspected source
+// locations known in advance) with Gaussian spread sigma, and
 // spreads the remainder uniformly so undiscovered sources are still
 // reachable. Strengths stay uniform over the prior range in both
 // components. Out-of-bounds draws are clamped by the localizer.

@@ -81,7 +81,7 @@ func TestSeededPriorClampsDegenerateArgs(t *testing.T) {
 }
 
 // TestSeededPriorSpeedsConvergence: with particles seeded near the true
-// sources (as the SPRT trigger locations would provide), the first-step
+// sources (as prior knowledge of likely locations would provide), the first-step
 // estimate is already accurate — the paper's stated benefit.
 func TestSeededPriorSpeedsConvergence(t *testing.T) {
 	truth := []radiation.Source{

@@ -110,21 +110,18 @@ func Sources(estimates []core.Estimate) []radiation.Source {
 	return out
 }
 
-// ResidualZ standardizes a single reading against the free-space
-// prediction of the hypothesized sources: (observed − expected)/√expected.
-// This is the one-reading form of Check's residual, shared with the
-// fusion engine's per-sensor health monitor so streaming plausibility
-// scoring and offline posterior-predictive checks agree.
-func ResidualZ(sen sensor.Sensor, cpm int, sources []radiation.Source) float64 {
-	return ResidualZInflated(sen, cpm, sources, 0)
-}
-
-// ResidualZInflated is ResidualZ with the predictive variance inflated
-// by a multiplicative model-uncertainty term: Var = λ + (relSlack·λ)².
-// Sensors very close to a source see λ change steeply with small
-// source-position errors, so a pure-Poisson z explodes on perfectly
-// healthy readings while the filter is still converging; the relative
-// slack absorbs that without masking order-of-magnitude faults.
+// ResidualZInflated standardizes a single reading against the
+// free-space prediction of the hypothesized sources: (observed −
+// expected)/√Var, the one-reading form of Check's residual, shared with
+// the fusion engine's per-sensor health monitor so streaming
+// plausibility scoring and offline posterior-predictive checks agree.
+// The predictive variance is inflated by a multiplicative
+// model-uncertainty term, Var = λ + (relSlack·λ)²; relSlack = 0 is the
+// pure-Poisson z. Sensors very close to a source see λ change steeply
+// with small source-position errors, so a pure-Poisson z explodes on
+// perfectly healthy readings while the filter is still converging; the
+// relative slack absorbs that without masking order-of-magnitude
+// faults.
 func ResidualZInflated(sen sensor.Sensor, cpm int, sources []radiation.Source, relSlack float64) float64 {
 	expected := radiation.ExpectedCPM(sen.Pos, sen.Efficiency, sen.Background, sources, nil)
 	variance := expected + (relSlack*expected)*(relSlack*expected)

@@ -119,22 +119,6 @@ func Series(rows [][]float64) []float64 {
 	return out
 }
 
-// Normalized divides base[i] by with[i] elementwise: the paper's
-// normalized localization error (values > 1 mean obstacles improved
-// accuracy when base is the no-obstacle error). NaN propagates; a zero
-// denominator yields +Inf.
-func Normalized(base, with []float64) []float64 {
-	n := len(base)
-	if len(with) < n {
-		n = len(with)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = base[i] / with[i]
-	}
-	return out
-}
-
 // MeanOverWindow averages xs[from:to] ignoring NaNs (the paper averages
 // time steps 5–29 for its per-source obstacle-benefit figures).
 func MeanOverWindow(xs []float64, from, to int) float64 {

@@ -132,21 +132,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestNormalized(t *testing.T) {
-	got := Normalized([]float64{10, 6, 4}, []float64{5, 6, 8})
-	want := []float64{2, 1, 0.5}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("Normalized[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Mismatched lengths truncate; division by zero yields +Inf.
-	got = Normalized([]float64{1, 2, 3}, []float64{0})
-	if len(got) != 1 || !math.IsInf(got[0], 1) {
-		t.Errorf("zero-denominator Normalized = %v", got)
-	}
-}
-
 func TestMeanOverWindow(t *testing.T) {
 	xs := []float64{100, 2, 4, math.NaN(), 6}
 	if got := MeanOverWindow(xs, 1, 5); math.Abs(got-4) > 1e-12 {

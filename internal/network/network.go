@@ -13,10 +13,8 @@ package network
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
-	"radloc/internal/geometry"
 	"radloc/internal/rng"
 )
 
@@ -139,73 +137,6 @@ func OutOfOrder(numSensors, steps int, stream *rng.Stream, opts Options) Plan {
 				SensorIndex: i,
 				EmitStep:    t,
 				Arrival:     emit + stream.Exponential(opts.MeanLatency),
-			})
-		}
-	}
-	sort.Slice(events, func(a, b int) bool { return events[a].Arrival < events[b].Arrival })
-	return Plan{Events: events, Steps: steps}
-}
-
-// MultiHopOptions configures hop-count-based delivery: the paper
-// attributes network latency to "multi-hop wireless forwarding and
-// signal interference" (Section V), so latency grows with each sensor's
-// hop distance from the fusion center rather than being i.i.d.
-type MultiHopOptions struct {
-	// Sink is the fusion center's position.
-	Sink geometry.Vec
-	// RadioRange is one hop's reach (> 0).
-	RadioRange float64
-	// PerHopLatency is the mean extra delay per hop, in time-step
-	// units; each hop also draws exponential jitter of the same mean.
-	PerHopLatency float64
-	// DropPerHop is the per-hop loss probability, compounded over the
-	// route (clamped to [0, 1)).
-	DropPerHop float64
-}
-
-// MultiHop builds a delivery plan where sensor i's messages take
-// ceil(dist(i, sink)/RadioRange) hops, each adding deterministic plus
-// exponential latency and an independent loss chance.
-func MultiHop(sensors []geometry.Vec, steps int, stream *rng.Stream, opts MultiHopOptions) Plan {
-	if len(sensors) < 1 || steps < 1 {
-		return Plan{Steps: maxInt(steps, 0)}
-	}
-	if opts.RadioRange <= 0 {
-		opts.RadioRange = 1
-	}
-	if opts.DropPerHop < 0 {
-		opts.DropPerHop = 0
-	}
-	if opts.DropPerHop >= 1 {
-		opts.DropPerHop = 0.999
-	}
-	hops := make([]int, len(sensors))
-	for i, p := range sensors {
-		h := int(math.Ceil(p.Dist(opts.Sink) / opts.RadioRange))
-		if h < 1 {
-			h = 1
-		}
-		hops[i] = h
-	}
-	events := make([]Event, 0, len(sensors)*steps)
-	for t := 0; t < steps; t++ {
-		for i := range sensors {
-			dropped := false
-			for h := 0; h < hops[i]; h++ {
-				if opts.DropPerHop > 0 && stream.Float64() < opts.DropPerHop {
-					dropped = true
-					break
-				}
-			}
-			if dropped {
-				continue
-			}
-			latency := float64(hops[i])*opts.PerHopLatency +
-				stream.Exponential(opts.PerHopLatency)
-			events = append(events, Event{
-				SensorIndex: i,
-				EmitStep:    t,
-				Arrival:     float64(t) + stream.Float64() + latency,
 			})
 		}
 	}

@@ -3,7 +3,6 @@ package network
 import (
 	"testing"
 
-	"radloc/internal/geometry"
 	"radloc/internal/rng"
 )
 
@@ -127,66 +126,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	bad.Events[2].EmitStep = 7
 	if err := bad.Validate(4); err == nil {
 		t.Error("emit step out of range not caught")
-	}
-}
-
-func TestMultiHopLatencyGrowsWithDistance(t *testing.T) {
-	// Sensors at 1, 3 and 9 hops from the sink.
-	sensors := []geometry.Vec{
-		geometry.V(5, 0),  // 1 hop at range 10
-		geometry.V(25, 0), // 3 hops
-		geometry.V(85, 0), // 9 hops
-	}
-	p := MultiHop(sensors, 40, rng.New(7, 7), MultiHopOptions{
-		Sink:          geometry.V(0, 0),
-		RadioRange:    10,
-		PerHopLatency: 0.2,
-	})
-	if err := p.Validate(len(sensors)); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Events) != 3*40 {
-		t.Fatalf("events = %d", len(p.Events))
-	}
-	// Mean latency per sensor must be ordered by hop count.
-	var sum [3]float64
-	var n [3]int
-	for _, ev := range p.Events {
-		sum[ev.SensorIndex] += ev.Arrival - float64(ev.EmitStep)
-		n[ev.SensorIndex]++
-	}
-	l0, l1, l2 := sum[0]/float64(n[0]), sum[1]/float64(n[1]), sum[2]/float64(n[2])
-	if !(l0 < l1 && l1 < l2) {
-		t.Errorf("latencies not ordered by hops: %v %v %v", l0, l1, l2)
-	}
-}
-
-func TestMultiHopDropsCompound(t *testing.T) {
-	near := []geometry.Vec{geometry.V(5, 0)} // 1 hop
-	far := []geometry.Vec{geometry.V(95, 0)} // 10 hops
-	opts := MultiHopOptions{Sink: geometry.V(0, 0), RadioRange: 10, PerHopLatency: 0.1, DropPerHop: 0.1}
-	pn := MultiHop(near, 400, rng.New(1, 1), opts)
-	pf := MultiHop(far, 400, rng.New(1, 1), opts)
-	// 1 hop keeps ~90%, 10 hops keep ~35%.
-	if len(pn.Events) < 320 || len(pn.Events) > 390 {
-		t.Errorf("near kept %d/400", len(pn.Events))
-	}
-	if len(pf.Events) > 200 || len(pf.Events) < 80 {
-		t.Errorf("far kept %d/400", len(pf.Events))
-	}
-}
-
-func TestMultiHopDegenerate(t *testing.T) {
-	if p := MultiHop(nil, 5, rng.New(1, 1), MultiHopOptions{}); len(p.Events) != 0 {
-		t.Errorf("no sensors: %d events", len(p.Events))
-	}
-	// Zero radio range falls back, drop ≥ 1 clamps (not everything lost
-	// forever, but nearly).
-	p := MultiHop([]geometry.Vec{geometry.V(0.5, 0)}, 10, rng.New(1, 1), MultiHopOptions{
-		Sink: geometry.V(0, 0), RadioRange: 0, PerHopLatency: 0.1, DropPerHop: 5,
-	})
-	if err := p.Validate(1); err != nil {
-		t.Fatal(err)
 	}
 }
 

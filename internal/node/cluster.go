@@ -219,7 +219,7 @@ func writeDivergedNote(fsys vfs.FS, divDir string, floor, records uint64, ckpts 
 const epochFileName = "cluster-epoch.json"
 
 // fileEpochStore persists per-zone fencing epochs in each zone's WAL
-// directory, written atomically (tmp + rename) like checkpoints are.
+// directory, written and synced atomically like checkpoints are.
 // A node that was demoted and then restarts must not come back
 // believing its old epoch.
 type fileEpochStore struct {
@@ -272,11 +272,7 @@ func (s *fileEpochStore) Save(zone string, meta cluster.EpochMeta) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, epochFileName+".tmp")
-	if err := vfs.WriteFile(s.zs.fs, tmp, blob, 0o644); err != nil {
-		return err
-	}
-	return s.zs.fs.Rename(tmp, filepath.Join(dir, epochFileName))
+	return vfs.WriteFileAtomic(s.zs.fs, filepath.Join(dir, epochFileName), blob)
 }
 
 // routesFileName persists the learned routing table at the WAL root.
@@ -324,9 +320,5 @@ func (s *fileRouteStore) Save(r cluster.Routes) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, routesFileName+".tmp")
-	if err := vfs.WriteFile(fsys, tmp, blob, 0o644); err != nil {
-		return err
-	}
-	return fsys.Rename(tmp, filepath.Join(s.dir, routesFileName))
+	return vfs.WriteFileAtomic(fsys, filepath.Join(s.dir, routesFileName), blob)
 }

@@ -7,6 +7,7 @@ package node
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -110,6 +111,43 @@ func TestFileEpochStoreLegacyAndRoundTrip(t *testing.T) {
 	gotJSON, _ := json.Marshal(got)
 	if string(wantJSON) != string(gotJSON) {
 		t.Fatalf("epoch meta round-trip: got %s, want %s", gotJSON, wantJSON)
+	}
+}
+
+// TestFileEpochStoreSaveSyncs: an epoch save is durable before it
+// reports success. A failing fsync must fail the save and leave the
+// previously saved epoch in place, or a node that promoted itself could
+// come back after power loss in an epoch it had already left.
+func TestFileEpochStoreSaveSyncs(t *testing.T) {
+	dir := t.TempDir()
+	zs := newStoreZoneSet(t, dir, io.Discard)
+	s := &fileEpochStore{zs: zs}
+	old := cluster.EpochMeta{Epoch: 4, Starts: []cluster.EpochStart{{Epoch: 4, Start: 10}}}
+	if err := s.Save("default", old); err != nil {
+		t.Fatal(err)
+	}
+
+	faulty := vfs.NewFaulty(nil, vfs.FaultConfig{})
+	faulty.FailSyncs(syscall.EIO)
+	zs.fs = faulty
+	next := cluster.EpochMeta{Epoch: 5, Starts: []cluster.EpochStart{{Epoch: 4, Start: 10}, {Epoch: 5, Start: 42}}}
+	if err := s.Save("default", next); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("save under a failing fsync returned %v, want EIO", err)
+	}
+
+	faulty.Heal()
+	got, err := s.Load("default")
+	if err != nil || got.Epoch != old.Epoch || len(got.Starts) != len(old.Starts) {
+		t.Fatalf("after a failed save: meta %+v, err %v; want the saved epoch %+v", got, err, old)
+	}
+	ents, err := os.ReadDir(zs.zoneWalDir("default"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Errorf("failed save left temp file %s", e.Name())
+		}
 	}
 }
 

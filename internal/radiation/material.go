@@ -3,7 +3,6 @@ package radiation
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // exp is a local alias so the hot path stays readable.
@@ -59,16 +58,6 @@ func (m Material) MustMu() float64 {
 		panic(err)
 	}
 	return mu
-}
-
-// Materials returns the supported material names, sorted.
-func Materials() []Material {
-	out := make([]Material, 0, len(attenuation))
-	for m := range attenuation {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // HalvingThickness returns the thickness of m that halves gamma

@@ -46,16 +46,6 @@ func FreeSpaceIntensity(x geometry.Vec, src Source) float64 {
 	return src.Strength / (1 + x.Dist2(src.Pos))
 }
 
-// ShieldingFactor returns e^(−µl), the fraction of gamma rays that
-// survive thickness l of material with attenuation coefficient mu
-// (Eq. 2's attenuation term).
-func ShieldingFactor(mu, l float64) float64 {
-	if mu <= 0 || l <= 0 {
-		return 1
-	}
-	return exp(-mu * l)
-}
-
 // Intensity evaluates Eq. (3): the intensity of src at x attenuated by
 // every obstacle the ray x→src crosses.
 func Intensity(x geometry.Vec, src Source, obstacles []Obstacle) float64 {
@@ -78,27 +68,6 @@ func Intensity(x geometry.Vec, src Source, obstacles []Obstacle) float64 {
 		return base
 	}
 	return base * exp(-exponent)
-}
-
-// PathThickness returns, for diagnostics, the total obstacle thickness
-// along the ray x→p weighted per obstacle: the slice holds (obstacle
-// index, thickness) pairs for obstacles actually crossed.
-func PathThickness(x, p geometry.Vec, obstacles []Obstacle) []Crossing {
-	ray := geometry.Seg(x, p)
-	var out []Crossing
-	for i := range obstacles {
-		if l := obstacles[i].Shape.ChordLength(ray); l > 0 {
-			out = append(out, Crossing{Obstacle: i, Thickness: l})
-		}
-	}
-	return out
-}
-
-// Crossing records that a ray traversed Thickness length units of
-// obstacle number Obstacle.
-type Crossing struct {
-	Obstacle  int
-	Thickness float64
 }
 
 // ExpectedCPM evaluates Eq. (4): the expected reading of a sensor at

@@ -31,21 +31,6 @@ func TestFreeSpaceIntensity(t *testing.T) {
 	}
 }
 
-func TestShieldingFactor(t *testing.T) {
-	if got := ShieldingFactor(0.0693, 10); !almostEq(got, 0.5, 1e-3) {
-		t.Errorf("paper µ over 10 units = %v, want ≈0.5", got)
-	}
-	if got := ShieldingFactor(0, 5); got != 1 {
-		t.Errorf("µ=0: %v, want 1", got)
-	}
-	if got := ShieldingFactor(0.5, 0); got != 1 {
-		t.Errorf("l=0: %v, want 1", got)
-	}
-	if got := ShieldingFactor(-1, 5); got != 1 {
-		t.Errorf("µ<0 clamps to no shielding, got %v", got)
-	}
-}
-
 func wall(x0, x1 float64) Obstacle {
 	return Obstacle{
 		Shape: geometry.NewRect(geometry.V(x0, -100), geometry.V(x1, 100)).Polygon(),
@@ -100,23 +85,6 @@ func TestIntensityNoObstacles(t *testing.T) {
 	x := geometry.V(8, 9)
 	if got, want := Intensity(x, src, nil), FreeSpaceIntensity(x, src); !almostEq(got, want, 1e-15) {
 		t.Errorf("nil obstacles: %v, want %v", got, want)
-	}
-}
-
-func TestPathThickness(t *testing.T) {
-	obs := []Obstacle{wall(10, 12), wall(20, 25)}
-	cs := PathThickness(geometry.V(0, 0), geometry.V(30, 0), obs)
-	if len(cs) != 2 {
-		t.Fatalf("crossings = %d, want 2", len(cs))
-	}
-	if cs[0].Obstacle != 0 || !almostEq(cs[0].Thickness, 2, 1e-9) {
-		t.Errorf("crossing 0 = %+v", cs[0])
-	}
-	if cs[1].Obstacle != 1 || !almostEq(cs[1].Thickness, 5, 1e-9) {
-		t.Errorf("crossing 1 = %+v", cs[1])
-	}
-	if got := PathThickness(geometry.V(0, 150), geometry.V(30, 150), obs); got != nil {
-		t.Errorf("clear path crossings = %v, want none", got)
 	}
 }
 
@@ -194,9 +162,6 @@ func TestMaterials(t *testing.T) {
 	ht, err := PaperObstacle.HalvingThickness()
 	if err != nil || !almostEq(ht, 10, 0.01) {
 		t.Errorf("paper obstacle halving thickness = %v (%v), want 10", ht, err)
-	}
-	if len(Materials()) < 7 {
-		t.Errorf("Materials() = %v", Materials())
 	}
 	defer func() {
 		if recover() == nil {

@@ -149,13 +149,3 @@ func PoissonField(bounds geometry.Rect, n int, stream *rng.Stream, efficiency, b
 	}
 	return out
 }
-
-// PerturbEfficiencies applies a deterministic per-sensor efficiency
-// variation of up to ±frac, modelling manufacturing differences. It
-// mutates the slice in place and returns it.
-func PerturbEfficiencies(sensors []Sensor, frac float64, stream *rng.Stream) []Sensor {
-	for i := range sensors {
-		sensors[i].Efficiency *= 1 + stream.Uniform(-frac, frac)
-	}
-	return sensors
-}

@@ -148,21 +148,3 @@ func TestPoissonField(t *testing.T) {
 		}
 	}
 }
-
-func TestPerturbEfficiencies(t *testing.T) {
-	b := geometry.NewRect(geometry.V(0, 0), geometry.V(100, 100))
-	g := Grid(b, 3, 3, 1e-4, 5)
-	PerturbEfficiencies(g, 0.1, rng.New(1, 1))
-	varied := 0
-	for _, s := range g {
-		if s.Efficiency < 0.9e-4-1e-12 || s.Efficiency > 1.1e-4+1e-12 {
-			t.Fatalf("efficiency out of band: %v", s.Efficiency)
-		}
-		if s.Efficiency != 1e-4 {
-			varied++
-		}
-	}
-	if varied == 0 {
-		t.Error("no efficiency was perturbed")
-	}
-}

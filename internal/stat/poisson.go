@@ -1,7 +1,7 @@
 // Package stat provides the probability and summary-statistics routines
-// used across the localizer: Poisson likelihoods in log space, Gaussian
-// kernels, log-sum-exp, streaming summaries, and the AIC/BIC information
-// criteria used by the model-selection baseline.
+// used across the localizer: Poisson likelihoods in log space,
+// quantiles, and the AIC/BIC information criteria used by the
+// model-selection baseline.
 package stat
 
 import (
@@ -76,63 +76,6 @@ func LogFactorial(k int) float64 {
 // PoissonPMF returns P(K = k) for mean lambda.
 func PoissonPMF(k int, lambda float64) float64 {
 	return math.Exp(PoissonLogPMF(k, lambda))
-}
-
-// PoissonCDF returns P(K ≤ k) by direct summation. It is intended for
-// the moderate k used in tests and calibration, not hot paths.
-func PoissonCDF(k int, lambda float64) float64 {
-	if k < 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i <= k; i++ {
-		sum += PoissonPMF(i, lambda)
-	}
-	return math.Min(1, sum)
-}
-
-// LogSumExp returns log(Σ exp(xs[i])) guarding against overflow. An
-// empty slice yields -Inf.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - m)
-	}
-	return m + math.Log(sum)
-}
-
-// GaussianKernel returns exp(−d²/(2h²)), the unnormalized Gaussian
-// kernel used by mean-shift. h must be positive; a non-positive h
-// yields 0 for d ≠ 0 and 1 for d = 0 (a point mass).
-func GaussianKernel(d2, h float64) float64 {
-	if h <= 0 {
-		if d2 == 0 {
-			return 1
-		}
-		return 0
-	}
-	return math.Exp(-d2 / (2 * h * h))
-}
-
-// GaussianLogPDF returns the log density of N(mu, sigma²) at x.
-func GaussianLogPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		return math.Inf(-1)
-	}
-	z := (x - mu) / sigma
-	return -0.5*z*z - math.Log(sigma) - 0.5*math.Log(2*math.Pi)
 }
 
 // AIC returns Akaike's information criterion 2k − 2·logL for a model

@@ -62,18 +62,6 @@ func TestPoissonPMFSumsToOne(t *testing.T) {
 	}
 }
 
-func TestPoissonCDF(t *testing.T) {
-	if got := PoissonCDF(-1, 5); got != 0 {
-		t.Errorf("CDF(-1) = %v, want 0", got)
-	}
-	if got := PoissonCDF(0, 2); !almostEq(got, math.Exp(-2), 1e-12) {
-		t.Errorf("CDF(0;2) = %v, want e^-2", got)
-	}
-	if got := PoissonCDF(500, 5); !almostEq(got, 1, 1e-9) {
-		t.Errorf("CDF(500;5) = %v, want ~1", got)
-	}
-}
-
 // Property: the Poisson mode is at floor(lambda), i.e. pmf(floor(λ)) ≥
 // pmf(k) for all k in a window.
 func TestPoissonModeProperty(t *testing.T) {
@@ -90,51 +78,6 @@ func TestPoissonModeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	if got := LogSumExp(nil); !math.IsInf(got, -1) {
-		t.Errorf("empty: %v, want -Inf", got)
-	}
-	got := LogSumExp([]float64{math.Log(1), math.Log(2), math.Log(3)})
-	if !almostEq(got, math.Log(6), 1e-12) {
-		t.Errorf("LogSumExp = %v, want log 6", got)
-	}
-	// Must survive values that would overflow exp().
-	got = LogSumExp([]float64{1000, 1000})
-	if !almostEq(got, 1000+math.Log(2), 1e-9) {
-		t.Errorf("LogSumExp overflow case = %v", got)
-	}
-	got = LogSumExp([]float64{math.Inf(-1), math.Inf(-1)})
-	if !math.IsInf(got, -1) {
-		t.Errorf("all -Inf: %v, want -Inf", got)
-	}
-}
-
-func TestGaussianKernel(t *testing.T) {
-	if got := GaussianKernel(0, 2); got != 1 {
-		t.Errorf("K(0) = %v, want 1", got)
-	}
-	if got := GaussianKernel(8, 2); !almostEq(got, math.Exp(-1), 1e-12) {
-		t.Errorf("K(d2=8,h=2) = %v, want e^-1", got)
-	}
-	if got := GaussianKernel(1, 0); got != 0 {
-		t.Errorf("degenerate bandwidth: %v, want 0", got)
-	}
-	if got := GaussianKernel(0, 0); got != 1 {
-		t.Errorf("degenerate bandwidth at 0: %v, want 1", got)
-	}
-}
-
-func TestGaussianLogPDF(t *testing.T) {
-	// Standard normal at 0: log(1/sqrt(2π)).
-	want := -0.5 * math.Log(2*math.Pi)
-	if got := GaussianLogPDF(0, 0, 1); !almostEq(got, want, 1e-12) {
-		t.Errorf("logpdf = %v, want %v", got, want)
-	}
-	if got := GaussianLogPDF(1, 0, 0); !math.IsInf(got, -1) {
-		t.Errorf("sigma=0: %v, want -Inf", got)
 	}
 }
 

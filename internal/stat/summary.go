@@ -5,54 +5,6 @@ import (
 	"sort"
 )
 
-// Summary holds the descriptive statistics of a sample.
-type Summary struct {
-	N      int     // sample size
-	Mean   float64 // arithmetic mean
-	Std    float64 // sample standard deviation (n−1 denominator)
-	Min    float64 // smallest observation
-	Max    float64 // largest observation
-	Median float64 // 50th percentile (midpoint of the two central values for even N)
-}
-
-// Summarize computes descriptive statistics of xs. An empty sample
-// returns the zero Summary (N = 0) with NaN-free fields.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	s.Median = Quantile(xs, 0.5)
-	return s
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. The input is not modified.
 // An empty slice returns 0.
@@ -77,37 +29,3 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
-
-// Accumulator tracks a running mean and variance using Welford's
-// algorithm; the zero value is ready to use.
-type Accumulator struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns the number of samples added.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the running mean (0 before any samples).
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Var returns the running sample variance (n−1 denominator), or 0 with
-// fewer than two samples.
-func (a *Accumulator) Var() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// Std returns the running sample standard deviation.
-func (a *Accumulator) Std() float64 { return math.Sqrt(a.Var()) }

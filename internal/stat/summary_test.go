@@ -1,41 +1,6 @@
 package stat
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 {
-		t.Errorf("N = %d", s.N)
-	}
-	if !almostEq(s.Mean, 5, 1e-12) {
-		t.Errorf("Mean = %v, want 5", s.Mean)
-	}
-	// Sample std with n-1: variance = 32/7.
-	if !almostEq(s.Std, math.Sqrt(32.0/7), 1e-12) {
-		t.Errorf("Std = %v", s.Std)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-	if !almostEq(s.Median, 4.5, 1e-12) {
-		t.Errorf("Median = %v, want 4.5", s.Median)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	z := Summarize(nil)
-	if z.N != 0 || z.Mean != 0 || z.Std != 0 {
-		t.Errorf("empty summary = %+v", z)
-	}
-	one := Summarize([]float64{3})
-	if one.N != 1 || one.Mean != 3 || one.Std != 0 || one.Median != 3 {
-		t.Errorf("single summary = %+v", one)
-	}
-}
+import "testing"
 
 func TestQuantile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40}
@@ -58,67 +23,5 @@ func TestQuantile(t *testing.T) {
 	Quantile(orig, 0.5)
 	if orig[0] != 3 || orig[1] != 1 || orig[2] != 2 {
 		t.Error("Quantile mutated its input")
-	}
-}
-
-func TestAccumulatorMatchesSummarize(t *testing.T) {
-	xs := []float64{1.5, -2, 7, 3.25, 0, 4}
-	var acc Accumulator
-	for _, x := range xs {
-		acc.Add(x)
-	}
-	s := Summarize(xs)
-	if acc.N() != s.N {
-		t.Errorf("N = %d, want %d", acc.N(), s.N)
-	}
-	if !almostEq(acc.Mean(), s.Mean, 1e-12) {
-		t.Errorf("Mean = %v, want %v", acc.Mean(), s.Mean)
-	}
-	if !almostEq(acc.Std(), s.Std, 1e-12) {
-		t.Errorf("Std = %v, want %v", acc.Std(), s.Std)
-	}
-}
-
-func TestAccumulatorEmpty(t *testing.T) {
-	var acc Accumulator
-	if acc.Var() != 0 || acc.Std() != 0 || acc.Mean() != 0 {
-		t.Errorf("zero-value accumulator: %v %v %v", acc.Mean(), acc.Var(), acc.Std())
-	}
-	acc.Add(5)
-	if acc.Var() != 0 {
-		t.Errorf("single-sample variance = %v, want 0", acc.Var())
-	}
-}
-
-// Property: mean lies within [min, max] and shifting the data shifts the
-// mean while leaving the std unchanged.
-func TestSummaryShiftProperty(t *testing.T) {
-	f := func(raw []float64, shiftRaw float64) bool {
-		var xs []float64
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, math.Mod(x, 1e6))
-			}
-		}
-		if len(xs) < 2 {
-			return true
-		}
-		shift := math.Mod(shiftRaw, 1e6)
-		if math.IsNaN(shift) {
-			shift = 1
-		}
-		s1 := Summarize(xs)
-		shifted := make([]float64, len(xs))
-		for i, x := range xs {
-			shifted[i] = x + shift
-		}
-		s2 := Summarize(shifted)
-		tol := 1e-6 * (1 + math.Abs(s1.Mean) + math.Abs(shift))
-		return s1.Mean >= s1.Min-1e-9 && s1.Mean <= s1.Max+1e-9 &&
-			almostEq(s2.Mean, s1.Mean+shift, tol) &&
-			almostEq(s2.Std, s1.Std, tol)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 )
 
 // File is an open file handle. The subset of *os.File the storage
@@ -131,4 +132,51 @@ func WriteFile(fsys FS, path string, data []byte, perm fs.FileMode) error {
 		return werr
 	}
 	return cerr
+}
+
+// WriteFileAtomic replaces path with data so that a crash leaves the
+// old contents or the new ones, never a mix or an empty file: it
+// writes a temp file beside path, fsyncs it, renames it over path and
+// fsyncs the directory. Every error on the way is returned, and a
+// failed write leaves no temp file behind. The file gets
+// CreateTemp's mode, 0600.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	fsys = Or(fsys)
+	dir := filepath.Dir(path)
+	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmpName := tmp.Name()
+	defer fsys.Remove(tmpName) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		_ = tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		_ = tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmpName, path); err != nil {
+		return err
+	}
+	return SyncDir(fsys, dir)
+}
+
+// SyncDir fsyncs a directory through fsys so renames and creates in it
+// are durable. Some filesystems refuse fsync on directories; that is
+// their durability call to make, not a storage failure, so a sync
+// error on the read-only directory handle is tolerated. Only failing
+// to open the directory is an error.
+func SyncDir(fsys FS, dir string) error {
+	d, err := Or(fsys).Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	_ = d.Sync()
+	return nil
 }

@@ -230,6 +230,40 @@ func TestFaultyMetadataOpsFailOnlyInWindow(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicKeepsOldContentsOnFailure: a failing write
+// window or a failing fsync leaves the previous contents under path and
+// no temp file beside it; a clean write replaces them.
+func TestWriteFileAtomicKeepsOldContentsOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "meta.json")
+	fa := NewFaulty(nil, FaultConfig{})
+	if err := WriteFileAtomic(fa, path, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func(){
+		"write": func() { fa.FailWrites(syscall.ENOSPC, true) },
+		"sync":  func() { fa.FailSyncs(syscall.EIO) },
+	} {
+		open()
+		if err := WriteFileAtomic(fa, path, []byte("new contents")); err == nil {
+			t.Errorf("%s fault: write succeeded", name)
+		}
+		fa.Heal()
+		if got, err := os.ReadFile(path); err != nil || string(got) != "old" {
+			t.Errorf("%s fault: %s = %q (%v), want the old contents", name, path, got, err)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+			t.Errorf("%s fault left %d entries in %s, want 1", name, len(ents), dir)
+		}
+	}
+	if err := WriteFileAtomic(fa, path, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new" {
+		t.Fatalf("%s = %q after a clean write, want new", path, got)
+	}
+}
+
 func TestObservedCountsFaults(t *testing.T) {
 	reg := obs.NewRegistry()
 	fa := NewFaulty(nil, FaultConfig{Seed: 1})

@@ -126,29 +126,7 @@ func listCheckpoints(fsys vfs.FS, dir string) ([]uint64, error) {
 // is propagated: a checkpoint either exists whole or reports why it
 // does not.
 func WriteCheckpointFS(fsys vfs.FS, dir string, ck Checkpoint) error {
-	fsys = vfs.Or(fsys)
-	blob := encodeCheckpoint(ck)
-	tmp, err := fsys.CreateTemp(dir, ckptPrefix+"tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer fsys.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(blob); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmpName, checkpointPath(dir, ck.Applied)); err != nil {
-		return err
-	}
-	return syncDirFS(fsys, dir)
+	return vfs.WriteFileAtomic(fsys, checkpointPath(dir, ck.Applied), encodeCheckpoint(ck))
 }
 
 // LoadCheckpointFS returns the newest valid checkpoint in dir through

@@ -78,10 +78,10 @@ func (l *Log) QuarantineSuffix(floor uint64, dstDir string) (uint64, error) {
 		}
 	}
 	if l.opts.Fsync != FsyncNever {
-		if err := syncDirFS(l.fs, dstDir); err != nil {
+		if err := vfs.SyncDir(l.fs, dstDir); err != nil {
 			return moved, err
 		}
-		if err := syncDirFS(l.fs, l.dir); err != nil {
+		if err := vfs.SyncDir(l.fs, l.dir); err != nil {
 			return moved, err
 		}
 	}
@@ -257,10 +257,10 @@ func (l *Log) QuarantineSegment(start uint64, dstDir string) (uint64, error) {
 			return 0, err
 		}
 		if l.opts.Fsync != FsyncNever {
-			if err := syncDirFS(l.fs, dstDir); err != nil {
+			if err := vfs.SyncDir(l.fs, dstDir); err != nil {
 				return seg.count, err
 			}
-			if err := syncDirFS(l.fs, l.dir); err != nil {
+			if err := vfs.SyncDir(l.fs, l.dir); err != nil {
 				return seg.count, err
 			}
 		}
@@ -306,10 +306,10 @@ func MoveCheckpointsFS(fsys vfs.FS, dir string, floor uint64, dstDir string) (in
 		moved++
 	}
 	if moved > 0 {
-		if err := syncDirFS(fsys, dstDir); err != nil {
+		if err := vfs.SyncDir(fsys, dstDir); err != nil {
 			return moved, err
 		}
-		if err := syncDirFS(fsys, dir); err != nil {
+		if err := vfs.SyncDir(fsys, dir); err != nil {
 			return moved, err
 		}
 	}

@@ -531,7 +531,7 @@ func (l *Log) rotate() error {
 		return err
 	}
 	if l.opts.Fsync != FsyncNever {
-		if err := syncDirFS(l.fs, l.dir); err != nil {
+		if err := vfs.SyncDir(l.fs, l.dir); err != nil {
 			_ = f.Close()
 			_ = l.fs.Remove(seg.path)
 			return err
@@ -685,18 +685,4 @@ func (l *Log) Close() error {
 	}
 	l.f = nil
 	return err
-}
-
-// syncDirFS fsyncs a directory through fsys so renames and creates in
-// it are durable. Some filesystems refuse fsync on directories; that
-// is their durability call to make, not a WAL failure, so sync errors
-// on the read-only directory handle are tolerated.
-func syncDirFS(fsys vfs.FS, dir string) error {
-	d, err := fsys.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
 }

@@ -55,6 +55,10 @@ func TestPublicScenarios(t *testing.T) {
 	if n := len(radloc.ScenarioAThree(10).Sources); n != 3 {
 		t.Errorf("ScenarioAThree sources = %d", n)
 	}
+	b := radloc.NewRect(radloc.V(0, 0), radloc.V(100, 100))
+	if ps := radloc.PoissonSensors(b, 10, 2, 1e-4, 5); len(ps) != 10 {
+		t.Error("poisson field wrong size")
+	}
 	if radloc.DefaultParams().FusionRange != 28 {
 		t.Errorf("default fusion range = %v", radloc.DefaultParams().FusionRange)
 	}
