@@ -86,8 +86,8 @@ func TestPublicRecordReplay(t *testing.T) {
 	if err != nil || back != n {
 		t.Fatalf("replayed %d, %v", back, err)
 	}
-	if loc.Iterations() != n {
-		t.Errorf("iterations = %d", loc.Iterations())
+	if got := loc.Stats().Iterations; got != n {
+		t.Errorf("iterations = %d", got)
 	}
 }
 

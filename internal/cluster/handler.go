@@ -158,13 +158,13 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			// Headers are gone; a torn write is exactly what the
 			// standby's prefix-safe decoder expects. Just stop.
-			n.met.servedRecords(sent)
+			n.met.shipped.Add(sent)
 			n.logf("cluster: serve wal %q: %v", name, err)
 			return
 		}
 		sent++
 	}
-	n.met.servedRecords(sent)
+	n.met.shipped.Add(sent)
 	if line, err := EncodeControl(FrameEnd, epoch, head, 0); err == nil {
 		w.Write(line)
 	}

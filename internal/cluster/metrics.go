@@ -2,8 +2,7 @@ package cluster
 
 import "radloc/internal/obs"
 
-// nodeMetrics instruments one Node. All methods are nil-receiver safe
-// so an unmetered node (Options.Metrics == nil) pays one branch.
+// nodeMetrics instruments one Node.
 type nodeMetrics struct {
 	lagSeconds, lagRecords *obs.GaugeFamily
 	epoch, isPrimary       *obs.GaugeFamily
@@ -16,12 +15,8 @@ type nodeMetrics struct {
 	divergedRecords        *obs.Counter
 }
 
-// newNodeMetrics registers the node's collectors on r; nil r disables
-// instrumentation entirely (nil nodeMetrics).
+// newNodeMetrics registers the node's collectors on r.
 func newNodeMetrics(r *obs.Registry) *nodeMetrics {
-	if r == nil {
-		return nil
-	}
 	return &nodeMetrics{
 		lagSeconds: r.GaugeFamily("radloc_repl_lag_seconds",
 			"Seconds since this standby was last caught up to its primary's WAL head.", "zone"),
@@ -54,9 +49,6 @@ func newNodeMetrics(r *obs.Registry) *nodeMetrics {
 
 // roleChanged refreshes a zone's role and epoch gauges.
 func (m *nodeMetrics) roleChanged(zone string, primary bool, epoch uint64) {
-	if m == nil {
-		return
-	}
 	v := 0.0
 	if primary {
 		v = 1.0
@@ -65,64 +57,7 @@ func (m *nodeMetrics) roleChanged(zone string, primary bool, epoch uint64) {
 	m.epoch.With(zone).Set(float64(epoch))
 }
 
-// lag refreshes a standby zone's lag gauges.
-func (m *nodeMetrics) lag(zone string, seconds float64, records uint64) {
-	if m == nil {
-		return
-	}
-	m.lagSeconds.With(zone).Set(seconds)
-	m.lagRecords.With(zone).Set(float64(records))
-}
-
-// acked refreshes the primary-side replica watermark gauge.
-func (m *nodeMetrics) acked(zone string, off uint64) {
-	if m == nil {
-		return
-	}
-	m.ackedOffset.With(zone).Set(float64(off))
-}
-
-// pulled accounts one pull attempt and n applied records.
-func (m *nodeMetrics) pulled(err bool, n uint64) {
-	if m == nil {
-		return
-	}
-	m.pulls.Inc()
-	if err {
-		m.pullErrors.Inc()
-	}
-	m.applied.Add(n)
-}
-
-// servedRecords accounts records streamed out to a replica.
-func (m *nodeMetrics) servedRecords(n uint64) {
-	if m == nil {
-		return
-	}
-	m.shipped.Add(n)
-}
-
-// bootstrapped accounts one full snapshot bootstrap.
-func (m *nodeMetrics) bootstrapped() {
-	if m == nil {
-		return
-	}
-	m.bootstraps.Inc()
-}
-
-// diverged accounts one divergence repair and its quarantined records.
-func (m *nodeMetrics) diverged(records uint64) {
-	if m == nil {
-		return
-	}
-	m.divergenceRepairs.Inc()
-	m.divergedRecords.Add(records)
-}
-
 // fenced accounts one epoch-fenced refusal.
 func (m *nodeMetrics) fenced() {
-	if m == nil {
-		return
-	}
 	m.fencedPulls.Inc()
 }

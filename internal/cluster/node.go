@@ -82,8 +82,8 @@ type Options struct {
 	// Drop, when non-nil, releases a zone's local resources after its
 	// ownership migrates away (the daemon closes the zone's engine).
 	Drop func(zone string) error
-	// Metrics, when non-nil, receives the node's radloc_repl_* and
-	// radloc_cluster_* collectors.
+	// Metrics receives the node's radloc_repl_* and radloc_cluster_*
+	// collectors; nil gets a private registry.
 	Metrics *obs.Registry
 	// Log, when non-nil, receives role transitions and replication
 	// errors.
@@ -164,7 +164,7 @@ func NewNode(opts Options) (*Node, error) {
 	}
 	return &Node{
 		opts:  opts,
-		met:   newNodeMetrics(opts.Metrics),
+		met:   newNodeMetrics(obs.Or(opts.Metrics)),
 		zones: make(map[string]*zoneState),
 	}, nil
 }
@@ -640,7 +640,7 @@ func (n *Node) recordAck(zone string, b Backend, from uint64) {
 	}
 	n.mu.Unlock()
 	if err == nil {
-		n.met.acked(zone, from)
+		n.met.ackedOffset.With(zone).Set(float64(from))
 		b.SetRetainFloor(from)
 	}
 }

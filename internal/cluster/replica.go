@@ -152,7 +152,8 @@ func (n *Node) repairDivergence(ctx context.Context, zone string, b Backend, pri
 	if err != nil {
 		return fmt.Errorf("cluster: quarantine diverged suffix of %q: %w", zone, err)
 	}
-	n.met.diverged(moved)
+	n.met.divergenceRepairs.Inc()
+	n.met.divergedRecords.Add(moved)
 	n.logf("cluster: zone %q: quarantined %d diverged records", zone, moved)
 	if err := n.bootstrap(ctx, zone, b, primary); err != nil {
 		return err
@@ -318,7 +319,7 @@ func (n *Node) bootstrap(ctx context.Context, zone string, b Backend, primary st
 	if err := b.Bootstrap(state, applied); err != nil {
 		return err
 	}
-	n.met.bootstrapped()
+	n.met.bootstraps.Inc()
 	n.logf("cluster: bootstrapped zone %q from %q at offset %d", zone, primary, applied)
 	return nil
 }
@@ -384,8 +385,13 @@ func (n *Node) finishPull(zone string, applied, local, head uint64, err error) {
 		lagRec = zs.head - local
 	}
 	n.mu.Unlock()
-	n.met.lag(zone, lagSec, lagRec)
-	n.met.pulled(err != nil, applied)
+	n.met.lagSeconds.With(zone).Set(lagSec)
+	n.met.lagRecords.With(zone).Set(float64(lagRec))
+	n.met.pulls.Inc()
+	if err != nil {
+		n.met.pullErrors.Inc()
+	}
+	n.met.applied.Add(applied)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		n.logf("cluster: pull %q: %v", zone, err)
 	}

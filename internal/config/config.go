@@ -24,13 +24,13 @@ var ErrVersion = errors.New("config: unsupported version")
 
 // File is the on-disk scenario description.
 type File struct {
-	Version   int            `json:"version"`
-	Name      string         `json:"name"`
-	Bounds    RectJSON       `json:"bounds"`
-	Sensors   []SensorJSON   `json:"sensors"`
-	Sources   []SourceJSON   `json:"sources,omitempty"`
-	Obstacles []ObstacleJSON `json:"obstacles,omitempty"`
-	Params    ParamsJSON     `json:"params"`
+	Version   int             `json:"version"`
+	Name      string          `json:"name"`
+	Bounds    RectJSON        `json:"bounds"`
+	Sensors   []SensorJSON    `json:"sensors"`
+	Sources   []SourceJSON    `json:"sources,omitempty"`
+	Obstacles []ObstacleJSON  `json:"obstacles,omitempty"`
+	Params    scenario.Params `json:"params"`
 	// OutOfOrder enables random-latency delivery; MeanLatencySteps is
 	// the mean extra delay in time-step units.
 	OutOfOrder       bool    `json:"outOfOrder,omitempty"`
@@ -70,23 +70,6 @@ type ObstacleJSON struct {
 	Ring     [][]float64 `json:"ring"`
 }
 
-// ParamsJSON mirrors scenario.Params.
-type ParamsJSON struct {
-	NumParticles    int     `json:"numParticles"`
-	FusionRange     float64 `json:"fusionRange"`
-	ResampleNoise   float64 `json:"resampleNoise"`
-	InjectionFrac   float64 `json:"injectionFrac"`
-	MaxStrengthUCi  float64 `json:"maxStrengthUCi"`
-	TimeSteps       int     `json:"timeSteps"`
-	MatchRadius     float64 `json:"matchRadius"`
-	BandwidthXY     float64 `json:"bandwidthXY"`
-	BandwidthStr    float64 `json:"bandwidthStr"`
-	ModeMassMin     float64 `json:"modeMassMin"`
-	MinSourceStrUCi float64 `json:"minSourceStrengthUCi"`
-	MaxSensorGap    float64 `json:"maxSensorGap,omitempty"`
-	MeanShiftStarts int     `json:"meanShiftStarts"`
-}
-
 // FromScenario converts a scenario into its file form.
 func FromScenario(sc scenario.Scenario) File {
 	f := File{
@@ -96,21 +79,7 @@ func FromScenario(sc scenario.Scenario) File {
 			MinX: sc.Bounds.Min.X, MinY: sc.Bounds.Min.Y,
 			MaxX: sc.Bounds.Max.X, MaxY: sc.Bounds.Max.Y,
 		},
-		Params: ParamsJSON{
-			NumParticles:    sc.Params.NumParticles,
-			FusionRange:     sc.Params.FusionRange,
-			ResampleNoise:   sc.Params.ResampleNoise,
-			InjectionFrac:   sc.Params.InjectionFrac,
-			MaxStrengthUCi:  sc.Params.MaxStrength,
-			TimeSteps:       sc.Params.TimeSteps,
-			MatchRadius:     sc.Params.MatchRadius,
-			BandwidthXY:     sc.Params.BandwidthXY,
-			BandwidthStr:    sc.Params.BandwidthStr,
-			ModeMassMin:     sc.Params.ModeMassMin,
-			MinSourceStrUCi: sc.Params.MinSourceStr,
-			MaxSensorGap:    sc.Params.MaxSensorGap,
-			MeanShiftStarts: sc.Params.MeanShiftStarts,
-		},
+		Params:           sc.Params,
 		OutOfOrder:       sc.OutOfOrder,
 		MeanLatencySteps: sc.MeanLatency,
 	}
@@ -144,21 +113,7 @@ func (f File) ToScenario() (scenario.Scenario, error) {
 			geometry.V(f.Bounds.MinX, f.Bounds.MinY),
 			geometry.V(f.Bounds.MaxX, f.Bounds.MaxY),
 		),
-		Params: scenario.Params{
-			NumParticles:    f.Params.NumParticles,
-			FusionRange:     f.Params.FusionRange,
-			ResampleNoise:   f.Params.ResampleNoise,
-			InjectionFrac:   f.Params.InjectionFrac,
-			MaxStrength:     f.Params.MaxStrengthUCi,
-			TimeSteps:       f.Params.TimeSteps,
-			MatchRadius:     f.Params.MatchRadius,
-			BandwidthXY:     f.Params.BandwidthXY,
-			BandwidthStr:    f.Params.BandwidthStr,
-			ModeMassMin:     f.Params.ModeMassMin,
-			MinSourceStr:    f.Params.MinSourceStrUCi,
-			MaxSensorGap:    f.Params.MaxSensorGap,
-			MeanShiftStarts: f.Params.MeanShiftStarts,
-		},
+		Params:      f.Params,
 		OutOfOrder:  f.OutOfOrder,
 		MeanLatency: f.MeanLatencySteps,
 	}

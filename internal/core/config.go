@@ -39,10 +39,6 @@ type Config struct {
 	// DisableFusionRange turns the range gate off: every measurement
 	// updates the whole population (the single-population baseline).
 	DisableFusionRange bool
-	// FusionRangeFor optionally overrides FusionRange per sensor ID
-	// (e.g. for irregular deployments); return ≤ 0 to fall back to
-	// FusionRange.
-	FusionRangeFor func(sensorID int) float64
 
 	// ResampleNoise is σ_N, the standard deviation of the zero-mean
 	// Gaussian position jitter added to duplicated particles during
@@ -121,6 +117,11 @@ type Config struct {
 	// iteration counters, and population-health gauges. nil disables
 	// instrumentation entirely — the hot path pays one branch and no
 	// clock reads. Metrics never influence the filter's output.
+	//
+	// This is the one place where a nil registry means "off" rather
+	// than "a private registry" (obs.Or): the filter step is the inner
+	// loop of every paper experiment, and sim.Run leaves Metrics nil,
+	// so those runs must not pay for clock reads they never expose.
 	Metrics *obs.Registry
 }
 
@@ -202,14 +203,4 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: Workers = %d", c.Workers)
 	}
 	return nil
-}
-
-// fusionRangeOf resolves the fusion range for a sensor.
-func (c Config) fusionRangeOf(sensorID int) float64 {
-	if c.FusionRangeFor != nil {
-		if d := c.FusionRangeFor(sensorID); d > 0 {
-			return d
-		}
-	}
-	return c.FusionRange
 }

@@ -151,9 +151,6 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 // Config returns the effective (defaulted) configuration.
 func (l *Localizer) Config() Config { return l.cfg }
 
-// Iterations returns the number of measurements ingested so far.
-func (l *Localizer) Iterations() int { return l.iter }
-
 // Particles returns a copy of the current particle population. Hot
 // loops that read the population every step should use AppendParticles
 // with a reused buffer instead — this convenience form allocates a
@@ -461,13 +458,12 @@ func (l *Localizer) selectParticles(sen sensor.Sensor) []int32 {
 		l.grid.Rebuild(l.xs, l.ys)
 		l.gridDirty = false
 	}
-	d := l.cfg.fusionRangeOf(sen.ID)
 	// The sorted form keeps selection — and the floating-point order of
 	// everything downstream — a pure function of the particle state:
 	// incremental Move updates leave the grid's bucket order dependent
 	// on update history, which an ExportState/ImportState round trip
 	// (canonical Rebuild) could not reproduce.
-	l.idsBuf = l.grid.WithinRadiusSorted(sen.Pos, d, l.xs, l.ys, l.idsBuf[:0])
+	l.idsBuf = l.grid.WithinRadiusSorted(sen.Pos, l.cfg.FusionRange, l.xs, l.ys, l.idsBuf[:0])
 	return l.idsBuf
 }
 

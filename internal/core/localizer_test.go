@@ -323,26 +323,6 @@ func TestCentroidFallsBetweenTwoSources(t *testing.T) {
 	}
 }
 
-func TestFusionRangeForOverride(t *testing.T) {
-	cfg := testConfig()
-	cfg.FusionRangeFor = func(sensorID int) float64 {
-		if sensorID == 1 {
-			return 5
-		}
-		return 0 // fall back
-	}
-	l, err := NewLocalizer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l.cfg.fusionRangeOf(1); got != 5 {
-		t.Errorf("override = %v, want 5", got)
-	}
-	if got := l.cfg.fusionRangeOf(2); got != 28 {
-		t.Errorf("fallback = %v, want 28", got)
-	}
-}
-
 func TestIterationsCount(t *testing.T) {
 	l, err := NewLocalizer(testConfig())
 	if err != nil {
@@ -352,8 +332,8 @@ func TestIterationsCount(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		l.Ingest(sen, 5)
 	}
-	if l.Iterations() != 7 {
-		t.Errorf("Iterations = %d, want 7", l.Iterations())
+	if got := l.Stats().Iterations; got != 7 {
+		t.Errorf("Iterations = %d, want 7", got)
 	}
 }
 

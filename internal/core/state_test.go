@@ -86,8 +86,8 @@ func TestStateRoundTripDeterminism(t *testing.T) {
 		orig.Ingest(r.sen, r.cpm)
 		restored.Ingest(r.sen, r.cpm)
 	}
-	if orig.Iterations() != restored.Iterations() {
-		t.Fatalf("iterations diverged: %d vs %d", orig.Iterations(), restored.Iterations())
+	if a, b := orig.Stats().Iterations, restored.Stats().Iterations; a != b {
+		t.Fatalf("iterations diverged: %d vs %d", a, b)
 	}
 	a, b := orig.Particles(), restored.Particles()
 	if !reflect.DeepEqual(a, b) {

@@ -70,7 +70,8 @@ type Options struct {
 	// be fully caught up to the last head it saw). Above it the
 	// promoter refuses and raises radloc_failover_refusals_total.
 	MaxPromoteLag uint64
-	// Metrics, when non-nil, receives the radloc_failover_* collectors.
+	// Metrics receives the radloc_failover_* collectors; nil gets a
+	// private registry.
 	Metrics *obs.Registry
 	// Log, when non-nil, receives detection and promotion decisions.
 	Log *log.Logger
@@ -125,7 +126,7 @@ func New(opts Options) (*Promoter, error) {
 	if opts.ProbeTimeout <= 0 {
 		opts.ProbeTimeout = opts.Interval
 	}
-	p := &Promoter{opts: opts, met: newPromoterMetrics(opts.Metrics)}
+	p := &Promoter{opts: opts, met: newPromoterMetrics(obs.Or(opts.Metrics))}
 	now := opts.Clock.Now()
 	for _, u := range opts.Peers {
 		if u == "" || u == opts.Self {
@@ -162,7 +163,10 @@ func (p *Promoter) Tick(ctx context.Context) {
 	now := p.opts.Clock.Now()
 	for _, ps := range p.peers {
 		alive := p.probe(ctx, ps.url)
-		p.met.probed(!alive)
+		p.met.probes.Inc()
+		if !alive {
+			p.met.probeFails.Inc()
+		}
 		p.mu.Lock()
 		ps.lastProbe = now
 		if alive {
@@ -182,7 +186,7 @@ func (p *Promoter) Tick(ctx context.Context) {
 		if suspected && heldDown && !ps.dead {
 			ps.dead = true
 			p.met.peerUp(ps.url, false)
-			p.met.died()
+			p.met.deaths.Inc()
 			p.logf("failover: peer %s declared dead after %d misses and %s unreachable",
 				ps.url, ps.misses, now.Sub(ps.lastAlive))
 		}
@@ -212,7 +216,7 @@ func (p *Promoter) probe(ctx context.Context, peer string) bool {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("X-Radloc-Storage") == "degraded" {
-		p.met.degradedMiss()
+		p.met.degraded.Inc()
 		return false
 	}
 
@@ -256,7 +260,7 @@ func (p *Promoter) promoteZonesOf(deadPeer string) {
 			continue
 		}
 		if !st.CaughtUp && st.LagRecords > p.opts.MaxPromoteLag {
-			p.met.refused()
+			p.met.refusals.Inc()
 			p.logf("failover: refusing to promote zone %q: lag %d records above bound %d",
 				st.Zone, st.LagRecords, p.opts.MaxPromoteLag)
 			continue
@@ -266,7 +270,7 @@ func (p *Promoter) promoteZonesOf(deadPeer string) {
 			p.logf("failover: promote zone %q: %v", st.Zone, err)
 			continue
 		}
-		p.met.promoted()
+		p.met.promotions.Inc()
 		p.logf("failover: promoted zone %q to epoch %d after death of %s", st.Zone, epoch, deadPeer)
 	}
 }

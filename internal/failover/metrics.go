@@ -2,8 +2,7 @@ package failover
 
 import "radloc/internal/obs"
 
-// promoterMetrics instruments one Promoter. All methods are
-// nil-receiver safe so an unmetered promoter pays one branch.
+// promoterMetrics instruments one Promoter.
 type promoterMetrics struct {
 	peerUpGauge *obs.GaugeFamily
 	probes      *obs.Counter
@@ -14,12 +13,8 @@ type promoterMetrics struct {
 	refusals    *obs.Counter
 }
 
-// newPromoterMetrics registers the promoter's collectors on r; nil r
-// disables instrumentation entirely.
+// newPromoterMetrics registers the promoter's collectors on r.
 func newPromoterMetrics(r *obs.Registry) *promoterMetrics {
-	if r == nil {
-		return nil
-	}
 	return &promoterMetrics{
 		peerUpGauge: r.GaugeFamily("radloc_failover_peer_up",
 			"1 while the peer answers probes (any HTTP response counts), 0 once declared dead.", "peer"),
@@ -38,57 +33,11 @@ func newPromoterMetrics(r *obs.Registry) *promoterMetrics {
 	}
 }
 
-// probed accounts one probe and whether it missed.
-func (m *promoterMetrics) probed(missed bool) {
-	if m == nil {
-		return
-	}
-	m.probes.Inc()
-	if missed {
-		m.probeFails.Inc()
-	}
-}
-
 // peerUp refreshes a peer's liveness gauge.
 func (m *promoterMetrics) peerUp(peer string, up bool) {
-	if m == nil {
-		return
-	}
 	v := 0.0
 	if up {
 		v = 1.0
 	}
 	m.peerUpGauge.With(peer).Set(v)
-}
-
-// degradedMiss accounts one degraded-storage probe miss.
-func (m *promoterMetrics) degradedMiss() {
-	if m == nil {
-		return
-	}
-	m.degraded.Inc()
-}
-
-// died accounts one death declaration.
-func (m *promoterMetrics) died() {
-	if m == nil {
-		return
-	}
-	m.deaths.Inc()
-}
-
-// promoted accounts one unattended promotion.
-func (m *promoterMetrics) promoted() {
-	if m == nil {
-		return
-	}
-	m.promotions.Inc()
-}
-
-// refused accounts one lag-bound refusal.
-func (m *promoterMetrics) refused() {
-	if m == nil {
-		return
-	}
-	m.refusals.Inc()
 }

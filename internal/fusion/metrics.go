@@ -35,9 +35,7 @@ type engineMetrics struct {
 // newEngineMetrics registers the engine families on r (nil r → a
 // fresh private registry, so the counters always exist).
 func newEngineMetrics(r *obs.Registry) *engineMetrics {
-	if r == nil {
-		r = obs.NewRegistry()
-	}
+	r = obs.Or(r)
 	return &engineMetrics{
 		ingested: r.Counter("radloc_fusion_ingested_total",
 			"Measurements folded into the particle filter."),

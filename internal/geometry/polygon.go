@@ -55,23 +55,11 @@ func (p Polygon) Vertices() []Vec {
 	return vs
 }
 
-// NumVertices returns the vertex count.
-func (p Polygon) NumVertices() int { return len(p.verts) }
-
 // Bounds returns the axis-aligned bounding box of p.
 func (p Polygon) Bounds() Rect { return p.bbox }
 
 // Area returns the enclosed area of p.
 func (p Polygon) Area() float64 { return math.Abs(signedArea(p.verts)) }
-
-// Perimeter returns the total edge length of p.
-func (p Polygon) Perimeter() float64 {
-	var sum float64
-	for i := range p.verts {
-		sum += p.verts[i].Dist(p.verts[(i+1)%len(p.verts)])
-	}
-	return sum
-}
 
 // Centroid returns the area centroid of p.
 func (p Polygon) Centroid() Vec {

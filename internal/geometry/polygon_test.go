@@ -43,9 +43,6 @@ func TestPolygonAreaPerimeterCentroid(t *testing.T) {
 	if got := sq.Area(); !almostEq(got, 100, 1e-9) {
 		t.Errorf("Area = %v, want 100", got)
 	}
-	if got := sq.Perimeter(); !almostEq(got, 40, 1e-9) {
-		t.Errorf("Perimeter = %v, want 40", got)
-	}
 	if got := sq.Centroid(); !got.Eq(V(5, 5)) {
 		t.Errorf("Centroid = %v, want (5,5)", got)
 	}

@@ -27,11 +27,6 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 // Area returns the area of r.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Center returns the center point of r.
-func (r Rect) Center() Vec {
-	return Vec{X: (r.Min.X + r.Max.X) / 2, Y: (r.Min.Y + r.Max.Y) / 2}
-}
-
 // Contains reports whether p lies in r (boundary inclusive, within Eps).
 func (r Rect) Contains(p Vec) bool {
 	return p.X >= r.Min.X-Eps && p.X <= r.Max.X+Eps &&
@@ -44,12 +39,6 @@ func (r Rect) Expand(d float64) Rect {
 		Min: Vec{X: r.Min.X - d, Y: r.Min.Y - d},
 		Max: Vec{X: r.Max.X + d, Y: r.Max.Y + d},
 	}
-}
-
-// Intersects reports whether r and o overlap (boundary touch counts).
-func (r Rect) Intersects(o Rect) bool {
-	return r.Min.X <= o.Max.X+Eps && o.Min.X <= r.Max.X+Eps &&
-		r.Min.Y <= o.Max.Y+Eps && o.Min.Y <= r.Max.Y+Eps
 }
 
 // IntersectsSegment reports whether the segment s touches r, using the

@@ -22,9 +22,6 @@ func TestRectGeometry(t *testing.T) {
 	if got := r.Area(); !almostEq(got, 8, 1e-12) {
 		t.Errorf("Area = %v", got)
 	}
-	if got := r.Center(); !got.Eq(V(2, 1)) {
-		t.Errorf("Center = %v", got)
-	}
 }
 
 func TestRectContains(t *testing.T) {
@@ -50,27 +47,6 @@ func TestRectExpand(t *testing.T) {
 	r := NewRect(V(2, 2), V(4, 4)).Expand(1)
 	if !r.Min.Eq(V(1, 1)) || !r.Max.Eq(V(5, 5)) {
 		t.Errorf("Expand = %+v", r)
-	}
-}
-
-func TestRectIntersects(t *testing.T) {
-	a := NewRect(V(0, 0), V(4, 4))
-	tests := []struct {
-		name string
-		b    Rect
-		want bool
-	}{
-		{"overlap", NewRect(V(2, 2), V(6, 6)), true},
-		{"touch-edge", NewRect(V(4, 0), V(8, 4)), true},
-		{"disjoint", NewRect(V(5, 5), V(6, 6)), false},
-		{"contained", NewRect(V(1, 1), V(2, 2)), true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := a.Intersects(tt.b); got != tt.want {
-				t.Errorf("Intersects = %v, want %v", got, tt.want)
-			}
-		})
 	}
 }
 

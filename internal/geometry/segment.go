@@ -20,9 +20,6 @@ func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 // At returns the point A + t·(B-A); t=0 is A and t=1 is B.
 func (s Segment) At(t float64) Vec { return s.A.Lerp(s.B, t) }
 
-// Midpoint returns the midpoint of s.
-func (s Segment) Midpoint() Vec { return s.At(0.5) }
-
 // ClosestParam returns the parameter t in [0,1] of the point on s
 // closest to p.
 func (s Segment) ClosestParam(p Vec) float64 {

@@ -11,8 +11,8 @@ func TestSegmentBasics(t *testing.T) {
 	if got := s.Length(); !almostEq(got, 5, 1e-12) {
 		t.Errorf("Length = %v, want 5", got)
 	}
-	if got := s.Midpoint(); !got.Eq(V(1.5, 2)) {
-		t.Errorf("Midpoint = %v, want (1.5,2)", got)
+	if got := s.At(0.5); !got.Eq(V(1.5, 2)) {
+		t.Errorf("At(0.5) = %v, want (1.5,2)", got)
 	}
 	if got := s.At(0.2); !got.Eq(V(0.6, 0.8)) {
 		t.Errorf("At(0.2) = %v", got)

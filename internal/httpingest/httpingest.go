@@ -142,9 +142,7 @@ type ingestMetrics struct {
 }
 
 func newIngestMetrics(r *obs.Registry) *ingestMetrics {
-	if r == nil {
-		r = obs.NewRegistry()
-	}
+	r = obs.Or(r)
 	return &ingestMetrics{
 		requests: r.Counter("radloc_ingest_requests_total",
 			"POST /measurements requests admitted past the method/Content-Type checks."),

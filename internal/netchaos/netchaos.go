@@ -3,8 +3,7 @@
 // that drops requests, drops responses (so the server applies work the
 // client never hears about — the duplicate-generating failure), adds
 // latency and jitter, injects 5xx and connection resets, and enforces
-// hard partition windows with scheduled heals; plus a TCP-level proxy
-// for chaos below the HTTP layer.
+// hard partition windows with scheduled heals.
 //
 // Every decision draws from an injected rng.Stream and every time
 // read from an injected clock.Clock, so a given (seed, schedule,

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -133,72 +132,5 @@ func TestRoundTripperLatencySleepsOnClock(t *testing.T) {
 		if d < 100*time.Millisecond || d >= 150*time.Millisecond {
 			t.Errorf("latency %v outside [100ms, 150ms)", d)
 		}
-	}
-}
-
-// TestProxyForwardsAndPartitions: bytes flow through the TCP proxy to
-// a real HTTP server; during a partition window connections are
-// refused; after the heal they flow again.
-func TestProxyForwardsAndPartitions(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "pong")
-	}))
-	defer srv.Close()
-	target := strings.TrimPrefix(srv.URL, "http://")
-
-	clk := clock.NewFake(time.Unix(0, 0))
-	p, err := NewProxy("127.0.0.1:0", target, ProxyConfig{
-		Seed:       5,
-		Clock:      clk,
-		Partitions: []Window{{From: 10 * time.Second, To: 20 * time.Second}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	// Fresh connection per request: the proxy kills conns on partition.
-	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 5 * time.Second}
-	fetch := func() error {
-		resp, err := client.Get("http://" + p.Addr() + "/ping")
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if string(body) != "pong" {
-			return errors.New("wrong body " + string(body))
-		}
-		return nil
-	}
-	if err := fetch(); err != nil {
-		t.Fatalf("pre-partition fetch: %v", err)
-	}
-	clk.Advance(15 * time.Second)
-	if err := fetch(); err == nil {
-		t.Fatal("fetch succeeded during partition")
-	}
-	clk.Advance(5 * time.Second)
-	if err := fetch(); err != nil {
-		t.Fatalf("post-heal fetch: %v", err)
-	}
-}
-
-func TestProxyAcceptDrop(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "pong")
-	}))
-	defer srv.Close()
-	p, err := NewProxy("127.0.0.1:0", strings.TrimPrefix(srv.URL, "http://"), ProxyConfig{
-		Seed:           6,
-		AcceptDropProb: 1, // every connection dies at accept
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 2 * time.Second}
-	if _, err := client.Get("http://" + p.Addr() + "/ping"); err == nil {
-		t.Fatal("connection survived AcceptDropProb=1")
 	}
 }

@@ -19,9 +19,7 @@ type durableMetrics struct {
 }
 
 func newDurableMetrics(r *obs.Registry) *durableMetrics {
-	if r == nil {
-		r = obs.NewRegistry()
-	}
+	r = obs.Or(r)
 	return &durableMetrics{
 		checkpoints: r.Counter("radloc_durable_checkpoints_total",
 			"Engine-state checkpoints written this run."),

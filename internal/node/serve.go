@@ -335,10 +335,7 @@ func statsToJSON(s fusion.Snapshot, started time.Time) map[string]any {
 func newMux(cfg serveConfig) *http.ServeMux {
 	def, ing := cfg.Zones.defaultZone(), cfg.Ingest
 	d := zoneDurable(def)
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.Or(cfg.Metrics)
 	mux := http.NewServeMux()
 	// Prometheus text-format exposition of the process registry: the
 	// same collectors /statez and /stats derive their JSON from.

@@ -99,9 +99,7 @@ func newZoneSet(o zoneSetOptions) (*zoneSet, error) {
 	if o.Build == nil {
 		return nil, errors.New("zoneSet: Build is required")
 	}
-	if o.Metrics == nil {
-		o.Metrics = obs.NewRegistry()
-	}
+	o.Metrics = obs.Or(o.Metrics)
 	if o.Log == nil {
 		o.Log = io.Discard
 	}

@@ -121,16 +121,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n linearly spaced bucket bounds starting at
-// start with the given width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // Histogram is a fixed-bucket histogram of float64 observations
 // (durations in seconds, sizes in readings, ...). Observations are
 // lock-free atomic adds; quantiles are estimated from the bucket

@@ -7,9 +7,9 @@
 // daemon builds one Registry per process, threads it through the
 // filter, the fusion engine, the HTTP ingest boundary and the WAL,
 // and serves the whole thing on GET /metrics. Components built without
-// a registry get a private one (or skip instrumentation entirely where
-// the hot path warrants it), so tests stay isolated and libraries stay
-// dependency-free.
+// a registry get a private one (Or), so tests stay isolated and
+// libraries stay dependency-free. The filter core alone treats a nil
+// registry as instrumentation off (core.Config.Metrics).
 //
 // Naming follows the Prometheus convention specialized to this
 // project: radloc_<subsystem>_<name>_<unit>, where unit is "seconds"
@@ -62,6 +62,16 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]metric)}
+}
+
+// Or returns r, or a fresh private registry when r is nil — the
+// one-line default for every Metrics option outside the filter core,
+// so a component built without a registry still counts.
+func Or(r *Registry) *Registry {
+	if r == nil {
+		return NewRegistry()
+	}
+	return r
 }
 
 // With returns a labeled view of the registry: every collector

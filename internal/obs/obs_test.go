@@ -28,6 +28,23 @@ func TestGetOrCreate(t *testing.T) {
 	r.Gauge("x_total", "kind mismatch")
 }
 
+// TestOr asserts nil gets a fresh, usable registry and anything else
+// passes through.
+func TestOr(t *testing.T) {
+	r := NewRegistry()
+	if Or(r) != r {
+		t.Fatal("Or(r) should return r")
+	}
+	a, b := Or(nil), Or(nil)
+	if a == nil || a == b {
+		t.Fatal("Or(nil) should return a fresh registry each call")
+	}
+	a.Counter("x_total", "help").Inc()
+	if b.Counter("x_total", "help").Value() != 0 {
+		t.Fatal("two Or(nil) registries share a counter")
+	}
+}
+
 // TestConcurrentIncrements hammers one counter, one gauge and one
 // histogram from many goroutines; run under -race this is the
 // registry's thread-safety proof, and the totals must still be exact.
@@ -79,12 +96,21 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 }
 
+// linearBounds returns n bucket bounds start, start+width, ...
+func linearBounds(start, width float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = start + float64(i)*width
+	}
+	return out
+}
+
 // TestHistogramQuantiles checks the interpolation: for a uniform
 // stream over [0, 100) with bucket width 10, every quantile estimate
 // must land within one bucket width of the exact value.
 func TestHistogramQuantiles(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("q_test", "quantiles", LinearBuckets(10, 10, 10))
+	h := r.Histogram("q_test", "quantiles", linearBounds(10, 10, 10))
 	for i := 0; i < 10000; i++ {
 		h.Observe(float64(i%100) + 0.5)
 	}
@@ -113,7 +139,7 @@ func TestHistogramQuantiles(t *testing.T) {
 // TestSummary digests the quantiles in one call.
 func TestSummary(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("s_test", "summary", LinearBuckets(1, 1, 100))
+	h := r.Histogram("s_test", "summary", linearBounds(1, 1, 100))
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i % 100))
 	}

@@ -59,13 +59,3 @@ func (m Material) MustMu() float64 {
 	}
 	return mu
 }
-
-// HalvingThickness returns the thickness of m that halves gamma
-// intensity: ln 2 / µ.
-func (m Material) HalvingThickness() (float64, error) {
-	mu, err := m.Mu()
-	if err != nil {
-		return 0, err
-	}
-	return math.Ln2 / mu, nil
-}

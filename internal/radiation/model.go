@@ -82,10 +82,3 @@ func ExpectedCPM(pos geometry.Vec, eff, background float64, sources []Source, ob
 	}
 	return CPMPerMicroCurie*eff*sum + background
 }
-
-// ExpectedCPMSingle is ExpectedCPM for a single hypothesized source; it
-// is the likelihood model the particle filter evaluates for each
-// particle (obstacle-agnostic: the filter assumes free space).
-func ExpectedCPMSingle(pos geometry.Vec, eff, background float64, src Source) float64 {
-	return CPMPerMicroCurie*eff*FreeSpaceIntensity(pos, src) + background
-}

@@ -44,16 +44,6 @@ func (t *Table) AddRow(values ...any) error {
 	return nil
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
-// Row returns a copy of row i.
-func (t *Table) Row(i int) []string {
-	out := make([]string, len(t.rows[i]))
-	copy(out, t.rows[i])
-	return out
-}
-
 func format(v any) string {
 	switch x := v.(type) {
 	case float64:

@@ -37,14 +37,12 @@ func TestFormatVariants(t *testing.T) {
 	_ = tb.AddRow(float32(2.5))
 	_ = tb.AddRow("text")
 	_ = tb.AddRow(42)
-	if tb.Row(0)[0] != "2.500" {
-		t.Errorf("float32: %q", tb.Row(0)[0])
+	var b strings.Builder
+	if err := tb.WriteCSV(&b); err != nil {
+		t.Fatal(err)
 	}
-	if tb.Row(1)[0] != "text" {
-		t.Errorf("string: %q", tb.Row(1)[0])
-	}
-	if tb.Row(2)[0] != "42" {
-		t.Errorf("int: %q", tb.Row(2)[0])
+	if want := "# t\nc\n2.500\ntext\n42\n"; b.String() != want {
+		t.Errorf("CSV = %q, want %q (float32, string, int)", b.String(), want)
 	}
 }
 
@@ -137,17 +135,5 @@ func TestWriteGnuplotErrors(t *testing.T) {
 	}
 	if err := tb.WriteGnuplot(&b, GnuplotSeries{XColumn: "step", YColumn: "nope"}); err == nil {
 		t.Error("unknown y column accepted")
-	}
-}
-
-func TestRowIsCopy(t *testing.T) {
-	tb := sampleTable(t)
-	r := tb.Row(0)
-	r[0] = "mutated"
-	if tb.Row(0)[0] == "mutated" {
-		t.Error("Row exposes internal storage")
-	}
-	if tb.NumRows() != 3 {
-		t.Errorf("NumRows = %d", tb.NumRows())
 	}
 }

@@ -68,9 +68,6 @@ func (s *Stream) Uniform(lo, hi float64) float64 {
 // IntN returns a uniform integer in [0, n). n must be positive.
 func (s *Stream) IntN(n int) int { return s.src.IntN(n) }
 
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.src.Perm(n) }
-
 // Normal returns a Gaussian variate with the given mean and standard
 // deviation (sigma ≥ 0; sigma = 0 returns mean).
 func (s *Stream) Normal(mean, sigma float64) float64 {

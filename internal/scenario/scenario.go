@@ -24,19 +24,19 @@ import (
 // Params are the algorithm parameters the paper sets per scenario
 // (Section VI).
 type Params struct {
-	NumParticles    int     // |P|
-	FusionRange     float64 // d_i, identical for all sensors in grid layouts
-	ResampleNoise   float64 // σ_N
-	InjectionFrac   float64 // fraction of resampled particles replaced at random
-	MaxStrength     float64 // upper bound of the strength prior, µCi
-	TimeSteps       int     // simulation horizon T
-	MatchRadius     float64 // estimate↔source association radius (40 in the paper)
-	BandwidthXY     float64 // mean-shift kernel bandwidth in position
-	BandwidthStr    float64 // mean-shift kernel bandwidth in strength
-	ModeMassMin     float64 // minimum relative kernel mass to report a mode as a source
-	MinSourceStr    float64 // minimum strength (µCi) for a mode to count as a source
-	MaxSensorGap    float64 // suppress modes farther than this from every sensor (0 = off)
-	MeanShiftStarts int     // number of mean-shift start points
+	NumParticles    int     `json:"numParticles"`           // |P|
+	FusionRange     float64 `json:"fusionRange"`            // d_i, identical for all sensors in grid layouts
+	ResampleNoise   float64 `json:"resampleNoise"`          // σ_N
+	InjectionFrac   float64 `json:"injectionFrac"`          // fraction of resampled particles replaced at random
+	MaxStrength     float64 `json:"maxStrengthUCi"`         // upper bound of the strength prior, µCi
+	TimeSteps       int     `json:"timeSteps"`              // simulation horizon T
+	MatchRadius     float64 `json:"matchRadius"`            // estimate↔source association radius (40 in the paper)
+	BandwidthXY     float64 `json:"bandwidthXY"`            // mean-shift kernel bandwidth in position
+	BandwidthStr    float64 `json:"bandwidthStr"`           // mean-shift kernel bandwidth in strength
+	ModeMassMin     float64 `json:"modeMassMin"`            // minimum relative kernel mass to report a mode as a source
+	MinSourceStr    float64 `json:"minSourceStrengthUCi"`   // minimum strength (µCi) for a mode to count as a source
+	MaxSensorGap    float64 `json:"maxSensorGap,omitempty"` // suppress modes farther than this from every sensor (0 = off)
+	MeanShiftStarts int     `json:"meanShiftStarts"`        // number of mean-shift start points
 }
 
 // DefaultParams returns the paper's Scenario A parameter set.
@@ -104,17 +104,6 @@ func (sc Scenario) Validate() error {
 		}
 	}
 	return nil
-}
-
-// WithObstacles returns a copy of sc with the obstacle list replaced.
-// Used to compare the same layout with and without shielding.
-func (sc Scenario) WithObstacles(obs []radiation.Obstacle) Scenario {
-	out := sc
-	out.Obstacles = append([]radiation.Obstacle(nil), obs...)
-	if len(obs) == 0 {
-		out.Name += "/no-obstacles"
-	}
-	return out
 }
 
 // WithSources returns a copy of sc with the source list replaced.

@@ -132,14 +132,6 @@ func TestScenarioCValid(t *testing.T) {
 func TestWithModifiers(t *testing.T) {
 	sc := A(10, true)
 
-	noObs := sc.WithObstacles(nil)
-	if len(noObs.Obstacles) != 0 {
-		t.Error("WithObstacles(nil) kept obstacles")
-	}
-	if len(sc.Obstacles) != 1 {
-		t.Error("WithObstacles mutated the receiver")
-	}
-
 	bg := sc.WithBackground(50)
 	for _, s := range bg.Sensors {
 		if s.Background != 50 {

@@ -2,8 +2,7 @@ package scrub
 
 import "radloc/internal/obs"
 
-// scrubMetrics instruments one Scrubber. All methods are nil-receiver
-// safe so an unmetered scrubber pays one branch.
+// scrubMetrics instruments one Scrubber.
 type scrubMetrics struct {
 	ticks       *obs.Counter
 	segments    *obs.Counter
@@ -14,12 +13,8 @@ type scrubMetrics struct {
 	repairFails *obs.Counter
 }
 
-// newScrubMetrics registers the scrubber's collectors on r; nil r
-// disables instrumentation entirely.
+// newScrubMetrics registers the scrubber's collectors on r.
 func newScrubMetrics(r *obs.Registry) *scrubMetrics {
-	if r == nil {
-		return nil
-	}
 	return &scrubMetrics{
 		ticks: r.Counter("radloc_scrub_ticks_total",
 			"Scrub rounds started (one sealed segment per zone per round)."),
@@ -36,61 +31,4 @@ func newScrubMetrics(r *obs.Registry) *scrubMetrics {
 		repairFails: r.Counter("radloc_scrub_repair_failures_total",
 			"Quarantines or repairs that failed; recovery may be broken until the next checkpoint."),
 	}
-}
-
-// tick accounts one scrub round.
-func (m *scrubMetrics) tick() {
-	if m == nil {
-		return
-	}
-	m.ticks.Inc()
-}
-
-// segmentVerified accounts one segment re-read and whether it failed.
-func (m *scrubMetrics) segmentVerified(failed bool) {
-	if m == nil {
-		return
-	}
-	m.segments.Inc()
-	if failed {
-		m.segFailed.Inc()
-	}
-}
-
-// checkpointsVerified accounts one checkpoint re-parse pass.
-func (m *scrubMetrics) checkpointsVerified() {
-	if m == nil {
-		return
-	}
-	m.ckptPasses.Inc()
-}
-
-// corruption accounts one cold-corruption detection of the given kind
-// ("segment" or "checkpoint").
-func (m *scrubMetrics) corruption(kind string) {
-	if m == nil {
-		return
-	}
-	m.corruptions.With(kind).Inc()
-}
-
-// repaired accounts one completed recovery re-anchor. source is
-// "local" or the replica's URL; the label is reduced to local/replica
-// so cardinality stays bounded.
-func (m *scrubMetrics) repaired(source string) {
-	if m == nil {
-		return
-	}
-	if source != "local" {
-		source = "replica"
-	}
-	m.repairs.With(source).Inc()
-}
-
-// repairFailed accounts one failed quarantine or repair.
-func (m *scrubMetrics) repairFailed() {
-	if m == nil {
-		return
-	}
-	m.repairFails.Inc()
 }

@@ -82,7 +82,8 @@ type Options struct {
 	Clock clock.Clock
 	// RNG jitters the schedule; nil seeds a fixed stream.
 	RNG *rng.Stream
-	// Metrics, when non-nil, receives the radloc_scrub_* collectors.
+	// Metrics receives the radloc_scrub_* collectors; nil gets a
+	// private registry.
 	Metrics *obs.Registry
 	// Log, when non-nil, receives detection and repair decisions.
 	Log *log.Logger
@@ -115,7 +116,7 @@ func New(opts Options) (*Scrubber, error) {
 	}
 	return &Scrubber{
 		opts:    opts,
-		met:     newScrubMetrics(opts.Metrics),
+		met:     newScrubMetrics(obs.Or(opts.Metrics)),
 		cursors: make(map[string]uint64),
 	}, nil
 }
@@ -139,7 +140,7 @@ func (s *Scrubber) Run(ctx context.Context) {
 // cold history is covered every len(segments) intervals. Exposed so
 // tests drive the scrubber deterministically.
 func (s *Scrubber) Tick(ctx context.Context) {
-	s.met.tick()
+	s.met.ticks.Inc()
 	for _, t := range s.opts.Targets() {
 		if ctx.Err() != nil {
 			return
@@ -159,9 +160,9 @@ func (s *Scrubber) scrubCheckpoints(t Target) {
 		s.logf("scrub: zone %q: verify checkpoints: %v", t.Zone, err)
 		return
 	}
-	s.met.checkpointsVerified()
+	s.met.ckptPasses.Inc()
 	for _, applied := range bad {
-		s.met.corruption("checkpoint")
+		s.met.corruptions.With("checkpoint").Inc()
 		if qerr := t.Store.QuarantineCheckpoint(applied); qerr != nil {
 			s.logf("scrub: zone %q: checkpoint@%d corrupt but quarantine failed: %v", t.Zone, applied, qerr)
 			continue
@@ -188,27 +189,34 @@ func (s *Scrubber) scrubOneSegment(ctx context.Context, t Target) {
 	s.mu.Unlock()
 
 	err := t.Store.VerifySegment(pick.Start)
-	s.met.segmentVerified(err != nil)
+	s.met.segments.Inc()
 	if err == nil {
 		return
 	}
-	s.met.corruption("segment")
+	s.met.segFailed.Inc()
+	s.met.corruptions.With("segment").Inc()
 	s.logf("scrub: zone %q: cold corruption in segment@%d (%d records): %v", t.Zone, pick.Start, pick.Count, err)
 	removed, qerr := t.Store.QuarantineSegment(pick.Start)
 	if qerr != nil {
-		s.met.repairFailed()
+		s.met.repairFails.Inc()
 		s.logf("scrub: zone %q: quarantine segment@%d failed: %v", t.Zone, pick.Start, qerr)
 		return
 	}
 	end := pick.Start + pick.Count
 	source, rerr := t.Store.Repair(ctx, pick.Start, end)
 	if rerr != nil {
-		s.met.repairFailed()
+		s.met.repairFails.Inc()
 		s.logf("scrub: zone %q: segment@%d quarantined (%d records) but repair failed — recovery below offset %d is broken until a checkpoint lands: %v",
 			t.Zone, pick.Start, removed, end, rerr)
 		return
 	}
-	s.met.repaired(source)
+	// source is "local" or the replica's URL; the label keeps only
+	// local/replica so its cardinality stays bounded.
+	label := "local"
+	if source != "local" {
+		label = "replica"
+	}
+	s.met.repairs.With(label).Inc()
 	s.logf("scrub: zone %q: segment@%d quarantined (%d records), recovery re-anchored past %d from %s",
 		t.Zone, pick.Start, removed, end, source)
 }

@@ -12,7 +12,6 @@ import (
 	"radloc/internal/geometry"
 	"radloc/internal/radiation"
 	"radloc/internal/rng"
-	"radloc/internal/stat"
 )
 
 // DefaultEfficiency is the counting-efficiency constant E_i used when a
@@ -58,15 +57,6 @@ func (s Sensor) Measure(stream *rng.Stream, sources []radiation.Source, obstacle
 		CPM:      stream.Poisson(lambda),
 		Step:     step,
 	}
-}
-
-// LogLikelihood returns log P(measurement | single hypothesized source),
-// the obstacle-agnostic likelihood the particle filter evaluates: the
-// expected CPM assumes free space (Eq. 1 into Eq. 4) because obstacle
-// parameters are unknown to the system.
-func (s Sensor) LogLikelihood(cpm int, hyp radiation.Source) float64 {
-	lambda := radiation.ExpectedCPMSingle(s.Pos, s.Efficiency, s.Background, hyp)
-	return stat.PoissonLogPMF(cpm, lambda)
 }
 
 // ErrNoReadings is returned by Calibrate when no readings are supplied.

@@ -8,6 +8,7 @@ import (
 	"radloc/internal/geometry"
 	"radloc/internal/radiation"
 	"radloc/internal/rng"
+	"radloc/internal/stat"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -47,18 +48,23 @@ func TestMeasurePoissonStatistics(t *testing.T) {
 func TestLogLikelihoodPeaksAtTruth(t *testing.T) {
 	s := Sensor{Pos: geometry.V(0, 0), Efficiency: 1e-4, Background: 5}
 	truth := radiation.Source{Pos: geometry.V(5, 0), Strength: 100}
-	lambda := radiation.ExpectedCPMSingle(s.Pos, s.Efficiency, s.Background, truth)
+	lambda := radiation.ExpectedCPM(s.Pos, s.Efficiency, s.Background, []radiation.Source{truth}, nil)
 	cpm := int(math.Round(lambda))
+	// The obstacle-agnostic likelihood the particle filter evaluates:
+	// free-space expected CPM (Eq. 1 into Eq. 4) under a Poisson count.
+	logLikelihood := func(hyp radiation.Source) float64 {
+		return stat.PoissonLogPMF(cpm, radiation.ExpectedCPM(s.Pos, s.Efficiency, s.Background, []radiation.Source{hyp}, nil))
+	}
 
-	llTruth := s.LogLikelihood(cpm, truth)
+	llTruth := logLikelihood(truth)
 	// A hypothesis far from the truth must score lower.
 	far := radiation.Source{Pos: geometry.V(80, 80), Strength: 100}
-	if llFar := s.LogLikelihood(cpm, far); llFar >= llTruth {
+	if llFar := logLikelihood(far); llFar >= llTruth {
 		t.Errorf("far hypothesis scored %v ≥ truth %v", llFar, llTruth)
 	}
 	// A wildly wrong strength must score lower too.
 	weak := radiation.Source{Pos: geometry.V(5, 0), Strength: 0.01}
-	if llWeak := s.LogLikelihood(cpm, weak); llWeak >= llTruth {
+	if llWeak := logLikelihood(weak); llWeak >= llTruth {
 		t.Errorf("weak hypothesis scored %v ≥ truth %v", llWeak, llTruth)
 	}
 }

@@ -73,11 +73,6 @@ func LogFactorial(k int) float64 {
 	return lg
 }
 
-// PoissonPMF returns P(K = k) for mean lambda.
-func PoissonPMF(k int, lambda float64) float64 {
-	return math.Exp(PoissonLogPMF(k, lambda))
-}
-
 // AIC returns Akaike's information criterion 2k − 2·logL for a model
 // with k free parameters and maximized log-likelihood logL.
 func AIC(k int, logL float64) float64 { return 2*float64(k) - 2*logL }

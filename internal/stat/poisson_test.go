@@ -54,7 +54,7 @@ func TestPoissonPMFSumsToOne(t *testing.T) {
 	for _, lambda := range []float64{0.5, 5, 50} {
 		var sum float64
 		for k := 0; k < 1000; k++ {
-			sum += PoissonPMF(k, lambda)
+			sum += math.Exp(PoissonLogPMF(k, lambda))
 		}
 		if !almostEq(sum, 1, 1e-9) {
 			t.Errorf("lambda=%v: pmf sum = %v, want 1", lambda, sum)

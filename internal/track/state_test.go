@@ -41,8 +41,8 @@ func TestStateRoundTrip(t *testing.T) {
 		orig.Update(step, ests(step))
 		restored.Update(step, ests(step))
 	}
-	if !reflect.DeepEqual(orig.All(), restored.All()) {
-		t.Fatalf("track sets diverged:\n%v\nvs\n%v", orig.All(), restored.All())
+	if !reflect.DeepEqual(orig.ExportState(), restored.ExportState()) {
+		t.Fatalf("track sets diverged:\n%v\nvs\n%v", orig.ExportState(), restored.ExportState())
 	}
 	if !reflect.DeepEqual(orig.Confirmed(), restored.Confirmed()) {
 		t.Fatal("confirmed sets diverged")
@@ -53,7 +53,7 @@ func TestImportStateEmpty(t *testing.T) {
 	m := NewManager(Config{})
 	m.ImportState(State{})
 	m.Update(0, []core.Estimate{{Pos: geometry.V(1, 1), Strength: 10, Mass: 1}})
-	if got := m.All(); len(got) != 1 || got[0].ID != 1 {
+	if got := m.ExportState().Tracks; len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("IDs must restart at 1 after empty import, got %v", got)
 	}
 }

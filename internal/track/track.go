@@ -9,7 +9,6 @@ package track
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"radloc/internal/core"
@@ -196,31 +195,4 @@ func (m *Manager) Confirmed() []Track {
 		return out[a].ID < out[b].ID
 	})
 	return out
-}
-
-// All returns every live track (confirmed and tentative), by ID.
-func (m *Manager) All() []Track {
-	out := make([]Track, len(m.tracks))
-	copy(out, m.tracks)
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
-
-// NearestConfirmed returns the confirmed track closest to p, or ok =
-// false when there is none.
-func (m *Manager) NearestConfirmed(p geometry.Vec) (Track, bool) {
-	best := math.Inf(1)
-	var bestT Track
-	found := false
-	for _, t := range m.tracks {
-		if !t.Confirmed {
-			continue
-		}
-		if d := t.Pos.Dist(p); d < best {
-			best = d
-			bestT = t
-			found = true
-		}
-	}
-	return bestT, found
 }

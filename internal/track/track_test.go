@@ -48,7 +48,7 @@ func TestSpuriousFlickerSuppressed(t *testing.T) {
 		t.Errorf("wrong track confirmed: %v", conf[0])
 	}
 	// The spurious track must be gone entirely after DropMisses steps.
-	for _, tr := range m.All() {
+	for _, tr := range m.ExportState().Tracks {
 		if tr.Pos.Dist(geometry.V(10, 90)) < 5 {
 			t.Errorf("spurious track still alive: %v", tr)
 		}
@@ -75,8 +75,8 @@ func TestTrackSurvivesBriefDropout(t *testing.T) {
 	for step := 7; step < 11; step++ {
 		m.Update(step, nil)
 	}
-	if len(m.All()) != 0 {
-		t.Errorf("track not retired: %v", m.All())
+	if len(m.ExportState().Tracks) != 0 {
+		t.Errorf("track not retired: %v", m.ExportState().Tracks)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestTrackFollowsMovingEstimate(t *testing.T) {
 	for step := 0; step < 12; step++ {
 		m.Update(step, []core.Estimate{{Pos: pos, Strength: 10, Mass: 0.2}})
 		if step == 0 {
-			id = m.All()[0].ID
+			id = m.ExportState().Tracks[0].ID
 		}
 		pos = pos.Add(geometry.V(2, 1))
 	}
@@ -116,17 +116,23 @@ func TestTwoSourcesKeepSeparateTracks(t *testing.T) {
 	if conf[0].ID == conf[1].ID {
 		t.Error("duplicate track IDs")
 	}
-	tr, ok := m.NearestConfirmed(geometry.V(80, 40))
+	tr, ok := nearestConfirmed(m, geometry.V(80, 40))
 	if !ok || tr.Pos.Dist(geometry.V(81, 42)) > 1 {
-		t.Errorf("NearestConfirmed = %v, %v", tr, ok)
+		t.Errorf("nearest confirmed = %v, %v", tr, ok)
 	}
 }
 
-func TestNearestConfirmedEmpty(t *testing.T) {
-	m := NewManager(Config{})
-	if _, ok := m.NearestConfirmed(geometry.V(0, 0)); ok {
-		t.Error("NearestConfirmed on empty manager returned ok")
+// nearestConfirmed returns the confirmed track closest to p, or ok =
+// false when there is none.
+func nearestConfirmed(m *Manager, p geometry.Vec) (Track, bool) {
+	var best Track
+	found := false
+	for _, tr := range m.Confirmed() {
+		if !found || tr.Pos.Dist(p) < best.Pos.Dist(p) {
+			best, found = tr, true
+		}
 	}
+	return best, found
 }
 
 func TestGateRadiusSeparatesCloseEstimates(t *testing.T) {
@@ -134,7 +140,7 @@ func TestGateRadiusSeparatesCloseEstimates(t *testing.T) {
 	m.Update(0, []core.Estimate{est(50, 50, 10)})
 	// An estimate 8 away exceeds the gate: becomes a new track.
 	m.Update(1, []core.Estimate{est(58, 50, 10)})
-	if n := len(m.All()); n != 2 {
+	if n := len(m.ExportState().Tracks); n != 2 {
 		t.Errorf("tracks = %d, want 2 (gate violation)", n)
 	}
 }
@@ -171,7 +177,7 @@ func TestEndToEndWithLocalizer(t *testing.T) {
 	conf := m.Confirmed()
 	matched := 0
 	for _, want := range truth {
-		if tr, ok := m.NearestConfirmed(want); ok && tr.Pos.Dist(want) < 6 {
+		if tr, ok := nearestConfirmed(m, want); ok && tr.Pos.Dist(want) < 6 {
 			matched++
 		}
 	}

@@ -27,9 +27,7 @@ type clientMetrics struct {
 // private registry) and wires the breaker's trip count in as a
 // CounterFunc so it needs no mirroring.
 func newClientMetrics(r *obs.Registry, breaker *Breaker) *clientMetrics {
-	if r == nil {
-		r = obs.NewRegistry()
-	}
+	r = obs.Or(r)
 	r.CounterFunc("radloc_agent_breaker_opens_total",
 		"Circuit-breaker trips (closed to open transitions).",
 		func() uint64 { return breaker.Opens() })
@@ -74,14 +72,10 @@ func (m *clientMetrics) observeAttempt(d time.Duration) {
 	m.attemptSeconds.Observe(d.Seconds())
 }
 
-// RegisterSpoolMetrics exposes the spool's occupancy and shed count on
-// r as gauge/counter functions — the spool keeps its own bookkeeping
-// (it predates the registry and must work without one) and the
-// functions read it under the spool's lock at scrape time.
-func RegisterSpoolMetrics(r *obs.Registry, s *Spool) {
-	if r == nil || s == nil {
-		return
-	}
+// registerSpoolMetrics exposes the spool's occupancy and shed count on
+// r as gauge/counter functions that read the spool's own bookkeeping
+// under its lock at scrape time.
+func registerSpoolMetrics(r *obs.Registry, s *Spool) {
 	r.GaugeFunc("radloc_agent_spool_pending",
 		"Undelivered readings held in the on-disk spool.",
 		func() float64 { return float64(s.Pending()) })

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"radloc/internal/obs"
+	"radloc/internal/vfs"
 	"radloc/internal/wal"
 )
 
@@ -44,9 +45,9 @@ type SpoolOptions struct {
 	// SegmentRecords is the WAL segment rotation size (default 512 —
 	// small segments so acknowledged data is pruned promptly).
 	SegmentRecords int
-	// Metrics, when non-nil, receives the spool's occupancy gauges
+	// Metrics receives the spool's occupancy gauges
 	// (radloc_agent_spool_*) and the underlying WAL's counters and
-	// fsync timings (radloc_wal_*). nil disables instrumentation.
+	// fsync timings (radloc_wal_*); nil gets a private registry.
 	Metrics *obs.Registry
 }
 
@@ -88,7 +89,8 @@ type cursorJSON struct {
 // positions it after the last acknowledged reading.
 func OpenSpool(dir string, opts SpoolOptions) (*Spool, error) {
 	opts = opts.withDefaults()
-	l, _, err := wal.Open(dir, wal.Options{Fsync: opts.Fsync, SegmentRecords: opts.SegmentRecords, Metrics: opts.Metrics})
+	reg := obs.Or(opts.Metrics)
+	l, _, err := wal.Open(dir, wal.Options{Fsync: opts.Fsync, SegmentRecords: opts.SegmentRecords, Metrics: reg})
 	if err != nil {
 		return nil, fmt.Errorf("transport: open spool %s: %w", dir, err)
 	}
@@ -112,7 +114,7 @@ func OpenSpool(dir string, opts SpoolOptions) (*Spool, error) {
 		// Cursor ahead of a truncated log: nothing pending.
 		s.acked = l.Offset()
 	}
-	RegisterSpoolMetrics(opts.Metrics, s)
+	registerSpoolMetrics(reg, s)
 	return s, nil
 }
 
@@ -219,10 +221,10 @@ func (s *Spool) Next(max int) ([]Reading, uint64, error) {
 }
 
 // Ack marks every reading below upto as delivered, persists the
-// cursor atomically (tmp + rename), and prunes fully-acknowledged
-// segments. Crash between delivery and Ack means redelivery — the
-// at-least-once half of the contract; the server's dedup supplies the
-// other half.
+// cursor atomically and durably (vfs.WriteFileAtomic fsyncs it on
+// every Ack), and prunes fully-acknowledged segments. Crash between
+// delivery and Ack means redelivery — the at-least-once half of the
+// contract; the server's dedup supplies the other half.
 func (s *Spool) Ack(upto uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -236,11 +238,7 @@ func (s *Spool) Ack(upto uint64) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, cursorFile+".tmp")
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, cursorFile)); err != nil {
+	if err := vfs.WriteFileAtomic(nil, filepath.Join(s.dir, cursorFile), blob); err != nil {
 		return err
 	}
 	s.acked = upto

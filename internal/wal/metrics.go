@@ -1,14 +1,8 @@
 package wal
 
-import (
-	"time"
+import "radloc/internal/obs"
 
-	"radloc/internal/obs"
-)
-
-// walMetrics instruments one Log. All methods are nil-receiver safe so
-// an uninstrumented log (Options.Metrics == nil) pays one branch and
-// never reads the clock.
+// walMetrics instruments one Log.
 type walMetrics struct {
 	appends, fsyncs, rotations *obs.Counter
 	replayed                   *obs.Counter
@@ -21,12 +15,8 @@ type walMetrics struct {
 	retainedSegments           *obs.Gauge
 }
 
-// newWALMetrics registers the log's collectors on r; nil r disables
-// instrumentation entirely (nil walMetrics).
+// newWALMetrics registers the log's collectors on r.
 func newWALMetrics(r *obs.Registry) *walMetrics {
-	if r == nil {
-		return nil
-	}
 	return &walMetrics{
 		appends: r.Counter("radloc_wal_appends_total",
 			"Records appended to the write-ahead log."),
@@ -55,81 +45,8 @@ func newWALMetrics(r *obs.Registry) *walMetrics {
 	}
 }
 
-// now returns the wall clock when instrumented, zero otherwise.
-func (m *walMetrics) now() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observe records elapsed time since t0 into h; no-op when off.
-func (m *walMetrics) observe(h *obs.Histogram, t0 time.Time) {
-	if m == nil {
-		return
-	}
-	h.Observe(time.Since(t0).Seconds())
-}
-
-// appended accounts one successful append at offset off+1.
-func (m *walMetrics) appended(t0 time.Time, next uint64) {
-	if m == nil {
-		return
-	}
-	m.appends.Inc()
-	m.offset.Set(float64(next))
-	m.observe(m.appendSeconds, t0)
-}
-
-// synced accounts one flush+fsync.
-func (m *walMetrics) synced(t0 time.Time) {
-	if m == nil {
-		return
-	}
-	m.fsyncs.Inc()
-	m.observe(m.fsyncSeconds, t0)
-}
-
 // layout refreshes the segment-count and offset gauges.
 func (m *walMetrics) layout(segments int, next uint64) {
-	if m == nil {
-		return
-	}
 	m.segments.Set(float64(segments))
 	m.offset.Set(float64(next))
-}
-
-// retained refreshes the replica-retention gauge after a Prune pass.
-func (m *walMetrics) retained(n int) {
-	if m == nil {
-		return
-	}
-	m.retainedSegments.Set(float64(n))
-}
-
-// recovered folds one Open's recovery stats into the counters.
-func (m *walMetrics) recovered(stats RecoveryStats) {
-	if m == nil {
-		return
-	}
-	m.truncatedRecords.Add(stats.TruncatedRecords)
-	m.droppedSegments.Add(uint64(stats.DroppedSegments))
-}
-
-// rotated accounts one segment rotation.
-func (m *walMetrics) rotated(segments int) {
-	if m == nil {
-		return
-	}
-	m.rotations.Inc()
-	m.segments.Set(float64(segments))
-}
-
-// replayDone accounts one Replay call streaming n records.
-func (m *walMetrics) replayDone(t0 time.Time, n uint64) {
-	if m == nil {
-		return
-	}
-	m.replayed.Add(n)
-	m.observe(m.replaySeconds, t0)
 }

@@ -39,6 +39,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"radloc/internal/obs"
 	"radloc/internal/vfs"
@@ -106,10 +107,8 @@ type Options struct {
 	// SegmentRecords rotates to a new segment after this many records
 	// (default 4096).
 	SegmentRecords int
-	// Metrics, when non-nil, is the registry the log's counters and
-	// timing histograms live on (radloc_wal_*). nil disables
-	// instrumentation: appends pay one branch and never read the
-	// clock.
+	// Metrics is the registry the log's counters and timing
+	// histograms live on (radloc_wal_*); nil gets a private one.
 	Metrics *obs.Registry
 	// FS is the filesystem the log lives on. nil means the real
 	// filesystem; tests and chaos runs inject vfs.Faulty here.
@@ -145,14 +144,14 @@ type Log struct {
 	dir      string
 	fs       vfs.FS
 	opts     Options
-	segments []segment   // sorted by start; last one is the active tail
-	next     uint64      // offset the next appended record will get
-	retain   uint64      // Prune floor: records ≥ retain survive (replication)
-	f        vfs.File    // active tail segment, opened for append
-	dirty    bool        // unsynced appends outstanding
-	wedged   bool        // a failed append left bytes we could not truncate away
-	line     []byte      // Append's reused encode buffer
-	met      *walMetrics // nil when uninstrumented
+	segments []segment // sorted by start; last one is the active tail
+	next     uint64    // offset the next appended record will get
+	retain   uint64    // Prune floor: records ≥ retain survive (replication)
+	f        vfs.File  // active tail segment, opened for append
+	dirty    bool      // unsynced appends outstanding
+	wedged   bool      // a failed append left bytes we could not truncate away
+	line     []byte    // Append's reused encode buffer
+	met      *walMetrics
 }
 
 type segment struct {
@@ -185,7 +184,7 @@ func Open(dir string, opts Options) (*Log, RecoveryStats, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, RecoveryStats{}, err
 	}
-	l := &Log{dir: dir, fs: fsys, opts: opts, retain: ^uint64(0), met: newWALMetrics(opts.Metrics)}
+	l := &Log{dir: dir, fs: fsys, opts: opts, retain: ^uint64(0), met: newWALMetrics(obs.Or(opts.Metrics))}
 	stats, err := l.recover()
 	if err != nil {
 		return nil, stats, err
@@ -193,7 +192,8 @@ func Open(dir string, opts Options) (*Log, RecoveryStats, error) {
 	if err := l.openTail(); err != nil {
 		return nil, stats, err
 	}
-	l.met.recovered(stats)
+	l.met.truncatedRecords.Add(stats.TruncatedRecords)
+	l.met.droppedSegments.Add(uint64(stats.DroppedSegments))
 	l.met.layout(len(l.segments), l.next)
 	return l, stats, nil
 }
@@ -404,7 +404,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 			return 0, fmt.Errorf("wal: wedged by earlier torn append: %w", err)
 		}
 	}
-	t0 := l.met.now()
+	t0 := time.Now()
 	tail := &l.segments[len(l.segments)-1]
 	if tail.count >= uint64(l.opts.SegmentRecords) {
 		if err := l.rotate(); err != nil {
@@ -439,7 +439,9 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	l.next++
 	tail.count++
 	tail.bytes += int64(len(line))
-	l.met.appended(t0, l.next)
+	l.met.appends.Inc()
+	l.met.offset.Set(float64(l.next))
+	l.met.appendSeconds.Observe(time.Since(t0).Seconds())
 	return off, nil
 }
 
@@ -506,12 +508,13 @@ func (l *Log) Sync() error {
 }
 
 func (l *Log) syncTail() error {
-	t0 := l.met.now()
 	if l.opts.Fsync != FsyncNever {
+		t0 := time.Now()
 		if err := l.f.Sync(); err != nil {
 			return err
 		}
-		l.met.synced(t0)
+		l.met.fsyncs.Inc()
+		l.met.fsyncSeconds.Observe(time.Since(t0).Seconds())
 	}
 	l.dirty = false
 	return nil
@@ -540,7 +543,8 @@ func (l *Log) rotate() error {
 	closeErr := l.f.Close()
 	l.segments = append(l.segments, seg)
 	l.f = f
-	l.met.rotated(len(l.segments))
+	l.met.rotations.Inc()
+	l.met.segments.Set(float64(len(l.segments)))
 	// The sealed segment was already synced; a failing close is still
 	// a disk talking back and must reach the caller, not /dev/null.
 	return closeErr
@@ -582,9 +586,12 @@ func (l *Log) Replay(from uint64, fn func(off uint64, rec Record) error) error {
 	if err := l.Sync(); err != nil {
 		return err
 	}
-	t0 := l.met.now()
+	t0 := time.Now()
 	var replayed uint64
-	defer func() { l.met.replayDone(t0, replayed) }()
+	defer func() {
+		l.met.replayed.Add(replayed)
+		l.met.replaySeconds.Observe(time.Since(t0).Seconds())
+	}()
 	for _, seg := range l.segments {
 		if seg.start+seg.count <= from || seg.count == 0 {
 			continue
@@ -649,7 +656,7 @@ func (l *Log) Prune(keepFrom uint64) error {
 	}
 	l.segments = kept
 	l.met.layout(len(l.segments), l.next)
-	l.met.retained(retained)
+	l.met.retainedSegments.Set(float64(retained))
 	return nil
 }
 

@@ -100,10 +100,7 @@ func NewManager(opts Options) (*Manager, error) {
 		zones:   make(map[string]*Zone),
 		pending: make(map[string]chan struct{}),
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.Or(opts.Metrics)
 	m.created = reg.Counter("radloc_zone_created_total", "Zones created (including recreations after eviction).")
 	m.evicted = reg.Counter("radloc_zone_evicted_total", "Zones evicted after their idle TTL, final checkpoint written.")
 	reg.GaugeFunc("radloc_zone_active", "Live zones.", func() float64 {
