@@ -120,7 +120,7 @@ func runStorageTrial(window time.Duration, writeProb float64, torn bool, steps i
 		return storageTrialResult{}, err
 	}
 	defer os.RemoveAll(walDir)
-	fcfg := vfs.FaultConfig{Seed: seed, WriteErrProb: writeProb, WriteErr: syscall.EIO, Clock: clk}
+	fcfg := vfs.FaultConfig{Seed: seed, WriteErrProb: writeProb, WriteErr: syscall.EIO}
 	if torn {
 		fcfg.TornWriteProb = writeProb
 	}

@@ -66,8 +66,8 @@ type (
 )
 
 // NewTrackManager creates an M-of-N track manager over the localizer's
-// per-step estimates: tracks confirm after ConfirmHits associations and
-// retire after DropMisses consecutive misses, suppressing the transient
+// per-step estimates: tracks confirm after three associations and
+// retire after four consecutive misses, suppressing the transient
 // false-positive flicker of raw mean-shift modes.
 func NewTrackManager(cfg TrackConfig) *TrackManager { return track.NewManager(cfg) }
 

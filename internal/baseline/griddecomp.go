@@ -9,48 +9,33 @@ import (
 	"radloc/internal/radiation"
 )
 
+// The grid decomposition's fixed settings.
+const (
+	// gridCellsX, gridCellsY set the discretization: finer grids make
+	// this inverse problem underdetermined with sparse sensor coverage
+	// and smear mass onto sensor-adjacent cells. The paper's [16]
+	// reports runtimes up to 209 s for fine grids — the cost the
+	// particle filter avoids.
+	gridCellsX, gridCellsY = 10, 10
+	// gridIters is the number of multiplicative updates.
+	gridIters = 1500
+	// gridMinStrength is the per-cell strength (µCi) below which a
+	// cell is considered empty when extracting sources.
+	gridMinStrength = 2.0
+	// gridSparsity is the ℓ1 penalty weight β added to the
+	// multiplicative denominator; it plays the role of [16]'s sparse
+	// convex program, concentrating mass into few cells instead of
+	// smearing it across the sensor-adjacent cells of this
+	// underdetermined inverse problem.
+	gridSparsity = 0.5
+)
+
 // GridConfig configures the grid-decomposition estimator of Cheng &
 // Singh [16]: hypothesize one source per grid cell and recover the
 // non-negative per-cell strength field that best explains the readings.
 type GridConfig struct {
 	// Bounds is the surveillance area.
 	Bounds geometry.Rect
-	// CellsX, CellsY set the discretization (defaults 10×10 — finer
-	// grids make this inverse problem underdetermined with sparse
-	// sensor coverage and smear mass onto sensor-adjacent cells). The
-	// paper's [16] reports runtimes up to 209 s for fine grids — the
-	// cost the particle filter avoids.
-	CellsX, CellsY int
-	// Iters is the number of multiplicative updates (default 1500).
-	Iters int
-	// MinStrength is the per-cell strength below which a cell is
-	// considered empty when extracting sources (default 2 µCi).
-	MinStrength float64
-	// Sparsity is the ℓ1 penalty weight β added to the multiplicative
-	// denominator; it plays the role of [16]'s sparse convex program,
-	// concentrating mass into few cells instead of smearing it across
-	// the sensor-adjacent cells of this underdetermined inverse problem
-	// (default 0.5).
-	Sparsity float64
-}
-
-func (c GridConfig) withDefaults() GridConfig {
-	if c.CellsX == 0 {
-		c.CellsX = 10
-	}
-	if c.CellsY == 0 {
-		c.CellsY = 10
-	}
-	if c.Iters == 0 {
-		c.Iters = 1500
-	}
-	if c.MinStrength == 0 {
-		c.MinStrength = 2
-	}
-	if c.Sparsity == 0 {
-		c.Sparsity = 0.5
-	}
-	return c
 }
 
 // GridResult is the recovered strength field plus extracted sources.
@@ -59,7 +44,7 @@ type GridResult struct {
 	Field  []float64
 	CellsX int
 	CellsY int
-	// Sources are the local maxima of the field above MinStrength,
+	// Sources are the local maxima of the field above 2 µCi,
 	// with strength aggregated over each maximum's neighbourhood.
 	Sources []radiation.Source
 }
@@ -75,12 +60,11 @@ func GridDecompose(readings []Reading, cfg GridConfig) (GridResult, error) {
 	if len(readings) == 0 {
 		return GridResult{}, ErrNoReadings
 	}
-	cfg = cfg.withDefaults()
 	if cfg.Bounds.Width() <= 0 || cfg.Bounds.Height() <= 0 {
 		return GridResult{}, fmt.Errorf("baseline: empty grid bounds")
 	}
 
-	nc := cfg.CellsX * cfg.CellsY
+	nc := gridCellsX * gridCellsY
 	n := len(readings)
 
 	// Response matrix g[i][c]: CPM per µCi placed at cell c's center,
@@ -88,12 +72,12 @@ func GridDecompose(readings []Reading, cfg GridConfig) (GridResult, error) {
 	g := make([]float64, n*nc)
 	colSum := make([]float64, nc)
 	centers := make([]geometry.Vec, nc)
-	for cy := 0; cy < cfg.CellsY; cy++ {
-		for cx := 0; cx < cfg.CellsX; cx++ {
-			c := cy*cfg.CellsX + cx
+	for cy := 0; cy < gridCellsY; cy++ {
+		for cx := 0; cx < gridCellsX; cx++ {
+			c := cy*gridCellsX + cx
 			centers[c] = geometry.V(
-				cfg.Bounds.Min.X+(float64(cx)+0.5)*cfg.Bounds.Width()/float64(cfg.CellsX),
-				cfg.Bounds.Min.Y+(float64(cy)+0.5)*cfg.Bounds.Height()/float64(cfg.CellsY),
+				cfg.Bounds.Min.X+(float64(cx)+0.5)*cfg.Bounds.Width()/float64(gridCellsX),
+				cfg.Bounds.Min.Y+(float64(cy)+0.5)*cfg.Bounds.Height()/float64(gridCellsY),
 			)
 		}
 	}
@@ -114,7 +98,7 @@ func GridDecompose(readings []Reading, cfg GridConfig) (GridResult, error) {
 	}
 	lambda := make([]float64, n)
 	num := make([]float64, nc)
-	for it := 0; it < cfg.Iters; it++ {
+	for it := 0; it < gridIters; it++ {
 		for i, r := range readings {
 			l := r.Sensor.Background
 			row := g[i*nc : (i+1)*nc]
@@ -135,30 +119,30 @@ func GridDecompose(readings []Reading, cfg GridConfig) (GridResult, error) {
 		}
 		for c := range field {
 			if colSum[c] > 0 {
-				field[c] *= num[c] / (colSum[c] + cfg.Sparsity)
+				field[c] *= num[c] / (colSum[c] + gridSparsity)
 			}
 		}
 	}
 
-	res := GridResult{Field: field, CellsX: cfg.CellsX, CellsY: cfg.CellsY}
-	res.Sources = extractPeaks(field, centers, cfg)
+	res := GridResult{Field: field, CellsX: gridCellsX, CellsY: gridCellsY}
+	res.Sources = extractPeaks(field, centers)
 	return res, nil
 }
 
 // extractPeaks finds local maxima of the field above the strength
 // floor, aggregating each peak's 8-neighbourhood into one source.
-func extractPeaks(field []float64, centers []geometry.Vec, cfg GridConfig) []radiation.Source {
+func extractPeaks(field []float64, centers []geometry.Vec) []radiation.Source {
 	var out []radiation.Source
 	at := func(cx, cy int) float64 {
-		if cx < 0 || cy < 0 || cx >= cfg.CellsX || cy >= cfg.CellsY {
+		if cx < 0 || cy < 0 || cx >= gridCellsX || cy >= gridCellsY {
 			return -1
 		}
-		return field[cy*cfg.CellsX+cx]
+		return field[cy*gridCellsX+cx]
 	}
-	for cy := 0; cy < cfg.CellsY; cy++ {
-		for cx := 0; cx < cfg.CellsX; cx++ {
+	for cy := 0; cy < gridCellsY; cy++ {
+		for cx := 0; cx < gridCellsX; cx++ {
 			v := at(cx, cy)
-			if v < cfg.MinStrength {
+			if v < gridMinStrength {
 				continue
 			}
 			peak := true
@@ -172,7 +156,7 @@ func extractPeaks(field []float64, centers []geometry.Vec, cfg GridConfig) []rad
 						break
 					}
 					if nv > 0 {
-						c := (cy+dy)*cfg.CellsX + (cx + dx)
+						c := (cy+dy)*gridCellsX + (cx + dx)
 						cluster += nv
 						wx += nv * centers[c].X
 						wy += nv * centers[c].Y

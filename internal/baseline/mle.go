@@ -49,12 +49,13 @@ const (
 	BIC
 )
 
+// mleStrengthMax bounds the MLE's source strengths (µCi).
+const mleStrengthMax = 200
+
 // MLEConfig configures the joint maximum-likelihood estimator.
 type MLEConfig struct {
 	// Bounds is the search area for source positions.
 	Bounds geometry.Rect
-	// StrengthMax bounds source strengths (µCi); default 200.
-	StrengthMax float64
 	// KMax is the largest source count considered (default 4 — the
 	// paper notes algorithms of this family "do not scale beyond four
 	// sources").
@@ -63,14 +64,9 @@ type MLEConfig struct {
 	Criterion Criterion
 	// Starts is the number of random restarts per K (default 12).
 	Starts int
-	// MaxIter bounds each Nelder–Mead run (default 400·3K).
-	MaxIter int
 }
 
 func (c MLEConfig) withDefaults() MLEConfig {
-	if c.StrengthMax == 0 {
-		c.StrengthMax = 200
-	}
 	if c.KMax == 0 {
 		c.KMax = 4
 	}
@@ -145,11 +141,7 @@ func fitK(readings []Reading, cfg MLEConfig, k int, stream *rng.Stream) ([]radia
 		lower[3*j+1] = cfg.Bounds.Min.Y
 		upper[3*j+1] = cfg.Bounds.Max.Y
 		lower[3*j+2] = 0
-		upper[3*j+2] = cfg.StrengthMax
-	}
-	maxIter := cfg.MaxIter
-	if maxIter <= 0 {
-		maxIter = 400 * d
+		upper[3*j+2] = mleStrengthMax
 	}
 	p := optimize.Problem{
 		F: func(x []float64) float64 {
@@ -158,7 +150,7 @@ func fitK(readings []Reading, cfg MLEConfig, k int, stream *rng.Stream) ([]radia
 		Lower: lower,
 		Upper: upper,
 	}
-	r, err := optimize.MultiStart(p, cfg.Starts, stream, optimize.Options{MaxIter: maxIter})
+	r, err := optimize.MultiStart(p, cfg.Starts, stream, optimize.Options{MaxIter: 400 * d})
 	if err != nil {
 		return nil, 0, err
 	}

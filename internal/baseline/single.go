@@ -16,34 +16,27 @@ import (
 // than three usable sensors.
 var ErrTooFewSensors = errors.New("baseline: need at least three sensors with signal")
 
+// The triple-fusion estimators' fixed settings.
+const (
+	// maxTriples bounds how many sensor triples MoE and ITP sample.
+	maxTriples = 200
+	// itpPruneFraction is the fraction of triple estimates ITP
+	// discards per round, over itpRounds rounds.
+	itpPruneFraction = 0.2
+	itpRounds        = 5
+)
+
 // SingleConfig configures the single-source estimators.
 type SingleConfig struct {
 	// Bounds constrains position estimates.
 	Bounds geometry.Rect
 	// StrengthMax bounds the strength estimate (default 1000 µCi).
 	StrengthMax float64
-	// MaxTriples bounds how many sensor triples are sampled for
-	// MoE/ITP fusion (default 200).
-	MaxTriples int
-	// PruneFraction is the fraction of triple estimates ITP discards
-	// per round (default 0.2); ITPRounds the number of rounds
-	// (default 5).
-	PruneFraction float64
-	ITPRounds     int
 }
 
 func (c SingleConfig) withDefaults() SingleConfig {
 	if c.StrengthMax == 0 {
 		c.StrengthMax = 1000
-	}
-	if c.MaxTriples == 0 {
-		c.MaxTriples = 200
-	}
-	if c.PruneFraction == 0 {
-		c.PruneFraction = 0.2
-	}
-	if c.ITPRounds == 0 {
-		c.ITPRounds = 5
 	}
 	return c
 }
@@ -135,7 +128,7 @@ func tripleEstimates(readings []Reading, cfg SingleConfig, stream *rng.Stream) [
 		return nil
 	}
 	var out []radiation.Source
-	for t := 0; t < cfg.MaxTriples; t++ {
+	for t := 0; t < maxTriples; t++ {
 		i, j, k := stream.IntN(len(hot)), stream.IntN(len(hot)), stream.IntN(len(hot))
 		if i == j || j == k || i == k {
 			continue
@@ -150,7 +143,6 @@ func tripleEstimates(readings []Reading, cfg SingleConfig, stream *rng.Stream) [
 // MoE is the mean-of-estimators fusion of Rao et al. [14]: localize
 // with every sampled sensor triple and average the per-triple results.
 func MoE(readings []Reading, cfg SingleConfig, stream *rng.Stream) (radiation.Source, error) {
-	cfg = cfg.withDefaults()
 	ests := tripleEstimates(readings, cfg, stream)
 	if len(ests) == 0 {
 		return radiation.Source{}, ErrTooFewSensors
@@ -162,17 +154,16 @@ func MoE(readings []Reading, cfg SingleConfig, stream *rng.Stream) (radiation.So
 // discard the triple estimates farthest from the current mean, then
 // average the survivors.
 func ITP(readings []Reading, cfg SingleConfig, stream *rng.Stream) (radiation.Source, error) {
-	cfg = cfg.withDefaults()
 	ests := tripleEstimates(readings, cfg, stream)
 	if len(ests) == 0 {
 		return radiation.Source{}, ErrTooFewSensors
 	}
-	for round := 0; round < cfg.ITPRounds && len(ests) > 3; round++ {
+	for round := 0; round < itpRounds && len(ests) > 3; round++ {
 		mean := meanSource(ests)
 		sort.Slice(ests, func(a, b int) bool {
 			return ests[a].Pos.Dist2(mean.Pos) < ests[b].Pos.Dist2(mean.Pos)
 		})
-		keep := len(ests) - int(math.Ceil(cfg.PruneFraction*float64(len(ests))))
+		keep := len(ests) - int(math.Ceil(itpPruneFraction*float64(len(ests))))
 		if keep < 3 {
 			keep = 3
 		}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"radloc/internal/clock"
 	"radloc/internal/obs"
 )
 
@@ -72,8 +71,6 @@ type Options struct {
 	RouteStore RouteStore
 	// HTTP performs the standby's pulls (default http.DefaultTransport).
 	HTTP http.RoundTripper
-	// Clock times replication lag (default the wall clock).
-	Clock clock.Clock
 	// PullInterval is the standby's idle poll period (default 500ms).
 	// A pull that learns it is still behind loops again immediately.
 	PullInterval time.Duration
@@ -153,9 +150,6 @@ func NewNode(opts Options) (*Node, error) {
 	if opts.HTTP == nil {
 		opts.HTTP = http.DefaultTransport
 	}
-	if opts.Clock == nil {
-		opts.Clock = clock.Real{}
-	}
 	if opts.PullInterval <= 0 {
 		opts.PullInterval = 500 * time.Millisecond
 	}
@@ -201,7 +195,7 @@ func (n *Node) zoneFor(name string) (*zoneState, error) {
 	if rt, ok := n.routes.Zones[name]; ok && rt.Primary != n.opts.Self {
 		zs.role = RoleStandby
 		zs.primaryURL = rt.Primary
-		zs.lastCaughtUp = n.opts.Clock.Now()
+		zs.lastCaughtUp = time.Now()
 	}
 	n.zones[name] = zs
 	n.met.roleChanged(name, zs.role == RolePrimary, zs.epoch)
@@ -449,7 +443,7 @@ func (n *Node) Demote(zone string, epoch uint64, primaryURL string) error {
 	}
 	zs.epoch = epoch
 	zs.primaryURL = primaryURL
-	zs.lastCaughtUp = n.opts.Clock.Now()
+	zs.lastCaughtUp = time.Now()
 	zs.caughtUp = false
 	meta := epochMetaLocked(zs)
 	var routesCp Routes
@@ -490,7 +484,7 @@ func (n *Node) stepDownLocked(zs *zoneState, primaryURL string) {
 	zs.draining = false
 	zs.primaryURL = primaryURL
 	zs.caughtUp = false
-	zs.lastCaughtUp = n.opts.Clock.Now()
+	zs.lastCaughtUp = time.Now()
 	n.met.roleChanged(zs.name, false, zs.epoch)
 	if primaryURL != "" {
 		n.startReplicaLocked(zs)
@@ -680,7 +674,7 @@ type ZoneStatus struct {
 func (n *Node) Status() []ZoneStatus {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	now := n.opts.Clock.Now()
+	now := time.Now()
 	out := make([]ZoneStatus, 0, len(n.zones))
 	for _, zs := range n.zones {
 		st := ZoneStatus{

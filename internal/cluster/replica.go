@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"time"
 )
 
 // applyChunk is how many decoded records are buffered before they are
@@ -43,7 +44,7 @@ func (n *Node) Replicate(zone, from string) error {
 	zs.draining = false
 	zs.primaryURL = from
 	zs.caughtUp = false
-	zs.lastCaughtUp = n.opts.Clock.Now()
+	zs.lastCaughtUp = time.Now()
 	n.met.roleChanged(zone, false, zs.epoch)
 	n.startReplicaLocked(zs)
 	return nil
@@ -64,7 +65,7 @@ func (n *Node) replicaLoop(ctx context.Context, zone string) {
 			return
 		}
 		if !behind {
-			wait, cancel := n.opts.Clock.WithTimeout(ctx, n.opts.PullInterval)
+			wait, cancel := context.WithTimeout(ctx, n.opts.PullInterval)
 			<-wait.Done()
 			cancel()
 		}
@@ -353,7 +354,7 @@ func (n *Node) adoptEpoch(zone string, epoch, start uint64) {
 // gauges. applied counts records journaled this pull; local is the
 // local head afterwards; head is the primary's head (0 when unknown).
 func (n *Node) finishPull(zone string, applied, local, head uint64, err error) {
-	now := n.opts.Clock.Now()
+	now := time.Now()
 	n.mu.Lock()
 	zs, ok := n.zones[zone]
 	if !ok {

@@ -42,11 +42,9 @@ type Config struct {
 
 	// ResampleNoise is σ_N, the standard deviation of the zero-mean
 	// Gaussian position jitter added to duplicated particles during
-	// resampling (default 3).
+	// resampling (default 3). Their strength is jittered by
+	// ResampleNoise × StrengthMax / 200.
 	ResampleNoise float64
-	// StrengthNoise is the jitter applied to duplicated particles'
-	// strength. Default: ResampleNoise × StrengthMax / 200.
-	StrengthNoise float64
 	// InjectionFrac is the fraction of resampled particles replaced by
 	// fresh uniform hypotheses, keeping the filter receptive to sources
 	// appearing in depleted areas (default 0.05).
@@ -142,9 +140,6 @@ func (c Config) withDefaults() Config {
 	if c.StrengthMax == 0 {
 		c.StrengthMax = 200
 	}
-	if c.StrengthNoise == 0 {
-		c.StrengthNoise = c.ResampleNoise * c.StrengthMax / 200
-	}
 	if c.InjectionFrac == 0 {
 		c.InjectionFrac = 0.05
 	}
@@ -181,8 +176,8 @@ func (c Config) validate() error {
 	if c.FusionRange <= 0 {
 		return fmt.Errorf("core: FusionRange = %v", c.FusionRange)
 	}
-	if c.ResampleNoise < 0 || c.StrengthNoise < 0 {
-		return fmt.Errorf("core: negative resampling noise (%v, %v)", c.ResampleNoise, c.StrengthNoise)
+	if c.ResampleNoise < 0 {
+		return fmt.Errorf("core: ResampleNoise = %v", c.ResampleNoise)
 	}
 	if c.InjectionFrac < 0 || c.InjectionFrac > 1 {
 		return fmt.Errorf("core: InjectionFrac = %v", c.InjectionFrac)

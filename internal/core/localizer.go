@@ -499,13 +499,14 @@ func (l *Localizer) resample(ids []int32, cum, priorMass float64) {
 	l.syBuf = grow(l.syBuf, n, len(l.xs))
 	l.ssBuf = grow(l.ssBuf, n, len(l.xs))
 	sx, sy, ss := l.subBuf, l.syBuf, l.ssBuf
+	strengthNoise := l.cfg.ResampleNoise * l.cfg.StrengthMax / 200
 	for k := 0; k < n; k++ {
 		src := ids[l.pickBuf[k]]
 		x, y, s := l.xs[src], l.ys[src], l.ss[src]
 		if k > 0 && l.pickBuf[k] == l.pickBuf[k-1] {
 			x = l.clampX(x + l.stream.Normal(0, l.cfg.ResampleNoise))
 			y = l.clampY(y + l.stream.Normal(0, l.cfg.ResampleNoise))
-			s = l.clampS(s + l.stream.Normal(0, l.cfg.StrengthNoise))
+			s = l.clampS(s + l.stream.Normal(0, strengthNoise))
 		}
 		sx[k], sy[k], ss[k] = x, y, s
 	}

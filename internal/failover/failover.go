@@ -49,12 +49,8 @@ type Options struct {
 	HTTP http.RoundTripper
 	// Clock drives the probe schedule (default the wall clock).
 	Clock clock.Clock
-	// RNG jitters the probe interval; nil seeds a fixed stream from
-	// Self, so a deterministic test fabric sees a deterministic
-	// schedule.
-	RNG *rng.Stream
 	// Interval is the base probe period (default 2s), jittered ±20%
-	// per tick.
+	// per tick, and bounds one probe round-trip.
 	Interval time.Duration
 	// Suspect is the consecutive probe misses before a peer is
 	// suspected (default 3).
@@ -63,8 +59,6 @@ type Options struct {
 	// unreachable before it is declared dead (default 10s). Any
 	// successful probe resets the window — the flapping defense.
 	HoldDown time.Duration
-	// ProbeTimeout bounds one probe round-trip (default Interval).
-	ProbeTimeout time.Duration
 	// MaxPromoteLag is the highest replication lag, in records, at
 	// which self-promotion is still safe (default 0: the standby must
 	// be fully caught up to the last head it saw). Above it the
@@ -111,9 +105,6 @@ func New(opts Options) (*Promoter, error) {
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
 	}
-	if opts.RNG == nil {
-		opts.RNG = rng.NewNamed(0x0fa17, opts.Self)
-	}
 	if opts.Interval <= 0 {
 		opts.Interval = 2 * time.Second
 	}
@@ -122,9 +113,6 @@ func New(opts Options) (*Promoter, error) {
 	}
 	if opts.HoldDown <= 0 {
 		opts.HoldDown = 10 * time.Second
-	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = opts.Interval
 	}
 	p := &Promoter{opts: opts, met: newPromoterMetrics(obs.Or(opts.Metrics))}
 	now := opts.Clock.Now()
@@ -145,13 +133,14 @@ func (p *Promoter) logf(format string, args ...any) {
 }
 
 // Run probes at once and then on a jittered schedule until ctx is
-// done.
+// done. The jitter stream is seeded from Self, so a deterministic test
+// fabric sees a deterministic schedule.
 func (p *Promoter) Run(ctx context.Context) {
 	if ctx.Err() != nil {
 		return
 	}
 	p.Tick(ctx)
-	clock.Every(ctx, p.opts.Clock, p.opts.Interval, p.opts.RNG.Float64, p.Tick)
+	clock.Every(ctx, p.opts.Clock, p.opts.Interval, rng.NewNamed(0x0fa17, p.opts.Self).Float64, p.Tick)
 }
 
 // Tick runs one probe round: every peer's liveness is checked, its
@@ -207,7 +196,7 @@ func (p *Promoter) Tick(ctx context.Context) {
 // for promotion purposes it is as good as gone; only the hold-down
 // window separates a transient ENOSPC blip from a real takeover.
 func (p *Promoter) probe(ctx context.Context, peer string) bool {
-	ctx, cancel := p.opts.Clock.WithTimeout(ctx, p.opts.ProbeTimeout)
+	ctx, cancel := p.opts.Clock.WithTimeout(ctx, p.opts.Interval)
 	defer cancel()
 	resp, err := p.get(ctx, peer+"/readyz")
 	if err != nil {

@@ -60,13 +60,14 @@ type HealthConfig struct {
 	// Warmup is the number of readings per sensor ingested before
 	// scoring starts, giving the filter time to converge (default 5).
 	Warmup int
-	// RelSlack inflates the predictive variance with a multiplicative
-	// model-uncertainty term, Var = λ + (RelSlack·λ)², so sensors right
-	// next to a source (whose λ is steeply sensitive to small estimate
-	// errors) are not falsely flagged while the filter converges
-	// (default 0.2).
-	RelSlack float64
 }
+
+// healthRelSlack inflates the predictive variance with a
+// multiplicative model-uncertainty term, Var = λ + (healthRelSlack·λ)²,
+// so sensors right next to a source (whose λ is steeply sensitive to
+// small estimate errors) are not falsely flagged while the filter
+// converges.
+const healthRelSlack = 0.2
 
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.ZThreshold <= 0 {
@@ -80,9 +81,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.Warmup <= 0 {
 		c.Warmup = 5
-	}
-	if c.RelSlack <= 0 {
-		c.RelSlack = 0.2
 	}
 	return c
 }
@@ -121,7 +119,7 @@ func (e *Engine) admit(h *sensorHealth, sen sensor.Sensor, cpm int) bool {
 	if e.met.refreshes.Value() == 0 || h.seen <= uint64(e.hcfg.Warmup) {
 		return h.status == Healthy
 	}
-	z := diagnose.ResidualZInflated(sen, cpm, e.predSources, e.hcfg.RelSlack)
+	z := diagnose.ResidualZInflated(sen, cpm, e.predSources, healthRelSlack)
 	h.lastZ = z
 	implausible := math.Abs(z) >= e.hcfg.ZThreshold
 	switch h.status {

@@ -8,8 +8,8 @@
 //
 //	x_{i+1} = Σ_j p_j w_j K(x_i − p_j) / Σ_j w_j K(x_i − p_j)
 //
-// until convergence; converged points within MergeRadius of each other
-// are merged into one mode. Points beyond CutoffSigmas in scaled
+// until convergence; converged points within mergeRadius (one scaled
+// unit) of each other are merged into one mode. Points beyond CutoffSigmas in scaled
 // spatial (first-two-dimension) distance are ignored — the truncation
 // discards at most exp(−CutoffSigmas²/2) (≈ 3·10⁻⁴ at the default 4)
 // of any point's relative spatial contribution.
@@ -17,7 +17,7 @@
 // The climbs run in two phases. Phase 1 climbs every eighth start to
 // convergence. Phase 2 climbs the rest, and after every iteration
 // checks the climbing point against the phase-1 results in phase-1
-// order: once it is within a quarter of MergeRadius of one, the climb
+// order: once it is within a quarter of mergeRadius of one, the climb
 // stops there and takes that result's point and density, since the
 // merge would have joined the two anyway. Most climbs end a few
 // iterations early this way. Phase 2 starts only after phase 1 has
@@ -47,21 +47,24 @@ import (
 	"radloc/internal/spatial"
 )
 
-// Config controls the mode search. Zero values of MaxIter, Tol,
-// MergeRadius, CutoffSigmas and Workers select the documented defaults.
+// The climb's fixed settings, in scaled space.
+const (
+	// climbMaxIter bounds the iterations per start.
+	climbMaxIter = 100
+	// climbTol is the movement below which a start has converged.
+	climbTol = 1e-3
+	// mergeRadius is the distance within which two converged points
+	// are one mode.
+	mergeRadius = 1.0
+)
+
+// Config controls the mode search. Zero values of CutoffSigmas and
+// Workers select the documented defaults.
 type Config struct {
 	// Bandwidth is the per-dimension kernel bandwidth h_k (> 0). Its
 	// length fixes the dimensionality d ≥ 2; the first two dimensions
 	// must be the spatial ones (they drive neighbour pruning).
 	Bandwidth []float64
-	// MaxIter bounds the iterations per start (default 100).
-	MaxIter int
-	// Tol is the scaled-space movement below which a start has
-	// converged (default 1e-3).
-	Tol float64
-	// MergeRadius is the scaled-space distance within which two
-	// converged points are one mode (default 1.0).
-	MergeRadius float64
 	// CutoffSigmas is the scaled-space radius beyond which kernel
 	// contributions are ignored (default 4).
 	CutoffSigmas float64
@@ -79,15 +82,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxIter <= 0 {
-		c.MaxIter = 100
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-3
-	}
-	if c.MergeRadius <= 0 {
-		c.MergeRadius = 1.0
-	}
 	if c.CutoffSigmas <= 0 {
 		c.CutoffSigmas = 4
 	}
@@ -155,9 +149,9 @@ var ErrDimensionMismatch = errors.New("meanshift: dimension mismatch")
 const phase1Stride = 8
 
 // captureFrac sets the phase-2 capture radius as a fraction of
-// MergeRadius. A phase-2 climb that comes within captureFrac·MergeRadius
+// mergeRadius. A phase-2 climb that comes within captureFrac·mergeRadius
 // of a phase-1 result would be merged with it anyway; the quarter
-// leaves the rest of MergeRadius as margin for the distance the
+// leaves the rest of mergeRadius as margin for the distance the
 // captured climb would still have moved on its own.
 const captureFrac = 0.25
 
@@ -420,12 +414,12 @@ func (s *Searcher) climb(x, num []float64, capture bool) (float64, bool) {
 	d := s.d
 	r2cut := cfg.CutoffSigmas * cfg.CutoffSigmas
 	exact := cfg.ExactKernel
-	tol2 := cfg.Tol * cfg.Tol
-	capR := captureFrac * cfg.MergeRadius
+	tol2 := climbTol * climbTol
+	capR := captureFrac * mergeRadius
 	cap2 := capR * capR
 	stride, _ := s.cells.Dims()
 	var dens float64
-	for iter := 0; iter < cfg.MaxIter; iter++ {
+	for iter := 0; iter < climbMaxIter; iter++ {
 		cx0, cy0 := s.cells.Coords(geometry.V(x[0]-s.reach, x[1]-s.reach))
 		cx1, cy1 := s.cells.Coords(geometry.V(x[0]+s.reach, x[1]+s.reach))
 		var denom float64
@@ -527,7 +521,7 @@ func (s *Searcher) climb(x, num []float64, capture bool) (float64, bool) {
 	return dens, true
 }
 
-// mergeModes greedily merges converged points within MergeRadius,
+// mergeModes greedily merges converged points within mergeRadius,
 // keeping the densest representative. Candidates are visited in
 // descending density (ties broken by start order), so the merge is
 // deterministic.
@@ -550,7 +544,7 @@ func (s *Searcher) mergeModes(m int) []Mode {
 	})
 
 	var modes []Mode
-	r2 := s.cfg.MergeRadius * s.cfg.MergeRadius
+	r2 := mergeRadius * mergeRadius
 	for _, i := range order {
 		pt := s.resBuf[i*d : (i+1)*d]
 		merged := false

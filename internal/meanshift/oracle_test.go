@@ -131,7 +131,7 @@ func TestTwoPhaseMatchesSinglePhase(t *testing.T) {
 
 // TestTwoPhaseOnNoiseInventsNoMode covers rough densities, where
 // particle positions are uniform noise and the density has many
-// shallow modes within MergeRadius of one another. There the greedy
+// shallow modes within mergeRadius of one another. There the greedy
 // merge depends on exactly where each climb stopped, and a captured
 // climb stops on its anchor instead of a point of its own, so the two
 // searches can merge shallow modes differently (during development,
@@ -139,7 +139,7 @@ func TestTwoPhaseMatchesSinglePhase(t *testing.T) {
 // one or two modes). What must
 // still hold: every start with support is counted, the two-phase
 // search finds no more modes than the oracle, and each of its modes
-// lies within MergeRadius of an oracle mode.
+// lies within mergeRadius of an oracle mode.
 func TestTwoPhaseOnNoiseInventsNoMode(t *testing.T) {
 	cfg := defaultCfg()
 	weights := map[string]func(s *rng.Stream) func(x, y, str float64) float64{
@@ -172,7 +172,7 @@ func TestTwoPhaseOnNoiseInventsNoMode(t *testing.T) {
 					t.Errorf("seed %d: two-phase found %d modes, more than single-phase's %d", seed, len(got), len(want))
 				}
 				for i, g := range got {
-					if dist := nearest(cfg, g, want); dist > cfg.withDefaults().MergeRadius {
+					if dist := nearest(cfg, g, want); dist > mergeRadius {
 						t.Errorf("seed %d: two-phase mode %d is %.3f scaled units from every single-phase mode", seed, i, dist)
 					}
 				}
@@ -487,13 +487,13 @@ func (g *gatherSearch) climb(x []float64, capture bool) (float64, bool) {
 	d := g.d
 	r2cut := cfg.CutoffSigmas * cfg.CutoffSigmas
 	exact := cfg.ExactKernel
-	tol2 := cfg.Tol * cfg.Tol
-	capR := captureFrac * cfg.MergeRadius
+	tol2 := climbTol * climbTol
+	capR := captureFrac * mergeRadius
 	cap2 := capR * capR
 	var ax, ay float64
 	gathered := false
 	var dens float64
-	for iter := 0; iter < cfg.MaxIter; iter++ {
+	for iter := 0; iter < climbMaxIter; iter++ {
 		if dx, dy := x[0]-ax, x[1]-ay; !gathered || dx*dx+dy*dy > gatherSlack*gatherSlack {
 			ax, ay = x[0], x[1]
 			g.withinRadius(geometry.V(ax, ay), cfg.CutoffSigmas+gatherSlack)

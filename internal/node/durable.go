@@ -98,7 +98,7 @@ func (d *durable) setCheckpoints(last, prev uint64) {
 func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords int,
 	build func(fusion.Journal) (*fusion.Engine, error), reg *obs.Registry, logw io.Writer) (*fusion.Engine, *durable, error) {
 
-	fsys = vfs.Or(fsys)
+	fsys, reg = vfs.Or(fsys), obs.Or(reg)
 	l, stats, err := wal.Open(dir, wal.Options{Fsync: pol, Metrics: reg, FS: fsys, SegmentRecords: segRecords})
 	if err != nil {
 		return nil, nil, fmt.Errorf("open WAL %s: %w", dir, err)
@@ -111,16 +111,14 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 		return nil, nil, err
 	}
 	d.engine = engine
-	if reg != nil {
-		reg.GaugeFunc("radloc_storage_degraded",
-			"1 while the zone's WAL is unwritable and ingest answers 507 (read-only mode).",
-			func() float64 {
-				if d.storageDegraded() {
-					return 1
-				}
-				return 0
-			})
-	}
+	reg.GaugeFunc("radloc_storage_degraded",
+		"1 while the zone's WAL is unwritable and ingest answers 507 (read-only mode).",
+		func() float64 {
+			if d.storageDegraded() {
+				return 1
+			}
+			return 0
+		})
 	d.recovery = recoveryJSON{
 		WalRecords:       stats.Records,
 		WalSegments:      stats.Segments,

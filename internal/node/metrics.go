@@ -9,7 +9,8 @@ import (
 // durableMetrics is the checkpointer's registry wiring. The collectors
 // are the checkpointer's accounting — /statez derives its durability
 // numbers from them — so the JSON and Prometheus surfaces can never
-// disagree. nil registries get a private one, as everywhere else.
+// disagree. openDurable gives a nil registry a private one, as
+// everywhere else.
 type durableMetrics struct {
 	checkpoints       *obs.Counter
 	failures          *obs.Counter
@@ -19,7 +20,6 @@ type durableMetrics struct {
 }
 
 func newDurableMetrics(r *obs.Registry) *durableMetrics {
-	r = obs.Or(r)
 	return &durableMetrics{
 		checkpoints: r.Counter("radloc_durable_checkpoints_total",
 			"Engine-state checkpoints written this run."),

@@ -294,6 +294,7 @@ func getJSON(render func() any) http.HandlerFunc {
 // zoneGET wraps a per-zone read endpoint: GET only, the zone must
 // already be live (reads never conjure zones into being — a name
 // without a zone is a 404), and the render result is written as JSON.
+// A route without a {zone} reads the default zone.
 func zoneGET(man *zone.Manager, render func(*zone.Zone) any) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -301,6 +302,9 @@ func zoneGET(man *zone.Manager, render func(*zone.Zone) any) http.HandlerFunc {
 			return
 		}
 		name := r.PathValue("zone")
+		if name == "" {
+			name = zone.DefaultZone
+		}
 		if err := zone.ValidateName(name); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -392,10 +396,6 @@ func newMux(cfg serveConfig) *http.ServeMux {
 		}
 		fmt.Fprintf(w, "ready: %d refreshes over %d measurements\n", s.Refreshes, s.Ingested)
 	})
-	mux.HandleFunc("/sensors", getJSON(func() any { return healthToJSON(def.Snapshot().Health) }))
-	started := time.Now()
-	mux.HandleFunc("/stats", getJSON(func() any { return statsToJSON(def.Snapshot(), started) }))
-	mux.HandleFunc("/snapshot", getJSON(func() any { return snapshotToJSON(def.Snapshot()) }))
 	// Sequenced readings pass the dedup/reorder gate (a buffered
 	// reading counts as accepted: it will be applied when its round
 	// releases); seq-0 readings take the legacy direct path. The
@@ -415,17 +415,18 @@ func newMux(cfg serveConfig) *http.ServeMux {
 	// the legacy route; the {zone} path value picks the engine (and
 	// creates the zone on its first batch).
 	mux.Handle("/zones/{zone}/measurements", writeRoute)
-	// Zone-scoped reads mirror the unnamed routes one-to-one; the
-	// unnamed routes themselves alias the default zone.
-	mux.HandleFunc("/zones/{zone}/snapshot", zoneGET(man, func(z *zone.Zone) any {
-		return snapshotToJSON(z.Snapshot())
-	}))
-	mux.HandleFunc("/zones/{zone}/sensors", zoneGET(man, func(z *zone.Zone) any {
-		return healthToJSON(z.Snapshot().Health)
-	}))
-	mux.HandleFunc("/zones/{zone}/stats", zoneGET(man, func(z *zone.Zone) any {
-		return statsToJSON(z.Snapshot(), started)
-	}))
+	// Zone-scoped reads, each also served unnamed for the default
+	// zone.
+	started := time.Now()
+	for route, render := range map[string]func(*zone.Zone) any{
+		"snapshot": func(z *zone.Zone) any { return snapshotToJSON(z.Snapshot()) },
+		"sensors":  func(z *zone.Zone) any { return healthToJSON(z.Snapshot().Health) },
+		"stats":    func(z *zone.Zone) any { return statsToJSON(z.Snapshot(), started) },
+	} {
+		h := zoneGET(man, render)
+		mux.HandleFunc("/"+route, h)
+		mux.HandleFunc("/zones/{zone}/"+route, h)
+	}
 	mux.HandleFunc("/zones/{zone}/statez", zoneGET(man, func(z *zone.Zone) any {
 		// Ingress (admission) counters are handler-global, shared by
 		// every zone, so the per-zone view reports durability and

@@ -81,7 +81,7 @@ func (w *enospcWindowRT) RoundTrip(req *http.Request) (*http.Response, error) {
 func runENOSPCDelivery(t *testing.T, window time.Duration) (snap, health []byte, walDir string, ing *httpingest.Handler, dur *durable, rt *enospcWindowRT) {
 	t.Helper()
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	faulty := vfs.NewFaulty(nil, vfs.FaultConfig{Seed: 11, Clock: clk})
+	faulty := vfs.NewFaulty(nil, vfs.FaultConfig{Seed: 11})
 	walDir = t.TempDir()
 	zs, err := newZoneSet(zoneSetOptions{
 		WalRoot: walDir, FS: faulty, Fsync: wal.FsyncNever, CkptEvery: 50,

@@ -25,11 +25,15 @@ type Problem struct {
 
 // Options tune the simplex search; zero values select defaults.
 type Options struct {
-	MaxIter  int     // default 200·d
-	TolF     float64 // spread of simplex values at convergence (default 1e-8)
-	TolX     float64 // simplex diameter at convergence (default 1e-6)
-	InitStep float64 // initial simplex edge length (default 1, or 5% of box)
+	MaxIter int // default 200·d
 }
+
+// The simplex converges once both its spread of values is below tolF
+// and its diameter below tolX.
+const (
+	tolF = 1e-8
+	tolX = 1e-6
+)
 
 // Result is the outcome of a minimization.
 type Result struct {
@@ -54,12 +58,6 @@ func NelderMead(p Problem, x0 []float64, opts Options) (Result, error) {
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 200 * d
 	}
-	if opts.TolF <= 0 {
-		opts.TolF = 1e-8
-	}
-	if opts.TolX <= 0 {
-		opts.TolX = 1e-6
-	}
 
 	clamp := func(x []float64) {
 		for i := range x {
@@ -80,18 +78,17 @@ func NelderMead(p Problem, x0 []float64, opts Options) (Result, error) {
 		return v
 	}
 
-	step := opts.InitStep
-	if step <= 0 {
-		step = 1
-		if p.Lower != nil && p.Upper != nil {
-			var span float64
-			for i := range x0 {
-				span += p.Upper[i] - p.Lower[i]
-			}
-			step = 0.05 * span / float64(d)
-			if step <= 0 {
-				step = 1
-			}
+	// The initial simplex edge is 5% of a bounded box's mean side, 1
+	// without bounds.
+	step := 1.0
+	if p.Lower != nil && p.Upper != nil {
+		var span float64
+		for i := range x0 {
+			span += p.Upper[i] - p.Lower[i]
+		}
+		step = 0.05 * span / float64(d)
+		if step <= 0 {
+			step = 1
 		}
 	}
 
@@ -129,7 +126,7 @@ func NelderMead(p Problem, x0 []float64, opts Options) (Result, error) {
 		best, worst, second := order[0], order[d], order[d-1]
 
 		// Convergence: value spread and simplex size.
-		if math.Abs(values[worst]-values[best]) < opts.TolF && simplexDiameter(simplex) < opts.TolX {
+		if math.Abs(values[worst]-values[best]) < tolF && simplexDiameter(simplex) < tolX {
 			return Result{X: simplex[best], F: values[best], Iters: iters, Converged: true}, nil
 		}
 

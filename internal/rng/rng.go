@@ -139,9 +139,3 @@ func (s *Stream) Exponential(mean float64) float64 {
 	}
 	return s.src.ExpFloat64() * mean
 }
-
-// Shuffle randomly permutes n elements using the provided swap
-// function.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	s.src.Shuffle(n, swap)
-}

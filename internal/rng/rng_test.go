@@ -148,19 +148,6 @@ func TestExponential(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	s := New(2, 4)
-	xs := []int{0, 1, 2, 3, 4, 5}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	if sum != 15 {
-		t.Errorf("shuffle lost elements: %v", xs)
-	}
-}
-
 func TestIntN(t *testing.T) {
 	s := New(9, 9)
 	counts := make([]int, 5)

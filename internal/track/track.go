@@ -25,13 +25,16 @@ type Config struct {
 	// strength on update; 1 means "use the newest estimate verbatim"
 	// (default 0.5).
 	Alpha float64
-	// ConfirmHits is the number of associations before a track is
-	// reported (default 3).
-	ConfirmHits int
-	// DropMisses is the number of consecutive unmatched steps after
-	// which a track is retired (default 4).
-	DropMisses int
 }
+
+const (
+	// confirmHits is the number of associations before a track is
+	// reported.
+	confirmHits = 3
+	// dropMisses is the number of consecutive unmatched steps after
+	// which a track is retired.
+	dropMisses = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.GateRadius <= 0 {
@@ -39,12 +42,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = 0.5
-	}
-	if c.ConfirmHits <= 0 {
-		c.ConfirmHits = 3
-	}
-	if c.DropMisses <= 0 {
-		c.DropMisses = 4
 	}
 	return c
 }
@@ -87,7 +84,7 @@ func NewManager(cfg Config) *Manager {
 // greedily matched to the nearest track within the gate; matched tracks
 // are smoothed toward the estimate; unmatched estimates open tentative
 // tracks; unmatched tracks accumulate misses and are retired at
-// DropMisses.
+// dropMisses.
 func (m *Manager) Update(step int, ests []core.Estimate) {
 	type pair struct {
 		d     float64
@@ -136,7 +133,7 @@ func (m *Manager) Update(step int, ests []core.Estimate) {
 	// Retire tracks that have missed too long.
 	kept := m.tracks[:0]
 	for _, t := range m.tracks {
-		if t.Misses < m.cfg.DropMisses {
+		if t.Misses < dropMisses {
 			kept = append(kept, t)
 		}
 	}
@@ -150,7 +147,7 @@ func (m *Manager) hit(t *Track, step int, e core.Estimate) {
 	t.LastSeen = step
 	t.Hits++
 	t.Misses = 0
-	if t.Hits >= m.cfg.ConfirmHits {
+	if t.Hits >= confirmHits {
 		t.Confirmed = true
 	}
 }

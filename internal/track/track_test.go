@@ -47,7 +47,7 @@ func TestSpuriousFlickerSuppressed(t *testing.T) {
 	if conf[0].Pos.Dist(geometry.V(50, 50)) > 1 {
 		t.Errorf("wrong track confirmed: %v", conf[0])
 	}
-	// The spurious track must be gone entirely after DropMisses steps.
+	// The spurious track must be gone entirely after dropMisses steps.
 	for _, tr := range m.ExportState().Tracks {
 		if tr.Pos.Dist(geometry.V(10, 90)) < 5 {
 			t.Errorf("spurious track still alive: %v", tr)
@@ -60,7 +60,7 @@ func TestTrackSurvivesBriefDropout(t *testing.T) {
 	for step := 0; step < 4; step++ {
 		m.Update(step, []core.Estimate{est(30, 30, 10)})
 	}
-	// Two missed steps (fewer than DropMisses=4): track must survive.
+	// Two missed steps (fewer than dropMisses=4): track must survive.
 	m.Update(4, nil)
 	m.Update(5, nil)
 	if len(m.Confirmed()) != 1 {

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
-	"radloc/internal/clock"
 	"radloc/internal/rng"
 )
 
@@ -23,10 +21,6 @@ type FaultConfig struct {
 	// draw it: directory creation, renames and temp-file creation fail
 	// only inside a FailWrites window.
 	WriteErrProb float64
-	// SyncErrProb fails a file Sync with SyncErr.
-	SyncErrProb float64
-	// ReadErrProb fails a file Read (and ReadFile) with ReadErr.
-	ReadErrProb float64
 	// TornWriteProb turns a failing-or-not Write into a torn one: a
 	// random strict prefix of the buffer lands on disk, then WriteErr
 	// is returned. Torn writes are what fsync-less crashes and dying
@@ -35,15 +29,6 @@ type FaultConfig struct {
 	// WriteErr is the error injected on writes (default ENOSPC: the
 	// disk-full case the degraded mode exists for).
 	WriteErr error
-	// SyncErr is the error injected on fsync (default EIO).
-	SyncErr error
-	// ReadErr is the error injected on reads (default EIO).
-	ReadErr error
-	// SlowSync, when positive, sleeps on Clock before every Sync —
-	// the degraded-media case where fsync takes seconds.
-	SlowSync time.Duration
-	// Clock drives SlowSync; nil falls back to the real clock.
-	Clock clock.Clock
 }
 
 // FaultStats counts the faults a Faulty filesystem actually injected.
@@ -88,12 +73,6 @@ func NewFaulty(inner FS, cfg FaultConfig) *Faulty {
 	if cfg.WriteErr == nil {
 		cfg.WriteErr = syscall.ENOSPC
 	}
-	if cfg.SyncErr == nil {
-		cfg.SyncErr = syscall.EIO
-	}
-	if cfg.ReadErr == nil {
-		cfg.ReadErr = syscall.EIO
-	}
 	return &Faulty{
 		inner: Or(inner),
 		cfg:   cfg,
@@ -115,35 +94,35 @@ func (f *Faulty) FailWrites(err error, torn bool) {
 }
 
 // FailSyncs opens a window in which every fsync fails with err (nil =
-// the configured SyncErr).
+// EIO).
 func (f *Faulty) FailSyncs(err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err == nil {
-		err = f.cfg.SyncErr
+		err = syscall.EIO
 	}
 	f.syncErr = err
 }
 
 // FailReads opens a window in which every read fails with err (nil =
-// the configured ReadErr).
+// EIO).
 func (f *Faulty) FailReads(err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err == nil {
-		err = f.cfg.ReadErr
+		err = syscall.EIO
 	}
 	f.readErr = err
 }
 
 // FailOpensUnder opens a window in which opening any file at or below
-// dir fails with err (nil = the configured ReadErr): one directory's
-// storage dies while its neighbours keep working.
+// dir fails with err (nil = EIO): one directory's storage dies while
+// its neighbours keep working.
 func (f *Faulty) FailOpensUnder(dir string, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err == nil {
-		err = f.cfg.ReadErr
+		err = syscall.EIO
 	}
 	f.openErr, f.openDir = err, filepath.Clean(dir)
 }
@@ -203,22 +182,11 @@ func (f *Faulty) windowFault() error {
 
 func (f *Faulty) syncFault() error {
 	f.mu.Lock()
-	err := f.syncErr
-	if err == nil && f.cfg.SyncErrProb > 0 && f.strm.Float64() < f.cfg.SyncErrProb {
-		err = f.cfg.SyncErr
-	}
-	if err != nil {
+	defer f.mu.Unlock()
+	if f.syncErr != nil {
 		f.stats.Syncs++
 	}
-	slow, clk := f.cfg.SlowSync, f.cfg.Clock
-	f.mu.Unlock()
-	if slow > 0 {
-		if clk == nil {
-			clk = clock.Real{}
-		}
-		clk.Sleep(slow)
-	}
-	return err
+	return f.syncErr
 }
 
 func (f *Faulty) openFault(path string) error {
@@ -237,13 +205,8 @@ func (f *Faulty) readFault() error {
 	defer f.mu.Unlock()
 	if f.readErr != nil {
 		f.stats.Reads++
-		return f.readErr
 	}
-	if f.cfg.ReadErrProb > 0 && f.strm.Float64() < f.cfg.ReadErrProb {
-		f.stats.Reads++
-		return f.cfg.ReadErr
-	}
-	return nil
+	return f.readErr
 }
 
 // OpenFile opens path through the inner FS; the returned handle

@@ -54,7 +54,10 @@ func stream(t testing.TB, steps int, seed, shuffleSeed uint64) []fusion.Meas {
 	}
 	if shuffleSeed != 0 {
 		sh := rng.NewNamed(shuffleSeed, "zone-test/shuffle")
-		sh.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		for i := len(out) - 1; i > 0; i-- {
+			j := sh.IntN(i + 1)
+			out[i], out[j] = out[j], out[i]
+		}
 	}
 	return out
 }

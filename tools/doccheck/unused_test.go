@@ -38,10 +38,9 @@ var unusedExemptNames = map[string]string{
 // files because tests in other packages use it, keyed "dir Type" for
 // every method of a type or "dir Type.Method" for one.
 var unusedExemptMethods = map[string]string{
-	"internal/clock Fake":         "a fake clock; transport, netchaos and node tests drive it, the ablations only construct it",
-	"internal/vfs Faulty":         "a fault-injecting filesystem; wal, node and scrub tests script its faults, radloc ablate storage only some",
-	"internal/geometry Vec.Eq":    "the tolerance equality tests in nine packages compare positions with",
-	"internal/rng Stream.Shuffle": "zone tests shuffle a delivery order through a seeded, named stream with it",
+	"internal/clock Fake":      "a fake clock; transport, netchaos and node tests drive it, the ablations only construct it",
+	"internal/vfs Faulty":      "a fault-injecting filesystem; wal, node and scrub tests script its faults, radloc ablate storage only some",
+	"internal/geometry Vec.Eq": "the tolerance equality tests in nine packages compare positions with",
 }
 
 // ident is one identifier occurrence that may name a func: not a
