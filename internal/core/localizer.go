@@ -86,8 +86,10 @@ type Localizer struct {
 	chunkMax  []float64 // per-chunk max log-posterior partials
 	chunkMass []float64 // per-chunk prior-mass partials
 
-	// Estimation state (refresh path, not per-reading). view is the
-	// particle arrays as the searcher reads them, in place.
+	// Estimation state (refresh path, not per-reading). The searcher
+	// holds only its configuration; each search allocates its working
+	// storage and drops it on return. view is the particle arrays as
+	// the searcher reads them, in place.
 	searcher  *meanshift.Searcher
 	view      meanshift.Points
 	startsBuf []float64
@@ -571,10 +573,11 @@ func (l *Localizer) clampS(s float64) float64 {
 // Estimates recovers the current source estimates (Section V-D): run
 // mean-shift from weighted-sampled starts over the particle density in
 // (x, y, strength) space, merge converged modes, and report the modes
-// that hold enough mass and plausible strength. The search runs on the
-// localizer's reusable meanshift.Searcher, so a steady-state estimate
-// refresh touches only long-lived scratch. The searcher reads the
-// particle arrays in place; particles with weight ≤ 0 take no part.
+// that hold enough mass and plausible strength. The search's working
+// storage (a cell-ordered copy of the particles and the per-start
+// staging) lives only for the call, so between refreshes the localizer
+// holds no copy of its population. The searcher reads the particle
+// arrays in place; particles with weight ≤ 0 take no part.
 func (l *Localizer) Estimates() []Estimate { return l.estimatesOf(l.view) }
 
 // estimatesOf is Estimates over the particle view pts: x, y and

@@ -33,7 +33,7 @@ func benchData(n int) (Points, []float64) {
 }
 
 // BenchmarkFindModes measures a search the way the localizer runs
-// one: on a reused, warmed Searcher.
+// one: on a reused Searcher.
 func BenchmarkFindModes(b *testing.B) {
 	for _, n := range []int{2000, 15000} {
 		pts, starts := benchData(n)

@@ -26,12 +26,13 @@
 //
 // The paper reports that mean-shift dominates its runtime and
 // parallelizes well. A Searcher distributes each phase's starts across
-// Workers goroutines and owns reusable scratch (one scaled copy of the
-// points sorted by prune cell, which every climb scans in place), so
-// repeated searches over populations of similar size allocate only the
-// returned modes; see DESIGN.md §11 for the performance model. The
-// points come in as a columnar view (Points) of the caller's own
-// arrays, which the Searcher reads in place.
+// Workers goroutines. It holds only its configuration: each search
+// allocates its working storage (one scaled copy of the points sorted
+// by prune cell, which every climb scans in place, and the per-start
+// staging) and drops it on return, so nothing outlives a search and one
+// Searcher serves concurrent callers; see DESIGN.md §11 for the
+// performance model. The points come in as a columnar view (Points) of
+// the caller's own arrays, which the Searcher reads in place.
 package meanshift
 
 import (
@@ -155,48 +156,18 @@ const phase1Stride = 8
 // captured climb would still have moved on its own.
 const captureFrac = 0.25
 
-// Searcher runs repeated mode searches with reusable scratch: the
-// cell-ordered point copy, the start/result staging buffers and the
-// per-worker numerators all persist across calls. A Searcher is not
-// safe for concurrent use; one FindModes call parallelizes internally
-// across Config.Workers goroutines, which share the point copy
-// read-only.
+// Searcher runs mode searches for one validated configuration, which is
+// all it holds: FindModes and AssignMass allocate their working storage
+// per call and drop it on return. A Searcher is safe for concurrent use;
+// one FindModes call also parallelizes internally across Config.Workers
+// goroutines, which share its point copy read-only.
 type Searcher struct {
 	cfg Config
 	d   int
-
-	// The points with positive weight, bandwidth-scaled and sorted by
-	// prune cell: square cells of side CutoffSigmas over the bounding
-	// box of their scaled (x, y), row-major, and ascending point index
-	// within a cell. Cell c holds entries cellStart[c] up to
-	// cellStart[c+1]. The spatial coordinates and the weights are one
-	// array each, so the kernel's cutoff test streams px and py alone;
-	// coordinates 2…d−1 are interleaved in rest, d−2 per entry.
-	cells     spatial.Cells
-	cellStart []int32
-	px, py    []float64
-	pw        []float64
-	rest      []float64
-	// reach is the half-width of the square a climb scans around its
-	// point: CutoffSigmas plus a rounding margin (see prepare).
-	reach float64
-
-	ord []int // start indices: a phase's climb list, then the merge order
-
-	resBuf []float64 // scaled starts, m×d, climbed in place into results
-	resOK  []bool
-	dens   []float64
-	invBW  []float64 // reciprocal bandwidths for AssignMass
-	mass   massIndex // AssignMass's candidate index over the modes
-
-	anchors    []float64 // phase-1 results with support, in phase-1 order, k×d
-	anchorDens []float64 // their densities
-
-	nums []float64 // one d-long numerator per worker slot
 }
 
 // NewSearcher validates and defaults cfg and returns a Searcher ready
-// for repeated FindModes/AssignMass calls.
+// for FindModes/AssignMass calls.
 func NewSearcher(cfg Config) (*Searcher, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -218,18 +189,57 @@ func (s *Searcher) FindModes(pts Points, starts []float64) ([]Mode, error) {
 	if len(starts)%d != 0 {
 		return nil, fmt.Errorf("%w: %d start coords, dim %d", ErrDimensionMismatch, len(starts), d)
 	}
-	if len(starts) == 0 || s.prepare(pts) == 0 {
+	if len(starts) == 0 {
 		return nil, nil
 	}
-	m := s.stageStarts(starts)
-	s.runClimbs(m)
-	modes := s.mergeModes(m)
+	sr := &search{cfg: s.cfg, d: d}
+	if sr.prepare(pts) == 0 {
+		return nil, nil
+	}
+	m := sr.stageStarts(starts)
+	sr.runClimbs(m)
+	modes := sr.mergeModes(m)
 	for i := range modes {
 		for k := 0; k < d; k++ {
 			modes[i].Point[k] *= s.cfg.Bandwidth[k]
 		}
 	}
 	return modes, nil
+}
+
+// search is the working storage of one FindModes call.
+type search struct {
+	cfg Config
+	d   int
+
+	// The points with positive weight, bandwidth-scaled and sorted by
+	// prune cell: square cells of side CutoffSigmas over the bounding
+	// box of their scaled (x, y), row-major, and ascending point index
+	// within a cell. Cell c holds entries cellStart[c] up to
+	// cellStart[c+1]. The spatial coordinates and the weights are one
+	// array each, so the kernel's cutoff test streams px and py alone;
+	// coordinates 2…d−1 are interleaved in rest, d−2 per entry. All four
+	// are sections of one slab.
+	cells     spatial.Cells
+	cellStart []int32
+	px, py    []float64
+	pw        []float64
+	rest      []float64
+	// reach is the half-width of the square a climb scans around its
+	// point: CutoffSigmas plus a rounding margin (see prepare).
+	reach float64
+
+	// The per-start staging; res, dens, anchors, anchorDens and nums are
+	// sections of one slab.
+	res   []float64 // scaled starts, m×d, climbed in place into results
+	dens  []float64 // each result's density
+	resOK []bool    // whether each climb saw any support
+	ord   []int     // start indices: a phase's climb list, then the merge order
+
+	anchors    []float64 // phase-1 results with support, in phase-1 order, k×d
+	anchorDens []float64 // their densities
+
+	nums []float64 // one d-long numerator per worker slot
 }
 
 // prepare lays out the cell-ordered copy of the points with positive
@@ -243,8 +253,8 @@ func (s *Searcher) FindModes(pts Points, starts []float64) ([]Mode, error) {
 // reach pads the cutoff by 2^-20 of it and 2^-30 of the largest scaled
 // coordinate: a point that passes the kernel's cutoff test then lies
 // in a cell the scan visits, whatever the rounding of the cell
-// arithmetic (as in massIndex.build).
-func (s *Searcher) prepare(pts Points) int {
+// arithmetic (as in newMassIndex).
+func (s *search) prepare(pts Points) int {
 	d := s.d
 	bx, by := s.cfg.Bandwidth[0], s.cfg.Bandwidth[1]
 	xs, ys, ws := pts.Coords[0], pts.Coords[1], pts.Weights
@@ -275,8 +285,7 @@ func (s *Searcher) prepare(pts Points) int {
 	// total; placing moves each cellStart[c] back to its cell's start.
 	nx, ny := s.cells.Dims()
 	cells := nx * ny
-	s.cellStart = resize(s.cellStart, cells+1)
-	clear(s.cellStart)
+	s.cellStart = make([]int32, cells+1)
 	for j, w := range ws {
 		if w <= 0 {
 			continue
@@ -286,10 +295,10 @@ func (s *Searcher) prepare(pts Points) int {
 	for c := 1; c <= cells; c++ {
 		s.cellStart[c] += s.cellStart[c-1]
 	}
-	s.px = resize(s.px, live)
-	s.py = resize(s.py, live)
-	s.pw = resize(s.pw, live)
-	s.rest = resize(s.rest, live*(d-2))
+	slab := make([]float64, live*(d+1))
+	s.px, slab = carve(slab, live)
+	s.py, slab = carve(slab, live)
+	s.pw, s.rest = carve(slab, live)
 	for j := len(ws) - 1; j >= 0; j-- {
 		if ws[j] <= 0 {
 			continue
@@ -306,25 +315,30 @@ func (s *Searcher) prepare(pts Points) int {
 	return live
 }
 
-// resize returns buf with length n, reallocating only when its
-// capacity is short. The contents are unspecified.
-func resize[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
+// carve splits slab into its first n values, capped so that an append
+// cannot run into the rest, and the rest.
+func carve(slab []float64, n int) (head, rest []float64) {
+	return slab[:n:n], slab[n:]
 }
 
-// stageStarts scales the starts into the result slots they climb in
-// and returns their count.
-func (s *Searcher) stageStarts(starts []float64) int {
+// stageStarts scales the starts into the result slots they climb in,
+// lays out the rest of the per-start staging, and returns the start
+// count.
+func (s *search) stageStarts(starts []float64) int {
 	d := s.d
 	m := len(starts) / d
-	s.resBuf = resize(s.resBuf, len(starts))
-	s.resOK = resize(s.resOK, m)
-	s.dens = resize(s.dens, m)
+	p := (m + phase1Stride - 1) / phase1Stride // phase-1 starts
+	slots := max(min(s.cfg.Workers, m), 1)     // most workers either phase runs
+	slab := make([]float64, m*d+m+p*d+p+slots*d)
+	s.res, slab = carve(slab, m*d)
+	s.dens, slab = carve(slab, m)
+	s.anchors, slab = carve(slab, p*d)
+	s.anchorDens, s.nums = carve(slab, p)
+	s.anchors, s.anchorDens = s.anchors[:0], s.anchorDens[:0]
+	s.resOK = make([]bool, m)
+	s.ord = make([]int, 0, m)
 	for i, v := range starts {
-		s.resBuf[i] = v / s.cfg.Bandwidth[i%d]
+		s.res[i] = v / s.cfg.Bandwidth[i%d]
 	}
 	return m
 }
@@ -336,19 +350,16 @@ func (s *Searcher) stageStarts(starts []float64) int {
 // an anchor. Each climb writes only its own result slot and phase 2
 // reads only phase-1 results, so scheduling cannot influence the
 // outcome.
-func (s *Searcher) runClimbs(m int) {
+func (s *search) runClimbs(m int) {
 	d := s.d
-	s.ord = s.ord[:0]
 	for i := 0; i < m; i += phase1Stride {
 		s.ord = append(s.ord, i)
 	}
 	s.climbAll(s.ord, false)
 
-	s.anchors = s.anchors[:0]
-	s.anchorDens = s.anchorDens[:0]
 	for _, i := range s.ord {
 		if s.resOK[i] {
-			s.anchors = append(s.anchors, s.resBuf[i*d:(i+1)*d]...)
+			s.anchors = append(s.anchors, s.res[i*d:(i+1)*d]...)
 			s.anchorDens = append(s.anchorDens, s.dens[i])
 		}
 	}
@@ -364,16 +375,15 @@ func (s *Searcher) runClimbs(m int) {
 
 // climbAll climbs the starts listed in idx, inline for one worker and
 // over a goroutine pool otherwise; capture selects phase-2 climbs.
-func (s *Searcher) climbAll(idx []int, capture bool) {
+func (s *search) climbAll(idx []int, capture bool) {
 	d := s.d
 	workers := s.cfg.Workers
 	if workers > len(idx) {
 		workers = len(idx)
 	}
-	s.nums = resize(s.nums, max(workers, 1)*d)
 	if workers <= 1 {
 		for _, i := range idx {
-			s.dens[i], s.resOK[i] = s.climb(s.resBuf[i*d:(i+1)*d], s.nums, capture)
+			s.dens[i], s.resOK[i] = s.climb(s.res[i*d:(i+1)*d], s.nums[:d], capture)
 		}
 		return
 	}
@@ -390,7 +400,7 @@ func (s *Searcher) climbAll(idx []int, capture bool) {
 					return
 				}
 				i := idx[k]
-				s.dens[i], s.resOK[i] = s.climb(s.resBuf[i*d:(i+1)*d], num, capture)
+				s.dens[i], s.resOK[i] = s.climb(s.res[i*d:(i+1)*d], num, capture)
 			}
 		}()
 	}
@@ -409,7 +419,7 @@ func (s *Searcher) climbAll(idx []int, capture bool) {
 // the cell-ordered copy. The kernel's own cutoff test picks the
 // contributing points, and they are summed in (cell row, cell column,
 // point index) order.
-func (s *Searcher) climb(x, num []float64, capture bool) (float64, bool) {
+func (s *search) climb(x, num []float64, capture bool) (float64, bool) {
 	cfg := s.cfg
 	d := s.d
 	r2cut := cfg.CutoffSigmas * cfg.CutoffSigmas
@@ -525,7 +535,7 @@ func (s *Searcher) climb(x, num []float64, capture bool) (float64, bool) {
 // keeping the densest representative. Candidates are visited in
 // descending density (ties broken by start order), so the merge is
 // deterministic.
-func (s *Searcher) mergeModes(m int) []Mode {
+func (s *search) mergeModes(m int) []Mode {
 	d := s.d
 	order := s.ord[:0]
 	for i := 0; i < m; i++ {
@@ -546,7 +556,7 @@ func (s *Searcher) mergeModes(m int) []Mode {
 	var modes []Mode
 	r2 := mergeRadius * mergeRadius
 	for _, i := range order {
-		pt := s.resBuf[i*d : (i+1)*d]
+		pt := s.res[i*d : (i+1)*d]
 		merged := false
 		for mi := range modes {
 			var dist2 float64
@@ -591,12 +601,11 @@ func (s *Searcher) AssignMass(modes []Mode, pts Points, cutoff float64) ([]float
 	}
 	out := make([]float64, len(modes)+1)
 	c2 := cutoff * cutoff
-	s.invBW = resize(s.invBW, d)
-	invBW := s.invBW
+	invBW := make([]float64, d)
 	for k := 0; k < d; k++ {
 		invBW[k] = 1 / s.cfg.Bandwidth[k]
 	}
-	s.mass.build(modes, invBW[0], invBW[1], cutoff)
+	mass := newMassIndex(modes, invBW[0], invBW[1], cutoff)
 	coords := pts.Coords
 	for j, w := range pts.Weights {
 		if w <= 0 {
@@ -604,7 +613,7 @@ func (s *Searcher) AssignMass(modes []Mode, pts Points, cutoff float64) ([]float
 		}
 		best := -1
 		bestD2 := math.Inf(1)
-		for _, mi := range s.mass.candidates(coords[0][j]*invBW[0], coords[1][j]*invBW[1]) {
+		for _, mi := range mass.candidates(coords[0][j]*invBW[0], coords[1][j]*invBW[1]) {
 			mp := modes[mi].Point
 			var d2 float64
 			for k := 0; k < d; k++ {
@@ -633,24 +642,22 @@ func (s *Searcher) AssignMass(modes []Mode, pts Points, cutoff float64) ([]float
 // just outside the box still finds the modes beside it and a point
 // farther out has none. Each cell stores its whole neighbourhood's
 // modes as one list in ascending mode index — about 9 entries per
-// mode — so a lookup is two divisions and a slice. The storage is
-// Searcher scratch, reused across calls.
+// mode — so a lookup is two divisions and a slice.
 type massIndex struct {
-	all      bool    // every mode is every point's candidate (see build)
+	all      bool    // every mode is every point's candidate (see newMassIndex)
 	lox, loy float64 // the modes' bounding-box corner
 	w        float64 // cell side
 	nx, ny   int     // cells spanning the box; the grid is (nx+2)×(ny+2)
 	start    []int32 // cell c's candidates are cand[start[c]:start[c+1]]
 	cand     []int32
-	cell     []int32 // mode → grid cell, -1 for a mode with non-finite (x, y)
 }
 
 // maxMassCells bounds the grid at 16 cells per mode (plus a floor for
 // few modes); cells double in size until it holds.
 func maxMassCells(m int) float64 { return 16*float64(m) + 64 }
 
-// build indexes modes for AssignMass at the given cutoff, with sx, sy
-// the reciprocal x and y bandwidths.
+// newMassIndex indexes modes for AssignMass at the given cutoff, with
+// sx, sy the reciprocal x and y bandwidths.
 //
 // The cell side carries a relative margin of 2^-20 of the cutoff and
 // 2^-30 of the largest scaled mode coordinate. Rounding makes the
@@ -662,10 +669,9 @@ func maxMassCells(m int) float64 { return 16*float64(m) + 64 }
 // the exhaustive form: one list of every mode, for every point. Modes
 // with non-finite (x, y) are left out of the grid: their distance to
 // any point is NaN or +Inf, which never wins the strict comparison.
-func (ix *massIndex) build(modes []Mode, sx, sy, cutoff float64) {
+func newMassIndex(modes []Mode, sx, sy, cutoff float64) *massIndex {
 	m := len(modes)
-	ix.all = false
-	ix.cell = resize(ix.cell, m)
+	ix := &massIndex{}
 	lox, loy := math.Inf(1), math.Inf(1)
 	hix, hiy := math.Inf(-1), math.Inf(-1)
 	var maxAbs float64
@@ -684,11 +690,11 @@ func (ix *massIndex) build(modes []Mode, sx, sy, cutoff float64) {
 	spanX, spanY := math.Floor((hix-lox)/w), math.Floor((hiy-loy)/w)
 	if finite == 0 || !isFinite(w) || !isFinite(spanX) || !isFinite(spanY) {
 		ix.all = true
-		ix.cand = ix.cand[:0]
-		for mi := range modes {
-			ix.cand = append(ix.cand, int32(mi))
+		ix.cand = make([]int32, m)
+		for mi := range ix.cand {
+			ix.cand[mi] = int32(mi)
 		}
-		return
+		return ix
 	}
 	for (spanX+3)*(spanY+3) > maxMassCells(m) {
 		w *= 2
@@ -698,8 +704,8 @@ func (ix *massIndex) build(modes []Mode, sx, sy, cutoff float64) {
 	ix.nx, ix.ny = int(spanX)+1, int(spanY)+1
 	stride := ix.nx + 2
 	cells := stride * (ix.ny + 2)
-	ix.start = resize(ix.start, cells+1)
-	clear(ix.start)
+	ix.start = make([]int32, cells+1)
+	cell := make([]int32, m) // mode → grid cell, -1 for a mode with non-finite (x, y)
 	// Count each mode into its cell's and its 8 neighbours' lists and
 	// prefix-sum the counts, leaving start[c] at the end of cell c's
 	// list; filling back to front in descending mode index then moves
@@ -708,13 +714,13 @@ func (ix *massIndex) build(modes []Mode, sx, sy, cutoff float64) {
 	for mi, md := range modes {
 		x, y := md.Point[0]*sx, md.Point[1]*sy
 		if !isFinite(x) || !isFinite(y) {
-			ix.cell[mi] = -1
+			cell[mi] = -1
 			continue
 		}
 		cx := clampCell(math.Floor((x-lox)/w), ix.nx) + 1
 		cy := clampCell(math.Floor((y-loy)/w), ix.ny) + 1
 		c := cy*stride + cx
-		ix.cell[mi] = int32(c)
+		cell[mi] = int32(c)
 		for _, q := range neighbourhood(c, stride) {
 			ix.start[q]++
 		}
@@ -723,9 +729,9 @@ func (ix *massIndex) build(modes []Mode, sx, sy, cutoff float64) {
 		ix.start[c] += ix.start[c-1]
 	}
 	total := int(ix.start[cells])
-	ix.cand = resize(ix.cand, total)
+	ix.cand = make([]int32, total)
 	for mi := m - 1; mi >= 0; mi-- {
-		c := int(ix.cell[mi])
+		c := int(cell[mi])
 		if c < 0 {
 			continue
 		}
@@ -734,6 +740,7 @@ func (ix *massIndex) build(modes []Mode, sx, sy, cutoff float64) {
 			ix.cand[ix.start[q]] = int32(mi)
 		}
 	}
+	return ix
 }
 
 // neighbourhood lists grid cell c and its 8 neighbours in a grid whose

@@ -2,7 +2,9 @@ package meanshift
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -365,9 +367,8 @@ func TestExpNegHalfErrorBound(t *testing.T) {
 
 // TestSearcherReuseMatchesFresh drives one Searcher through several
 // different datasets and checks each call returns exactly what a
-// single-use Searcher computes — the scratch reuse (the cell-ordered
-// copy and its offsets, phase lists, anchors) must never leak state
-// across calls.
+// single-use Searcher computes: nothing a search leaves behind may
+// change the next.
 func TestSearcherReuseMatchesFresh(t *testing.T) {
 	s := rng.New(12, 9)
 	reused, err := NewSearcher(defaultCfg())
@@ -443,10 +444,22 @@ func TestExactKernelAgreesWithTable(t *testing.T) {
 	}
 }
 
+// perSearchAllocs names the allocations every FindModes call makes
+// besides the returned modes: its working storage, which it drops on
+// return.
+var perSearchAllocs = []string{
+	"search state (the search struct)",
+	"point slab (px, py, pw, rest)",
+	"cellStart",
+	"staging slab (res, dens, anchors, anchorDens, nums)",
+	"resOK",
+	"ord",
+}
+
 // TestWarmSearchAllocatesOnlyModes: once a Searcher has run one search,
-// another over the same population allocates the returned modes and
-// nothing else — one array per mode point plus the modes slice's
-// growth — whatever the particle and start counts.
+// another over the same population allocates the returned modes — one
+// array per mode point plus the modes slice's growth — and the fixed
+// per-search buffers, whatever the particle and start counts.
 func TestWarmSearchAllocatesOnlyModes(t *testing.T) {
 	for _, n := range []int{1000, 8000} {
 		for _, m := range []int{48, 384} {
@@ -461,7 +474,7 @@ func TestWarmSearchAllocatesOnlyModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := len(modes)
+			want := len(perSearchAllocs) + len(modes)
 			var probe []Mode
 			for range modes {
 				if len(probe) == cap(probe) {
@@ -475,8 +488,92 @@ func TestWarmSearchAllocatesOnlyModes(t *testing.T) {
 				}
 			})
 			if allocs != float64(want) {
-				t.Errorf("%d particles, %d starts: %v allocations per search, want %d for %d modes", n, m, allocs, want, len(modes))
+				t.Errorf("%d particles, %d starts: %v allocations per search, want %d for %d modes and %v",
+					n, m, allocs, want, len(modes), perSearchAllocs)
 			}
 		}
 	}
+}
+
+// TestSearcherConcurrentUse: goroutines sharing one Searcher, each over
+// its own population, get exactly the modes and masses a serial run of
+// the same Searcher gets. Run it under -race: a Searcher holds nothing
+// that a search writes.
+func TestSearcherConcurrentUse(t *testing.T) {
+	const callers = 4
+	searcher := newSearcher(t, Config{Bandwidth: []float64{4, 4, 30}, Workers: 2})
+	type job struct {
+		points Points
+		starts []float64
+		modes  []Mode
+		mass   []float64
+	}
+	jobs := make([]job, callers)
+	for c := range jobs {
+		s := rng.New(15, uint64(c))
+		var pts, ws []float64
+		pts, ws = cluster3(s, pts, ws, 300+200*c, 20+15*float64(c), 40, 60, 2, 1)
+		pts, ws = cluster3(s, pts, ws, 400, 80, 70-10*float64(c), 140, 3, 0.5)
+		jobs[c].points = view(3, pts, ws)
+		jobs[c].starts = sampleStarts(s, pts, ws, 64+32*c)
+	}
+	run := func(j *job) ([]Mode, []float64, error) {
+		modes, err := searcher.FindModes(j.points, j.starts)
+		if err != nil {
+			return nil, nil, err
+		}
+		mass, err := searcher.AssignMass(modes, j.points, 3)
+		return modes, mass, err
+	}
+	for c := range jobs {
+		var err error
+		if jobs[c].modes, jobs[c].mass, err = run(&jobs[c]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for c := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				modes, mass, err := run(&jobs[c])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if msg := sameModes(modes, mass, jobs[c].modes, jobs[c].mass); msg != "" {
+					t.Errorf("caller %d, repetition %d: %s", c, rep, msg)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// sameModes describes the first difference, by math.Float64bits,
+// between two searches' modes and masses, or returns "" if there is
+// none.
+func sameModes(modes []Mode, mass []float64, want []Mode, wantMass []float64) string {
+	if len(modes) != len(want) || len(mass) != len(wantMass) {
+		return fmt.Sprintf("%d modes and %d masses, serially %d and %d", len(modes), len(mass), len(want), len(wantMass))
+	}
+	for i, m := range modes {
+		if math.Float64bits(m.Density) != math.Float64bits(want[i].Density) || m.Starts != want[i].Starts {
+			return fmt.Sprintf("mode %d: (density %v, starts %d), serially (%v, %d)", i, m.Density, m.Starts, want[i].Density, want[i].Starts)
+		}
+		for k := range m.Point {
+			if math.Float64bits(m.Point[k]) != math.Float64bits(want[i].Point[k]) {
+				return fmt.Sprintf("mode %d dim %d: %v, serially %v", i, k, m.Point[k], want[i].Point[k])
+			}
+		}
+	}
+	for i, v := range mass {
+		if math.Float64bits(v) != math.Float64bits(wantMass[i]) {
+			return fmt.Sprintf("mass %d: %v, serially %v", i, v, wantMass[i])
+		}
+	}
+	return ""
 }

@@ -12,7 +12,7 @@ import (
 
 // singlePhaseFindModes is the single-phase search the two-phase one
 // replaced, kept as the differential oracle: every start climbs to
-// convergence on its own, with no capture. It shares the Searcher's
+// convergence on its own, with no capture. It shares the search's
 // scaling, kernel, gathering and merge, so a difference against
 // FindModes is the phases' doing.
 func singlePhaseFindModes(t testing.TB, cfg Config, points, weights, starts []float64) []Mode {
@@ -22,13 +22,14 @@ func singlePhaseFindModes(t testing.TB, cfg Config, points, weights, starts []fl
 		t.Fatal(err)
 	}
 	d := s.d
-	s.prepare(view(d, points, weights))
-	m := s.stageStarts(starts)
+	sr := &search{cfg: s.cfg, d: d}
+	sr.prepare(view(d, points, weights))
+	m := sr.stageStarts(starts)
 	num := make([]float64, d)
 	for i := 0; i < m; i++ {
-		s.dens[i], s.resOK[i] = s.climb(s.resBuf[i*d:(i+1)*d], num, false)
+		sr.dens[i], sr.resOK[i] = sr.climb(sr.res[i*d:(i+1)*d], num, false)
 	}
-	modes := s.mergeModes(m)
+	modes := sr.mergeModes(m)
 	for i := range modes {
 		for k := 0; k < d; k++ {
 			modes[i].Point[k] *= cfg.Bandwidth[k]
@@ -382,9 +383,9 @@ const gatherSlack = 2.0
 // neighbourhood — the cells a disc of radius CutoffSigmas +
 // gatherSlack overlaps, row-major, filtered by distance — into dense
 // arrays, re-gathering once it drifts gatherSlack away. Staging,
-// phases, capture and merge are the Searcher's, climbed serially.
+// phases, capture and merge are the search's, climbed serially.
 type gatherSearch struct {
-	*Searcher
+	*search
 	weights []float64
 	scaled  []float64 // n×d
 	pts     []geometry.Vec
@@ -404,24 +405,25 @@ func gatherFindModes(t testing.TB, cfg Config, points, weights, starts []float64
 		t.Fatal(err)
 	}
 	d := s.d
-	g := &gatherSearch{Searcher: s, weights: weights, num: make([]float64, d)}
+	sr := &search{cfg: s.cfg, d: d}
+	g := &gatherSearch{search: sr, weights: weights, num: make([]float64, d)}
 	g.index(points)
-	m := s.stageStarts(starts)
+	m := sr.stageStarts(starts)
 	for i := 0; i < m; i += phase1Stride {
-		s.dens[i], s.resOK[i] = g.climb(s.resBuf[i*d:(i+1)*d], false)
+		sr.dens[i], sr.resOK[i] = g.climb(sr.res[i*d:(i+1)*d], false)
 	}
 	for i := 0; i < m; i += phase1Stride {
-		if s.resOK[i] {
-			s.anchors = append(s.anchors, s.resBuf[i*d:(i+1)*d]...)
-			s.anchorDens = append(s.anchorDens, s.dens[i])
+		if sr.resOK[i] {
+			sr.anchors = append(sr.anchors, sr.res[i*d:(i+1)*d]...)
+			sr.anchorDens = append(sr.anchorDens, sr.dens[i])
 		}
 	}
 	for i := 0; i < m; i++ {
 		if i%phase1Stride != 0 {
-			s.dens[i], s.resOK[i] = g.climb(s.resBuf[i*d:(i+1)*d], true)
+			sr.dens[i], sr.resOK[i] = g.climb(sr.res[i*d:(i+1)*d], true)
 		}
 	}
-	modes := s.mergeModes(m)
+	modes := sr.mergeModes(m)
 	for i := range modes {
 		for k := 0; k < d; k++ {
 			modes[i].Point[k] *= cfg.Bandwidth[k]
@@ -433,7 +435,7 @@ func gatherFindModes(t testing.TB, cfg Config, points, weights, starts []float64
 // index scales the points and buckets every one of them by cell over
 // the bounding box of those with positive weight: the points with
 // weight ≤ 0 are bucketed too (the gather skips them) but, as in
-// Searcher.prepare, do not span the box.
+// search.prepare, do not span the box.
 func (g *gatherSearch) index(points []float64) {
 	d := g.d
 	n := len(points) / d
@@ -481,7 +483,7 @@ func (g *gatherSearch) withinRadius(center geometry.Vec, r float64) {
 	}
 }
 
-// climb is Searcher.climb over gathered neighbourhoods.
+// climb is search.climb over gathered neighbourhoods.
 func (g *gatherSearch) climb(x []float64, capture bool) (float64, bool) {
 	cfg := g.cfg
 	d := g.d
