@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 
 	"radloc/internal/wal"
@@ -14,6 +15,10 @@ type RecordAt struct {
 	Off uint64
 	// Rec is the journaled measurement.
 	Rec wal.Record
+	// Refresh is the refresh entry journaled right after the record,
+	// nil when there is none; the standby journals it too and its
+	// engine adopts it instead of searching (fusion.Engine.Replay).
+	Refresh []wal.Estimate
 }
 
 // ErrPruned is returned by Backend.ReadWAL when the requested offset
@@ -88,14 +93,29 @@ type EpochStart struct {
 
 // EpochMeta is everything the epoch store persists for one zone: the
 // current fencing epoch plus the known epoch-start history used for
-// divergence floors. Legacy stores that only recorded the epoch load
-// with an empty Starts list, which degrades to a conservative floor
-// of zero (full re-seed) — safe, just less surgical.
+// divergence floors. Every epoch past the first is entered with its
+// start, so the history always holds the current epoch's (see Check).
 type EpochMeta struct {
 	// Epoch is the zone's current fencing epoch.
 	Epoch uint64 `json:"epoch"`
 	// Starts is the known epoch-start history, ascending by epoch.
 	Starts []EpochStart `json:"starts,omitempty"`
+}
+
+// ErrNoEpochStart reports epoch metadata whose history lacks the
+// current epoch's start: what stores wrote before they kept start
+// history, a retired format no longer read. A node cannot compute
+// divergence floors without it.
+var ErrNoEpochStart = errors.New("cluster: epoch metadata has no start for its current epoch (a retired format without start history)")
+
+// Check reports ErrNoEpochStart for metadata past the first epoch
+// whose history lacks the current epoch's start. Zero metadata (no
+// store yet) and epoch 1 need none.
+func (m EpochMeta) Check() error {
+	if m.Epoch > 1 && !hasStart(m.Starts, m.Epoch) {
+		return fmt.Errorf("%w: epoch %d", ErrNoEpochStart, m.Epoch)
+	}
+	return nil
 }
 
 // EpochStore persists per-zone epoch metadata across restarts. Epochs

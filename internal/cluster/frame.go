@@ -25,7 +25,8 @@ import (
 
 // Frame types carried on the replication stream. A stream is NDJSON:
 // one hello frame, zero or more record frames in strictly increasing
-// offset order, and one end frame.
+// offset order, each followed by the record's refresh frame when its
+// WAL has a refresh entry after it, and one end frame.
 const (
 	// FrameHello opens a stream: it carries the primary's current
 	// epoch for the zone and its WAL head. A standby seeing an epoch
@@ -34,6 +35,10 @@ const (
 	// FrameRecord carries one WAL record with its global offset and
 	// the same CRC-32 (IEEE) the on-disk log uses.
 	FrameRecord = "record"
+	// FrameRefresh carries the refresh entry journaled after the
+	// record frame just before it: the same offset, the estimates, and
+	// the CRC-32 (IEEE) the on-disk log gives them.
+	FrameRefresh = "refresh"
 	// FrameEnd closes a stream and repeats the WAL head so the
 	// standby can compute its lag even when no records shipped.
 	FrameEnd = "end"
@@ -41,9 +46,10 @@ const (
 
 // Frame is one decoded replication stream line.
 type Frame struct {
-	// Type is FrameHello, FrameRecord or FrameEnd.
+	// Type is FrameHello, FrameRecord, FrameRefresh or FrameEnd.
 	Type string
-	// Off is the record's global WAL offset (record frames only).
+	// Off is the record's global WAL offset (record and refresh
+	// frames).
 	Off uint64
 	// Epoch is the sender's zone epoch (hello frames only).
 	Epoch uint64
@@ -58,18 +64,23 @@ type Frame struct {
 	Start uint64
 	// Rec is the journaled measurement (record frames only).
 	Rec wal.Record
+	// Refresh is the refresh entry's estimates (refresh frames only;
+	// non-nil, empty when the refresh found no source).
+	Refresh []wal.Estimate
 }
 
 // wireFrame is the JSON shape of every stream line. Record frames
-// omit type; control frames omit off/crc/rec.
+// omit type; control frames omit off/crc/rec; refresh frames carry
+// refresh in place of rec.
 type wireFrame struct {
-	Type  string          `json:"type,omitempty"`
-	Epoch uint64          `json:"epoch,omitempty"`
-	Head  uint64          `json:"head"`
-	Start uint64          `json:"start,omitempty"`
-	Off   uint64          `json:"off"`
-	CRC   uint32          `json:"crc"`
-	Rec   json.RawMessage `json:"rec,omitempty"`
+	Type    string          `json:"type,omitempty"`
+	Epoch   uint64          `json:"epoch,omitempty"`
+	Head    uint64          `json:"head"`
+	Start   uint64          `json:"start,omitempty"`
+	Off     uint64          `json:"off"`
+	CRC     uint32          `json:"crc"`
+	Rec     json.RawMessage `json:"rec,omitempty"`
+	Refresh json.RawMessage `json:"refresh,omitempty"`
 }
 
 // ErrBadFrame is wrapped by every DecodeFrame failure: torn lines,
@@ -88,6 +99,22 @@ func EncodeRecord(off uint64, rec wal.Record) ([]byte, error) {
 		return nil, err
 	}
 	line, err := json.Marshal(wireFrame{Off: off, CRC: crc32.ChecksumIEEE(raw), Rec: raw})
+	if err != nil {
+		return nil, err
+	}
+	return append(line, '\n'), nil
+}
+
+// EncodeRefresh encodes the refresh frame for the record at off,
+// newline-terminated. Its estimates, non-nil (empty for a refresh that
+// found no source), are spelled as the on-disk log spells them and
+// carry the same CRC.
+func EncodeRefresh(off uint64, ests []wal.Estimate) ([]byte, error) {
+	raw, err := json.Marshal(ests)
+	if err != nil {
+		return nil, err
+	}
+	line, err := json.Marshal(wireFrame{Type: FrameRefresh, Off: off, CRC: crc32.ChecksumIEEE(raw), Refresh: raw})
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +158,7 @@ func DecodeFrame(line []byte) (Frame, error) {
 	}
 	switch wf.Type {
 	case FrameHello, FrameEnd:
-		if wf.Rec != nil || wf.CRC != 0 || wf.Off != 0 {
+		if wf.Rec != nil || wf.Refresh != nil || wf.CRC != 0 || wf.Off != 0 {
 			return Frame{}, fmt.Errorf("%w: control frame with record fields", ErrBadFrame)
 		}
 		if wf.Type == FrameEnd && wf.Start != 0 {
@@ -139,7 +166,7 @@ func DecodeFrame(line []byte) (Frame, error) {
 		}
 		return Frame{Type: wf.Type, Epoch: wf.Epoch, Head: wf.Head, Start: wf.Start}, nil
 	case "":
-		if wf.Rec == nil {
+		if wf.Rec == nil || wf.Refresh != nil {
 			return Frame{}, fmt.Errorf("%w: record frame without rec", ErrBadFrame)
 		}
 		if wf.Epoch != 0 || wf.Head != 0 || wf.Start != 0 {
@@ -155,6 +182,20 @@ func DecodeFrame(line []byte) (Frame, error) {
 			return Frame{}, fmt.Errorf("%w: bad record at off %d: %v", ErrBadFrame, wf.Off, err)
 		}
 		return Frame{Type: FrameRecord, Off: wf.Off, Rec: rec}, nil
+	case FrameRefresh:
+		if wf.Refresh == nil || wf.Rec != nil || wf.Epoch != 0 || wf.Head != 0 || wf.Start != 0 {
+			return Frame{}, fmt.Errorf("%w: refresh frame without refresh, or with other fields", ErrBadFrame)
+		}
+		if crc32.ChecksumIEEE(wf.Refresh) != wf.CRC {
+			return Frame{}, fmt.Errorf("%w: crc mismatch in refresh at off %d", ErrBadFrame, wf.Off)
+		}
+		var ests []wal.Estimate
+		rdec := json.NewDecoder(bytes.NewReader(wf.Refresh))
+		rdec.DisallowUnknownFields()
+		if err := rdec.Decode(&ests); err != nil || ests == nil {
+			return Frame{}, fmt.Errorf("%w: bad refresh at off %d: %v", ErrBadFrame, wf.Off, err)
+		}
+		return Frame{Type: FrameRefresh, Off: wf.Off, Refresh: ests}, nil
 	default:
 		return Frame{}, fmt.Errorf("%w: unknown type %q", ErrBadFrame, wf.Type)
 	}

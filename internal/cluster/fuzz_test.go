@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"radloc/internal/wal"
@@ -22,6 +23,18 @@ func FuzzReplicationFrame(f *testing.F) {
 		recs = append(recs, line...)
 	}
 	valid := append(append(append([]byte{}, hello...), recs...), end...)
+	// A record with its refresh frame, one with an empty refresh, and
+	// one without.
+	var refreshed []byte
+	for off, ests := range [][]wal.Estimate{{{X: 47.25, Y: -0.5, Strength: 1e-7, Mass: 0.625, Starts: 31}}, {}, nil} {
+		line, _ := EncodeRecord(uint64(off), wal.Record{SensorID: off, CPM: 20, Seq: 1})
+		refreshed = append(refreshed, line...)
+		if ests != nil {
+			ref, _ := EncodeRefresh(uint64(off), ests)
+			refreshed = append(refreshed, ref...)
+		}
+	}
+	withRefresh := append(append(append([]byte{}, hello...), refreshed...), end...)
 
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])                                            // truncated tail
@@ -29,6 +42,9 @@ func FuzzReplicationFrame(f *testing.F) {
 	f.Add(append(append([]byte{}, recs...), end...))                       // no hello
 	f.Add([]byte(`{"type":"hello","epoch":0,"head":1}` + "\n"))
 	f.Add([]byte("{\"garbage\n\x00\xff"))
+	f.Add(withRefresh)
+	f.Add(bytes.Replace(withRefresh, []byte(`"x":47.25`), []byte(`"x":47.26`), 1))                               // CRC flip in a refresh
+	f.Add(append(append(append([]byte{}, hello...), refreshed[bytes.IndexByte(refreshed, '\n')+1:]...), end...)) // orphan refresh
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Single-frame decode: never panics; a frame that decodes must
@@ -39,6 +55,8 @@ func FuzzReplicationFrame(f *testing.F) {
 			switch fr.Type {
 			case FrameRecord:
 				line, eerr = EncodeRecord(fr.Off, fr.Rec)
+			case FrameRefresh:
+				line, eerr = EncodeRefresh(fr.Off, fr.Refresh)
 			case FrameHello, FrameEnd:
 				line, eerr = EncodeControl(fr.Type, fr.Epoch, fr.Head, fr.Start)
 			default:
@@ -51,7 +69,7 @@ func FuzzReplicationFrame(f *testing.F) {
 			if derr != nil {
 				t.Fatalf("re-encoded frame does not decode: %v", derr)
 			}
-			if back != fr {
+			if !reflect.DeepEqual(back, fr) {
 				t.Fatalf("round trip changed frame: %+v != %+v", back, fr)
 			}
 		}

@@ -152,6 +152,12 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 	var sent uint64
 	for _, ra := range recs {
 		line, err := EncodeRecord(ra.Off, ra.Rec)
+		if err == nil && ra.Refresh != nil {
+			var ref []byte
+			if ref, err = EncodeRefresh(ra.Off, ra.Refresh); err == nil {
+				line = append(line, ref...)
+			}
+		}
 		if err == nil {
 			_, err = w.Write(line)
 		}

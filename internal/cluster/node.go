@@ -184,14 +184,10 @@ func (n *Node) zoneFor(name string) (*zoneState, error) {
 	if meta.Epoch == 0 {
 		meta.Epoch = 1
 	}
-	zs := &zoneState{name: name, role: RolePrimary, epoch: meta.Epoch, starts: meta.Starts}
-	if meta.Epoch > 1 && !hasStart(zs.starts, meta.Epoch) {
-		// Legacy store without start history: anchor the current epoch
-		// at offset 0 so divergence floors stay conservative (a puller
-		// at an older epoch gets floor 0, i.e. a full re-seed) rather
-		// than silently under-quarantining.
-		zs.starts = recordStart(zs.starts, EpochStart{Epoch: meta.Epoch, Start: 0})
+	if err := meta.Check(); err != nil {
+		return nil, fmt.Errorf("cluster: epoch for %q: %w", name, err)
 	}
+	zs := &zoneState{name: name, role: RolePrimary, epoch: meta.Epoch, starts: meta.Starts}
 	if rt, ok := n.routes.Zones[name]; ok && rt.Primary != n.opts.Self {
 		zs.role = RoleStandby
 		zs.primaryURL = rt.Primary

@@ -556,3 +556,30 @@ func TestClusterEndpointAuth(t *testing.T) {
 		t.Fatalf("bad zone: HTTP %d, want 404", code)
 	}
 }
+
+// TestEpochWithoutStartRefused: epoch metadata past the first epoch
+// with no start for that epoch — what stores held before they kept
+// start history — is refused where the zone is first instantiated,
+// instead of being anchored at an assumed start.
+func TestEpochWithoutStartRefused(t *testing.T) {
+	store := &MemEpochStore{}
+	if err := store.Save("z", EpochMeta{Epoch: 3, Starts: []EpochStart{{Epoch: 2, Start: 7}}}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(Options{Self: "http://x", Epochs: store,
+		Resolver: func(string) (Backend, error) { return newMemBackend(0), nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	err = n.SetRoutes(Routes{Zones: map[string]Route{"z": {Primary: "http://x", Epoch: 3}}})
+	if !errors.Is(err, ErrNoEpochStart) {
+		t.Fatalf("routes naming a zone with a start-less epoch: %v, want ErrNoEpochStart", err)
+	}
+	if err := store.Save("z", EpochMeta{Epoch: 3, Starts: []EpochStart{{Epoch: 3, Start: 7}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AdmitWrite("z"); err != nil {
+		t.Fatalf("the same zone with its start recorded: %v", err)
+	}
+}

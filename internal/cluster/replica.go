@@ -262,13 +262,24 @@ func (n *Node) applyStream(zone string, b Backend, epoch uint64, body io.Reader)
 				}
 				return applied, head, fmt.Errorf("%w: offset gap: got %d, want %d", ErrBadFrame, f.Off, want)
 			}
-			want++
-			chunk = append(chunk, RecordAt{Off: f.Off, Rec: f.Rec})
+			// A full chunk is applied only when the next record arrives,
+			// so a refresh frame always finds its record still here.
 			if len(chunk) >= applyChunk {
 				if err := flush(); err != nil {
 					return applied, head, err
 				}
 			}
+			want++
+			chunk = append(chunk, RecordAt{Off: f.Off, Rec: f.Rec})
+		case FrameRefresh:
+			if n := len(chunk); n == 0 || chunk[n-1].Off != f.Off || chunk[n-1].Refresh != nil {
+				ferr := flush()
+				if ferr != nil {
+					return applied, head, ferr
+				}
+				return applied, head, fmt.Errorf("%w: refresh at off %d follows no record of its own", ErrBadFrame, f.Off)
+			}
+			chunk[len(chunk)-1].Refresh = f.Refresh
 		case FrameEnd:
 			if err := flush(); err != nil {
 				return applied, head, err
@@ -342,7 +353,7 @@ func (n *Node) adoptEpoch(zone string, epoch, start uint64) {
 	if ok {
 		meta = epochMetaLocked(zs)
 	} else {
-		meta = EpochMeta{Epoch: epoch}
+		meta = EpochMeta{Epoch: epoch, Starts: []EpochStart{{Epoch: epoch, Start: start}}}
 	}
 	n.mu.Unlock()
 	if err := n.opts.Epochs.Save(zone, meta); err != nil {

@@ -580,6 +580,23 @@ func (l *Localizer) clampS(s float64) float64 {
 // arrays in place; particles with weight ≤ 0 take no part.
 func (l *Localizer) Estimates() []Estimate { return l.estimatesOf(l.view) }
 
+// SkipEstimates advances the localizer as Estimates would, without
+// searching: a caller that already holds the estimates Estimates would
+// return (a journaled refresh being replayed) calls it instead. The
+// only filter state Estimates changes is the RNG stream, by the one
+// draw that places the starts, taken whenever some particle carries
+// weight; so this takes that draw under the same condition, and every
+// later ingest and search sees the stream a search would have left.
+// It records no estimate-stage timing or population gauges.
+func (l *Localizer) SkipEstimates() {
+	for _, w := range l.view.Weights {
+		if !(w <= 0) {
+			l.stream.Float64()
+			return
+		}
+	}
+}
+
 // estimatesOf is Estimates over the particle view pts: x, y and
 // strength columns and the weights. Apart from pts it reads only the
 // configuration, the searcher, the sensor registry and one draw from

@@ -9,10 +9,14 @@ import (
 	"math"
 )
 
-// stateMagic opens every binary engine-state blob. Its first byte is
-// not one a JSON document can start with, so DecodeState tells the
-// binary form from the legacy JSON form by its first bytes alone.
+// stateMagic opens every engine-state blob.
 const stateMagic = "RLS\x01"
+
+// ErrRetiredState reports an engine state encoded as a JSON document,
+// the form checkpoints held before the binary one. It is no longer
+// read; DecodeState refuses it by its first byte, which the binary
+// form never starts with.
+var ErrRetiredState = errors.New("fusion: engine state is a JSON document, a retired format no longer read")
 
 // stateFixed is the binary form's fixed overhead: the magic, the
 // header length (uint32) and the particle count (uint64).
@@ -61,21 +65,18 @@ func EncodeState(st EngineState) ([]byte, error) {
 	return blob, nil
 }
 
-// DecodeState parses a blob written by EncodeState. A blob that does
-// not open with the binary magic is read as the legacy JSON encoding
-// of EngineState, which checkpoints written before the binary form
-// still hold; nothing writes that form any more. The binary form's
-// header length and particle count are checked against the blob's
-// length before anything is allocated, and trailing bytes are an
-// error, so a blob can never make the decoder allocate more than its
-// own size implies.
+// DecodeState parses a blob written by EncodeState. A JSON document
+// fails with ErrRetiredState. The header length and particle count are
+// checked against the blob's length before anything is allocated, and
+// trailing bytes are an error, so a blob can never make the decoder
+// allocate more than its own size implies.
 func DecodeState(blob []byte) (EngineState, error) {
 	var st EngineState
+	if len(blob) > 0 && blob[0] == '{' {
+		return EngineState{}, ErrRetiredState
+	}
 	if !bytes.HasPrefix(blob, []byte(stateMagic)) {
-		if err := json.Unmarshal(blob, &st); err != nil {
-			return EngineState{}, fmt.Errorf("fusion: decode legacy JSON state: %w", err)
-		}
-		return st, nil
+		return EngineState{}, errors.New("fusion: decode state: no engine-state magic")
 	}
 	if len(blob) < stateFixed {
 		return EngineState{}, errors.New("fusion: decode state: truncated")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -108,10 +109,10 @@ func TestEncodeStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeStateReadsLegacyJSON: a state serialized with
-// encoding/json, as releases before the binary codec wrote it into
-// checkpoints, decodes to the same state.
-func TestDecodeStateReadsLegacyJSON(t *testing.T) {
+// TestDecodeStateRefusesJSON: a state serialized with encoding/json, as
+// releases before the binary codec wrote it into checkpoints, is the
+// retired format: DecodeState names it instead of reading it.
+func TestDecodeStateRefusesJSON(t *testing.T) {
 	e, sc := seqEngine(t, 4)
 	for _, m := range seqStream(t, sc, 6, 2) {
 		if _, err := e.IngestSeq(m); err != nil {
@@ -122,16 +123,19 @@ func TestDecodeStateReadsLegacyJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := json.Marshal(st)
+	retired, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeState(legacy)
+	if got, err := DecodeState(retired); !errors.Is(err, ErrRetiredState) || !reflect.DeepEqual(got, EngineState{}) {
+		t.Fatalf("JSON state: got %+v, err %v; want ErrRetiredState and nothing decoded", got, err)
+	}
+	blob, err := EncodeState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, st) {
-		t.Error("legacy JSON state decoded differently")
+	if _, err := DecodeState(blob); err != nil {
+		t.Fatalf("the binary form of the same state: %v", err)
 	}
 }
 
@@ -191,8 +195,8 @@ func FuzzDecodeState(f *testing.F) {
 	f.Add(hand)
 	empty, _ := EncodeState(EngineState{})
 	f.Add(empty)
-	legacy, _ := json.Marshal(withoutParticles(handState()))
-	f.Add(legacy)
+	retired, _ := json.Marshal(withoutParticles(handState()))
+	f.Add(retired)
 	f.Add([]byte(`{"localizer":{"xs":[1,2],"ys":[3,4],"ss":[5,6],"ws":[7,8]}}`))
 	f.Add([]byte(stateMagic + "\xff\xff\xff\xff"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -203,12 +207,15 @@ func FuzzDecodeState(f *testing.F) {
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 128*uint64(len(data))+1<<20 {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
 		}
+		if len(data) > 0 && data[0] == '{' && !errors.Is(err, ErrRetiredState) {
+			t.Fatalf("a JSON document gave %v, want ErrRetiredState", err)
+		}
 		if err != nil {
 			return
 		}
 		blob, err := EncodeState(st)
 		if err != nil {
-			return // e.g. legacy JSON with ragged particle arrays
+			t.Fatalf("a decoded state does not re-encode: %v", err)
 		}
 		st2, err := DecodeState(blob)
 		if err != nil {

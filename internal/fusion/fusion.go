@@ -19,11 +19,13 @@ import (
 
 	"radloc/internal/core"
 	"radloc/internal/diagnose"
+	"radloc/internal/geometry"
 	"radloc/internal/obs"
 	"radloc/internal/radiation"
 	"radloc/internal/scenario"
 	"radloc/internal/sensor"
 	"radloc/internal/track"
+	"radloc/internal/wal"
 )
 
 // Config assembles an Engine.
@@ -44,9 +46,11 @@ type Config struct {
 	// original trust-everything behavior.
 	Health HealthConfig
 	// Journal, when non-nil, receives every reading the ingest layer
-	// accepts BEFORE it is applied to the filter (write-ahead). A
-	// journal append error aborts the ingest: nothing unjournaled is
-	// ever folded into the posterior.
+	// accepts BEFORE it is applied to the filter (write-ahead), and
+	// after a reading that makes a refresh due, that refresh's
+	// estimates. A reading's append error aborts the ingest: nothing
+	// unjournaled is ever folded into the posterior. A refresh entry's
+	// is ignored: replay searches where one is missing.
 	Journal Journal
 	// ReorderWindow is the reorder buffer's watermark lag in sequence
 	// rounds: a round of sequenced readings is held and released in
@@ -236,43 +240,59 @@ func (e *Engine) journalAppend(m Meas) error {
 	return nil
 }
 
-// apply folds one journaled measurement into the filter.
+// apply folds one journaled measurement into the filter and, when
+// that makes a refresh due, refreshes and journals the estimates right
+// after the reading.
 func (e *Engine) apply(m Meas) error {
+	due, err := e.fold(m)
+	if due {
+		e.Refresh()
+		e.journalRefresh()
+	}
+	return err
+}
+
+// fold folds one measurement into the filter and reports whether a
+// refresh is now due; the caller runs it.
+func (e *Engine) fold(m Meas) (due bool, err error) {
 	if m.CPM < 0 || m.CPM > MaxCPM {
 		e.met.rejected.Inc()
-		return fmt.Errorf("%w: CPM %d outside [0, %d]", ErrBadMeasurement, m.CPM, MaxCPM)
+		return false, fmt.Errorf("%w: CPM %d outside [0, %d]", ErrBadMeasurement, m.CPM, MaxCPM)
 	}
 	sen, ok := e.sensors[m.SensorID]
 	if !ok {
 		e.met.rejected.Inc()
-		return fmt.Errorf("%w: id %d", ErrUnknownSensor, m.SensorID)
+		return false, fmt.Errorf("%w: id %d", ErrUnknownSensor, m.SensorID)
 	}
 	h := e.healthOf(m.SensorID)
 	if !e.admit(h, sen, m.CPM) {
 		h.dropped++
-		return fmt.Errorf("%w: id %d (last |z| %.1f)", ErrQuarantined, m.SensorID, math.Abs(h.lastZ))
+		return false, fmt.Errorf("%w: id %d (last |z| %.1f)", ErrQuarantined, m.SensorID, math.Abs(h.lastZ))
 	}
 	e.loc.Ingest(sen, m.CPM)
 	e.met.ingested.Inc()
 	e.sinceEst++
-	if e.sinceEst >= e.every {
-		e.Refresh()
-	}
-	return nil
+	return e.sinceEst >= e.every, nil
 }
 
 // Refresh recomputes estimates (and tracks) now.
 func (e *Engine) Refresh() {
 	t0 := time.Now()
+	e.publish(e.loc.Estimates())
+	e.met.refreshSeconds.Observe(time.Since(t0).Seconds())
+}
+
+// publish installs ests as the refresh's result: the prediction set,
+// the tracker and the refresh accounting all follow from them.
+func (e *Engine) publish(ests []core.Estimate) {
 	e.sinceEst = 0
-	e.ests = e.loc.Estimates()
+	e.ests = ests
 	e.predSources = diagnose.Sources(e.ests)
 	e.met.refreshes.Inc()
 	if e.tracker != nil {
 		e.tracker.Update(e.trackStep, e.ests)
 		e.trackStep++
 	}
-	e.met.refreshSeconds.Observe(time.Since(t0).Seconds())
 	e.met.estimates.Set(float64(len(e.ests)))
 	quarantined := 0
 	for _, h := range e.health {
@@ -281,6 +301,43 @@ func (e *Engine) Refresh() {
 		}
 	}
 	e.met.quarantined.Set(float64(quarantined))
+}
+
+// journalRefresh journals the estimates the refresh just published, as
+// the entry right after the reading that made it due. A failure is not
+// the reading's, which is journaled and applied already, and all it
+// costs is a search when replay reaches that reading; so it is not
+// reported.
+func (e *Engine) journalRefresh() {
+	if e.journal == nil {
+		return
+	}
+	ests := make([]wal.Estimate, len(e.ests))
+	for i, est := range e.ests {
+		ests[i] = wal.Estimate{X: est.Pos.X, Y: est.Pos.Y, Strength: est.Strength, Mass: est.Mass, Starts: est.Starts}
+	}
+	_ = e.journal.AppendRefresh(ests)
+}
+
+// replayRefresh runs a refresh that fell due on replay. Given the
+// estimates journaled after the reading, it adopts them: the localizer
+// skips the search but draws what the search would have drawn, so the
+// RNG stream, the tracker and everything after match a searched
+// refresh bit for bit. Without them (none fell due when the reading
+// was journaled live, or the entry was lost to a crash) it searches.
+func (e *Engine) replayRefresh(journaled []wal.Estimate) {
+	if journaled == nil {
+		e.met.replaySearched.Inc()
+		e.Refresh()
+		return
+	}
+	e.met.replayAdopted.Inc()
+	e.loc.SkipEstimates()
+	var ests []core.Estimate
+	for _, j := range journaled {
+		ests = append(ests, core.Estimate{Pos: geometry.V(j.X, j.Y), Strength: j.Strength, Mass: j.Mass, Starts: j.Starts})
+	}
+	e.publish(ests)
 }
 
 // Particles returns a copy of the filter's particle population.

@@ -25,6 +25,12 @@ type Meas = wal.Record
 type Journal interface {
 	// Append durably records one accepted reading before it is applied.
 	Append(Meas) error
+	// AppendRefresh records the estimates of a refresh the last
+	// appended reading made due, right after that reading, so replay
+	// can adopt them instead of searching (see Engine.Replay). The
+	// estimates are only valid for the call. The engine ignores its
+	// error: a lost entry costs replay one search, nothing else.
+	AppendRefresh([]wal.Estimate) error
 }
 
 // ErrDuplicate is returned for readings whose sequence number has
@@ -274,6 +280,13 @@ func (e *Engine) flushRounds(target uint64) (int, error) {
 // reading: advances the sensor's dedup cursor, accounts for skipped
 // sequence numbers, and folds the reading in.
 func (e *Engine) applyReleased(m Meas) error {
+	e.advanceCursor(m)
+	return e.apply(m)
+}
+
+// advanceCursor moves the sensor's dedup cursor to a released
+// reading, accounting for skipped sequence numbers.
+func (e *Engine) advanceCursor(m Meas) {
 	cur := e.gate.cursor[m.SensorID]
 	if m.Seq > cur {
 		if cur > 0 && m.Seq > cur+1 {
@@ -281,7 +294,6 @@ func (e *Engine) applyReleased(m Meas) error {
 		}
 		e.gate.cursor[m.SensorID] = m.Seq
 	}
-	return e.apply(m)
 }
 
 // BatchResult classifies the readings of one submitted batch by
@@ -365,8 +377,11 @@ func (e *Engine) Settle() error {
 // the journal offset accounting — replayed records are already
 // durable. Delivery counters advance exactly as the live path's did
 // for the same record, so a replica (or a recovered node) reports the
-// same delivery picture as the node that journaled it.
-func (e *Engine) Replay(m Meas) {
+// same delivery picture as the node that journaled it. When the
+// reading makes a refresh due, the refresh adopts ent.Refresh, the
+// estimates journaled after it, and searches only when there are none.
+func (e *Engine) Replay(ent wal.Entry) {
+	m := ent.Rec
 	e.journaled++
 	e.met.journaled.Set(float64(e.journaled))
 	if m.Seq > 0 {
@@ -377,9 +392,11 @@ func (e *Engine) Replay(m Meas) {
 		if m.Seq > g.maxSeq {
 			g.maxSeq = m.Seq
 		}
-		_ = e.applyReleased(m)
-		return
+		e.advanceCursor(m)
+	} else {
+		e.met.unsequenced.Inc()
 	}
-	e.met.unsequenced.Inc()
-	_ = e.apply(m)
+	if due, _ := e.fold(m); due {
+		e.replayRefresh(ent.Refresh)
+	}
 }

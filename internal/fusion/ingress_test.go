@@ -10,6 +10,7 @@ import (
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
 	"radloc/internal/track"
+	"radloc/internal/wal"
 )
 
 // seqStream renders a sequence-stamped measurement stream for Scenario
@@ -250,6 +251,10 @@ func TestIngestSeqUnsequencedBypass(t *testing.T) {
 type journalFunc func(Meas) error
 
 func (f journalFunc) Append(m Meas) error { return f(m) }
+
+// AppendRefresh implements Journal; refresh entries are not the
+// subject of these tests.
+func (f journalFunc) AppendRefresh([]wal.Estimate) error { return nil }
 
 // TestJournalWriteAhead: every applied reading hits the journal first,
 // in application order, and a journal error vetoes application.

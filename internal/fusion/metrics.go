@@ -15,6 +15,11 @@ type engineMetrics struct {
 	rejected  *obs.Counter
 	refreshes *obs.Counter
 
+	// replayAdopted and replaySearched split the refreshes replay ran
+	// (boot recovery, standby apply) by where their estimates came
+	// from: the journal or a search.
+	replayAdopted, replaySearched *obs.Counter
+
 	refreshSeconds *obs.Histogram
 	estimates      *obs.Gauge
 	quarantined    *obs.Gauge
@@ -36,13 +41,16 @@ type engineMetrics struct {
 // fresh private registry, so the counters always exist).
 func newEngineMetrics(r *obs.Registry) *engineMetrics {
 	r = obs.Or(r)
+	adopted, searched := ReplayRefreshes(r)
 	return &engineMetrics{
+		replayAdopted:  adopted,
+		replaySearched: searched,
 		ingested: r.Counter("radloc_fusion_ingested_total",
 			"Measurements folded into the particle filter."),
 		rejected: r.Counter("radloc_fusion_rejected_total",
 			"Measurements refused for cause (unknown sensor, impossible CPM, quarantine)."),
 		refreshes: r.Counter("radloc_fusion_refreshes_total",
-			"Estimate recomputations (mean-shift passes) completed."),
+			"Estimate refreshes completed: mean-shift passes, and on replay journaled results adopted (radloc_fusion_replay_refreshes_total splits those)."),
 		refreshSeconds: r.Histogram("radloc_fusion_refresh_seconds",
 			"Wall-clock seconds per estimate refresh (mean-shift + track update).", nil),
 		estimates: r.Gauge("radloc_fusion_estimates",
@@ -70,6 +78,16 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		releaseBatch: r.Histogram("radloc_transport_release_batch_size",
 			"Readings applied per reorder-gate release.", obs.ExpBuckets(1, 2, 10)),
 	}
+}
+
+// ReplayRefreshes returns the counters an engine whose Config.Metrics
+// is r counts its replayed refreshes on: adopted from the journal, and
+// searched because no journaled estimates followed the reading.
+func ReplayRefreshes(r *obs.Registry) (adopted, searched *obs.Counter) {
+	f := r.CounterFamily("radloc_fusion_replay_refreshes_total",
+		"Refreshes run on replay (boot recovery and standby apply), by where their estimates came from: source=journal adopted a journaled refresh entry, source=search ran mean-shift.",
+		"source")
+	return f.With("journal"), f.With("search")
 }
 
 // deliveryStats assembles the wire-format DeliveryStats from the

@@ -21,6 +21,7 @@ import (
 	"radloc/internal/fusion"
 	"radloc/internal/httpingest"
 	"radloc/internal/obs"
+	"radloc/internal/wal"
 )
 
 func TestHTTPRejectsNonJSONContentType(t *testing.T) {
@@ -119,6 +120,9 @@ func (j *parkingJournal) Append(fusion.Meas) error {
 	j.parked.Do(func() { j.entered <- struct{}{}; <-j.release })
 	return nil
 }
+
+// AppendRefresh implements fusion.Journal.
+func (j *parkingJournal) AppendRefresh([]wal.Estimate) error { return nil }
 
 // unpark releases the parked Append. Idempotent.
 func (j *parkingJournal) unpark() { j.unparked.Do(func() { close(j.release) }) }

@@ -61,11 +61,11 @@ func (b *zoneBackend) ReadWAL(from uint64, max int) ([]cluster.RecordAt, error) 
 		if from < b.d.log.Oldest() {
 			return cluster.ErrPruned
 		}
-		err := b.d.log.Replay(from, func(off uint64, rec wal.Record) error {
+		err := b.d.log.Replay(from, func(off uint64, e wal.Entry) error {
 			if len(out) >= max {
 				return errStopRead
 			}
-			out = append(out, cluster.RecordAt{Off: off, Rec: rec})
+			out = append(out, cluster.RecordAt{Off: off, Rec: e.Rec, Refresh: e.Refresh})
 			return nil
 		})
 		if err == errStopRead {
@@ -228,8 +228,10 @@ type fileEpochStore struct {
 
 // Load implements cluster.EpochStore; a missing file is a zero meta
 // (the cluster layer treats that as epoch 1 with no history). A file
-// from before epoch-start history — bare {"epoch":N} — parses fine,
-// and the cluster layer anchors its history conservatively at 0.
+// from before epoch-start history — bare {"epoch":N} past the first
+// epoch — is a retired format: Load fails naming it
+// (cluster.ErrNoEpochStart), so boot stops instead of guessing the
+// history.
 func (s *fileEpochStore) Load(zone string) (cluster.EpochMeta, error) {
 	path := filepath.Join(s.zs.zoneWalDir(zone), epochFileName)
 	raw, err := s.zs.fs.ReadFile(path)
@@ -248,6 +250,9 @@ func (s *fileEpochStore) Load(zone string) (cluster.EpochMeta, error) {
 		fmt.Fprintf(s.zs.logw, "radlocd: corrupt %s for zone %q moved to %s, starting at epoch 0: %v\n",
 			epochFileName, zone, setAside(s.zs.fs, path), err)
 		return cluster.EpochMeta{}, nil
+	}
+	if err := meta.Check(); err != nil {
+		return cluster.EpochMeta{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return meta, nil
 }

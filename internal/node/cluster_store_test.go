@@ -80,12 +80,16 @@ func TestFileEpochStoreCorruptFileQuarantined(t *testing.T) {
 	}
 }
 
-func TestFileEpochStoreLegacyAndRoundTrip(t *testing.T) {
+// TestFileEpochStoreRefusesRetiredAndRoundTrip: a bare {"epoch":N}
+// past the first epoch, from before the store kept start history, is a
+// retired format: Load fails naming the file (the history cannot be
+// guessed safely) and leaves the file in place. A first-epoch file
+// needs no history; full metadata round-trips.
+func TestFileEpochStoreRefusesRetiredAndRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	zs := newStoreZoneSet(t, dir, io.Discard)
 	s := &fileEpochStore{zs: zs}
 
-	// Legacy format: a bare {"epoch":N} from before start history.
 	path := filepath.Join(zs.zoneWalDir("default"), epochFileName)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
@@ -94,8 +98,17 @@ func TestFileEpochStoreLegacyAndRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta, err := s.Load("default")
-	if err != nil || meta.Epoch != 3 || len(meta.Starts) != 0 {
-		t.Fatalf("legacy epoch file: meta %+v, err %v", meta, err)
+	if !errors.Is(err, cluster.ErrNoEpochStart) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("retired epoch file: meta %+v, err %v; want ErrNoEpochStart naming %s", meta, err, path)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("the retired epoch file did not stay in place: %v", err)
+	}
+	if err := os.WriteFile(path, []byte(`{"epoch":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if meta, err := s.Load("default"); err != nil || meta.Epoch != 1 {
+		t.Fatalf("first-epoch file: meta %+v, err %v", meta, err)
 	}
 
 	// Full round-trip with start history.

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -293,6 +295,81 @@ func TestClusterStandbySnapshotByteIdentical(t *testing.T) {
 	}
 	if bodyA, bodyB := recA.Body.String(), recB.Body.String(); bodyA != bodyB {
 		t.Fatalf("caught-up standby snapshot diverged from primary:\nprimary: %s\nstandby: %s", bodyA, bodyB)
+	}
+}
+
+// TestClusterStandbyAdoptsRefreshes: a standby applies each refresh
+// the primary journaled by adopting the shipped estimates, never
+// searching, and stays byte-equal to its primary: the same /snapshot
+// body and the same engine state in its checkpoint encoding. Its own
+// WAL carries the refresh entries too, so it would boot without
+// searching as well.
+func TestClusterStandbyAdoptsRefreshes(t *testing.T) {
+	fab := nodetest.NewFabric()
+	routes := cluster.Routes{Zones: map[string]cluster.Route{
+		"default": {Primary: "http://a", Standby: "http://b"},
+	}}
+	a := newClusterTestNode(t, fab, "a", &routes)
+	b := newClusterTestNode(t, fab, "b", &routes)
+
+	postRounds(t, a.mux, "http://a", scenario.A(50, false), 0, 5)
+	aBack := a.backend(t, "default")
+	nodetest.WaitUntil(t, "standby catch-up", func() bool {
+		st, ok := b.status("default")
+		head := aBack.Offset()
+		return ok && st.CaughtUp && b.backend(t, "default").Offset() == head &&
+			b.zs.defaultZone().Snapshot().Journaled == head
+	})
+
+	recA, _ := nodetest.HTTPStatus(a.mux, http.MethodGet, "http://a/snapshot", "")
+	recB, _ := nodetest.HTTPStatus(b.mux, http.MethodGet, "http://b/snapshot", "")
+	if bodyA, bodyB := recA.Body.String(), recB.Body.String(); bodyA != bodyB {
+		t.Fatalf("standby snapshot diverged from primary:\nprimary: %s\nstandby: %s", bodyA, bodyB)
+	}
+	engineState := func(n *clusterTestNode) []byte {
+		var blob []byte
+		if err := n.zs.defaultZone().Do(context.Background(), func(e *fusion.Engine) error {
+			blob = encodedState(t, e)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	if !bytes.Equal(engineState(a), engineState(b)) {
+		t.Fatal("standby engine state differs from the primary's")
+	}
+
+	refreshes := a.zs.defaultZone().Snapshot().Refreshes
+	var sz statezJSON
+	rec, _ := nodetest.HTTPStatus(b.mux, http.MethodGet, "http://b/statez", "")
+	if err := json.Unmarshal(rec.Body.Bytes(), &sz); err != nil {
+		t.Fatal(err)
+	}
+	if r := sz.Durability.Recovery; refreshes != 5 || r.RefreshesAdopted != refreshes || r.RefreshesSearched != 0 {
+		t.Fatalf("standby recovery %+v after the primary's %d refreshes; want all adopted, none searched", r, refreshes)
+	}
+	// The segments both logs still hold (each prunes on its own
+	// checkpoint cadence) are byte-equal, refresh entries included.
+	segsA, _ := filepath.Glob(filepath.Join(zoneDurable(a.zs.defaultZone()).dir, "wal-*.ndjson"))
+	common, entries := 0, 0
+	for _, segA := range segsA {
+		blobB, err := os.ReadFile(filepath.Join(zoneDurable(b.zs.defaultZone()).dir, filepath.Base(segA)))
+		if err != nil {
+			continue
+		}
+		blobA, err := os.ReadFile(segA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blobA, blobB) {
+			t.Fatalf("segment %s differs between primary and standby", filepath.Base(segA))
+		}
+		common++
+		entries += bytes.Count(blobB, []byte(`,"refresh":`))
+	}
+	if common == 0 || entries == 0 {
+		t.Fatalf("%d segments in common holding %d refresh entries: nothing compared", common, entries)
 	}
 }
 

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -29,6 +30,13 @@ type recoveryJSON struct {
 	CheckpointDiscarded bool   `json:"checkpointDiscarded,omitempty"`
 	// Replayed is the number of WAL records re-applied at boot.
 	Replayed uint64 `json:"replayed"`
+	// RefreshesAdopted and RefreshesSearched count the refreshes replay
+	// ran, at boot and on a standby since: adopted from the refresh
+	// entry journaled after their reading, or searched because none
+	// followed it. /statez reads them back from
+	// radloc_fusion_replay_refreshes_total{source="journal"|"search"}.
+	RefreshesAdopted  uint64 `json:"refreshesAdopted"`
+	RefreshesSearched uint64 `json:"refreshesSearched"`
 	// ImportSeconds is the wall-clock time boot spent loading,
 	// decoding and importing the checkpoint (the WAL replay after it
 	// is radloc_wal_replay_seconds). /statez reads it back from
@@ -79,6 +87,15 @@ func (d *durable) Append(m fusion.Meas) error {
 	return err
 }
 
+// AppendRefresh implements fusion.Journal: it journals a refresh's
+// estimates after the reading that made it due. It never syncs (the
+// next reading's sync carries it), and its outcome does not feed the
+// degraded-mode detector: a lost entry vetoes nothing, and only a
+// reading's append speaks for the disk.
+func (d *durable) AppendRefresh(ests []wal.Estimate) error {
+	return d.log.AppendRefresh(ests)
+}
+
 // setCheckpoints records the two newest checkpoint offsets. It is the
 // only writer of either, and it publishes the newest on
 // radloc_durable_last_checkpoint_offset, which /statez reads back, so
@@ -90,11 +107,13 @@ func (d *durable) setCheckpoints(last, prev uint64) {
 
 // openDurable opens (or cold-starts) the durability directory and
 // returns a recovered engine: newest valid checkpoint imported, WAL
-// suffix replayed through the live ingest path, torn tails truncated.
-// Bad data on disk is repaired and reported, never fatal — the daemon
-// must come up. build constructs a fresh engine wired to the given
-// journal; it may be called twice if a checkpoint turns out to be
-// unusable.
+// suffix replayed through the live ingest path (each due refresh
+// adopting the estimates journaled after its reading), torn tails
+// truncated. Bad data on disk is repaired and reported, never fatal —
+// the daemon must come up. A checkpoint in a retired format is not bad
+// data but a release mismatch: it fails the boot, naming the file.
+// build constructs a fresh engine wired to the given journal; it may
+// be called twice if a checkpoint turns out to be unusable.
 func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords int,
 	build func(fusion.Journal) (*fusion.Engine, error), reg *obs.Registry, logw io.Writer) (*fusion.Engine, *durable, error) {
 
@@ -104,6 +123,7 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 		return nil, nil, fmt.Errorf("open WAL %s: %w", dir, err)
 	}
 	d := &durable{dir: dir, fs: fsys, fsync: pol, every: every, log: l, logw: logw, met: newDurableMetrics(reg)}
+	d.met.adopted, d.met.searched = fusion.ReplayRefreshes(reg)
 	d.storage.Store(&storageState{})
 	engine, err := build(d)
 	if err != nil {
@@ -134,6 +154,13 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 		return nil, nil, lerr
 	} else if ok {
 		st, ierr := fusion.DecodeState(ck.State)
+		if errors.Is(ierr, fusion.ErrRetiredState) {
+			// Like the retired envelope LoadCheckpointFS refuses: the
+			// WAL below it may be pruned, so discarding it could lose
+			// state without a word.
+			l.Close()
+			return nil, nil, fmt.Errorf("%s: %w", wal.CheckpointPath(dir, ck.Applied), ierr)
+		}
 		if ierr == nil {
 			ierr = engine.ImportState(st)
 		}
@@ -163,8 +190,8 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 			return nil, nil, err
 		}
 	}
-	if err := l.Replay(replayFrom, func(off uint64, rec wal.Record) error {
-		engine.Replay(rec)
+	if err := l.Replay(replayFrom, func(off uint64, e wal.Entry) error {
+		engine.Replay(e)
 		d.recovery.Replayed++
 		return nil
 	}); err != nil {
@@ -175,9 +202,9 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 	// Append advances both in lockstep.
 	engine.SetJournalOffset(l.Offset())
 	d.setCheckpoints(d.recovery.CheckpointApplied, 0)
-	fmt.Fprintf(logw, "radlocd: durability on (%s, fsync=%s): %d WAL records, checkpoint@%d used=%v, %d replayed, %d truncated\n",
+	fmt.Fprintf(logw, "radlocd: durability on (%s, fsync=%s): %d WAL records, checkpoint@%d used=%v, %d replayed (refreshes: %d adopted, %d searched), %d truncated\n",
 		dir, pol, d.recovery.WalRecords, d.recovery.CheckpointApplied, d.recovery.CheckpointUsed,
-		d.recovery.Replayed, d.recovery.TruncatedRecords)
+		d.recovery.Replayed, d.met.adopted.Value(), d.met.searched.Value(), d.recovery.TruncatedRecords)
 	return engine, d, nil
 }
 
@@ -281,6 +308,7 @@ func statez(s fusion.Snapshot, d *durable, ing *httpingest.Handler) statezJSON {
 	}
 	rec := d.recovery
 	rec.ImportSeconds = d.met.importSeconds.Value()
+	rec.RefreshesAdopted, rec.RefreshesSearched = d.met.adopted.Value(), d.met.searched.Value()
 	st := d.storage.Load()
 	out.Durability = durabilityJSON{
 		Enabled:        true,

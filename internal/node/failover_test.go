@@ -253,8 +253,10 @@ func divergedRecords(t *testing.T, dir string) (lines uint64, note struct {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Refresh entries ride with their readings and take no
+			// offset: only reading lines are records.
 			for _, line := range bytes.Split(raw, []byte("\n")) {
-				if len(bytes.TrimSpace(line)) > 0 {
+				if bytes.Contains(line, []byte(`,"rec":`)) {
 					lines++
 				}
 			}

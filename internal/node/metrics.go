@@ -17,6 +17,10 @@ type durableMetrics struct {
 	checkpointSeconds *obs.Histogram
 	lastCheckpoint    *obs.Gauge
 	importSeconds     *obs.Gauge
+	// adopted and searched are the zone engine's replayed-refresh
+	// counters (fusion.ReplayRefreshes), which /statez reports under
+	// durability.recovery.
+	adopted, searched *obs.Counter
 }
 
 func newDurableMetrics(r *obs.Registry) *durableMetrics {

@@ -9,6 +9,7 @@ package node
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -16,6 +17,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -217,17 +220,18 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 	sc := scenario.A(50, false)
 	reg := obs.NewRegistry()
 	obs.RegisterProcessMetrics(reg, time.Unix(1_700_000_000, 0))
+	build := func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
+		fcfg := fusion.ScenarioConfig(sc, 3)
+		fcfg.Tracking = &track.Config{}
+		fcfg.Journal = j
+		fcfg.ReorderWindow = 2
+		fcfg.Metrics = met
+		fcfg.Localizer.Metrics = met
+		return fusion.NewEngine(fcfg)
+	}
+	walRoot := t.TempDir()
 	zs := zoneSetOf(t, zoneSetOptions{
-		WalRoot: t.TempDir(), Fsync: wal.FsyncNever, CkptEvery: 50, Metrics: reg, Log: io.Discard,
-		Build: func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
-			fcfg := fusion.ScenarioConfig(sc, 3)
-			fcfg.Tracking = &track.Config{}
-			fcfg.Journal = j
-			fcfg.ReorderWindow = 2
-			fcfg.Metrics = met
-			fcfg.Localizer.Metrics = met
-			return fusion.NewEngine(fcfg)
-		},
+		WalRoot: walRoot, Fsync: wal.FsyncNever, CkptEvery: 50, Metrics: reg, Log: io.Discard, Build: build,
 	})
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
 	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{QueueDepth: 256, Clock: clk, Metrics: reg})
@@ -357,6 +361,44 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 	for fam, want := range agree {
 		if got := dump.value(t, fam, nil); got != want {
 			t.Errorf("%s = %v, /statez says %v", fam, got, want)
+		}
+	}
+
+	// The replayed-refresh counts: boot a second daemon over a copy of
+	// the WAL with its checkpoints dropped and its last refresh entry
+	// cut, so its replay adopts every other refresh and searches one.
+	image := copyDir(t, walRoot)
+	cks, _ := filepath.Glob(filepath.Join(image, "checkpoint-*.json"))
+	for _, ck := range cks {
+		if err := os.Remove(ck); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewriteSegments(t, image, func(blob []byte) []byte {
+		if i := bytes.LastIndex(blob, []byte(`{"crc":`)); i >= 0 && bytes.Contains(blob[i:], []byte(`,"refresh":`)) {
+			return blob[:i]
+		}
+		t.Fatal("the WAL does not end in a refresh entry")
+		return nil
+	})
+	reg2 := obs.NewRegistry()
+	zs2 := zoneSetOf(t, zoneSetOptions{
+		WalRoot: image, Fsync: wal.FsyncNever, CkptEvery: 50, Metrics: reg2, Log: io.Discard, Build: build,
+	})
+	srv2 := httptest.NewServer(newMux(serveConfig{Metrics: reg2, Zones: zs2}))
+	defer srv2.Close()
+	dump2 := parseProm(t, httpGetBody(t, srv2.URL+"/metrics", "text/plain"))
+	var sz2 statezJSON
+	if err := json.Unmarshal([]byte(httpGetBody(t, srv2.URL+"/statez", "application/json")), &sz2); err != nil {
+		t.Fatal(err)
+	}
+	rec := sz2.Durability.Recovery
+	if rec == nil || rec.RefreshesAdopted == 0 || rec.RefreshesSearched != 1 {
+		t.Fatalf("/statez recovery = %+v, want refreshes adopted and exactly one searched", rec)
+	}
+	for source, want := range map[string]uint64{"journal": rec.RefreshesAdopted, "search": rec.RefreshesSearched} {
+		if got := dump2.value(t, "radloc_fusion_replay_refreshes_total", map[string]string{"source": source}); got != float64(want) {
+			t.Errorf("radloc_fusion_replay_refreshes_total{source=%q} = %v, /statez says %v", source, got, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"radloc/internal/cluster"
 	"radloc/internal/fusion"
 	"radloc/internal/httpingest"
+	"radloc/internal/wal"
 	"radloc/internal/zone"
 )
 
@@ -30,7 +31,8 @@ import (
 // primary, so the pipeline enforces offset continuity, journals, and
 // applies through the engine's replay entry — the same code path boot
 // recovery uses, which is what keeps a caught-up standby bit-identical
-// to its primary.
+// to its primary. A record's refresh entry travels with it, so the
+// standby adopts the primary's estimates instead of searching.
 type WritePipeline struct {
 	zs *zoneSet
 }
@@ -83,7 +85,13 @@ func (p *WritePipeline) Apply(z *zone.Zone, recs []cluster.RecordAt) error {
 			if err := d.Append(ra.Rec); err != nil {
 				return err
 			}
-			eng.Replay(ra.Rec)
+			// The refresh entry is journaled as the primary journaled
+			// it, so this log boots without searching too; like the
+			// primary's, a failed one costs only a search.
+			if ra.Refresh != nil {
+				_ = d.AppendRefresh(ra.Refresh)
+			}
+			eng.Replay(wal.Entry{Rec: ra.Rec, Refresh: ra.Refresh})
 		}
 		d.maybeCheckpoint(p.zs.logw)
 		return nil

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -69,7 +70,12 @@ func TestCorruptTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := bytes.SplitAfter(blob, []byte("\n")) // trailing "" element after the final newline
-	flip := recs[len(recs)-3]                    // second-to-last record: bit-flip its middle
+	// A refresh entry may follow the final reading; drop it, so the
+	// sabotage hits the last two readings and the torn one is the tail.
+	for !bytes.Contains(recs[len(recs)-2], []byte(`,"rec":`)) {
+		recs = append(recs[:len(recs)-2], recs[len(recs)-1])
+	}
+	flip := recs[len(recs)-3] // second-to-last record: bit-flip its middle
 	flip[len(flip)/2] ^= 0x08
 	torn := recs[len(recs)-2] // last record: tear it mid-line
 	recs[len(recs)-2] = torn[:len(torn)-7]
@@ -137,145 +143,85 @@ func TestCorruptTailRecovery(t *testing.T) {
 	}
 }
 
-// writeLegacyCheckpoint writes st at its journal offset the way
-// releases before the binary checkpoint format did: the engine state
-// as JSON, inside the JSON envelope {"crc","applied","state"} with the
-// CRC-32 (IEEE) of the state bytes.
-func writeLegacyCheckpoint(t *testing.T, dir string, st fusion.EngineState) {
-	t.Helper()
-	state, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := json.Marshal(struct {
-		CRC     uint32          `json:"crc"`
-		Applied uint64          `json:"applied"`
-		State   json.RawMessage `json:"state"`
-	}{crc32.ChecksumIEEE(state), st.Journaled, state})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.json", st.Journaled))
-	if err := os.WriteFile(path, env, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBootFromLegacyJSONCheckpoint is the in-place upgrade: a zone
-// directory whose newest checkpoint is in the previous release's JSON
-// envelope with JSON state — and whose WAL below it is pruned, so the
-// checkpoint is the only way back — boots, its engine state equals an
-// engine that was never interrupted, it stays equal as ingest
-// continues, and the next checkpoint it writes is binary.
-func TestBootFromLegacyJSONCheckpoint(t *testing.T) {
+// TestBootRefusesRetiredCheckpoint: a zone directory whose newest
+// checkpoint is in a retired format — the JSON envelope
+// {"crc","applied","state"}, or the binary envelope around a JSON
+// engine state — and whose WAL below it is pruned, so the checkpoint is
+// the only way back, fails to boot with an error naming the file. It
+// neither skips the checkpoint nor sets it aside: either would boot an
+// engine that silently lost the pruned history.
+func TestBootRefusesRetiredCheckpoint(t *testing.T) {
 	sc := scenario.A(50, false)
 	sc.Params.NumParticles = 500
 	build := func(j fusion.Journal) (*fusion.Engine, error) {
 		fcfg := fusion.ScenarioConfig(sc, 11)
-		fcfg.Tracking = &track.Config{}
 		fcfg.Journal = j
 		return fusion.NewEngine(fcfg)
 	}
-	stream := rng.NewNamed(5, "legacy-checkpoint/measure")
-	var readings []fusion.Meas
-	for step := 0; step < 8; step++ {
-		for _, sen := range sc.Sensors {
-			m := sen.Measure(stream, sc.Sources, nil, step)
-			readings = append(readings, fusion.Meas{SensorID: sen.ID, CPM: m.CPM, Step: step, Seq: uint64(step + 1)})
-		}
-	}
-	half := len(readings) / 2
-	ingest := func(e *fusion.Engine, ms []fusion.Meas) {
-		t.Helper()
-		for _, m := range ms {
-			if _, err := e.IngestSeq(m); err != nil {
+	stream := rng.NewNamed(5, "retired-checkpoint/measure")
+	for _, tc := range []struct {
+		name string
+		want error
+		blob func(applied uint64, state []byte) []byte
+	}{
+		{"JSON envelope", wal.ErrRetiredCheckpoint, func(applied uint64, state []byte) []byte {
+			env, err := json.Marshal(struct {
+				CRC     uint32          `json:"crc"`
+				Applied uint64          `json:"applied"`
+				State   json.RawMessage `json:"state"`
+			}{crc32.ChecksumIEEE(state), applied, state})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if _, err := e.FlushPending(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	encoded := func(e *fusion.Engine) []byte {
-		t.Helper()
-		st, err := e.ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := fusion.EncodeState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
+			return env
+		}},
+		{"JSON state", fusion.ErrRetiredState, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			old, oldD, err := openDurable(dir, nil, wal.FsyncNever, 0, 20, build, nil, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < 4; step++ {
+				for _, sen := range sc.Sensors {
+					m := sen.Measure(stream, sc.Sources, nil, step)
+					if _, err := old.IngestSeq(fusion.Meas{SensorID: sen.ID, CPM: m.CPM, Step: step}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			st, err := old.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			state, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := wal.CheckpointPath(dir, st.Journaled)
+			if tc.blob != nil {
+				err = os.WriteFile(path, tc.blob(st.Journaled, state), 0o644)
+			} else {
+				err = wal.WriteCheckpointFS(nil, dir, wal.Checkpoint{Applied: st.Journaled, State: state})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := oldD.log.Prune(st.Journaled); err != nil {
+				t.Fatal(err)
+			}
+			if err := oldD.log.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// The uninterrupted reference, durable in a directory of its own.
-	ref, refD, err := openDurable(t.TempDir(), nil, wal.FsyncNever, 0, 0, build, nil, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer refD.log.Close()
-	ingest(ref, readings[:half])
-
-	// The old release ran the first half, wrote its JSON checkpoint,
-	// pruned the WAL below it, and stopped without a final checkpoint.
-	dir := t.TempDir()
-	old, oldD, err := openDurable(dir, nil, wal.FsyncNever, 0, 20, build, nil, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingest(old, readings[:half])
-	st, err := old.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := oldD.log.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	writeLegacyCheckpoint(t, dir, st)
-	if err := oldD.log.Prune(st.Journaled); err != nil {
-		t.Fatal(err)
-	}
-	if err := oldD.log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	upgraded, d, err := openDurable(dir, nil, wal.FsyncNever, 0, 20, build, reg, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.log.Close()
-	if rec := d.recovery; !rec.CheckpointUsed || rec.CheckpointApplied != st.Journaled || rec.WalRecords >= st.Journaled {
-		t.Fatalf("recovery %+v: want the legacy checkpoint at %d used over a pruned WAL", rec, st.Journaled)
-	}
-	if got := statez(upgraded.Snapshot(), d, nil).Durability.Recovery.ImportSeconds; got <= 0 {
-		t.Errorf("recovery.importSeconds = %v, want the measured checkpoint import time", got)
-	}
-	if !bytes.Equal(encoded(upgraded), encoded(ref)) {
-		t.Fatal("engine booted from the legacy checkpoint differs from the uninterrupted one")
-	}
-	ingest(ref, readings[half:])
-	ingest(upgraded, readings[half:])
-	if !bytes.Equal(encoded(upgraded), encoded(ref)) {
-		t.Fatal("upgraded engine diverged from the uninterrupted one after more ingest")
-	}
-
-	if err := d.checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	ck, ok, err := wal.LoadCheckpointFS(nil, dir)
-	if err != nil || !ok || ck.Applied != d.log.Offset() {
-		t.Fatalf("next checkpoint: ok=%v err=%v applied=%d, WAL at %d", ok, err, ck.Applied, d.log.Offset())
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.json", ck.Applied)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(raw, []byte("RLCK")) || bytes.HasPrefix(ck.State, []byte("{")) {
-		t.Fatalf("next checkpoint is not binary: starts %q", raw[:min(len(raw), 16)])
-	}
-	if _, err := fusion.DecodeState(ck.State); err != nil {
-		t.Fatal(err)
+			_, _, err = openDurable(dir, nil, wal.FsyncNever, 0, 20, build, nil, io.Discard)
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), path) {
+				t.Fatalf("boot over a retired checkpoint: err %v; want %v naming %s", err, tc.want, path)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("the retired checkpoint did not stay in place: %v", err)
+			}
+		})
 	}
 }

@@ -206,8 +206,13 @@ func (s *Spool) Next(max int) ([]Reading, uint64, error) {
 	}
 	var batch []Reading
 	next := s.acked
-	err := s.log.Replay(s.acked, func(off uint64, rec wal.Record) error {
-		batch = append(batch, rec)
+	err := s.log.Replay(s.acked, func(off uint64, e wal.Entry) error {
+		if e.Refresh != nil {
+			// The spool only ever appends readings: a refresh entry
+			// means this directory is some zone's WAL, not a spool.
+			return fmt.Errorf("transport: spool %s holds a refresh entry after offset %d: not a spool", s.dir, off)
+		}
+		batch = append(batch, e.Rec)
 		next = off + 1
 		if len(batch) >= max {
 			return errStopReplay

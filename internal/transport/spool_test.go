@@ -3,7 +3,10 @@ package transport
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"radloc/internal/wal"
 )
 
 func reading(i int) Reading {
@@ -234,5 +237,33 @@ func TestSpoolByteBoundShedsOldest(t *testing.T) {
 	}
 	if sp.Pending() != len(batch) {
 		t.Fatalf("Pending = %d, want %d", sp.Pending(), len(batch))
+	}
+}
+
+// TestSpoolRefusesRefreshEntries: a spool only ever journals readings.
+// A directory whose log holds a refresh entry (a zone's WAL, not a
+// spool) fails Next rather than shipping that log's readings.
+func TestSpoolRefusesRefreshEntries(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(wal.Record{SensorID: 1, CPM: 10, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendRefresh([]wal.Estimate{{X: 1, Y: 2, Strength: 3, Mass: 1, Starts: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := OpenSpool(dir, SpoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	if batch, _, err := sp.Next(10); err == nil || !strings.Contains(err.Error(), "refresh entry") {
+		t.Fatalf("Next over a log with a refresh entry: batch %v, err %v; want a refusal", batch, err)
 	}
 }

@@ -3,7 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -30,7 +30,9 @@ type Checkpoint struct {
 // nothing.
 const ckptPrefix, ckptSuffix = "checkpoint-", ".json"
 
-func checkpointPath(dir string, applied uint64) string {
+// CheckpointPath is the file the checkpoint covering the first applied
+// records lives in, within dir.
+func CheckpointPath(dir string, applied uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016x%s", ckptPrefix, applied, ckptSuffix))
 }
 
@@ -38,21 +40,21 @@ func checkpointPath(dir string, applied uint64) string {
 //
 //	magic "RLCK" | applied uint64 | CRC32 of the state uint32 | state
 //
-// with the integers little-endian. A file that does not open with the
-// magic is read as the legacy JSON envelope (legacyEnvelope).
+// with the integers little-endian.
 const ckptMagic = "RLCK"
 
 // ckptHeader is the binary envelope's length before the state.
 const ckptHeader = len(ckptMagic) + 8 + 4
 
-// legacyEnvelope is the JSON checkpoint envelope older releases wrote.
-// It is only read, so a node upgraded in place boots from the last
-// checkpoint the old binary left behind (the WAL below it is pruned).
-type legacyEnvelope struct {
-	CRC     uint32          `json:"crc"`
-	Applied uint64          `json:"applied"`
-	State   json.RawMessage `json:"state"`
-}
+// retiredPrefix opens the JSON envelope {"crc","applied","state"} that
+// releases before the binary envelope wrote. It is no longer read.
+const retiredPrefix = `{"crc":`
+
+// ErrRetiredCheckpoint reports a checkpoint in the retired JSON
+// envelope. Recovery refuses it rather than skipping it: the WAL below
+// it may be pruned, so falling back to an older checkpoint, or none,
+// would silently lose state.
+var ErrRetiredCheckpoint = errors.New("wal: checkpoint in the retired JSON envelope, no longer read")
 
 // encodeCheckpoint renders ck in the binary envelope.
 func encodeCheckpoint(ck Checkpoint) []byte {
@@ -64,26 +66,18 @@ func encodeCheckpoint(ck Checkpoint) []byte {
 	return blob
 }
 
-// decodeCheckpoint parses a checkpoint file in either envelope and
+// decodeCheckpoint parses a checkpoint file in the binary envelope and
 // verifies its CRC and that it covers applied, the offset its name
 // claims. The returned state aliases blob.
 func decodeCheckpoint(blob []byte, applied uint64) (Checkpoint, bool) {
-	var ck Checkpoint
-	var crc uint32
-	if bytes.HasPrefix(blob, []byte(ckptMagic)) {
-		if len(blob) < ckptHeader {
-			return Checkpoint{}, false
-		}
-		ck.Applied = binary.LittleEndian.Uint64(blob[len(ckptMagic):])
-		crc = binary.LittleEndian.Uint32(blob[len(ckptMagic)+8:])
-		ck.State = blob[ckptHeader:]
-	} else {
-		var env legacyEnvelope
-		if json.Unmarshal(blob, &env) != nil {
-			return Checkpoint{}, false
-		}
-		ck.Applied, crc, ck.State = env.Applied, env.CRC, env.State
+	if !bytes.HasPrefix(blob, []byte(ckptMagic)) || len(blob) < ckptHeader {
+		return Checkpoint{}, false
 	}
+	ck := Checkpoint{
+		Applied: binary.LittleEndian.Uint64(blob[len(ckptMagic):]),
+		State:   blob[ckptHeader:],
+	}
+	crc := binary.LittleEndian.Uint32(blob[len(ckptMagic)+8:])
 	if ck.Applied != applied || crc32.Checksum(ck.State, crcTable) != crc {
 		return Checkpoint{}, false
 	}
@@ -109,7 +103,7 @@ func listCheckpoints(fsys vfs.FS, dir string) ([]uint64, error) {
 		}
 		hexpart := strings.TrimSuffix(strings.TrimPrefix(name, ckptPrefix), ckptSuffix)
 		a, perr := strconv.ParseUint(hexpart, 16, 64)
-		if perr != nil || checkpointPath(dir, a) != filepath.Join(dir, name) {
+		if perr != nil || CheckpointPath(dir, a) != filepath.Join(dir, name) {
 			continue
 		}
 		applied = append(applied, a)
@@ -126,14 +120,16 @@ func listCheckpoints(fsys vfs.FS, dir string) ([]uint64, error) {
 // is propagated: a checkpoint either exists whole or reports why it
 // does not.
 func WriteCheckpointFS(fsys vfs.FS, dir string, ck Checkpoint) error {
-	return vfs.WriteFileAtomic(fsys, checkpointPath(dir, ck.Applied), encodeCheckpoint(ck))
+	return vfs.WriteFileAtomic(fsys, CheckpointPath(dir, ck.Applied), encodeCheckpoint(ck))
 }
 
 // LoadCheckpointFS returns the newest valid checkpoint in dir through
 // fsys. Corrupt candidates are skipped (renamed aside to a
 // collision-safe .bad sibling, as QuarantineCheckpoint does), walking
 // back to older ones; unreadable ones are skipped in place; ok=false
-// means no usable checkpoint exists — cold start from WAL offset 0.
+// means no usable checkpoint exists — cold start from WAL offset 0. A
+// candidate in the retired JSON envelope fails the load with
+// ErrRetiredCheckpoint, naming the file, and is left in place.
 func LoadCheckpointFS(fsys vfs.FS, dir string) (ck Checkpoint, ok bool, err error) {
 	fsys = vfs.Or(fsys)
 	candidates, err := listCheckpoints(fsys, dir)
@@ -141,12 +137,15 @@ func LoadCheckpointFS(fsys vfs.FS, dir string) (ck Checkpoint, ok bool, err erro
 		return Checkpoint{}, false, err
 	}
 	for _, applied := range candidates {
-		blob, rerr := fsys.ReadFile(checkpointPath(dir, applied))
+		blob, rerr := fsys.ReadFile(CheckpointPath(dir, applied))
 		if rerr != nil {
 			continue
 		}
 		if ck, ok := decodeCheckpoint(blob, applied); ok {
 			return ck, true, nil
+		}
+		if bytes.HasPrefix(blob, []byte(retiredPrefix)) {
+			return Checkpoint{}, false, fmt.Errorf("%s: %w", CheckpointPath(dir, applied), ErrRetiredCheckpoint)
 		}
 		// Corrupt: move aside and fall back to the previous one.
 		_ = QuarantineCheckpoint(fsys, dir, applied)
@@ -167,7 +166,7 @@ func VerifyCheckpoints(fsys vfs.FS, dir string) (bad []uint64, err error) {
 	}
 	for i := len(candidates) - 1; i >= 0; i-- {
 		applied := candidates[i]
-		blob, rerr := fsys.ReadFile(checkpointPath(dir, applied))
+		blob, rerr := fsys.ReadFile(CheckpointPath(dir, applied))
 		if rerr != nil {
 			bad = append(bad, applied)
 			continue
@@ -184,7 +183,7 @@ func VerifyCheckpoints(fsys vfs.FS, dir string) (bad []uint64, err error) {
 // it without destroying the evidence. Used by the scrubber when a
 // cold checkpoint fails re-verification.
 func QuarantineCheckpoint(fsys vfs.FS, dir string, applied uint64) error {
-	_, err := SetAside(fsys, checkpointPath(dir, applied))
+	_, err := SetAside(fsys, CheckpointPath(dir, applied))
 	return err
 }
 
@@ -200,7 +199,7 @@ func PruneCheckpointsFS(fsys vfs.FS, dir string, keep int) error {
 		return err
 	}
 	for _, applied := range candidates[keep:] {
-		if err := fsys.Remove(checkpointPath(dir, applied)); err != nil && !os.IsNotExist(err) {
+		if err := fsys.Remove(CheckpointPath(dir, applied)); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}

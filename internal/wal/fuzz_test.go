@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -33,6 +34,15 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(append(valid(Record{SensorID: 1, CPM: 40, Seq: 1}), []byte(`{"crc":12,"rec"`)...))
 	f.Add([]byte(`{"crc":1,"rec":{"seq":18446744073709551615}}` + "\n"))
 	f.Add(bytes.Repeat([]byte("\n"), 100))
+	// Refresh entries: after a reading, empty, torn, orphaned at the
+	// segment's start, and doubled.
+	first, second := valid(Record{SensorID: 1, CPM: 40, Seq: 1}), valid(Record{SensorID: 2, CPM: 41, Seq: 1})
+	refresh := jsonRefreshLine(f, []Estimate{{X: 47.25, Y: 71.5, Strength: 50.125, Mass: 0.5, Starts: 40}, {X: -0.0, Y: 1e-7, Strength: 1e21, Mass: 0.25, Starts: 2}})
+	empty := jsonRefreshLine(f, []Estimate{})
+	f.Add(bytes.Join([][]byte{first, refresh, second, empty}, nil))
+	f.Add(bytes.Join([][]byte{first, refresh[:len(refresh)/2]}, nil))
+	f.Add(bytes.Join([][]byte{refresh, first}, nil))
+	f.Add(bytes.Join([][]byte{first, refresh, empty, second}, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -62,7 +72,7 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 		n := uint64(0)
-		if err := l.Replay(0, func(off uint64, rec Record) error {
+		if err := l.Replay(0, func(off uint64, e Entry) error {
 			n++
 			return nil
 		}); err != nil {
@@ -91,8 +101,9 @@ func FuzzWALReplay(f *testing.F) {
 		// Checkpoint loader on the same arbitrary bytes.
 		ckDir := t.TempDir()
 		os.WriteFile(filepath.Join(ckDir, "checkpoint-0000000000000007.json"), data, 0o644)
-		if _, _, err := LoadCheckpointFS(vfs.OS{}, ckDir); err != nil {
-			t.Fatalf("LoadCheckpointFS must skip garbage, not fail: %v", err)
+		_, _, err = LoadCheckpointFS(vfs.OS{}, ckDir)
+		if retired := bytes.HasPrefix(data, []byte(retiredPrefix)); retired != errors.Is(err, ErrRetiredCheckpoint) || err != nil && !retired {
+			t.Fatalf("LoadCheckpointFS must skip garbage and refuse only the retired envelope: %v", err)
 		}
 	})
 }

@@ -4,28 +4,43 @@ import (
 	"hash/crc32"
 	"math"
 	"strconv"
+	"strings"
 )
 
-// The WAL line grammar. Append writes exactly this byte shape and
-// decodeLine accepts exactly this byte shape, nothing else:
+// The WAL line grammar. A line is a reading or a refresh entry.
+// Append and AppendRefresh write exactly these byte shapes and the
+// decoders accept exactly these byte shapes, nothing else:
 //
-//	line = `{"crc":` u32 `,"rec":` rec `}` "\n"
-//	rec  = `{"sensorId":` int `,"cpm":` int [`,"step":` int≠0] [`,"seq":` u64≠0] `}`
-//	int  = ["-"] uint              (Go int range; "-0" is not an int)
-//	uint = "0" | [1-9][0-9]*       (no leading zeros)
+//	line    = `{"crc":` u32 `,"rec":` rec `}` "\n"          (a reading)
+//	        | `{"crc":` u32 `,"refresh":` ests `}` "\n"     (a refresh entry)
+//	rec     = `{"sensorId":` int `,"cpm":` int [`,"step":` int≠0] [`,"seq":` u64≠0] `}`
+//	ests    = "[" [est *("," est)] "]"
+//	est     = `{"x":` num `,"y":` num `,"strength":` num `,"mass":` num `,"starts":` int `}`
+//	num     = the shortest decimal that reads back as the same float64,
+//	          spelled as encoding/json spells a float64; finite only
+//	int     = ["-"] uint              (Go int range; "-0" is not an int)
+//	uint    = "0" | [1-9][0-9]*       (no leading zeros)
 //
-// crc is CRC-32 (IEEE) over the rec bytes as they appear on the line.
-// These are the bytes encoding/json writes for {CRC uint32; Rec
-// json.RawMessage} wrapping a marshaled Record (omitempty drops a zero
-// step and seq), so logs written before this codec existed decode
-// unchanged. One exact spelling per record is also what makes every
-// corruption visible: a flipped bit either breaks the grammar or the
-// CRC. A line whose CRC matches but whose rec is spelled any other way
-// (reordered or re-cased keys, "step":0, whitespace) is corrupt.
+// crc is CRC-32 (IEEE) over the rec (or ests) bytes as they appear on
+// the line. A reading's bytes are the ones encoding/json writes for
+// {CRC uint32; Rec json.RawMessage} wrapping a marshaled Record
+// (omitempty drops a zero step and seq), so logs written before this
+// codec existed decode unchanged; a refresh entry's are the ones it
+// writes for {CRC uint32; Refresh json.RawMessage} wrapping a
+// marshaled []Estimate. A refresh entry is valid only right after a
+// reading: it carries the estimates the engine computed after that
+// reading, bit for bit (num reads back to the exact float64 bits, -0
+// included).
+//
+// One exact spelling per entry is what makes every corruption visible:
+// a flipped bit either breaks the grammar or the CRC. A line whose CRC
+// matches but whose payload is spelled any other way (reordered or
+// re-cased keys, "step":0, whitespace, "1e2" for "100") is corrupt.
 
 const (
 	linePrefix = `{"crc":`
 	recKey     = `,"rec":`
+	refreshKey = `,"refresh":`
 )
 
 // appendLine appends rec's WAL line, trailing newline included, to dst.
@@ -44,13 +59,49 @@ func appendLine(dst []byte, rec Record) []byte {
 		dst = strconv.AppendUint(dst, rec.Seq, 10)
 	}
 	dst = append(dst, '}')
+	return closeLine(dst, start, recKey)
+}
 
-	// The header carries the CRC of the rec bytes just written, so it is
-	// built second and slid in front of them.
-	var buf [len(linePrefix) + len("4294967295") + len(recKey)]byte
+// appendRefreshLine appends the refresh entry line for ests, trailing
+// newline included, to dst. ok is false, and dst comes back unchanged,
+// when an estimate holds a NaN or an infinity, which the grammar has
+// no spelling for.
+func appendRefreshLine(dst []byte, ests []Estimate) (_ []byte, ok bool) {
+	start := len(dst)
+	dst = append(dst, '[')
+	for i, e := range ests {
+		for _, v := range [...]float64{e.X, e.Y, e.Strength, e.Mass} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return dst[:start], false
+			}
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"x":`...)
+		dst = appendFloat(dst, e.X)
+		dst = append(dst, `,"y":`...)
+		dst = appendFloat(dst, e.Y)
+		dst = append(dst, `,"strength":`...)
+		dst = appendFloat(dst, e.Strength)
+		dst = append(dst, `,"mass":`...)
+		dst = appendFloat(dst, e.Mass)
+		dst = append(dst, `,"starts":`...)
+		dst = strconv.AppendInt(dst, int64(e.Starts), 10)
+		dst = append(dst, '}')
+	}
+	dst = append(dst, ']')
+	return closeLine(dst, start, refreshKey), true
+}
+
+// closeLine turns the payload dst[start:] into a whole line: the
+// header carries the CRC of the payload bytes just written, so it is
+// built second and slid in front of them.
+func closeLine(dst []byte, start int, key string) []byte {
+	var buf [len(linePrefix) + len("4294967295") + len(refreshKey)]byte
 	hdr := append(buf[:0], linePrefix...)
 	hdr = strconv.AppendUint(hdr, uint64(crc32.Checksum(dst[start:], crcTable)), 10)
-	hdr = append(hdr, recKey...)
+	hdr = append(hdr, key...)
 	n := len(dst) - start
 	dst = append(dst, hdr...)
 	copy(dst[start+len(hdr):], dst[start:start+n])
@@ -58,22 +109,37 @@ func appendLine(dst []byte, rec Record) []byte {
 	return append(dst, "}\n"...)
 }
 
-// decodeLine parses and checksums one WAL line, its trailing newline
-// optional. It accepts only the canonical grammar above and allocates
-// nothing.
+// lineKind tells apart what decodeEntry found on a line.
+type lineKind uint8
+
+const (
+	badLine     lineKind = iota // neither entry kind: torn or corrupt
+	readingLine                 // a reading
+	refreshLine                 // a refresh entry
+)
+
+// decodeEntry parses and checksums one WAL line of either kind. A
+// reading comes back in rec; a refresh entry's estimates are appended
+// to ests. It allocates only if ests has to grow.
+func decodeEntry(line []byte, ests []Estimate) (lineKind, Record, []Estimate) {
+	if rec, ok := decodeLine(line); ok {
+		return readingLine, rec, ests
+	}
+	if out, ok := decodeRefreshLine(line, ests); ok {
+		return refreshLine, Record{}, out
+	}
+	return badLine, Record{}, ests
+}
+
+// decodeLine parses and checksums one reading line, its trailing
+// newline optional. It accepts only the canonical grammar above and
+// allocates nothing.
 func decodeLine(line []byte) (Record, bool) {
-	if n := len(line); n > 0 && line[n-1] == '\n' {
-		line = line[:n-1]
+	p, crc, ok := openLine(line, recKey)
+	if !ok {
+		return Record{}, false
 	}
-	p := lineParser{b: line}
 	var rec Record
-	if !p.lit(linePrefix) {
-		return Record{}, false
-	}
-	crc, ok := p.uint(math.MaxUint32)
-	if !ok || !p.lit(recKey) {
-		return Record{}, false
-	}
 	recStart := p.i
 	if !p.lit(`{"sensorId":`) {
 		return Record{}, false
@@ -94,20 +160,85 @@ func decodeLine(line []byte) (Record, bool) {
 			return Record{}, false
 		}
 	}
-	if !p.lit("}") {
-		return Record{}, false
-	}
-	recEnd := p.i
-	if !p.lit("}") || p.i != len(line) {
-		return Record{}, false
-	}
-	if crc32.Checksum(line[recStart:recEnd], crcTable) != uint32(crc) {
+	if !p.lit("}") || !p.closeLine(recStart, crc) {
 		return Record{}, false
 	}
 	return rec, true
 }
 
-// lineParser is a cursor over one line for decodeLine.
+// decodeRefreshLine parses and checksums one refresh entry line, its
+// trailing newline optional, appending its estimates to dst. On
+// failure dst comes back at its original length.
+func decodeRefreshLine(line []byte, dst []Estimate) ([]Estimate, bool) {
+	p, crc, ok := openLine(line, refreshKey)
+	if !ok {
+		return dst, false
+	}
+	n := len(dst)
+	start := p.i
+	if !p.lit("[") {
+		return dst, false
+	}
+	for !p.lit("]") {
+		if len(dst) > n && !p.lit(",") {
+			return dst[:n], false
+		}
+		var e Estimate
+		if !p.lit(`{"x":`) {
+			return dst[:n], false
+		}
+		if e.X, ok = p.float(); !ok || !p.lit(`,"y":`) {
+			return dst[:n], false
+		}
+		if e.Y, ok = p.float(); !ok || !p.lit(`,"strength":`) {
+			return dst[:n], false
+		}
+		if e.Strength, ok = p.float(); !ok || !p.lit(`,"mass":`) {
+			return dst[:n], false
+		}
+		if e.Mass, ok = p.float(); !ok || !p.lit(`,"starts":`) {
+			return dst[:n], false
+		}
+		if e.Starts, ok = p.int(); !ok || !p.lit("}") {
+			return dst[:n], false
+		}
+		dst = append(dst, e)
+	}
+	if !p.closeLine(start, crc) {
+		return dst[:n], false
+	}
+	return dst, true
+}
+
+// openLine strips line's optional trailing newline and consumes the
+// header up to and including key, returning the parser positioned at
+// the payload and the header's CRC.
+func openLine(line []byte, key string) (lineParser, uint32, bool) {
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
+	}
+	p := lineParser{b: line}
+	if !p.lit(linePrefix) {
+		return p, 0, false
+	}
+	crc, ok := p.uint(math.MaxUint32)
+	if !ok || !p.lit(key) {
+		return p, 0, false
+	}
+	return p, uint32(crc), true
+}
+
+// closeLine consumes the closing brace that must end the line and
+// checks crc against the payload that began at start.
+func (p *lineParser) closeLine(start int, crc uint32) bool {
+	end := p.i
+	if !p.lit("}") || p.i != len(p.b) {
+		return false
+	}
+	return crc32.Checksum(p.b[start:end], crcTable) == crc
+}
+
+// lineParser is a cursor over one line for the decoders.
 type lineParser struct {
 	b []byte
 	i int
@@ -154,4 +285,43 @@ func (p *lineParser) int() (int, bool) {
 		return 0, false
 	}
 	return int(-v), true
+}
+
+// appendFloat appends the finite v as encoding/json spells a float64:
+// the shortest decimal that reads back as v, in exponent form only
+// below 1e-6 or from 1e21 in magnitude, with a two-digit negative
+// exponent's leading zero dropped.
+func appendFloat(dst []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// float consumes a finite number in its one canonical spelling, the
+// one appendFloat writes.
+func (p *lineParser) float() (float64, bool) {
+	start := p.i
+	for p.i < len(p.b) && strings.IndexByte("+-.0123456789e", p.b[p.i]) >= 0 {
+		p.i++
+	}
+	num := p.b[start:p.i]
+	if len(num) == 0 || len(num) > 32 {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(string(num), 64)
+	if err != nil {
+		return 0, false
+	}
+	var buf [32]byte
+	if string(appendFloat(buf[:0], v)) != string(num) {
+		return 0, false
+	}
+	return v, true
 }

@@ -56,6 +56,24 @@ func jsonLine(t testing.TB, rec Record) []byte {
 	return append(line, '\n')
 }
 
+// jsonRefreshLine is the line encoding/json writes for a refresh entry
+// holding ests.
+func jsonRefreshLine(t testing.TB, ests []Estimate) []byte {
+	t.Helper()
+	raw, err := json.Marshal(ests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := json.Marshal(struct {
+		CRC     uint32          `json:"crc"`
+		Refresh json.RawMessage `json:"refresh"`
+	}{crc32.Checksum(raw, crcTable), raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(line, '\n')
+}
+
 // edgeRecords covers every field at its extremes, zero Step and Seq
 // (omitted on the wire) included.
 func edgeRecords() []Record {
@@ -166,9 +184,9 @@ func TestLineCodecAllocs(t *testing.T) {
 }
 
 // FuzzWALLine checks the codec against the encoding/json oracle on
-// arbitrary bytes: whatever decodeLine accepts, the oracle accepts
-// with an equal Record, and re-encoding that Record reproduces the
-// line byte for byte.
+// arbitrary bytes: whatever decodeLine (decodeRefreshLine) accepts,
+// the oracle accepts with an equal Record (bit-equal estimates), and
+// re-encoding reproduces the line byte for byte.
 func FuzzWALLine(f *testing.F) {
 	for _, rec := range edgeRecords() {
 		f.Add(jsonLine(f, rec))
@@ -176,7 +194,21 @@ func FuzzWALLine(f *testing.F) {
 	f.Add([]byte(`{"crc":0,"rec":{"sensorId":1,"cpm":2}}`))
 	f.Add([]byte(`{"crc":1,"rec":{"seq":18446744073709551615}}` + "\n"))
 	f.Add([]byte("not json at all\n"))
+	for _, ests := range edgeEstimates() {
+		f.Add(jsonRefreshLine(f, ests))
+	}
+	f.Add([]byte(`{"crc":0,"refresh":[{"x":1e2,"y":0,"strength":0,"mass":0,"starts":0}]}` + "\n"))
 	f.Fuzz(func(t *testing.T, line []byte) {
+		if ests, ok := decodeRefreshLine(line, nil); ok {
+			want, wok := oracleDecodeRefreshLine(line)
+			if !wok || !sameBits(ests, want) {
+				t.Fatalf("codec accepted refresh %q as %+v; oracle says %+v, %v", line, ests, want, wok)
+			}
+			got, _ := appendRefreshLine(nil, ests)
+			if !bytes.Equal(bytes.TrimSuffix(got, []byte("\n")), bytes.TrimSuffix(line, []byte("\n"))) {
+				t.Fatalf("accepted refresh %q but re-encodes to %q", line, got)
+			}
+		}
 		rec, ok := decodeLine(line)
 		if !ok {
 			return

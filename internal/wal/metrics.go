@@ -5,7 +5,7 @@ import "radloc/internal/obs"
 // walMetrics instruments one Log.
 type walMetrics struct {
 	appends, fsyncs, rotations *obs.Counter
-	replayed                   *obs.Counter
+	refreshes, replayed        *obs.Counter
 	truncatedRecords           *obs.Counter
 	droppedSegments            *obs.Counter
 	appendSeconds              *obs.Histogram
@@ -22,6 +22,8 @@ func newWALMetrics(r *obs.Registry) *walMetrics {
 			"Records appended to the write-ahead log."),
 		fsyncs: r.Counter("radloc_wal_fsyncs_total",
 			"fsync calls issued on the active segment."),
+		refreshes: r.Counter("radloc_wal_refresh_entries_total",
+			"Refresh entries (a refresh's estimates, journaled after its reading) appended."),
 		rotations: r.Counter("radloc_wal_rotations_total",
 			"Segment rotations (active tail sealed, new segment opened)."),
 		replayed: r.Counter("radloc_wal_replayed_records_total",

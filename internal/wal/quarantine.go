@@ -123,7 +123,6 @@ func splitSegment(fsys vfs.FS, seg segment, floor uint64, dstDir string) (uint64
 		return 0, 0, err
 	}
 
-	r := bufio.NewReaderSize(src, 64<<10)
 	dw := bufio.NewWriterSize(dst, 64<<10)
 	tw := bufio.NewWriterSize(tmp, 64<<10)
 	var movedRecs uint64
@@ -134,24 +133,36 @@ func splitSegment(fsys vfs.FS, seg segment, floor uint64, dstDir string) (uint64
 		_ = fsys.Remove(tmpName)
 		return 0, 0, err
 	}
-	for off := seg.start; off < seg.start+seg.count; off++ {
+	// A refresh entry goes wherever the reading before it went.
+	r := bufio.NewReaderSize(io.LimitReader(src, seg.bytes), maxLine)
+	off, w := seg.start, tw
+	for {
 		line, rerr := r.ReadBytes('\n')
 		if rerr != nil && rerr != io.EOF {
 			return fail(rerr)
 		}
 		if len(line) == 0 {
-			return fail(fmt.Errorf("wal: segment %s short at offset %d", seg.path, off))
+			break
 		}
-		w := tw
-		if off >= floor {
+		switch kind, _, _ := decodeEntry(line, nil); {
+		case kind == readingLine && off >= floor:
 			w = dw
 			movedRecs++
-		} else {
+			off++
+		case kind == readingLine:
+			off++
+		case kind == badLine:
+			return fail(fmt.Errorf("wal: segment %s corrupt at offset %d", seg.path, off))
+		}
+		if w == tw {
 			prefixBytes += int64(len(line))
 		}
 		if _, err := w.Write(line); err != nil {
 			return fail(err)
 		}
+	}
+	if off != seg.start+seg.count {
+		return fail(fmt.Errorf("wal: segment %s short at offset %d", seg.path, off))
 	}
 	if err := dw.Flush(); err != nil {
 		return fail(err)
@@ -295,7 +306,7 @@ func MoveCheckpointsFS(fsys vfs.FS, dir string, floor uint64, dstDir string) (in
 				return 0, err
 			}
 		}
-		path := checkpointPath(dir, applied)
+		path := CheckpointPath(dir, applied)
 		dst, err := uniquePath(fsys, dstDir, filepath.Base(path))
 		if err != nil {
 			return moved, err

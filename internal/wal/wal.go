@@ -13,12 +13,16 @@
 // posterior exactly.
 //
 // The on-disk format is line-oriented NDJSON so operators can inspect
-// it with standard tools: each line is {"crc":<uint32>,"rec":{...}}
-// where crc is CRC-32 (IEEE) over the raw rec bytes. Segments are
-// named wal-%016x.ndjson by the offset (global record index) of their
-// first record. Torn or corrupt tails are truncated on open, never
-// fatal: crash-mid-write loses at most the records the fsync policy
-// already allowed to be lost.
+// it with standard tools: each reading is {"crc":<uint32>,"rec":{...}}
+// where crc is CRC-32 (IEEE) over the raw rec bytes (line.go has the
+// grammar). A reading may be followed by a refresh entry,
+// {"crc":<uint32>,"refresh":[...]}, holding the estimates the engine
+// computed right after it, so replay adopts them instead of running
+// the search again. Offsets count readings only: a refresh entry takes
+// none. Segments are named wal-%016x.ndjson by the offset (global
+// record index) of their first record. Torn or corrupt tails are
+// truncated on open, never fatal: crash-mid-write loses at most the
+// records the fsync policy already allowed to be lost.
 //
 // All filesystem access goes through an injectable vfs.FS (Options.FS,
 // default the real filesystem), and a failed append is transactional:
@@ -56,6 +60,26 @@ type Record struct {
 	CPM      int    `json:"cpm"`            // Geiger counts per minute for this interval
 	Step     int    `json:"step,omitempty"` // discrete time step of the reading
 	Seq      uint64 `json:"seq,omitempty"`  // per-sensor monotone sequence number; 0 = unsequenced
+}
+
+// Estimate is one source estimate as a refresh entry journals it: the
+// fields of the engine's estimate, bit for bit.
+type Estimate struct {
+	X        float64 `json:"x"`        // estimated source position, x
+	Y        float64 `json:"y"`        // estimated source position, y
+	Strength float64 `json:"strength"` // µCi
+	Mass     float64 `json:"mass"`     // fraction of the particle mass in this mode
+	Starts   int     `json:"starts"`   // mean-shift starts that converged here
+}
+
+// Entry is one journaled reading as Replay yields it. Refresh holds
+// the estimates of the refresh entry journaled right after the
+// reading, nil when there was none (no refresh fell due, or the entry
+// was lost to a crash); a refresh that found no source is an empty,
+// non-nil slice.
+type Entry struct {
+	Rec     Record     // the journaled reading
+	Refresh []Estimate // the refresh entry after it; nil when there is none
 }
 
 // FsyncPolicy selects when appends are forced to stable storage.
@@ -148,20 +172,26 @@ type Log struct {
 	next     uint64    // offset the next appended record will get
 	retain   uint64    // Prune floor: records ≥ retain survive (replication)
 	f        vfs.File  // active tail segment, opened for append
-	dirty    bool      // unsynced appends outstanding
+	dirty    bool      // unsynced readings outstanding (refresh entries do not count)
 	wedged   bool      // a failed append left bytes we could not truncate away
+	afterRec bool      // the last line written since Open is a reading (AppendRefresh may follow)
 	line     []byte    // Append's reused encode buffer
 	met      *walMetrics
 }
 
 type segment struct {
 	start uint64 // offset of the first record
-	count uint64 // valid records in the file
-	bytes int64  // valid bytes in the file (the replayable prefix)
+	count uint64 // valid records (readings) in the file
+	bytes int64  // valid bytes in the file, refresh entries included (the replayable prefix)
 	path  string
 }
 
 const segPrefix, segSuffix = "wal-", ".ndjson"
+
+// maxLine bounds a valid line, trailing newline included: the readers
+// buffer this much, and a longer line reads as corrupt. A reading is
+// far below it; AppendRefresh refuses an entry above it.
+const maxLine = 64 << 10
 
 func segmentPath(dir string, start uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016x%s", segPrefix, start, segSuffix))
@@ -283,23 +313,32 @@ func (l *Log) recover() (RecoveryStats, error) {
 }
 
 // validateSegment counts the valid prefix of one segment file:
-// records, the byte length of that prefix, and how many invalid
-// records follow it. Any read error other than EOF is returned: only
-// what was actually read can be judged torn or corrupt.
+// records, the byte length of that prefix, and how many invalid lines
+// follow it. A refresh entry is valid only right after a reading; it
+// adds to the prefix's bytes but not to its records. Any read error
+// other than EOF is returned: only what was actually read can be
+// judged torn or corrupt.
 func validateSegment(fsys vfs.FS, path string) (records uint64, goodBytes int64, badRecs uint64, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 64<<10)
+	r := bufio.NewReaderSize(f, maxLine)
+	var ests []Estimate // decode scratch, reused across refresh entries
+	afterRec := false
 	for {
 		// ReadSlice lends the line from the reader's buffer: the valid
 		// path copies nothing.
 		line, rerr := r.ReadSlice('\n')
 		if rerr == nil {
-			if _, ok := decodeLine(line); ok {
-				records++
+			var kind lineKind
+			kind, _, ests = decodeEntry(line, ests[:0])
+			if kind == readingLine || kind == refreshLine && afterRec {
+				if kind == readingLine {
+					records++
+				}
+				afterRec = kind == readingLine
 				goodBytes += int64(len(line))
 				continue
 			}
@@ -349,6 +388,7 @@ func (l *Log) openTail() error {
 		return err
 	}
 	l.f = f
+	l.afterRec = false
 	return nil
 }
 
@@ -414,14 +454,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	}
 	l.line = appendLine(l.line[:0], rec)
 	line := l.line
-	if n, err := l.f.Write(line); err != nil {
-		if n > 0 {
-			// Torn write: cut the partial line back out so the file
-			// ends at the last whole record.
-			if rerr := l.repairTail(); rerr != nil {
-				return 0, fmt.Errorf("wal: torn append (%w); tail repair failed: %v", err, rerr)
-			}
-		}
+	if err := l.write(line); err != nil {
 		return 0, err
 	}
 	l.dirty = true
@@ -439,10 +472,61 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	l.next++
 	tail.count++
 	tail.bytes += int64(len(line))
+	l.afterRec = true
 	l.met.appends.Inc()
 	l.met.offset.Set(float64(l.next))
 	l.met.appendSeconds.Observe(time.Since(t0).Seconds())
 	return off, nil
+}
+
+// write writes one whole line to the tail. A torn write is cut back
+// out, so the file still ends at the last whole line.
+func (l *Log) write(line []byte) error {
+	if n, err := l.f.Write(line); err != nil {
+		if n > 0 {
+			if rerr := l.repairTail(); rerr != nil {
+				return fmt.Errorf("wal: torn append (%w); tail repair failed: %v", err, rerr)
+			}
+		}
+		return err
+	}
+	return nil
+}
+
+// AppendRefresh journals a refresh entry: the estimates the engine
+// computed right after the reading the last Append journaled. The
+// entry takes no offset and is never synced on its own, whatever the
+// policy; nor does it leave the log dirty, so a Sync with no reading
+// outstanding (a checkpoint's) issues no fsync for it. The next
+// reading's sync, a rotation or Close makes it durable. Losing one to
+// a crash costs only a search at replay. It writes nothing and fails
+// unless the last line this Log wrote since Open is a reading, when an
+// estimate holds a NaN or an infinity, and when the line would pass
+// maxLine. A failed write is cut back out, as Append's is.
+func (l *Log) AppendRefresh(ests []Estimate) error {
+	switch {
+	case l.f == nil:
+		return errors.New("wal: log closed")
+	case l.wedged:
+		return errors.New("wal: wedged by earlier torn append")
+	case !l.afterRec:
+		return errors.New("wal: a refresh entry must follow a reading")
+	}
+	line, ok := appendRefreshLine(l.line[:0], ests)
+	l.line = line
+	switch {
+	case !ok:
+		return errors.New("wal: refresh entry holds a non-finite estimate")
+	case len(line) > maxLine:
+		return fmt.Errorf("wal: refresh entry of %d estimates is %d bytes, over the %d-byte line bound", len(ests), len(line), maxLine)
+	}
+	if err := l.write(line); err != nil {
+		return err
+	}
+	l.afterRec = false
+	l.segments[len(l.segments)-1].bytes += int64(len(line))
+	l.met.refreshes.Inc()
+	return nil
 }
 
 // repairTail truncates the tail file back to its last accounted byte,
@@ -576,13 +660,15 @@ func (l *Log) AlignTo(off uint64) error {
 	l.next = off
 	l.segments = append(l.segments, seg)
 	l.f = f
+	l.afterRec = false
 	return closeErr
 }
 
 // Replay streams every durable record with offset ≥ from, in order,
-// to fn. Replay reads the files as recovered on Open; call it before
+// to fn, each with the refresh entry journaled after it, if any.
+// Replay reads the files as recovered on Open; call it before
 // appending.
-func (l *Log) Replay(from uint64, fn func(off uint64, rec Record) error) error {
+func (l *Log) Replay(from uint64, fn func(off uint64, e Entry) error) error {
 	if err := l.Sync(); err != nil {
 		return err
 	}
@@ -600,25 +686,53 @@ func (l *Log) Replay(from uint64, fn func(off uint64, rec Record) error) error {
 		if err != nil {
 			return err
 		}
-		r := bufio.NewReaderSize(f, 64<<10)
+		// A reading is held back until the next line shows whether a
+		// refresh entry belongs to it.
+		var held Entry
+		holding := false
+		emit := func(off uint64) error {
+			holding = false
+			if off < from {
+				return nil
+			}
+			replayed++
+			return fn(off, held)
+		}
+		r := bufio.NewReaderSize(io.LimitReader(f, seg.bytes), maxLine)
 		off := seg.start
-		for off < seg.start+seg.count {
+		for {
 			line, rerr := r.ReadSlice('\n')
-			rec, ok := decodeLine(line)
-			if !ok {
-				_ = f.Close()
-				return fmt.Errorf("wal: segment %s corrupt at offset %d after recovery", seg.path, off)
-			}
-			if off >= from {
-				if err := fn(off, rec); err != nil {
-					_ = f.Close()
-					return err
-				}
-				replayed++
-			}
-			off++
-			if rerr != nil {
+			if len(line) == 0 && rerr == io.EOF {
 				break
+			}
+			// A refresh that found no source decodes to an empty,
+			// non-nil slice.
+			kind, rec, ests := decodeEntry(line, []Estimate{})
+			var err error
+			switch {
+			case rerr != nil && rerr != io.EOF:
+				err = fmt.Errorf("wal: segment %s unreadable at offset %d after recovery: %w", seg.path, off, rerr)
+			case kind == readingLine:
+				if holding {
+					err = emit(off - 1)
+				}
+				held, holding = Entry{Rec: rec}, true
+				off++
+			case kind == refreshLine && holding:
+				held.Refresh = ests
+				err = emit(off - 1)
+			default:
+				err = fmt.Errorf("wal: segment %s corrupt at offset %d after recovery", seg.path, off)
+			}
+			if err != nil {
+				_ = f.Close()
+				return err
+			}
+		}
+		if holding {
+			if err := emit(off - 1); err != nil {
+				_ = f.Close()
+				return err
 			}
 		}
 		if err := f.Close(); err != nil {

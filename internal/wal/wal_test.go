@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -37,11 +39,11 @@ func appendN(t *testing.T, l *Log, from, n int) {
 func replayAll(t *testing.T, l *Log, from uint64) []Record {
 	t.Helper()
 	var out []Record
-	if err := l.Replay(from, func(off uint64, rec Record) error {
+	if err := l.Replay(from, func(off uint64, e Entry) error {
 		if int(off) != int(from)+len(out) {
 			t.Fatalf("replay offset %d, want %d", off, int(from)+len(out))
 		}
-		out = append(out, rec)
+		out = append(out, e.Rec)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -168,7 +170,7 @@ func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 
 	// Corrupt the newest: loader must fall back to the older one and
 	// quarantine the bad file.
-	path := checkpointPath(dir, 250)
+	path := CheckpointPath(dir, 250)
 	blob, _ := os.ReadFile(path)
 	blob[len(blob)/2] ^= 0xff
 	os.WriteFile(path, blob, 0o644)
@@ -189,7 +191,7 @@ func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 	if err := PruneCheckpointsFS(vfs.OS{}, dir, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, serr := os.Stat(checkpointPath(dir, 100)); !os.IsNotExist(serr) {
+	if _, serr := os.Stat(CheckpointPath(dir, 100)); !os.IsNotExist(serr) {
 		t.Error("old checkpoint survived pruning")
 	}
 	if ck, ok, _ := LoadCheckpointFS(vfs.OS{}, dir); !ok || ck.Applied != 400 {
@@ -252,7 +254,7 @@ func TestForeignFilesQuarantined(t *testing.T) {
 // offset — both pieces of evidence survive, under collision-safe names.
 func TestLoadCheckpointSetAsideKeepsEarlierBad(t *testing.T) {
 	dir := t.TempDir()
-	path := checkpointPath(dir, 250)
+	path := CheckpointPath(dir, 250)
 	var corrupted [][]byte
 	for gen := 1; gen <= 2; gen++ {
 		state, _ := json.Marshal(map[string]int{"gen": gen})
@@ -277,39 +279,46 @@ func TestLoadCheckpointSetAsideKeepsEarlierBad(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointReadsLegacyEnvelope: a checkpoint in the JSON
-// envelope older releases wrote still loads (and is verified by its
-// CRC), while new checkpoints are written in the binary envelope.
-func TestLoadCheckpointReadsLegacyEnvelope(t *testing.T) {
+// TestLoadCheckpointRefusesRetiredEnvelope: a checkpoint in the JSON
+// envelope older releases wrote fails the load with
+// ErrRetiredCheckpoint, naming the file, and stays in place; it is not
+// skipped for an older checkpoint, which could silently lose the
+// records pruned below it. The scrubber's verify pass counts it bad.
+func TestLoadCheckpointRefusesRetiredEnvelope(t *testing.T) {
 	dir := t.TempDir()
 	state := []byte(`{"gen":1}`)
-	legacy, _ := json.Marshal(legacyEnvelope{CRC: crc32.Checksum(state, crcTable), Applied: 100, State: state})
-	if err := os.WriteFile(checkpointPath(dir, 100), legacy, 0o644); err != nil {
+	if err := WriteCheckpointFS(vfs.OS{}, dir, Checkpoint{Applied: 50, State: state}); err != nil {
+		t.Fatal(err)
+	}
+	retired, _ := json.Marshal(struct {
+		CRC     uint32          `json:"crc"`
+		Applied uint64          `json:"applied"`
+		State   json.RawMessage `json:"state"`
+	}{crc32.Checksum(state, crcTable), 100, state})
+	path := CheckpointPath(dir, 100)
+	if err := os.WriteFile(path, retired, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ck, ok, err := LoadCheckpointFS(vfs.OS{}, dir)
-	if err != nil || !ok || ck.Applied != 100 || string(ck.State) != string(state) {
-		t.Fatalf("legacy checkpoint: ok=%v err=%v ck=%+v", ok, err, ck)
+	if !errors.Is(err, ErrRetiredCheckpoint) || !strings.Contains(err.Error(), path) || ok {
+		t.Fatalf("retired checkpoint: ok=%v err=%v ck=%+v; want ErrRetiredCheckpoint naming %s", ok, err, ck, path)
 	}
-	if bad, err := VerifyCheckpoints(vfs.OS{}, dir); err != nil || len(bad) != 0 {
-		t.Fatalf("legacy checkpoint fails verification: %v %v", bad, err)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, retired) {
+		t.Fatalf("the retired checkpoint did not stay in place: %v", err)
+	}
+	if bad, err := VerifyCheckpoints(vfs.OS{}, dir); err != nil || !reflect.DeepEqual(bad, []uint64{100}) {
+		t.Fatalf("verify over a retired checkpoint: bad=%v err=%v", bad, err)
 	}
 
 	if err := WriteCheckpointFS(vfs.OS{}, dir, Checkpoint{Applied: 200, State: state}); err != nil {
 		t.Fatal(err)
 	}
-	blob, _ := os.ReadFile(checkpointPath(dir, 200))
+	blob, _ := os.ReadFile(CheckpointPath(dir, 200))
 	if !strings.HasPrefix(string(blob), ckptMagic) || len(blob) != ckptHeader+len(state) {
 		t.Fatalf("new checkpoint is not in the binary envelope: %q", blob)
 	}
-
-	// A legacy envelope whose state no longer matches its CRC is bad.
-	legacy[len(legacy)-3] ^= 0x01
-	if err := os.WriteFile(checkpointPath(dir, 100), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if bad, err := VerifyCheckpoints(vfs.OS{}, dir); err != nil || !reflect.DeepEqual(bad, []uint64{100}) {
-		t.Fatalf("corrupt legacy checkpoint: bad=%v err=%v", bad, err)
+	if ck, ok, err := LoadCheckpointFS(vfs.OS{}, dir); err != nil || !ok || ck.Applied != 200 {
+		t.Fatalf("a newer binary checkpoint: ok=%v err=%v applied=%d", ok, err, ck.Applied)
 	}
 }
 
@@ -342,7 +351,7 @@ func TestCheckpointScansIgnoreNonCanonicalNames(t *testing.T) {
 	if _, err := os.Stat(odd); err != nil {
 		t.Errorf("non-canonical file was touched: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "moved", filepath.Base(checkpointPath(dir, 20)))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "moved", filepath.Base(CheckpointPath(dir, 20)))); err != nil {
 		t.Errorf("newest checkpoint not moved: %v", err)
 	}
 }

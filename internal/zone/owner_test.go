@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"radloc/internal/fusion"
+	"radloc/internal/wal"
 )
 
 // blockingJournal is a write-ahead journal whose Append parks on a
@@ -35,6 +36,9 @@ func (j *blockingJournal) Append(fusion.Meas) error {
 	}
 	return nil
 }
+
+// AppendRefresh implements fusion.Journal.
+func (j *blockingJournal) AppendRefresh([]wal.Estimate) error { return nil }
 
 // unsequenced strips the sequence stamps, so every reading is
 // journaled and applied the moment it is submitted.
