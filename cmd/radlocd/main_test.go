@@ -83,6 +83,20 @@ func TestRunFlagValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-wal-dir") {
 		t.Errorf("-cluster-self without -wal-dir: error = %v, want one naming -wal-dir", err)
 	}
+	// Failover acts on the cluster layer and probes named peers, so it
+	// is refused without -cluster-self and without -cluster-peers.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-failover"}, "-cluster-self"},
+		{[]string{"-listen", "127.0.0.1:0", "-cluster-self", "http://x", "-wal-dir", t.TempDir(), "-failover"}, "-cluster-peers"},
+	} {
+		err := run(done, append([]string{"-config", good}, tc.args...), strings.NewReader(""), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error = %v, want one naming %s", tc.args, err, tc.want)
+		}
+	}
 }
 
 func TestPipeModeEndToEnd(t *testing.T) {

@@ -9,25 +9,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"radloc/internal/clock"
-	"radloc/internal/fusion"
 	"radloc/internal/httpingest"
-	"radloc/internal/obs"
-	"radloc/internal/wal"
+	"radloc/internal/vfs"
 )
 
 func TestHTTPRejectsNonJSONContentType(t *testing.T) {
-	zs := testZoneSet(t, "", 0, 0)
-	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{})
-	srv := httptest.NewServer(newMux(serveConfig{Zones: zs, Ingest: ing}))
+	n := testNode(t, "")
+	ing := n.ingest
+	srv := httptest.NewServer(n.Handler())
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+"/measurements", "text/plain", strings.NewReader(`{"sensorId":0,"cpm":12}`))
@@ -54,9 +54,9 @@ func TestHTTPRejectsNonJSONContentType(t *testing.T) {
 }
 
 func TestHTTPBoundsRequestBodies(t *testing.T) {
-	zs := testZoneSet(t, "", 0, 0)
-	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{MaxBody: 64})
-	srv := httptest.NewServer(newMux(serveConfig{Zones: zs, Ingest: ing}))
+	n := testNode(t, "", func(c *Config) { c.MaxBody = 64 })
+	ing := n.ingest
+	srv := httptest.NewServer(n.Handler())
 	defer srv.Close()
 
 	big := `[` + strings.Repeat(`{"sensorId":0,"cpm":12},`, 20) + `{"sensorId":0,"cpm":12}]`
@@ -96,46 +96,60 @@ func TestHTTPBoundsRequestBodies(t *testing.T) {
 	}
 }
 
-// parkingJournal parks its first Append until unpark, holding the
-// zone's event loop — and the request waiting on it — mid-batch.
-type parkingJournal struct {
+// walParker is a filesystem whose first write to a WAL segment parks
+// until unpark, holding the zone's event loop — and the request
+// waiting on it — mid-batch.
+type walParker struct {
+	vfs.FS
 	parked, unparked sync.Once
 	entered, release chan struct{}
 }
 
-// parkedZoneSet builds a durability-off zone set whose engines journal
-// into a parkingJournal. The journal is unparked when the test ends,
-// before the zone set closes, so a failing test cannot hang.
-func parkedZoneSet(t *testing.T) (*zoneSet, *parkingJournal) {
-	j := &parkingJournal{entered: make(chan struct{}), release: make(chan struct{})}
-	zs := zoneSetOf(t, zoneSetOptions{Build: func(_ fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
-		return testZoneBuild(t)(j, met)
-	}})
-	t.Cleanup(j.unpark)
-	return zs, j
+// parkedNode boots a durable testNode, adjusted by mods, over a
+// walParker. The parker is released when the test ends, before the
+// node shuts down, so a failing test cannot hang.
+func parkedNode(t *testing.T, mods ...func(*Config)) (*Node, *walParker) {
+	t.Helper()
+	p := &walParker{FS: vfs.OS{}, entered: make(chan struct{}), release: make(chan struct{})}
+	n := testNode(t, t.TempDir(), append(mods, func(c *Config) { c.FS = p })...)
+	t.Cleanup(p.unpark)
+	return n, p
 }
 
-// Append implements fusion.Journal.
-func (j *parkingJournal) Append(fusion.Meas) error {
-	j.parked.Do(func() { j.entered <- struct{}{}; <-j.release })
-	return nil
+// OpenFile implements vfs.FS, wrapping WAL segments so their first
+// write parks.
+func (p *walParker) OpenFile(path string, flag int, perm fs.FileMode) (vfs.File, error) {
+	f, err := p.FS.OpenFile(path, flag, perm)
+	if err != nil || !strings.HasPrefix(filepath.Base(path), "wal-") {
+		return f, err
+	}
+	return parkedSegment{f, p}, nil
 }
 
-// AppendRefresh implements fusion.Journal.
-func (j *parkingJournal) AppendRefresh([]wal.Estimate) error { return nil }
+// unpark releases the parked write. Idempotent.
+func (p *walParker) unpark() { p.unparked.Do(func() { close(p.release) }) }
 
-// unpark releases the parked Append. Idempotent.
-func (j *parkingJournal) unpark() { j.unparked.Do(func() { close(j.release) }) }
+// parkedSegment is a WAL segment opened through a walParker.
+type parkedSegment struct {
+	vfs.File
+	p *walParker
+}
+
+// Write implements vfs.File, parking the parker's first write.
+func (s parkedSegment) Write(b []byte) (int, error) {
+	s.p.parked.Do(func() { s.p.entered <- struct{}{}; <-s.p.release })
+	return s.File.Write(b)
+}
 
 func TestHTTPShedsWhenQueueFull(t *testing.T) {
-	zs, park := parkedZoneSet(t)
-	// The first request's reading parks in the journal while its
-	// admission slot is still held.
-	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{
-		QueueDepth: 1,
-		RetryAfter: 2 * time.Second,
+	// The first request's reading parks in the WAL while its admission
+	// slot is still held.
+	n, park := parkedNode(t, func(c *Config) {
+		c.HTTPQueue = 1
+		c.RetryAfter = 2 * time.Second
 	})
-	srv := httptest.NewServer(newMux(serveConfig{Zones: zs, Ingest: ing}))
+	ing := n.ingest
+	srv := httptest.NewServer(n.Handler())
 	defer srv.Close()
 
 	firstDone := make(chan error, 1)
@@ -179,9 +193,9 @@ func TestHTTPShedsWhenQueueFull(t *testing.T) {
 // from the already-applied prefix are dedup-suppressed and their
 // tokens refunded, so the retry budget is spent only on fresh data.
 func TestHTTPRateLimitsPerSensor(t *testing.T) {
-	zs := testZoneSet(t, "", 0, 0)
+	n := testNode(t, "")
 	clk := clock.NewFake(time.Unix(1000, 0))
-	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{
+	ing := httpingest.New(n.Pipeline().Submit, httpingest.Options{
 		RatePerSec: 1,
 		Burst:      2,
 		Clock:      clk,
@@ -247,13 +261,13 @@ func TestHTTPRateLimitsPerSensor(t *testing.T) {
 }
 
 func TestHTTPServerTimeoutPosture(t *testing.T) {
-	srv := newHTTPServer(http.NewServeMux(), httpTimeouts{
-		Read: time.Second, Write: 2 * time.Second, Idle: 3 * time.Second,
+	srv := newHTTPServer(http.NewServeMux(), Config{
+		ReadTimeout: time.Second, WriteTimeout: 2 * time.Second, IdleTimeout: 3 * time.Second,
 	})
 	if srv.ReadTimeout != time.Second || srv.WriteTimeout != 2*time.Second || srv.IdleTimeout != 3*time.Second {
 		t.Errorf("timeouts = %v/%v/%v, want 1s/2s/3s", srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
 	}
-	def := newHTTPServer(http.NewServeMux(), httpTimeouts{})
+	def := newHTTPServer(http.NewServeMux(), Config{})
 	if def.ReadTimeout <= 0 || def.WriteTimeout <= 0 || def.IdleTimeout <= 0 || def.ReadHeaderTimeout <= 0 {
 		t.Errorf("default timeouts must all be set, got %v/%v/%v/%v",
 			def.ReadTimeout, def.WriteTimeout, def.IdleTimeout, def.ReadHeaderTimeout)
@@ -264,8 +278,8 @@ func TestHTTPServerTimeoutPosture(t *testing.T) {
 // body — the slow-loris shape. The server's ReadTimeout must cut the
 // connection instead of pinning it for the client's lifetime.
 func TestHTTPCutsSlowClients(t *testing.T) {
-	zs := testZoneSet(t, "", 0, 0)
-	srv := newHTTPServer(zonedTestMux(zs), httpTimeouts{Read: 200 * time.Millisecond})
+	n := testNode(t, "", func(c *Config) { c.ReadTimeout = 200 * time.Millisecond })
+	srv := newHTTPServer(n.Handler(), n.cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -22,9 +22,7 @@ import (
 
 	"radloc/internal/clock"
 	"radloc/internal/fusion"
-	"radloc/internal/httpingest"
 	"radloc/internal/netchaos"
-	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
 	"radloc/internal/transport"
@@ -77,11 +75,9 @@ type chaosResult struct {
 func runChaosDelivery(t *testing.T, withFaults, restart bool) chaosResult {
 	t.Helper()
 	sc := scenario.A(50, false)
-	zs := zoneSetOf(t, zoneSetOptions{Build: func(fusion.Journal, *obs.Registry) (*fusion.Engine, error) {
-		return fusion.NewEngine(fusion.ScenarioConfig(sc, 3))
-	}})
+	n := bootNode(t, Config{Scenario: sc, Seed: 3, NoTracks: true, HTTPQueue: 256})
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{QueueDepth: 256, Clock: clk})
+	ing := n.ingest
 
 	var rt http.RoundTripper = localRT{ing}
 	var faults *netchaos.RoundTripper
@@ -165,7 +161,7 @@ func runChaosDelivery(t *testing.T, withFaults, restart bool) chaosResult {
 		t.Fatal(err)
 	}
 
-	def := zs.defaultZone()
+	def := n.zs.defaultZone()
 	if err := def.Do(ctx, (*fusion.Engine).Settle); err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func (b *zoneBackend) quarantineDiverged(e *fusion.Engine, floor uint64) (uint64
 	d.setCheckpoints(last, prev)
 	if moved > 0 || movedCkpts > 0 {
 		writeDivergedNote(d.fs, divDir, floor, moved, movedCkpts)
-		fmt.Fprintf(b.zs.logw, "radlocd: zone %q quarantined %d diverged WAL records and %d checkpoints into %s (floor %d)\n",
+		fmt.Fprintf(b.zs.cfg.Log, "radlocd: zone %q quarantined %d diverged WAL records and %d checkpoints into %s (floor %d)\n",
 			b.z.Name(), moved, movedCkpts, divDir, floor)
 	}
 	return moved, nil
@@ -247,7 +247,7 @@ func (s *fileEpochStore) Load(zone string) (cluster.EpochMeta, error) {
 		// not be silently destroyed either: quarantine it aside and start
 		// at epoch 0 — the node rejoins humbly and adopts the cluster's
 		// current epoch on first contact.
-		fmt.Fprintf(s.zs.logw, "radlocd: corrupt %s for zone %q moved to %s, starting at epoch 0: %v\n",
+		fmt.Fprintf(s.zs.cfg.Log, "radlocd: corrupt %s for zone %q moved to %s, starting at epoch 0: %v\n",
 			epochFileName, zone, setAside(s.zs.fs, path), err)
 		return cluster.EpochMeta{}, nil
 	}

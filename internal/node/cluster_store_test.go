@@ -16,31 +16,19 @@ import (
 	"testing"
 
 	"radloc/internal/cluster"
-	"radloc/internal/fusion"
-	"radloc/internal/obs"
 	"radloc/internal/scenario"
 	"radloc/internal/vfs"
 	"radloc/internal/wal"
 )
 
-// newStoreZoneSet builds a minimal durable zone set rooted at dir.
+// newStoreZoneSet boots a minimal durable node rooted at dir and
+// returns its zone set.
 func newStoreZoneSet(t *testing.T, dir string, logw io.Writer) *zoneSet {
 	t.Helper()
-	sc := scenario.A(50, false)
-	build := func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
-		fcfg := fusion.ScenarioConfig(sc, 3)
-		fcfg.Journal, fcfg.Metrics = j, met
-		return fusion.NewEngine(fcfg)
-	}
-	zs, err := newZoneSet(zoneSetOptions{
-		WalRoot: dir, Fsync: wal.FsyncNever, CkptEvery: 50,
-		MaxZones: 8, Metrics: obs.NewRegistry(), Log: logw, Build: build,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = zs.close() })
-	return zs
+	return bootNode(t, Config{
+		Scenario: scenario.A(50, false), Seed: 3, NoTracks: true,
+		WALDir: dir, Fsync: wal.FsyncNever, CheckpointEvery: 50, MaxZones: 8, Log: logw,
+	}).zs
 }
 
 func TestFileEpochStoreCorruptFileQuarantined(t *testing.T) {

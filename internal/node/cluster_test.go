@@ -43,25 +43,6 @@ type clusterTestNode struct {
 	link *nodetest.Link
 }
 
-// clusterTestBuild is the engine constructor every cluster-test node
-// shares — identical engines (same scenario, same seed) make state
-// comparisons across nodes meaningful, and a crash-restart over a
-// node's directory must use the same shape or checkpoints will not
-// import.
-func clusterTestBuild() func(fusion.Journal, *obs.Registry) (*fusion.Engine, error) {
-	sc := scenario.A(50, false)
-	return func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
-		fcfg := fusion.ScenarioConfig(sc, 3)
-		fcfg.Journal, fcfg.Metrics = j, met
-		// A one-round reorder window keeps the WAL advancing as each
-		// round lands, so replication lag and retention are exercised
-		// with a 6-round stream (the default window of 4 would hold
-		// most of it in the gate, journaling almost nothing).
-		fcfg.ReorderWindow = 1
-		return fusion.NewEngine(fcfg)
-	}
-}
-
 // newClusterTestNode assembles one daemon through the production path
 // — node.New on a Config — over the in-process fabric. Every node
 // builds identical engines (same scenario, same seed), so state

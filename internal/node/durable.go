@@ -213,7 +213,7 @@ func openDurable(dir string, fsys vfs.FS, pol wal.FsyncPolicy, every, segRecords
 // each client batch and each replicated apply, never after other
 // control operations, so checkpoints never overlap; a failure is
 // reported but does not stop ingest (the WAL still has everything).
-func (d *durable) maybeCheckpoint(logw io.Writer) {
+func (d *durable) maybeCheckpoint() {
 	if d.every <= 0 {
 		return
 	}
@@ -221,7 +221,7 @@ func (d *durable) maybeCheckpoint(logw io.Writer) {
 		return
 	}
 	if err := d.checkpoint(); err != nil {
-		fmt.Fprintf(logw, "radlocd: checkpoint failed (WAL intact, will retry): %v\n", err)
+		fmt.Fprintf(d.logw, "radlocd: checkpoint failed (WAL intact, will retry): %v\n", err)
 	}
 }
 

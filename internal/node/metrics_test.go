@@ -27,12 +27,10 @@ import (
 
 	"radloc/internal/clock"
 	"radloc/internal/fusion"
-	"radloc/internal/httpingest"
 	"radloc/internal/netchaos"
 	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/track"
 	"radloc/internal/transport"
 	"radloc/internal/wal"
 )
@@ -220,21 +218,15 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 	sc := scenario.A(50, false)
 	reg := obs.NewRegistry()
 	obs.RegisterProcessMetrics(reg, time.Unix(1_700_000_000, 0))
-	build := func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
-		fcfg := fusion.ScenarioConfig(sc, 3)
-		fcfg.Tracking = &track.Config{}
-		fcfg.Journal = j
-		fcfg.ReorderWindow = 2
-		fcfg.Metrics = met
-		fcfg.Localizer.Metrics = met
-		return fusion.NewEngine(fcfg)
-	}
 	walRoot := t.TempDir()
-	zs := zoneSetOf(t, zoneSetOptions{
-		WalRoot: walRoot, Fsync: wal.FsyncNever, CkptEvery: 50, Metrics: reg, Log: io.Discard, Build: build,
-	})
+	cfg := Config{
+		Scenario: sc, Seed: 3, ReorderWindow: 2,
+		WALDir: walRoot, Fsync: wal.FsyncNever, CheckpointEvery: 50,
+		HTTPQueue: 256, Metrics: reg,
+	}
+	n := bootNode(t, cfg)
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	ing := httpingest.New(zs.pipe.Submit, httpingest.Options{QueueDepth: 256, Clock: clk, Metrics: reg})
+	ing := n.ingest
 
 	// Chaos-era delivery: seeded request/response drops and a healed
 	// partition manufacture retries and dedup-absorbed redelivery.
@@ -263,7 +255,7 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	def := zs.defaultZone()
+	def := n.zs.defaultZone()
 	if err := def.Do(ctx, (*fusion.Engine).Settle); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +263,7 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(newMux(serveConfig{Ingest: ing, Metrics: reg, Zones: zs}))
+	srv := httptest.NewServer(n.Handler())
 	defer srv.Close()
 
 	body := httpGetBody(t, srv.URL+"/metrics", "text/plain")
@@ -381,11 +373,8 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 		t.Fatal("the WAL does not end in a refresh entry")
 		return nil
 	})
-	reg2 := obs.NewRegistry()
-	zs2 := zoneSetOf(t, zoneSetOptions{
-		WalRoot: image, Fsync: wal.FsyncNever, CkptEvery: 50, Metrics: reg2, Log: io.Discard, Build: build,
-	})
-	srv2 := httptest.NewServer(newMux(serveConfig{Metrics: reg2, Zones: zs2}))
+	cfg.WALDir, cfg.Metrics = image, obs.NewRegistry()
+	srv2 := httptest.NewServer(bootNode(t, cfg).Handler())
 	defer srv2.Close()
 	dump2 := parseProm(t, httpGetBody(t, srv2.URL+"/metrics", "text/plain"))
 	var sz2 statezJSON

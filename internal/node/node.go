@@ -190,11 +190,18 @@ type Node struct {
 // handler. Background maintenance (janitor, storage probe, failover
 // probes, scrubbing) waits for Start.
 func New(cfg Config) (*Node, error) {
-	if len(cfg.Scenario.Sensors) == 0 {
+	// Refuse an invalid Config before any work: a refusal after zones
+	// recovered would write final checkpoints for a boot that never was.
+	// Each message names the radlocd flag beside the field.
+	switch {
+	case len(cfg.Scenario.Sensors) == 0:
 		return nil, fmt.Errorf("node: Config.Scenario has no sensors")
-	}
-	if cfg.ClusterSelf != "" && cfg.WALDir == "" {
-		return nil, fmt.Errorf("node: ClusterSelf requires WALDir (the replication stream is the WAL)")
+	case cfg.ClusterSelf != "" && cfg.WALDir == "":
+		return nil, fmt.Errorf("node: ClusterSelf (-cluster-self) requires WALDir (-wal-dir): the replication stream is the WAL")
+	case cfg.Failover && cfg.ClusterSelf == "":
+		return nil, fmt.Errorf("node: Failover (-failover) requires ClusterSelf (-cluster-self): the failure detector acts on the cluster layer")
+	case cfg.Failover && len(cfg.Peers) == 0:
+		return nil, fmt.Errorf("node: Failover (-failover) requires Peers (-cluster-peers): who to probe")
 	}
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
@@ -206,23 +213,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	n := &Node{cfg: cfg, reg: reg}
 
-	// build constructs one zone's engine. Every zone shares the
-	// deployment, the seed and the feature flags; met is that zone's
-	// labeled view of the process registry.
-	sc := cfg.Scenario
-	build := func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
-		fcfg := fusion.ScenarioConfig(sc, cfg.Seed)
-		fcfg.Health.Disabled = cfg.NoHealth
-		fcfg.Journal = j
-		fcfg.ReorderWindow = cfg.ReorderWindow
-		fcfg.Metrics = met
-		fcfg.Localizer.Metrics = met
-		if !cfg.NoTracks {
-			fcfg.Tracking = &track.Config{}
-		}
-		return fusion.NewEngine(fcfg)
-	}
-
 	// All durability I/O goes through the observed filesystem, so real
 	// disk faults (ENOSPC, EIO) land on radloc_storage_faults_total
 	// exactly like injected ones do in the chaos tests.
@@ -230,12 +220,7 @@ func New(cfg Config) (*Node, error) {
 	if fsys == nil {
 		fsys = vfs.Observe(vfs.OS{}, reg)
 	}
-	zs, err := newZoneSet(zoneSetOptions{
-		WalRoot: cfg.WALDir, FS: fsys, Fsync: cfg.Fsync,
-		CkptEvery: cfg.CheckpointEvery, SegmentRecords: cfg.WALSegment,
-		MaxZones: cfg.MaxZones, IdleAfter: cfg.ZoneIdle,
-		Metrics: reg, Log: cfg.Log, Build: build,
-	})
+	zs, err := newZoneSet(n, fsys)
 	if err != nil {
 		return nil, err
 	}
@@ -292,15 +277,6 @@ func New(cfg Config) (*Node, error) {
 		zs.clusterNode = n.clu
 	}
 	if cfg.Failover {
-		if n.clu == nil {
-			zs.close()
-			return nil, fmt.Errorf("node: Failover requires ClusterSelf (the failure detector acts on the cluster layer)")
-		}
-		if len(cfg.Peers) == 0 {
-			n.clu.Close()
-			zs.close()
-			return nil, fmt.Errorf("node: Failover requires Peers (who to probe)")
-		}
 		n.prom, err = failover.New(failover.Options{
 			Node:          n.clu,
 			Self:          cfg.ClusterSelf,
@@ -345,13 +321,24 @@ func New(cfg Config) (*Node, error) {
 		Burst:      cfg.Burst,
 		Metrics:    reg,
 	})
-	n.mux = newMux(serveConfig{
-		Ingest: n.ingest, Zones: zs, Metrics: reg, Pprof: cfg.Pprof, Cluster: n.clu,
-		Ready: func() bool {
-			return n.clu == nil || n.clu.Ready()
-		},
-	})
+	n.mux = newMux(n)
 	return n, nil
+}
+
+// engine builds one zone's engine against the given journal. Every
+// zone shares the deployment, the seed and the feature flags; met is
+// that zone's labeled view of the process registry.
+func (c *Config) engine(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
+	fcfg := fusion.ScenarioConfig(c.Scenario, c.Seed)
+	fcfg.Health.Disabled = c.NoHealth
+	fcfg.Journal = j
+	fcfg.ReorderWindow = c.ReorderWindow
+	fcfg.Metrics = met
+	fcfg.Localizer.Metrics = met
+	if !c.NoTracks {
+		fcfg.Tracking = &track.Config{}
+	}
+	return fusion.NewEngine(fcfg)
 }
 
 // Start launches the node's four background loops: the storage
@@ -407,10 +394,6 @@ func (n *Node) Handler() http.Handler { return n.mux }
 // touching engines directly.
 func (n *Node) Pipeline() *WritePipeline { return n.zs.pipe }
 
-// Cluster returns the node's cluster membership, nil outside cluster
-// mode.
-func (n *Node) Cluster() *cluster.Node { return n.clu }
-
 // Promoter returns the node's failover promoter, nil unless Failover
 // was configured.
 func (n *Node) Promoter() *failover.Promoter { return n.prom }
@@ -423,6 +406,12 @@ func (n *Node) Promoter() *failover.Promoter { return n.prom }
 // without refreshing and leaves the unjournaled rounds held, not
 // applied, so calling Settle again once storage recovers loses nothing
 // and refreshes once. Settle never creates a zone.
+//
+// The refresh itself is not journaled, and replay cannot reproduce it:
+// it falls due at no reading. Shutdown's final checkpoint covers it,
+// but a kill -9 between Settle and that checkpoint boots an engine one
+// refresh behind the live one: its count of readings since the last
+// refresh and its RNG position differ (DESIGN §6).
 func (n *Node) Settle(ctx context.Context, zoneName string) error {
 	return n.zs.settle(ctx, zoneName)
 }
@@ -465,15 +454,6 @@ func (n *Node) ServePipe(ctx context.Context, r io.Reader, w io.Writer) error {
 func Run(ctx context.Context, cfg Config, stdin io.Reader, stdout io.Writer) error {
 	if cfg.ClusterSelf != "" && cfg.Listen == "" {
 		return fmt.Errorf("-cluster-self requires -listen (replication is served over HTTP)")
-	}
-	if cfg.ClusterSelf != "" && cfg.WALDir == "" {
-		return fmt.Errorf("-cluster-self requires -wal-dir (the replication stream is the WAL)")
-	}
-	if cfg.Failover && cfg.ClusterSelf == "" {
-		return fmt.Errorf("-failover requires -cluster-self (the failure detector acts on the cluster layer)")
-	}
-	if cfg.Failover && len(cfg.Peers) == 0 {
-		return fmt.Errorf("-failover requires -cluster-peers (who to probe)")
 	}
 	n, err := New(cfg)
 	if err != nil {

@@ -93,7 +93,7 @@ func (p *WritePipeline) Apply(z *zone.Zone, recs []cluster.RecordAt) error {
 			}
 			eng.Replay(wal.Entry{Rec: ra.Rec, Refresh: ra.Refresh})
 		}
-		d.maybeCheckpoint(p.zs.logw)
+		d.maybeCheckpoint()
 		return nil
 	})
 }

@@ -14,10 +14,8 @@ import (
 	"testing"
 
 	"radloc/internal/fusion"
-	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/track"
 	"radloc/internal/wal"
 )
 
@@ -27,14 +25,12 @@ import (
 func TestCorruptTailRecovery(t *testing.T) {
 	sc := scenario.A(50, false)
 	const rounds, window = 6, 2
-	build := func(j fusion.Journal) (*fusion.Engine, error) {
-		fcfg := fusion.ScenarioConfig(sc, 7)
-		fcfg.Tracking = &track.Config{}
-		fcfg.Journal = j
-		fcfg.ReorderWindow = window
-		return fusion.NewEngine(fcfg)
-	}
 	dir := t.TempDir()
+	cfg := Config{
+		Scenario: sc, Seed: 7, ReorderWindow: window,
+		WALDir: dir, Fsync: wal.FsyncNever, CheckpointEvery: 50,
+	}
+	build := func(j fusion.Journal) (*fusion.Engine, error) { return cfg.engine(j, nil) }
 	engine, d, err := openDurable(dir, nil, wal.FsyncNever, 50, 0, build, nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +42,7 @@ func TestCorruptTailRecovery(t *testing.T) {
 			if _, err := engine.IngestSeq(fusion.Meas{SensorID: sen.ID, CPM: m.CPM, Step: step, Seq: uint64(step + 1)}); err != nil {
 				t.Fatal(err)
 			}
-			d.maybeCheckpoint(io.Discard)
+			d.maybeCheckpoint()
 		}
 	}
 	// Rounds past the watermark are journaled; the held tail is not
@@ -90,17 +86,12 @@ func TestCorruptTailRecovery(t *testing.T) {
 		os.Remove(ck)
 	}
 
-	zs, err := newZoneSet(zoneSetOptions{
-		WalRoot: dir, Fsync: wal.FsyncNever, CkptEvery: 50,
-		Build: func(j fusion.Journal, _ *obs.Registry) (*fusion.Engine, error) { return build(j) },
-	})
+	n, err := New(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := zs.recoverZones(); err != nil {
 		t.Fatalf("recovery must repair, not fail: %v", err)
 	}
-	def := zs.defaultZone()
+	t.Cleanup(func() { _ = n.Shutdown() })
+	def := n.zs.defaultZone()
 	st := statez(def.Snapshot(), zoneDurable(def), nil)
 	recov := st.Durability.Recovery
 	if recov.TruncatedRecords == 0 {
@@ -114,7 +105,7 @@ func TestCorruptTailRecovery(t *testing.T) {
 	}
 
 	// And the daemon serves: snapshot, statez, fresh ingest.
-	srv := zonedTestServer(t, zs)
+	srv := zonedTestServer(t, n)
 	resp, err := http.Get(srv.URL + "/statez")
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +129,7 @@ func TestCorruptTailRecovery(t *testing.T) {
 	if ack["accepted"] != 1 {
 		t.Errorf("post-recovery ingest refused: %v", ack)
 	}
-	if err := zs.close(); err != nil {
+	if err := n.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 }

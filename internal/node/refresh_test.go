@@ -69,7 +69,7 @@ func journaledRun(t *testing.T, dir string, fsys vfs.FS, pol wal.FsyncPolicy, ro
 			if _, err := engine.IngestSeq(fusion.Meas{SensorID: sen.ID, CPM: m.CPM, Step: step}); err != nil {
 				t.Fatal(err)
 			}
-			d.maybeCheckpoint(io.Discard)
+			d.maybeCheckpoint()
 		}
 	}
 	if err := d.log.Close(); err != nil {

@@ -119,7 +119,7 @@ func (zs *zoneSet) repairFromReplica(ctx context.Context, z *zone.Zone, d *durab
 	defer cancel()
 	applied, _, state, err := n.FetchState(ctx, peer, zoneName)
 	if err != nil {
-		fmt.Fprintf(zs.logw, "radlocd: zone %q: scrub repair fetch from %s failed, using local state: %v\n",
+		fmt.Fprintf(zs.cfg.Log, "radlocd: zone %q: scrub repair fetch from %s failed, using local state: %v\n",
 			zoneName, peer, err)
 		return "", false
 	}
@@ -130,7 +130,7 @@ func (zs *zoneSet) repairFromReplica(ctx context.Context, z *zone.Zone, d *durab
 	// anchor; boot tolerates an unusable checkpoint only by falling
 	// back to a full replay, which the quarantine just made impossible.
 	if _, err := fusion.DecodeState(state); err != nil {
-		fmt.Fprintf(zs.logw, "radlocd: zone %q: replica %s state does not decode, using local state: %v\n",
+		fmt.Fprintf(zs.cfg.Log, "radlocd: zone %q: replica %s state does not decode, using local state: %v\n",
 			zoneName, peer, err)
 		return "", false
 	}
@@ -138,7 +138,7 @@ func (zs *zoneSet) repairFromReplica(ctx context.Context, z *zone.Zone, d *durab
 		return d.adoptCheckpoint(wal.Checkpoint{Applied: applied, State: state})
 	})
 	if err != nil {
-		fmt.Fprintf(zs.logw, "radlocd: zone %q: persisting replica checkpoint failed, using local state: %v\n",
+		fmt.Fprintf(zs.cfg.Log, "radlocd: zone %q: persisting replica checkpoint failed, using local state: %v\n",
 			zoneName, err)
 		return "", false
 	}

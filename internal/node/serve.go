@@ -16,7 +16,6 @@ import (
 	"radloc/internal/cluster"
 	"radloc/internal/fusion"
 	"radloc/internal/httpingest"
-	"radloc/internal/obs"
 	"radloc/internal/zone"
 )
 
@@ -216,37 +215,9 @@ func servePipe(ctx context.Context, zs *zoneSet, r io.Reader, w io.Writer, repor
 	// ctx may already be cancelled, so the settle takes none; a failure
 	// is logged and the final picture still goes out.
 	if err := zs.settle(context.Background(), zone.DefaultZone); err != nil {
-		fmt.Fprintf(zs.logw, "radlocd: zone %q final flush: %v\n", zone.DefaultZone, err)
+		fmt.Fprintf(zs.cfg.Log, "radlocd: zone %q final flush: %v\n", zone.DefaultZone, err)
 	}
 	return flush()
-}
-
-// serveConfig assembles the HTTP mode's moving parts. Ingest and Zones
-// are required; Metrics may be nil (GET /metrics serves an empty
-// registry — process-only families).
-type serveConfig struct {
-	// Ingest is the admission handler mounted on the write routes.
-	Ingest *httpingest.Handler
-	// Zones is the zone runtime behind the API: the unnamed routes
-	// alias its default zone, and the zone-scoped routes (/zones and
-	// /zones/{zone}/...) reach every live zone.
-	Zones *zoneSet
-	// Metrics is served on GET /metrics in Prometheus text format.
-	Metrics *obs.Registry
-	// Pprof mounts net/http/pprof under /debug/pprof/ when true. Off
-	// by default: the profile endpoints expose heap contents and must
-	// be opted into on trusted networks only.
-	Pprof bool
-	// Cluster, when non-nil, mounts the /cluster endpoints and fences
-	// the write routes: a standby zone 307s writes to its primary (or
-	// 503s when the primary is unknown), a draining zone 503s with
-	// Retry-After. Requires Zones (the fence renders the write
-	// pipeline's admission stage).
-	Cluster *cluster.Node
-	// Ready, when non-nil, gates /readyz: false keeps it at 503 even
-	// after the first refresh — boot-time zone recovery or replication
-	// catch-up is still in progress.
-	Ready func() bool
 }
 
 // fenceWrites renders the write pipeline's fence stage at the HTTP
@@ -334,17 +305,22 @@ func statsToJSON(s fusion.Snapshot, started time.Time) map[string]any {
 	}
 }
 
-// newMux builds the HTTP API. Reads are served from each zone's
-// published snapshot, so they never wait behind a writer.
-func newMux(cfg serveConfig) *http.ServeMux {
-	def, ing := cfg.Zones.defaultZone(), cfg.Ingest
+// newMux builds n's HTTP API. Reads are served from each zone's
+// published snapshot, so they never wait behind a writer. In cluster
+// mode it mounts the /cluster endpoints and fences the write routes: a
+// standby zone 307s writes to its primary (or 503s when the primary is
+// unknown), a draining zone 503s with Retry-After. The pprof endpoints
+// expose heap contents, so they are mounted only when Config.Pprof
+// opts in.
+func newMux(n *Node) *http.ServeMux {
+	zs, ing, clu := n.zs, n.ingest, n.clu
+	def := zs.defaultZone()
 	d := zoneDurable(def)
-	reg := obs.Or(cfg.Metrics)
 	mux := http.NewServeMux()
 	// Prometheus text-format exposition of the process registry: the
 	// same collectors /statez and /stats derive their JSON from.
-	mux.Handle("/metrics", reg.Handler())
-	if cfg.Pprof {
+	mux.Handle("/metrics", n.reg.Handler())
+	if n.cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -364,7 +340,9 @@ func newMux(cfg serveConfig) *http.ServeMux {
 	// liveness so orchestrators don't route traffic to a fusion center
 	// that has not yet seen a full sensor round.
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Ready != nil && !cfg.Ready() {
+		// Boot-time zone recovery is done by the time New returns, but a
+		// standby's replication catch-up may still be in progress.
+		if clu != nil && !clu.Ready() {
 			http.Error(w, "not ready: zone recovery or replication catch-up in progress",
 				http.StatusServiceUnavailable)
 			return
@@ -374,7 +352,7 @@ func newMux(cfg serveConfig) *http.ServeMux {
 		// the failure detector reading /readyz should treat this node as
 		// impaired. The header names the cause so the failover prober
 		// can count it as a miss without parsing the body.
-		if degraded := cfg.Zones.degradedZones(); len(degraded) > 0 {
+		if degraded := zs.degradedZones(); len(degraded) > 0 {
 			w.Header().Set("X-Radloc-Storage", "degraded")
 			http.Error(w, fmt.Sprintf("not ready: storage degraded in zones %v (ingest read-only, answering 507)", degraded),
 				http.StatusServiceUnavailable)
@@ -384,9 +362,9 @@ func newMux(cfg serveConfig) *http.ServeMux {
 		// comes from replication, not local ingest — so the refresh
 		// check applies only where this node owns the default zone.
 		standby := false
-		if cfg.Cluster != nil {
+		if clu != nil {
 			var np *cluster.NotPrimaryError
-			standby = errors.As(cfg.Cluster.AdmitWrite(zone.DefaultZone), &np)
+			standby = errors.As(clu.AdmitWrite(zone.DefaultZone), &np)
 		}
 		s := def.Snapshot()
 		if s.Refreshes == 0 && !standby {
@@ -403,12 +381,12 @@ func newMux(cfg serveConfig) *http.ServeMux {
 	// internal/httpingest. In cluster mode, writes are additionally
 	// fenced to the zone's live primary.
 	var writeRoute http.Handler = ing
-	if cfg.Cluster != nil {
-		writeRoute = fenceWrites(cfg.Zones.pipe, ing)
-		cfg.Cluster.Mount(mux)
+	if clu != nil {
+		writeRoute = fenceWrites(zs.pipe, ing)
+		clu.Mount(mux)
 	}
 	mux.Handle("/measurements", writeRoute)
-	man := cfg.Zones.manager
+	man := zs.manager
 	// Zone registry: the live zone names, sorted.
 	mux.HandleFunc("/zones", getJSON(func() any { return map[string]any{"zones": man.Names()} }))
 	// The zone-scoped write route shares the admission handler with
@@ -436,39 +414,24 @@ func newMux(cfg serveConfig) *http.ServeMux {
 	return mux
 }
 
-// httpTimeouts are the server's slow-client guards: a client that
-// trickles its request (slow loris), stalls reading the response, or
-// parks an idle keep-alive connection is cut instead of pinning a
-// connection forever.
-type httpTimeouts struct {
-	Read  time.Duration
-	Write time.Duration
-	Idle  time.Duration
-}
-
-func (t httpTimeouts) withDefaults() httpTimeouts {
-	if t.Read <= 0 {
-		t.Read = 15 * time.Second
+// newHTTPServer assembles the daemon's http.Server with cfg's
+// slow-client guards: a client that trickles its request (slow loris),
+// stalls reading the response, or parks an idle keep-alive connection
+// is cut instead of pinning a connection forever. A timeout at or below
+// zero takes its default.
+func newHTTPServer(h http.Handler, cfg Config) *http.Server {
+	orDefault := func(d, def time.Duration) time.Duration {
+		if d <= 0 {
+			return def
+		}
+		return d
 	}
-	if t.Write <= 0 {
-		t.Write = 30 * time.Second
-	}
-	if t.Idle <= 0 {
-		t.Idle = 2 * time.Minute
-	}
-	return t
-}
-
-// newHTTPServer assembles the daemon's http.Server with its timeout
-// posture — factored out so tests can assert it directly.
-func newHTTPServer(h http.Handler, t httpTimeouts) *http.Server {
-	t = t.withDefaults()
 	return &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       t.Read,
-		WriteTimeout:      t.Write,
-		IdleTimeout:       t.Idle,
+		ReadTimeout:       orDefault(cfg.ReadTimeout, 15*time.Second),
+		WriteTimeout:      orDefault(cfg.WriteTimeout, 30*time.Second),
+		IdleTimeout:       orDefault(cfg.IdleTimeout, 2*time.Minute),
 	}
 }
 
@@ -486,7 +449,7 @@ func (n *Node) serveHTTP(ctx context.Context, logw io.Writer) error {
 		extra = " /debug/pprof/"
 	}
 	fmt.Fprintf(logw, "radlocd: serving on http://%s (POST /measurements /zones/{z}/measurements, GET /snapshot /sensors /statez /zones /metrics /healthz /readyz%s)\n", ln.Addr(), extra)
-	srv := newHTTPServer(n.mux, httpTimeouts{Read: n.cfg.ReadTimeout, Write: n.cfg.WriteTimeout, Idle: n.cfg.IdleTimeout})
+	srv := newHTTPServer(n.mux, n.cfg)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	select {

@@ -12,22 +12,15 @@ import (
 
 	"radloc/internal/fusion"
 	"radloc/internal/node/nodetest"
-	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/track"
 	"radloc/internal/zone"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, scenario.Scenario) {
 	t.Helper()
 	sc := scenario.A(50, false)
-	zs := zoneSetOf(t, zoneSetOptions{Build: func(fusion.Journal, *obs.Registry) (*fusion.Engine, error) {
-		fcfg := fusion.ScenarioConfig(sc, 3)
-		fcfg.Tracking = &track.Config{}
-		return fusion.NewEngine(fcfg)
-	}})
-	return zonedTestServer(t, zs), sc
+	return zonedTestServer(t, bootNode(t, Config{Scenario: sc, Seed: 3})), sc
 }
 
 func TestHTTPHealthz(t *testing.T) {
@@ -254,8 +247,8 @@ func TestHTTPReadyzAndSensors(t *testing.T) {
 // with the state published before that batch, and once the batch is
 // acknowledged the next GET must reflect it.
 func TestSnapshotServedWhileLoopHeld(t *testing.T) {
-	zs, park := parkedZoneSet(t)
-	mux := zonedTestMux(zs)
+	n, park := parkedNode(t)
+	mux := n.Handler()
 	ingested := func() uint64 {
 		rec, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/snapshot", "")
 		var s snapshotJSON
@@ -297,13 +290,13 @@ func TestSnapshotServedWhileLoopHeld(t *testing.T) {
 // Offset read only what the loop published, so each must answer while
 // the loop is busy.
 func TestDurableReadsServedWhileLoopHeld(t *testing.T) {
-	zs := testZoneSet(t, t.TempDir(), 0, 0)
-	z := zs.defaultZone()
+	n := testNode(t, t.TempDir())
+	zs, z := n.zs, n.zs.defaultZone()
 	// Satisfy the refresh gate so /readyz can answer 200.
 	if err := z.Do(context.Background(), (*fusion.Engine).Settle); err != nil {
 		t.Fatal(err)
 	}
-	mux := zonedTestMux(zs)
+	mux := n.Handler()
 	b, err := zs.clusterBackend(zone.DefaultZone)
 	if err != nil {
 		t.Fatal(err)

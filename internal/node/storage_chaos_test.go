@@ -83,22 +83,15 @@ func runENOSPCDelivery(t *testing.T, window time.Duration) (snap, health []byte,
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
 	faulty := vfs.NewFaulty(nil, vfs.FaultConfig{Seed: 11})
 	walDir = t.TempDir()
-	zs, err := newZoneSet(zoneSetOptions{
-		WalRoot: walDir, FS: faulty, Fsync: wal.FsyncNever, CkptEvery: 50,
-		Metrics: obs.NewRegistry(), Log: io.Discard, Build: testZoneBuild(t),
+	n := testNode(t, walDir, func(c *Config) {
+		c.FS = faulty
+		c.CheckpointEvery = 50
+		c.HTTPQueue = 256
+		c.RetryAfter = time.Second
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := zs.recoverZones(); err != nil {
-		t.Fatal(err)
-	}
-	dur = zoneDurable(zs.defaultZone())
-
-	ing = httpingest.New(zs.pipe.Submit, httpingest.Options{
-		QueueDepth: 256, Clock: clk, RetryAfter: time.Second,
-	})
-	mux := newMux(serveConfig{Ingest: ing, Zones: zs})
+	dur = zoneDurable(n.zs.defaultZone())
+	ing = n.ingest
+	mux := n.Handler()
 	start := clk.Now()
 	rt = &enospcWindowRT{inner: mux, clk: clk, faulty: faulty, from: start, to: start.Add(window)}
 	client, err := transport.NewClient(transport.Options{
@@ -134,7 +127,7 @@ func runENOSPCDelivery(t *testing.T, window time.Duration) (snap, health []byte,
 	if st := client.Stats(); st.Delivered != uint64(len(readings)) {
 		t.Fatalf("client delivered %d of %d", st.Delivered, len(readings))
 	}
-	snap, health = normalizedState(t, zs.defaultZone())
+	snap, health = normalizedState(t, n.zs.defaultZone())
 
 	// /readyz is clean again after the heal: the exit edge fired on the
 	// first post-window append.
@@ -143,7 +136,7 @@ func runENOSPCDelivery(t *testing.T, window time.Duration) (snap, health []byte,
 	}
 	// Close every zone cleanly so the WAL directory is a complete
 	// crash-restart image (the injector is healed; the close succeeds).
-	if err := zs.close(); err != nil {
+	if err := n.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	return snap, health, walDir, ing, dur, rt
@@ -191,17 +184,7 @@ func TestStorageChaosENOSPCBitIdentical(t *testing.T) {
 	// Crash-restart on the chaos WAL: replay + checkpoint recover every
 	// acknowledged record (the journaled count of the bit-identical
 	// snapshot), so the 507 window provably lost nothing durable.
-	zs2, err := newZoneSet(zoneSetOptions{
-		WalRoot: chaosDir, Fsync: wal.FsyncNever, CkptEvery: 50,
-		Metrics: obs.NewRegistry(), Log: io.Discard, Build: testZoneBuild(t),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer zs2.close()
-	if err := zs2.recoverZones(); err != nil {
-		t.Fatal(err)
-	}
+	zs2 := testNode(t, chaosDir, func(c *Config) { c.CheckpointEvery = 50 }).zs
 	var want snapshotJSON
 	if err := json.Unmarshal(chaosSnap, &want); err != nil {
 		t.Fatal(err)
@@ -264,21 +247,15 @@ func flipByteInOldestSegment(t *testing.T, dir string) string {
 func TestScrubRepairsLocalCold(t *testing.T) {
 	walRoot := t.TempDir()
 	reg := obs.NewRegistry()
-	zs, err := newZoneSet(zoneSetOptions{
+	n := testNode(t, walRoot, func(c *Config) {
 		// Checkpoint only at shutdown, 8-record segments: the stream
 		// below leaves several sealed segments and no checkpoint, so
 		// recovery would need the corrupted segment — the scrub repair is
 		// what saves it.
-		WalRoot: walRoot, Fsync: wal.FsyncNever, CkptEvery: 0, SegmentRecords: 8,
-		Metrics: reg, Log: io.Discard, Build: testZoneBuild(t),
+		c.WALSegment = 8
+		c.Metrics = reg
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer zs.close()
-	if err := zs.recoverZones(); err != nil {
-		t.Fatal(err)
-	}
+	zs := n.zs
 	readings := chaosReadings(len(scenario.A(50, false).Sensors))
 	for i := 0; i < len(readings); i += chaosBatch {
 		end := i + chaosBatch
@@ -328,7 +305,8 @@ func TestScrubRepairsLocalCold(t *testing.T) {
 	// with zero acknowledged-durable records lost.
 	crashDir := t.TempDir()
 	copyDirFiles(t, walRoot, crashDir)
-	engine2, d2, err := openDurable(crashDir, nil, wal.FsyncNever, 0, 8, testZoneBuildJournalOnly(t), nil, io.Discard)
+	engine2, d2, err := openDurable(crashDir, nil, wal.FsyncNever, 0, 8,
+		func(j fusion.Journal) (*fusion.Engine, error) { return n.cfg.engine(j, nil) }, nil, io.Discard)
 	if err != nil {
 		t.Fatalf("recovery after scrub repair failed: %v", err)
 	}
@@ -340,21 +318,13 @@ func TestScrubRepairsLocalCold(t *testing.T) {
 		t.Fatalf("recovered journaled = %d, want %d — acknowledged records lost", got, journaled)
 	}
 	// Scrub accounting went where it should.
-	mux := zonedTestMux(zs)
+	mux := n.Handler()
 	if v, ok := nodetest.ScrapeGauge(t, mux, `radloc_scrub_corruptions_total{kind="segment"}`); !ok || v != 1 {
 		t.Errorf("radloc_scrub_corruptions_total{kind=segment} = %v (ok=%v), want 1", v, ok)
 	}
 	if v, ok := nodetest.ScrapeGauge(t, mux, `radloc_scrub_repairs_total{source="local"}`); !ok || v != 1 {
 		t.Errorf("radloc_scrub_repairs_total{source=local} = %v (ok=%v), want 1", v, ok)
 	}
-}
-
-// testZoneBuildJournalOnly is testZoneBuild's shape for direct
-// openDurable calls (journal only, no per-zone metrics view).
-func testZoneBuildJournalOnly(t *testing.T) func(fusion.Journal) (*fusion.Engine, error) {
-	t.Helper()
-	build := testZoneBuild(t)
-	return func(j fusion.Journal) (*fusion.Engine, error) { return build(j, nil) }
 }
 
 // TestScrubRepairsFromReplica is the clustered scrub criterion: the
@@ -384,7 +354,7 @@ func TestScrubRepairsFromReplica(t *testing.T) {
 	}
 
 	// Cold-corrupt the primary's oldest sealed segment, then scrub.
-	walRoot := a.zs.walRoot
+	walRoot := a.zs.cfg.WALDir
 	flipByteInOldestSegment(t, walRoot)
 	scr, err := scrub.New(scrub.Options{Targets: a.zs.scrubTargets, Metrics: a.reg})
 	if err != nil {
@@ -411,9 +381,8 @@ func TestScrubRepairsFromReplica(t *testing.T) {
 	// checkpoint carries recovery over the hole, zero records lost.
 	crashDir := t.TempDir()
 	copyDirFiles(t, walRoot, crashDir)
-	build := clusterTestBuild()
 	engine2, d2, err := openDurable(crashDir, nil, wal.FsyncNever, 0, 16,
-		func(j fusion.Journal) (*fusion.Engine, error) { return build(j, nil) }, nil, io.Discard)
+		func(j fusion.Journal) (*fusion.Engine, error) { return a.n.cfg.engine(j, nil) }, nil, io.Discard)
 	if err != nil {
 		t.Fatalf("recovery after replica repair failed: %v", err)
 	}
@@ -440,7 +409,7 @@ func TestScrubRepairsFromReplica(t *testing.T) {
 // degraded read-only mode is not scrubbed (its disk cannot accept the
 // repair), and reappears once storage recovers.
 func TestScrubSkipsDegradedZones(t *testing.T) {
-	zs := testZoneSet(t, t.TempDir(), 0, 0)
+	zs := testNode(t, t.TempDir()).zs
 	d := zoneDurable(zs.defaultZone())
 	if got := len(zs.scrubTargets()); got != 1 {
 		t.Fatalf("scrub targets = %d, want 1", got)
@@ -459,12 +428,13 @@ func TestScrubSkipsDegradedZones(t *testing.T) {
 // goes 503 with the degraded header and the zone names in the body
 // while any zone's storage is read-only.
 func TestReadyzNamesDegradedZones(t *testing.T) {
-	zs := testZoneSet(t, t.TempDir(), 0, 0)
+	n := testNode(t, t.TempDir())
+	zs := n.zs
 	// Satisfy the refresh gate so only storage health drives /readyz.
 	if err := zs.defaultZone().Do(context.Background(), (*fusion.Engine).Settle); err != nil {
 		t.Fatal(err)
 	}
-	mux := zonedTestMux(zs)
+	mux := n.Handler()
 	if _, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/readyz", ""); code != http.StatusOK {
 		t.Fatalf("healthy /readyz = %d", code)
 	}
@@ -492,9 +462,8 @@ func TestReadyzNamesDegradedZones(t *testing.T) {
 func TestScrubCheckpointQuarantineKeepsLastCheckpointAgreed(t *testing.T) {
 	walRoot := t.TempDir()
 	reg := obs.NewRegistry()
-	zs := zoneSetOf(t, zoneSetOptions{
-		WalRoot: walRoot, Fsync: wal.FsyncNever, Metrics: reg, Log: io.Discard, Build: testZoneBuild(t),
-	})
+	n := testNode(t, walRoot, func(c *Config) { c.Metrics = reg })
+	zs := n.zs
 	z, d := zs.defaultZone(), zoneDurable(zs.defaultZone())
 	sensors := len(scenario.A(50, false).Sensors)
 	var applied []uint64
@@ -524,7 +493,7 @@ func TestScrubCheckpointQuarantineKeepsLastCheckpointAgreed(t *testing.T) {
 	}
 	scr.Tick(context.Background())
 
-	mux := zonedTestMux(zs)
+	mux := n.Handler()
 	rec, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/statez", "")
 	var st statezJSON
 	if code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &st) != nil {

@@ -3,7 +3,6 @@ package node
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,20 +11,18 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"radloc/internal/cluster"
 	"radloc/internal/fusion"
 	"radloc/internal/obs"
 	"radloc/internal/vfs"
-	"radloc/internal/wal"
 	"radloc/internal/zone"
 )
 
 // zoneSet owns the daemon's sharded runtime: the zone manager plus the
 // per-zone durability behind its factory. Every zone gets its own
-// fusion engine (built by Build against a zone-labeled metrics view),
-// its own WAL directory and checkpoint namespace, and — through
+// fusion engine (built by Config.engine against a zone-labeled metrics
+// view), its own WAL directory and checkpoint namespace, and — through
 // zone.Resources — its own checkpoint cadence and final-checkpoint
 // close hook, all driven from the zone's single-writer event loop.
 //
@@ -36,14 +33,15 @@ import (
 // "..") before they ever touch the filesystem.
 type zoneSet struct {
 	manager *zone.Manager
-	walRoot string // "" = durability off
-	fs      vfs.FS
-	fsync   wal.FsyncPolicy
-	every   int
-	segRecs int // WAL segment size in records; 0 = the WAL's default
-	reg     *obs.Registry
-	logw    io.Writer
-	build   func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error)
+	// cfg is the node's config: the WAL root ("" = durability off) and
+	// policy, the engine shape and the log every zone shares.
+	cfg *Config
+	// fs carries every zone's WAL, checkpoints and stores.
+	fs vfs.FS
+	// reg is the process registry; each zone's engine, WAL and
+	// checkpointer register on reg.With("zone", name), so the existing
+	// families gain a zone label instead of new names.
+	reg *obs.Registry
 
 	// bootLogs, set only while recoverZones runs, maps each zone being
 	// recovered to the buffer its recovery lines go to.
@@ -60,58 +58,15 @@ type zoneSet struct {
 	pipe *WritePipeline
 }
 
-// zoneSetOptions configures newZoneSet.
-type zoneSetOptions struct {
-	// WalRoot is the durability root directory; empty disables
-	// durability for every zone.
-	WalRoot string
-	// FS is the filesystem every zone's WAL, checkpoints and stores go
-	// through; nil means the real one. Tests inject vfs.Faulty here to
-	// exercise disk faults; production wraps vfs.OS in vfs.Observe so
-	// real faults land on radloc_storage_faults_total.
-	FS vfs.FS
-	// Fsync, CkptEvery and SegmentRecords mirror -fsync,
-	// -checkpoint-every and -wal-segment; they apply uniformly to every
-	// zone's WAL. SegmentRecords 0 takes the WAL's default.
-	Fsync          wal.FsyncPolicy
-	CkptEvery      int
-	SegmentRecords int
-	// MaxZones and IdleAfter mirror -max-zones and -zone-idle; see
-	// zone.Options.
-	MaxZones  int
-	IdleAfter time.Duration
-	// Metrics is the process registry; each zone's engine, WAL and
-	// checkpointer register on Metrics.With("zone", name), so the
-	// existing families gain a zone label instead of new names. nil
-	// gets a private registry.
-	Metrics *obs.Registry
-	// Log receives recovery and checkpoint-failure lines (stderr in the
-	// daemon — stdout is the data channel in pipe mode).
-	Log io.Writer
-	// Build constructs one zone's engine against the given journal and
-	// zone-labeled metrics view. Required.
-	Build func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error)
-}
-
-// newZoneSet builds the sharded runtime. No zones exist until
-// recoverZones or the first routed batch creates them.
-func newZoneSet(o zoneSetOptions) (*zoneSet, error) {
-	if o.Build == nil {
-		return nil, errors.New("zoneSet: Build is required")
-	}
-	o.Metrics = obs.Or(o.Metrics)
-	if o.Log == nil {
-		o.Log = io.Discard
-	}
-	zs := &zoneSet{
-		walRoot: o.WalRoot, fs: vfs.Or(o.FS), fsync: o.Fsync, every: o.CkptEvery,
-		segRecs: o.SegmentRecords, reg: o.Metrics, logw: o.Log, build: o.Build,
-	}
+// newZoneSet builds n's sharded runtime over fsys. No zones exist
+// until recoverZones or the first routed batch creates them.
+func newZoneSet(n *Node, fsys vfs.FS) (*zoneSet, error) {
+	zs := &zoneSet{cfg: &n.cfg, fs: fsys, reg: n.reg}
 	m, err := zone.NewManager(zone.Options{
 		Factory:   zs.factory,
-		MaxZones:  o.MaxZones,
-		IdleAfter: o.IdleAfter,
-		Metrics:   o.Metrics,
+		MaxZones:  n.cfg.MaxZones,
+		IdleAfter: n.cfg.ZoneIdle,
+		Metrics:   n.reg,
 	})
 	if err != nil {
 		return nil, err
@@ -124,9 +79,9 @@ func newZoneSet(o zoneSetOptions) (*zoneSet, error) {
 // zoneWalDir maps a zone name to its durability directory.
 func (zs *zoneSet) zoneWalDir(name string) string {
 	if name == zone.DefaultZone {
-		return zs.walRoot
+		return zs.cfg.WALDir
 	}
-	return filepath.Join(zs.walRoot, "zones", name)
+	return filepath.Join(zs.cfg.WALDir, "zones", name)
 }
 
 // factory builds one zone's resources: a fresh engine on a
@@ -138,8 +93,8 @@ func (zs *zoneSet) zoneWalDir(name string) string {
 // its final checkpoint as if the process had restarted.
 func (zs *zoneSet) factory(name string) (zone.Resources, error) {
 	met := zs.reg.With("zone", name)
-	if zs.walRoot == "" {
-		engine, err := zs.build(nil, met)
+	if zs.cfg.WALDir == "" {
+		engine, err := zs.cfg.engine(nil, met)
 		if err != nil {
 			return zone.Resources{}, err
 		}
@@ -149,20 +104,20 @@ func (zs *zoneSet) factory(name string) (zone.Resources, error) {
 	if err := zs.fs.MkdirAll(dir, 0o755); err != nil {
 		return zone.Resources{}, err
 	}
-	bootw := zs.logw
+	bootw := zs.cfg.Log
 	if w, ok := zs.bootLogs[name]; ok {
 		bootw = w
 	}
-	engine, d, err := openDurable(dir, zs.fs, zs.fsync, zs.every, zs.segRecs,
-		func(j fusion.Journal) (*fusion.Engine, error) { return zs.build(j, met) },
+	engine, d, err := openDurable(dir, zs.fs, zs.cfg.Fsync, zs.cfg.CheckpointEvery, zs.cfg.WALSegment,
+		func(j fusion.Journal) (*fusion.Engine, error) { return zs.cfg.engine(j, met) },
 		met, bootw)
 	if err != nil {
 		return zone.Resources{}, err
 	}
-	d.logw = zs.logw // recovery lines went to bootw; storage notes go to the daemon log
+	d.logw = zs.cfg.Log // recovery lines went to bootw; storage notes go to the daemon log
 	return zone.Resources{
 		Engine:     engine,
-		AfterBatch: func() { d.maybeCheckpoint(zs.logw) },
+		AfterBatch: d.maybeCheckpoint,
 		Close:      d.close,
 		Aux:        d,
 	}, nil
@@ -183,8 +138,8 @@ func (zs *zoneSet) factory(name string) (zone.Resources, error) {
 //     Zones that did recover stay live for the caller to close.
 func (zs *zoneSet) recoverZones() error {
 	boot := []*bootZone{{name: zone.DefaultZone}}
-	if zs.walRoot != "" {
-		entries, err := zs.fs.ReadDir(filepath.Join(zs.walRoot, "zones"))
+	if zs.cfg.WALDir != "" {
+		entries, err := zs.fs.ReadDir(filepath.Join(zs.cfg.WALDir, "zones"))
 		if err != nil && !os.IsNotExist(err) {
 			return err
 		}
@@ -241,8 +196,8 @@ func (zs *zoneSet) recoverZones() error {
 	zs.bootLogs = nil
 
 	for _, b := range boot {
-		io.WriteString(zs.logw, b.note)
-		zs.logw.Write(b.log.Bytes())
+		io.WriteString(zs.cfg.Log, b.note)
+		zs.cfg.Log.Write(b.log.Bytes())
 		if b.err != nil {
 			return fmt.Errorf("recover zone %q: %w", b.name, b.err)
 		}

@@ -15,50 +15,40 @@ import (
 	"time"
 
 	"radloc/internal/fusion"
-	"radloc/internal/httpingest"
-	"radloc/internal/obs"
 	"radloc/internal/scenario"
 	"radloc/internal/wal"
 	"radloc/internal/zone"
 )
 
-// testZoneBuild is the per-zone engine constructor the tests share —
-// the same shape run() wires, shrunk for speed.
-func testZoneBuild(t *testing.T) func(fusion.Journal, *obs.Registry) (*fusion.Engine, error) {
-	t.Helper()
+// testConfig is the node most tests share — Scenario A shrunk to 400
+// particles, seed 5, no tracks, no fsync — durable under walRoot
+// ("" = durability off).
+func testConfig(walRoot string) Config {
 	sc := scenario.A(50, false)
-	return func(j fusion.Journal, met *obs.Registry) (*fusion.Engine, error) {
-		fcfg := fusion.ScenarioConfig(sc, 5)
-		fcfg.Journal, fcfg.Metrics = j, met
-		fcfg.Localizer.NumParticles = 400
-		return fusion.NewEngine(fcfg)
+	sc.Params.NumParticles = 400
+	return Config{Scenario: sc, Seed: 5, NoTracks: true, WALDir: walRoot, Fsync: wal.FsyncNever}
+}
+
+// testNode boots testConfig(walRoot), adjusted by mods, and shuts it
+// down when the test ends.
+func testNode(t *testing.T, walRoot string, mods ...func(*Config)) *Node {
+	t.Helper()
+	cfg := testConfig(walRoot)
+	for _, mod := range mods {
+		mod(&cfg)
 	}
+	return bootNode(t, cfg)
 }
 
-// testZoneSet builds a recovered zoneSet over Scenario A; walRoot ""
-// disables durability.
-func testZoneSet(t *testing.T, walRoot string, ckptEvery int, idle time.Duration) *zoneSet {
+// bootNode boots a node from cfg and shuts it down when the test ends.
+func bootNode(t *testing.T, cfg Config) *Node {
 	t.Helper()
-	return zoneSetOf(t, zoneSetOptions{
-		WalRoot: walRoot, Fsync: wal.FsyncNever, CkptEvery: ckptEvery,
-		IdleAfter: idle, Metrics: obs.NewRegistry(), Log: io.Discard,
-		Build: testZoneBuild(t),
-	})
-}
-
-// zoneSetOf builds and recovers a zoneSet from o, closing it when the
-// test ends.
-func zoneSetOf(t *testing.T, o zoneSetOptions) *zoneSet {
-	t.Helper()
-	zs, err := newZoneSet(o)
+	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := zs.recoverZones(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = zs.close() })
-	return zs
+	t.Cleanup(func() { _ = n.Shutdown() })
+	return n
 }
 
 // zoneState exports a live zone's engine state on its event loop.
@@ -87,19 +77,9 @@ func engineOf(t *testing.T, z *zone.Zone) *fusion.Engine {
 	return eng
 }
 
-// zonedTestMux is the HTTP API over zs with a default admission
-// policy, serving zs's registry on /metrics.
-func zonedTestMux(zs *zoneSet) http.Handler {
-	return newMux(serveConfig{
-		Ingest:  httpingest.New(zs.pipe.Submit, httpingest.Options{}),
-		Zones:   zs,
-		Metrics: zs.reg,
-	})
-}
-
-func zonedTestServer(t *testing.T, zs *zoneSet) *httptest.Server {
+func zonedTestServer(t *testing.T, n *Node) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(zonedTestMux(zs))
+	srv := httptest.NewServer(n.Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -144,8 +124,8 @@ func withoutUptime(t *testing.T, body string) string {
 }
 
 func TestZoneRoutesEndToEnd(t *testing.T) {
-	zs := testZoneSet(t, "", 0, 0)
-	srv := zonedTestServer(t, zs)
+	n := testNode(t, "")
+	srv := zonedTestServer(t, n)
 
 	if resp := postJSON(t, srv.URL+"/zones/east/measurements",
 		`[{"sensorId":0,"cpm":9},{"sensorId":1,"cpm":7}]`); resp.StatusCode != http.StatusOK {
@@ -198,7 +178,7 @@ func TestZoneRoutesEndToEnd(t *testing.T) {
 	if code, _ := getBody(t, srv.URL+"/zones/west/snapshot"); code != http.StatusNotFound {
 		t.Fatalf("GET absent zone = %d, want 404", code)
 	}
-	if _, ok := zs.manager.Lookup("west"); ok {
+	if _, ok := n.zs.manager.Lookup("west"); ok {
 		t.Fatal("read route conjured zone west")
 	}
 	if code, _ := getBody(t, srv.URL+"/zones/NOPE/snapshot"); code != http.StatusBadRequest {
@@ -214,7 +194,8 @@ func TestZoneRoutesEndToEnd(t *testing.T) {
 
 func TestMultiZoneRecovery(t *testing.T) {
 	dir := t.TempDir()
-	zs := testZoneSet(t, dir, 5, 0)
+	ckptEvery5 := func(c *Config) { c.CheckpointEvery = 5 }
+	n := testNode(t, dir, ckptEvery5)
 	sc := scenario.A(50, false)
 	lines := seqMeasurementsNDJSON(t, sc, 3)
 
@@ -230,14 +211,14 @@ func TestMultiZoneRecovery(t *testing.T) {
 			if err := json.Unmarshal([]byte(line), &m); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := zs.manager.Submit(context.Background(), name, []fusion.Meas{m.Meas}); err != nil {
+			if _, err := n.zs.manager.Submit(context.Background(), name, []fusion.Meas{m.Meas}); err != nil {
 				t.Fatalf("submit to %s: %v", name, err)
 			}
 		}
-		z, _ := zs.manager.Lookup(name)
+		z, _ := n.zs.manager.Lookup(name)
 		engines[name] = engineOf(t, z)
 	}
-	if err := zs.close(); err != nil {
+	if err := n.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	// After close, each engine holds its flushed final state — what the
@@ -264,7 +245,7 @@ func TestMultiZoneRecovery(t *testing.T) {
 	}
 
 	// Reboot: every zone on disk comes back with identical state.
-	zs2 := testZoneSet(t, dir, 5, 0)
+	zs2 := testNode(t, dir, ckptEvery5).zs
 	names := zs2.manager.Names()
 	if len(names) != 3 || names[0] != "default" || names[1] != "east" || names[2] != "west" {
 		t.Fatalf("recovered zones = %v, want [default east west]", names)
@@ -282,7 +263,7 @@ func TestMultiZoneRecovery(t *testing.T) {
 }
 
 func TestPipeZoneRouting(t *testing.T) {
-	zs := testZoneSet(t, "", 0, 0)
+	zs := testNode(t, "").zs
 	input := strings.Join([]string{
 		`{"sensorId":0,"cpm":9}`,
 		`{"sensorId":1,"cpm":7}`,
@@ -326,11 +307,11 @@ func TestPipeDefaultZoneBitIdentical(t *testing.T) {
 	sc := scenario.A(50, false)
 	for _, steps := range []int{4, 150} {
 		t.Run(fmt.Sprintf("steps=%d", steps), func(t *testing.T) {
-			build := testZoneBuild(t)
+			cfg := testConfig("")
 			lines := seqMeasurementsNDJSON(t, sc, steps)
 			input := strings.Join(lines, "\n") + "\n"
 
-			ref, err := build(nil, nil)
+			ref, err := cfg.engine(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,7 +333,7 @@ func TestPipeDefaultZoneBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			zs := testZoneSet(t, "", 0, 0)
+			zs := bootNode(t, cfg).zs
 			var out strings.Builder
 			if err := servePipe(context.Background(), zs, strings.NewReader(input), &out, len(sc.Sensors)); err != nil {
 				t.Fatal(err)
@@ -375,8 +356,11 @@ func TestPipeDefaultZoneBitIdentical(t *testing.T) {
 // from each zone's final checkpoint) and readers must only ever see a
 // clean 200 or 404. Run with -race.
 func TestZoneChurnUnderConcurrentTraffic(t *testing.T) {
-	zs := testZoneSet(t, t.TempDir(), 5, 10*time.Millisecond)
-	srv := zonedTestServer(t, zs)
+	n := testNode(t, t.TempDir(), func(c *Config) {
+		c.CheckpointEvery = 5
+		c.ZoneIdle = 10 * time.Millisecond
+	})
+	srv := zonedTestServer(t, n)
 	zones := []string{"z0", "z1", "z2", "z3"}
 
 	stop := make(chan struct{})
@@ -425,7 +409,7 @@ func TestZoneChurnUnderConcurrentTraffic(t *testing.T) {
 		default:
 			// Force-evict everything idle at an hour in the future: every
 			// named zone qualifies the moment its mailbox drains.
-			zs.manager.SweepIdle(time.Now().Add(time.Hour))
+			n.zs.manager.SweepIdle(time.Now().Add(time.Hour))
 		}
 	}
 	close(stop)
