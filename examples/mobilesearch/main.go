@@ -2,7 +2,11 @@
 // area covered only by a sparse 3×3 fixed grid. The planner drives
 // toward the particle filter's probability mass and then orbits it for
 // parallax — the controlled-search strategy of the paper's reference
-// [18] — pinning the source far better than the fixed grid alone.
+// [18] — pinning the source far better than the fixed grid alone. A
+// fence with a gap at its top stands between the surveyor's start and
+// the source; it stops the vehicle but not the radiation, and the
+// planner routes the surveyor around it with A* (references [19],
+// [20]).
 //
 //	go run ./examples/mobilesearch
 package main
@@ -26,7 +30,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	planner := radloc.MobilePlanner{Speed: 4, Bounds: bounds}
+	fence, err := radloc.NewPolygon([]radloc.Vec{radloc.V(40, 0), radloc.V(44, 0), radloc.V(44, 80), radloc.V(40, 80)})
+	if err != nil {
+		log.Fatal(err)
+	}
+	planner := radloc.MobileAvoidingPlanner{
+		Inner:     radloc.MobilePlanner{Speed: 4, Bounds: bounds},
+		Obstacles: []radloc.Obstacle{{Shape: fence, Name: "fence"}},
+	}
 	if err := planner.Validate(); err != nil {
 		log.Fatal(err)
 	}

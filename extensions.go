@@ -93,6 +93,10 @@ type (
 	// population: approach the probability mass, then orbit it for
 	// parallax.
 	MobilePlanner = mobile.Planner
+	// MobileAvoidingPlanner wraps a MobilePlanner with A* obstacle
+	// avoidance: the surveyor detours around footprints it must not
+	// enter.
+	MobileAvoidingPlanner = mobile.AvoidingPlanner
 )
 
 // Posterior-predictive diagnostics.

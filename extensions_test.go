@@ -86,8 +86,8 @@ func TestPublicRecordReplay(t *testing.T) {
 	if err != nil || back != n {
 		t.Fatalf("replayed %d, %v", back, err)
 	}
-	if got := loc.Stats().Iterations; got != n {
-		t.Errorf("iterations = %d", got)
+	if st, err := loc.ExportState(); err != nil || st.Iter != n {
+		t.Errorf("iterations = %d, %v", st.Iter, err)
 	}
 }
 

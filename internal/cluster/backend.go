@@ -8,19 +8,6 @@ import (
 	"radloc/internal/wal"
 )
 
-// RecordAt pairs a WAL record with its global offset for transfer
-// between the stream decoder and the backend's apply path.
-type RecordAt struct {
-	// Off is the record's global WAL offset.
-	Off uint64
-	// Rec is the journaled measurement.
-	Rec wal.Record
-	// Refresh is the refresh entry journaled right after the record,
-	// nil when there is none; the standby journals it too and its
-	// engine adopts it instead of searching (fusion.Engine.Replay).
-	Refresh []wal.Estimate
-}
-
 // ErrPruned is returned by Backend.ReadWAL when the requested offset
 // has been pruned from disk — the replica is too far behind to catch
 // up from the log and must bootstrap from a state snapshot instead.
@@ -37,19 +24,24 @@ type Backend interface {
 	// Offset is the zone's WAL head: the offset the next accepted
 	// record will get. Everything below it has been applied.
 	Offset() uint64
-	// ReadWAL copies out records [from, from+max) in offset order, so
-	// the caller streams them without holding the zone. from below the
-	// oldest record still on disk fails with ErrPruned; from at or
-	// above the head returns nothing.
-	ReadWAL(from uint64, max int) ([]RecordAt, error)
+	// ReadWAL copies out the entries of records [from, from+max) in
+	// offset order, so the caller streams them without holding the
+	// zone. They are contiguous: entry i is the record at from+i, and
+	// a gap in the local log ends the read before it (or, at from
+	// itself, fails it with ErrPruned). from below the oldest record
+	// still on disk fails with ErrPruned; from at or above the head
+	// returns nothing.
+	ReadWAL(from uint64, max int) ([]wal.Entry, error)
 	// SetRetainFloor parks the WAL pruning floor at off: records at or
 	// above it survive pruning for a lagging replica's benefit.
 	SetRetainFloor(off uint64)
-	// ApplyRecords journals and applies replicated records in order.
-	// Each record's offset must equal the local head — a gap means the
-	// stream and local state diverged, which is an error, never a
-	// silent skip.
-	ApplyRecords(recs []RecordAt) error
+	// ApplyRecords journals and applies replicated entries in order,
+	// entry i as the record at first+i, refresh entries included, so
+	// the local engine adopts them instead of searching
+	// (fusion.Engine.Replay). first must equal the local head — a gap
+	// means the stream and local state diverged, which is an error,
+	// never a silent skip.
+	ApplyRecords(first uint64, entries []wal.Entry) error
 	// ExportState serializes the engine state and the WAL offset it
 	// covers, for bootstrapping a replica that is beyond log repair.
 	// The state is opaque to this package.

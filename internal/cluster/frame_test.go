@@ -9,85 +9,61 @@ import (
 	"radloc/internal/wal"
 )
 
-func TestFrameRecordRoundTrip(t *testing.T) {
-	rec := wal.Record{SensorID: 7, CPM: 42, Step: 3, Seq: 9}
-	line, err := EncodeRecord(123, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasSuffix(line, []byte("\n")) {
-		t.Fatalf("encoded frame not newline-terminated: %q", line)
-	}
-	f, err := DecodeFrame(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != FrameRecord || f.Off != 123 || f.Rec != rec {
-		t.Fatalf("round trip mangled frame: %+v", f)
-	}
-}
-
 func TestFrameControlRoundTrip(t *testing.T) {
-	for _, typ := range []string{FrameHello, FrameEnd} {
-		start := uint64(0)
-		if typ == FrameHello {
-			start = 7
-		}
-		line, err := EncodeControl(typ, 5, 999, start)
+	for _, want := range []Frame{
+		{Type: FrameHello, Epoch: 5, Head: 999, Start: 7, Off: 990},
+		{Type: FrameEnd, Epoch: 5, Head: 999},
+	} {
+		line, err := EncodeControl(want)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(line, []byte("\n")) {
+			t.Fatalf("encoded frame not newline-terminated: %q", line)
 		}
 		f, err := DecodeFrame(line)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Type != typ || f.Epoch != 5 || f.Head != 999 || f.Start != start {
-			t.Fatalf("%s round trip mangled frame: %+v", typ, f)
+		if f != want {
+			t.Fatalf("%s round trip mangled frame: %+v", want.Type, f)
 		}
 	}
-	if _, err := EncodeControl("record", 1, 1, 0); err == nil {
+	if _, err := EncodeControl(Frame{Type: "record", Head: 1}); err == nil {
 		t.Fatal("EncodeControl accepted a non-control type")
 	}
-	if _, err := EncodeControl(FrameEnd, 1, 1, 9); err == nil {
+	if _, err := EncodeControl(Frame{Type: FrameEnd, Head: 1, Start: 9}); err == nil {
 		t.Fatal("EncodeControl accepted an end frame with a start offset")
+	}
+	if _, err := EncodeControl(Frame{Type: FrameEnd, Head: 1, Off: 9}); err == nil {
+		t.Fatal("EncodeControl accepted an end frame with a first offset")
 	}
 }
 
 func TestDecodeFrameRejectsGarbage(t *testing.T) {
-	good, _ := EncodeRecord(1, wal.Record{SensorID: 1, CPM: 10})
+	walLine, err := wal.AppendEntry(nil, wal.Entry{Rec: wal.Record{SensorID: 1, CPM: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello, _ := EncodeControl(Frame{Type: FrameHello, Epoch: 1, Head: 1})
 	cases := map[string]string{
-		"empty":          "",
-		"whitespace":     "   ",
-		"not json":       "nonsense",
-		"wrong type":     `{"type":"gift","head":1}`,
-		"trailing data":  strings.TrimSuffix(string(good), "\n") + `{"x":1}`,
-		"no rec":         `{"off":1,"crc":0}`,
-		"control w/ rec": `{"type":"hello","epoch":1,"head":1,"off":2,"crc":3,"rec":{}}`,
-		"record w/ head": `{"off":1,"crc":0,"head":9,"rec":{"sensorId":1,"cpm":10}}`,
-		"unknown field":  `{"off":1,"crc":0,"rec":{"sensorId":1,"cpm":10},"extra":true}`,
-		"bad rec fields": `{"off":1,"crc":1405647756,"rec":{"sensorId":"one","cpm":10}}`,
+		"empty":            "",
+		"whitespace":       "   ",
+		"not json":         "nonsense",
+		"wrong type":       `{"type":"gift","head":1}`,
+		"no type":          `{"epoch":1,"head":1}`,
+		"trailing data":    strings.TrimSuffix(string(hello), "\n") + `{"x":1}`,
+		"a wal line":       string(walLine),
+		"end with start":   `{"type":"end","epoch":1,"head":1,"start":2}`,
+		"end with off":     `{"type":"end","epoch":1,"head":1,"off":2}`,
+		"unknown field":    `{"type":"hello","epoch":1,"head":1,"extra":true}`,
+		"retired crc":      `{"type":"hello","epoch":1,"head":1,"off":0,"crc":0}`,
+		"bad field values": `{"type":"hello","epoch":"one","head":1}`,
 	}
 	for name, in := range cases {
 		if _, err := DecodeFrame([]byte(in)); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: want ErrBadFrame, got %v", name, err)
 		}
-	}
-}
-
-func TestDecodeFrameCatchesBitFlips(t *testing.T) {
-	line, err := EncodeRecord(55, wal.Record{SensorID: 3, CPM: 17, Seq: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip one byte inside the rec payload: the CRC must catch it.
-	idx := bytes.Index(line, []byte(`"cpm":17`))
-	if idx < 0 {
-		t.Fatalf("payload not found in %q", line)
-	}
-	mut := append([]byte(nil), line...)
-	mut[idx+7] = '9'
-	if _, err := DecodeFrame(mut); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("bit flip not caught: %v", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"radloc/internal/wal"
 	"radloc/internal/zone"
 )
 
@@ -68,10 +69,11 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}{Self: n.opts.Self, Zones: n.Status(), Peers: n.peerViews()})
 }
 
-// handleWAL streams the zone's WAL suffix [from, from+max) as NDJSON
-// frames: hello, records, end. The from parameter doubles as the
-// replica's durable ack — everything below it is applied on the
-// standby — so it advances the retention floor before any bytes ship.
+// handleWAL streams the zone's WAL suffix [from, from+max): a hello
+// frame, the WAL lines of those records, and an end frame. The from
+// parameter doubles as the replica's durable ack — everything below it
+// is applied on the standby — so it advances the retention floor
+// before any bytes ship.
 func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 	name, ok := reqZone(w, r)
 	if !ok {
@@ -125,7 +127,7 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	recs, err := b.ReadWAL(from, max)
+	entries, err := b.ReadWAL(from, max)
 	if errors.Is(err, ErrPruned) {
 		http.Error(w, "offset pruned; bootstrap from /cluster/state", http.StatusGone)
 		return
@@ -136,12 +138,12 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 	}
 	n.recordAck(name, b, from)
 
-	// The records are copies: a standby that reads slowly holds only
+	// The entries are copies: a standby that reads slowly holds only
 	// this handler, never the zone. The head is read after the copy, so
 	// it is at least one past the last record sent.
 	head := b.Offset()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	line, err := EncodeControl(FrameHello, epoch, head, floor)
+	line, err := EncodeControl(Frame{Type: FrameHello, Epoch: epoch, Head: head, Start: floor, Off: from})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -150,14 +152,8 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sent uint64
-	for _, ra := range recs {
-		line, err := EncodeRecord(ra.Off, ra.Rec)
-		if err == nil && ra.Refresh != nil {
-			var ref []byte
-			if ref, err = EncodeRefresh(ra.Off, ra.Refresh); err == nil {
-				line = append(line, ref...)
-			}
-		}
+	for _, e := range entries {
+		line, err = wal.AppendEntry(line[:0], e)
 		if err == nil {
 			_, err = w.Write(line)
 		}
@@ -171,7 +167,7 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 		sent++
 	}
 	n.met.shipped.Add(sent)
-	if line, err := EncodeControl(FrameEnd, epoch, head, 0); err == nil {
+	if line, err := EncodeControl(Frame{Type: FrameEnd, Epoch: epoch, Head: head}); err == nil {
 		w.Write(line)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,11 +21,11 @@ import (
 type memBackend struct {
 	mu       sync.Mutex
 	base     uint64 // offset of recs[0]
-	recs     []wal.Record
+	recs     []wal.Entry
 	retain   uint64
 	boots    int
 	ckpts    int
-	diverged []wal.Record
+	diverged []wal.Entry
 }
 
 func newMemBackend(n int) *memBackend {
@@ -39,7 +40,7 @@ func (b *memBackend) append() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	off := b.base + uint64(len(b.recs))
-	b.recs = append(b.recs, wal.Record{SensorID: int(off % 7), CPM: 10 + int(off), Seq: off})
+	b.recs = append(b.recs, wal.Entry{Rec: wal.Record{SensorID: int(off % 7), CPM: 10 + int(off), Seq: off}})
 }
 
 func (b *memBackend) prune(keep uint64) {
@@ -66,15 +67,15 @@ func (b *memBackend) oldest() uint64 {
 	return b.base
 }
 
-func (b *memBackend) ReadWAL(from uint64, max int) ([]RecordAt, error) {
+func (b *memBackend) ReadWAL(from uint64, max int) ([]wal.Entry, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if from < b.base {
 		return nil, ErrPruned
 	}
-	var out []RecordAt
+	var out []wal.Entry
 	for off := from; off < b.base+uint64(len(b.recs)) && len(out) < max; off++ {
-		out = append(out, RecordAt{Off: off, Rec: b.recs[off-b.base]})
+		out = append(out, b.recs[off-b.base])
 	}
 	return out, nil
 }
@@ -91,27 +92,25 @@ func (b *memBackend) retainFloor() uint64 {
 	return b.retain
 }
 
-func (b *memBackend) ApplyRecords(recs []RecordAt) error {
+func (b *memBackend) ApplyRecords(first uint64, entries []wal.Entry) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, ra := range recs {
-		if want := b.base + uint64(len(b.recs)); ra.Off != want {
-			return fmt.Errorf("memBackend: offset gap: got %d, want %d", ra.Off, want)
-		}
-		b.recs = append(b.recs, ra.Rec)
+	if want := b.base + uint64(len(b.recs)); first != want {
+		return fmt.Errorf("memBackend: offset gap: got %d, want %d", first, want)
 	}
+	b.recs = append(b.recs, entries...)
 	return nil
 }
 
 type memSnapshot struct {
-	Base uint64       `json:"base"`
-	Recs []wal.Record `json:"recs"`
+	Base uint64      `json:"base"`
+	Recs []wal.Entry `json:"recs"`
 }
 
 func (b *memBackend) ExportState() ([]byte, uint64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	blob, err := json.Marshal(memSnapshot{Base: b.base, Recs: append([]wal.Record(nil), b.recs...)})
+	blob, err := json.Marshal(memSnapshot{Base: b.base, Recs: append([]wal.Entry(nil), b.recs...)})
 	return blob, b.base + uint64(len(b.recs)), err
 }
 
@@ -153,18 +152,11 @@ func (b *memBackend) QuarantineDiverged(floor uint64) (uint64, error) {
 	return moved, nil
 }
 
-// divergedRecs returns a copy of the quarantined records.
-func (b *memBackend) divergedRecs() []wal.Record {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]wal.Record(nil), b.diverged...)
-}
-
 // records returns a copy of the live record window.
-func (b *memBackend) records() []wal.Record {
+func (b *memBackend) records() []wal.Entry {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]wal.Record(nil), b.recs...)
+	return append([]wal.Entry(nil), b.recs...)
 }
 
 // fabric dispatches requests to in-process handlers by URL host, with
@@ -263,18 +255,6 @@ func zoneStatus(n *Node, zone string) (ZoneStatus, bool) {
 	return ZoneStatus{}, false
 }
 
-func sameRecords(a, b []wal.Record) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestReplicationCatchUpAndAck(t *testing.T) {
 	p := newTestPair(t, "z1", 25)
 
@@ -283,7 +263,7 @@ func TestReplicationCatchUpAndAck(t *testing.T) {
 		p.backA.append()
 	}
 	waitFor(t, "standby to follow the live tail", func() bool { return p.backB.Offset() == 35 })
-	if !sameRecords(p.backA.records(), p.backB.records()) {
+	if !reflect.DeepEqual(p.backA.records(), p.backB.records()) {
 		t.Fatal("standby records differ from primary")
 	}
 
@@ -383,7 +363,7 @@ func TestBootstrapAfterPrune(t *testing.T) {
 		p.backA.append()
 	}
 	waitFor(t, "post-bootstrap tail", func() bool { return backC.Offset() == 45 })
-	if backC.oldest() != 30 || !sameRecords(p.backA.records(), backC.records()) {
+	if backC.oldest() != 30 || !reflect.DeepEqual(p.backA.records(), backC.records()) {
 		t.Fatal("bootstrapped replica diverged from primary window")
 	}
 }
@@ -416,7 +396,7 @@ func TestPartitionedStandbyDegradesGracefully(t *testing.T) {
 		st, ok := zoneStatus(p.nodeB, "z1")
 		return ok && st.CaughtUp && p.backB.Offset() == 13
 	})
-	if !sameRecords(p.backA.records(), p.backB.records()) {
+	if !reflect.DeepEqual(p.backA.records(), p.backB.records()) {
 		t.Fatal("healed standby diverged")
 	}
 }
@@ -462,21 +442,21 @@ func TestApplyStreamGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := func(off uint64) string {
-		line, err := EncodeRecord(off, wal.Record{SensorID: 1, CPM: int(off)})
+		line, err := wal.AppendEntry(nil, wal.Entry{Rec: wal.Record{SensorID: 1, CPM: int(off)}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return string(line)
 	}
-	hello := func(epoch, head uint64) string {
-		line, _ := EncodeControl(FrameHello, epoch, head, 0)
+	hello := func(epoch, head, off uint64) string {
+		line, _ := EncodeControl(Frame{Type: FrameHello, Epoch: epoch, Head: head, Off: off})
 		return string(line)
 	}
 
 	// A hello below the standby's epoch is a stale primary: refused,
 	// nothing applied.
 	b := newMemBackend(0)
-	_, _, err = n.applyStream("z", b, 2, strings.NewReader(hello(1, 5)+rec(0)))
+	_, _, err = n.applyStream("z", b, 2, strings.NewReader(hello(1, 5, 0)+rec(0)))
 	if !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale hello err = %v", err)
 	}
@@ -486,8 +466,8 @@ func TestApplyStreamGuards(t *testing.T) {
 
 	// A higher hello epoch is adopted.
 	b = newMemBackend(0)
-	end, _ := EncodeControl(FrameEnd, 3, 1, 0)
-	if _, _, err = n.applyStream("z", b, 2, strings.NewReader(hello(3, 1)+rec(0)+string(end))); err != nil {
+	end, _ := EncodeControl(Frame{Type: FrameEnd, Epoch: 3, Head: 1})
+	if _, _, err = n.applyStream("z", b, 2, strings.NewReader(hello(3, 1, 0)+rec(0)+string(end))); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := zoneStatus(n, "z"); st.Epoch != 3 {
@@ -496,7 +476,7 @@ func TestApplyStreamGuards(t *testing.T) {
 
 	// A torn stream keeps its valid prefix and reports the tear.
 	b = newMemBackend(0)
-	applied, _, err := n.applyStream("z", b, 3, strings.NewReader(hello(3, 5)+rec(0)+rec(1)+rec(2)+`{"garbage`))
+	applied, _, err := n.applyStream("z", b, 3, strings.NewReader(hello(3, 5, 0)+rec(0)+rec(1)+rec(2)+`{"garbage`))
 	if err == nil {
 		t.Fatal("torn stream decoded cleanly")
 	}
@@ -504,14 +484,17 @@ func TestApplyStreamGuards(t *testing.T) {
 		t.Fatalf("torn stream prefix: applied %d, offset %d, want 3", applied, b.Offset())
 	}
 
-	// An offset gap stops the stream before the gap.
-	b = newMemBackend(0)
-	applied, _, err = n.applyStream("z", b, 3, strings.NewReader(hello(3, 5)+rec(0)+rec(2)))
-	if !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("offset gap err = %v", err)
-	}
-	if applied != 1 || b.Offset() != 1 {
-		t.Fatalf("gap prefix: applied %d, offset %d, want 1", applied, b.Offset())
+	// Offsets are positional from the hello's, so a hello that does
+	// not start at the standby's head is refused with nothing applied.
+	for _, off := range []uint64{1, 3} {
+		b = newMemBackend(2)
+		applied, _, err = n.applyStream("z", b, 3, strings.NewReader(hello(3, 5, off)+rec(off)+rec(off+1)+string(end)))
+		if !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("hello at offset %d for head 2: err = %v", off, err)
+		}
+		if applied != 0 || b.Offset() != 2 {
+			t.Fatalf("hello at offset %d for head 2: applied %d, offset %d, want nothing", off, applied, b.Offset())
+		}
 	}
 }
 

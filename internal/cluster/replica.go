@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +8,8 @@ import (
 	"net/http"
 	"net/url"
 	"time"
+
+	"radloc/internal/wal"
 )
 
 // applyChunk is how many decoded records are buffered before they are
@@ -194,15 +195,16 @@ func (n *Node) get(ctx context.Context, u string) (*http.Response, error) {
 	return n.opts.HTTP.RoundTrip(req)
 }
 
-// applyStream decodes one pull response and applies its records in
-// offset order. It is prefix-safe: a torn or corrupt frame stops the
-// stream with an error, but every chunk applied before it is kept —
-// exactly the discipline WAL-tail recovery uses. Returns the number
-// of records applied and the primary's head.
+// applyStream reads one pull response and applies its records in
+// offset order. The body between the hello and end frames is WAL
+// lines, read with the WAL's own scanner: a line that is not a reading
+// or the refresh entry right after one ends the stream. It is
+// prefix-safe: a torn or corrupt line stops the stream with an error,
+// but every chunk applied before it is kept — exactly the discipline
+// WAL-tail recovery uses. Returns the number of records applied and
+// the primary's head.
 func (n *Node) applyStream(zone string, b Backend, epoch uint64, body io.Reader) (applied uint64, head uint64, err error) {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-
+	sc := wal.NewScanner(body)
 	if !sc.Scan() {
 		return 0, 0, fmt.Errorf("%w: stream ended before hello", ErrBadFrame)
 	}
@@ -217,92 +219,80 @@ func (n *Node) applyStream(zone string, b Backend, epoch uint64, body io.Reader)
 		n.met.fenced()
 		return 0, 0, fmt.Errorf("%w: hello at epoch %d, zone at %d", ErrStaleEpoch, hello.Epoch, epoch)
 	}
+	local := b.Offset()
+	if hello.Epoch > epoch && local > hello.Start {
+		// The primary is ahead of us by at least one promotion, and we
+		// hold records at or above the divergence floor it sent: they
+		// were written under our old epoch but never shipped —
+		// replaying the new history over them would silently fork
+		// state. Refuse the stream and let the pull loop quarantine +
+		// re-seed.
+		return 0, 0, &divergedError{Zone: zone, Floor: hello.Start, Local: local, Epoch: hello.Epoch}
+	}
+	if hello.Off != local {
+		// Offsets are positional from the hello's: a stream that does
+		// not start at our head would apply records at the wrong ones.
+		return 0, 0, fmt.Errorf("%w: stream starts at offset %d, local head %d", ErrBadFrame, hello.Off, local)
+	}
 	if hello.Epoch > epoch {
-		// The primary is ahead of us by at least one promotion. Before
-		// adopting its epoch, check the divergence floor it sent: any
-		// local records at or above it were written under our old
-		// epoch but never shipped — replaying the new history over
-		// them would silently fork state. Refuse the stream and let
-		// the pull loop quarantine + re-seed.
-		if local := b.Offset(); local > hello.Start {
-			return 0, 0, &divergedError{Zone: zone, Floor: hello.Start, Local: local, Epoch: hello.Epoch}
-		}
 		n.adoptEpoch(zone, hello.Epoch, hello.Start)
 	}
 	head = hello.Head
 
-	var chunk []RecordAt
+	first := local
+	var chunk []wal.Entry
 	flush := func() error {
 		if len(chunk) == 0 {
 			return nil
 		}
-		if err := b.ApplyRecords(chunk); err != nil {
+		if err := b.ApplyRecords(first, chunk); err != nil {
 			return err
 		}
 		applied += uint64(len(chunk))
+		first += uint64(len(chunk))
 		chunk = chunk[:0]
 		return nil
 	}
-	want := b.Offset()
 	for sc.Scan() {
-		f, err := DecodeFrame(sc.Bytes())
-		if err != nil {
-			ferr := flush()
-			if ferr != nil {
-				return applied, head, ferr
-			}
-			return applied, head, err
-		}
-		switch f.Type {
-		case FrameRecord:
-			if f.Off != want {
-				ferr := flush()
-				if ferr != nil {
-					return applied, head, ferr
-				}
-				return applied, head, fmt.Errorf("%w: offset gap: got %d, want %d", ErrBadFrame, f.Off, want)
-			}
-			// A full chunk is applied only when the next record arrives,
-			// so a refresh frame always finds its record still here.
+		if rec, ok := sc.Reading(); ok {
+			// A full chunk is applied only when the next reading
+			// arrives, so a refresh entry always finds its reading
+			// still here.
 			if len(chunk) >= applyChunk {
 				if err := flush(); err != nil {
 					return applied, head, err
 				}
 			}
-			want++
-			chunk = append(chunk, RecordAt{Off: f.Off, Rec: f.Rec})
-		case FrameRefresh:
-			if n := len(chunk); n == 0 || chunk[n-1].Off != f.Off || chunk[n-1].Refresh != nil {
-				ferr := flush()
-				if ferr != nil {
-					return applied, head, ferr
-				}
-				return applied, head, fmt.Errorf("%w: refresh at off %d follows no record of its own", ErrBadFrame, f.Off)
-			}
-			chunk[len(chunk)-1].Refresh = f.Refresh
-		case FrameEnd:
-			if err := flush(); err != nil {
-				return applied, head, err
-			}
-			if f.Head > head {
-				head = f.Head
-			}
-			return applied, head, nil
-		default:
-			ferr := flush()
-			if ferr != nil {
-				return applied, head, ferr
-			}
+			chunk = append(chunk, wal.Entry{Rec: rec})
+			continue
+		}
+		if ests, ok := sc.Refresh(); ok {
+			chunk[len(chunk)-1].Refresh = append([]wal.Estimate{}, ests...)
+			continue
+		}
+		if err := flush(); err != nil {
+			return applied, head, err
+		}
+		f, err := DecodeFrame(sc.Bytes())
+		switch {
+		case err != nil:
+			return applied, head, err
+		case f.Type != FrameEnd:
 			return applied, head, fmt.Errorf("%w: unexpected %q frame mid-stream", ErrBadFrame, f.Type)
 		}
+		return applied, max(head, f.Head), nil
 	}
 	if err := flush(); err != nil {
 		return applied, head, err
 	}
-	if scerr := sc.Err(); scerr != nil {
-		return applied, head, scerr
+	switch err := sc.Err(); err {
+	case nil:
+		return applied, head, fmt.Errorf("%w: stream ended without end frame", ErrBadFrame)
+	case io.ErrUnexpectedEOF:
+		return applied, head, fmt.Errorf("%w: stream torn mid-line", ErrBadFrame)
+	default:
+		return applied, head, err
 	}
-	return applied, head, fmt.Errorf("%w: stream ended without end frame", ErrBadFrame)
 }
 
 // bootstrap replaces the zone's local state with a snapshot fetched

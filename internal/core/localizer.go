@@ -63,7 +63,7 @@ type Localizer struct {
 	stream *rng.Stream
 	iter   int
 
-	// Runtime statistics (see Stats).
+	// Runtime statistics, exported with the state.
 	lastSubset  int
 	subsetTotal int64
 	emptyIters  int
@@ -149,9 +149,6 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 	}
 	return l, nil
 }
-
-// Config returns the effective (defaulted) configuration.
-func (l *Localizer) Config() Config { return l.cfg }
 
 // Particles returns a copy of the current particle population. Hot
 // loops that read the population every step should use AppendParticles

@@ -191,7 +191,7 @@ func TestFusionRangeLimitsUpdates(t *testing.T) {
 
 	moved := 0
 	for i := range before {
-		far := before[i].Pos.Dist(sen.Pos) > l.Config().FusionRange
+		far := before[i].Pos.Dist(sen.Pos) > cfg.withDefaults().FusionRange
 		changed := !before[i].Pos.Eq(after[i].Pos) || before[i].Strength != after[i].Strength
 		if far && changed {
 			t.Fatalf("particle %d outside fusion range changed: %v → %v", i, before[i], after[i])
@@ -332,7 +332,7 @@ func TestIterationsCount(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		l.Ingest(sen, 5)
 	}
-	if got := l.Stats().Iterations; got != 7 {
+	if got := exportState(t, l).Iter; got != 7 {
 		t.Errorf("Iterations = %d, want 7", got)
 	}
 }

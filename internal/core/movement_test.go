@@ -106,7 +106,7 @@ func TestMovementOnlyAppliedWithinFusionRange(t *testing.T) {
 	l.Ingest(sen, 5)
 	after := l.Particles()
 	for i := range before {
-		if before[i].Pos.Dist(sen.Pos) > l.Config().FusionRange {
+		if before[i].Pos.Dist(sen.Pos) > cfg.withDefaults().FusionRange {
 			if !before[i].Pos.Eq(after[i].Pos) {
 				t.Fatalf("particle %d outside fusion range was moved", i)
 			}

@@ -103,9 +103,8 @@ func TestSoakLongRunStability(t *testing.T) {
 		if math.Abs(mass-1) > 1e-6 {
 			t.Fatalf("step %d: mass drifted to %v", step, mass)
 		}
-		s := l.Stats()
-		if s.EffectiveSampleSize < 100 {
-			t.Fatalf("step %d: ESS collapsed to %v", step, s.EffectiveSampleSize)
+		if ess := kishESS(t, l); ess < 100 {
+			t.Fatalf("step %d: ESS collapsed to %v", step, ess)
 		}
 		if step >= 19 {
 			ests := l.Estimates()

@@ -86,7 +86,7 @@ func TestStateRoundTripDeterminism(t *testing.T) {
 		orig.Ingest(r.sen, r.cpm)
 		restored.Ingest(r.sen, r.cpm)
 	}
-	if a, b := orig.Stats().Iterations, restored.Stats().Iterations; a != b {
+	if a, b := exportState(t, orig).Iter, exportState(t, restored).Iter; a != b {
 		t.Fatalf("iterations diverged: %d vs %d", a, b)
 	}
 	a, b := orig.Particles(), restored.Particles()

@@ -9,21 +9,50 @@ import (
 	"radloc/internal/sensor"
 )
 
+// exportState is l's exported state; the iteration counters the
+// stats tests read live there.
+func exportState(t *testing.T, l *Localizer) State {
+	t.Helper()
+	st, err := l.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// kishESS is Kish's effective sample size (Σw)²/Σw² of l's current
+// weights: near the population size for healthy diversity, collapsing
+// toward 1 on degeneracy.
+func kishESS(t *testing.T, l *Localizer) float64 {
+	t.Helper()
+	var sum, sum2 float64
+	for _, w := range exportState(t, l).Ws {
+		if w > 0 {
+			sum += w
+			sum2 += w * w
+		}
+	}
+	if sum2 == 0 {
+		return 0
+	}
+	return sum * sum / sum2
+}
+
 func TestStatsFreshLocalizer(t *testing.T) {
 	l, err := NewLocalizer(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := l.Stats()
-	if s.Iterations != 0 || s.LastSubsetSize != 0 || s.MeanSubsetSize != 0 || s.EmptyIterations != 0 {
-		t.Errorf("fresh stats: %+v", s)
+	s := exportState(t, l)
+	if s.Iter != 0 || s.LastSubset != 0 || s.SubsetTotal != 0 || s.EmptyIters != 0 {
+		t.Errorf("fresh counters: iter %d, last subset %d, subset total %d, empty %d", s.Iter, s.LastSubset, s.SubsetTotal, s.EmptyIters)
 	}
 	// Uniform weights: ESS equals the population size.
-	if math.Abs(s.EffectiveSampleSize-2000) > 1 {
-		t.Errorf("fresh ESS = %v, want ≈2000", s.EffectiveSampleSize)
+	if ess := kishESS(t, l); math.Abs(ess-2000) > 1 {
+		t.Errorf("fresh ESS = %v, want ≈2000", ess)
 	}
-	if s.SensorsSeen != 0 {
-		t.Errorf("SensorsSeen = %d without MaxSensorGap", s.SensorsSeen)
+	if len(s.SensorPos) != 0 {
+		t.Errorf("%d sensors registered without MaxSensorGap", len(s.SensorPos))
 	}
 }
 
@@ -38,22 +67,22 @@ func TestStatsTrackIterations(t *testing.T) {
 	outOfArea := sensor.Sensor{ID: 1, Pos: geometry.V(-500, -500), Efficiency: 1e-4, Background: 5}
 
 	l.Ingest(inRange, 5)
-	s := l.Stats()
-	if s.Iterations != 1 || s.LastSubsetSize == 0 || s.EmptyIterations != 0 {
-		t.Errorf("after one in-range ingest: %+v", s)
+	s := exportState(t, l)
+	if s.Iter != 1 || s.LastSubset == 0 || s.EmptyIters != 0 {
+		t.Errorf("after one in-range ingest: iter %d, last subset %d, empty %d", s.Iter, s.LastSubset, s.EmptyIters)
 	}
-	first := s.LastSubsetSize
+	first := s.LastSubset
 
 	l.Ingest(outOfArea, 5)
-	s = l.Stats()
-	if s.Iterations != 2 || s.LastSubsetSize != 0 || s.EmptyIterations != 1 {
-		t.Errorf("after empty-disc ingest: %+v", s)
+	s = exportState(t, l)
+	if s.Iter != 2 || s.LastSubset != 0 || s.EmptyIters != 1 {
+		t.Errorf("after empty-disc ingest: iter %d, last subset %d, empty %d", s.Iter, s.LastSubset, s.EmptyIters)
 	}
-	if want := float64(first) / 2; math.Abs(s.MeanSubsetSize-want) > 1e-9 {
-		t.Errorf("MeanSubsetSize = %v, want %v", s.MeanSubsetSize, want)
+	if s.SubsetTotal != int64(first) {
+		t.Errorf("subset total = %d, want %d", s.SubsetTotal, first)
 	}
-	if s.SensorsSeen != 2 {
-		t.Errorf("SensorsSeen = %d, want 2", s.SensorsSeen)
+	if len(s.SensorPos) != 2 {
+		t.Errorf("%d sensors registered, want 2", len(s.SensorPos))
 	}
 }
 
@@ -74,11 +103,10 @@ func TestStatsSubsetShrinks(t *testing.T) {
 	// from the source should capture almost nothing.
 	far := sensor.Sensor{ID: 99, Pos: geometry.V(5, 5), Efficiency: 1e-4, Background: 5}
 	l.Ingest(far, 5)
-	s := l.Stats()
-	if s.LastSubsetSize > 300 {
-		t.Errorf("far-sensor subset = %d after convergence, want small", s.LastSubsetSize)
+	if last := exportState(t, l).LastSubset; last > 300 {
+		t.Errorf("far-sensor subset = %d after convergence, want small", last)
 	}
-	if s.EffectiveSampleSize < 100 {
-		t.Errorf("ESS collapsed to %v", s.EffectiveSampleSize)
+	if ess := kishESS(t, l); ess < 100 {
+		t.Errorf("ESS collapsed to %v", ess)
 	}
 }

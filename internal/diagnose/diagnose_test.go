@@ -71,7 +71,7 @@ func TestCheckDetectsObstacleShadow(t *testing.T) {
 	sources := []radiation.Source{{Pos: geometry.V(30, 50), Strength: 100}}
 	// A thick wall east of the source shadows the sensors behind it.
 	wall := radiation.Obstacle{
-		Shape: geometry.NewRect(geometry.V(45, 20), geometry.V(50, 80)).Polygon(),
+		Shape: geometry.MustPolygon([]geometry.Vec{geometry.V(45, 20), geometry.V(50, 20), geometry.V(50, 80), geometry.V(45, 80)}),
 		Mu:    radiation.Concrete.MustMu(),
 		Name:  "hidden wall",
 	}

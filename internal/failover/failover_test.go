@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"radloc/internal/clock"
 	"radloc/internal/cluster"
 	"radloc/internal/obs"
+	"radloc/internal/wal"
 )
 
 // stubBackend is a minimal cluster.Backend: an offset counter with
@@ -29,12 +31,12 @@ func (b *stubBackend) Offset() uint64 {
 	defer b.mu.Unlock()
 	return b.off
 }
-func (b *stubBackend) SetRetainFloor(uint64)                           {}
-func (b *stubBackend) ReadWAL(uint64, int) ([]cluster.RecordAt, error) { return nil, nil }
-func (b *stubBackend) ApplyRecords(recs []cluster.RecordAt) error {
+func (b *stubBackend) SetRetainFloor(uint64)                    {}
+func (b *stubBackend) ReadWAL(uint64, int) ([]wal.Entry, error) { return nil, nil }
+func (b *stubBackend) ApplyRecords(_ uint64, entries []wal.Entry) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.off += uint64(len(recs))
+	b.off += uint64(len(entries))
 	return nil
 }
 func (b *stubBackend) ExportState() ([]byte, uint64, error) {
@@ -86,8 +88,9 @@ func (f *fakeNet) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // primaryHandler fakes the dead-peer-to-be: /readyz is fine and
-// /cluster/wal serves an empty stream claiming the given head, so the
-// standby learns exactly how far behind it is.
+// /cluster/wal serves an empty stream, starting where the standby
+// asked, that claims the given head, so the standby learns exactly
+// how far behind it is.
 func primaryHandler(t *testing.T, epoch, head uint64, routes cluster.Routes) http.Handler {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -98,11 +101,15 @@ func primaryHandler(t *testing.T, epoch, head uint64, routes cluster.Routes) htt
 		json.NewEncoder(w).Encode(routes)
 	})
 	mux.HandleFunc("GET /cluster/wal/{zone}", func(w http.ResponseWriter, r *http.Request) {
-		hello, err := cluster.EncodeControl(cluster.FrameHello, epoch, head, 0)
+		from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 		if err != nil {
 			t.Error(err)
 		}
-		end, err := cluster.EncodeControl(cluster.FrameEnd, epoch, head, 0)
+		hello, err := cluster.EncodeControl(cluster.Frame{Type: cluster.FrameHello, Epoch: epoch, Head: head, Off: from})
+		if err != nil {
+			t.Error(err)
+		}
+		end, err := cluster.EncodeControl(cluster.Frame{Type: cluster.FrameEnd, Epoch: epoch, Head: head})
 		if err != nil {
 			t.Error(err)
 		}

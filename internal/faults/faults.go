@@ -17,7 +17,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"radloc/internal/rng"
 )
@@ -128,9 +127,8 @@ func (s Spec) Validate(numSensors int) error {
 // Injector applies a fault plan deterministically. A nil *Injector is
 // valid and passes every reading through untouched.
 type Injector struct {
-	seed   uint64
-	table  [][]Spec // specs per sensor index
-	faulty []int    // sorted indices with ≥ 1 spec
+	seed  uint64
+	table [][]Spec // specs per sensor index
 }
 
 // NewInjector validates the specs and builds an injector for a
@@ -146,21 +144,7 @@ func NewInjector(numSensors int, seed uint64, specs []Spec) (*Injector, error) {
 		}
 		in.table[s.Sensor] = append(in.table[s.Sensor], s)
 	}
-	for i, specs := range in.table {
-		if len(specs) > 0 {
-			in.faulty = append(in.faulty, i)
-		}
-	}
-	sort.Ints(in.faulty)
 	return in, nil
-}
-
-// Faulty returns the sorted indices of sensors with at least one fault.
-func (in *Injector) Faulty() []int {
-	if in == nil {
-		return nil
-	}
-	return append([]int(nil), in.faulty...)
 }
 
 // splitmix64 finalizer: decorrelates nearby seeds/indices/steps.
@@ -246,13 +230,4 @@ func (in *Injector) Transform(sensor, step, cpm int) int {
 		cpm = 0
 	}
 	return cpm
-}
-
-// Apply is Delivered + Transform in one call: it returns the possibly
-// transformed reading and whether it is delivered at all.
-func (in *Injector) Apply(sensor, step, cpm int) (int, bool) {
-	if !in.Delivered(sensor, step) {
-		return 0, false
-	}
-	return in.Transform(sensor, step, cpm), true
 }

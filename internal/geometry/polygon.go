@@ -61,24 +61,6 @@ func (p Polygon) Bounds() Rect { return p.bbox }
 // Area returns the enclosed area of p.
 func (p Polygon) Area() float64 { return math.Abs(signedArea(p.verts)) }
 
-// Centroid returns the area centroid of p.
-func (p Polygon) Centroid() Vec {
-	var cx, cy, a float64
-	n := len(p.verts)
-	for i := 0; i < n; i++ {
-		v, w := p.verts[i], p.verts[(i+1)%n]
-		cr := v.Cross(w)
-		a += cr
-		cx += (v.X + w.X) * cr
-		cy += (v.Y + w.Y) * cr
-	}
-	a /= 2
-	if math.Abs(a) < Eps {
-		return p.verts[0]
-	}
-	return Vec{X: cx / (6 * a), Y: cy / (6 * a)}
-}
-
 // Edges returns the edge segments of p in ring order.
 func (p Polygon) Edges() []Segment {
 	n := len(p.verts)

@@ -24,9 +24,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the y extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Contains reports whether p lies in r (boundary inclusive, within Eps).
 func (r Rect) Contains(p Vec) bool {
 	return p.X >= r.Min.X-Eps && p.X <= r.Max.X+Eps &&
@@ -72,14 +69,4 @@ func (r Rect) IntersectsSegment(s Segment) bool {
 		clip(d.X, r.Max.X-s.A.X) &&
 		clip(-d.Y, s.A.Y-r.Min.Y) &&
 		clip(d.Y, r.Max.Y-s.A.Y)
-}
-
-// Polygon returns r as a 4-vertex polygon.
-func (r Rect) Polygon() Polygon {
-	return MustPolygon([]Vec{
-		r.Min,
-		{X: r.Max.X, Y: r.Min.Y},
-		r.Max,
-		{X: r.Min.X, Y: r.Max.Y},
-	})
 }

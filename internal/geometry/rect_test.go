@@ -19,9 +19,6 @@ func TestRectGeometry(t *testing.T) {
 	if got := r.Height(); !almostEq(got, 2, 1e-12) {
 		t.Errorf("Height = %v", got)
 	}
-	if got := r.Area(); !almostEq(got, 8, 1e-12) {
-		t.Errorf("Area = %v", got)
-	}
 }
 
 func TestRectContains(t *testing.T) {
@@ -70,15 +67,5 @@ func TestRectIntersectsSegment(t *testing.T) {
 				t.Errorf("IntersectsSegment = %v, want %v", got, tt.want)
 			}
 		})
-	}
-}
-
-func TestRectPolygon(t *testing.T) {
-	p := NewRect(V(0, 0), V(3, 2)).Polygon()
-	if got := p.Area(); !almostEq(got, 6, 1e-9) {
-		t.Errorf("Polygon().Area = %v, want 6", got)
-	}
-	if !p.Contains(V(1, 1)) {
-		t.Error("rect polygon should contain interior point")
 	}
 }

@@ -13,7 +13,7 @@ import (
 func wallObstacle() radiation.Obstacle {
 	// A vertical wall splitting the area, with a gap at the top.
 	return radiation.Obstacle{
-		Shape: geometry.NewRect(geometry.V(48, 0), geometry.V(52, 80)).Polygon(),
+		Shape: geometry.MustPolygon([]geometry.Vec{geometry.V(48, 0), geometry.V(52, 0), geometry.V(52, 80), geometry.V(48, 80)}),
 		Mu:    0.1,
 		Name:  "wall",
 	}

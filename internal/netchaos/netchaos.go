@@ -82,16 +82,6 @@ var ErrPartitioned = errors.New("netchaos: network partitioned")
 // ErrReset is the synthetic connection-reset error.
 var ErrReset = errors.New("netchaos: connection reset by peer")
 
-// Stats counts what the injector did.
-type Stats struct {
-	Forwarded   uint64 `json:"forwarded"`
-	Dropped     uint64 `json:"dropped"`
-	RespDropped uint64 `json:"respDropped"`
-	Partitioned uint64 `json:"partitioned"`
-	Resets      uint64 `json:"resets"`
-	Injected5xx uint64 `json:"injected5xx"`
-}
-
 // RoundTripper injects faults in front of a base http.RoundTripper.
 // Safe for concurrent use.
 type RoundTripper struct {
@@ -99,9 +89,8 @@ type RoundTripper struct {
 	cfg   Config
 	start time.Time
 
-	mu    sync.Mutex
-	rng   *rng.Stream
-	stats Stats
+	mu  sync.Mutex
+	rng *rng.Stream
 }
 
 // New wraps base with fault injection. The start of the fault
@@ -121,13 +110,6 @@ func New(base http.RoundTripper, cfg Config) *RoundTripper {
 	}
 }
 
-// Stats returns a copy of the fault counters.
-func (t *RoundTripper) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
-}
-
 // Partitioned reports whether the timeline currently sits inside a
 // partition window.
 func (t *RoundTripper) Partitioned() bool {
@@ -143,9 +125,6 @@ func (t *RoundTripper) Partitioned() bool {
 // RoundTrip implements http.RoundTripper.
 func (t *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	if t.Partitioned() {
-		t.mu.Lock()
-		t.stats.Partitioned++
-		t.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrPartitioned, req.URL.Host)
 	}
 	t.mu.Lock()
@@ -156,14 +135,6 @@ func (t *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	var jitter time.Duration
 	if t.cfg.Jitter > 0 {
 		jitter = time.Duration(t.rng.Float64() * float64(t.cfg.Jitter))
-	}
-	switch {
-	case reset:
-		t.stats.Resets++
-	case drop:
-		t.stats.Dropped++
-	case inject5xx:
-		t.stats.Injected5xx++
 	}
 	t.mu.Unlock()
 	switch {
@@ -191,13 +162,7 @@ func (t *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 		// The server has fully processed the request; lose the answer.
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
-		t.mu.Lock()
-		t.stats.RespDropped++
-		t.mu.Unlock()
 		return nil, ErrRespDropped
 	}
-	t.mu.Lock()
-	t.stats.Forwarded++
-	t.mu.Unlock()
 	return resp, nil
 }

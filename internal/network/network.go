@@ -12,7 +12,6 @@
 package network
 
 import (
-	"fmt"
 	"sort"
 
 	"radloc/internal/rng"
@@ -31,25 +30,6 @@ type Event struct {
 type Plan struct {
 	Events []Event
 	Steps  int
-}
-
-// Validate checks internal consistency (monotone arrivals, sane
-// indices). Useful in tests and when loading plans from configs.
-func (p Plan) Validate(numSensors int) error {
-	prev := -1.0
-	for i, e := range p.Events {
-		if e.SensorIndex < 0 || e.SensorIndex >= numSensors {
-			return fmt.Errorf("network: event %d has sensor index %d out of [0,%d)", i, e.SensorIndex, numSensors)
-		}
-		if e.EmitStep < 0 || e.EmitStep >= p.Steps {
-			return fmt.Errorf("network: event %d has emit step %d out of [0,%d)", i, e.EmitStep, p.Steps)
-		}
-		if e.Arrival < prev {
-			return fmt.Errorf("network: event %d arrives at %v before predecessor %v", i, e.Arrival, prev)
-		}
-		prev = e.Arrival
-	}
-	return nil
 }
 
 // EventsInStep returns the (contiguous) events whose arrival lies in

@@ -14,9 +14,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -64,7 +66,38 @@ type chaosResult struct {
 	ingested uint64
 	ingress  fusion.IngressStats
 	client   transport.Stats
-	faults   netchaos.Stats
+	faults   faultCounts
+}
+
+// faultCounts is what a netchaos injector did to the requests that
+// passed it, read off the errors it returned.
+type faultCounts struct {
+	Forwarded, Dropped, RespDropped, Partitioned uint64
+}
+
+// faultTally wraps a netchaos injector and counts its outcomes.
+type faultTally struct {
+	rt http.RoundTripper
+	mu sync.Mutex
+	n  faultCounts
+}
+
+// RoundTrip implements http.RoundTripper.
+func (f *faultTally) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := f.rt.RoundTrip(req)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case err == nil:
+		f.n.Forwarded++
+	case errors.Is(err, netchaos.ErrDropped):
+		f.n.Dropped++
+	case errors.Is(err, netchaos.ErrRespDropped):
+		f.n.RespDropped++
+	case errors.Is(err, netchaos.ErrPartitioned):
+		f.n.Partitioned++
+	}
+	return resp, err
 }
 
 // runChaosDelivery pushes the workload through spool → client →
@@ -80,9 +113,9 @@ func runChaosDelivery(t *testing.T, withFaults, restart bool) chaosResult {
 	ing := n.ingest
 
 	var rt http.RoundTripper = localRT{ing}
-	var faults *netchaos.RoundTripper
+	var faults *faultTally
 	if withFaults {
-		faults = netchaos.New(rt, netchaos.Config{
+		faults = &faultTally{rt: netchaos.New(rt, netchaos.Config{
 			Seed:         99,
 			Clock:        clk,
 			DropProb:     0.35,
@@ -90,7 +123,7 @@ func runChaosDelivery(t *testing.T, withFaults, restart bool) chaosResult {
 			Latency:      40 * time.Millisecond,
 			Jitter:       20 * time.Millisecond,
 			Partitions:   []netchaos.Window{{From: time.Second, To: 11 * time.Second}},
-		})
+		})}
 		rt = faults
 	}
 	newClient := func(name string) *transport.Client {
@@ -168,7 +201,7 @@ func runChaosDelivery(t *testing.T, withFaults, restart bool) chaosResult {
 	s := def.Snapshot()
 	res := chaosResult{ingested: s.Ingested, ingress: ing.Stats(), client: client.Stats()}
 	if faults != nil {
-		res.faults = faults.Stats()
+		res.faults = faults.n
 	}
 	// The delivery counters are the one part of the state that SHOULD
 	// differ (they count absorbed duplicates); normalize before the

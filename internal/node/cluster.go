@@ -53,19 +53,26 @@ func (b *zoneBackend) Offset() uint64 {
 // records; it never escapes.
 var errStopRead = errors.New("stop")
 
-// ReadWAL implements cluster.Backend by copying up to max records out
-// of the zone's log on its event loop.
-func (b *zoneBackend) ReadWAL(from uint64, max int) ([]cluster.RecordAt, error) {
-	var out []cluster.RecordAt
+// ReadWAL implements cluster.Backend by copying up to max entries out
+// of the zone's log on its event loop. Replay numbers records by their
+// position in each segment, so a gap between segments (a quarantined
+// segment, a log re-aligned past a checkpoint) is the only place the
+// offsets jump; the read stops there, and a pull starting in the gap
+// is told to bootstrap.
+func (b *zoneBackend) ReadWAL(from uint64, max int) ([]wal.Entry, error) {
+	var out []wal.Entry
 	err := b.z.Do(context.TODO(), func(*fusion.Engine) error {
 		if from < b.d.log.Oldest() {
 			return cluster.ErrPruned
 		}
 		err := b.d.log.Replay(from, func(off uint64, e wal.Entry) error {
-			if len(out) >= max {
+			switch {
+			case off != from+uint64(len(out)) && len(out) == 0:
+				return cluster.ErrPruned
+			case off != from+uint64(len(out)), len(out) >= max:
 				return errStopRead
 			}
-			out = append(out, cluster.RecordAt{Off: off, Rec: e.Rec, Refresh: e.Refresh})
+			out = append(out, e)
 			return nil
 		})
 		if err == errStopRead {
@@ -87,11 +94,11 @@ func (b *zoneBackend) SetRetainFloor(off uint64) {
 }
 
 // ApplyRecords implements cluster.Backend by handing the replicated
-// records to the write pipeline's lower half — the same journal-then-
+// entries to the write pipeline's lower half — the same journal-then-
 // replay path boot recovery uses, which is what makes a caught-up
 // standby bit-identical to its primary.
-func (b *zoneBackend) ApplyRecords(recs []cluster.RecordAt) error {
-	return b.zs.pipe.Apply(b.z, recs)
+func (b *zoneBackend) ApplyRecords(first uint64, entries []wal.Entry) error {
+	return b.zs.pipe.Apply(b.z, first, entries)
 }
 
 // ExportState implements cluster.Backend.

@@ -354,6 +354,79 @@ func TestClusterStandbyAdoptsRefreshes(t *testing.T) {
 	}
 }
 
+// TestClusterStreamIsTheWAL: the body a primary serves between the
+// hello and end frames of a pull is its own WAL's bytes for the pulled
+// range, refresh entries included, so the standby reads the segment
+// grammar itself and no second codec sits on the wire.
+func TestClusterStreamIsTheWAL(t *testing.T) {
+	fab := nodetest.NewFabric()
+	routes := cluster.Routes{Zones: map[string]cluster.Route{"default": {Primary: "http://a"}}}
+	a := newClusterTestNode(t, fab, "a", &routes)
+	postRounds(t, a.mux, "http://a", scenario.A(50, false), 0, 5)
+
+	// The primary's segment bytes by offset: a reading's line, then
+	// its refresh entry's when it has one.
+	segs, err := filepath.Glob(filepath.Join(zoneDurable(a.zs.defaultZone()).dir, "wal-*.ndjson"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("primary segments: %v, %v", segs, err)
+	}
+	entries := map[uint64][]byte{}
+	var oldest uint64
+	for i, seg := range segs {
+		var next uint64
+		if _, err := fmt.Sscanf(filepath.Base(seg), "wal-%016x.ndjson", &next); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			oldest = next
+		}
+		f, err := os.Open(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := wal.NewScanner(f)
+		for sc.Scan() {
+			if _, ok := sc.Reading(); ok {
+				next++
+			} else if _, ok := sc.Refresh(); !ok {
+				t.Fatalf("segment %s holds a line that is no entry: %q", seg, sc.Bytes())
+			}
+			entries[next-1] = append(entries[next-1], sc.Bytes()...)
+		}
+		f.Close()
+		if sc.Err() != nil {
+			t.Fatal(sc.Err())
+		}
+	}
+
+	st, _ := a.status("default")
+	from, head := oldest+30, a.backend(t, "default").Offset()
+	n := min(head-from, 100)
+	var want []byte
+	for off := from; off < from+n; off++ {
+		want = append(want, entries[off]...)
+	}
+	if bytes.Count(want, []byte(`,"refresh":`)) == 0 {
+		t.Fatalf("offsets [%d, %d) hold no refresh entry: nothing compared", from, from+n)
+	}
+	rec, code := nodetest.HTTPStatus(a.mux, http.MethodGet, fmt.Sprintf("http://a/cluster/wal/default?from=%d&epoch=%d&max=%d", from, st.Epoch, n), "")
+	if code != http.StatusOK {
+		t.Fatalf("pull: HTTP %d: %s", code, rec.Body.String())
+	}
+	helloLine, rest, _ := bytes.Cut(rec.Body.Bytes(), []byte("\n"))
+	hello, err := cluster.DecodeFrame(helloLine)
+	if err != nil || hello.Type != cluster.FrameHello || hello.Off != from {
+		t.Fatalf("first line %q: %+v, %v; want a hello at offset %d", helloLine, hello, err, from)
+	}
+	body, found := bytes.CutSuffix(rest, []byte(`{"type":"end","epoch":`+fmt.Sprint(st.Epoch)+`,"head":`+fmt.Sprint(head)+"}\n"))
+	if !found {
+		t.Fatalf("stream does not close with the end frame: %q", rest[len(rest)-min(len(rest), 200):])
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("stream body differs from the primary's segment bytes for [%d, %d):\n got %q\nwant %q", from, from+n, body, want)
+	}
+}
+
 // TestClusterStandbyRedirectsWrites drives a full loop through the
 // routing layer: an agent aimed at the standby is 307'd to the
 // primary, follows the redirect through its normal retry machinery,
@@ -607,8 +680,8 @@ func TestClusterApplyRefusesZoneWithoutWAL(t *testing.T) {
 	t.Cleanup(func() { _ = nd.Shutdown() })
 	z := nd.zs.defaultZone()
 	before := z.Snapshot().Ingested
-	rec := cluster.RecordAt{Off: 0, Rec: wal.Record{SensorID: 0, CPM: 10, Seq: 1}}
-	if err := nd.Pipeline().Apply(z, []cluster.RecordAt{rec}); err == nil {
+	ent := wal.Entry{Rec: wal.Record{SensorID: 0, CPM: 10, Seq: 1}}
+	if err := nd.Pipeline().Apply(z, 0, []wal.Entry{ent}); err == nil {
 		t.Fatal("replicated apply into a zone without a WAL succeeded")
 	}
 	if got := z.Snapshot().Ingested; got != before {

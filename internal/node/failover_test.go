@@ -185,11 +185,15 @@ func TestFailoverLagBoundRefusal(t *testing.T) {
 		json.NewEncoder(w).Encode(cluster.Routes{})
 	})
 	mux.HandleFunc("GET /cluster/wal/{zone}", func(w http.ResponseWriter, r *http.Request) {
-		hello, err := cluster.EncodeControl(cluster.FrameHello, 1, 7, 0)
+		from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 		if err != nil {
 			t.Error(err)
 		}
-		end, err := cluster.EncodeControl(cluster.FrameEnd, 1, 7, 0)
+		hello, err := cluster.EncodeControl(cluster.Frame{Type: cluster.FrameHello, Epoch: 1, Head: 7, Off: from})
+		if err != nil {
+			t.Error(err)
+		}
+		end, err := cluster.EncodeControl(cluster.Frame{Type: cluster.FrameEnd, Epoch: 1, Head: 7})
 		if err != nil {
 			t.Error(err)
 		}

@@ -394,10 +394,6 @@ func (n *Node) Handler() http.Handler { return n.mux }
 // touching engines directly.
 func (n *Node) Pipeline() *WritePipeline { return n.zs.pipe }
 
-// Promoter returns the node's failover promoter, nil unless Failover
-// was configured.
-func (n *Node) Promoter() *failover.Promoter { return n.prom }
-
 // Settle ends a run for one live zone: on the zone's event loop it
 // releases the reorder gate's held tail (the watermark will never
 // advance again), journals and applies it, and then refreshes the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"radloc/internal/cluster"
 	"radloc/internal/fusion"
 	"radloc/internal/httpingest"
 	"radloc/internal/wal"
@@ -63,35 +62,36 @@ func (p *WritePipeline) Submit(ctx context.Context, zoneName string, ms []fusion
 	return p.zs.manager.Submit(ctx, zoneName, ms)
 }
 
-// Apply pushes replicated records through the pipeline's lower half
-// on the zone's event loop: offset-continuity sequencing against the
-// WAL head, WAL journal through the zone's fusion.Journal (so the
-// degraded-mode detector sees every append), engine apply via the
-// replay entry, then the zone's checkpoint cadence. WAL order stays
-// application order, exactly as on the live write path. The
-// replication stream is the WAL, so a zone without one is refused.
-func (p *WritePipeline) Apply(z *zone.Zone, recs []cluster.RecordAt) error {
+// Apply pushes replicated entries, the first at offset first, through
+// the pipeline's lower half on the zone's event loop: one continuity
+// check against the WAL head for the batch, WAL journal through the
+// zone's fusion.Journal (so the degraded-mode detector sees every
+// append), engine apply via the replay entry, then the zone's
+// checkpoint cadence. WAL order stays application order, exactly as on
+// the live write path. The replication stream is the WAL, so a zone
+// without one is refused.
+func (p *WritePipeline) Apply(z *zone.Zone, first uint64, entries []wal.Entry) error {
 	d := zoneDurable(z)
 	if d == nil {
 		return fmt.Errorf("replication into zone %q needs a WAL (durability is off)", z.Name())
 	}
 	return z.Do(context.TODO(), func(eng *fusion.Engine) error {
-		for _, ra := range recs {
-			if cur := d.log.Offset(); ra.Off != cur {
-				return fmt.Errorf("replication offset gap: got %d, local head %d", ra.Off, cur)
-			}
+		if cur := d.log.Offset(); first != cur {
+			return fmt.Errorf("replication offset gap: got %d, local head %d", first, cur)
+		}
+		for _, e := range entries {
 			// The zone's journal, not the raw log: a failed append puts
 			// a standby into degraded mode exactly as it does a primary.
-			if err := d.Append(ra.Rec); err != nil {
+			if err := d.Append(e.Rec); err != nil {
 				return err
 			}
 			// The refresh entry is journaled as the primary journaled
 			// it, so this log boots without searching too; like the
 			// primary's, a failed one costs only a search.
-			if ra.Refresh != nil {
-				_ = d.AppendRefresh(ra.Refresh)
+			if e.Refresh != nil {
+				_ = d.AppendRefresh(e.Refresh)
 			}
-			eng.Replay(wal.Entry{Rec: ra.Rec, Refresh: ra.Refresh})
+			eng.Replay(e)
 		}
 		d.maybeCheckpoint()
 		return nil

@@ -186,15 +186,14 @@ func TestWriteErrorOrderingReplication(t *testing.T) {
 	fsC := vfs.NewFaulty(nil, vfs.FaultConfig{Seed: 7})
 	c := newClusterTestNode(t, fab, "c", nil, faultyFS(fsC))
 	degrade(fsC)
-	rec := cluster.RecordAt{Off: 999, Rec: wal.Record{SensorID: 0, CPM: 10, Seq: 1}}
-	err := c.n.Pipeline().Apply(c.zs.defaultZone(), []cluster.RecordAt{rec})
+	ents := []wal.Entry{{Rec: wal.Record{SensorID: 0, CPM: 10, Seq: 1}}}
+	err := c.n.Pipeline().Apply(c.zs.defaultZone(), 999, ents)
 	if err == nil || !strings.Contains(err.Error(), "offset gap") {
 		t.Fatalf("gapped apply error = %v, want an offset-gap refusal", err)
 	}
 	// Continuity holds: the journal fault is the answer, and nothing
 	// was applied (journal-before-apply survives on this path too).
-	rec.Off = 0
-	err = c.n.Pipeline().Apply(c.zs.defaultZone(), []cluster.RecordAt{rec})
+	err = c.n.Pipeline().Apply(c.zs.defaultZone(), 0, ents)
 	if err == nil || !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("degraded apply error = %v, want ENOSPC", err)
 	}

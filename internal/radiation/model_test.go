@@ -33,7 +33,7 @@ func TestFreeSpaceIntensity(t *testing.T) {
 
 func wall(x0, x1 float64) Obstacle {
 	return Obstacle{
-		Shape: geometry.NewRect(geometry.V(x0, -100), geometry.V(x1, 100)).Polygon(),
+		Shape: geometry.MustPolygon([]geometry.Vec{geometry.V(x0, -100), geometry.V(x1, -100), geometry.V(x1, 100), geometry.V(x0, 100)}),
 		Mu:    PaperObstacle.MustMu(),
 		Name:  "wall",
 	}
@@ -63,7 +63,7 @@ func TestIntensityThroughWall(t *testing.T) {
 
 	// An obstacle not on the ray changes nothing.
 	off := Obstacle{
-		Shape: geometry.NewRect(geometry.V(10, 10), geometry.V(20, 20)).Polygon(),
+		Shape: geometry.MustPolygon([]geometry.Vec{geometry.V(10, 10), geometry.V(20, 10), geometry.V(20, 20), geometry.V(10, 20)}),
 		Mu:    PaperObstacle.MustMu(),
 	}
 	got = Intensity(x, src, []Obstacle{off})
@@ -116,7 +116,7 @@ func TestExpectedCPM(t *testing.T) {
 // is always non-negative.
 func TestIntensityBoundedProperty(t *testing.T) {
 	obs := []Obstacle{wall(10, 20), {
-		Shape: geometry.NewRect(geometry.V(-50, 30), geometry.V(50, 40)).Polygon(),
+		Shape: geometry.MustPolygon([]geometry.Vec{geometry.V(-50, 30), geometry.V(50, 30), geometry.V(50, 40), geometry.V(-50, 40)}),
 		Mu:    Concrete.MustMu(),
 	}}
 	f := func(sx, sy, px, py, str uint16) bool {

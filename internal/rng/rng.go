@@ -51,12 +51,6 @@ func NewNamed(seed uint64, name string) *Stream {
 	return New(seed, h.Sum64())
 }
 
-// Split derives an independent child stream; the parent advances by two
-// draws. Use it to hand one stream to each worker goroutine.
-func (s *Stream) Split() *Stream {
-	return New(s.src.Uint64(), s.src.Uint64())
-}
-
 // Float64 returns a uniform variate in [0, 1).
 func (s *Stream) Float64() float64 { return s.src.Float64() }
 

@@ -29,20 +29,6 @@ func TestNamedStreamsIndependent(t *testing.T) {
 	}
 }
 
-func TestSplitProducesDistinctStream(t *testing.T) {
-	parent := New(1, 2)
-	child := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Float64() == child.Float64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Errorf("split child matches parent on %d/100 draws", same)
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	s := New(7, 7)
 	for i := 0; i < 1000; i++ {

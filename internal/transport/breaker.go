@@ -141,14 +141,6 @@ func (b *Breaker) trip() {
 	b.opens++
 }
 
-// State returns the current position (open lazily becomes half-open
-// only on Allow, so State may report open past the cooldown).
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // Opens returns how many times the breaker has tripped open.
 func (b *Breaker) Opens() uint64 {
 	b.mu.Lock()

@@ -19,24 +19,23 @@ func TestBreakerTransitions(t *testing.T) {
 	cases := []struct {
 		name      string
 		events    []string
-		wantState BreakerState
 		wantAllow bool
 		wantOpens uint64
 	}{
-		{"fresh breaker allows", nil, BreakerClosed, true, 0},
-		{"below threshold stays closed", []string{evFail, evFail}, BreakerClosed, true, 0},
-		{"success resets the count", []string{evFail, evFail, evOK, evFail, evFail}, BreakerClosed, true, 0},
-		{"threshold trips open", []string{evFail, evFail, evFail}, BreakerOpen, false, 1},
-		{"open refuses before cooldown", []string{evFail, evFail, evFail, evFail}, BreakerOpen, false, 1},
-		{"cooldown admits the probe", []string{evFail, evFail, evFail, evAdvance}, BreakerOpen, true, 1},
-		{"probe success closes", []string{evFail, evFail, evFail, evAdvance, evOK}, BreakerClosed, true, 1},
-		{"probe failure re-opens", []string{evFail, evFail, evFail, evAdvance, evFail}, BreakerOpen, false, 2},
+		{"fresh breaker allows", nil, true, 0},
+		{"below threshold stays closed", []string{evFail, evFail}, true, 0},
+		{"success resets the count", []string{evFail, evFail, evOK, evFail, evFail}, true, 0},
+		{"threshold trips open", []string{evFail, evFail, evFail}, false, 1},
+		{"open refuses before cooldown", []string{evFail, evFail, evFail, evFail}, false, 1},
+		{"cooldown admits the probe", []string{evFail, evFail, evFail, evAdvance}, true, 1},
+		{"probe success closes", []string{evFail, evFail, evFail, evAdvance, evOK}, true, 1},
+		{"probe failure re-opens", []string{evFail, evFail, evFail, evAdvance, evFail}, false, 2},
 		{"re-opened trip waits a fresh cooldown", []string{
 			evFail, evFail, evFail, evAdvance, // half-open
 			evFail,    // probe fails → open again (second trip)
 			evAdvance, // fresh cooldown elapses
 			evOK,      // probe succeeds
-		}, BreakerClosed, true, 2},
+		}, true, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,14 +55,14 @@ func TestBreakerTransitions(t *testing.T) {
 					clk.Advance(cfg.Cooldown)
 				}
 			}
-			ok, _ := b.Allow()
+			ok, wait := b.Allow()
 			if ok != tc.wantAllow {
 				t.Errorf("Allow() = %v, want %v", ok, tc.wantAllow)
 			}
-			// State is sampled before Allow may have promoted open →
-			// half-open; re-derive from a fresh read for trip cases.
-			if !tc.wantAllow && b.State() != tc.wantState {
-				t.Errorf("State() = %v, want %v", b.State(), tc.wantState)
+			// Every refusal here is an open breaker's: it names the
+			// rest of a cooldown that has not elapsed.
+			if !ok && (wait <= 0 || wait > cfg.Cooldown) {
+				t.Errorf("refused with wait %v, want an open breaker's in (0, %v]", wait, cfg.Cooldown)
 			}
 			if b.Opens() != tc.wantOpens {
 				t.Errorf("Opens() = %d, want %d", b.Opens(), tc.wantOpens)
@@ -89,8 +88,11 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		t.Fatal("second concurrent probe allowed")
 	}
 	b.Success()
-	if ok, _ := b.Allow(); !ok || b.State() != BreakerClosed {
-		t.Fatalf("probe success did not close the breaker (state %v)", b.State())
+	// Closed, not half-open: every caller is let through.
+	for i := 0; i < 2; i++ {
+		if ok, _ := b.Allow(); !ok {
+			t.Fatalf("probe success did not close the breaker (call %d refused)", i)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"bufio"
+	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -109,27 +112,108 @@ func closeLine(dst []byte, start int, key string) []byte {
 	return append(dst, "}\n"...)
 }
 
-// lineKind tells apart what decodeEntry found on a line.
+// AppendEntry appends e's WAL lines to dst: the reading's, then the
+// refresh entry's when e has one. These are the bytes Append and
+// AppendRefresh write for it, so a segment's entries re-encode to the
+// segment's own bytes. It fails, with dst unchanged, when e's refresh
+// holds a NaN or an infinity.
+func AppendEntry(dst []byte, e Entry) ([]byte, error) {
+	out := appendLine(dst, e.Rec)
+	if e.Refresh == nil {
+		return out, nil
+	}
+	out, ok := appendRefreshLine(out, e.Refresh)
+	if !ok {
+		return dst, errors.New("wal: refresh entry holds a non-finite estimate")
+	}
+	return out, nil
+}
+
+// lineKind tells apart what a Scanner found on a line.
 type lineKind uint8
 
 const (
-	badLine     lineKind = iota // neither entry kind: torn or corrupt
+	badLine     lineKind = iota // no entry: torn, corrupt, too long, or an orphan refresh entry
 	readingLine                 // a reading
-	refreshLine                 // a refresh entry
+	refreshLine                 // a refresh entry right after a reading
 )
 
-// decodeEntry parses and checksums one WAL line of either kind. A
-// reading comes back in rec; a refresh entry's estimates are appended
-// to ests. It allocates only if ests has to grow.
-func decodeEntry(line []byte, ests []Estimate) (lineKind, Record, []Estimate) {
-	if rec, ok := decodeLine(line); ok {
-		return readingLine, rec, ests
-	}
-	if out, ok := decodeRefreshLine(line, ests); ok {
-		return refreshLine, Record{}, out
-	}
-	return badLine, Record{}, ests
+// Scanner reads WAL lines, a segment file's or a replication stream's,
+// through one buffer of maxLine bytes, and decodes each. A refresh
+// entry counts as one only right after a reading; any other line (an
+// orphan refresh entry, a corrupt or over-long line, a stream's
+// control frame) is neither a reading nor a refresh entry, and the
+// scan goes on past it.
+type Scanner struct {
+	r        *bufio.Reader
+	line     []byte     // the current line, lent from r's buffer
+	kind     lineKind   // what line decoded to
+	rec      Record     // the reading, when kind is readingLine
+	ests     []Estimate // the estimates, when kind is refreshLine; reused
+	afterRec bool       // the line before this one was a reading
+	err      error
 }
+
+// NewScanner returns a Scanner reading from r.
+func NewScanner(r io.Reader) *Scanner {
+	return &Scanner{r: bufio.NewReaderSize(r, maxLine)}
+}
+
+// Scan advances to the next newline-terminated line and decodes it.
+// It returns false at the end of the input, at a last line with no
+// newline (a torn tail: Err is io.ErrUnexpectedEOF), and on a read
+// error (Err reports it).
+func (s *Scanner) Scan() bool {
+	// ReadSlice lends the line from the reader's buffer: the valid
+	// path copies nothing.
+	line, err := s.r.ReadSlice('\n')
+	overlong := err == bufio.ErrBufferFull
+	for err == bufio.ErrBufferFull {
+		// Longer than any valid line: drop the rest of it unread into
+		// memory; it is one bad line.
+		line = nil
+		_, err = s.r.ReadSlice('\n')
+	}
+	s.line, s.kind = line, badLine
+	switch {
+	case err == io.EOF && (len(line) > 0 || overlong):
+		s.err = io.ErrUnexpectedEOF
+	case err != io.EOF:
+		s.err = err
+	}
+	if err != nil {
+		return false
+	}
+	if !overlong {
+		if rec, ok := decodeLine(line); ok {
+			s.rec, s.kind = rec, readingLine
+		} else if s.afterRec {
+			if ests, ok := decodeRefreshLine(line, s.ests[:0]); ok {
+				s.ests, s.kind = ests, refreshLine
+			}
+		}
+	}
+	s.afterRec = s.kind == readingLine
+	return true
+}
+
+// Bytes returns the current line, newline included, or nil for a line
+// over maxLine. After a torn tail it holds the torn bytes. It is valid
+// until the next Scan.
+func (s *Scanner) Bytes() []byte { return s.line }
+
+// Reading returns the current line's reading; ok is false when the
+// line is not one.
+func (s *Scanner) Reading() (rec Record, ok bool) { return s.rec, s.kind == readingLine }
+
+// Refresh returns the estimates of the current line's refresh entry;
+// ok is false when the line is not one. The slice is valid until the
+// next Scan.
+func (s *Scanner) Refresh() (ests []Estimate, ok bool) { return s.ests, s.kind == refreshLine }
+
+// Err returns what ended the scan: nil at the end of the input,
+// io.ErrUnexpectedEOF at a torn tail, or the read error.
+func (s *Scanner) Err() error { return s.err }
 
 // decodeLine parses and checksums one reading line, its trailing
 // newline optional. It accepts only the canonical grammar above and

@@ -134,32 +134,32 @@ func splitSegment(fsys vfs.FS, seg segment, floor uint64, dstDir string) (uint64
 		return 0, 0, err
 	}
 	// A refresh entry goes wherever the reading before it went.
-	r := bufio.NewReaderSize(io.LimitReader(src, seg.bytes), maxLine)
+	sc := NewScanner(io.LimitReader(src, seg.bytes))
 	off, w := seg.start, tw
-	for {
-		line, rerr := r.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			return fail(rerr)
-		}
-		if len(line) == 0 {
-			break
-		}
-		switch kind, _, _ := decodeEntry(line, nil); {
-		case kind == readingLine && off >= floor:
+	for sc.Scan() {
+		switch {
+		case sc.kind == readingLine && off >= floor:
 			w = dw
 			movedRecs++
 			off++
-		case kind == readingLine:
+		case sc.kind == readingLine:
 			off++
-		case kind == badLine:
+		case sc.kind == badLine:
 			return fail(fmt.Errorf("wal: segment %s corrupt at offset %d", seg.path, off))
 		}
 		if w == tw {
-			prefixBytes += int64(len(line))
+			prefixBytes += int64(len(sc.line))
 		}
-		if _, err := w.Write(line); err != nil {
+		if _, err := w.Write(sc.line); err != nil {
 			return fail(err)
 		}
+	}
+	switch sc.err {
+	case nil:
+	case io.ErrUnexpectedEOF:
+		return fail(fmt.Errorf("wal: segment %s corrupt at offset %d", seg.path, off))
+	default:
+		return fail(sc.err)
 	}
 	if off != seg.start+seg.count {
 		return fail(fmt.Errorf("wal: segment %s short at offset %d", seg.path, off))

@@ -65,8 +65,9 @@ func TestRefreshLineMatchesEncodingJSON(t *testing.T) {
 		if !ok || !sameBits(dec, ests) {
 			t.Fatalf("decodeRefreshLine(%q) = %+v, %v; want %+v", want, dec, ok, ests)
 		}
-		if kind, _, _ := decodeEntry(want, nil); kind != refreshLine {
-			t.Fatalf("decodeEntry(%q) = kind %d, want a refresh entry", want, kind)
+		sc := NewScanner(bytes.NewReader(append(appendLine(nil, Record{SensorID: 1}), want...)))
+		if !sc.Scan() || !sc.Scan() || sc.kind != refreshLine || !sameBits(sc.ests, ests) {
+			t.Fatalf("Scanner read %q after a reading as kind %d, want a refresh entry", want, sc.kind)
 		}
 		if _, ok := decodeLine(want); ok {
 			t.Fatalf("decodeLine accepted refresh line %q as a reading", want)

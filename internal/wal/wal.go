@@ -33,7 +33,6 @@
 package wal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -324,56 +323,28 @@ func validateSegment(fsys vfs.FS, path string) (records uint64, goodBytes int64,
 		return 0, 0, 0, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, maxLine)
-	var ests []Estimate // decode scratch, reused across refresh entries
-	afterRec := false
-	for {
-		// ReadSlice lends the line from the reader's buffer: the valid
-		// path copies nothing.
-		line, rerr := r.ReadSlice('\n')
-		if rerr == nil {
-			var kind lineKind
-			kind, _, ests = decodeEntry(line, ests[:0])
-			if kind == readingLine || kind == refreshLine && afterRec {
-				if kind == readingLine {
-					records++
-				}
-				afterRec = kind == readingLine
-				goodBytes += int64(len(line))
-				continue
-			}
+	sc := NewScanner(f)
+	for sc.Scan() {
+		// From the first bad line on, everything is suspect: every
+		// line after it counts as truncated too.
+		if badRecs > 0 || sc.kind == badLine {
+			badRecs++
+			continue
 		}
-		if rerr == bufio.ErrBufferFull {
-			// Longer than any valid line: read the rest of it as the same
-			// bad record.
-			_, rerr = r.ReadBytes('\n')
+		if sc.kind == readingLine {
+			records++
 		}
-		if rerr != nil && rerr != io.EOF {
-			return records, goodBytes, badRecs, rerr
-		}
-		if len(line) == 0 {
-			return records, goodBytes, badRecs, nil
-		}
-		badRecs++
-		if rerr != nil {
-			// EOF with a partial line = torn final write.
-			return records, goodBytes, badRecs, nil
-		}
-		// First bad record: everything after it is suspect too. Count
-		// the remaining lines as truncated.
-		for {
-			more, rerr := r.ReadBytes('\n')
-			if rerr != nil && rerr != io.EOF {
-				return records, goodBytes, badRecs, rerr
-			}
-			if len(more) > 0 {
-				badRecs++
-			}
-			if rerr != nil {
-				return records, goodBytes, badRecs, nil
-			}
-		}
+		goodBytes += int64(len(sc.line))
 	}
+	switch sc.err {
+	case nil:
+	case io.ErrUnexpectedEOF:
+		// A partial last line is a torn final write.
+		badRecs++
+	default:
+		return records, goodBytes, badRecs, sc.err
+	}
+	return records, goodBytes, badRecs, nil
 }
 
 // openTail opens the active segment for appending, creating the
@@ -418,10 +389,6 @@ func (l *Log) SizeBytes() int64 {
 	}
 	return n
 }
-
-// Segments is the number of live segment files, the active tail
-// included.
-func (l *Log) Segments() int { return len(l.segments) }
 
 // SetRetain installs a pruning floor: segments holding any record with
 // offset ≥ off survive Prune regardless of the checkpoint watermark.
@@ -698,42 +665,37 @@ func (l *Log) Replay(from uint64, fn func(off uint64, e Entry) error) error {
 			replayed++
 			return fn(off, held)
 		}
-		r := bufio.NewReaderSize(io.LimitReader(f, seg.bytes), maxLine)
+		sc := NewScanner(io.LimitReader(f, seg.bytes))
 		off := seg.start
-		for {
-			line, rerr := r.ReadSlice('\n')
-			if len(line) == 0 && rerr == io.EOF {
-				break
-			}
-			// A refresh that found no source decodes to an empty,
-			// non-nil slice.
-			kind, rec, ests := decodeEntry(line, []Estimate{})
-			var err error
-			switch {
-			case rerr != nil && rerr != io.EOF:
-				err = fmt.Errorf("wal: segment %s unreadable at offset %d after recovery: %w", seg.path, off, rerr)
-			case kind == readingLine:
+		for err == nil && sc.Scan() {
+			switch sc.kind {
+			case readingLine:
 				if holding {
 					err = emit(off - 1)
 				}
-				held, holding = Entry{Rec: rec}, true
+				held, holding = Entry{Rec: sc.rec}, true
 				off++
-			case kind == refreshLine && holding:
-				held.Refresh = ests
+			case refreshLine:
+				// Copied out of the scanner's scratch; a refresh that
+				// found no source stays an empty, non-nil slice.
+				held.Refresh = append([]Estimate{}, sc.ests...)
 				err = emit(off - 1)
 			default:
 				err = fmt.Errorf("wal: segment %s corrupt at offset %d after recovery", seg.path, off)
 			}
-			if err != nil {
-				_ = f.Close()
-				return err
-			}
 		}
-		if holding {
-			if err := emit(off - 1); err != nil {
-				_ = f.Close()
-				return err
-			}
+		switch {
+		case err != nil:
+		case sc.err == io.ErrUnexpectedEOF:
+			err = fmt.Errorf("wal: segment %s corrupt at offset %d after recovery", seg.path, off)
+		case sc.err != nil:
+			err = fmt.Errorf("wal: segment %s unreadable at offset %d after recovery: %w", seg.path, off, sc.err)
+		case holding:
+			err = emit(off - 1)
+		}
+		if err != nil {
+			_ = f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
 			return err

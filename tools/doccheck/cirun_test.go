@@ -14,18 +14,40 @@ import (
 
 // TestCIRunPatternsMatch fails when an alternative of a `go test -run`
 // pattern in the CI workflow matches no test function in the packages
-// that command runs. `go test -run` passes when nothing matches, so a
-// renamed test would otherwise drop out of the step that selects it by
-// name without a failure. -run=NONE, which the fuzz steps use to run no
-// tests at all, is the one pattern meant to match nothing.
+// that command runs, or when a `-fuzz` pattern there matches other than
+// exactly one fuzz target in them. `go test -run` passes when nothing
+// matches, and so does `go test -fuzz` ("no fuzz tests to fuzz"), so a
+// renamed test or target would otherwise drop out of the step that
+// selects it by name without a failure. -run=NONE, which the fuzz
+// steps use to run no tests at all, is the one pattern meant to match
+// nothing.
 func TestCIRunPatternsMatch(t *testing.T) {
 	root := repoRoot(t)
 	workflow, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	checked, fuzzed := 0, 0
 	for _, cmd := range goTestCommands(string(workflow)) {
+		if cmd.fuzz != "" {
+			fuzzed++
+			re, err := regexp.Compile(cmd.fuzz)
+			if err != nil {
+				t.Errorf("ci.yml: -fuzz %q: %v", cmd.fuzz, err)
+				continue
+			}
+			var matched []string
+			for _, pkg := range cmd.pkgs {
+				for _, name := range testFuncs(t, root, pkg, "Fuzz") {
+					if re.MatchString(name) {
+						matched = append(matched, name)
+					}
+				}
+			}
+			if len(cmd.pkgs) != 1 || len(matched) != 1 {
+				t.Errorf("ci.yml: -fuzz %q matches %v in %v, want exactly one fuzz target in one package", cmd.fuzz, matched, cmd.pkgs)
+			}
+		}
 		if cmd.run == "" || cmd.run == "NONE" {
 			continue
 		}
@@ -35,7 +57,7 @@ func TestCIRunPatternsMatch(t *testing.T) {
 		}
 		var names []string
 		for _, pkg := range cmd.pkgs {
-			names = append(names, testFuncs(t, root, pkg)...)
+			names = append(names, testFuncs(t, root, pkg, "Test")...)
 		}
 		for _, alt := range topLevelAlternatives(cmd.run) {
 			re, err := regexp.Compile(alt)
@@ -56,17 +78,17 @@ func TestCIRunPatternsMatch(t *testing.T) {
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("found no go test -run pattern in ci.yml; is the repository root right?")
+	if checked == 0 || fuzzed == 0 {
+		t.Fatal("found no go test -run or -fuzz pattern in ci.yml; is the repository root right?")
 	}
-	t.Logf("%d -run alternatives in ci.yml checked", checked)
+	t.Logf("%d -run alternatives and %d -fuzz patterns in ci.yml checked", checked, fuzzed)
 }
 
-// goTestCmd is one `go test` invocation: its -run pattern ("" when it
-// has none) and the package patterns it names.
+// goTestCmd is one `go test` invocation: its -run and -fuzz patterns
+// ("" when it has none) and the package patterns it names.
 type goTestCmd struct {
-	run  string
-	pkgs []string
+	run, fuzz string
+	pkgs      []string
 }
 
 // goTestCommands finds every `go test` invocation in a workflow's
@@ -92,6 +114,11 @@ func goTestCommands(workflow string) []goTestCmd {
 					cmd.run = words[j]
 				case strings.HasPrefix(w, "-run="):
 					cmd.run = strings.TrimPrefix(w, "-run=")
+				case w == "-fuzz" && j+1 < len(words):
+					j++
+					cmd.fuzz = words[j]
+				case strings.HasPrefix(w, "-fuzz="):
+					cmd.fuzz = strings.TrimPrefix(w, "-fuzz=")
 				case strings.HasPrefix(w, "./"):
 					cmd.pkgs = append(cmd.pkgs, w)
 				}
@@ -174,10 +201,11 @@ func topLevelAlternatives(pattern string) []string {
 	return append(alts, pattern[start:])
 }
 
-// testFuncs lists the Test functions declared in the _test.go files of
-// the package directory pkg (relative to root), or of every package
-// under it when pkg ends in "/...".
-func testFuncs(t *testing.T, root, pkg string) []string {
+// testFuncs lists the functions whose names start with prefix ("Test"
+// or "Fuzz") declared in the _test.go files of the package directory
+// pkg (relative to root), or of every package under it when pkg ends
+// in "/...".
+func testFuncs(t *testing.T, root, pkg, prefix string) []string {
 	t.Helper()
 	dir, recursive := strings.CutSuffix(filepath.Join(root, filepath.FromSlash(pkg)), string(filepath.Separator)+"...")
 	var names []string
@@ -199,7 +227,7 @@ func testFuncs(t *testing.T, root, pkg string) []string {
 			return err
 		}
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, prefix) {
 				names = append(names, fn.Name.Name)
 			}
 		}

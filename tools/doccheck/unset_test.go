@@ -23,6 +23,22 @@ import (
 // Setters are attributed to the struct they name, so a same-named
 // field of another struct cannot hide an unset one.
 func TestNoUnsetOptions(t *testing.T) {
+	declared, unset := unsetOptions(loadRepo(t))
+	if declared == 0 {
+		t.Fatal("found no Options/Config fields under internal/; is the repository root right?")
+	}
+	t.Logf("%d settable fields on exported Options/Config structs under internal/", declared)
+	for _, u := range unset {
+		t.Errorf("%s is set by no code; make it a constant", u)
+	}
+}
+
+// loadRepo parses every Go file of the repository, tests and the
+// bench/ module included, keyed by slash path relative to the root,
+// and maps each module's root directory there ("." for the
+// repository root) to its module path.
+func loadRepo(t *testing.T) (*token.FileSet, map[string]*ast.File, map[string]string) {
+	t.Helper()
 	root := repoRoot(t)
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{}
@@ -61,14 +77,7 @@ func TestNoUnsetOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	declared, unset := unsetOptions(fset, files, modules)
-	if declared == 0 {
-		t.Fatal("found no Options/Config fields under internal/; is the repository root right?")
-	}
-	t.Logf("%d settable fields on exported Options/Config structs under internal/", declared)
-	for _, u := range unset {
-		t.Errorf("%s is set by no code; make it a constant", u)
-	}
+	return fset, files, modules
 }
 
 // TestUnsetOptionsSetters pins what counts as setting a field.
@@ -171,29 +180,29 @@ type srcPackage struct {
 	xtests    []*ast.File // _test.go files of the external test package
 }
 
-// setterScan type-checks repository packages from source. Imports from
+// repoScan type-checks repository packages from source. Imports from
 // outside the repository resolve to empty packages and type errors are
-// ignored: a setter names a repository struct, so its receiver's type
-// never depends on the standard library, and skipping the standard
+// ignored: the names both checkers resolve — struct fields, funcs and
+// methods — are declared in the repository, and skipping the standard
 // library keeps the pass to a fraction of a second.
-type setterScan struct {
+type repoScan struct {
 	fset    *token.FileSet
-	byPath  map[string]*srcPackage
+	pkgs    []*srcPackage             // sorted by dir
+	byPath  map[string]*srcPackage    // import path -> package
 	checked map[string]*types.Package // import path -> non-test package
+	info    *types.Info               // what checking the non-test packages resolved
 	set     map[token.Pos]bool        // field declarations some code sets
 }
 
-// unsetOptions returns how many exported fields the exported …Options
-// and …Config structs declared in non-test files under internal/ have,
-// and, sorted, those no file in files sets, as "dir.Struct.Field".
-// files is keyed by slash path relative to the repository root;
-// modules maps each module's root directory there ("." for the
-// repository root) to its module path.
-func unsetOptions(fset *token.FileSet, files map[string]*ast.File, modules map[string]string) (int, []string) {
-	s := &setterScan{
+// newRepoScan groups files (keyed by slash path relative to the
+// repository root) into packages; modules maps each module's root
+// directory there to its module path.
+func newRepoScan(fset *token.FileSet, files map[string]*ast.File, modules map[string]string) *repoScan {
+	s := &repoScan{
 		fset:    fset,
 		byPath:  map[string]*srcPackage{},
 		checked: map[string]*types.Package{},
+		info:    newInfo(),
 		set:     map[token.Pos]bool{},
 	}
 	byDir := map[string]*srcPackage{}
@@ -204,6 +213,7 @@ func unsetOptions(fset *token.FileSet, files map[string]*ast.File, modules map[s
 			p = &srcPackage{dir: dir, path: importPath(dir, modules)}
 			byDir[dir] = p
 			s.byPath[p.path] = p
+			s.pkgs = append(s.pkgs, p)
 		}
 		switch {
 		case !strings.HasSuffix(rel, "_test.go"):
@@ -214,15 +224,20 @@ func unsetOptions(fset *token.FileSet, files map[string]*ast.File, modules map[s
 			p.tests = append(p.tests, f)
 		}
 	}
-	dirs := make([]string, 0, len(byDir))
-	for dir := range byDir {
-		dirs = append(dirs, dir)
-	}
-	sort.Strings(dirs)
+	sort.Slice(s.pkgs, func(i, j int) bool { return s.pkgs[i].dir < s.pkgs[j].dir })
+	return s
+}
 
+// unsetOptions returns how many exported fields the exported …Options
+// and …Config structs declared in non-test files under internal/ have,
+// and, sorted, those no file in files sets, as "dir.Struct.Field".
+// files is keyed by slash path relative to the repository root;
+// modules maps each module's root directory there ("." for the
+// repository root) to its module path.
+func unsetOptions(fset *token.FileSet, files map[string]*ast.File, modules map[string]string) (int, []string) {
+	s := newRepoScan(fset, files, modules)
 	fields := map[token.Pos]string{}
-	for _, dir := range dirs {
-		p := byDir[dir]
+	for _, p := range s.pkgs {
 		if !strings.HasPrefix(p.dir, "internal/") || len(p.files) == 0 {
 			continue
 		}
@@ -244,8 +259,7 @@ func unsetOptions(fset *token.FileSet, files map[string]*ast.File, modules map[s
 		}
 	}
 
-	for _, dir := range dirs {
-		p := byDir[dir]
+	for _, p := range s.pkgs {
 		own := append(append([]*ast.File(nil), p.files...), p.tests...)
 		info := newInfo()
 		pkg := s.check(p.path, own, info, nil)
@@ -283,17 +297,22 @@ func importPath(dir string, modules map[string]string) string {
 }
 
 func newInfo() *types.Info {
-	return &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
+	return &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
 }
 
-// Import returns the non-test package at path, checked once.
-func (s *setterScan) Import(importPath string) (*types.Package, error) {
+// Import returns the non-test package at path, checked once, with
+// what it resolves recorded in s.info.
+func (s *repoScan) Import(importPath string) (*types.Package, error) {
 	if pkg, ok := s.checked[importPath]; ok {
 		return pkg, nil
 	}
 	var pkg *types.Package
 	if p, ok := s.byPath[importPath]; ok && len(p.files) > 0 {
-		pkg = s.check(importPath, p.files, nil, nil)
+		pkg = s.check(importPath, p.files, s.info, nil)
 	} else {
 		pkg = types.NewPackage(importPath, path.Base(importPath))
 		pkg.MarkComplete()
@@ -304,7 +323,7 @@ func (s *setterScan) Import(importPath string) (*types.Package, error) {
 
 // check type-checks files as package path, ignoring type errors;
 // override substitutes packages for some imports.
-func (s *setterScan) check(path string, files []*ast.File, info *types.Info, override map[string]*types.Package) *types.Package {
+func (s *repoScan) check(path string, files []*ast.File, info *types.Info, override map[string]*types.Package) *types.Package {
 	conf := types.Config{
 		Importer: importerFunc(func(p string) (*types.Package, error) {
 			if pkg, ok := override[p]; ok {
@@ -327,7 +346,7 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // an assigned, incremented or address-taken operand, where each field
 // selected on the way to the operand counts too. A default fill,
 // `if x.F == 0 { x.F = v }` in F's own package, sets nothing.
-func (s *setterScan) scan(path string, files []*ast.File, info *types.Info) {
+func (s *repoScan) scan(path string, files []*ast.File, info *types.Info) {
 	field := func(id *ast.Ident) *types.Var {
 		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
 			return v.Origin()

@@ -4,8 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -43,66 +44,50 @@ var unusedExemptMethods = map[string]string{
 	"internal/geometry Vec.Eq": "the tolerance equality tests in nine packages compare positions with",
 }
 
-// ident is one identifier occurrence that may name a func: not a
-// func's own name, a struct field's declaration or a composite
-// literal's key, which name fields (a func cannot be a map key).
-type ident struct {
-	file string
-	pos  token.Pos
-}
-
-// exportedFunc is one exported func or method declared under internal/.
-type exportedFunc struct {
-	name, where string
-	file        string
-	from, to    token.Pos // the whole declaration, doc comment excluded
-}
-
 // TestNoUnusedExports fails when an exported func or method declared
-// in a non-test file under internal/ is named nowhere in the non-test
-// Go files of the repository (bench/, cmd/, examples/ and the root
-// package included) outside its own declaration. Such a name is
-// either dead or kept alive by tests alone; delete it, or rewrite the
-// tests against the accessors that remain.
+// in a non-test file under internal/ is used by no non-test Go file of
+// the repository (bench/, cmd/, examples/ and the root package
+// included) outside its own declaration. Such a func is either dead or
+// kept alive by tests alone; delete it, or rewrite the tests against
+// the accessors that remain.
 func TestNoUnusedExports(t *testing.T) {
-	root := repoRoot(t)
-	fset := token.NewFileSet()
-	uses := map[string][]ident{}
-	var funcs []exportedFunc
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	funcs, unused := unusedExports(loadRepo(t))
+	if funcs == 0 {
+		t.Fatal("found no exported funcs under internal/; is the repository root right?")
+	}
+	for _, u := range unused {
+		t.Errorf("%s has no use outside tests", u)
+	}
+}
+
+// unusedExports returns how many exported funcs and methods the
+// non-test files under internal/ declare (exemptions aside) and,
+// sorted, those no non-test file uses, as "file: name". Uses are
+// resolved by type, so a field or a method of another type with the
+// same name is no use. A method counts as used when an interface
+// method it implements is: a call through cluster.Backend uses every
+// Backend's ReadWAL.
+func unusedExports(fset *token.FileSet, files map[string]*ast.File, modules map[string]string) (int, []string) {
+	s := newRepoScan(fset, files, modules)
+	for _, p := range s.pkgs {
+		s.Import(p.path)
+	}
+	type decl struct {
+		where    string
+		from, to token.Pos // the whole declaration, doc comment excluded
+	}
+	decls := map[*types.Func]decl{}
+	for rel, file := range files {
+		dir := path.Dir(rel)
+		if strings.HasSuffix(rel, "_test.go") || !strings.HasPrefix(rel, "internal/") {
+			continue
 		}
-		if d.IsDir() {
-			if name := d.Name(); name == "testdata" || (strings.HasPrefix(name, ".") && path != root) {
-				return filepath.SkipDir
-			}
-			return nil
+		if _, ok := unusedExemptDirs[dir]; ok {
+			continue
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
-		dir := filepath.ToSlash(filepath.Dir(rel))
-		notUse := map[*ast.Ident]bool{}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			notUse[fd.Name] = true
-			if !fd.Name.IsExported() || !strings.HasPrefix(rel, "internal/") {
-				continue
-			}
-			if _, ok := unusedExemptDirs[dir]; ok {
+		for _, d := range file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() {
 				continue
 			}
 			if recv := recvType(fd); recv != "" {
@@ -113,59 +98,78 @@ func TestNoUnusedExports(t *testing.T) {
 					continue
 				}
 			}
-			funcs = append(funcs, exportedFunc{
-				name: fd.Name.Name, where: rel + ": " + funcName(fd),
-				file: path, from: fd.Pos(), to: fd.End(),
-			})
+			if fn, ok := s.info.Defs[fd.Name].(*types.Func); ok {
+				decls[fn] = decl{where: rel + ": " + funcName(fd), from: fd.Pos(), to: fd.End()}
+			}
+		}
+	}
+
+	used := map[*types.Func]bool{}
+	var ifaceUsed []*types.Func // interface methods called
+	for id, obj := range s.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		if d, ok := decls[fn]; ok && d.from <= id.Pos() && id.Pos() < d.to {
+			continue // recursion
+		}
+		used[fn] = true
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			ifaceUsed = append(ifaceUsed, fn)
+		}
+	}
+	// A selector the checker could not resolve, because its operand's
+	// type comes from the stubbed standard library (f.File.Read through
+	// an embedded io.Reader), uses every method of its name.
+	unresolved := map[string]bool{}
+	for rel, file := range files {
+		if strings.HasSuffix(rel, "_test.go") {
+			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.StructType:
-				for _, f := range n.Fields.List {
-					for _, id := range f.Names {
-						notUse[id] = true
-					}
-				}
-			case *ast.CompositeLit:
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							notUse[id] = true
-						}
-					}
-				}
-			case *ast.Ident:
-				if !notUse[n] {
-					uses[n.Name] = append(uses[n.Name], ident{path, n.Pos()})
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || s.info.Uses[sel.Sel] != nil {
+				return true
+			}
+			if id, ok := sel.X.(*ast.Ident); ok {
+				if _, pkg := s.info.Uses[id].(*types.PkgName); pkg {
+					return true // strings.Split names no method
 				}
 			}
+			unresolved[sel.Sel.Name] = true
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if len(funcs) == 0 {
-		t.Fatal("found no exported funcs under internal/; is the repository root right?")
-	}
-	var unused []string
-	for _, f := range funcs {
-		used := false
-		for _, u := range uses[f.name] {
-			if u.file != f.file || u.pos < f.from || u.pos >= f.to {
-				used = true
-				break
+	usedIndirectly := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		if unresolved[fn.Name()] {
+			return true
+		}
+		typ := recv.Type()
+		if ptr, ok := typ.(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		for _, im := range ifaceUsed {
+			iface, _ := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if im.Name() == fn.Name() && iface != nil && (types.Implements(typ, iface) || types.Implements(types.NewPointer(typ), iface)) {
+				return true
 			}
 		}
-		if !used {
-			unused = append(unused, f.where)
+		return false
+	}
+	var unused []string
+	for fn, d := range decls {
+		if !used[fn] && !usedIndirectly(fn) {
+			unused = append(unused, d.where)
 		}
 	}
 	sort.Strings(unused)
-	for _, u := range unused {
-		t.Errorf("%s has no use outside tests", u)
-	}
+	return len(decls), unused
 }
 
 // recvType returns the name of d's receiver type, "" for a func.
@@ -200,5 +204,65 @@ func repoRoot(t *testing.T) string {
 			t.Fatal("no go.mod for module radloc above the test directory")
 		}
 		dir = parent
+	}
+}
+
+// TestUnusedExportsUses pins what counts as a use.
+func TestUnusedExportsUses(t *testing.T) {
+	const (
+		decl  = `package a; type T struct{}; func (T) M() {}; func F() {}`
+		cmd   = `package main; import "m/internal/a"; `
+		m, fn = "internal/a/a.go: (T).M", "internal/a/a.go: F"
+	)
+	for _, tc := range []struct {
+		name   string
+		srcs   map[string]string
+		unused []string
+	}{
+		{"never used", map[string]string{
+			"cmd/x/main.go": cmd + `var _ a.T`,
+		}, []string{m, fn}},
+		{"called", map[string]string{
+			"cmd/x/main.go": cmd + `func main() { a.T{}.M(); a.F() }`,
+		}, nil},
+		{"same-named field", map[string]string{
+			"cmd/x/main.go": cmd + `type S struct{ M int }; func main() { var s S; s.M = 1; a.F() }`,
+		}, []string{m}},
+		{"through an interface", map[string]string{
+			"cmd/x/main.go": cmd + `type I interface{ M() }; func main() { var i I = a.T{}; i.M(); a.F() }`,
+		}, nil},
+		{"selector on a standard-library type", map[string]string{
+			"cmd/x/main.go": `package main; import ("m/internal/a"; "strings"); func main() { var b strings.Builder; b.M(); a.F() }`,
+		}, nil},
+		{"standard-library func of the same name", map[string]string{
+			"cmd/x/main.go": `package main; import ("m/internal/a"; "strings"); func main() { strings.M(); a.F() }`,
+		}, []string{m}},
+		{"recursion", map[string]string{
+			"internal/a/a.go": `package a; type T struct{}; func (T) M() {}; func F() { F() }`,
+			"cmd/x/main.go":   cmd + `func main() { a.T{}.M() }`,
+		}, []string{fn}},
+		{"test file", map[string]string{
+			"internal/a/a_test.go": `package a; func init() { F(); T{}.M() }`,
+		}, []string{m, fn}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srcs := map[string]string{"internal/a/a.go": decl}
+			for rel, src := range tc.srcs {
+				srcs[rel] = src
+			}
+			fset := token.NewFileSet()
+			files := map[string]*ast.File{}
+			for rel, src := range srcs {
+				f, err := parser.ParseFile(fset, rel, src, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[rel] = f
+			}
+			_, unused := unusedExports(fset, files, map[string]string{".": "m"})
+			if strings.Join(unused, " | ") != strings.Join(tc.unused, " | ") {
+				t.Errorf("unused = %q, want %q", unused, tc.unused)
+			}
+		})
 	}
 }
