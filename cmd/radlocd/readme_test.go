@@ -2,12 +2,19 @@ package main
 
 import (
 	"context"
+	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	"radloc/internal/node"
+	"radloc/internal/scenario"
 )
 
 // TestReadmeFlagsExist extracts every radlocd invocation from
@@ -114,4 +121,59 @@ func commandFlags(cmd string) []string {
 func flagDefined(name string) bool {
 	err := run(context.Background(), []string{"-" + name + "=0"}, strings.NewReader(""), io.Discard)
 	return err == nil || !strings.Contains(err.Error(), "flag provided but not defined")
+}
+
+// unreachable fails every request at once: a peer that is down.
+type unreachable struct{}
+
+func (unreachable) RoundTrip(*http.Request) (*http.Response, error) {
+	return nil, errors.New("peer unreachable")
+}
+
+// TestReadmeNamesEveryMetricFamily boots a node with every subsystem
+// that registers metrics switched on — WAL, cluster, failover,
+// scrubber, storage probe, zone idling — and fails for each family on
+// its /metrics that README.md never names, so the "Monitoring
+// radlocd" table cannot fall behind the registry. The node is never
+// started: registration happens in New, and its peers are unreachable.
+func TestReadmeNamesEveryMetricFamily(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := node.New(node.Config{
+		Scenario:      scenario.A(50, false),
+		WALDir:        t.TempDir(),
+		ClusterSelf:   "http://a",
+		Failover:      true,
+		Peers:         []string{"http://b"},
+		HTTP:          unreachable{},
+		ProbeInterval: time.Hour,
+		ScrubInterval: time.Hour,
+		StorageProbe:  time.Hour,
+		ZoneIdle:      time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Shutdown()
+	rec := httptest.NewRecorder()
+	n.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	families := 0
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		name, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		name, _, _ = strings.Cut(name, " ")
+		families++
+		// A whole-word match, so a family renamed to a prefix or an
+		// extension of a documented name still fails.
+		if !regexp.MustCompile(`\b` + regexp.QuoteMeta(name) + `\b`).Match(readme) {
+			t.Errorf("README.md does not name metric family %s", name)
+		}
+	}
+	if families == 0 {
+		t.Fatalf("/metrics = HTTP %d with no # TYPE lines", rec.Code)
+	}
 }

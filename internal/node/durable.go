@@ -73,6 +73,7 @@ type durable struct {
 	lastApplied uint64 // newest checkpoint's WAL offset; set only through setCheckpoints
 	prevApplied uint64 // second-newest — segments below it are prunable
 	recovery    recoveryJSON
+	scrubCursor uint64 // first WAL offset the scrubber has not re-verified this cycle
 
 	// storage is the degraded-mode state, swapped in by the loop on
 	// each append outcome that changes it.

@@ -38,7 +38,6 @@ import (
 	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/scrub"
 	"radloc/internal/track"
 	"radloc/internal/vfs"
 	"radloc/internal/wal"
@@ -172,7 +171,7 @@ type Node struct {
 	zs     *zoneSet
 	clu    *cluster.Node
 	prom   *failover.Promoter
-	scr    *scrub.Scrubber
+	scr    *scrubber // nil while scrubbing is off
 	ingest *httpingest.Handler
 	mux    http.Handler
 
@@ -301,17 +300,7 @@ func New(cfg Config) (*Node, error) {
 		n.clu.SetPeersFunc(n.prom.Peers)
 	}
 	if cfg.WALDir != "" && cfg.ScrubInterval > 0 {
-		n.scr, err = scrub.New(scrub.Options{
-			Targets:  zs.scrubTargets,
-			Interval: cfg.ScrubInterval,
-			RNG:      rng.NewNamed(cfg.Seed, "scrub"),
-			Metrics:  reg,
-			Log:      log.New(cfg.Log, "", log.LstdFlags),
-		})
-		if err != nil {
-			n.Shutdown()
-			return nil, err
-		}
+		n.scr = newScrubber(zs, reg, cfg.Log)
 	}
 	n.ingest = httpingest.New(zs.pipe.Submit, httpingest.Options{
 		QueueDepth: cfg.HTTPQueue,
@@ -379,7 +368,7 @@ func (n *Node) Start(ctx context.Context) {
 			run(n.prom.Run)
 		}
 		if n.scr != nil {
-			run(n.scr.Run)
+			every(n.cfg.ScrubInterval, "scrub", n.scr.tick)
 		}
 	})
 }

@@ -2,16 +2,30 @@ package node
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"io"
+	"log"
 	"path/filepath"
 	"time"
 
 	"radloc/internal/fusion"
-	"radloc/internal/scrub"
+	"radloc/internal/obs"
 	"radloc/internal/wal"
-	"radloc/internal/zone"
 )
+
+// The integrity scrubber. Recovery-time validation only proves a WAL
+// segment was intact when the process opened it; a bit that flips
+// afterwards — controller bug, cosmic ray, silent media decay — sits
+// undetected until the next crash, which is exactly when it hurts. The
+// scrubber closes that window: on the jittered -scrub-interval cadence
+// Start runs, it re-parses each zone's retained checkpoints and re-reads
+// one sealed segment, re-verifying every record's CRC envelope. A
+// segment or checkpoint that no longer verifies is quarantined (moved
+// aside, never deleted) and the hole a segment leaves in recovery is
+// immediately re-anchored: a fresh checkpoint at or past the hole's
+// end, seeded from a caught-up replica when the cluster has one — an
+// independent copy, immune to whatever corrupted the local disk — or
+// from the local in-memory engine otherwise.
 
 // corruptDirName is where the scrubber parks artifacts that failed
 // cold re-verification, inside the zone's WAL directory. Like
@@ -19,98 +33,195 @@ import (
 // evidence of what the disk silently lost.
 const corruptDirName = "corrupt"
 
-// scrubStore adapts one zone's durability plumbing to scrub.Store.
-// Every method runs on the zone's event loop through Do, the log's
-// only owner, so a scrub never races an append, a checkpoint's prune
-// or a quarantine. Segments are bounded (-wal-segment records), so a
-// verify occupies the loop for the same order of time as a checkpoint.
-type scrubStore struct {
-	zs *zoneSet
-	z  *zone.Zone
-	d  *durable
+// scrubber is the integrity loop: its log and its counters. New builds
+// one only when scrubbing is on, so the radloc_scrub_* families exist
+// only then. Each step of a tick runs on the zone's event loop through
+// Do, the log's only owner, so a scrub never races an append, a
+// checkpoint's prune or a quarantine. Segments are bounded
+// (-wal-segment records), so a verify occupies the loop for the same
+// order of time as a checkpoint. A step once queued is never abandoned
+// (context.WithoutCancel), so a shutdown mid-tick cannot leave a
+// quarantine unseen; the tick checks its context between zones.
+type scrubber struct {
+	zs  *zoneSet
+	log *log.Logger
+
+	ticks       *obs.Counter
+	segments    *obs.Counter
+	segFailed   *obs.Counter
+	ckptPasses  *obs.Counter
+	corruptions *obs.CounterFamily
+	repairs     *obs.CounterFamily
+	repairFails *obs.Counter
 }
 
-// onLoop runs fn on the zone's event loop.
-func (s *scrubStore) onLoop(fn func() error) error {
-	return s.z.Do(context.TODO(), func(*fusion.Engine) error { return fn() })
-}
-
-// Segments implements scrub.Store; nil once the zone has closed.
-func (s *scrubStore) Segments() (out []wal.SegmentInfo) {
-	_ = s.onLoop(func() error {
-		out = s.d.log.SegmentInfos()
-		return nil
-	})
-	return out
-}
-
-// VerifySegment implements scrub.Store. A zone that closed after the
-// scrubber listed it verifies clean rather than corrupt: its next
-// recovery re-validates the log anyway.
-func (s *scrubStore) VerifySegment(start uint64) error {
-	err := s.onLoop(func() error { return s.d.log.VerifySegment(start) })
-	if errors.Is(err, zone.ErrZoneClosed) {
-		return nil
+// newScrubber registers the radloc_scrub_* families on reg and logs to
+// logw.
+func newScrubber(zs *zoneSet, reg *obs.Registry, logw io.Writer) *scrubber {
+	return &scrubber{
+		zs:  zs,
+		log: log.New(logw, "", log.LstdFlags),
+		ticks: reg.Counter("radloc_scrub_ticks_total",
+			"Scrub rounds started (one sealed segment per zone per round)."),
+		segments: reg.Counter("radloc_scrub_segments_verified_total",
+			"Sealed WAL segments re-read and CRC-verified by the scrubber."),
+		segFailed: reg.Counter("radloc_scrub_segment_failures_total",
+			"Sealed WAL segments that failed re-verification (cold corruption)."),
+		ckptPasses: reg.Counter("radloc_scrub_checkpoint_passes_total",
+			"Checkpoint re-parse passes completed (all retained checkpoints per pass)."),
+		corruptions: reg.CounterFamily("radloc_scrub_corruptions_total",
+			"Cold-corruption detections by artifact kind.", "kind"),
+		repairs: reg.CounterFamily("radloc_scrub_repairs_total",
+			"Recovery re-anchors completed after a quarantine, by state source.", "source"),
+		repairFails: reg.Counter("radloc_scrub_repair_failures_total",
+			"Quarantines or repairs that failed; recovery may be broken until the next checkpoint."),
 	}
-	return err
 }
 
-// QuarantineSegment implements scrub.Store, parking the segment in
-// <wal-dir>/corrupt/.
-func (s *scrubStore) QuarantineSegment(start uint64) (removed uint64, err error) {
-	err = s.onLoop(func() (err error) {
-		removed, err = s.d.log.QuarantineSegment(start, filepath.Join(s.d.dir, corruptDirName))
-		return err
-	})
-	return removed, err
-}
-
-// VerifyCheckpoints implements scrub.Store.
-func (s *scrubStore) VerifyCheckpoints() (bad []uint64, err error) {
-	err = s.onLoop(func() (err error) {
-		bad, err = wal.VerifyCheckpoints(s.d.fs, s.d.dir)
-		return err
-	})
-	return bad, err
-}
-
-// QuarantineCheckpoint implements scrub.Store.
-func (s *scrubStore) QuarantineCheckpoint(applied uint64) error {
-	return s.onLoop(func() error {
-		if err := wal.QuarantineCheckpoint(s.d.fs, s.d.dir, applied); err != nil {
-			return err
+// tick runs one scrub round over every scrub target: checkpoints are
+// all re-parsed (they are few and small), and one sealed segment per
+// zone is re-read, round-robin across ticks so a zone's whole cold
+// history is covered every len(segments) intervals. Targets are listed
+// afresh each tick, so zones that appear, idle out, or degrade between
+// ticks are picked up or skipped naturally.
+func (s *scrubber) tick(ctx context.Context) {
+	s.ticks.Inc()
+	for _, t := range s.zs.scrubTargets() {
+		if ctx.Err() != nil {
+			return
 		}
-		s.d.forgetCheckpoint(applied)
+		s.checkpoints(ctx, t)
+		s.segment(ctx, t)
+	}
+}
+
+// checkpoints re-parses the zone's retained checkpoints and quarantines
+// any that no longer decode. No repair step is needed: losing a
+// checkpoint only lengthens the next replay, and the very next cadence
+// checkpoint replaces it.
+func (s *scrubber) checkpoints(ctx context.Context, t durableZone) {
+	var bad []uint64
+	err := t.z.Do(context.WithoutCancel(ctx), func(*fusion.Engine) (err error) {
+		bad, err = wal.VerifyCheckpoints(t.d.fs, t.d.dir)
+		return err
+	})
+	if err != nil {
+		s.log.Printf("scrub: zone %q: verify checkpoints: %v", t.z.Name(), err)
+		return
+	}
+	s.ckptPasses.Inc()
+	for _, applied := range bad {
+		s.corruptions.With("checkpoint").Inc()
+		err := t.z.Do(context.WithoutCancel(ctx), func(*fusion.Engine) error { return t.d.quarantineCheckpoint(applied) })
+		if err != nil {
+			s.log.Printf("scrub: zone %q: checkpoint@%d corrupt but quarantine failed: %v", t.z.Name(), applied, err)
+			continue
+		}
+		s.log.Printf("scrub: zone %q: checkpoint@%d no longer decodes; quarantined (next cadence checkpoint replaces it)",
+			t.z.Name(), applied)
+	}
+}
+
+// segment advances the zone's cursor to the next sealed segment,
+// re-verifies it, and on corruption quarantines it — all in one loop
+// operation, so a zone that closes mid-tick is skipped, not half
+// scrubbed — then re-anchors recovery past the hole.
+func (s *scrubber) segment(ctx context.Context, t durableZone) {
+	var (
+		seg        wal.SegmentInfo
+		found      bool
+		removed    uint64
+		verr, qerr error
+	)
+	err := t.z.Do(context.WithoutCancel(ctx), func(*fusion.Engine) error {
+		if seg, found = nextSealed(t.d.log.SegmentInfos(), t.d.scrubCursor); !found {
+			return nil
+		}
+		t.d.scrubCursor = seg.Start + seg.Count
+		if verr = t.d.log.VerifySegment(seg.Start); verr != nil {
+			removed, qerr = t.d.log.QuarantineSegment(seg.Start, filepath.Join(t.d.dir, corruptDirName))
+		}
 		return nil
 	})
+	if err != nil || !found {
+		return // closed mid-tick, or nothing cold to verify
+	}
+	s.segments.Inc()
+	if verr == nil {
+		return
+	}
+	name := t.z.Name()
+	s.segFailed.Inc()
+	s.corruptions.With("segment").Inc()
+	s.log.Printf("scrub: zone %q: cold corruption in segment@%d (%d records): %v", name, seg.Start, seg.Count, verr)
+	if qerr != nil {
+		s.repairFails.Inc()
+		s.log.Printf("scrub: zone %q: quarantine segment@%d failed: %v", name, seg.Start, qerr)
+		return
+	}
+	end := seg.Start + seg.Count
+	source, rerr := s.repair(ctx, t, end)
+	if rerr != nil {
+		s.repairFails.Inc()
+		s.log.Printf("scrub: zone %q: segment@%d quarantined (%d records) but repair failed — recovery below offset %d is broken until a checkpoint lands: %v",
+			name, seg.Start, removed, end, rerr)
+		return
+	}
+	// source is "local" or the replica's URL; the label keeps only
+	// local/replica so its cardinality stays bounded.
+	label := "local"
+	if source != "local" {
+		label = "replica"
+	}
+	s.repairs.With(label).Inc()
+	s.log.Printf("scrub: zone %q: segment@%d quarantined (%d records), recovery re-anchored past %d from %s",
+		name, seg.Start, removed, end, source)
 }
 
-// Repair implements scrub.Store: re-anchor recovery past the
-// quarantined range with a checkpoint whose applied offset is >= to —
-// seeded from a caught-up replica's exported state when the cluster
-// has one (an independent copy, immune to whatever corrupted the
-// local disk), and otherwise from the local in-memory engine, which
-// is still correct: the corruption was cold, every lost record was
-// applied when it was first written and the engine never forgot it.
-func (s *scrubStore) Repair(ctx context.Context, from, to uint64) (string, error) {
-	if src, ok := s.zs.repairFromReplica(ctx, s.z, s.d, to); ok {
+// nextSealed picks the first sealed segment at or after cursor,
+// wrapping to the oldest sealed segment when the cursor has passed
+// the newest — the round-robin that makes coverage complete.
+func nextSealed(segs []wal.SegmentInfo, cursor uint64) (wal.SegmentInfo, bool) {
+	for _, seg := range segs {
+		if seg.Sealed && seg.Start >= cursor {
+			return seg, true
+		}
+	}
+	for _, seg := range segs {
+		if seg.Sealed {
+			return seg, true
+		}
+	}
+	return wal.SegmentInfo{}, false
+}
+
+// repair re-anchors recovery past a quarantined hole ending at to: it
+// leaves a durable checkpoint whose applied offset is >= to, seeded
+// from a caught-up replica's exported state when the cluster has one
+// (an independent copy, immune to whatever corrupted the local disk),
+// and otherwise from the local in-memory engine, which is still
+// correct: the corruption was cold, every lost record was applied when
+// it was first written and the engine never forgot it. It returns the
+// state's source: "local", or the replica's URL.
+func (s *scrubber) repair(ctx context.Context, t durableZone, to uint64) (string, error) {
+	if src, ok := s.repairFromReplica(ctx, t, to); ok {
 		return src, nil
 	}
-	return "local", s.z.Do(ctx, func(*fusion.Engine) error { return s.d.adoptLocalCheckpoint() })
+	return "local", t.z.Do(ctx, func(*fusion.Engine) error { return t.d.adoptLocalCheckpoint() })
 }
 
-// repairFromReplica tries the replica path of a scrub repair: a
-// caught-up standby (acked at least through the hole's end) exports
-// its state, and that snapshot becomes the new recovery anchor.
-// ok=false means the caller should fall back to local state; the
-// reason is logged, never fatal. The fetch runs off the zone's loop;
-// only persisting the fetched checkpoint runs on it.
-func (zs *zoneSet) repairFromReplica(ctx context.Context, z *zone.Zone, d *durable, to uint64) (string, bool) {
-	n := zs.clusterNode
+// repairFromReplica tries the replica path of a repair: a caught-up
+// standby (acked at least through the hole's end) exports its state,
+// and that snapshot becomes the new recovery anchor. ok=false means the
+// caller should fall back to local state; the reason is logged, never
+// fatal. The fetch runs off the zone's loop; only persisting the
+// fetched checkpoint runs on it.
+func (s *scrubber) repairFromReplica(ctx context.Context, t durableZone, to uint64) (string, bool) {
+	n := s.zs.clusterNode
 	if n == nil {
 		return "", false
 	}
-	zoneName := z.Name()
+	zoneName, logw := t.z.Name(), s.zs.cfg.Log
 	peer, acked, ok := n.RepairSource(zoneName)
 	if !ok || acked < to {
 		return "", false
@@ -119,7 +230,7 @@ func (zs *zoneSet) repairFromReplica(ctx context.Context, z *zone.Zone, d *durab
 	defer cancel()
 	applied, _, state, err := n.FetchState(ctx, peer, zoneName)
 	if err != nil {
-		fmt.Fprintf(zs.cfg.Log, "radlocd: zone %q: scrub repair fetch from %s failed, using local state: %v\n",
+		fmt.Fprintf(logw, "radlocd: zone %q: scrub repair fetch from %s failed, using local state: %v\n",
 			zoneName, peer, err)
 		return "", false
 	}
@@ -130,15 +241,15 @@ func (zs *zoneSet) repairFromReplica(ctx context.Context, z *zone.Zone, d *durab
 	// anchor; boot tolerates an unusable checkpoint only by falling
 	// back to a full replay, which the quarantine just made impossible.
 	if _, err := fusion.DecodeState(state); err != nil {
-		fmt.Fprintf(zs.cfg.Log, "radlocd: zone %q: replica %s state does not decode, using local state: %v\n",
+		fmt.Fprintf(logw, "radlocd: zone %q: replica %s state does not decode, using local state: %v\n",
 			zoneName, peer, err)
 		return "", false
 	}
-	err = z.Do(ctx, func(*fusion.Engine) error {
-		return d.adoptCheckpoint(wal.Checkpoint{Applied: applied, State: state})
+	err = t.z.Do(ctx, func(*fusion.Engine) error {
+		return t.d.adoptCheckpoint(wal.Checkpoint{Applied: applied, State: state})
 	})
 	if err != nil {
-		fmt.Fprintf(zs.cfg.Log, "radlocd: zone %q: persisting replica checkpoint failed, using local state: %v\n",
+		fmt.Fprintf(logw, "radlocd: zone %q: persisting replica checkpoint failed, using local state: %v\n",
 			zoneName, err)
 		return "", false
 	}
@@ -179,10 +290,14 @@ func (d *durable) adoptCheckpoint(ck wal.Checkpoint) error {
 	return nil
 }
 
-// forgetCheckpoint clears bookkeeping that referred to a quarantined
-// checkpoint, so the next cadence checkpoint fires promptly and the
-// prune floor cannot rest on a file that no longer exists.
-func (d *durable) forgetCheckpoint(applied uint64) {
+// quarantineCheckpoint moves one corrupt checkpoint aside and clears
+// bookkeeping that referred to it, so the next cadence checkpoint fires
+// promptly and the prune floor cannot rest on a file that no longer
+// exists. It runs on the zone's event loop.
+func (d *durable) quarantineCheckpoint(applied uint64) error {
+	if err := wal.QuarantineCheckpoint(d.fs, d.dir, applied); err != nil {
+		return err
+	}
 	last, prev := d.lastApplied, d.prevApplied
 	if last == applied {
 		last = prev
@@ -191,25 +306,20 @@ func (d *durable) forgetCheckpoint(applied uint64) {
 		prev = 0
 	}
 	d.setCheckpoints(last, prev)
+	return nil
 }
 
-// scrubTargets enumerates the currently-live durable zones for the
-// scrubber. Degraded zones are skipped — a disk that cannot accept
-// writes cannot accept a repair either; the storage probe loop owns
-// that state — and so are zones idled out of memory: their next
-// recovery validates them anyway.
-func (zs *zoneSet) scrubTargets() []scrub.Target {
-	var out []scrub.Target
-	for _, name := range zs.manager.Names() {
-		z, ok := zs.manager.Lookup(name)
-		if !ok {
-			continue
+// scrubTargets lists the live durable zones the scrubber visits.
+// Degraded zones are skipped — a disk that cannot accept writes cannot
+// accept a repair either; the storage probe loop owns that state — and
+// so are zones idled out of memory: their next recovery validates them
+// anyway.
+func (zs *zoneSet) scrubTargets() []durableZone {
+	var out []durableZone
+	for _, t := range zs.durableZones() {
+		if !t.d.storageDegraded() {
+			out = append(out, t)
 		}
-		d := zoneDurable(z)
-		if d == nil || d.storageDegraded() {
-			continue
-		}
-		out = append(out, scrub.Target{Zone: name, Store: &scrubStore{zs: zs, z: z, d: d}})
 	}
 	return out
 }

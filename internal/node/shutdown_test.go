@@ -57,7 +57,7 @@ func TestShutdownIsPrompt(t *testing.T) {
 
 	buf := make([]byte, 1<<20)
 	stacks := string(buf[:runtime.Stack(buf, true)])
-	for _, fn := range []string{"radloc/internal/clock.Every", "radloc/internal/scrub.", "radloc/internal/failover."} {
+	for _, fn := range []string{"radloc/internal/clock.Every", "radloc/internal/failover."} {
 		if strings.Contains(stacks, fn) {
 			t.Errorf("a goroutine in %s outlived Shutdown:\n%s", fn, stacks)
 		}

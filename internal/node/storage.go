@@ -3,7 +3,6 @@ package node
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"radloc/internal/fusion"
@@ -59,40 +58,31 @@ func (d *durable) noteAppend(err error) {
 
 // storageDegraded reports whether the zone is currently read-only.
 func (d *durable) storageDegraded() bool {
-	return d != nil && d.storage.Load().degraded
+	return d.storage.Load().degraded
 }
 
 // degradedZones lists the zones currently in degraded read-only mode,
 // sorted — the /readyz and /statez surface.
 func (zs *zoneSet) degradedZones() []string {
 	var out []string
-	for _, name := range zs.manager.Names() {
-		z, ok := zs.manager.Lookup(name)
-		if !ok {
-			continue
-		}
-		if zoneDurable(z).storageDegraded() {
-			out = append(out, name)
+	for _, t := range zs.durableZones() {
+		if t.d.storageDegraded() {
+			out = append(out, t.z.Name())
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
 // probeStorage re-probes every degraded zone's WAL: one tick of the
 // storage probe loop Start runs.
 func (zs *zoneSet) probeStorage(ctx context.Context) {
-	for _, name := range zs.manager.Names() {
-		z, ok := zs.manager.Lookup(name)
-		if !ok {
-			continue
-		}
+	for _, t := range zs.durableZones() {
 		// The probe (tail repair + scratch write + sync) runs on the
 		// zone's loop and feeds the same edge detector as appends. A
 		// zone that closed meanwhile has nothing left to probe.
-		if d := zoneDurable(z); d.storageDegraded() {
-			_ = z.Do(ctx, func(*fusion.Engine) error {
-				d.noteAppend(d.log.Probe())
+		if t.d.storageDegraded() {
+			_ = t.z.Do(ctx, func(*fusion.Engine) error {
+				t.d.noteAppend(t.d.log.Probe())
 				return nil
 			})
 		}

@@ -33,7 +33,6 @@ import (
 	"radloc/internal/obs"
 	"radloc/internal/rng"
 	"radloc/internal/scenario"
-	"radloc/internal/scrub"
 	"radloc/internal/transport"
 	"radloc/internal/vfs"
 	"radloc/internal/wal"
@@ -217,25 +216,47 @@ func copyDirFiles(t *testing.T, src, dst string) {
 	}
 }
 
-// flipByteInOldestSegment corrupts one byte in the middle of the
-// oldest WAL segment file — cold corruption, after every write was
-// validated and acknowledged.
-func flipByteInOldestSegment(t *testing.T, dir string) string {
+// flipByteInSegment corrupts one byte in the middle of the i-th
+// oldest WAL segment file in dir — cold corruption, after every write
+// was validated and acknowledged — and returns its path.
+func flipByteInSegment(t *testing.T, dir string, i int) string {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.ndjson"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no WAL segments in %s: %v", dir, err)
+	if err != nil || len(segs) <= i {
+		t.Fatalf("no WAL segment #%d in %s (%d segments): %v", i, dir, len(segs), err)
 	}
 	sort.Strings(segs)
-	blob, err := os.ReadFile(segs[0])
+	blob, err := os.ReadFile(segs[i])
 	if err != nil {
 		t.Fatal(err)
 	}
 	blob[len(blob)/2] ^= 0x20
-	if err := os.WriteFile(segs[0], blob, 0o644); err != nil {
+	if err := os.WriteFile(segs[i], blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return segs[0]
+	return segs[i]
+}
+
+// journalChaosStream submits the chaos workload to zs's default zone
+// in chaosBatch-sized batches and syncs its WAL, returning the zone's
+// journaled head.
+func journalChaosStream(t *testing.T, zs *zoneSet) uint64 {
+	t.Helper()
+	readings := chaosReadings(len(zs.cfg.Scenario.Sensors))
+	for i := 0; i < len(readings); i += chaosBatch {
+		batch := make([]fusion.Meas, 0, chaosBatch)
+		for _, m := range readings[i:min(i+chaosBatch, len(readings))] {
+			batch = append(batch, fusion.Meas{SensorID: m.SensorID, CPM: m.CPM, Step: m.Step, Seq: m.Seq})
+		}
+		if _, err := zs.manager.Submit(context.Background(), zone.DefaultZone, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	z := zs.defaultZone()
+	if err := z.Do(context.Background(), func(*fusion.Engine) error { return zoneDurable(z).log.Sync() }); err != nil {
+		t.Fatal(err)
+	}
+	return z.Snapshot().Journaled
 }
 
 // TestScrubRepairsLocalCold is the standalone-node scrub criterion:
@@ -254,37 +275,15 @@ func TestScrubRepairsLocalCold(t *testing.T) {
 		// what saves it.
 		c.WALSegment = 8
 		c.Metrics = reg
+		c.ScrubInterval = time.Hour // ticked by hand below
 	})
-	zs := n.zs
-	readings := chaosReadings(len(scenario.A(50, false).Sensors))
-	for i := 0; i < len(readings); i += chaosBatch {
-		end := i + chaosBatch
-		if end > len(readings) {
-			end = len(readings)
-		}
-		batch := make([]fusion.Meas, 0, chaosBatch)
-		for _, m := range readings[i:end] {
-			batch = append(batch, fusion.Meas{SensorID: m.SensorID, CPM: m.CPM, Step: m.Step, Seq: m.Seq})
-		}
-		if _, err := zs.manager.Submit(context.Background(), zone.DefaultZone, batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := zoneDurable(zs.defaultZone())
-	journaled := zs.defaultZone().Snapshot().Journaled
-	if err := zs.defaultZone().Do(context.Background(), func(*fusion.Engine) error { return d.log.Sync() }); err != nil {
-		t.Fatal(err)
-	}
+	journaled := journalChaosStream(t, n.zs)
 	if journaled < 24 {
 		t.Fatalf("stream journaled only %d records — not enough sealed segments", journaled)
 	}
 
-	flipByteInOldestSegment(t, walRoot)
-	scr, err := scrub.New(scrub.Options{Targets: zs.scrubTargets, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scr.Tick(context.Background())
+	flipByteInSegment(t, walRoot, 0)
+	n.scr.tick(context.Background())
 
 	// Detection + quarantine: the corrupt segment moved into corrupt/.
 	parked, err := filepath.Glob(filepath.Join(walRoot, corruptDirName, "wal-*.ndjson"))
@@ -337,7 +336,9 @@ func TestScrubRepairsFromReplica(t *testing.T) {
 	routes := cluster.Routes{Zones: map[string]cluster.Route{
 		"default": {Primary: "http://a", Standby: "http://b"},
 	}}
-	a := newClusterTestNodeAt(t, fab, "a", &routes, t.TempDir())
+	a := newClusterTestNodeAt(t, fab, "a", &routes, t.TempDir(), func(c *Config) {
+		c.ScrubInterval = time.Hour // ticked by hand below
+	})
 	b := newClusterTestNode(t, fab, "b", &routes)
 
 	sensors := len(scenario.A(50, false).Sensors)
@@ -355,12 +356,8 @@ func TestScrubRepairsFromReplica(t *testing.T) {
 
 	// Cold-corrupt the primary's oldest sealed segment, then scrub.
 	walRoot := a.zs.cfg.WALDir
-	flipByteInOldestSegment(t, walRoot)
-	scr, err := scrub.New(scrub.Options{Targets: a.zs.scrubTargets, Metrics: a.reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scr.Tick(context.Background())
+	flipByteInSegment(t, walRoot, 0)
+	a.n.scr.tick(context.Background())
 
 	parked, err := filepath.Glob(filepath.Join(walRoot, corruptDirName, "wal-*.ndjson"))
 	if err != nil || len(parked) != 1 {
@@ -462,7 +459,10 @@ func TestReadyzNamesDegradedZones(t *testing.T) {
 func TestScrubCheckpointQuarantineKeepsLastCheckpointAgreed(t *testing.T) {
 	walRoot := t.TempDir()
 	reg := obs.NewRegistry()
-	n := testNode(t, walRoot, func(c *Config) { c.Metrics = reg })
+	n := testNode(t, walRoot, func(c *Config) {
+		c.Metrics = reg
+		c.ScrubInterval = time.Hour // ticked by hand below
+	})
 	zs := n.zs
 	z, d := zs.defaultZone(), zoneDurable(zs.defaultZone())
 	sensors := len(scenario.A(50, false).Sensors)
@@ -487,11 +487,7 @@ func TestScrubCheckpointQuarantineKeepsLastCheckpointAgreed(t *testing.T) {
 	if err := os.WriteFile(newest, []byte("not a checkpoint\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	scr, err := scrub.New(scrub.Options{Targets: zs.scrubTargets, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scr.Tick(context.Background())
+	n.scr.tick(context.Background())
 
 	mux := n.Handler()
 	rec, code := nodetest.HTTPStatus(mux, http.MethodGet, "http://x/statez", "")

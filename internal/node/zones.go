@@ -248,3 +248,25 @@ func zoneDurable(z *zone.Zone) *durable {
 	d, _ := z.Aux().(*durable)
 	return d
 }
+
+// durableZone is a live zone with its durability handle.
+type durableZone struct {
+	z *zone.Zone
+	d *durable
+}
+
+// durableZones lists the live zones with durability on, sorted by
+// name: the zones the storage probe, /readyz and the scrubber visit.
+func (zs *zoneSet) durableZones() []durableZone {
+	var out []durableZone
+	for _, name := range zs.manager.Names() {
+		z, ok := zs.manager.Lookup(name)
+		if !ok {
+			continue
+		}
+		if d := zoneDurable(z); d != nil {
+			out = append(out, durableZone{z, d})
+		}
+	}
+	return out
+}

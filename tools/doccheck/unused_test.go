@@ -40,7 +40,7 @@ var unusedExemptNames = map[string]string{
 // every method of a type or "dir Type.Method" for one.
 var unusedExemptMethods = map[string]string{
 	"internal/clock Fake":      "a fake clock; transport, netchaos and node tests drive it, the ablations only construct it",
-	"internal/vfs Faulty":      "a fault-injecting filesystem; wal, node and scrub tests script its faults, radloc ablate storage only some",
+	"internal/vfs Faulty":      "a fault-injecting filesystem; wal and node tests script its faults, radloc ablate storage only some",
 	"internal/geometry Vec.Eq": "the tolerance equality tests in nine packages compare positions with",
 }
 
@@ -120,9 +120,13 @@ func unusedExports(fset *token.FileSet, files map[string]*ast.File, modules map[
 			ifaceUsed = append(ifaceUsed, fn)
 		}
 	}
-	// A selector the checker could not resolve, because its operand's
-	// type comes from the stubbed standard library (f.File.Read through
-	// an embedded io.Reader), uses every method of its name.
+	// A selector the checker could not resolve on an operand of a
+	// resolved repository type, because the method comes from the
+	// stubbed standard library (f.File.Read through vfs.File's embedded
+	// io.Reader), uses every method of its name. An operand that is
+	// itself a standard-library value (resp.Body.Close()) uses none:
+	// its type never resolved, and neither does a package name
+	// (strings.Split).
 	unresolved := map[string]bool{}
 	for rel, file := range files {
 		if strings.HasSuffix(rel, "_test.go") {
@@ -133,12 +137,9 @@ func unusedExports(fset *token.FileSet, files map[string]*ast.File, modules map[
 			if !ok || s.info.Uses[sel.Sel] != nil {
 				return true
 			}
-			if id, ok := sel.X.(*ast.Ident); ok {
-				if _, pkg := s.info.Uses[id].(*types.PkgName); pkg {
-					return true // strings.Split names no method
-				}
+			if tv := s.info.Types[sel.X]; tv.Type != nil && tv.Type != types.Typ[types.Invalid] {
+				unresolved[sel.Sel.Name] = true
 			}
-			unresolved[sel.Sel.Name] = true
 			return true
 		})
 	}
@@ -233,6 +234,9 @@ func TestUnusedExportsUses(t *testing.T) {
 		}, nil},
 		{"selector on a standard-library type", map[string]string{
 			"cmd/x/main.go": `package main; import ("m/internal/a"; "strings"); func main() { var b strings.Builder; b.M(); a.F() }`,
+		}, []string{m}},
+		{"through an embedded standard-library interface", map[string]string{
+			"cmd/x/main.go": cmd + `import "io"; type R interface{ io.Reader }; func main() { var r R; r.M(); a.F() }`,
 		}, nil},
 		{"standard-library func of the same name", map[string]string{
 			"cmd/x/main.go": `package main; import ("m/internal/a"; "strings"); func main() { strings.M(); a.F() }`,
