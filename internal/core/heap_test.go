@@ -12,17 +12,17 @@ import (
 )
 
 // heapBudgetPerParticle bounds the live heap of a warmed localizer, in
-// bytes per particle. It measures 63.2 (Go 1.24, linux/amd64): the
-// state arrays (x, y, strength, weight and the cached log-weight) take
-// 40, the grid's cell and slot indexes 8, its slab of id chunks about 7
-// (4 per item and room for one partial chunk per cell), and the
-// per-reading scratch about 4 (32 bytes per particle of the largest
-// subset, with geometric slack); the remaining 4 or so is smaller fixed
-// structures. The mean-shift search keeps nothing between refreshes.
-// One more copy of the population, 4 or 8 bytes a particle, fails the
-// test, and so does grid storage that keeps each cell's peak occupancy
-// over the warm-up.
-const heapBudgetPerParticle = 67
+// bytes per particle. It measures 46.5 (Go 1.24, linux/amd64): the
+// state arrays (x, y and strength) take 24 and the weight-class index 4
+// (the class table itself holds a handful of entries), the grid's slot
+// index 4, its slab of id chunks about 7 (4 per item and room for one
+// partial chunk per cell), and the per-reading scratch about 4 (32
+// bytes per particle of the largest subset, with geometric slack); the
+// remaining 4 or so is smaller fixed structures. The mean-shift search
+// keeps nothing between refreshes. One more copy of the population, 4
+// or 8 bytes a particle, fails the test, and so does grid storage that
+// keeps each cell's peak occupancy over the warm-up.
+const heapBudgetPerParticle = 50
 
 // warmRounds is the number of sensor rounds the localizer ingests
 // before the measurement: enough that memory which follows the history

@@ -49,11 +49,12 @@ const weightChunkSize = 512
 type Localizer struct {
 	cfg Config
 
-	// Particle state, struct-of-arrays for cache-friendly weighting.
-	// lws caches log(ws): weights only change wholesale at resampling,
-	// so the weighting stage reads a precomputed log instead of paying
-	// math.Log per particle per reading.
-	xs, ys, ss, ws, lws []float64
+	// Particle state, struct-of-arrays for cache-friendly weighting:
+	// the coordinates one array each, the weights in class form (a class
+	// index per particle into a table of the few distinct weights and
+	// their logs; see weightClasses).
+	xs, ys, ss []float64
+	wts        weightClasses
 
 	grid      *spatial.Grid
 	gridDirty bool
@@ -88,10 +89,10 @@ type Localizer struct {
 
 	// Estimation state (refresh path, not per-reading). The searcher
 	// holds only its configuration; each search allocates its working
-	// storage and drops it on return. view is the particle arrays as
-	// the searcher reads them, in place.
+	// storage and drops it on return. coords is the coordinate arrays
+	// as the searcher reads them, in place (see points).
 	searcher  *meanshift.Searcher
-	view      meanshift.Points
+	coords    [][]float64
 	startsBuf []float64
 }
 
@@ -111,10 +112,7 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 	l.xs = make([]float64, n)
 	l.ys = make([]float64, n)
 	l.ss = make([]float64, n)
-	l.ws = make([]float64, n)
-	l.lws = make([]float64, n)
-	w0 := 1 / float64(n)
-	lw0 := math.Log(w0)
+	l.wts.reset(n, 1/float64(n))
 	for i := 0; i < n; i++ {
 		if cfg.Init != nil {
 			pos, s := cfg.Init(l.stream)
@@ -126,8 +124,6 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 			l.ys[i] = l.stream.Uniform(cfg.Bounds.Min.Y, cfg.Bounds.Max.Y)
 			l.ss[i] = l.stream.Uniform(cfg.StrengthMin, cfg.StrengthMax)
 		}
-		l.ws[i] = w0
-		l.lws[i] = lw0
 	}
 	l.grid = spatial.NewGrid(cfg.Bounds, cfg.FusionRange/2)
 	l.gridDirty = true
@@ -142,7 +138,7 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	l.searcher = searcher
-	l.view = meanshift.Points{Coords: [][]float64{l.xs, l.ys, l.ss}, Weights: l.ws}
+	l.coords = [][]float64{l.xs, l.ys, l.ss}
 	l.startsBuf = make([]float64, 0, 3*cfg.MeanShiftStarts)
 	if cfg.MaxSensorGap > 0 {
 		l.sensorPos = make(map[int]geometry.Vec)
@@ -168,7 +164,7 @@ func (l *Localizer) AppendParticles(dst []Particle) []Particle {
 		dst = append(dst, Particle{
 			Pos:      geometry.V(l.xs[i], l.ys[i]),
 			Strength: l.ss[i],
-			Weight:   l.ws[i],
+			Weight:   l.wts.weight(i),
 		})
 	}
 	return dst
@@ -293,7 +289,7 @@ func (l *Localizer) weigh(sen sensor.Sensor, cpm int, ids []int32, fused bool) (
 	if priorMass <= 0 {
 		// The whole neighbourhood is massless; revive it uniformly so
 		// resampling below is well defined.
-		priorMass = float64(k) / float64(len(l.ws))
+		priorMass = float64(k) / float64(len(l.xs))
 		for i := range l.subBuf {
 			l.subBuf[i] = 0
 		}
@@ -339,25 +335,24 @@ func (l *Localizer) weightChunk(c int, ids []int32, sen sensor.Sensor, cpm int, 
 	if hi > len(ids) {
 		hi = len(ids)
 	}
+	cls, w, lw := l.wts.cls, l.wts.w, l.wts.lw
 	cMax := math.Inf(-1)
 	var cMass float64
 	for i := lo; i < hi; i++ {
 		id := ids[i]
 		if fused {
-			pos, s := l.cfg.Movement.Move(geometry.V(l.xs[id], l.ys[id]), l.ss[id], l.stream)
-			l.xs[id] = l.clampX(pos.X)
-			l.ys[id] = l.clampY(pos.Y)
-			l.ss[id] = l.clampS(s)
+			l.move(id)
 		}
 		dx := sen.Pos.X - l.xs[id]
 		dy := sen.Pos.Y - l.ys[id]
 		lambda := effC*(l.ss[id]/(1+dx*dx+dy*dy)) + bg
+		wc := cls[id]
 		var ll float64
 		switch {
 		case cpm >= 0 && lambda > 0:
-			ll = kf*math.Log(lambda) - lambda - lgk + l.lws[id]
+			ll = kf*math.Log(lambda) - lambda - lgk + lw[wc]
 		case cpm == 0 && lambda == 0:
-			ll = l.lws[id]
+			ll = lw[wc]
 		default:
 			ll = math.Inf(-1)
 		}
@@ -365,7 +360,7 @@ func (l *Localizer) weightChunk(c int, ids []int32, sen sensor.Sensor, cpm int, 
 		if ll > cMax {
 			cMax = ll
 		}
-		cMass += l.ws[id]
+		cMass += w[wc]
 	}
 	l.chunkMax[c] = cMax
 	l.chunkMass[c] = cMass
@@ -523,48 +518,54 @@ func (l *Localizer) resample(ids []int32, cum, priorMass float64) {
 		ss[at] = l.stream.Uniform(l.cfg.StrengthMin, l.cfg.StrengthMax)
 	}
 
-	w := priorMass / float64(n)
-	lw := math.Inf(-1)
-	if w > 0 {
-		lw = math.Log(w)
-	}
 	// Keep the spatial index fresh incrementally while the subset is a
 	// small fraction of the population (the paper's steady state, where
 	// per-item Move beats re-hashing everything); for bulk updates a
 	// single lazy Rebuild at the next selection is cheaper than n/4+
 	// bucket edits.
-	liveGrid := !l.gridDirty && !l.cfg.DisableFusionRange
+	liveGrid := l.gridLive()
 	if liveGrid && n > len(l.xs)/4 {
 		liveGrid = false
 		l.gridDirty = true
 	}
 	for k := 0; k < n; k++ {
 		id := ids[k]
+		if liveGrid {
+			l.grid.Move(int(id), geometry.V(l.xs[id], l.ys[id]), geometry.V(sx[k], sy[k]))
+		}
 		l.xs[id] = sx[k]
 		l.ys[id] = sy[k]
 		l.ss[id] = ss[k]
-		l.ws[id] = w
-		l.lws[id] = lw
-		if liveGrid {
-			l.grid.Move(int(id), geometry.V(sx[k], sy[k]))
-		}
 	}
+	l.wts.set(ids, l.wts.find(priorMass/float64(n)))
 }
 
+// gridLive reports whether the spatial index is kept up to date move by
+// move: every particle filed under the cell of its current position.
+// A dirty index is rebuilt from the positions at the next selection,
+// and with the fusion range disabled there is no index to keep.
+func (l *Localizer) gridLive() bool {
+	return !l.gridDirty && !l.cfg.DisableFusionRange
+}
+
+// The clamps use the builtin min and max, which the compiler inlines;
+// math.Min and math.Max are assembly calls on amd64. Both give the same
+// results, NaN and signed zeros included.
+
 func clampF(v, lo, hi float64) float64 {
-	return math.Max(lo, math.Min(hi, v))
+	return max(lo, min(hi, v))
 }
 
 func (l *Localizer) clampX(x float64) float64 {
-	return math.Max(l.cfg.Bounds.Min.X, math.Min(l.cfg.Bounds.Max.X, x))
+	return max(l.cfg.Bounds.Min.X, min(l.cfg.Bounds.Max.X, x))
 }
 
 func (l *Localizer) clampY(y float64) float64 {
-	return math.Max(l.cfg.Bounds.Min.Y, math.Min(l.cfg.Bounds.Max.Y, y))
+	return max(l.cfg.Bounds.Min.Y, min(l.cfg.Bounds.Max.Y, y))
 }
 
 func (l *Localizer) clampS(s float64) float64 {
-	return math.Max(l.cfg.StrengthMin, math.Min(l.cfg.StrengthMax, s))
+	return max(l.cfg.StrengthMin, min(l.cfg.StrengthMax, s))
 }
 
 // Estimates recovers the current source estimates (Section V-D): run
@@ -574,8 +575,15 @@ func (l *Localizer) clampS(s float64) float64 {
 // storage (a cell-ordered copy of the particles and the per-start
 // staging) lives only for the call, so between refreshes the localizer
 // holds no copy of its population. The searcher reads the particle
-// arrays in place; particles with weight ≤ 0 take no part.
-func (l *Localizer) Estimates() []Estimate { return l.estimatesOf(l.view) }
+// arrays and the weight classes in place; particles with weight ≤ 0
+// take no part.
+func (l *Localizer) Estimates() []Estimate { return l.estimatesOf(l.points()) }
+
+// points is the population as the searcher reads it: the coordinate
+// arrays and the weights in class form, in place.
+func (l *Localizer) points() meanshift.Points {
+	return meanshift.Points{Coords: l.coords, Class: l.wts.cls, Weights: l.wts.w}
+}
 
 // SkipEstimates advances the localizer as Estimates would, without
 // searching: a caller that already holds the estimates Estimates would
@@ -584,10 +592,12 @@ func (l *Localizer) Estimates() []Estimate { return l.estimatesOf(l.view) }
 // draw that places the starts, taken whenever some particle carries
 // weight; so this takes that draw under the same condition, and every
 // later ingest and search sees the stream a search would have left.
-// It records no estimate-stage timing or population gauges.
+// It records no estimate-stage timing or population gauges. A class
+// holds particles exactly when its count is positive, so scanning the
+// live classes answers "does some particle carry weight".
 func (l *Localizer) SkipEstimates() {
-	for _, w := range l.view.Weights {
-		if !(w <= 0) {
+	for c, w := range l.wts.w {
+		if l.wts.refs[c] > 0 && !(w <= 0) {
 			l.stream.Float64()
 			return
 		}
@@ -595,16 +605,17 @@ func (l *Localizer) SkipEstimates() {
 }
 
 // estimatesOf is Estimates over the particle view pts: x, y and
-// strength columns and the weights. Apart from pts it reads only the
-// configuration, the searcher, the sensor registry and one draw from
-// the localizer's RNG stream, so it can run on a copy of the
-// population as well as on the live arrays.
+// strength columns and the weights in class form. Apart from pts it
+// reads only the configuration, the searcher, the sensor registry and
+// one draw from the localizer's RNG stream, so it can run on a copy of
+// the population as well as on the live arrays.
 func (l *Localizer) estimatesOf(pts meanshift.Points) []Estimate {
 	t0 := l.met.now()
-	n := len(pts.Weights)
+	n := len(pts.Class)
 	var total, total2 float64
 	last := -1 // the last particle with weight > 0 (or NaN)
-	for i, w := range pts.Weights {
+	for i, c := range pts.Class {
+		w := pts.Weights[c]
 		if w <= 0 {
 			continue
 		}
@@ -683,17 +694,18 @@ func (l *Localizer) observable(p geometry.Vec) bool {
 // land in a reused scratch buffer.
 func (l *Localizer) sampleStarts(pts meanshift.Points, total float64, last int) []float64 {
 	m := l.cfg.MeanShiftStarts
-	xs, ys, ss, ws := pts.Coords[0], pts.Coords[1], pts.Coords[2], pts.Weights
+	xs, ys, ss := pts.Coords[0], pts.Coords[1], pts.Coords[2]
+	cls, ws := pts.Class, pts.Weights
 	starts := l.startsBuf[:0]
 	step := total / float64(m)
 	u := l.stream.Float64() * step
 	var cum float64
-	j := nextLive(ws, 0)
+	j := nextLive(pts, 0)
 	for k := 0; k < m; k++ {
 		target := u + float64(k)*step
-		for j < last && cum+ws[j] < target {
-			cum += ws[j]
-			j = nextLive(ws, j+1)
+		for j < last && cum+ws[cls[j]] < target {
+			cum += ws[cls[j]]
+			j = nextLive(pts, j+1)
 		}
 		starts = append(starts, xs[j], ys[j], ss[j])
 	}
@@ -703,8 +715,8 @@ func (l *Localizer) sampleStarts(pts meanshift.Points, total float64, last int) 
 
 // nextLive returns the first index ≥ j whose weight is not ≤ 0; the
 // caller guarantees one exists.
-func nextLive(ws []float64, j int) int {
-	for ws[j] <= 0 {
+func nextLive(pts meanshift.Points, j int) int {
+	for pts.Weights[pts.Class[j]] <= 0 {
 		j++
 	}
 	return j
@@ -717,7 +729,7 @@ func nextLive(ws []float64, j int) int {
 func (l *Localizer) Centroid() Estimate {
 	var sx, sy, ss, sw float64
 	for i := range l.xs {
-		w := l.ws[i]
+		w := l.wts.weight(i)
 		sx += w * l.xs[i]
 		sy += w * l.ys[i]
 		ss += w * l.ss[i]

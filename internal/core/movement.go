@@ -73,9 +73,20 @@ func (l *Localizer) applyMovement(ids []int32) {
 		return
 	}
 	for _, id := range ids {
-		pos, s := l.cfg.Movement.Move(geometry.V(l.xs[id], l.ys[id]), l.ss[id], l.stream)
-		l.xs[id] = l.clampX(pos.X)
-		l.ys[id] = l.clampY(pos.Y)
-		l.ss[id] = l.clampS(s)
+		l.move(id)
+	}
+}
+
+// move runs the movement model on particle id and, while the spatial
+// index is live, re-files the particle under its new position: the
+// index finds a particle's cell from the position it is filed at.
+func (l *Localizer) move(id int32) {
+	from := geometry.V(l.xs[id], l.ys[id])
+	pos, s := l.cfg.Movement.Move(from, l.ss[id], l.stream)
+	to := geometry.V(l.clampX(pos.X), l.clampY(pos.Y))
+	l.xs[id], l.ys[id] = to.X, to.Y
+	l.ss[id] = l.clampS(s)
+	if l.gridLive() {
+		l.grid.Move(int(id), from, to)
 	}
 }

@@ -76,11 +76,18 @@ func TestMaxSensorGapSuppressesDesertEstimates(t *testing.T) {
 			}
 		}
 		// Forge a dense cluster far from the sensors.
+		st, err := l.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 400; i++ {
-			l.xs[i] = 90 + l.stream.Uniform(-1, 1)
-			l.ys[i] = 50 + l.stream.Uniform(-1, 1)
-			l.ss[i] = 50
-			l.ws[i] = 1.0 / 400
+			st.Xs[i] = 90 + l.stream.Uniform(-1, 1)
+			st.Ys[i] = 50 + l.stream.Uniform(-1, 1)
+			st.Ss[i] = 50
+			st.Ws[i] = 1.0 / 400
+		}
+		if err := l.ImportState(st); err != nil {
+			t.Fatal(err)
 		}
 		desert := 0
 		for _, e := range l.Estimates() {

@@ -42,12 +42,16 @@ func (l *Localizer) ExportState() (State, error) {
 	if err != nil {
 		return State{}, fmt.Errorf("core: marshal rng: %w", err)
 	}
+	ws := make([]float64, len(l.xs))
+	for i := range ws {
+		ws[i] = l.wts.weight(i)
+	}
 	st := State{
 		Iter:        l.iter,
 		Xs:          append([]float64(nil), l.xs...),
 		Ys:          append([]float64(nil), l.ys...),
 		Ss:          append([]float64(nil), l.ss...),
-		Ws:          append([]float64(nil), l.ws...),
+		Ws:          ws,
 		RNG:         rngState,
 		LastSubset:  l.lastSubset,
 		SubsetTotal: l.subsetTotal,
@@ -82,14 +86,7 @@ func (l *Localizer) ImportState(st State) error {
 	copy(l.xs, st.Xs)
 	copy(l.ys, st.Ys)
 	copy(l.ss, st.Ss)
-	copy(l.ws, st.Ws)
-	for i, w := range l.ws {
-		if w > 0 {
-			l.lws[i] = math.Log(w)
-		} else {
-			l.lws[i] = math.Inf(-1)
-		}
-	}
+	l.wts.load(st.Ws)
 	l.iter = st.Iter
 	l.lastSubset = st.LastSubset
 	l.subsetTotal = st.SubsetTotal

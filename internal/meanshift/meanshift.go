@@ -114,34 +114,39 @@ type Mode struct {
 	Starts int
 }
 
-// Points is a columnar view of n weighted points in R^d: Coords[k][j]
-// is coordinate k of point j and Weights[j] its weight, so a caller
-// that keeps one array per coordinate passes its arrays as they are.
-// Weights are non-negative; a point with weight ≤ 0 takes no part in a
-// search at all — it pulls no climb, does not span the prune grid's
-// bounding box, and AssignMass credits it nowhere. The Searcher reads
-// the arrays and never writes them.
+// Points is a columnar view of n weighted points in R^d, their weights
+// in class form: Coords[k][j] is coordinate k of point j, and point j
+// weighs Weights[Class[j]]. A caller whose points share a few distinct
+// weights (the particle filter's) keeps one array per coordinate, a
+// class index per point and a table of the weights, and passes them as
+// they are; per-point weights are the case Class[j] = j. Every class
+// index must index Weights; table entries no point refers to are never
+// read. Weights are non-negative; a point with weight ≤ 0 takes no part
+// in a search at all — it pulls no climb, does not span the prune
+// grid's bounding box, and AssignMass credits it nowhere. The Searcher
+// reads the arrays and never writes them.
 type Points struct {
 	Coords  [][]float64 // d arrays of n coordinates; the first two are the spatial ones
-	Weights []float64   // n point weights
+	Class   []uint32    // n weight-class indexes into Weights
+	Weights []float64   // the class weights
 }
 
 // check reports whether pts holds d coordinate arrays as long as its
-// weights.
+// class indexes.
 func (pts Points) check(d int) error {
 	if len(pts.Coords) != d {
 		return fmt.Errorf("%w: %d coordinate arrays, dim %d", ErrDimensionMismatch, len(pts.Coords), d)
 	}
 	for k, c := range pts.Coords {
-		if len(c) != len(pts.Weights) {
-			return fmt.Errorf("%w: coordinate %d has %d values for %d weights", ErrDimensionMismatch, k, len(c), len(pts.Weights))
+		if len(c) != len(pts.Class) {
+			return fmt.Errorf("%w: coordinate %d has %d values for %d points", ErrDimensionMismatch, k, len(c), len(pts.Class))
 		}
 	}
 	return nil
 }
 
-// ErrDimensionMismatch is returned when points, weights, or starts do
-// not agree with the configured dimensionality.
+// ErrDimensionMismatch is returned when coordinates, class indexes, or
+// starts do not agree with the configured dimensionality.
 var ErrDimensionMismatch = errors.New("meanshift: dimension mismatch")
 
 // phase1Stride spaces the phase-1 starts: starts 0, phase1Stride,
@@ -257,12 +262,12 @@ type search struct {
 func (s *search) prepare(pts Points) int {
 	d := s.d
 	bx, by := s.cfg.Bandwidth[0], s.cfg.Bandwidth[1]
-	xs, ys, ws := pts.Coords[0], pts.Coords[1], pts.Weights
+	xs, ys, cls, ws := pts.Coords[0], pts.Coords[1], pts.Class, pts.Weights
 	lo := geometry.V(math.Inf(1), math.Inf(1))
 	hi := geometry.V(math.Inf(-1), math.Inf(-1))
 	live := 0
-	for j, w := range ws {
-		if w <= 0 {
+	for j, c := range cls {
+		if ws[c] <= 0 {
 			continue
 		}
 		live++
@@ -286,8 +291,8 @@ func (s *search) prepare(pts Points) int {
 	nx, ny := s.cells.Dims()
 	cells := nx * ny
 	s.cellStart = make([]int32, cells+1)
-	for j, w := range ws {
-		if w <= 0 {
+	for j, c := range cls {
+		if ws[c] <= 0 {
 			continue
 		}
 		s.cellStart[s.cells.Index(geometry.V(xs[j]/bx, ys[j]/by))]++
@@ -299,15 +304,16 @@ func (s *search) prepare(pts Points) int {
 	s.px, slab = carve(slab, live)
 	s.py, slab = carve(slab, live)
 	s.pw, s.rest = carve(slab, live)
-	for j := len(ws) - 1; j >= 0; j-- {
-		if ws[j] <= 0 {
+	for j := len(cls) - 1; j >= 0; j-- {
+		w := ws[cls[j]]
+		if w <= 0 {
 			continue
 		}
 		x, y := xs[j]/bx, ys[j]/by
 		c := s.cells.Index(geometry.V(x, y))
 		s.cellStart[c]--
 		e := int(s.cellStart[c])
-		s.px[e], s.py[e], s.pw[e] = x, y, ws[j]
+		s.px[e], s.py[e], s.pw[e] = x, y, w
 		for k := 2; k < d; k++ {
 			s.rest[e*(d-2)+k-2] = pts.Coords[k][j] / s.cfg.Bandwidth[k]
 		}
@@ -607,7 +613,8 @@ func (s *Searcher) AssignMass(modes []Mode, pts Points, cutoff float64) ([]float
 	}
 	mass := newMassIndex(modes, invBW[0], invBW[1], cutoff)
 	coords := pts.Coords
-	for j, w := range pts.Weights {
+	for j, c := range pts.Class {
+		w := pts.Weights[c]
 		if w <= 0 {
 			continue
 		}

@@ -41,7 +41,8 @@ func newSearcher(t testing.TB, cfg Config) *Searcher {
 }
 
 // view lays out interleaved points, d coordinates each (point j at
-// pts[j*d:(j+1)*d]), as the columnar Points a Searcher reads.
+// pts[j*d:(j+1)*d]), as the columnar Points a Searcher reads, each
+// point its own weight class.
 func view(d int, pts, ws []float64) Points {
 	coords := make([][]float64, d)
 	for k := range coords {
@@ -50,7 +51,17 @@ func view(d int, pts, ws []float64) Points {
 			coords[k][j] = pts[j*d+k]
 		}
 	}
-	return Points{Coords: coords, Weights: ws}
+	return Points{Coords: coords, Class: identity(len(ws)), Weights: ws}
+}
+
+// identity returns the class indexes 0, 1, …, n−1: every point its own
+// class.
+func identity(n int) []uint32 {
+	cls := make([]uint32, n)
+	for j := range cls {
+		cls[j] = uint32(j)
+	}
+	return cls
 }
 
 func TestFindModesTwoClusters(t *testing.T) {
@@ -165,13 +176,13 @@ func TestFindModesErrors(t *testing.T) {
 		t.Error("negative bandwidth accepted")
 	}
 	s := newSearcher(t, defaultCfg())
-	if _, err := s.FindModes(Points{Coords: [][]float64{{1}, {2}}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := s.FindModes(Points{Coords: [][]float64{{1}, {2}}, Class: []uint32{0}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("two coordinate arrays in three dimensions: %v", err)
 	}
-	if _, err := s.FindModes(Points{Coords: [][]float64{{1}, {2, 2}, {3}}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := s.FindModes(Points{Coords: [][]float64{{1}, {2, 2}, {3}}, Class: []uint32{0}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("ragged coordinates: %v", err)
 	}
-	if _, err := s.FindModes(Points{Coords: [][]float64{{1}, {2}, {3}}, Weights: []float64{1, 1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := s.FindModes(Points{Coords: [][]float64{{1}, {2}, {3}}, Class: []uint32{0, 0}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("weight count mismatch: %v", err)
 	}
 	if _, err := s.FindModes(view(3, []float64{1, 2, 3}, []float64{1}), []float64{1}); !errors.Is(err, ErrDimensionMismatch) {
@@ -277,10 +288,10 @@ func TestAssignMass(t *testing.T) {
 
 func TestAssignMassErrors(t *testing.T) {
 	s := newSearcher(t, defaultCfg())
-	if _, err := s.AssignMass(nil, Points{Coords: [][]float64{{1}, {2}}, Weights: []float64{1}}, 3); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := s.AssignMass(nil, Points{Coords: [][]float64{{1}, {2}}, Class: []uint32{0}, Weights: []float64{1}}, 3); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("two coordinate arrays in three dimensions: %v", err)
 	}
-	if _, err := s.AssignMass(nil, Points{Coords: [][]float64{{1}, {2}, {3, 3}}, Weights: []float64{1}}, 3); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := s.AssignMass(nil, Points{Coords: [][]float64{{1}, {2}, {3, 3}}, Class: []uint32{0}, Weights: []float64{1}}, 3); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("ragged coordinates: %v", err)
 	}
 	if _, err := NewSearcher(Config{Bandwidth: []float64{0, 1}}); err == nil {

@@ -74,6 +74,7 @@ type durable struct {
 	prevApplied uint64 // second-newest — segments below it are prunable
 	recovery    recoveryJSON
 	scrubCursor uint64 // first WAL offset the scrubber has not re-verified this cycle
+	unrepaired  uint64 // end of a quarantined hole no checkpoint has re-anchored yet, 0 = none; the scrubber retries its repair
 
 	// storage is the degraded-mode state, swapped in by the loop on
 	// each append outcome that changes it.
@@ -100,10 +101,15 @@ func (d *durable) AppendRefresh(ests []wal.Estimate) error {
 // setCheckpoints records the two newest checkpoint offsets. It is the
 // only writer of either, and it publishes the newest on
 // radloc_durable_last_checkpoint_offset, which /statez reads back, so
-// the two surfaces cannot disagree.
+// the two surfaces cannot disagree. A newest checkpoint at or past the
+// scrubber's unrepaired hole re-anchors recovery, which ends the
+// hole's retries.
 func (d *durable) setCheckpoints(last, prev uint64) {
 	d.lastApplied, d.prevApplied = last, prev
 	d.met.lastCheckpoint.Set(float64(last))
+	if last >= d.unrepaired {
+		d.unrepaired = 0
+	}
 }
 
 // openDurable opens (or cold-starts) the durability directory and

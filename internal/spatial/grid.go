@@ -22,8 +22,11 @@ import (
 // Grid is a uniform spatial hash over a rectangular region. The zero
 // value is not usable; construct with NewGrid.
 //
-// The grid stores no positions: Rebuild and WithinRadiusSorted read the
-// caller's coordinate arrays, and Move is told the new position.
+// The grid stores no positions, and no cell per item: Rebuild and
+// WithinRadiusSorted read the caller's coordinate arrays, and Move is
+// told both the position the item is filed at and its new one. Every
+// item is filed under the cell of its current position, so the old
+// position names the cell to take it from.
 //
 // Item ids live in one slab of fixed-size chunks of chunkLen ids. Each
 // cell owns a chain of chunks, filled in order, and an item count; a
@@ -38,7 +41,6 @@ type Grid struct {
 	store  []int32  // the slab: chunk k is store[k*chunkLen : (k+1)*chunkLen]
 	prev   []int32  // chunk → the cell's previous chunk (or next free chunk), -1 ends
 	free   int32    // first free chunk, -1 when none
-	cellOf []int32  // item id → its cell, for Move
 	slotOf []int32  // item id → its position in store, for O(1) Move
 	hitBuf []uint64 // WithinRadiusSorted hit bitset
 }
@@ -137,15 +139,15 @@ func (c *Cells) Index(p geometry.Vec) int {
 // each cell gets a run of adjacent chunks, filled in item order, and
 // the slab is refilled from its start, keeping its capacity.
 func (g *Grid) Rebuild(xs, ys []float64) {
-	g.cellOf = resize(g.cellOf, len(xs))
 	g.slotOf = resize(g.slotOf, len(xs))
-	cells, cellOf, slotOf := g.cells, g.cellOf, g.slotOf
+	cells, slotOf := g.cells, g.slotOf
 	for i := range cells {
 		cells[i].count = 0
 	}
+	// Until the fill below, slotOf holds each item's cell.
 	for i, x := range xs {
 		c := int32(g.geo.Index(geometry.V(x, ys[i])))
-		cellOf[i] = c
+		slotOf[i] = c
 		cells[c].count++
 	}
 	// Lay the chunk runs out in cell order. Until the fill below, tail
@@ -162,7 +164,7 @@ func (g *Grid) Rebuild(xs, ys []float64) {
 	g.prev = g.prev[:chunks]
 	g.free = -1
 	store := g.store
-	for i, c := range cellOf {
+	for i, c := range slotOf {
 		cl := &cells[c]
 		pos := cl.tail*chunkLen + cl.count
 		store[pos] = int32(i)
@@ -193,19 +195,22 @@ func resize(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// Move re-files item id under its new position p — the allocation-free
-// alternative to a full Rebuild when only a few items changed, e.g. the
-// particles a fusion disc selected. The grid tracks each item's cell
-// and its position in the slab, so a move is O(1): if the item stays
-// in its cell it is one comparison; otherwise it is swap-removed from
-// the old cell (the cell's last item takes its slot) and appended to
-// the new one. id must be a valid index from the last Rebuild.
+// Move re-files item id from position from, where it is filed now, to
+// position to — the allocation-free alternative to a full Rebuild when
+// only a few items changed, e.g. the particles a fusion disc selected.
+// The grid tracks each item's position in the slab, so a move is O(1):
+// if the two positions share a cell it is one comparison; otherwise the
+// item is swap-removed from from's cell (the cell's last item takes its
+// slot) and appended to to's. id must be a valid index from the last
+// Rebuild, and from the position it was last rebuilt or moved to: a
+// caller that changes an item's position must move it in the same
+// step, or the grid loses track of it.
 //
 // A moved item's position within its cell depends on the move history,
 // not just the final positions; WithinRadiusSorted's output does not.
-func (g *Grid) Move(id int, p geometry.Vec) {
-	oldC := g.cellOf[id]
-	newC := int32(g.geo.Index(p))
+func (g *Grid) Move(id int, from, to geometry.Vec) {
+	oldC := int32(g.geo.Index(from))
+	newC := int32(g.geo.Index(to))
 	if oldC == newC {
 		return
 	}
@@ -225,7 +230,6 @@ func (g *Grid) add(id, c int32) {
 	}
 	pos := cl.tail*chunkLen + off
 	g.store[pos] = id
-	g.cellOf[id] = c
 	g.slotOf[id] = pos
 	cl.count++
 }
@@ -273,7 +277,7 @@ func (g *Grid) reserve(chunks int) {
 	if cap(g.prev) >= chunks {
 		return
 	}
-	n := len(g.cellOf)
+	n := len(g.slotOf)
 	most := (n + (chunkLen-1)*min(len(g.cells), n)) / chunkLen
 	c := max(chunks, min(2*cap(g.prev), most))
 	g.store = append(make([]int32, 0, c*chunkLen), g.store...)
@@ -293,7 +297,7 @@ func (g *Grid) WithinRadiusSorted(center geometry.Vec, r float64, xs, ys []float
 	if r < 0 {
 		return dst
 	}
-	words := (len(g.cellOf) + 63) / 64
+	words := (len(g.slotOf) + 63) / 64
 	if cap(g.hitBuf) < words {
 		g.hitBuf = make([]uint64, words)
 	}
@@ -322,7 +326,7 @@ func (g *Grid) WithinRadiusSorted(center geometry.Vec, r float64, xs, ys []float
 		}
 	}
 	if need := len(dst) + count; cap(dst) < need {
-		grown := make([]int32, len(dst), min(max(need, 2*cap(dst)), len(dst)+len(g.cellOf)))
+		grown := make([]int32, len(dst), min(max(need, 2*cap(dst)), len(dst)+len(g.slotOf)))
 		copy(grown, dst)
 		dst = grown
 	}

@@ -35,10 +35,11 @@ func (p *points) query(g *Grid, c geometry.Vec, r float64) []int32 {
 	return g.WithinRadiusSorted(c, r, p.xs, p.ys, nil)
 }
 
-// move sets item id's position in p and re-files it in g.
+// move re-files item id in g from its position in p to v and sets its
+// position in p.
 func (p *points) move(g *Grid, id int, v geometry.Vec) {
+	g.Move(id, geometry.V(p.xs[id], p.ys[id]), v)
 	p.xs[id], p.ys[id] = v.X, v.Y
-	g.Move(id, v)
 }
 
 // TestWithinRadiusMatchesBruteForce compares WithinRadiusSorted with
@@ -83,8 +84,8 @@ func TestOutOfBoundsPointsRetained(t *testing.T) {
 		geometry.V(50, 50),
 	}
 	p := rebuild(g, pts)
-	if len(g.cellOf) != 3 {
-		t.Fatalf("%d items indexed, want 3", len(g.cellOf))
+	if len(g.slotOf) != 3 {
+		t.Fatalf("%d items indexed, want 3", len(g.slotOf))
 	}
 	got := p.query(g, geometry.V(-50, -50), 1)
 	if len(got) != 1 || got[0] != 0 {
@@ -111,8 +112,8 @@ func TestRebuildReplacesContents(t *testing.T) {
 func TestEdgeCases(t *testing.T) {
 	g := NewGrid(bounds100(), 10)
 	p := rebuild(g, nil)
-	if len(g.cellOf) != 0 {
-		t.Errorf("empty rebuild indexed %d items", len(g.cellOf))
+	if len(g.slotOf) != 0 {
+		t.Errorf("empty rebuild indexed %d items", len(g.slotOf))
 	}
 	if got := p.query(g, geometry.V(50, 50), 10); len(got) != 0 {
 		t.Errorf("query on empty grid: %v", got)
@@ -351,7 +352,8 @@ func (o *linearMoveOracle) move(id int, p geometry.Vec) {
 // their cell, moves out of bounds (clamped to border cells) — against
 // the linear-search oracle. Every cell's chunk chain must hold the
 // same IDs in the same order as the oracle's bucket after every move,
-// and every item's cell and slab slot must point back at it.
+// every item's slab slot must point back at it, and every item must
+// sit in the cell of its current position.
 func TestMoveMatchesLinearSearch(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		s := rng.New(41, seed)
@@ -389,8 +391,8 @@ func TestMoveMatchesLinearSearch(t *testing.T) {
 					if g.slotOf[v] != slot {
 						t.Fatalf("seed %d step %d: item %d at slot %d, slotOf says %d", seed, step, v, slot, g.slotOf[v])
 					}
-					if g.cellOf[v] != int32(c) {
-						t.Fatalf("seed %d step %d: item %d in cell %d, cellOf says %d", seed, step, v, c, g.cellOf[v])
+					if at := g.geo.Index(geometry.V(ps.xs[v], ps.ys[v])); at != c {
+						t.Fatalf("seed %d step %d: item %d filed in cell %d, its position is in cell %d", seed, step, v, c, at)
 					}
 				}
 			}
