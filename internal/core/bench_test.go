@@ -10,13 +10,15 @@ import (
 )
 
 // warmLocalizer returns a localizer that has converged on two sources,
-// matching the steady state the paper times.
-func warmLocalizer(b *testing.B, particles int) (*Localizer, []sensor.Sensor, []radiation.Source, *rng.Stream) {
+// matching the steady state the paper times. A non-nil movement model
+// makes it a tracking filter that displaces particles on every reading.
+func warmLocalizer(b *testing.B, particles int, movement MovementModel) (*Localizer, []sensor.Sensor, []radiation.Source, *rng.Stream) {
 	b.Helper()
 	cfg := Config{
 		Bounds:       geometry.NewRect(geometry.V(0, 0), geometry.V(100, 100)),
 		NumParticles: particles,
 		Seed:         1,
+		Movement:     movement,
 	}
 	l, err := NewLocalizer(cfg)
 	if err != nil {
@@ -37,24 +39,33 @@ func warmLocalizer(b *testing.B, particles int) (*Localizer, []sensor.Sensor, []
 	return l, sensors, sources, stream
 }
 
+// BenchmarkIngest times one reading on a static filter and, in the
+// -walk cases, on one whose random-walk movement model re-files every
+// displaced particle in the grid.
 func BenchmarkIngest(b *testing.B) {
 	for _, particles := range []int{2000, 15000} {
-		b.Run(benchName(particles), func(b *testing.B) {
-			l, sensors, sources, stream := warmLocalizer(b, particles)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sen := sensors[i%len(sensors)]
-				m := sen.Measure(stream, sources, nil, 3)
-				l.Ingest(sen, m.CPM)
+		for _, walk := range []bool{false, true} {
+			name, movement := benchName(particles), MovementModel(nil)
+			if walk {
+				name, movement = name+"-walk", RandomWalk{Sigma: 1}
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				l, sensors, sources, stream := warmLocalizer(b, particles, movement)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sen := sensors[i%len(sensors)]
+					m := sen.Measure(stream, sources, nil, 3)
+					l.Ingest(sen, m.CPM)
+				}
+			})
+		}
 	}
 }
 
 func BenchmarkEstimates(b *testing.B) {
 	for _, particles := range []int{2000, 15000} {
 		b.Run(benchName(particles), func(b *testing.B) {
-			l, _, _, _ := warmLocalizer(b, particles)
+			l, _, _, _ := warmLocalizer(b, particles, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = l.Estimates()
@@ -64,7 +75,7 @@ func BenchmarkEstimates(b *testing.B) {
 }
 
 func BenchmarkParticlesSnapshot(b *testing.B) {
-	l, _, _, _ := warmLocalizer(b, 15000)
+	l, _, _, _ := warmLocalizer(b, 15000, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = l.Particles()
@@ -72,7 +83,7 @@ func BenchmarkParticlesSnapshot(b *testing.B) {
 }
 
 func BenchmarkAppendParticles(b *testing.B) {
-	l, _, _, _ := warmLocalizer(b, 15000)
+	l, _, _, _ := warmLocalizer(b, 15000, nil)
 	var buf []Particle
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -171,7 +171,11 @@ func TestSegmentInfosAndVerify(t *testing.T) {
 // flip turning the envelope key "rec" into "Rec" decodes cleanly
 // under encoding/json's case-insensitive field matching, and the CRC
 // — computed over the untouched payload bytes — still matches. Only
-// decodeLine's exact canonical grammar sees it.
+// decodeLine's exact canonical grammar sees it. Replay must catch the
+// same flips, those below its start offset included: the replication
+// stream and the spool replay sealed segments long after Open
+// validated them, and a newline flipped away below the start would
+// join two readings into one line and shift every later offset.
 func TestVerifySegmentDetectsEveryByteFlip(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{Fsync: FsyncNever, SegmentRecords: 4})
@@ -194,6 +198,10 @@ func TestVerifySegmentDetectsEveryByteFlip(t *testing.T) {
 				t.Fatalf("VerifySegment missed byte %d flipped by %#02x (%q -> %q)",
 					i, mask, clean[i], raw[i])
 			}
+			if err := l.Replay(3, func(uint64, Entry) error { return nil }); err == nil {
+				t.Fatalf("Replay(3) missed byte %d flipped by %#02x (%q -> %q)",
+					i, mask, clean[i], raw[i])
+			}
 		}
 	}
 	if err := os.WriteFile(path, clean, 0o644); err != nil {
@@ -201,6 +209,9 @@ func TestVerifySegmentDetectsEveryByteFlip(t *testing.T) {
 	}
 	if err := l.VerifySegment(0); err != nil {
 		t.Fatalf("restored segment failed verification: %v", err)
+	}
+	if recs := replayAll(t, l, 3); len(recs) != 3 {
+		t.Fatalf("restored segment replays %d records from 3, want 3", len(recs))
 	}
 }
 
