@@ -38,7 +38,7 @@ func benchCmd(args []string, stdout io.Writer) error {
 		sensors   = fs.Int("sensors", 36, "with -core: sensor count: ≤36 = scenario A layout, else scenario B (196)")
 		steps     = fs.Int("steps", 6, "with -core: time steps (each sensor reports once per step)")
 		seed      = fs.Uint64("seed", 1, "with -core: random seed")
-		workers   = fs.Int("workers", 0, "with -core: worker count of the filter's weighting and mean-shift pools (0 = GOMAXPROCS)")
+		workers   = fs.Int("workers", 0, "with -core: worker count of the filter's mean-shift pool (0 = GOMAXPROCS)")
 		out       = fs.String("out", "", "report file (default stdout)")
 		coreBench = fs.Bool("core", false, "run the filter-core throughput benchmark (N timed runs of the canonical engine task) and emit a BENCH_core.json report")
 		accuracy  = fs.Bool("accuracy", false, "run the localization-accuracy benchmark (Scenarios A with obstacle, A3, B, C; 5 reps, seed 1, 30 steps) and emit a BENCH_accuracy.json report")

@@ -61,8 +61,8 @@ type coreBenchReport struct {
 	Sensors   int    `json:"sensors"`
 	Steps     int    `json:"steps"`
 	Seed      uint64 `json:"seed"`
-	// Workers is the filter's worker bound the run used, for both the
-	// weighting and the mean-shift pool (0 = GOMAXPROCS).
+	// Workers is the size of the filter's mean-shift pool the run used
+	// (0 = GOMAXPROCS); the ingest stages always run on one goroutine.
 	Workers int `json:"workers"`
 	// CPUs is runtime.NumCPU() on the measuring host — single-core
 	// hosts cannot show worker-pool speedups, so read the numbers with
@@ -70,7 +70,7 @@ type coreBenchReport struct {
 	CPUs int `json:"cpus"`
 	// GoMaxProcs is runtime.GOMAXPROCS(0) on the measuring host: the
 	// scheduler parallelism the run actually had, which is what bounds
-	// the worker pools when 0-valued worker flags default to it. The
+	// the mean-shift pool when a 0-valued -workers defaults to it. The
 	// -check gate compares baselines only between hosts where both this
 	// and CPUs match; reports predating the field carry 0, which -check
 	// treats as unknown (CPUs alone decides).

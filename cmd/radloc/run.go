@@ -82,7 +82,8 @@ func executeRun(w io.Writer, sc radloc.Scenario, cf commonFlags) error {
 }
 
 // trialWorkers picks a trial-level parallelism. Above 1, each trial's
-// filter runs its weighting and mean-shift on one worker.
+// filter runs its mean-shift search on one worker (its ingest path
+// always runs on one goroutine).
 func trialWorkers() int {
 	n := runtime.GOMAXPROCS(0)
 	if n < 2 {

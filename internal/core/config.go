@@ -92,17 +92,17 @@ type Config struct {
 	// distribution (Section V-A); see SeededPrior. nil means uniform.
 	Init InitSampler
 
-	// Workers bounds the goroutines of both worker pools: the
-	// weighting stage's, which fans the particle subset out within one
-	// Ingest call, and mean-shift estimation's (default
-	// runtime.GOMAXPROCS(0); 1 keeps both on the calling goroutine). The
-	// paper's Table I measures this parallelism. The subset is weighed
-	// in fixed-size chunks whose boundaries and reduction order do not
-	// depend on this value, and mean-shift's results are independent of
-	// it too, so a run's output — including ExportState — is
-	// bit-identical for every Workers setting; only wall-clock changes.
-	// Small subsets are always weighted inline: the weighting pool only
-	// engages when a chunk's work amortizes the goroutine handoff.
+	// Workers sizes mean-shift estimation's worker pool, the
+	// parallelism the paper's Table I measures (default
+	// runtime.GOMAXPROCS(0); 1 keeps the search on the calling
+	// goroutine). Ingest always runs on the calling goroutine: a
+	// reading's select, predict, weight and resample stages are two
+	// orders of magnitude cheaper than an estimate, and handing a
+	// subset to other cores cost more than it saved (EXPERIMENTS.md,
+	// "Weighing on the zone's goroutine"). Mean-shift's results do not
+	// depend on this value, so a run's output — including ExportState
+	// — is bit-identical for every Workers setting; only wall-clock
+	// changes.
 	Workers int
 
 	// Seed drives all of the localizer's internal randomness (particle

@@ -37,7 +37,6 @@ func TestLocalizerHeapBudget(t *testing.T) {
 	sc := scenario.C(true, 1)
 	cfg := fusion.LocalizerConfig(sc)
 	cfg.Seed = 5
-	cfg.Workers = 1 // no worker goroutines: their descriptors are heap too
 	stream := rng.NewNamed(29, "test/heap-measurements")
 
 	// The log-factorial table is process-wide and built on first use;

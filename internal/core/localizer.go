@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"radloc/internal/geometry"
 	"radloc/internal/meanshift"
@@ -36,16 +34,17 @@ func (e Estimate) String() string {
 	return fmt.Sprintf("est %.4g µCi at %v (mass %.3f)", e.Strength, e.Pos, e.Mass)
 }
 
-// weightChunkSize is the fixed granularity the weighting stage splits
-// the selected subset into. Chunk boundaries — and with them the
-// floating-point reduction order of the per-chunk partial sums — are a
-// function of the subset size only, never of Config.Workers, so every
-// worker count produces bit-identical filter state (see DESIGN.md §11).
+// weightChunkSize is the fixed granularity the weighting stage reduces
+// the selected subset in: each chunk's max log-posterior and prior mass
+// are summed on their own and then combined in chunk order. The chunks
+// fix only that floating-point reduction order, which every checkpoint
+// and digest depends on (see DESIGN.md §11); all chunks run on the
+// calling goroutine.
 const weightChunkSize = 512
 
 // Localizer is the hybrid particle-filter + mean-shift estimator. It is
-// not safe for concurrent use; the weighting and mean-shift stages
-// parallelize internally.
+// not safe for concurrent use. Ingest runs on the calling goroutine;
+// only mean-shift estimation parallelizes internally (Config.Workers).
 type Localizer struct {
 	cfg Config
 
@@ -79,13 +78,11 @@ type Localizer struct {
 	// subset's log-posteriors, then in place their cumulative
 	// distribution, then — once resample has drawn its picks — the
 	// survivors' x.
-	idsBuf    []int32
-	subBuf    []float64
-	pickBuf   []int32
-	syBuf     []float64 // resample survivors, y
-	ssBuf     []float64 // resample survivors, strength
-	chunkMax  []float64 // per-chunk max log-posterior partials
-	chunkMass []float64 // per-chunk prior-mass partials
+	idsBuf  []int32
+	subBuf  []float64
+	pickBuf []int32
+	syBuf   []float64 // resample survivors, y
+	ssBuf   []float64 // resample survivors, strength
 
 	// Estimation state (refresh path, not per-reading). The searcher
 	// holds only its configuration; each search allocates its working
@@ -127,9 +124,6 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 	}
 	l.grid = spatial.NewGrid(cfg.Bounds, cfg.FusionRange/2)
 	l.gridDirty = true
-	nChunks := (n + weightChunkSize - 1) / weightChunkSize
-	l.chunkMax = make([]float64, nChunks)
-	l.chunkMass = make([]float64, nChunks)
 	searcher, err := meanshift.NewSearcher(meanshift.Config{
 		Bandwidth: []float64{cfg.BandwidthXY, cfg.BandwidthXY, cfg.BandwidthStr},
 		Workers:   cfg.Workers,
@@ -200,16 +194,9 @@ func (l *Localizer) Ingest(sen sensor.Sensor, cpm int) {
 	}
 
 	// Prediction (V-B): P'' = F_movement(P'); identity for static
-	// sources. When weighting runs inline (one chunk's worth of work or
-	// Workers = 1) the prediction is fused into the weighting loop — one
-	// pass over the subset instead of two — and its cost is charged to
-	// the weight stage. A parallel weighting pass forces the split: the
-	// movement model draws from the localizer's single RNG stream, so it
-	// must run sequentially before the fan-out.
-	fused := l.cfg.Movement != nil && !l.parallelWeighting(len(ids))
-	if l.cfg.Movement != nil && !fused {
-		l.applyMovement(ids)
-	}
+	// sources. The movement model runs fused into the weighting loop —
+	// one pass over the subset instead of two — so its cost is charged
+	// to the weight stage.
 	if l.met != nil {
 		t0 = l.met.lap(l.met.predictH, t0)
 	}
@@ -217,7 +204,7 @@ func (l *Localizer) Ingest(sen sensor.Sensor, cpm int) {
 	// Weighting (V-C): posterior ∝ prior × Poisson(cpm | λ(particle)).
 	// Log-space with max-shift keeps the arithmetic finite even when
 	// the counts are large.
-	cum, priorMass := l.weigh(sen, cpm, ids, fused)
+	cum, priorMass := l.weigh(sen, cpm, ids)
 	if l.met != nil {
 		t0 = l.met.lap(l.met.weightH, t0)
 	}
@@ -227,31 +214,20 @@ func (l *Localizer) Ingest(sen sensor.Sensor, cpm int) {
 	}
 }
 
-// parallelWeighting reports whether the weighting stage will fan out
-// to worker goroutines for a subset of k particles: only when the
-// configuration allows more than one worker and the subset spans more
-// than one chunk (a single chunk cannot amortize the handoff).
-func (l *Localizer) parallelWeighting(k int) bool {
-	return l.cfg.Workers > 1 && k > weightChunkSize
-}
-
 // weigh computes the log-posterior of every selected particle into
 // subBuf, turns it in place into a cumulative selection distribution,
 // and returns the distribution's total mass together with the subset's
-// prior mass share.
+// prior mass share. The movement model, when one is configured, runs on
+// each particle just before it is weighed.
 //
 // The subset is processed in fixed-size chunks. Each chunk fills its
-// disjoint subBuf range and produces (max, mass) partials; partials
-// combine in chunk order. The chunking is identical whether chunks run
-// on the calling goroutine or on Workers goroutines, which is what
-// makes the result — and all downstream filter state — bit-identical
-// across worker counts.
-func (l *Localizer) weigh(sen sensor.Sensor, cpm int, ids []int32, fused bool) (cum, priorMass float64) {
+// subBuf range and produces (max, mass) partials; partials combine in
+// chunk order. The chunk boundaries are a function of the subset size
+// alone, so they fix the floating-point reduction order, and with it
+// the filter state, independently of anything else.
+func (l *Localizer) weigh(sen sensor.Sensor, cpm int, ids []int32) (cum, priorMass float64) {
 	k := len(ids)
 	l.subBuf = grow(l.subBuf, k, len(l.xs))
-	nChunks := (k + weightChunkSize - 1) / weightChunkSize
-	chunkMax := l.chunkMax[:nChunks]
-	chunkMass := l.chunkMass[:nChunks]
 
 	// Per-reading constants, hoisted out of the particle loop: the
 	// calibration factor of Eq. (4) and — the big one — the Poisson
@@ -262,29 +238,13 @@ func (l *Localizer) weigh(sen sensor.Sensor, cpm int, ids []int32, fused bool) (
 	bg := sen.Background
 	kf := float64(cpm)
 	lgk := stat.LogFactorial(cpm)
-
-	// The fused (movement-in-loop) variant draws from the shared RNG
-	// stream, so it only ever runs inline; parallelWeighting gates it.
-	// The inline path calls the chunk method directly — a closure here
-	// would escape through the pool path and put two heap allocations
-	// on every reading.
-	if l.parallelWeighting(k) {
-		l.runChunks(nChunks, func(c int) {
-			l.weightChunk(c, ids, sen, cpm, kf, lgk, effC, bg, fused)
-		})
-	} else {
-		for c := 0; c < nChunks; c++ {
-			l.weightChunk(c, ids, sen, cpm, kf, lgk, effC, bg, fused)
-		}
-	}
-
 	maxLog := math.Inf(-1)
-	priorMass = 0
-	for c := range chunkMax {
-		if chunkMax[c] > maxLog {
-			maxLog = chunkMax[c]
+	for lo := 0; lo < k; lo += weightChunkSize {
+		cMax, cMass := l.weightChunk(ids, lo, min(lo+weightChunkSize, k), sen, cpm, kf, lgk, effC, bg)
+		if cMax > maxLog {
+			maxLog = cMax
 		}
-		priorMass += chunkMass[c]
+		priorMass += cMass
 	}
 	if priorMass <= 0 {
 		// The whole neighbourhood is massless; revive it uniformly so
@@ -297,25 +257,15 @@ func (l *Localizer) weigh(sen sensor.Sensor, cpm int, ids []int32, fused bool) (
 	}
 
 	// Posterior selection probabilities within the subset: exponentiate
-	// in place (chunked, element-wise, so worker counts cannot change
-	// the values), then a sequential in-place prefix sum builds the cdf.
+	// and sum in one in-place pass that builds the cdf.
 	if math.IsInf(maxLog, -1) {
 		// Nothing in the subset can explain the reading at all; fall
 		// back to uniform selection so diversity survives.
 		return uniformCDF(l.subBuf), priorMass
 	}
-	if l.parallelWeighting(k) {
-		l.runChunks(nChunks, func(c int) {
-			l.expChunk(c, k, maxLog)
-		})
-	} else {
-		for c := 0; c < nChunks; c++ {
-			l.expChunk(c, k, maxLog)
-		}
-	}
 	cum = 0
 	for i := range l.subBuf {
-		cum += l.subBuf[i]
+		cum += math.Exp(l.subBuf[i] - maxLog)
 		l.subBuf[i] = cum
 	}
 	if cum <= 0 {
@@ -324,23 +274,18 @@ func (l *Localizer) weigh(sen sensor.Sensor, cpm int, ids []int32, fused bool) (
 	return cum, priorMass
 }
 
-// weightChunk scores chunk c of the selected subset: it fills the
-// chunk's subBuf range with per-particle log-posteriors and records the
-// chunk's (max log, prior mass) partials. With fused set (inline
-// execution only) the movement model runs on each particle first, so
-// prediction and weighting make one pass over the subset.
-func (l *Localizer) weightChunk(c int, ids []int32, sen sensor.Sensor, cpm int, kf, lgk, effC, bg float64, fused bool) {
-	lo := c * weightChunkSize
-	hi := lo + weightChunkSize
-	if hi > len(ids) {
-		hi = len(ids)
-	}
+// weightChunk scores the chunk ids[lo:hi] of the selected subset: it
+// fills subBuf[lo:hi] with per-particle log-posteriors and returns the
+// chunk's max log-posterior and prior mass. With a movement model
+// configured each particle moves first, so prediction and weighting
+// make one pass over the subset.
+func (l *Localizer) weightChunk(ids []int32, lo, hi int, sen sensor.Sensor, cpm int, kf, lgk, effC, bg float64) (cMax, cMass float64) {
+	moving := l.cfg.Movement != nil
 	cls, w, lw := l.wts.cls, l.wts.w, l.wts.lw
-	cMax := math.Inf(-1)
-	var cMass float64
+	cMax = math.Inf(-1)
 	for i := lo; i < hi; i++ {
 		id := ids[i]
-		if fused {
+		if moving {
 			l.move(id)
 		}
 		dx := sen.Pos.X - l.xs[id]
@@ -362,21 +307,7 @@ func (l *Localizer) weightChunk(c int, ids []int32, sen sensor.Sensor, cpm int, 
 		}
 		cMass += w[wc]
 	}
-	l.chunkMax[c] = cMax
-	l.chunkMass[c] = cMass
-}
-
-// expChunk exponentiates chunk c of subBuf in place (element-wise, so
-// chunk scheduling cannot change the values).
-func (l *Localizer) expChunk(c, k int, maxLog float64) {
-	lo := c * weightChunkSize
-	hi := lo + weightChunkSize
-	if hi > k {
-		hi = k
-	}
-	for i := lo; i < hi; i++ {
-		l.subBuf[i] = math.Exp(l.subBuf[i] - maxLog)
-	}
+	return cMax, cMass
 }
 
 // uniformCDF overwrites cdf with the uniform cumulative distribution
@@ -400,41 +331,6 @@ func grow[T any](buf []T, k, limit int) []T {
 		return make([]T, k, min(max(k, 2*cap(buf)), limit))
 	}
 	return buf[:k]
-}
-
-// runChunks executes fn(c) for every chunk index. Chunks run on the
-// calling goroutine unless the worker pool is engaged (Workers > 1 and
-// more than one chunk), in which case min(Workers, chunks) goroutines
-// drain the chunk indices. fn must write only to its chunk's disjoint
-// state; the chunk decomposition itself never depends on the worker
-// count.
-func (l *Localizer) runChunks(nChunks int, fn func(c int)) {
-	workers := l.cfg.Workers
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers <= 1 {
-		for c := 0; c < nChunks; c++ {
-			fn(c)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				fn(c)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // selectParticles implements Eq. (5): P' = {p : ‖S_i − p‖ ≤ d_i}. With

@@ -66,20 +66,11 @@ func (c ConstantVelocity) Move(pos geometry.Vec, strength float64, stream *rng.S
 	return p, strength
 }
 
-// applyMovement runs the configured movement model over the selected
-// particles (the prediction step producing P” from P').
-func (l *Localizer) applyMovement(ids []int32) {
-	if l.cfg.Movement == nil {
-		return
-	}
-	for _, id := range ids {
-		l.move(id)
-	}
-}
-
-// move runs the movement model on particle id and, while the spatial
-// index is live, re-files the particle under its new position: the
-// index finds a particle's cell from the position it is filed at.
+// move runs the movement model on particle id — the prediction step
+// producing P” from P', taken one particle at a time inside the
+// weighting loop — and, while the spatial index is live, re-files the
+// particle under its new position: the index finds a particle's cell
+// from the position it is filed at.
 func (l *Localizer) move(id int32) {
 	from := geometry.V(l.xs[id], l.ys[id])
 	pos, s := l.cfg.Movement.Move(from, l.ss[id], l.stream)

@@ -47,36 +47,46 @@ func runWorkload(t *testing.T, cfg Config, steps int) (State, []Estimate) {
 	return st, ests
 }
 
-// TestExportStateBitIdenticalAcrossWorkerCounts is the tentpole's
-// determinism invariant: the worker pools (weighting and mean-shift)
-// change wall-clock only, never output. Run the identical workload
-// under a sweep of Workers settings and demand byte-for-byte equal
+// TestExportStateBitIdenticalAcrossWorkerCounts is the determinism
+// invariant of the mean-shift worker pool: it changes wall-clock only,
+// never output. Run the identical workload under a sweep of Workers
+// settings, for a static filter and a moving one (whose movement model
+// draws from the filter's RNG stream), and demand byte-for-byte equal
 // exported state and equal estimates. Run with -race to also exercise
-// the pools' memory discipline.
+// the pool's memory discipline.
 func TestExportStateBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	base := testConfig()
-	base.NumParticles = 1500 // > 2 chunks so the pool actually engages
+	base.NumParticles = 1500 // subsets span several weighting chunks
 
-	workers := []int{1, 2, 3, 5, 8, 16}
-	var refState []byte
-	var refEsts []Estimate
-	for i, w := range workers {
-		cfg := base
-		cfg.Workers = w
-		st, ests := runWorkload(t, cfg, 6)
-		blob, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			refState, refEsts = blob, ests
-			continue
-		}
-		if !bytes.Equal(blob, refState) {
-			t.Errorf("workers=%d: exported state differs from workers=%d", w, workers[0])
-		}
-		if fmt.Sprint(ests) != fmt.Sprint(refEsts) {
-			t.Errorf("workers=%d: estimates differ: %v vs %v", w, ests, refEsts)
+	for _, tc := range []struct {
+		name     string
+		movement MovementModel
+	}{
+		{"static", nil},
+		{"RandomWalk", RandomWalk{Sigma: 0.5}},
+	} {
+		workers := []int{1, 2, 3, 5, 8, 16}
+		var refState []byte
+		var refEsts []Estimate
+		for i, w := range workers {
+			cfg := base
+			cfg.Movement = tc.movement
+			cfg.Workers = w
+			st, ests := runWorkload(t, cfg, 6)
+			blob, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				refState, refEsts = blob, ests
+				continue
+			}
+			if !bytes.Equal(blob, refState) {
+				t.Errorf("%s, workers=%d: exported state differs from workers=%d", tc.name, w, workers[0])
+			}
+			if fmt.Sprint(ests) != fmt.Sprint(refEsts) {
+				t.Errorf("%s, workers=%d: estimates differ: %v vs %v", tc.name, w, ests, refEsts)
+			}
 		}
 	}
 }
@@ -84,8 +94,7 @@ func TestExportStateBitIdenticalAcrossWorkerCounts(t *testing.T) {
 // TestIngestSteadyStateAllocationFree pins the rewrite's allocation
 // contract: once the scratch buffers have grown to the workload, the
 // per-reading path (select → predict → weight → resample) allocates
-// nothing. Inline weighting is the measured configuration — the pooled
-// path necessarily allocates its worker goroutines.
+// nothing, at any Workers setting: Ingest starts no goroutine.
 //
 // The count covers more than a thousand readings, and it must be
 // exactly 0: testing.AllocsPerRun divides with truncation, so it reads
@@ -100,60 +109,64 @@ func TestExportStateBitIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestIngestSteadyStateAllocationFree(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	cfg := testConfig()
-	cfg.Workers = 1
-	l, err := NewLocalizer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := []radiation.Source{{Pos: geometry.V(40, 55), Strength: 30}}
-	sensors := sensor.Grid(bounds100(), 6, 6, sensor.DefaultEfficiency, 5)
-	stream := rng.NewNamed(7, "test/alloc-measurements")
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Workers = workers
+			l, err := NewLocalizer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources := []radiation.Source{{Pos: geometry.V(40, 55), Strength: 30}}
+			sensors := sensor.Grid(bounds100(), 6, 6, sensor.DefaultEfficiency, 5)
+			stream := rng.NewNamed(7, "test/alloc-measurements")
 
-	// Warm up: grow every scratch buffer and converge the population.
-	for step := 0; step < 4; step++ {
-		for _, sen := range sensors {
-			m := sen.Measure(stream, sources, nil, step)
-			l.Ingest(sen, m.CPM)
-		}
-	}
+			// Warm up: grow every scratch buffer and converge the population.
+			for step := 0; step < 4; step++ {
+				for _, sen := range sensors {
+					m := sen.Measure(stream, sources, nil, step)
+					l.Ingest(sen, m.CPM)
+				}
+			}
 
-	// Pre-render the measured readings so the measured loop runs the
-	// ingest path and nothing else.
-	type reading struct {
-		sen sensor.Sensor
-		cpm int
-	}
-	var readings []reading
-	for step := 4; step < 34; step++ {
-		for _, sen := range sensors {
-			m := sen.Measure(stream, sources, nil, step)
-			readings = append(readings, reading{sen, m.CPM})
-		}
-	}
-	cells := spatial.NewCells(l.cfg.Bounds, l.cfg.FusionRange/2)
-	cellsBefore := make([]int, len(l.xs))
-	for i := range l.xs {
-		cellsBefore[i] = cells.Index(geometry.V(l.xs[i], l.ys[i]))
-	}
+			// Pre-render the measured readings so the measured loop runs the
+			// ingest path and nothing else.
+			type reading struct {
+				sen sensor.Sensor
+				cpm int
+			}
+			var readings []reading
+			for step := 4; step < 34; step++ {
+				for _, sen := range sensors {
+					m := sen.Measure(stream, sources, nil, step)
+					readings = append(readings, reading{sen, m.CPM})
+				}
+			}
+			cells := spatial.NewCells(l.cfg.Bounds, l.cfg.FusionRange/2)
+			cellsBefore := make([]int, len(l.xs))
+			for i := range l.xs {
+				cellsBefore[i] = cells.Index(geometry.V(l.xs[i], l.ys[i]))
+			}
 
-	before := ingestAllocs()
-	for _, r := range readings {
-		l.Ingest(r.sen, r.cpm)
-	}
-	allocs := ingestAllocs() - before
+			before := ingestAllocs()
+			for _, r := range readings {
+				l.Ingest(r.sen, r.cpm)
+			}
+			allocs := ingestAllocs() - before
 
-	moved := 0
-	for i := range l.xs {
-		if cells.Index(geometry.V(l.xs[i], l.ys[i])) != cellsBefore[i] {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Fatal("no particle changed grid cell over the measured readings")
-	}
-	if allocs != 0 {
-		t.Errorf("steady-state Ingest made %d heap allocations over %d readings, want 0", allocs, len(readings))
+			moved := 0
+			for i := range l.xs {
+				if cells.Index(geometry.V(l.xs[i], l.ys[i])) != cellsBefore[i] {
+					moved++
+				}
+			}
+			if moved == 0 {
+				t.Fatal("no particle changed grid cell over the measured readings")
+			}
+			if allocs != 0 {
+				t.Errorf("steady-state Ingest made %d heap allocations over %d readings, want 0", allocs, len(readings))
+			}
+		})
 	}
 }
 
@@ -190,35 +203,4 @@ func ingestAllocs() int64 {
 		}
 	}
 	return total
-}
-
-// TestMovementFusedMatchesSplit verifies the fused predict+weight path
-// (taken when weighting runs inline) produces the same trace as the
-// pooled configuration, which must split the RNG-drawing movement pass
-// from the parallel weighting: with a movement model installed the two
-// code paths differ, but their outputs may not.
-func TestMovementFusedMatchesSplit(t *testing.T) {
-	base := testConfig()
-	base.NumParticles = 1500
-	base.Movement = RandomWalk{Sigma: 0.5}
-
-	cfg1 := base
-	cfg1.Workers = 1 // fused predict+weight
-	st1, _ := runWorkload(t, cfg1, 4)
-
-	cfg2 := base
-	cfg2.Workers = 4 // sequential predict, pooled weight
-	st2, _ := runWorkload(t, cfg2, 4)
-
-	b1, err := json.Marshal(st1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := json.Marshal(st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Error("fused and split predict+weight paths diverged")
-	}
 }

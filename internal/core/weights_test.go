@@ -148,56 +148,46 @@ func TestExportImportExportByteIdentical(t *testing.T) {
 // particle's cell from the position it is filed at, so every move must
 // re-file the particle. After every Ingest, while the index is live, a
 // fusion-range query around each sensor must return exactly the
-// particles a scan of every position finds — for the fused movement
-// path (one worker) and the split one (a pooled weighting pass).
+// particles a scan of every position finds.
 func TestMovingGridMatchesBruteForce(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := testConfig()
-		cfg.Workers = workers
-		cfg.Movement = RandomWalk{Sigma: 2}
-		l, err := NewLocalizer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := cfg.withDefaults().FusionRange
-		sensors := sensor.Grid(bounds100(), 6, 6, sensor.DefaultEfficiency, 5)
-		stream := rng.NewNamed(21, "test/moving-grid")
-		pos := geometry.V(20, 30)
-		checked, split := 0, 0
-		var got, want []int32
-		for step := 0; step < 12; step++ {
-			truth := []radiation.Source{{Pos: pos, Strength: 100}}
-			for _, sen := range sensors {
-				l.Ingest(sen, sen.Measure(stream, truth, nil, step).CPM)
-				if l.parallelWeighting(l.lastSubset) {
-					split++
-				}
-				if !l.gridLive() {
-					continue // rebuilt from the positions at the next selection
-				}
-				checked++
-				for _, q := range sensors {
-					got = l.grid.WithinRadiusSorted(q.Pos, r, l.xs, l.ys, got[:0])
-					want = want[:0]
-					for i := range l.xs {
-						if geometry.V(l.xs[i], l.ys[i]).Dist2(q.Pos) <= r*r {
-							want = append(want, int32(i))
-						}
+	cfg := testConfig()
+	cfg.Movement = RandomWalk{Sigma: 2}
+	l, err := NewLocalizer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := cfg.withDefaults().FusionRange
+	sensors := sensor.Grid(bounds100(), 6, 6, sensor.DefaultEfficiency, 5)
+	stream := rng.NewNamed(21, "test/moving-grid")
+	pos := geometry.V(20, 30)
+	checked := 0
+	var got, want []int32
+	for step := 0; step < 12; step++ {
+		truth := []radiation.Source{{Pos: pos, Strength: 100}}
+		for _, sen := range sensors {
+			l.Ingest(sen, sen.Measure(stream, truth, nil, step).CPM)
+			if !l.gridLive() {
+				continue // rebuilt from the positions at the next selection
+			}
+			checked++
+			for _, q := range sensors {
+				got = l.grid.WithinRadiusSorted(q.Pos, r, l.xs, l.ys, got[:0])
+				want = want[:0]
+				for i := range l.xs {
+					if geometry.V(l.xs[i], l.ys[i]).Dist2(q.Pos) <= r*r {
+						want = append(want, int32(i))
 					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("workers %d, step %d, sensor %d: grid finds %d particles near %v, a scan %d",
-							workers, step, sen.ID, len(got), q.Pos, len(want))
-					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d, sensor %d: grid finds %d particles near %v, a scan %d",
+						step, sen.ID, len(got), q.Pos, len(want))
 				}
 			}
-			pos = pos.Add(geometry.V(1.5, 1))
 		}
-		t.Logf("workers %d: %d live-index checks, %d split-path readings", workers, checked, split)
-		if checked < 12*len(sensors)/2 {
-			t.Fatalf("workers %d: index live after only %d of %d readings", workers, checked, 12*len(sensors))
-		}
-		if workers > 1 && split == 0 {
-			t.Fatalf("workers %d: no reading took the split movement path", workers)
-		}
+		pos = pos.Add(geometry.V(1.5, 1))
+	}
+	t.Logf("%d live-index checks", checked)
+	if checked < 12*len(sensors)/2 {
+		t.Fatalf("index live after only %d of %d readings", checked, 12*len(sensors))
 	}
 }
