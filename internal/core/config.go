@@ -96,7 +96,7 @@ type Config struct {
 	// parallelism the paper's Table I measures (default
 	// runtime.GOMAXPROCS(0); 1 keeps the search on the calling
 	// goroutine). Ingest always runs on the calling goroutine: a
-	// reading's select, predict, weight and resample stages are two
+	// reading's select, weight and resample stages are two
 	// orders of magnitude cheaper than an estimate, and handing a
 	// subset to other cores cost more than it saved (EXPERIMENTS.md,
 	// "Weighing on the zone's goroutine"). Mean-shift's results do not

@@ -86,10 +86,9 @@ type Localizer struct {
 
 	// Estimation state (refresh path, not per-reading). The searcher
 	// holds only its configuration; each search allocates its working
-	// storage and drops it on return. coords is the coordinate arrays
-	// as the searcher reads them, in place (see points).
+	// storage and drops it on return. It reads the particle arrays in
+	// place (see points).
 	searcher  *meanshift.Searcher
-	coords    [][]float64
 	startsBuf []float64
 }
 
@@ -125,14 +124,13 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 	l.grid = spatial.NewGrid(cfg.Bounds, cfg.FusionRange/2)
 	l.gridDirty = true
 	searcher, err := meanshift.NewSearcher(meanshift.Config{
-		Bandwidth: []float64{cfg.BandwidthXY, cfg.BandwidthXY, cfg.BandwidthStr},
+		Bandwidth: [3]float64{cfg.BandwidthXY, cfg.BandwidthXY, cfg.BandwidthStr},
 		Workers:   cfg.Workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	l.searcher = searcher
-	l.coords = [][]float64{l.xs, l.ys, l.ss}
 	l.startsBuf = make([]float64, 0, 3*cfg.MeanShiftStarts)
 	if cfg.MaxSensorGap > 0 {
 		l.sensorPos = make(map[int]geometry.Vec)
@@ -193,17 +191,12 @@ func (l *Localizer) Ingest(sen sensor.Sensor, cpm int) {
 		return
 	}
 
-	// Prediction (V-B): P'' = F_movement(P'); identity for static
-	// sources. The movement model runs fused into the weighting loop —
-	// one pass over the subset instead of two — so its cost is charged
-	// to the weight stage.
-	if l.met != nil {
-		t0 = l.met.lap(l.met.predictH, t0)
-	}
-
-	// Weighting (V-C): posterior ∝ prior × Poisson(cpm | λ(particle)).
-	// Log-space with max-shift keeps the arithmetic finite even when
-	// the counts are large.
+	// Prediction (V-B), P'' = F_movement(P') (identity for static
+	// sources), and weighting (V-C), posterior ∝ prior ×
+	// Poisson(cpm | λ(particle)), in one pass over the subset: the
+	// movement model runs inside the weighting loop, so its cost is
+	// the weight stage's. Log-space with max-shift keeps the arithmetic
+	// finite even when the counts are large.
 	cum, priorMass := l.weigh(sen, cpm, ids)
 	if l.met != nil {
 		t0 = l.met.lap(l.met.weightH, t0)
@@ -478,7 +471,7 @@ func (l *Localizer) Estimates() []Estimate { return l.estimatesOf(l.points()) }
 // points is the population as the searcher reads it: the coordinate
 // arrays and the weights in class form, in place.
 func (l *Localizer) points() meanshift.Points {
-	return meanshift.Points{Coords: l.coords, Class: l.wts.cls, Weights: l.wts.w}
+	return meanshift.Points{X: l.xs, Y: l.ys, S: l.ss, Class: l.wts.cls, Weights: l.wts.w}
 }
 
 // SkipEstimates advances the localizer as Estimates would, without
@@ -590,7 +583,7 @@ func (l *Localizer) observable(p geometry.Vec) bool {
 // land in a reused scratch buffer.
 func (l *Localizer) sampleStarts(pts meanshift.Points, total float64, last int) []float64 {
 	m := l.cfg.MeanShiftStarts
-	xs, ys, ss := pts.Coords[0], pts.Coords[1], pts.Coords[2]
+	xs, ys, ss := pts.X, pts.Y, pts.S
 	cls, ws := pts.Class, pts.Weights
 	starts := l.startsBuf[:0]
 	step := total / float64(m)

@@ -11,7 +11,7 @@ import (
 // the "instrumentation off" state — every method is nil-receiver safe
 // so the hot path pays a single branch, no timer reads.
 type filterMetrics struct {
-	selectH, predictH, weightH, resampleH, estimateH *obs.Histogram
+	selectH, weightH, resampleH, estimateH *obs.Histogram
 
 	iterations *obs.Counter
 	empty      *obs.Counter
@@ -22,10 +22,10 @@ type filterMetrics struct {
 
 // FilterStages lists the stage labels of the
 // radloc_filter_stage_seconds histogram family in pipeline order:
-// select (fusion-range particle selection, Eq. 5), predict (movement
-// model), weight (Poisson reweighting), resample (systematic
-// resampling + injection), estimate (mean-shift mode recovery).
-var FilterStages = []string{"select", "predict", "weight", "resample", "estimate"}
+// select (fusion-range particle selection, Eq. 5), weight (movement
+// model and Poisson reweighting), resample (systematic resampling +
+// injection), estimate (mean-shift mode recovery).
+var FilterStages = []string{"select", "weight", "resample", "estimate"}
 
 // StageHistogram returns the named stage's timing histogram on r,
 // registering the family if it is not there yet. Registration is
@@ -34,7 +34,7 @@ var FilterStages = []string{"select", "predict", "weight", "resample", "estimate
 // observed into.
 func StageHistogram(r *obs.Registry, stage string) *obs.Histogram {
 	f := r.HistogramFamily("radloc_filter_stage_seconds",
-		"Wall-clock seconds per filter stage, per measurement ingest (select = fusion-range particle selection, predict = movement model, weight = Poisson reweighting, resample = systematic resampling + injection, estimate = mean-shift mode recovery).",
+		"Wall-clock seconds per filter stage, per measurement ingest (select = fusion-range particle selection, weight = movement model + Poisson reweighting, resample = systematic resampling + injection, estimate = mean-shift mode recovery).",
 		obs.DefBuckets, "stage")
 	return f.With(stage)
 }
@@ -47,7 +47,6 @@ func newFilterMetrics(r *obs.Registry) *filterMetrics {
 	}
 	return &filterMetrics{
 		selectH:   StageHistogram(r, "select"),
-		predictH:  StageHistogram(r, "predict"),
 		weightH:   StageHistogram(r, "weight"),
 		resampleH: StageHistogram(r, "resample"),
 		estimateH: StageHistogram(r, "estimate"),

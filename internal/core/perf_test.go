@@ -93,7 +93,7 @@ func TestExportStateBitIdenticalAcrossWorkerCounts(t *testing.T) {
 
 // TestIngestSteadyStateAllocationFree pins the rewrite's allocation
 // contract: once the scratch buffers have grown to the workload, the
-// per-reading path (select → predict → weight → resample) allocates
+// per-reading path (select → weight → resample) allocates
 // nothing, at any Workers setting: Ingest starts no goroutine.
 //
 // The count covers more than a thousand readings, and it must be

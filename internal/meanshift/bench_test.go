@@ -29,7 +29,7 @@ func benchData(n int) (Points, []float64) {
 		j := s.IntN(n)
 		starts = append(starts, pts[3*j], pts[3*j+1], pts[3*j+2])
 	}
-	return view(3, pts, ws), starts
+	return view(pts, ws), starts
 }
 
 // BenchmarkFindModes measures a search the way the localizer runs
@@ -39,7 +39,7 @@ func BenchmarkFindModes(b *testing.B) {
 		pts, starts := benchData(n)
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("n%d-w%d", n, workers), func(b *testing.B) {
-				s := newSearcher(b, Config{Bandwidth: []float64{4, 4, 30}, Workers: workers})
+				s := newSearcher(b, Config{Bandwidth: [3]float64{4, 4, 30}, Workers: workers})
 				if _, err := s.FindModes(pts, starts); err != nil {
 					b.Fatal(err)
 				}
@@ -57,7 +57,7 @@ func BenchmarkFindModes(b *testing.B) {
 
 func BenchmarkAssignMass(b *testing.B) {
 	pts, starts := benchData(15000)
-	s := newSearcher(b, Config{Bandwidth: []float64{4, 4, 30}})
+	s := newSearcher(b, Config{Bandwidth: [3]float64{4, 4, 30}})
 	modes, err := s.FindModes(pts, starts)
 	if err != nil {
 		b.Fatal(err)

@@ -2,17 +2,19 @@
 // of Comaniciu & Meer that the paper uses to turn the particle
 // population into source estimates (Section V-D, Eq. 6–7).
 //
-// Points live in R^d with a diagonal Gaussian bandwidth; the search
-// runs in "scaled space" where every coordinate is divided by its
-// bandwidth, making the kernel isotropic. Starts are iterated with
+// Every particle hypothesizes one source, so every point is a triple
+// (x, y, strength) whatever the number of sources, and the kernel is
+// the diagonal Gaussian H = diag(h_x², h_y², h_s²). The search runs in
+// "scaled space" where every coordinate is divided by its bandwidth,
+// making the kernel isotropic. Starts are iterated with
 //
 //	x_{i+1} = Σ_j p_j w_j K(x_i − p_j) / Σ_j w_j K(x_i − p_j)
 //
 // until convergence; converged points within mergeRadius (one scaled
-// unit) of each other are merged into one mode. Points beyond CutoffSigmas in scaled
-// spatial (first-two-dimension) distance are ignored — the truncation
-// discards at most exp(−CutoffSigmas²/2) (≈ 3·10⁻⁴ at the default 4)
-// of any point's relative spatial contribution.
+// unit) of each other are merged into one mode. Points beyond
+// cutoffSigmas in scaled spatial (x, y) distance are ignored — the
+// truncation discards at most exp(−cutoffSigmas²/2) (≈ 3·10⁻⁴) of any
+// point's relative spatial contribution.
 //
 // The climbs run in two phases. Phase 1 climbs every eighth start to
 // convergence. Phase 2 climbs the rest, and after every iteration
@@ -57,18 +59,17 @@ const (
 	// mergeRadius is the distance within which two converged points
 	// are one mode.
 	mergeRadius = 1.0
+	// cutoffSigmas is the radius beyond which kernel contributions are
+	// ignored, and AssignMass's default cutoff.
+	cutoffSigmas = 4.0
 )
 
-// Config controls the mode search. Zero values of CutoffSigmas and
-// Workers select the documented defaults.
+// Config controls the mode search. A zero Workers selects the
+// documented default.
 type Config struct {
-	// Bandwidth is the per-dimension kernel bandwidth h_k (> 0). Its
-	// length fixes the dimensionality d ≥ 2; the first two dimensions
-	// must be the spatial ones (they drive neighbour pruning).
-	Bandwidth []float64
-	// CutoffSigmas is the scaled-space radius beyond which kernel
-	// contributions are ignored (default 4).
-	CutoffSigmas float64
+	// Bandwidth is the kernel bandwidth of each coordinate — x, y and
+	// strength — each > 0.
+	Bandwidth [3]float64
 	// Workers is the number of goroutines iterating starts (default
 	// runtime.GOMAXPROCS(0)). The worker count never changes the
 	// result: climbs within a phase are independent, phase 2 reads only
@@ -77,15 +78,12 @@ type Config struct {
 	// ExactKernel forces math.Exp for the Gaussian kernel instead of
 	// the default table-interpolated exponential. The table's relative
 	// error (≈ 5·10⁻⁷) sits three orders of magnitude below the
-	// CutoffSigmas truncation error, so this exists for verification,
-	// not accuracy.
+	// cutoff's truncation error, so this exists for verification, not
+	// accuracy.
 	ExactKernel bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.CutoffSigmas <= 0 {
-		c.CutoffSigmas = 4
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -93,9 +91,6 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if len(c.Bandwidth) < 2 {
-		return fmt.Errorf("meanshift: need ≥ 2 dimensions, got %d", len(c.Bandwidth))
-	}
 	for k, h := range c.Bandwidth {
 		if h <= 0 || math.IsNaN(h) || math.IsInf(h, 0) {
 			return fmt.Errorf("meanshift: bandwidth[%d] = %v", k, h)
@@ -106,47 +101,44 @@ func (c Config) validate() error {
 
 // Mode is a local maximum of the weighted kernel density.
 type Mode struct {
-	// Point is the mode location in original (unscaled) coordinates.
-	Point []float64
+	// Point is the mode location (x, y, strength) in original
+	// (unscaled) coordinates.
+	Point [3]float64
 	// Density is the unnormalized kernel density Σ w_j K at the mode.
 	Density float64
 	// Starts is the number of start points that converged to this mode.
 	Starts int
 }
 
-// Points is a columnar view of n weighted points in R^d, their weights
-// in class form: Coords[k][j] is coordinate k of point j, and point j
-// weighs Weights[Class[j]]. A caller whose points share a few distinct
-// weights (the particle filter's) keeps one array per coordinate, a
-// class index per point and a table of the weights, and passes them as
-// they are; per-point weights are the case Class[j] = j. Every class
-// index must index Weights; table entries no point refers to are never
-// read. Weights are non-negative; a point with weight ≤ 0 takes no part
-// in a search at all — it pulls no climb, does not span the prune
-// grid's bounding box, and AssignMass credits it nowhere. The Searcher
-// reads the arrays and never writes them.
+// Points is a columnar view of n weighted points in (x, y, strength)
+// space, their weights in class form: point j lies at (X[j], Y[j],
+// S[j]) and weighs Weights[Class[j]]. A caller whose points share a few
+// distinct weights (the particle filter's) keeps one array per
+// coordinate, a class index per point and a table of the weights, and
+// passes them as they are; per-point weights are the case Class[j] = j.
+// Every class index must index Weights; table entries no point refers
+// to are never read. Weights are non-negative; a point with weight ≤ 0
+// takes no part in a search at all — it pulls no climb, does not span
+// the prune grid's bounding box, and AssignMass credits it nowhere. The
+// Searcher reads the arrays and never writes them.
 type Points struct {
-	Coords  [][]float64 // d arrays of n coordinates; the first two are the spatial ones
-	Class   []uint32    // n weight-class indexes into Weights
-	Weights []float64   // the class weights
+	X, Y, S []float64 // n coordinates each
+	Class   []uint32  // n weight-class indexes into Weights
+	Weights []float64 // the class weights
 }
 
-// check reports whether pts holds d coordinate arrays as long as its
-// class indexes.
-func (pts Points) check(d int) error {
-	if len(pts.Coords) != d {
-		return fmt.Errorf("%w: %d coordinate arrays, dim %d", ErrDimensionMismatch, len(pts.Coords), d)
-	}
-	for k, c := range pts.Coords {
-		if len(c) != len(pts.Class) {
-			return fmt.Errorf("%w: coordinate %d has %d values for %d points", ErrDimensionMismatch, k, len(c), len(pts.Class))
-		}
+// check reports whether pts holds as many coordinates in each array as
+// it has class indexes.
+func (pts Points) check() error {
+	if n := len(pts.Class); len(pts.X) != n || len(pts.Y) != n || len(pts.S) != n {
+		return fmt.Errorf("%w: %d x, %d y and %d strength values for %d points",
+			ErrDimensionMismatch, len(pts.X), len(pts.Y), len(pts.S), n)
 	}
 	return nil
 }
 
-// ErrDimensionMismatch is returned when coordinates, class indexes, or
-// starts do not agree with the configured dimensionality.
+// ErrDimensionMismatch is returned when the coordinate arrays and the
+// class indexes differ in length, or the starts are not whole triples.
 var ErrDimensionMismatch = errors.New("meanshift: dimension mismatch")
 
 // phase1Stride spaces the phase-1 starts: starts 0, phase1Stride,
@@ -168,7 +160,6 @@ const captureFrac = 0.25
 // goroutines, which share its point copy read-only.
 type Searcher struct {
 	cfg Config
-	d   int
 }
 
 // NewSearcher validates and defaults cfg and returns a Searcher ready
@@ -177,27 +168,25 @@ func NewSearcher(cfg Config) (*Searcher, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	return &Searcher{cfg: cfg, d: len(cfg.Bandwidth)}, nil
+	return &Searcher{cfg: cfg.withDefaults()}, nil
 }
 
 // FindModes locates the density modes of pts reachable from the given
-// starts, a flat array of m·d start coordinates (start i at
-// starts[i*d:(i+1)*d]). The returned modes are sorted by descending
+// starts, a flat array of m (x, y, strength) triples (start i at
+// starts[3i:3i+3]). The returned modes are sorted by descending
 // density; Mode.Starts counts the starts whose climbs merged into each
 // mode. Without a positive-weight point there is no mode.
 func (s *Searcher) FindModes(pts Points, starts []float64) ([]Mode, error) {
-	d := s.d
-	if err := pts.check(d); err != nil {
+	if err := pts.check(); err != nil {
 		return nil, err
 	}
-	if len(starts)%d != 0 {
-		return nil, fmt.Errorf("%w: %d start coords, dim %d", ErrDimensionMismatch, len(starts), d)
+	if len(starts)%3 != 0 {
+		return nil, fmt.Errorf("%w: %d start coordinates are not whole triples", ErrDimensionMismatch, len(starts))
 	}
 	if len(starts) == 0 {
 		return nil, nil
 	}
-	sr := &search{cfg: s.cfg, d: d}
+	sr := &search{cfg: s.cfg}
 	if sr.prepare(pts) == 0 {
 		return nil, nil
 	}
@@ -205,7 +194,7 @@ func (s *Searcher) FindModes(pts Points, starts []float64) ([]Mode, error) {
 	sr.runClimbs(m)
 	modes := sr.mergeModes(m)
 	for i := range modes {
-		for k := 0; k < d; k++ {
+		for k := range 3 {
 			modes[i].Point[k] *= s.cfg.Bandwidth[k]
 		}
 	}
@@ -215,37 +204,38 @@ func (s *Searcher) FindModes(pts Points, starts []float64) ([]Mode, error) {
 // search is the working storage of one FindModes call.
 type search struct {
 	cfg Config
-	d   int
 
 	// The points with positive weight, bandwidth-scaled and sorted by
-	// prune cell: square cells of side CutoffSigmas over the bounding
+	// prune cell: square cells of side cutoffSigmas over the bounding
 	// box of their scaled (x, y), row-major, and ascending point index
 	// within a cell. Cell c holds entries cellStart[c] up to
-	// cellStart[c+1]. The spatial coordinates and the weights are one
-	// array each, so the kernel's cutoff test streams px and py alone;
-	// coordinates 2…d−1 are interleaved in rest, d−2 per entry. All four
-	// are sections of one slab.
-	cells     spatial.Cells
-	cellStart []int32
-	px, py    []float64
-	pw        []float64
-	rest      []float64
+	// cellStart[c+1]. Each coordinate and the weights are one array
+	// each, so the kernel's cutoff test streams px and py alone; all
+	// four are sections of one slab.
+	cells          spatial.Cells
+	cellStart      []int32
+	px, py, ps, pw []float64
 	// reach is the half-width of the square a climb scans around its
-	// point: CutoffSigmas plus a rounding margin (see prepare).
-	reach float64
+	// point: cutoffSigmas plus a rounding margin (see prepare). cut2 is
+	// cutoffSigmas², the kernel's cutoff test: a value, not a constant,
+	// because the climb loop keeps a value in a register where it would
+	// reload a constant from memory for every point (4–12% of a
+	// BenchmarkFindModes search on a 2-vCPU x86-64 host).
+	reach, cut2 float64
 
-	// The per-start staging; res, dens, anchors, anchorDens and nums are
+	// The per-start staging; res, dens, anchors and anchorDens are
 	// sections of one slab.
-	res   []float64 // scaled starts, m×d, climbed in place into results
+	res   []float64 // scaled starts, m triples, climbed in place into results
 	dens  []float64 // each result's density
 	resOK []bool    // whether each climb saw any support
 	ord   []int     // start indices: a phase's climb list, then the merge order
 
-	anchors    []float64 // phase-1 results with support, in phase-1 order, k×d
+	anchors    []float64 // phase-1 results with support, in phase-1 order, as triples
 	anchorDens []float64 // their densities
-
-	nums []float64 // one d-long numerator per worker slot
 }
+
+// triple returns the i-th (x, y, strength) triple of the flat array v.
+func triple(v []float64, i int) *[3]float64 { return (*[3]float64)(v[3*i:]) }
 
 // prepare lays out the cell-ordered copy of the points with positive
 // weight and returns their count: a pass for the bounding box of their
@@ -260,9 +250,8 @@ type search struct {
 // in a cell the scan visits, whatever the rounding of the cell
 // arithmetic (as in newMassIndex).
 func (s *search) prepare(pts Points) int {
-	d := s.d
-	bx, by := s.cfg.Bandwidth[0], s.cfg.Bandwidth[1]
-	xs, ys, cls, ws := pts.Coords[0], pts.Coords[1], pts.Class, pts.Weights
+	bx, by, bs := s.cfg.Bandwidth[0], s.cfg.Bandwidth[1], s.cfg.Bandwidth[2]
+	xs, ys, ss, cls, ws := pts.X, pts.Y, pts.S, pts.Class, pts.Weights
 	lo := geometry.V(math.Inf(1), math.Inf(1))
 	hi := geometry.V(math.Inf(-1), math.Inf(-1))
 	live := 0
@@ -280,10 +269,10 @@ func (s *search) prepare(pts Points) int {
 	if live == 0 {
 		return 0
 	}
-	cut := s.cfg.CutoffSigmas
-	s.cells = spatial.NewCells(geometry.NewRect(lo, hi), cut)
+	s.cells = spatial.NewCells(geometry.NewRect(lo, hi), cutoffSigmas)
 	maxAbs := math.Max(math.Max(math.Abs(lo.X), math.Abs(lo.Y)), math.Max(math.Abs(hi.X), math.Abs(hi.Y)))
-	s.reach = cut*(1+0x1p-20) + maxAbs*0x1p-30
+	s.reach = cutoffSigmas*(1+0x1p-20) + maxAbs*0x1p-30
+	s.cut2 = cutoffSigmas * cutoffSigmas
 
 	// Count each cell's points and prefix-sum the counts, leaving
 	// cellStart[c] at the end of cell c and cellStart[cells] at the
@@ -300,10 +289,10 @@ func (s *search) prepare(pts Points) int {
 	for c := 1; c <= cells; c++ {
 		s.cellStart[c] += s.cellStart[c-1]
 	}
-	slab := make([]float64, live*(d+1))
+	slab := make([]float64, 4*live)
 	s.px, slab = carve(slab, live)
 	s.py, slab = carve(slab, live)
-	s.pw, s.rest = carve(slab, live)
+	s.ps, s.pw = carve(slab, live)
 	for j := len(cls) - 1; j >= 0; j-- {
 		w := ws[cls[j]]
 		if w <= 0 {
@@ -313,10 +302,7 @@ func (s *search) prepare(pts Points) int {
 		c := s.cells.Index(geometry.V(x, y))
 		s.cellStart[c]--
 		e := int(s.cellStart[c])
-		s.px[e], s.py[e], s.pw[e] = x, y, w
-		for k := 2; k < d; k++ {
-			s.rest[e*(d-2)+k-2] = pts.Coords[k][j] / s.cfg.Bandwidth[k]
-		}
+		s.px[e], s.py[e], s.ps[e], s.pw[e] = x, y, ss[j]/bs, w
 	}
 	return live
 }
@@ -331,20 +317,17 @@ func carve(slab []float64, n int) (head, rest []float64) {
 // lays out the rest of the per-start staging, and returns the start
 // count.
 func (s *search) stageStarts(starts []float64) int {
-	d := s.d
-	m := len(starts) / d
+	m := len(starts) / 3
 	p := (m + phase1Stride - 1) / phase1Stride // phase-1 starts
-	slots := max(min(s.cfg.Workers, m), 1)     // most workers either phase runs
-	slab := make([]float64, m*d+m+p*d+p+slots*d)
-	s.res, slab = carve(slab, m*d)
+	slab := make([]float64, 3*m+m+3*p+p)
+	s.res, slab = carve(slab, 3*m)
 	s.dens, slab = carve(slab, m)
-	s.anchors, slab = carve(slab, p*d)
-	s.anchorDens, s.nums = carve(slab, p)
+	s.anchors, s.anchorDens = carve(slab, 3*p)
 	s.anchors, s.anchorDens = s.anchors[:0], s.anchorDens[:0]
 	s.resOK = make([]bool, m)
 	s.ord = make([]int, 0, m)
 	for i, v := range starts {
-		s.res[i] = v / s.cfg.Bandwidth[i%d]
+		s.res[i] = v / s.cfg.Bandwidth[i%3]
 	}
 	return m
 }
@@ -357,7 +340,6 @@ func (s *search) stageStarts(starts []float64) int {
 // reads only phase-1 results, so scheduling cannot influence the
 // outcome.
 func (s *search) runClimbs(m int) {
-	d := s.d
 	for i := 0; i < m; i += phase1Stride {
 		s.ord = append(s.ord, i)
 	}
@@ -365,7 +347,7 @@ func (s *search) runClimbs(m int) {
 
 	for _, i := range s.ord {
 		if s.resOK[i] {
-			s.anchors = append(s.anchors, s.res[i*d:(i+1)*d]...)
+			s.anchors = append(s.anchors, triple(s.res, i)[:]...)
 			s.anchorDens = append(s.anchorDens, s.dens[i])
 		}
 	}
@@ -382,14 +364,13 @@ func (s *search) runClimbs(m int) {
 // climbAll climbs the starts listed in idx, inline for one worker and
 // over a goroutine pool otherwise; capture selects phase-2 climbs.
 func (s *search) climbAll(idx []int, capture bool) {
-	d := s.d
 	workers := s.cfg.Workers
 	if workers > len(idx) {
 		workers = len(idx)
 	}
 	if workers <= 1 {
 		for _, i := range idx {
-			s.dens[i], s.resOK[i] = s.climb(s.res[i*d:(i+1)*d], s.nums[:d], capture)
+			s.dens[i], s.resOK[i] = s.climb(triple(s.res, i), capture)
 		}
 		return
 	}
@@ -397,7 +378,6 @@ func (s *search) climbAll(idx []int, capture bool) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		num := s.nums[w*d : (w+1)*d]
 		go func() {
 			defer wg.Done()
 			for {
@@ -406,7 +386,7 @@ func (s *search) climbAll(idx []int, capture bool) {
 					return
 				}
 				i := idx[k]
-				s.dens[i], s.resOK[i] = s.climb(s.res[i*d:(i+1)*d], num, capture)
+				s.dens[i], s.resOK[i] = s.climb(triple(s.res, i), capture)
 			}
 		}()
 	}
@@ -414,22 +394,19 @@ func (s *search) climbAll(idx []int, capture bool) {
 }
 
 // climb runs the mean-shift iteration in scaled space, mutating x in
-// place, with num as the d-long numerator scratch. It reports the final
-// kernel density and whether the start ever saw any support. With
-// capture set (phase 2), the climb ends after the first iteration that
-// leaves x within the capture radius of an anchor and returns that
-// anchor's point and density.
+// place. It reports the final kernel density and whether the start
+// ever saw any support. With capture set (phase 2), the climb ends
+// after the first iteration that leaves x within the capture radius of
+// an anchor and returns that anchor's point and density.
 //
 // Every iteration scans the cells that the square of half-width reach
 // around x overlaps: row by row, each row's cells one contiguous run of
 // the cell-ordered copy. The kernel's own cutoff test picks the
 // contributing points, and they are summed in (cell row, cell column,
 // point index) order.
-func (s *search) climb(x, num []float64, capture bool) (float64, bool) {
-	cfg := s.cfg
-	d := s.d
-	r2cut := cfg.CutoffSigmas * cfg.CutoffSigmas
-	exact := cfg.ExactKernel
+func (s *search) climb(x *[3]float64, capture bool) (float64, bool) {
+	r2cut := s.cut2
+	exact := s.cfg.ExactKernel
 	tol2 := climbTol * climbTol
 	capR := captureFrac * mergeRadius
 	cap2 := capR * capR
@@ -438,79 +415,50 @@ func (s *search) climb(x, num []float64, capture bool) (float64, bool) {
 	for iter := 0; iter < climbMaxIter; iter++ {
 		cx0, cy0 := s.cells.Coords(geometry.V(x[0]-s.reach, x[1]-s.reach))
 		cx1, cy1 := s.cells.Coords(geometry.V(x[0]+s.reach, x[1]+s.reach))
-		var denom float64
-		if d == 3 {
-			// The localizer's (x, y, strength) search space — worth its
-			// own loop: per-coordinate streams and scalar accumulators.
-			x0, x1, x2 := x[0], x[1], x[2]
-			var n0, n1, n2 float64
-			for cy := cy0; cy <= cy1; cy++ {
-				lo, hi := s.cellStart[cy*stride+cx0], s.cellStart[cy*stride+cx1+1]
-				px := s.px[lo:hi]
-				py := s.py[lo:hi]
-				pz := s.rest[lo:hi]
-				pw := s.pw[lo:hi]
-				for i := range px {
-					dx := x0 - px[i]
-					dy := x1 - py[i]
-					if dx*dx+dy*dy > r2cut {
-						continue
-					}
-					dz := x2 - pz[i]
-					d2 := dx*dx + dy*dy + dz*dz
-					// expNegHalf, spelled out: the call (with its math.Exp
-					// fallback) is past the inliner's budget, and the kernel
-					// is the single hottest expression in the filter.
-					var e float64
-					if d2 < expTableMax && !exact {
-						t := d2 * expTableInvStep
-						ti := int(t)
-						f := t - float64(ti)
-						e = expTable[ti] + f*(expTable[ti+1]-expTable[ti])
-					} else {
-						e = math.Exp(-0.5 * d2)
-					}
-					kv := pw[i] * e
-					denom += kv
-					n0 += kv * px[i]
-					n1 += kv * py[i]
-					n2 += kv * pz[i]
+		// Per-coordinate streams and scalar accumulators: the
+		// accumulators are the numerator.
+		x0, x1, x2 := x[0], x[1], x[2]
+		var denom, n0, n1, n2 float64
+		for cy := cy0; cy <= cy1; cy++ {
+			lo, hi := s.cellStart[cy*stride+cx0], s.cellStart[cy*stride+cx1+1]
+			px := s.px[lo:hi]
+			py := s.py[lo:hi]
+			ps := s.ps[lo:hi]
+			pw := s.pw[lo:hi]
+			for i := range px {
+				dx := x0 - px[i]
+				dy := x1 - py[i]
+				if dx*dx+dy*dy > r2cut {
+					continue
 				}
-			}
-			num[0], num[1], num[2] = n0, n1, n2
-		} else {
-			clear(num)
-			nr := d - 2
-			for cy := cy0; cy <= cy1; cy++ {
-				lo, hi := int(s.cellStart[cy*stride+cx0]), int(s.cellStart[cy*stride+cx1+1])
-				for e := lo; e < hi; e++ {
-					dx := x[0] - s.px[e]
-					dy := x[1] - s.py[e]
-					if dx*dx+dy*dy > r2cut {
-						continue
-					}
-					rest := s.rest[e*nr : (e+1)*nr]
-					d2 := dx*dx + dy*dy
-					for k, v := range rest {
-						diff := x[k+2] - v
-						d2 += diff * diff
-					}
-					kv := s.pw[e] * expNegHalf(d2, exact)
-					denom += kv
-					num[0] += kv * s.px[e]
-					num[1] += kv * s.py[e]
-					for k, v := range rest {
-						num[k+2] += kv * v
-					}
+				dz := x2 - ps[i]
+				d2 := dx*dx + dy*dy + dz*dz
+				// The table-interpolated exponential, spelled out here:
+				// as a call (with its math.Exp fallback) it would be
+				// past the inliner's budget, and the kernel is the
+				// single hottest expression in the filter.
+				var e float64
+				if d2 < expTableMax && !exact {
+					t := d2 * expTableInvStep
+					ti := int(t)
+					f := t - float64(ti)
+					e = expTable[ti] + f*(expTable[ti+1]-expTable[ti])
+				} else {
+					e = math.Exp(-0.5 * d2)
 				}
+				kv := pw[i] * e
+				denom += kv
+				n0 += kv * px[i]
+				n1 += kv * py[i]
+				n2 += kv * ps[i]
 			}
 		}
 		if denom <= 0 {
 			return 0, false
 		}
 		var move float64
-		for k := 0; k < d; k++ {
-			nx := num[k] / denom
+		for k, n := range [3]float64{n0, n1, n2} {
+			nx := n / denom
 			diff := nx - x[k]
 			move += diff * diff
 			x[k] = nx
@@ -518,14 +466,14 @@ func (s *search) climb(x, num []float64, capture bool) (float64, bool) {
 		dens = denom
 		if capture {
 			for a, ad := range s.anchorDens {
-				anchor := s.anchors[a*d : (a+1)*d]
+				anchor := triple(s.anchors, a)
 				var dist2 float64
-				for k, v := range anchor {
-					diff := v - x[k]
+				for k := range 3 {
+					diff := anchor[k] - x[k]
 					dist2 += diff * diff
 				}
 				if dist2 <= cap2 {
-					copy(x, anchor)
+					*x = *anchor
 					return ad, true
 				}
 			}
@@ -542,7 +490,6 @@ func (s *search) climb(x, num []float64, capture bool) (float64, bool) {
 // descending density (ties broken by start order), so the merge is
 // deterministic.
 func (s *search) mergeModes(m int) []Mode {
-	d := s.d
 	order := s.ord[:0]
 	for i := 0; i < m; i++ {
 		if s.resOK[i] {
@@ -562,11 +509,11 @@ func (s *search) mergeModes(m int) []Mode {
 	var modes []Mode
 	r2 := mergeRadius * mergeRadius
 	for _, i := range order {
-		pt := s.res[i*d : (i+1)*d]
+		pt := triple(s.res, i)
 		merged := false
 		for mi := range modes {
 			var dist2 float64
-			for k := 0; k < d; k++ {
+			for k := range 3 {
 				diff := modes[mi].Point[k] - pt[k]
 				dist2 += diff * diff
 			}
@@ -577,9 +524,7 @@ func (s *search) mergeModes(m int) []Mode {
 			}
 		}
 		if !merged {
-			cp := make([]float64, d)
-			copy(cp, pt)
-			modes = append(modes, Mode{Point: cp, Density: s.dens[i], Starts: 1})
+			modes = append(modes, Mode{Point: *pt, Density: s.dens[i], Starts: 1})
 		}
 	}
 	return modes
@@ -588,7 +533,7 @@ func (s *search) mergeModes(m int) []Mode {
 // AssignMass distributes the points' weights over the modes: each point
 // with positive weight is credited to its nearest mode when their
 // scaled-space distance is within cutoff bandwidths (≤ 0 selects
-// CutoffSigmas), otherwise it stays unassigned. The return value has
+// cutoffSigmas), otherwise it stays unassigned. The return value has
 // one total per mode (same order) followed by the unassigned remainder
 // at index len(modes).
 //
@@ -598,21 +543,20 @@ func (s *search) mergeModes(m int) []Mode {
 // its tie-break (the lowest index wins) and every per-mode sum come
 // out bit-identical to scoring every point against every mode.
 func (s *Searcher) AssignMass(modes []Mode, pts Points, cutoff float64) ([]float64, error) {
-	d := s.d
-	if err := pts.check(d); err != nil {
+	if err := pts.check(); err != nil {
 		return nil, err
 	}
 	if cutoff <= 0 {
-		cutoff = s.cfg.CutoffSigmas
+		cutoff = cutoffSigmas
 	}
 	out := make([]float64, len(modes)+1)
 	c2 := cutoff * cutoff
-	invBW := make([]float64, d)
-	for k := 0; k < d; k++ {
+	var invBW [3]float64
+	for k := range 3 {
 		invBW[k] = 1 / s.cfg.Bandwidth[k]
 	}
 	mass := newMassIndex(modes, invBW[0], invBW[1], cutoff)
-	coords := pts.Coords
+	coords := [3][]float64{pts.X, pts.Y, pts.S}
 	for j, c := range pts.Class {
 		w := pts.Weights[c]
 		if w <= 0 {
@@ -621,9 +565,9 @@ func (s *Searcher) AssignMass(modes []Mode, pts Points, cutoff float64) ([]float
 		best := -1
 		bestD2 := math.Inf(1)
 		for _, mi := range mass.candidates(coords[0][j]*invBW[0], coords[1][j]*invBW[1]) {
-			mp := modes[mi].Point
+			mp := &modes[mi].Point
 			var d2 float64
-			for k := 0; k < d; k++ {
+			for k := range 3 {
 				diff := (coords[k][j] - mp[k]) * invBW[k]
 				d2 += diff * diff
 			}
@@ -790,7 +734,7 @@ func (ix *massIndex) candidates(x, y float64) []int32 {
 // interpolation error is bounded by step²/8 times the maximum of the
 // second derivative's magnitude, which is step²/32 relative (the
 // second derivative is f/4 everywhere), ≈ 4.8·10⁻⁷ at 1/256 — three
-// orders of magnitude below the kernel's CutoffSigmas truncation.
+// orders of magnitude below the kernel's cutoffSigmas truncation.
 const (
 	expTableMax     = 32.0
 	expTableStep    = 1.0 / 256
@@ -806,17 +750,4 @@ func buildExpTable() []float64 {
 		t[i] = math.Exp(-0.5 * float64(i) * expTableStep)
 	}
 	return t
-}
-
-// expNegHalf returns exp(−d2/2), by linear interpolation of expTable
-// for in-range d2 and by math.Exp when exact is set or d2 falls outside
-// the table. d2 must be ≥ 0 (it is a squared distance).
-func expNegHalf(d2 float64, exact bool) float64 {
-	if exact || d2 >= expTableMax {
-		return math.Exp(-0.5 * d2)
-	}
-	t := d2 * expTableInvStep
-	i := int(t)
-	f := t - float64(i)
-	return expTable[i] + f*(expTable[i+1]-expTable[i])
 }

@@ -26,7 +26,7 @@ func cluster3(s *rng.Stream, pts, ws []float64, n int, cx, cy, cs, spread, w flo
 }
 
 func defaultCfg() Config {
-	return Config{Bandwidth: []float64{4, 4, 30}}
+	return Config{Bandwidth: [3]float64{4, 4, 30}}
 }
 
 // newSearcher returns a Searcher for cfg, failing the test if cfg is
@@ -40,18 +40,16 @@ func newSearcher(t testing.TB, cfg Config) *Searcher {
 	return s
 }
 
-// view lays out interleaved points, d coordinates each (point j at
-// pts[j*d:(j+1)*d]), as the columnar Points a Searcher reads, each
-// point its own weight class.
-func view(d int, pts, ws []float64) Points {
-	coords := make([][]float64, d)
-	for k := range coords {
-		coords[k] = make([]float64, len(ws))
-		for j := range ws {
-			coords[k][j] = pts[j*d+k]
-		}
+// view lays out interleaved (x, y, strength) triples (point j at
+// pts[3j:3j+3]) as the columnar Points a Searcher reads, each point its
+// own weight class.
+func view(pts, ws []float64) Points {
+	p := Points{X: make([]float64, len(ws)), Y: make([]float64, len(ws)), S: make([]float64, len(ws))}
+	for j := range ws {
+		p.X[j], p.Y[j], p.S[j] = pts[3*j], pts[3*j+1], pts[3*j+2]
 	}
-	return Points{Coords: coords, Class: identity(len(ws)), Weights: ws}
+	p.Class, p.Weights = identity(len(ws)), ws
+	return p
 }
 
 // identity returns the class indexes 0, 1, …, n−1: every point its own
@@ -77,7 +75,7 @@ func TestFindModesTwoClusters(t *testing.T) {
 			starts = append(starts, x, y, 80)
 		}
 	}
-	modes, err := newSearcher(t, defaultCfg()).FindModes(view(3, pts, ws), starts)
+	modes, err := newSearcher(t, defaultCfg()).FindModes(view(pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +115,7 @@ func TestFindModesRespectsWeights(t *testing.T) {
 	pts, ws = cluster3(s, pts, ws, 300, 75, 75, 40, 2, 0)
 
 	starts := []float64{25, 25, 40, 75, 75, 40}
-	modes, err := newSearcher(t, defaultCfg()).FindModes(view(3, pts, ws), starts)
+	modes, err := newSearcher(t, defaultCfg()).FindModes(view(pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +141,7 @@ func TestFindModesMergesDuplicateStarts(t *testing.T) {
 		x, y, str := s.Uniform(42, 58), s.Uniform(42, 58), s.Uniform(70, 130)
 		starts = append(starts, x, y, str, x, y, str)
 	}
-	modes, err := newSearcher(t, defaultCfg()).FindModes(view(3, pts, ws), starts)
+	modes, err := newSearcher(t, defaultCfg()).FindModes(view(pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,35 +155,34 @@ func TestFindModesMergesDuplicateStarts(t *testing.T) {
 
 func TestFindModesEmptyInputs(t *testing.T) {
 	s := newSearcher(t, defaultCfg())
-	if modes, err := s.FindModes(view(3, nil, nil), []float64{1, 1, 1}); err != nil || modes != nil {
+	if modes, err := s.FindModes(view(nil, nil), []float64{1, 1, 1}); err != nil || modes != nil {
 		t.Errorf("no points: %v, %v", modes, err)
 	}
-	if modes, err := s.FindModes(view(3, []float64{1, 1, 1}, []float64{1}), nil); err != nil || modes != nil {
+	if modes, err := s.FindModes(view([]float64{1, 1, 1}, []float64{1}), nil); err != nil || modes != nil {
 		t.Errorf("no starts: %v, %v", modes, err)
 	}
-	if modes, err := s.FindModes(view(3, []float64{1, 1, 1, 2, 2, 2}, []float64{0, -1}), []float64{1, 1, 1}); err != nil || modes != nil {
+	if modes, err := s.FindModes(view([]float64{1, 1, 1, 2, 2, 2}, []float64{0, -1}), []float64{1, 1, 1}); err != nil || modes != nil {
 		t.Errorf("no positive weight: %v, %v", modes, err)
 	}
 }
 
 func TestFindModesErrors(t *testing.T) {
-	if _, err := NewSearcher(Config{Bandwidth: []float64{4}}); err == nil {
-		t.Error("1-D bandwidth accepted")
-	}
-	if _, err := NewSearcher(Config{Bandwidth: []float64{4, -1}}); err == nil {
-		t.Error("negative bandwidth accepted")
+	for _, bw := range [][3]float64{{4, -1, 30}, {4, 4, 0}, {math.NaN(), 4, 30}, {4, math.Inf(1), 30}} {
+		if _, err := NewSearcher(Config{Bandwidth: bw}); err == nil {
+			t.Errorf("bandwidth %v accepted", bw)
+		}
 	}
 	s := newSearcher(t, defaultCfg())
-	if _, err := s.FindModes(Points{Coords: [][]float64{{1}, {2}}, Class: []uint32{0}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("two coordinate arrays in three dimensions: %v", err)
+	if _, err := s.FindModes(Points{X: []float64{1}, Y: []float64{2}, Class: []uint32{0}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("no strength coordinates: %v", err)
 	}
-	if _, err := s.FindModes(Points{Coords: [][]float64{{1}, {2, 2}, {3}}, Class: []uint32{0}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := s.FindModes(Points{X: []float64{1}, Y: []float64{2, 2}, S: []float64{3}, Class: []uint32{0}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("ragged coordinates: %v", err)
 	}
-	if _, err := s.FindModes(Points{Coords: [][]float64{{1}, {2}, {3}}, Class: []uint32{0, 0}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := s.FindModes(Points{X: []float64{1}, Y: []float64{2}, S: []float64{3}, Class: []uint32{0, 0}, Weights: []float64{1}}, nil); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("weight count mismatch: %v", err)
 	}
-	if _, err := s.FindModes(view(3, []float64{1, 2, 3}, []float64{1}), []float64{1}); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := s.FindModes(view([]float64{1, 2, 3}, []float64{1}), []float64{1}); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("ragged starts: %v", err)
 	}
 }
@@ -214,7 +211,7 @@ func TestFindModesNonFinitePointTerminates(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			modes, err = searcher.FindModes(view(3, p, w), starts)
+			modes, err = searcher.FindModes(view(p, w), starts)
 		}()
 		select {
 		case <-done:
@@ -236,7 +233,7 @@ func TestStartInDesertIsDiscarded(t *testing.T) {
 	pts, ws = cluster3(s, pts, ws, 200, 10, 10, 50, 1.5, 1)
 	// One start near the cluster, one far outside any kernel support.
 	starts := []float64{12, 12, 60, 900, 900, 50}
-	modes, err := newSearcher(t, defaultCfg()).FindModes(view(3, pts, ws), starts)
+	modes, err := newSearcher(t, defaultCfg()).FindModes(view(pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +252,14 @@ func TestAssignMass(t *testing.T) {
 
 	searcher := newSearcher(t, defaultCfg())
 	starts := []float64{20, 20, 50, 80, 80, 100}
-	modes, err := searcher.FindModes(view(3, pts, ws), starts)
+	modes, err := searcher.FindModes(view(pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(modes) != 2 {
 		t.Fatalf("modes = %d, want 2", len(modes))
 	}
-	mass, err := searcher.AssignMass(modes, view(3, pts, ws), 4)
+	mass, err := searcher.AssignMass(modes, view(pts, ws), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,17 +285,17 @@ func TestAssignMass(t *testing.T) {
 
 func TestAssignMassErrors(t *testing.T) {
 	s := newSearcher(t, defaultCfg())
-	if _, err := s.AssignMass(nil, Points{Coords: [][]float64{{1}, {2}}, Class: []uint32{0}, Weights: []float64{1}}, 3); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("two coordinate arrays in three dimensions: %v", err)
+	if _, err := s.AssignMass(nil, Points{X: []float64{1}, Y: []float64{2}, Class: []uint32{0}, Weights: []float64{1}}, 3); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("no strength coordinates: %v", err)
 	}
-	if _, err := s.AssignMass(nil, Points{Coords: [][]float64{{1}, {2}, {3, 3}}, Class: []uint32{0}, Weights: []float64{1}}, 3); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := s.AssignMass(nil, Points{X: []float64{1}, Y: []float64{2}, S: []float64{3, 3}, Class: []uint32{0}, Weights: []float64{1}}, 3); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("ragged coordinates: %v", err)
 	}
-	if _, err := NewSearcher(Config{Bandwidth: []float64{0, 1}}); err == nil {
+	if _, err := NewSearcher(Config{Bandwidth: [3]float64{0, 1, 1}}); err == nil {
 		t.Error("invalid bandwidth accepted")
 	}
 	// No modes: everything with positive weight unassigned.
-	mass, err := s.AssignMass(nil, view(3, []float64{1, 2, 3, 4, 5, 6}, []float64{7, 0}), 3)
+	mass, err := s.AssignMass(nil, view([]float64{1, 2, 3, 4, 5, 6}, []float64{7, 0}), 3)
 	if err != nil || len(mass) != 1 || mass[0] != 7 {
 		t.Errorf("no-mode assignment = %v, %v", mass, err)
 	}
@@ -319,7 +316,7 @@ func TestWorkerCountsAgree(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		cfg := defaultCfg()
 		cfg.Workers = workers
-		modes, err := newSearcher(t, cfg).FindModes(view(3, pts, ws), starts)
+		modes, err := newSearcher(t, cfg).FindModes(view(pts, ws), starts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,11 +391,11 @@ func TestSearcherReuseMatchesFresh(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			starts = append(starts, s.Uniform(0, 100), s.Uniform(0, 100), s.Uniform(0, 250))
 		}
-		got, err := reused.FindModes(view(3, pts, ws), starts)
+		got, err := reused.FindModes(view(pts, ws), starts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := newSearcher(t, defaultCfg()).FindModes(view(3, pts, ws), starts)
+		want, err := newSearcher(t, defaultCfg()).FindModes(view(pts, ws), starts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,13 +429,13 @@ func TestExactKernelAgreesWithTable(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		starts = append(starts, s.Uniform(0, 100), s.Uniform(0, 100), s.Uniform(0, 220))
 	}
-	table, err := newSearcher(t, defaultCfg()).FindModes(view(3, pts, ws), starts)
+	table, err := newSearcher(t, defaultCfg()).FindModes(view(pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exactCfg := defaultCfg()
 	exactCfg.ExactKernel = true
-	exact, err := newSearcher(t, exactCfg).FindModes(view(3, pts, ws), starts)
+	exact, err := newSearcher(t, exactCfg).FindModes(view(pts, ws), starts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,21 +453,22 @@ func TestExactKernelAgreesWithTable(t *testing.T) {
 }
 
 // perSearchAllocs names the allocations every FindModes call makes
-// besides the returned modes: its working storage, which it drops on
-// return.
+// besides the returned modes slice: its working storage, which it drops
+// on return.
 var perSearchAllocs = []string{
 	"search state (the search struct)",
-	"point slab (px, py, pw, rest)",
+	"point slab (px, py, ps, pw)",
 	"cellStart",
-	"staging slab (res, dens, anchors, anchorDens, nums)",
+	"staging slab (res, dens, anchors, anchorDens)",
 	"resOK",
 	"ord",
 }
 
 // TestWarmSearchAllocatesOnlyModes: once a Searcher has run one search,
-// another over the same population allocates the returned modes — one
-// array per mode point plus the modes slice's growth — and the fixed
-// per-search buffers, whatever the particle and start counts.
+// another over the same population allocates the fixed per-search
+// buffers and the modes slice's growth — a mode's point is part of the
+// Mode, not an array of its own — whatever the particle and start
+// counts.
 func TestWarmSearchAllocatesOnlyModes(t *testing.T) {
 	for _, n := range []int{1000, 8000} {
 		for _, m := range []int{48, 384} {
@@ -479,13 +477,13 @@ func TestWarmSearchAllocatesOnlyModes(t *testing.T) {
 			pts, ws = cluster3(s, pts, ws, n/2, 30, 40, 60, 2, 1)
 			pts, ws = cluster3(s, pts, ws, n/2, 70, 60, 140, 2, 1)
 			starts := sampleStarts(s, pts, ws, m)
-			points := view(3, pts, ws)
-			searcher := newSearcher(t, Config{Bandwidth: []float64{4, 4, 30}, Workers: 1})
+			points := view(pts, ws)
+			searcher := newSearcher(t, Config{Bandwidth: [3]float64{4, 4, 30}, Workers: 1})
 			modes, err := searcher.FindModes(points, starts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := len(perSearchAllocs) + len(modes)
+			want := len(perSearchAllocs)
 			var probe []Mode
 			for range modes {
 				if len(probe) == cap(probe) {
@@ -512,7 +510,7 @@ func TestWarmSearchAllocatesOnlyModes(t *testing.T) {
 // that a search writes.
 func TestSearcherConcurrentUse(t *testing.T) {
 	const callers = 4
-	searcher := newSearcher(t, Config{Bandwidth: []float64{4, 4, 30}, Workers: 2})
+	searcher := newSearcher(t, Config{Bandwidth: [3]float64{4, 4, 30}, Workers: 2})
 	type job struct {
 		points Points
 		starts []float64
@@ -525,7 +523,7 @@ func TestSearcherConcurrentUse(t *testing.T) {
 		var pts, ws []float64
 		pts, ws = cluster3(s, pts, ws, 300+200*c, 20+15*float64(c), 40, 60, 2, 1)
 		pts, ws = cluster3(s, pts, ws, 400, 80, 70-10*float64(c), 140, 3, 0.5)
-		jobs[c].points = view(3, pts, ws)
+		jobs[c].points = view(pts, ws)
 		jobs[c].starts = sampleStarts(s, pts, ws, 64+32*c)
 	}
 	run := func(j *job) ([]Mode, []float64, error) {

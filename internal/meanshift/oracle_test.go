@@ -21,17 +21,20 @@ func singlePhaseFindModes(t testing.TB, cfg Config, points, weights, starts []fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := s.d
-	sr := &search{cfg: s.cfg, d: d}
-	sr.prepare(view(d, points, weights))
+	sr := &search{cfg: s.cfg}
+	sr.prepare(view(points, weights))
 	m := sr.stageStarts(starts)
-	num := make([]float64, d)
 	for i := 0; i < m; i++ {
-		sr.dens[i], sr.resOK[i] = sr.climb(sr.res[i*d:(i+1)*d], num, false)
+		sr.dens[i], sr.resOK[i] = sr.climb(triple(sr.res, i), false)
 	}
-	modes := sr.mergeModes(m)
+	return unscale(cfg, sr.mergeModes(m))
+}
+
+// unscale multiplies the modes' scaled points back by the bandwidth,
+// as FindModes does.
+func unscale(cfg Config, modes []Mode) []Mode {
 	for i := range modes {
-		for k := 0; k < d; k++ {
+		for k := range 3 {
 			modes[i].Point[k] *= cfg.Bandwidth[k]
 		}
 	}
@@ -108,7 +111,7 @@ func TestTwoPhaseMatchesSinglePhase(t *testing.T) {
 			pts, ws := tc.build(s)
 			starts := sampleStarts(s, pts, ws, tc.starts)
 			want := singlePhaseFindModes(t, cfg, pts, ws, starts)
-			got, err := newSearcher(t, cfg).FindModes(view(3, pts, ws), starts)
+			got, err := newSearcher(t, cfg).FindModes(view(pts, ws), starts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +165,7 @@ func TestTwoPhaseOnNoiseInventsNoMode(t *testing.T) {
 				pts, ws := uniformNoise(s, nil, nil, 2000, 100, weight(s))
 				starts := sampleStarts(s, pts, ws, 192)
 				want := singlePhaseFindModes(t, cfg, pts, ws, starts)
-				got, err := newSearcher(t, cfg).FindModes(view(3, pts, ws), starts)
+				got, err := newSearcher(t, cfg).FindModes(view(pts, ws), starts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,10 +214,8 @@ func nearest(cfg Config, m Mode, modes []Mode) float64 {
 // positive weight is scored against every mode in ascending index, and
 // the strictly nearest mode within the cutoff takes its weight.
 func assignMassOracle(cfg Config, modes []Mode, points, weights []float64, cutoff float64) []float64 {
-	cfg = cfg.withDefaults()
-	d := len(cfg.Bandwidth)
 	if cutoff <= 0 {
-		cutoff = cfg.CutoffSigmas
+		cutoff = cutoffSigmas
 	}
 	out := make([]float64, len(modes)+1)
 	c2 := cutoff * cutoff
@@ -226,8 +227,8 @@ func assignMassOracle(cfg Config, modes []Mode, points, weights []float64, cutof
 		bestD2 := math.Inf(1)
 		for mi := range modes {
 			var d2 float64
-			for k := 0; k < d; k++ {
-				diff := (points[j*d+k] - modes[mi].Point[k]) * (1 / cfg.Bandwidth[k])
+			for k := range 3 {
+				diff := (points[3*j+k] - modes[mi].Point[k]) * (1 / cfg.Bandwidth[k])
 				d2 += diff * diff
 			}
 			if d2 < bestD2 {
@@ -259,11 +260,11 @@ func withNonPositive(ws []float64) []float64 {
 	return out
 }
 
-// modesAt builds modes at the given flat coordinates.
-func modesAt(d int, coords ...float64) []Mode {
+// modesAt builds modes at the given flat (x, y, strength) triples.
+func modesAt(coords ...float64) []Mode {
 	var modes []Mode
-	for i := 0; i+d <= len(coords); i += d {
-		modes = append(modes, Mode{Point: append([]float64(nil), coords[i:i+d]...)})
+	for i := 0; i+3 <= len(coords); i += 3 {
+		modes = append(modes, Mode{Point: *triple(coords, i/3)})
 	}
 	return modes
 }
@@ -291,14 +292,14 @@ func TestAssignMassMatchesOracle(t *testing.T) {
 	cpts, cws = cluster3(s, cpts, cws, 3000, 47, 71, 50, 2, 1)
 	cpts, cws = cluster3(s, cpts, cws, 3000, 81, 42, 50, 2, 1)
 	cpts, cws = uniformNoise(s, cpts, cws, 2000, 100, func(_, _, _ float64) float64 { return s.Uniform(0.1, 1) })
-	cmodes, err := newSearcher(t, cfg).FindModes(view(3, cpts, cws), sampleStarts(s, cpts, cws, 192))
+	cmodes, err := newSearcher(t, cfg).FindModes(view(cpts, cws), sampleStarts(s, cpts, cws, 192))
 	if err != nil || len(cmodes) < 2 {
 		t.Fatalf("clustered population: %d modes, %v", len(cmodes), err)
 	}
 	cases = append(cases, tc{"clustered", cfg, cmodes, cpts, cws})
 
 	upts, uws := uniformNoise(s, nil, nil, 5000, 100, func(_, _, _ float64) float64 { return s.Uniform(0.1, 1) })
-	umodes, err := newSearcher(t, cfg).FindModes(view(3, upts, uws), sampleStarts(s, upts, uws, 192))
+	umodes, err := newSearcher(t, cfg).FindModes(view(upts, uws), sampleStarts(s, upts, uws, 192))
 	if err != nil || len(umodes) < 2 {
 		t.Fatalf("uniform population: %d modes, %v", len(umodes), err)
 	}
@@ -306,13 +307,13 @@ func TestAssignMassMatchesOracle(t *testing.T) {
 
 	var rmodes []Mode
 	for i := 0; i < 60; i++ {
-		rmodes = append(rmodes, Mode{Point: []float64{s.Uniform(0, 100), s.Uniform(0, 100), s.Uniform(0, 200)}})
+		rmodes = append(rmodes, Mode{Point: [3]float64{s.Uniform(0, 100), s.Uniform(0, 100), s.Uniform(0, 200)}})
 	}
 	cases = append(cases, tc{"uniform, 60 random modes", cfg, rmodes, upts, uws})
 
 	// Points one cutoff (3 bandwidths here) from a mode along each axis
 	// and the diagonal, and one ulp inside and outside of that.
-	edge := modesAt(3, 50, 50, 100, 62.5, 50, 100)
+	edge := modesAt(50, 50, 100, 62.5, 50, 100)
 	var epts, ews []float64
 	for _, m := range edge {
 		for _, off := range [][2]float64{{12, 0}, {-12, 0}, {0, 12}, {0, -12}, {12 / math.Sqrt2, 12 / math.Sqrt2}} {
@@ -327,21 +328,21 @@ func TestAssignMassMatchesOracle(t *testing.T) {
 	cases = append(cases, tc{"one cutoff away", cfg, edge, epts, ews})
 
 	cases = append(cases,
-		tc{"modes outside the points", cfg, modesAt(3, -500, -500, 50, 1e4, 30, 80, 48, 70, 50, 150, 150, 60), cpts, cws},
-		tc{"coincident modes", cfg, modesAt(3, 47, 71, 50, 81, 42, 50, 47, 71, 50, 81, 42, 50), cpts, cws},
+		tc{"modes outside the points", cfg, modesAt(-500, -500, 50, 1e4, 30, 80, 48, 70, 50, 150, 150, 60), cpts, cws},
+		tc{"coincident modes", cfg, modesAt(47, 71, 50, 81, 42, 50, 47, 71, 50, 81, 42, 50), cpts, cws},
 		tc{"no modes", cfg, nil, cpts, cws},
 		tc{"zero and negative weights", cfg, cmodes, cpts, withNonPositive(cws)},
 		tc{"non-finite modes", cfg, []Mode{
-			{Point: []float64{math.NaN(), 71, 50}},
-			{Point: []float64{47, math.Inf(1), 50}},
-			{Point: []float64{47, 71, math.NaN()}},
-			{Point: []float64{81, 42, 50}},
+			{Point: [3]float64{math.NaN(), 71, 50}},
+			{Point: [3]float64{47, math.Inf(1), 50}},
+			{Point: [3]float64{47, 71, math.NaN()}},
+			{Point: [3]float64{81, 42, 50}},
 		}, cpts, cws},
-		tc{"non-finite points", cfg, modesAt(3, 47, 71, 50, 81, 42, 50),
+		tc{"non-finite points", cfg, modesAt(47, 71, 50, 81, 42, 50),
 			[]float64{math.NaN(), 71, 50, 47, math.Inf(-1), 50, 81, 42, math.Inf(1), 81, 42, 50},
 			[]float64{1, 2, 3, 4}},
-		tc{"two dimensions", Config{Bandwidth: []float64{2, 5}}, modesAt(2, 10, 10, 30, 30, 10, 40),
-			[]float64{10, 10, 11, 14, 30, 45, 16, 10, 10, 25, 9.5, 39},
+		tc{"unequal spatial bandwidths", Config{Bandwidth: [3]float64{2, 5, 10}}, modesAt(10, 10, 40, 30, 30, 60, 10, 40, 50),
+			[]float64{10, 10, 45, 11, 14, 70, 30, 45, 50, 16, 10, 30, 10, 25, 55, 9.5, 39, 40},
 			[]float64{1, 2, 3, 4, 5, 6}},
 	)
 
@@ -352,12 +353,12 @@ func TestAssignMassMatchesOracle(t *testing.T) {
 	for _, c := range cases {
 		for _, cutoff := range []float64{3, 0, -1, 1e-9, 1e6, math.Inf(1)} {
 			s := searcher
-			if len(c.cfg.Bandwidth) != len(cfg.Bandwidth) || c.cfg.Bandwidth[0] != cfg.Bandwidth[0] {
+			if c.cfg.Bandwidth != cfg.Bandwidth {
 				if s, err = NewSearcher(c.cfg); err != nil {
 					t.Fatal(err)
 				}
 			}
-			got, err := s.AssignMass(c.modes, view(len(c.cfg.Bandwidth), c.pts, c.ws), cutoff)
+			got, err := s.AssignMass(c.modes, view(c.pts, c.ws), cutoff)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +373,7 @@ func TestAssignMassMatchesOracle(t *testing.T) {
 }
 
 // gatherSlack is the gather oracle's slack: a climbing point
-// re-gathers its neighbourhood, at radius CutoffSigmas + gatherSlack,
+// re-gathers its neighbourhood, at radius cutoffSigmas + gatherSlack,
 // only after drifting gatherSlack from where it last gathered.
 const gatherSlack = 2.0
 
@@ -380,21 +381,20 @@ const gatherSlack = 2.0
 // replaced, kept as the bitwise oracle. It indexes the scaled points
 // in buckets over the same cells (ascending index within a bucket),
 // and every climb copies the positive-weight points of its
-// neighbourhood — the cells a disc of radius CutoffSigmas +
+// neighbourhood — the cells a disc of radius cutoffSigmas +
 // gatherSlack overlaps, row-major, filtered by distance — into dense
 // arrays, re-gathering once it drifts gatherSlack away. Staging,
 // phases, capture and merge are the search's, climbed serially.
 type gatherSearch struct {
 	*search
 	weights []float64
-	scaled  []float64 // n×d
+	scaled  []float64 // n triples
 	pts     []geometry.Vec
 	cells   spatial.Cells
 	buckets [][]int
 
-	ids                   []int
-	w, gx, gy, gz, coords []float64
-	num                   []float64
+	ids           []int
+	w, gx, gy, gz []float64
 }
 
 // gatherFindModes runs the gather oracle's search.
@@ -404,32 +404,25 @@ func gatherFindModes(t testing.TB, cfg Config, points, weights, starts []float64
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := s.d
-	sr := &search{cfg: s.cfg, d: d}
-	g := &gatherSearch{search: sr, weights: weights, num: make([]float64, d)}
+	sr := &search{cfg: s.cfg}
+	g := &gatherSearch{search: sr, weights: weights}
 	g.index(points)
 	m := sr.stageStarts(starts)
 	for i := 0; i < m; i += phase1Stride {
-		sr.dens[i], sr.resOK[i] = g.climb(sr.res[i*d:(i+1)*d], false)
+		sr.dens[i], sr.resOK[i] = g.climb(triple(sr.res, i), false)
 	}
 	for i := 0; i < m; i += phase1Stride {
 		if sr.resOK[i] {
-			sr.anchors = append(sr.anchors, sr.res[i*d:(i+1)*d]...)
+			sr.anchors = append(sr.anchors, triple(sr.res, i)[:]...)
 			sr.anchorDens = append(sr.anchorDens, sr.dens[i])
 		}
 	}
 	for i := 0; i < m; i++ {
 		if i%phase1Stride != 0 {
-			sr.dens[i], sr.resOK[i] = g.climb(sr.res[i*d:(i+1)*d], true)
+			sr.dens[i], sr.resOK[i] = g.climb(triple(sr.res, i), true)
 		}
 	}
-	modes := sr.mergeModes(m)
-	for i := range modes {
-		for k := 0; k < d; k++ {
-			modes[i].Point[k] *= cfg.Bandwidth[k]
-		}
-	}
-	return modes
+	return unscale(cfg, sr.mergeModes(m))
 }
 
 // index scales the points and buckets every one of them by cell over
@@ -437,15 +430,14 @@ func gatherFindModes(t testing.TB, cfg Config, points, weights, starts []float64
 // weight ≤ 0 are bucketed too (the gather skips them) but, as in
 // search.prepare, do not span the box.
 func (g *gatherSearch) index(points []float64) {
-	d := g.d
-	n := len(points) / d
+	n := len(points) / 3
 	lo := geometry.V(math.Inf(1), math.Inf(1))
 	hi := geometry.V(math.Inf(-1), math.Inf(-1))
 	for j := 0; j < n; j++ {
-		for k := 0; k < d; k++ {
-			g.scaled = append(g.scaled, points[j*d+k]/g.cfg.Bandwidth[k])
+		for k := range 3 {
+			g.scaled = append(g.scaled, points[3*j+k]/g.cfg.Bandwidth[k])
 		}
-		p := geometry.V(g.scaled[j*d], g.scaled[j*d+1])
+		p := geometry.V(g.scaled[3*j], g.scaled[3*j+1])
 		g.pts = append(g.pts, p)
 		if g.weights[j] <= 0 {
 			continue
@@ -455,7 +447,7 @@ func (g *gatherSearch) index(points []float64) {
 		hi.X = math.Max(hi.X, p.X)
 		hi.Y = math.Max(hi.Y, p.Y)
 	}
-	g.cells = spatial.NewCells(geometry.NewRect(lo, hi), g.cfg.CutoffSigmas)
+	g.cells = spatial.NewCells(geometry.NewRect(lo, hi), cutoffSigmas)
 	nx, ny := g.cells.Dims()
 	g.buckets = make([][]int, nx*ny)
 	for j, p := range g.pts {
@@ -484,11 +476,9 @@ func (g *gatherSearch) withinRadius(center geometry.Vec, r float64) {
 }
 
 // climb is search.climb over gathered neighbourhoods.
-func (g *gatherSearch) climb(x []float64, capture bool) (float64, bool) {
-	cfg := g.cfg
-	d := g.d
-	r2cut := cfg.CutoffSigmas * cfg.CutoffSigmas
-	exact := cfg.ExactKernel
+func (g *gatherSearch) climb(x *[3]float64, capture bool) (float64, bool) {
+	const r2cut = cutoffSigmas * cutoffSigmas
+	exact := g.cfg.ExactKernel
 	tol2 := climbTol * climbTol
 	capR := captureFrac * mergeRadius
 	cap2 := capR * capR
@@ -498,70 +488,42 @@ func (g *gatherSearch) climb(x []float64, capture bool) (float64, bool) {
 	for iter := 0; iter < climbMaxIter; iter++ {
 		if dx, dy := x[0]-ax, x[1]-ay; !gathered || dx*dx+dy*dy > gatherSlack*gatherSlack {
 			ax, ay = x[0], x[1]
-			g.withinRadius(geometry.V(ax, ay), cfg.CutoffSigmas+gatherSlack)
-			g.w, g.gx, g.gy, g.gz, g.coords = g.w[:0], g.gx[:0], g.gy[:0], g.gz[:0], g.coords[:0]
+			g.withinRadius(geometry.V(ax, ay), cutoffSigmas+gatherSlack)
+			g.w, g.gx, g.gy, g.gz = g.w[:0], g.gx[:0], g.gy[:0], g.gz[:0]
 			for _, j := range g.ids {
 				if g.weights[j] <= 0 {
 					continue
 				}
 				g.w = append(g.w, g.weights[j])
-				if d == 3 {
-					g.gx = append(g.gx, g.scaled[3*j])
-					g.gy = append(g.gy, g.scaled[3*j+1])
-					g.gz = append(g.gz, g.scaled[3*j+2])
-				} else {
-					g.coords = append(g.coords, g.scaled[j*d:(j+1)*d]...)
-				}
+				g.gx = append(g.gx, g.scaled[3*j])
+				g.gy = append(g.gy, g.scaled[3*j+1])
+				g.gz = append(g.gz, g.scaled[3*j+2])
 			}
 			gathered = true
 		}
 
-		var denom float64
-		if d == 3 {
-			x0, x1, x2 := x[0], x[1], x[2]
-			var n0, n1, n2 float64
-			for i := range g.gx {
-				dx := x0 - g.gx[i]
-				dy := x1 - g.gy[i]
-				if dx*dx+dy*dy > r2cut {
-					continue
-				}
-				dz := x2 - g.gz[i]
-				d2 := dx*dx + dy*dy + dz*dz
-				kv := g.w[i] * expNegHalf(d2, exact)
-				denom += kv
-				n0 += kv * g.gx[i]
-				n1 += kv * g.gy[i]
-				n2 += kv * g.gz[i]
+		x0, x1, x2 := x[0], x[1], x[2]
+		var denom, n0, n1, n2 float64
+		for i := range g.gx {
+			dx := x0 - g.gx[i]
+			dy := x1 - g.gy[i]
+			if dx*dx+dy*dy > r2cut {
+				continue
 			}
-			g.num[0], g.num[1], g.num[2] = n0, n1, n2
-		} else {
-			clear(g.num)
-			for i, w := range g.w {
-				base := i * d
-				dx := x[0] - g.coords[base]
-				dy := x[1] - g.coords[base+1]
-				if dx*dx+dy*dy > r2cut {
-					continue
-				}
-				d2 := dx*dx + dy*dy
-				for k := 2; k < d; k++ {
-					diff := x[k] - g.coords[base+k]
-					d2 += diff * diff
-				}
-				kv := w * expNegHalf(d2, exact)
-				denom += kv
-				for k := 0; k < d; k++ {
-					g.num[k] += kv * g.coords[base+k]
-				}
-			}
+			dz := x2 - g.gz[i]
+			d2 := dx*dx + dy*dy + dz*dz
+			kv := g.w[i] * expNegHalf(d2, exact)
+			denom += kv
+			n0 += kv * g.gx[i]
+			n1 += kv * g.gy[i]
+			n2 += kv * g.gz[i]
 		}
 		if denom <= 0 {
 			return 0, false
 		}
 		var move float64
-		for k := 0; k < d; k++ {
-			nx := g.num[k] / denom
+		for k, n := range [3]float64{n0, n1, n2} {
+			nx := n / denom
 			diff := nx - x[k]
 			move += diff * diff
 			x[k] = nx
@@ -569,14 +531,14 @@ func (g *gatherSearch) climb(x []float64, capture bool) (float64, bool) {
 		dens = denom
 		if capture {
 			for a, ad := range g.anchorDens {
-				anchor := g.anchors[a*d : (a+1)*d]
+				anchor := triple(g.anchors, a)
 				var dist2 float64
-				for k, v := range anchor {
-					diff := v - x[k]
+				for k := range 3 {
+					diff := anchor[k] - x[k]
 					dist2 += diff * diff
 				}
 				if dist2 <= cap2 {
-					copy(x, anchor)
+					*x = *anchor
 					return ad, true
 				}
 			}
@@ -588,35 +550,39 @@ func (g *gatherSearch) climb(x []float64, capture bool) (float64, bool) {
 	return dens, true
 }
 
-// randomPopulation draws n points in d dimensions: with clustered
-// set, Gaussian clusters (spread 1–3 bandwidths) over a uniform
-// background, otherwise uniform over [0,100]² in position and
-// [0,200] beyond. With zeros set, about a quarter of the weights are
-// zero (and a few negative); the rest are uniform on (0.05, 1].
-func randomPopulation(s *rng.Stream, d, n int, clustered, zeros bool) (pts, ws []float64) {
-	var centres [][]float64
+// expNegHalf returns exp(−d2/2), by linear interpolation of expTable
+// for in-range d2 and by math.Exp when exact is set or d2 falls outside
+// the table: the kernel search.climb spells out inline, as the oracle's
+// kernel. d2 must be ≥ 0 (it is a squared distance).
+func expNegHalf(d2 float64, exact bool) float64 {
+	if exact || d2 >= expTableMax {
+		return math.Exp(-0.5 * d2)
+	}
+	t := d2 * expTableInvStep
+	i := int(t)
+	f := t - float64(i)
+	return expTable[i] + f*(expTable[i+1]-expTable[i])
+}
+
+// randomPopulation draws n points: with clustered set, Gaussian
+// clusters (spread 1–3 bandwidths) over a uniform background, otherwise
+// uniform over [0,100]² in position and [0,200] in strength. With
+// zeros set, about a quarter of the weights are zero (and a few
+// negative); the rest are uniform on (0.05, 1].
+func randomPopulation(s *rng.Stream, n int, clustered, zeros bool) (pts, ws []float64) {
+	var centres [][3]float64
 	if clustered {
 		for c := 0; c < 1+s.IntN(5); c++ {
-			cc := []float64{s.Uniform(10, 90), s.Uniform(10, 90)}
-			for k := 2; k < d; k++ {
-				cc = append(cc, s.Uniform(20, 180))
-			}
-			centres = append(centres, cc)
+			centres = append(centres, [3]float64{s.Uniform(10, 90), s.Uniform(10, 90), s.Uniform(20, 180)})
 		}
 	}
 	for i := 0; i < n; i++ {
 		if len(centres) > 0 && s.Float64() < 0.8 {
 			c := centres[s.IntN(len(centres))]
 			spread := s.Uniform(1, 3)
-			pts = append(pts, s.Normal(c[0], 4*spread), s.Normal(c[1], 4*spread))
-			for k := 2; k < d; k++ {
-				pts = append(pts, s.Normal(c[k], 30*spread))
-			}
+			pts = append(pts, s.Normal(c[0], 4*spread), s.Normal(c[1], 4*spread), s.Normal(c[2], 30*spread))
 		} else {
-			pts = append(pts, s.Uniform(0, 100), s.Uniform(0, 100))
-			for k := 2; k < d; k++ {
-				pts = append(pts, s.Uniform(0, 200))
-			}
+			pts = append(pts, s.Uniform(0, 100), s.Uniform(0, 100), s.Uniform(0, 200))
 		}
 		w := s.Uniform(0.05, 1)
 		if zeros {
@@ -635,11 +601,10 @@ func randomPopulation(s *rng.Stream, d, n int, clustered, zeros bool) (pts, ws [
 // TestCellScanMatchesGatherOracle demands bit-identical modes — every
 // point coordinate, density and Starts count — from FindModes and the
 // gather oracle, at 1, 2, 3 and 8 workers: random and clustered
-// populations with and without zero and negative weights, in 2, 3 and
-// 4 dimensions, with the table and the exact kernel, at the default
-// and a short cutoff, over bounds so wide that the cell count cap
-// doubles the cell side, over coincident points, and with starts far
-// outside the points.
+// populations with and without zero and negative weights, with the
+// table and the exact kernel, over bounds so wide that the cell count
+// cap doubles the cell side, over coincident points, and with starts
+// far outside the points.
 func TestCellScanMatchesGatherOracle(t *testing.T) {
 	type tc struct {
 		name    string
@@ -647,46 +612,41 @@ func TestCellScanMatchesGatherOracle(t *testing.T) {
 		pts, ws []float64
 		starts  []float64
 	}
-	bw := map[int][]float64{2: {4, 4}, 3: {4, 4, 30}, 4: {4, 4, 30, 20}}
+	bw := [3]float64{4, 4, 30}
 	var cases []tc
 	s := rng.New(51, 1)
 	for p := 0; p < 24; p++ {
-		d := 2 + p%3
 		clustered, zeros := p%2 == 0, p%4 < 2
-		cfg := Config{Bandwidth: bw[d], ExactKernel: p%5 == 0}
-		if p%6 == 5 {
-			cfg.CutoffSigmas = 2.5
-		}
-		pts, ws := randomPopulation(s, d, 200+s.IntN(2500), clustered, zeros)
+		cfg := Config{Bandwidth: bw, ExactKernel: p%5 == 0}
+		pts, ws := randomPopulation(s, 200+s.IntN(2500), clustered, zeros)
 		var starts []float64
 		for i, m := 0, 32+s.IntN(160); i < m; i++ {
-			j := s.IntN(len(ws))
-			starts = append(starts, pts[j*d:(j+1)*d]...)
+			starts = append(starts, triple(pts, s.IntN(len(ws)))[:]...)
 		}
-		name := fmt.Sprintf("d%d clustered=%v zeros=%v exact=%v cutoff=%v #%d", d, clustered, zeros, cfg.ExactKernel, cfg.CutoffSigmas, p)
+		name := fmt.Sprintf("clustered=%v zeros=%v exact=%v #%d", clustered, zeros, cfg.ExactKernel, p)
 		cases = append(cases, tc{name, cfg, pts, ws, starts})
 	}
 
-	pts, ws := randomPopulation(s, 3, 2000, true, false)
+	pts, ws := randomPopulation(s, 2000, true, false)
 	starts := append([]float64(nil), pts[:3*96]...)
 	starts = append(starts, -1e4, 50, 100, 50, 1e4, 100, 1e6, -1e6, 0)
 	cases = append(cases,
-		tc{"tiny bandwidth: capped cell count", Config{Bandwidth: []float64{1e-3, 2e-3, 30}}, pts, ws, starts},
-		tc{"starts far outside", Config{Bandwidth: bw[3]}, pts, ws, starts})
+		tc{"tiny bandwidth: capped cell count", Config{Bandwidth: [3]float64{1e-3, 2e-3, 30}}, pts, ws, starts},
+		tc{"starts far outside", Config{Bandwidth: bw}, pts, ws, starts})
 
 	var same, sameW []float64
 	for i := 0; i < 300; i++ {
 		same = append(same, 40, 60, 80)
 		sameW = append(sameW, float64(i%3))
 	}
-	cases = append(cases, tc{"coincident points", Config{Bandwidth: bw[3]}, same, sameW, []float64{40, 60, 80, 41, 61, 90, 70, 70, 70}})
+	cases = append(cases, tc{"coincident points", Config{Bandwidth: bw}, same, sameW, []float64{40, 60, 80, 41, 61, 90, 70, 70, 70}})
 
 	for _, c := range cases {
 		want := gatherFindModes(t, c.cfg, c.pts, c.ws, c.starts)
 		for _, workers := range []int{1, 2, 3, 8} {
 			cfg := c.cfg
 			cfg.Workers = workers
-			got, err := newSearcher(t, cfg).FindModes(view(len(cfg.Bandwidth), c.pts, c.ws), c.starts)
+			got, err := newSearcher(t, cfg).FindModes(view(c.pts, c.ws), c.starts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -296,7 +296,7 @@ func TestMetricsEndpointAgreesWithStatez(t *testing.T) {
 		}
 	}
 	// Every filter stage must have observed work under its own label.
-	for _, stage := range []string{"select", "predict", "weight", "resample", "estimate"} {
+	for _, stage := range []string{"select", "weight", "resample", "estimate"} {
 		if n := dump.value(t, "radloc_filter_stage_seconds_count", map[string]string{"stage": stage}); n == 0 {
 			t.Errorf("filter stage %q never observed", stage)
 		}

@@ -315,7 +315,7 @@ func (d *durable) adoptCheckpoint(ck wal.Checkpoint) error {
 // promptly and the prune floor cannot rest on a file that no longer
 // exists. It runs on the zone's event loop.
 func (d *durable) quarantineCheckpoint(applied uint64) error {
-	if err := wal.QuarantineCheckpoint(d.fs, d.dir, applied); err != nil {
+	if _, err := wal.SetAside(d.fs, wal.CheckpointPath(d.dir, applied)); err != nil {
 		return err
 	}
 	last, prev := d.lastApplied, d.prevApplied

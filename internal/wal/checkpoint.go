@@ -124,9 +124,9 @@ func WriteCheckpointFS(fsys vfs.FS, dir string, ck Checkpoint) error {
 }
 
 // LoadCheckpointFS returns the newest valid checkpoint in dir through
-// fsys. Corrupt candidates are skipped (renamed aside to a
-// collision-safe .bad sibling, as QuarantineCheckpoint does), walking
-// back to older ones; unreadable ones are skipped in place; ok=false
+// fsys. Corrupt candidates are skipped (set aside to a collision-safe
+// .bad sibling by SetAside), walking back to older ones; unreadable
+// ones are skipped in place; ok=false
 // means no usable checkpoint exists — cold start from WAL offset 0. A
 // candidate in the retired JSON envelope fails the load with
 // ErrRetiredCheckpoint, naming the file, and is left in place.
@@ -148,7 +148,7 @@ func LoadCheckpointFS(fsys vfs.FS, dir string) (ck Checkpoint, ok bool, err erro
 			return Checkpoint{}, false, fmt.Errorf("%s: %w", CheckpointPath(dir, applied), ErrRetiredCheckpoint)
 		}
 		// Corrupt: move aside and fall back to the previous one.
-		_ = QuarantineCheckpoint(fsys, dir, applied)
+		_, _ = SetAside(fsys, CheckpointPath(dir, applied))
 	}
 	return Checkpoint{}, false, nil
 }
@@ -176,15 +176,6 @@ func VerifyCheckpoints(fsys vfs.FS, dir string) (bad []uint64, err error) {
 		}
 	}
 	return bad, nil
-}
-
-// QuarantineCheckpoint renames the checkpoint at applied to a .bad
-// sibling through fsys (collision-safe), so recovery stops trusting
-// it without destroying the evidence. Used by the scrubber when a
-// cold checkpoint fails re-verification.
-func QuarantineCheckpoint(fsys vfs.FS, dir string, applied uint64) error {
-	_, err := SetAside(fsys, CheckpointPath(dir, applied))
-	return err
 }
 
 // PruneCheckpointsFS removes all but the newest keep valid-looking

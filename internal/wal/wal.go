@@ -244,10 +244,10 @@ func (l *Log) recover() (RecoveryStats, error) {
 		hexpart := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
 		start, perr := strconv.ParseUint(hexpart, 16, 64)
 		if perr != nil || segmentPath(l.dir, start) != filepath.Join(l.dir, name) {
-			// Unparsable or non-canonical name: quarantine rather than
-			// guess at an offset.
+			// Unparsable or non-canonical name: set it aside rather
+			// than guess at an offset.
 			stats.DroppedSegments++
-			_ = l.fs.Rename(filepath.Join(l.dir, name), filepath.Join(l.dir, name+".bad"))
+			_, _ = SetAside(l.fs, filepath.Join(l.dir, name))
 			continue
 		}
 		segs = append(segs, segment{start: start, path: filepath.Join(l.dir, name)})

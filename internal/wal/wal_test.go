@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -234,18 +235,38 @@ func TestPruneSegmentsAndAlignTo(t *testing.T) {
 	l2.Close()
 }
 
+// TestForeignFilesQuarantined: a file with a segment's prefix and
+// suffix but no parsable offset is set aside, and files without the
+// pattern are left alone. A second boot that meets another file of the
+// same name sets it aside beside the first, so both survive.
 func TestForeignFilesQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	os.WriteFile(filepath.Join(dir, "wal-nothex.ndjson"), []byte("junk\n"), 0o644)
+	foreign := filepath.Join(dir, "wal-nothex.ndjson")
 	os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("operator notes"), 0o644)
-	l, stats := mustOpen(t, dir, Options{})
-	if stats.DroppedSegments != 1 {
-		t.Fatalf("stats: %+v", stats)
+	var junk [][]byte
+	for boot := 1; boot <= 2; boot++ {
+		blob := []byte(fmt.Sprintf("junk from before boot %d\n", boot))
+		junk = append(junk, blob)
+		if err := os.WriteFile(foreign, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, stats := mustOpen(t, dir, Options{})
+		if stats.DroppedSegments != 1 {
+			t.Fatalf("boot %d stats: %+v", boot, stats)
+		}
+		if boot == 1 {
+			appendN(t, l, 0, 1)
+		}
+		l.Close()
 	}
-	appendN(t, l, 0, 1)
-	l.Close()
 	if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
 		t.Error("unrelated file touched")
+	}
+	for i, name := range []string{foreign + ".bad", foreign + ".bad.1"} {
+		got, err := os.ReadFile(name)
+		if err != nil || !bytes.Equal(got, junk[i]) {
+			t.Errorf("%s does not hold the file boot %d set aside (err %v)", filepath.Base(name), i+1, err)
+		}
 	}
 }
 
